@@ -82,9 +82,9 @@ fn capacity_phase(addr: SocketAddr, window: Duration) -> (f64, u64, u64) {
             let path = QUERY_PATHS[t % QUERY_PATHS.len()];
             while !stop.load(Ordering::Relaxed) {
                 let t0 = Instant::now();
-                for _ in 0..PIPELINE {
-                    client.send_get(path).expect("pipelined send");
-                }
+                client
+                    .send_gets(std::iter::repeat_n(path, PIPELINE))
+                    .expect("pipelined send");
                 for _ in 0..PIPELINE {
                     let resp = client.read_response().expect("pipelined response");
                     assert_eq!(resp.status, 200, "capacity query failed: {}", resp.body);

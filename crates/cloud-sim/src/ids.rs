@@ -181,16 +181,16 @@ impl FromStr for Az {
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let err = || ParseIdError::new("availability zone", s);
-        if s.len() < 2 {
+        let Some((&letter, region)) = s.as_bytes().split_last() else {
             return Err(err());
-        }
-        let (region_part, letter) = s.split_at(s.len() - 1);
-        let region: Region = region_part.parse().map_err(|_| err())?;
-        let letter = letter.chars().next().ok_or_else(err)?;
+        };
         if !letter.is_ascii_lowercase() {
             return Err(err());
         }
-        Ok(Az::new(region, letter as u8 - b'a'))
+        // The letter is one ASCII byte, so the cut is a char boundary
+        // whatever precedes it.
+        let region: Region = s[..region.len()].parse().map_err(|_| err())?;
+        Ok(Az::new(region, letter - b'a'))
     }
 }
 
@@ -622,6 +622,11 @@ mod tests {
         assert_eq!("us-east-1d".parse::<Az>().unwrap(), az);
         assert!("us-east-1".parse::<Az>().is_err());
         assert!("us-east-1D".parse::<Az>().is_err());
+        assert!("".parse::<Az>().is_err());
+        assert!("a".parse::<Az>().is_err());
+        // A multi-byte last character must be an error, not a slice
+        // panic inside the character.
+        assert!("us-east-1\u{e9}".parse::<Az>().is_err());
     }
 
     #[test]

@@ -11,51 +11,143 @@
 //! [`Freshness`], [`DurabilityStats`], [`RecoveryInfo`],
 //! [`RegionHealth`], [`LiveReport`]); `crates/serve` composes them
 //! into response bodies with the same builders.
+//!
+//! **Invariant: the writer itself never allocates.** Every scalar goes
+//! straight into the caller's `&mut String` — integers through a stack
+//! digit buffer, floats through `fmt::Write`, strings by one escape
+//! scan and a single `push_str` when nothing needs escaping — so a
+//! body encoded into a buffer that already has the capacity (the
+//! serving tier's per-connection scratch, see `spotlight_serve::router`)
+//! costs no heap traffic. The bytes are identical to PR 12's encoder
+//! (`format!`/`to_string` based), pinned by a proptest against a copy
+//! of it in `tests/serve_bytes.rs`.
 
 use crate::durable::{DurabilityMode, DurabilityStats, RecoveryInfo};
 use crate::manager::LiveReport;
 use crate::query::{AvailabilityStats, Freshness};
 use crate::store::RegionHealth;
+use std::fmt::Write;
+
+/// Bytes a JSON string literal cannot carry verbatim.
+fn needs_escape(b: u8) -> bool {
+    b == b'"' || b == b'\\' || b < 0x20
+}
 
 /// Appends `s` to `out` as a JSON string literal (quotes included).
+#[inline]
 pub fn write_str(out: &mut String, s: &str) {
+    write_str_parts(out, &[s]);
+}
+
+/// Appends the concatenation of `parts` to `out` as one JSON string
+/// literal — for values assembled from static pieces (a market id is
+/// region + zone letter + type + platform) without an intermediate
+/// `String`.
+///
+/// Inlined, with the escaping loop out of line: for the literal keys
+/// every call site passes, the scan folds away at compile time and the
+/// copy becomes a few stores.
+#[inline]
+pub fn write_str_parts(out: &mut String, parts: &[&str]) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str("\\u");
-                let code = c as u32;
-                for shift in [12u32, 8, 4, 0] {
-                    let digit = (code >> shift) & 0xf;
-                    out.push(char::from_digit(digit, 16).expect("hex digit"));
-                }
-            }
-            c => out.push(c),
+    for s in parts {
+        // Branch-free so the scan vectorizes (and constant-folds).
+        let clean = !s.bytes().fold(false, |dirty, b| dirty | needs_escape(b));
+        if clean {
+            out.push_str(s);
+        } else {
+            write_escaped(out, s);
         }
     }
     out.push('"');
 }
 
+#[cold]
+#[inline(never)]
+fn write_escaped(out: &mut String, s: &str) {
+    // Every escaped byte is ASCII, so `run..i` always splits `s` on
+    // char boundaries.
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if !needs_escape(b) {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                const HEX: &[u8; 16] = b"0123456789abcdef";
+                out.push_str("\\u00");
+                out.push(HEX[usize::from(b >> 4)] as char);
+                out.push(HEX[usize::from(b & 0xf)] as char);
+            }
+        }
+    }
+    out.push_str(&s[run..]);
+}
+
+/// The ASCII digits of `v` in decimal, written into the caller's stack
+/// buffer (`u64::MAX` has 20 digits) — the allocation-free `to_string`.
+pub fn decimal(mut v: u64, digits: &mut [u8; 20]) -> &[u8] {
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    &digits[at..]
+}
+
+fn write_u64(out: &mut String, v: u64) {
+    // Digit by digit: cheaper than validating the buffer as UTF-8.
+    for &digit in decimal(v, &mut [0; 20]) {
+        out.push(digit as char);
+    }
+}
+
+fn write_i64(out: &mut String, v: i64) {
+    if v < 0 {
+        out.push('-');
+    }
+    write_u64(out, v.unsigned_abs());
+}
+
 fn write_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
+    if !v.is_finite() {
+        out.push_str("null");
+    } else if v.fract() == 0.0 && v.abs() < 1e15 {
+        // Whole numbers (the common `0.0` / `1.0` availability
+        // readings) skip the shortest-digits search: `Display` would
+        // print exactly these digits, sign of `-0.0` included.
+        if v.is_sign_negative() {
+            out.push('-');
+        }
+        write_u64(out, v.abs() as u64);
+        out.push_str(".0");
+    } else {
         // `Display` for finite floats is shortest round-trip and always
         // a valid JSON number (no exponent-less `inf`/`NaN` forms).
         let start = out.len();
-        out.push_str(&format!("{v}"));
-        if !out[start..].contains(['.', 'e', 'E']) {
+        write!(out, "{v}").expect("writing to a String cannot fail");
+        if !out.as_bytes()[start..]
+            .iter()
+            .any(|b| matches!(b, b'.' | b'e' | b'E'))
+        {
             out.push_str(".0");
         }
-    } else {
-        out.push_str("null");
     }
 }
 
 /// Writes one JSON object into `out` via the closure.
+#[inline]
 pub fn object(out: &mut String, f: impl FnOnce(&mut Object<'_>)) {
     out.push('{');
     let mut obj = Object { out, first: true };
@@ -64,6 +156,7 @@ pub fn object(out: &mut String, f: impl FnOnce(&mut Object<'_>)) {
 }
 
 /// Writes one JSON array into `out` via the closure.
+#[inline]
 pub fn array(out: &mut String, f: impl FnOnce(&mut Array<'_>)) {
     out.push('[');
     let mut arr = Array { out, first: true };
@@ -79,6 +172,7 @@ pub struct Object<'a> {
 }
 
 impl Object<'_> {
+    #[inline]
     fn key(&mut self, key: &str) -> &mut String {
         if !self.first {
             self.out.push(',');
@@ -90,42 +184,57 @@ impl Object<'_> {
     }
 
     /// Appends an unsigned integer field.
+    #[inline]
     pub fn u64(&mut self, key: &str, v: u64) {
         let out = self.key(key);
-        out.push_str(&v.to_string());
+        write_u64(out, v);
     }
 
     /// Appends a signed integer field.
+    #[inline]
     pub fn i64(&mut self, key: &str, v: i64) {
         let out = self.key(key);
-        out.push_str(&v.to_string());
+        write_i64(out, v);
     }
 
     /// Appends a float field (`null` when non-finite).
+    #[inline]
     pub fn f64(&mut self, key: &str, v: f64) {
         let out = self.key(key);
         write_f64(out, v);
     }
 
     /// Appends a boolean field.
+    #[inline]
     pub fn bool(&mut self, key: &str, v: bool) {
         let out = self.key(key);
         out.push_str(if v { "true" } else { "false" });
     }
 
     /// Appends a string field.
+    #[inline]
     pub fn str(&mut self, key: &str, v: &str) {
         let out = self.key(key);
         write_str(out, v);
     }
 
+    /// Appends a string field whose value is the concatenation of
+    /// `parts` (see [`write_str_parts`]).
+    #[inline]
+    pub fn str_parts(&mut self, key: &str, parts: &[&str]) {
+        let out = self.key(key);
+        write_str_parts(out, parts);
+    }
+
     /// Appends an explicit `null` field.
+    #[inline]
     pub fn null(&mut self, key: &str) {
         let out = self.key(key);
         out.push_str("null");
     }
 
     /// Appends an integer-or-`null` field.
+    #[inline]
     pub fn opt_u64(&mut self, key: &str, v: Option<u64>) {
         match v {
             Some(v) => self.u64(key, v),
@@ -134,6 +243,7 @@ impl Object<'_> {
     }
 
     /// Appends a string-or-`null` field.
+    #[inline]
     pub fn opt_str(&mut self, key: &str, v: Option<&str>) {
         match v {
             Some(v) => self.str(key, v),
@@ -142,18 +252,21 @@ impl Object<'_> {
     }
 
     /// Appends a nested object field.
+    #[inline]
     pub fn object(&mut self, key: &str, f: impl FnOnce(&mut Object<'_>)) {
         let out = self.key(key);
         object(out, f);
     }
 
     /// Appends a nested array field.
+    #[inline]
     pub fn array(&mut self, key: &str, f: impl FnOnce(&mut Array<'_>)) {
         let out = self.key(key);
         array(out, f);
     }
 
     /// Appends a field whose value is `v`'s [`ToJson`] serialization.
+    #[inline]
     pub fn value(&mut self, key: &str, v: &impl ToJson) {
         let out = self.key(key);
         v.write_json(out);
@@ -168,6 +281,7 @@ pub struct Array<'a> {
 }
 
 impl Array<'_> {
+    #[inline]
     fn elem(&mut self) -> &mut String {
         if !self.first {
             self.out.push(',');
@@ -177,30 +291,43 @@ impl Array<'_> {
     }
 
     /// Appends an unsigned integer element.
+    #[inline]
     pub fn u64(&mut self, v: u64) {
         let out = self.elem();
-        out.push_str(&v.to_string());
+        write_u64(out, v);
     }
 
     /// Appends a float element (`null` when non-finite).
+    #[inline]
     pub fn f64(&mut self, v: f64) {
         let out = self.elem();
         write_f64(out, v);
     }
 
     /// Appends a string element.
+    #[inline]
     pub fn str(&mut self, v: &str) {
         let out = self.elem();
         write_str(out, v);
     }
 
+    /// Appends a string element that is the concatenation of `parts`
+    /// (see [`write_str_parts`]).
+    #[inline]
+    pub fn str_parts(&mut self, parts: &[&str]) {
+        let out = self.elem();
+        write_str_parts(out, parts);
+    }
+
     /// Appends an object element.
+    #[inline]
     pub fn object(&mut self, f: impl FnOnce(&mut Object<'_>)) {
         let out = self.elem();
         object(out, f);
     }
 
     /// Appends an element from `v`'s [`ToJson`] serialization.
+    #[inline]
     pub fn value(&mut self, v: &impl ToJson) {
         let out = self.elem();
         v.write_json(out);

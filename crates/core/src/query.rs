@@ -77,6 +77,32 @@ impl Freshness {
     }
 }
 
+/// The `n` lowest-scored rows in ascending score order, equal scores in
+/// row order — what a stable sort of every row followed by
+/// `truncate(n)` yields, except that the rows beyond `n` are only
+/// partitioned off, never sorted (the advisor scans rank ~5k markets
+/// to return ten). Each row carries its position as the tie-breaker.
+fn best_n<T, K: PartialOrd>(
+    mut rows: Vec<(usize, T)>,
+    n: usize,
+    score: impl Fn(&T) -> K,
+) -> impl Iterator<Item = T> {
+    let by_score_then_position = |a: &(usize, T), b: &(usize, T)| {
+        score(&a.1)
+            .partial_cmp(&score(&b.1))
+            .expect("scores are finite")
+            .then(a.0.cmp(&b.0))
+    };
+    if n < rows.len() {
+        if n > 0 {
+            rows.select_nth_unstable_by(n - 1, by_score_then_position);
+        }
+        rows.truncate(n);
+    }
+    rows.sort_unstable_by(by_score_then_position);
+    rows.into_iter().map(|(_, row)| row)
+}
+
 /// The query interface over a probe-database snapshot.
 #[derive(Debug, Clone, Copy)]
 pub struct SpotLightQuery<'a> {
@@ -213,20 +239,15 @@ impl<'a> SpotLightQuery<'a> {
         min_probes: u64,
         n: usize,
     ) -> Vec<(MarketId, AvailabilityStats)> {
-        let mut rows: Vec<(MarketId, AvailabilityStats)> = candidates
+        let rows: Vec<(usize, (MarketId, AvailabilityStats))> = candidates
             .iter()
             .copied()
             .filter(|m| region.is_none_or(|r| m.region() == r))
             .map(|m| (m, self.availability(m, ProbeKind::OnDemand)))
             .filter(|(_, st)| st.probes >= min_probes)
+            .enumerate()
             .collect();
-        rows.sort_by(|a, b| {
-            a.1.unavailable_fraction
-                .partial_cmp(&b.1.unavailable_fraction)
-                .expect("fractions are finite")
-        });
-        rows.truncate(n);
-        rows
+        best_n(rows, n, |(_, st)| st.unavailable_fraction).collect()
     }
 
     /// P(on-demand of `b` unavailable within `window` | on-demand
@@ -269,7 +290,7 @@ impl<'a> SpotLightQuery<'a> {
         window: SimDuration,
         n: usize,
     ) -> Vec<MarketId> {
-        let mut rows: Vec<(MarketId, f64, f64)> = candidates
+        let rows: Vec<(usize, (MarketId, f64, f64))> = candidates
             .iter()
             .copied()
             .filter(|&c| c != market && c.pool() != market.pool())
@@ -282,9 +303,11 @@ impl<'a> SpotLightQuery<'a> {
                     .unavailable_fraction;
                 (c, corr, own)
             })
+            .enumerate()
             .collect();
-        rows.sort_by(|a, b| (a.1, a.2).partial_cmp(&(b.1, b.2)).expect("finite scores"));
-        rows.into_iter().take(n).map(|(m, _, _)| m).collect()
+        best_n(rows, n, |&(_, corr, own)| (corr, own))
+            .map(|(m, _, _)| m)
+            .collect()
     }
 
     /// Historical spike rates per window at each candidate threshold —

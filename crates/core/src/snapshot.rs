@@ -32,7 +32,7 @@
 
 use crate::store::{DataStore, ReadView, RegionHealth, StoreRead, Stripe};
 use crate::sync::Mutex;
-use cloud_sim::ids::Region;
+use cloud_sim::ids::{MarketId, Region};
 use cloud_sim::price::Price;
 use cloud_sim::time::SimTime;
 use spotlight_pool::WorkerPool;
@@ -52,6 +52,8 @@ pub struct StoreSnapshot {
     pub(crate) region_health: HashMap<Region, RegionHealth>,
     pub(crate) durability_lost: Option<SimTime>,
     as_of: SimTime,
+    /// Every probed market in `MarketId` order, built once at capture.
+    probed_markets: Box<[MarketId]>,
 }
 
 impl StoreSnapshot {
@@ -68,6 +70,14 @@ impl StoreSnapshot {
     /// observation span's end (their "now") to this.
     pub fn as_of(&self) -> SimTime {
         self.as_of
+    }
+
+    /// Every market probed at least once as of the capture, sorted —
+    /// the advisor endpoints' candidate list. The stripes' hash maps
+    /// iterate in arbitrary order, so the list is sorted once here
+    /// instead of once per request.
+    pub fn probed_markets_sorted(&self) -> &[MarketId] {
+        &self.probed_markets
     }
 
     /// Probes recorded over the store's lifetime as of the capture.
@@ -123,6 +133,12 @@ impl DataStore {
             guards.iter().map(|g| (**g).clone()).collect()
         };
         drop(guards);
+        // Outside the stripe locks: ingest is not held up by the sort.
+        let mut probed_markets: Box<[MarketId]> = stripes
+            .iter()
+            .flat_map(|s| s.probes_by_market.keys().copied())
+            .collect();
+        probed_markets.sort_unstable();
         StoreSnapshot {
             stripes,
             epoch_secs: self.epoch_secs,
@@ -132,6 +148,7 @@ impl DataStore {
             region_health: self.region_health.read().clone(),
             durability_lost: self.durability_lost(),
             as_of,
+            probed_markets,
         }
     }
 }
@@ -222,7 +239,7 @@ mod tests {
     use super::*;
     use crate::probe::{ProbeKind, ProbeOutcome, ProbeRecord, ProbeTrigger};
     use crate::query::SpotLightQuery;
-    use cloud_sim::ids::{Az, MarketId, Platform};
+    use cloud_sim::ids::{Az, Platform};
 
     fn market(i: u8) -> MarketId {
         MarketId {
@@ -277,6 +294,7 @@ mod tests {
             frozen.probed_markets().count()
         );
         assert_eq!(snap.as_of(), SimTime::from_secs(3600));
+        assert_eq!(snap.probed_markets_sorted(), [m, market(1)]);
     }
 
     #[test]

@@ -2,11 +2,12 @@
 //! the load generator, the smoke harness, and the integration tests.
 //!
 //! Supports keep-alive and explicit pipelining: [`Client::send_get`]
-//! queues a request without waiting, [`Client::read_response`] pulls
-//! the next response off the wire, and [`Client::get`] does one
-//! round-trip.
+//! queues a request without waiting ([`Client::send_gets`] a whole
+//! batch in one write), [`Client::read_response`] pulls the next
+//! response off the wire, and [`Client::get`] does one round-trip.
 
-use std::io::{self, ErrorKind, Read, Write};
+use crate::readbuf::ReadBuf;
+use std::io::{self, ErrorKind, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
@@ -36,7 +37,13 @@ impl Response {
 #[derive(Debug)]
 pub struct Client {
     stream: TcpStream,
-    rbuf: Vec<u8>,
+    rbuf: ReadBuf,
+    /// Outgoing batch of [`Client::send_gets`], reused across calls.
+    wbuf: Vec<u8>,
+}
+
+fn invalid(message: &'static str) -> io::Error {
+    io::Error::new(ErrorKind::InvalidData, message)
 }
 
 impl Client {
@@ -48,7 +55,9 @@ impl Client {
         stream.set_nodelay(true)?;
         Ok(Client {
             stream,
-            rbuf: Vec::with_capacity(4096),
+            // Room for a pipelined batch of point answers in one read.
+            rbuf: ReadBuf::new(16 * 1024),
+            wbuf: Vec::new(),
         })
     }
 
@@ -59,52 +68,62 @@ impl Client {
 
     /// Queues a `GET` without waiting for the response.
     pub fn send_get(&mut self, path_and_query: &str) -> io::Result<()> {
-        let req = format!("GET {path_and_query} HTTP/1.1\r\nHost: spotlight\r\n\r\n");
-        self.stream.write_all(req.as_bytes())
+        self.send_gets([path_and_query])
     }
 
-    /// Reads the next pipelined response.
+    /// Queues one `GET` per path in a **single write**, without waiting
+    /// for the responses. A pipelining caller that issues one write per
+    /// request leaves it to the scheduler how many of them the server
+    /// sees per read; one write makes the batch the unit.
+    pub fn send_gets<'p>(&mut self, paths: impl IntoIterator<Item = &'p str>) -> io::Result<()> {
+        self.wbuf.clear();
+        for path_and_query in paths {
+            self.wbuf.extend_from_slice(b"GET ");
+            self.wbuf.extend_from_slice(path_and_query.as_bytes());
+            self.wbuf
+                .extend_from_slice(b" HTTP/1.1\r\nHost: spotlight\r\n\r\n");
+        }
+        self.stream.write_all(&self.wbuf)
+    }
+
+    /// Reads the next pipelined response. The head is parsed in place
+    /// and consumed with a cursor; the buffer is compacted once per
+    /// socket read, not once per response.
     pub fn read_response(&mut self) -> io::Result<Response> {
         // Buffer until the blank line.
-        let head_end = loop {
-            if let Some(pos) = find_blank_line(&self.rbuf) {
-                break pos;
+        let head_len = loop {
+            if let Some(len) = find_blank_line(self.rbuf.unread()) {
+                break len;
             }
             self.fill()?;
         };
-        let head = std::str::from_utf8(&self.rbuf[..head_end])
-            .map_err(|_| io::Error::new(ErrorKind::InvalidData, "non-UTF-8 response head"))?;
+        let head = std::str::from_utf8(&self.rbuf.unread()[..head_len])
+            .map_err(|_| invalid("non-UTF-8 response head"))?;
         let mut lines = head.split("\r\n");
-        let status_line = lines
+        let status: u16 = lines
             .next()
-            .ok_or_else(|| io::Error::new(ErrorKind::InvalidData, "empty response"))?;
-        let status: u16 = status_line
-            .split_whitespace()
-            .nth(1)
+            .and_then(|status_line| status_line.split_whitespace().nth(1))
             .and_then(|s| s.parse().ok())
-            .ok_or_else(|| io::Error::new(ErrorKind::InvalidData, "bad status line"))?;
+            .ok_or_else(|| invalid("bad status line"))?;
         let mut headers = Vec::new();
         let mut content_length = 0usize;
         for line in lines.filter(|l| !l.is_empty()) {
             let Some((name, value)) = line.split_once(':') else {
                 continue;
             };
-            let name = name.trim().to_ascii_lowercase();
-            let value = value.trim().to_string();
-            if name == "content-length" {
-                content_length = value
-                    .parse()
-                    .map_err(|_| io::Error::new(ErrorKind::InvalidData, "bad content-length"))?;
+            let (name, value) = (name.trim(), value.trim());
+            if name.eq_ignore_ascii_case("content-length") {
+                content_length = value.parse().map_err(|_| invalid("bad content-length"))?;
             }
-            headers.push((name, value));
+            headers.push((name.to_ascii_lowercase(), value.to_string()));
         }
-        let body_start = head_end;
-        while self.rbuf.len() < body_start + content_length {
+        let response_len = head_len + content_length;
+        while self.rbuf.unread().len() < response_len {
             self.fill()?;
         }
-        let body = String::from_utf8_lossy(&self.rbuf[body_start..body_start + content_length])
-            .into_owned();
-        self.rbuf.drain(..body_start + content_length);
+        let body =
+            String::from_utf8_lossy(&self.rbuf.unread()[head_len..response_len]).into_owned();
+        self.rbuf.consume(response_len);
         Ok(Response {
             status,
             headers,
@@ -119,15 +138,12 @@ impl Client {
     }
 
     fn fill(&mut self) -> io::Result<()> {
-        let mut chunk = [0u8; 4096];
-        let n = self.stream.read(&mut chunk)?;
-        if n == 0 {
+        if self.rbuf.fill_from(&mut self.stream)? == 0 {
             return Err(io::Error::new(
                 ErrorKind::UnexpectedEof,
                 "server closed the connection",
             ));
         }
-        self.rbuf.extend_from_slice(&chunk[..n]);
         Ok(())
     }
 }

@@ -45,6 +45,7 @@
 pub mod admission;
 pub mod client;
 pub mod parser;
+mod readbuf;
 pub mod router;
 pub mod server;
 

@@ -11,6 +11,23 @@
 //! Markets travel as `az/type/platform` with short platform names
 //! (`us-east-1a/c3.large/linux`) because the EC2 product descriptions
 //! themselves contain `/`.
+//!
+//! **Invariant: a steady-state point request performs no heap
+//! allocation, and every body is byte-identical to PR 12's.** There is
+//! one implementation, `route_into`: it splits the query string once
+//! into borrowed `&str` parameters (a component is percent-decoded —
+//! into an owned string, the one exception — only if it actually
+//! contains `%` or `+`), runs the query over the snapshot, and encodes
+//! the body into a `String` the caller owns. The server passes the same
+//! scratch `String` for every request of a connection (it lives in
+//! `server::serve_connection`), so once it has grown to the largest
+//! body seen, routing costs no heap traffic; market ids are written as
+//! their static region/family/size/platform names, never formatted.
+//! [`route`] is the same call with a fresh body per request, for
+//! callers that want an owned [`RouteOutcome`]. (The all-market advisor
+//! scans and `/v1/spike-rates` still build their result rows on the
+//! heap; the candidate list they rank is the snapshot's, sorted once at
+//! capture.)
 
 use crate::admission::ServerStats;
 use cloud_sim::ids::{Az, InstanceType, MarketId, Platform, Region};
@@ -20,6 +37,8 @@ use spotlight_core::probe::ProbeKind;
 use spotlight_core::query::SpotLightQuery;
 use spotlight_core::snapshot::{SnapshotHub, SnapshotReader, StoreSnapshot};
 use spotlight_core::store::DataStore;
+use std::borrow::Cow;
+use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 
@@ -50,23 +69,24 @@ pub struct RouteOutcome {
     pub retry_after: Option<u32>,
 }
 
-fn ok(body: String) -> RouteOutcome {
-    RouteOutcome {
-        status: 200,
-        body,
-        retry_after: None,
-    }
+/// What [`route_into`] decided about a response whose body it wrote
+/// into the caller's buffer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Routed {
+    /// HTTP status code.
+    pub status: u16,
+    /// `Retry-After` to advertise (503s).
+    pub retry_after: Option<u32>,
 }
 
-fn err(status: u16, message: &str) -> RouteOutcome {
-    let mut body = String::new();
-    json::object(&mut body, |o| o.str("error", message));
-    RouteOutcome {
-        status,
-        body,
-        retry_after: None,
-    }
-}
+const OK: Routed = Routed {
+    status: 200,
+    retry_after: None,
+};
+
+/// A handler's result: `Err` is a refusal whose error body is already
+/// in the buffer, so `?` can carry it out of the parameter parsing.
+type Handled = Result<Routed, Routed>;
 
 /// Routes one parsed request. Never panics on user input; every
 /// malformed parameter is a 400 with a description.
@@ -76,25 +96,113 @@ pub fn route(
     state: &ServiceState,
     reader: &mut SnapshotReader,
 ) -> RouteOutcome {
-    match path {
-        "/healthz" => healthz(state, reader),
-        "/readyz" => readyz(state),
-        "/statz" => statz(state),
-        "/v1/availability" => availability(query, state, reader),
-        "/v1/freshness" => freshness(query, state, reader),
-        "/v1/spike-rates" => spike_rates(query, state, reader),
-        "/v1/bid-spread" => bid_spread(query, state, reader),
-        "/v1/advisor/top" => advisor_top(query, state, reader),
-        "/v1/advisor/fallbacks" => advisor_fallbacks(query, state, reader),
-        _ => err(404, "no such route"),
+    // Room for a point answer (~350 bytes) without regrowing.
+    let mut body = String::with_capacity(384);
+    let Routed {
+        status,
+        retry_after,
+    } = route_into(path, query, state, reader, &mut body);
+    RouteOutcome {
+        status,
+        body,
+        retry_after,
     }
+}
+
+/// Routes one parsed request, replacing `body`'s content with the
+/// response body — the one implementation behind [`route`] and the
+/// server's connection loop (see the module docs).
+pub(crate) fn route_into(
+    path: &str,
+    query: &str,
+    state: &ServiceState,
+    reader: &mut SnapshotReader,
+    body: &mut String,
+) -> Routed {
+    body.clear();
+    let mut request = Request {
+        params: Params::split(query),
+        body,
+    };
+    let request = &mut request;
+    let handled = match path {
+        "/healthz" => healthz(request, state, reader),
+        "/readyz" => readyz(request, state),
+        "/statz" => statz(request, state),
+        "/v1/availability" => availability(request, state, reader),
+        "/v1/freshness" => freshness(request, state, reader),
+        "/v1/spike-rates" => spike_rates(request, state, reader),
+        "/v1/bid-spread" => bid_spread(request, state, reader),
+        "/v1/advisor/top" => advisor_top(request, state, reader),
+        "/v1/advisor/fallbacks" => advisor_fallbacks(request, state, reader),
+        _ => Err(request.fail(404, format_args!("no such route"))),
+    };
+    handled.unwrap_or_else(|refusal| refusal)
 }
 
 // ---------------------------------------------------------------- params
 
+/// The raw (still percent-encoded) value of every parameter any route
+/// reads, borrowed from the query string in one pass. The first
+/// occurrence of a name wins; names no route reads are skipped.
+#[derive(Debug, Default, Clone, Copy)]
+struct Params<'q> {
+    market: Option<&'q str>,
+    kind: Option<&'q str>,
+    start_secs: Option<&'q str>,
+    end_secs: Option<&'q str>,
+    thresholds: Option<&'q str>,
+    window_secs: Option<&'q str>,
+    region: Option<&'q str>,
+    min_probes: Option<&'q str>,
+    n: Option<&'q str>,
+}
+
+impl<'q> Params<'q> {
+    fn split(query: &'q str) -> Self {
+        let mut params = Params::default();
+        // Byte scans, not `str::split`: the searcher set-up costs more
+        // than the scan on components this short. `&` and `=` are
+        // ASCII, so every cut is a char boundary.
+        let mut rest = query;
+        while !rest.is_empty() {
+            let pair = match rest.bytes().position(|b| b == b'&') {
+                Some(at) => {
+                    let pair = &rest[..at];
+                    rest = &rest[at + 1..];
+                    pair
+                }
+                None => std::mem::take(&mut rest),
+            };
+            let (key, value) = match pair.bytes().position(|b| b == b'=') {
+                Some(at) => (&pair[..at], &pair[at + 1..]),
+                None => (pair, ""),
+            };
+            let slot = match key {
+                "market" => &mut params.market,
+                "kind" => &mut params.kind,
+                "start_secs" => &mut params.start_secs,
+                "end_secs" => &mut params.end_secs,
+                "thresholds" => &mut params.thresholds,
+                "window_secs" => &mut params.window_secs,
+                "region" => &mut params.region,
+                "min_probes" => &mut params.min_probes,
+                "n" => &mut params.n,
+                _ => continue,
+            };
+            slot.get_or_insert(value);
+        }
+        params
+    }
+}
+
 /// Percent-decodes one query-string component (`+` means space).
-fn percent_decode(s: &str) -> Option<String> {
+/// A component without escapes is returned as it stands.
+fn percent_decode(s: &str) -> Option<Cow<'_, str>> {
     let bytes = s.as_bytes();
+    if !bytes.iter().any(|&b| b == b'%' || b == b'+') {
+        return Some(Cow::Borrowed(s));
+    }
     let mut out = Vec::with_capacity(bytes.len());
     let mut i = 0;
     while i < bytes.len() {
@@ -116,33 +224,100 @@ fn percent_decode(s: &str) -> Option<String> {
             }
         }
     }
-    String::from_utf8(out).ok()
+    String::from_utf8(out).ok().map(Cow::Owned)
 }
 
-/// Finds and decodes one query parameter.
-fn param(query: &str, name: &str) -> Result<Option<String>, RouteOutcome> {
-    for pair in query.split('&').filter(|p| !p.is_empty()) {
-        let (key, value) = pair.split_once('=').unwrap_or((pair, ""));
-        if key == name {
-            return percent_decode(value)
-                .map(Some)
-                .ok_or_else(|| err(400, &format!("malformed percent-encoding in '{name}'")));
+/// One request on its way through a handler: the split parameters and
+/// the buffer the response body (or the refusal) is written into.
+struct Request<'a> {
+    params: Params<'a>,
+    body: &'a mut String,
+}
+
+impl<'a> Request<'a> {
+    /// Replaces the body with `{"error": message}`.
+    fn fail(&mut self, status: u16, message: fmt::Arguments<'_>) -> Routed {
+        self.body.clear();
+        match message.as_str() {
+            Some(message) => json::object(self.body, |o| o.str("error", message)),
+            None => json::object(self.body, |o| o.str("error", &message.to_string())),
+        }
+        Routed {
+            status,
+            retry_after: None,
         }
     }
-    Ok(None)
-}
 
-fn u64_param(query: &str, name: &str, default: u64) -> Result<u64, RouteOutcome> {
-    match param(query, name)? {
-        None => Ok(default),
-        Some(v) => v
-            .parse::<u64>()
-            .map_err(|_| err(400, &format!("'{name}' must be a non-negative integer"))),
+    /// Decodes one parameter; a parameter a route never asks for is
+    /// never decoded (nor refused).
+    fn decoded(
+        &mut self,
+        name: &str,
+        raw: Option<&'a str>,
+    ) -> Result<Option<Cow<'a, str>>, Routed> {
+        let Some(raw) = raw else { return Ok(None) };
+        match percent_decode(raw) {
+            Some(value) => Ok(Some(value)),
+            None => Err(self.fail(400, format_args!("malformed percent-encoding in '{name}'"))),
+        }
     }
-}
 
-fn usize_param(query: &str, name: &str, default: usize) -> Result<usize, RouteOutcome> {
-    u64_param(query, name, default as u64).map(|v| v as usize)
+    fn u64(&mut self, name: &str, raw: Option<&'a str>, default: u64) -> Result<u64, Routed> {
+        match self.decoded(name, raw)? {
+            None => Ok(default),
+            Some(v) => v.parse::<u64>().map_err(|_| {
+                self.fail(400, format_args!("'{name}' must be a non-negative integer"))
+            }),
+        }
+    }
+
+    fn usize(&mut self, name: &str, raw: Option<&'a str>, default: usize) -> Result<usize, Routed> {
+        self.u64(name, raw, default as u64).map(|v| v as usize)
+    }
+
+    fn market(&mut self) -> Result<MarketId, Routed> {
+        let Some(market) = self.decoded("market", self.params.market)? else {
+            return Err(self.fail(400, format_args!("missing required parameter 'market'")));
+        };
+        parse_market(&market).map_err(|e| self.fail(400, format_args!("{e}")))
+    }
+
+    fn kind(&mut self) -> Result<ProbeKind, Routed> {
+        match self.decoded("kind", self.params.kind)?.as_deref() {
+            None | Some("od") | Some("on-demand") => Ok(ProbeKind::OnDemand),
+            Some("spot") => Ok(ProbeKind::Spot),
+            Some("notice") | Some("interruption") => Ok(ProbeKind::InterruptionNotice),
+            Some(other) => Err(self.fail(
+                400,
+                format_args!("unknown kind '{other}' (od, spot, notice)"),
+            )),
+        }
+    }
+
+    /// The observation span `[start, end)`: explicit `start_secs`/
+    /// `end_secs`, defaulting to `[0, snapshot.as_of)`.
+    fn span(&mut self, snapshot: &StoreSnapshot) -> Result<(SimTime, SimTime), Routed> {
+        let start = self.u64("start_secs", self.params.start_secs, 0)?;
+        let end = self.u64("end_secs", self.params.end_secs, snapshot.as_of().as_secs())?;
+        if end <= start {
+            return Err(self.fail(
+                400,
+                format_args!(
+                    "empty observation span: end_secs must exceed start_secs \
+                     (an unseeded store has as_of 0 — pass end_secs explicitly)"
+                ),
+            ));
+        }
+        Ok((SimTime::from_secs(start), SimTime::from_secs(end)))
+    }
+
+    /// `window_secs`, which must be positive.
+    fn window(&mut self, default: u64) -> Result<SimDuration, Routed> {
+        match self.u64("window_secs", self.params.window_secs, default)? {
+            0 => Err(self.fail(400, format_args!("'window_secs' must be positive"))),
+            w => Ok(SimDuration::from_secs(w)),
+        }
+    }
 }
 
 // ------------------------------------------------------------- market ids
@@ -163,27 +338,40 @@ pub fn platform_param(platform: Platform) -> &'static str {
         .expect("every platform has a wire name")
 }
 
+/// The static pieces whose concatenation is the market's wire form.
+fn market_parts(market: MarketId) -> [&'static str; 8] {
+    const ZONE_LETTERS: &str = "abcdefghijklmnopqrstuvwxyz";
+    let zone = usize::from(market.az.zone_index());
+    [
+        market.az.region().name(),
+        &ZONE_LETTERS[zone..zone + 1],
+        "/",
+        market.instance_type.family().name(),
+        ".",
+        market.instance_type.size().suffix(),
+        "/",
+        platform_param(market.platform),
+    ]
+}
+
 /// Formats a market for URLs and response bodies:
 /// `us-east-1a/c3.large/linux`.
 pub fn market_param(market: MarketId) -> String {
-    format!(
-        "{}/{}/{}",
-        market.az,
-        market.instance_type,
-        platform_param(market.platform)
-    )
+    market_parts(market).concat()
 }
 
 /// Parses the `az/type/platform` wire format.
 pub fn parse_market(s: &str) -> Result<MarketId, String> {
-    let mut parts = s.split('/');
-    let (Some(az), Some(ty), Some(platform), None) =
-        (parts.next(), parts.next(), parts.next(), parts.next())
+    // Exactly two `/` (ASCII, so both cuts are char boundaries).
+    let mut slashes = s.bytes().enumerate().filter(|&(_, b)| b == b'/');
+    let (Some((first, _)), Some((second, _)), None) =
+        (slashes.next(), slashes.next(), slashes.next())
     else {
         return Err(format!(
             "market '{s}' must be az/type/platform (e.g. us-east-1a/c3.large/linux)"
         ));
     };
+    let (az, ty, platform) = (&s[..first], &s[first + 1..second], &s[second + 1..]);
     let az: Az = az.parse().map_err(|e| format!("{e}"))?;
     let instance_type: InstanceType = ty.parse().map_err(|e| format!("{e}"))?;
     let platform = PLATFORMS
@@ -200,25 +388,6 @@ pub fn parse_market(s: &str) -> Result<MarketId, String> {
     })
 }
 
-fn market_param_of(query: &str) -> Result<MarketId, RouteOutcome> {
-    let Some(market) = param(query, "market")? else {
-        return Err(err(400, "missing required parameter 'market'"));
-    };
-    parse_market(&market).map_err(|e| err(400, &e))
-}
-
-fn kind_param(query: &str) -> Result<ProbeKind, RouteOutcome> {
-    match param(query, "kind")?.as_deref() {
-        None | Some("od") | Some("on-demand") => Ok(ProbeKind::OnDemand),
-        Some("spot") => Ok(ProbeKind::Spot),
-        Some("notice") | Some("interruption") => Ok(ProbeKind::InterruptionNotice),
-        Some(other) => Err(err(
-            400,
-            &format!("unknown kind '{other}' (od, spot, notice)"),
-        )),
-    }
-}
-
 fn kind_name(kind: ProbeKind) -> &'static str {
     match kind {
         ProbeKind::OnDemand => "od",
@@ -227,43 +396,22 @@ fn kind_name(kind: ProbeKind) -> &'static str {
     }
 }
 
-/// The observation span `[start, end)`: explicit `start_secs`/
-/// `end_secs`, defaulting to `[0, snapshot.as_of)`.
-fn span_params(query: &str, snapshot: &StoreSnapshot) -> Result<(SimTime, SimTime), RouteOutcome> {
-    let start = u64_param(query, "start_secs", 0)?;
-    let end = u64_param(query, "end_secs", snapshot.as_of().as_secs())?;
-    if end <= start {
-        return Err(err(
-            400,
-            "empty observation span: end_secs must exceed start_secs \
-             (an unseeded store has as_of 0 — pass end_secs explicitly)",
-        ));
-    }
-    Ok((SimTime::from_secs(start), SimTime::from_secs(end)))
-}
-
 // ------------------------------------------------------------- endpoints
 
-fn availability(query: &str, state: &ServiceState, reader: &mut SnapshotReader) -> RouteOutcome {
-    let market = match market_param_of(query) {
-        Ok(m) => m,
-        Err(e) => return e,
-    };
-    let kind = match kind_param(query) {
-        Ok(k) => k,
-        Err(e) => return e,
-    };
+fn availability(
+    request: &mut Request<'_>,
+    state: &ServiceState,
+    reader: &mut SnapshotReader,
+) -> Handled {
+    let market = request.market()?;
+    let kind = request.kind()?;
     let snapshot = reader.current(&state.hub);
-    let (start, end) = match span_params(query, snapshot) {
-        Ok(span) => span,
-        Err(e) => return e,
-    };
+    let (start, end) = request.span(snapshot)?;
     let read = snapshot.read();
     let q = SpotLightQuery::new(&read, start, end);
     let (stats, fresh) = q.availability_qualified(market, kind);
-    let mut body = String::new();
-    json::object(&mut body, |o| {
-        o.str("market", &market_param(market));
+    json::object(request.body, |o| {
+        o.str_parts("market", &market_parts(market));
         o.str("kind", kind_name(kind));
         o.u64("start_secs", start.as_secs());
         o.u64("end_secs", end.as_secs());
@@ -271,66 +419,65 @@ fn availability(query: &str, state: &ServiceState, reader: &mut SnapshotReader) 
         o.value("freshness", &fresh);
         o.u64("as_of_secs", snapshot.as_of().as_secs());
     });
-    ok(body)
+    Ok(OK)
 }
 
-fn freshness(query: &str, state: &ServiceState, reader: &mut SnapshotReader) -> RouteOutcome {
-    let market = match market_param_of(query) {
-        Ok(m) => m,
-        Err(e) => return e,
-    };
-    let kind = match kind_param(query) {
-        Ok(k) => k,
-        Err(e) => return e,
-    };
+fn freshness(
+    request: &mut Request<'_>,
+    state: &ServiceState,
+    reader: &mut SnapshotReader,
+) -> Handled {
+    let market = request.market()?;
+    let kind = request.kind()?;
     let snapshot = reader.current(&state.hub);
     let end = snapshot.as_of().max(SimTime::from_secs(1));
     let read = snapshot.read();
     let q = SpotLightQuery::new(&read, SimTime::ZERO, end);
     let fresh = q.freshness(market, kind);
-    let mut body = String::new();
-    json::object(&mut body, |o| {
-        o.str("market", &market_param(market));
+    json::object(request.body, |o| {
+        o.str_parts("market", &market_parts(market));
         o.str("kind", kind_name(kind));
         o.value("freshness", &fresh);
         o.u64("as_of_secs", snapshot.as_of().as_secs());
     });
-    ok(body)
+    Ok(OK)
 }
 
-fn spike_rates(query: &str, state: &ServiceState, reader: &mut SnapshotReader) -> RouteOutcome {
-    let thresholds = match param(query, "thresholds") {
-        Ok(None) => vec![1.25, 1.5, 2.0, 5.0],
-        Ok(Some(csv)) => {
-            let mut out = Vec::new();
+fn spike_rates(
+    request: &mut Request<'_>,
+    state: &ServiceState,
+    reader: &mut SnapshotReader,
+) -> Handled {
+    let mut thresholds = Vec::new();
+    match request.decoded("thresholds", request.params.thresholds)? {
+        None => thresholds.extend([1.25, 1.5, 2.0, 5.0]),
+        Some(csv) => {
             for part in csv.split(',') {
                 match part.trim().parse::<f64>() {
-                    Ok(t) if t.is_finite() => out.push(t),
-                    _ => return err(400, "'thresholds' must be comma-separated finite numbers"),
+                    Ok(t) if t.is_finite() => thresholds.push(t),
+                    _ => {
+                        return Err(request.fail(
+                            400,
+                            format_args!("'thresholds' must be comma-separated finite numbers"),
+                        ))
+                    }
                 }
             }
-            if out.is_empty() {
-                return err(400, "'thresholds' must name at least one threshold");
+            if thresholds.is_empty() {
+                return Err(request.fail(
+                    400,
+                    format_args!("'thresholds' must name at least one threshold"),
+                ));
             }
-            out
         }
-        Err(e) => return e,
-    };
-    let window = match u64_param(query, "window_secs", 86_400) {
-        Ok(0) => return err(400, "'window_secs' must be positive"),
-        Ok(w) => SimDuration::from_secs(w),
-        Err(e) => return e,
-    };
+    }
+    let window = request.window(86_400)?;
     let snapshot = reader.current(&state.hub);
-    let (start, end) = match span_params(query, snapshot) {
-        Ok(span) => span,
-        Err(e) => return e,
-    };
+    let (start, end) = request.span(snapshot)?;
     let read = snapshot.read();
     let q = SpotLightQuery::new(&read, start, end);
     let rates = q.spike_rates(&thresholds, window);
-    let mut body = String::new();
-    json::object(&mut body, |o| {
+    json::object(request.body, |o| {
         o.u64("window_secs", window.as_secs());
         o.u64("start_secs", start.as_secs());
         o.u64("end_secs", end.as_secs());
@@ -343,14 +490,15 @@ fn spike_rates(query: &str, state: &ServiceState, reader: &mut SnapshotReader) -
             }
         });
     });
-    ok(body)
+    Ok(OK)
 }
 
-fn bid_spread(query: &str, state: &ServiceState, reader: &mut SnapshotReader) -> RouteOutcome {
-    let market = match market_param_of(query) {
-        Ok(m) => m,
-        Err(e) => return e,
-    };
+fn bid_spread(
+    request: &mut Request<'_>,
+    state: &ServiceState,
+    reader: &mut SnapshotReader,
+) -> Handled {
+    let market = request.market()?;
     let snapshot = reader.current(&state.hub);
     let read = snapshot.read();
     let mut observations = 0u64;
@@ -369,9 +517,8 @@ fn bid_spread(query: &str, state: &ServiceState, reader: &mut SnapshotReader) ->
             latest = Some(*rec);
         }
     }
-    let mut body = String::new();
-    json::object(&mut body, |o| {
-        o.str("market", &market_param(market));
+    json::object(request.body, |o| {
+        o.str_parts("market", &market_parts(market));
         o.u64("observations", observations);
         if observations > 0 {
             o.f64("mean_attempts", attempts_total as f64 / observations as f64);
@@ -394,90 +541,69 @@ fn bid_spread(query: &str, state: &ServiceState, reader: &mut SnapshotReader) ->
         }
         o.u64("as_of_secs", snapshot.as_of().as_secs());
     });
-    ok(body)
+    Ok(OK)
 }
 
-fn advisor_top(query: &str, state: &ServiceState, reader: &mut SnapshotReader) -> RouteOutcome {
-    let region = match param(query, "region") {
-        Ok(None) => None,
-        Ok(Some(name)) => match name.parse::<Region>() {
+fn advisor_top(
+    request: &mut Request<'_>,
+    state: &ServiceState,
+    reader: &mut SnapshotReader,
+) -> Handled {
+    let region = match request.decoded("region", request.params.region)? {
+        None => None,
+        Some(name) => match name.parse::<Region>() {
             Ok(r) => Some(r),
-            Err(e) => return err(400, &format!("{e}")),
+            Err(e) => return Err(request.fail(400, format_args!("{e}"))),
         },
-        Err(e) => return e,
     };
-    let min_probes = match u64_param(query, "min_probes", 1) {
-        Ok(v) => v,
-        Err(e) => return e,
-    };
-    let n = match usize_param(query, "n", 10) {
-        Ok(v) => v,
-        Err(e) => return e,
-    };
+    let min_probes = request.u64("min_probes", request.params.min_probes, 1)?;
+    let n = request.usize("n", request.params.n, 10)?;
     let snapshot = reader.current(&state.hub);
-    let (start, end) = match span_params(query, snapshot) {
-        Ok(span) => span,
-        Err(e) => return e,
-    };
+    let (start, end) = request.span(snapshot)?;
     let read = snapshot.read();
-    let mut candidates: Vec<MarketId> = read.probed_markets().collect();
-    candidates.sort_unstable();
+    let candidates = snapshot.probed_markets_sorted();
     let q = SpotLightQuery::new(&read, start, end);
-    let top = q.top_available_markets(&candidates, region, min_probes, n);
-    let mut body = String::new();
-    json::object(&mut body, |o| {
+    let top = q.top_available_markets(candidates, region, min_probes, n);
+    json::object(request.body, |o| {
         o.u64("start_secs", start.as_secs());
         o.u64("end_secs", end.as_secs());
         o.u64("candidates", candidates.len() as u64);
         o.array("markets", |a| {
             for (market, stats) in &top {
                 a.object(|o| {
-                    o.str("market", &market_param(*market));
+                    o.str_parts("market", &market_parts(*market));
                     o.value("availability", stats);
                 });
             }
         });
     });
-    ok(body)
+    Ok(OK)
 }
 
 fn advisor_fallbacks(
-    query: &str,
+    request: &mut Request<'_>,
     state: &ServiceState,
     reader: &mut SnapshotReader,
-) -> RouteOutcome {
-    let market = match market_param_of(query) {
-        Ok(m) => m,
-        Err(e) => return e,
-    };
-    let window = match u64_param(query, "window_secs", 900) {
-        Ok(0) => return err(400, "'window_secs' must be positive"),
-        Ok(w) => SimDuration::from_secs(w),
-        Err(e) => return e,
-    };
-    let n = match usize_param(query, "n", 5) {
-        Ok(v) => v,
-        Err(e) => return e,
-    };
+) -> Handled {
+    let market = request.market()?;
+    let window = request.window(900)?;
+    let n = request.usize("n", request.params.n, 5)?;
     let snapshot = reader.current(&state.hub);
     let end = snapshot.as_of().max(SimTime::from_secs(1));
     let read = snapshot.read();
-    let mut candidates: Vec<MarketId> = read.probed_markets().collect();
-    candidates.sort_unstable();
     let q = SpotLightQuery::new(&read, SimTime::ZERO, end);
-    let fallbacks = q.uncorrelated_fallbacks(market, &candidates, window, n);
-    let mut body = String::new();
-    json::object(&mut body, |o| {
-        o.str("market", &market_param(market));
+    let fallbacks = q.uncorrelated_fallbacks(market, snapshot.probed_markets_sorted(), window, n);
+    json::object(request.body, |o| {
+        o.str_parts("market", &market_parts(market));
         o.u64("window_secs", window.as_secs());
         o.array("fallbacks", |a| {
             for fallback in &fallbacks {
-                a.str(&market_param(*fallback));
+                a.str_parts(&market_parts(*fallback));
             }
         });
         o.u64("as_of_secs", snapshot.as_of().as_secs());
     });
-    ok(body)
+    Ok(OK)
 }
 
 // --------------------------------------------------------------- health
@@ -508,10 +634,13 @@ fn write_store_health(o: &mut json::Object<'_>, store: &Weak<DataStore>) {
     }
 }
 
-fn healthz(state: &ServiceState, reader: &mut SnapshotReader) -> RouteOutcome {
+fn healthz(
+    request: &mut Request<'_>,
+    state: &ServiceState,
+    reader: &mut SnapshotReader,
+) -> Handled {
     let snapshot = reader.current(&state.hub);
-    let mut body = String::new();
-    json::object(&mut body, |o| {
+    json::object(request.body, |o| {
         o.str("status", "ok");
         o.bool("draining", state.draining.load(Ordering::Relaxed));
         o.u64("snapshot_generation", state.hub.generation());
@@ -521,27 +650,22 @@ fn healthz(state: &ServiceState, reader: &mut SnapshotReader) -> RouteOutcome {
         });
         write_store_health(o, &state.store);
     });
-    ok(body)
+    Ok(OK)
 }
 
-fn readyz(state: &ServiceState) -> RouteOutcome {
+fn readyz(request: &mut Request<'_>, state: &ServiceState) -> Handled {
     let draining = state.draining.load(Ordering::Relaxed);
-    let store = state.store.upgrade();
-    if draining || store.is_none() {
-        let mut body = String::new();
-        json::object(&mut body, |o| {
+    let Some(store) = state.store.upgrade().filter(|_| !draining) else {
+        json::object(request.body, |o| {
             o.bool("ready", false);
             o.str("reason", if draining { "draining" } else { "store closed" });
         });
-        return RouteOutcome {
+        return Ok(Routed {
             status: 503,
-            body,
             retry_after: Some(state.retry_after_secs),
-        };
-    }
-    let store = store.expect("checked above");
-    let mut body = String::new();
-    json::object(&mut body, |o| {
+        });
+    };
+    json::object(request.body, |o| {
         o.bool("ready", true);
         match store.durability_mode() {
             Some(mode) => o.value("durability_mode", &mode),
@@ -557,13 +681,12 @@ fn readyz(state: &ServiceState) -> RouteOutcome {
             }
         });
     });
-    ok(body)
+    Ok(OK)
 }
 
-fn statz(state: &ServiceState) -> RouteOutcome {
-    let mut body = String::new();
-    state.stats.snapshot().write_json(&mut body);
-    ok(body)
+fn statz(request: &mut Request<'_>, state: &ServiceState) -> Handled {
+    state.stats.snapshot().write_json(request.body);
+    Ok(OK)
 }
 
 #[cfg(test)]
@@ -584,6 +707,8 @@ mod tests {
         assert!(parse_market("nope").is_err());
         assert!(parse_market("us-east-1a/c3.large/os2").is_err());
         assert!(parse_market("us-east-1a/c3.large/linux/extra").is_err());
+        // A decoded multi-byte zone letter is refused, not sliced.
+        assert!(parse_market("us-east-1\u{e9}/c3.large/linux").is_err());
     }
 
     #[test]

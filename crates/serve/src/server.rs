@@ -14,8 +14,18 @@
 //! the pool. An idle server therefore occupies **zero** pool threads,
 //! and the HTTP service, the simulator tick, and the snapshot builder
 //! all share one pool sized to the host. Because drainers block on
-//! socket I/O, [`Server::start`] grows the pool to at least `workers`
-//! threads so compute tasks are never starved behind parked reads.
+//! socket I/O, [`Server::start`] grows the pool to the host's
+//! parallelism **plus** `workers` threads: even with every drainer
+//! parked in a read, as many threads as the host has cores remain for
+//! compute tasks (the publisher's snapshot capture, the tick fan-out).
+//!
+//! **A steady-state request performs no heap allocation**, and every
+//! response is byte-identical to PR 12's: each connection owns one
+//! scratch set (read buffer, body `String`, outgoing batch — see
+//! `serve_connection`) that the parser borrows from, the router
+//! encodes into ([`crate::router`]), and [`write_response`] frames
+//! without `format!`; requests of a pipelined batch are consumed with a
+//! cursor and the buffer is compacted once per read.
 //!
 //! Each connection is handled under `catch_unwind`, so a handler
 //! panic burns that one connection (counted) and nothing else — the
@@ -32,12 +42,14 @@
 
 use crate::admission::{Permit, ServerStats, Shedder, StatsSnapshot};
 use crate::parser::{self, Limits, Method, Parsed, Reject};
-use crate::router::{route, ServiceState};
+use crate::readbuf::ReadBuf;
+use crate::router::{route_into, ServiceState};
+use spotlight_core::json;
 use spotlight_core::snapshot::{SnapshotHub, SnapshotReader};
 use spotlight_core::store::SharedStore;
 use spotlight_pool::WorkerPool;
 use std::collections::VecDeque;
-use std::io::{self, ErrorKind, Read, Write};
+use std::io::{self, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -51,7 +63,8 @@ pub struct ServerConfig {
     /// Maximum concurrently active drainer tasks on the shared worker
     /// pool — the server's connection-handling concurrency, enforced
     /// by the server's own dispatch counter (not by pool size; the
-    /// pool is grown to at least this many threads at start).
+    /// pool is grown by this many threads past the host's parallelism
+    /// at start).
     pub workers: usize,
     /// Dispatch-queue depth between the acceptor and the drainers.
     /// Admission fails (shed) when the queue is full.
@@ -152,9 +165,12 @@ pub struct Server {
 impl Server {
     /// Binds `addr` and starts the acceptor and shedder threads.
     /// Connection handling runs as drainer tasks on the shared
-    /// persistent worker pool, which is grown to at least
-    /// `config.workers` threads here (drainers block on socket I/O,
-    /// so the pool must oversubscribe past pure compute sizing).
+    /// persistent worker pool, which is grown here to the host's
+    /// parallelism plus `config.workers` threads: drainers block on
+    /// socket I/O, so they are reserved in addition to the compute
+    /// sizing, not out of it (with `max(cores, workers)` threads,
+    /// `workers` open keep-alive connections parked every thread and a
+    /// detached `spawn` — the snapshot publisher — never ran).
     ///
     /// The server holds the store only weakly: after [`Server::drain`]
     /// the caller's `Arc` is the last one, so the store can be
@@ -177,7 +193,8 @@ impl Server {
         });
 
         let pool = WorkerPool::global();
-        pool.reserve(config.workers.max(1));
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        pool.reserve(cores + config.workers.max(1));
         let dispatch = Arc::new(Dispatch::default());
 
         let acceptor = {
@@ -380,10 +397,21 @@ fn drainer(state: &Arc<ServiceState>, dispatch: &Dispatch, config: &ServerConfig
     }
 }
 
+/// Initial size of a connection's read buffer (see [`ReadBuf`]: it
+/// grows only while one partial request fills it, which the parser's
+/// caps bound).
+const READ_BUF: usize = 8192;
+
 /// Runs one admitted connection to completion: keep-alive loop with
 /// pipelining (every complete buffered request is answered in one
 /// write), per-read timeouts, a total header deadline, and the parser
 /// caps. Any reject answers once and closes.
+///
+/// The three buffers below are the connection's whole scratch: the
+/// read buffer (requests are consumed with a cursor and the remainder
+/// compacted once per read), the routed body, and the outgoing batch.
+/// All are reused for every request, so a steady-state request costs
+/// no heap allocation.
 fn serve_connection(
     mut stream: TcpStream,
     state: &ServiceState,
@@ -395,8 +423,8 @@ fn serve_connection(
     let _ = stream.set_write_timeout(Some(config.write_timeout));
 
     let stats = &state.stats;
-    let mut buf: Vec<u8> = Vec::with_capacity(4096);
-    let mut chunk = [0u8; 4096];
+    let mut buf = ReadBuf::new(READ_BUF);
+    let mut body = String::with_capacity(1024);
     let mut out = Vec::with_capacity(4096);
     let mut served = 0u64;
     let mut responded = false;
@@ -409,24 +437,24 @@ fn serve_connection(
         out.clear();
         let mut close = false;
         loop {
-            match parser::parse(&buf, &config.limits) {
+            match parser::parse(buf.unread(), &config.limits) {
                 Parsed::Complete { request, consumed } => {
                     head_started = None;
                     served += 1;
                     let draining = state.draining.load(Ordering::Relaxed);
                     let keep =
                         request.keep_alive && served < config.max_requests_per_conn && !draining;
-                    let outcome = route(request.path, request.query, state, reader);
-                    count_response(stats, outcome.status, draining);
+                    let routed = route_into(request.path, request.query, state, reader, &mut body);
+                    count_response(stats, routed.status, draining);
                     write_response(
                         &mut out,
-                        outcome.status,
-                        &outcome.body,
+                        routed.status,
+                        &body,
                         request.method == Method::Head,
                         !keep,
-                        outcome.retry_after,
+                        routed.retry_after,
                     );
-                    buf.drain(..consumed);
+                    buf.consume(consumed);
                     if !keep {
                         close = true;
                         break;
@@ -434,7 +462,7 @@ fn serve_connection(
                 }
                 Parsed::Partial => break,
                 Parsed::Reject(reject) => {
-                    respond_reject(stats, &mut out, reject);
+                    respond_reject(stats, &mut out, &mut body, reject);
                     close = true;
                     break;
                 }
@@ -456,11 +484,12 @@ fn serve_connection(
         }
 
         // Header deadline: a partial head may not linger across reads.
-        if !buf.is_empty() {
+        let mid_head = !buf.unread().is_empty();
+        if mid_head {
             let started = *head_started.get_or_insert_with(Instant::now);
             if started.elapsed() >= config.header_deadline {
                 out.clear();
-                respond_reject(stats, &mut out, Reject::Timeout);
+                respond_reject(stats, &mut out, &mut body, Reject::Timeout);
                 if stream.write_all(&out).is_ok() {
                     stats
                         .bytes_out
@@ -470,22 +499,21 @@ fn serve_connection(
             }
         }
 
-        match stream.read(&mut chunk) {
+        match buf.fill_from(&mut stream) {
             Ok(0) => {
-                if !buf.is_empty() || !responded {
+                if mid_head || !responded {
                     stats.closed_unanswered.fetch_add(1, Ordering::Relaxed);
                 }
                 return;
             }
             Ok(n) => {
-                if buf.is_empty() {
+                if !mid_head {
                     head_started = Some(Instant::now());
                 }
                 stats.bytes_in.fetch_add(n as u64, Ordering::Relaxed);
-                buf.extend_from_slice(&chunk[..n]);
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                if buf.is_empty() {
+                if !mid_head {
                     // Idle keep-alive connection: close quietly unless
                     // it never produced a request.
                     if !responded {
@@ -516,7 +544,7 @@ fn count_response(stats: &ServerStats, status: u16, draining: bool) {
     };
 }
 
-fn respond_reject(stats: &ServerStats, out: &mut Vec<u8>, reject: Reject) {
+fn respond_reject(stats: &ServerStats, out: &mut Vec<u8>, body: &mut String, reject: Reject) {
     stats.requests.fetch_add(1, Ordering::Relaxed);
     // Every parse reject is the client's fault — 501/505 carry 5xx
     // status codes on the wire but are counted with the 4xx family so
@@ -525,14 +553,9 @@ fn respond_reject(stats: &ServerStats, out: &mut Vec<u8>, reject: Reject) {
         408 => stats.timeouts.fetch_add(1, Ordering::Relaxed),
         _ => stats.responses_4xx.fetch_add(1, Ordering::Relaxed),
     };
-    let body = format!("{{\"error\":{}}}", json_quote(reject.detail()));
-    write_response(out, reject.status(), &body, false, true, None);
-}
-
-fn json_quote(s: &str) -> String {
-    let mut out = String::new();
-    spotlight_core::json::write_str(&mut out, s);
-    out
+    body.clear();
+    json::object(body, |o| o.str("error", reject.detail()));
+    write_response(out, reject.status(), body, false, true, None);
 }
 
 fn reason(status: u16) -> &'static str {
@@ -562,17 +585,18 @@ pub fn write_response(
     close: bool,
     retry_after: Option<u32>,
 ) {
-    out.extend_from_slice(
-        format!(
-            "HTTP/1.1 {} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n",
-            status,
-            reason(status),
-            body.len()
-        )
-        .as_bytes(),
-    );
+    let mut digits = [0u8; 20];
+    out.extend_from_slice(b"HTTP/1.1 ");
+    out.extend_from_slice(json::decimal(u64::from(status), &mut digits));
+    out.push(b' ');
+    out.extend_from_slice(reason(status).as_bytes());
+    out.extend_from_slice(b"\r\nContent-Type: application/json\r\nContent-Length: ");
+    out.extend_from_slice(json::decimal(body.len() as u64, &mut digits));
+    out.extend_from_slice(b"\r\n");
     if let Some(secs) = retry_after {
-        out.extend_from_slice(format!("Retry-After: {secs}\r\n").as_bytes());
+        out.extend_from_slice(b"Retry-After: ");
+        out.extend_from_slice(json::decimal(u64::from(secs), &mut digits));
+        out.extend_from_slice(b"\r\n");
     }
     if close {
         out.extend_from_slice(b"Connection: close\r\n");

@@ -2,7 +2,7 @@
 # Perf regression gate for the verify path: runs a fresh
 # scripts/bench_snapshot.sh and compares the perf-tracked suites
 # (tick/*, tick_threads/1, tick_component/*, pool_dispatch/pool_scope*,
-# store_query_100k/*, ...) against the latest committed
+# store_query_100k/*, serve_route/*, ...) against the latest committed
 # BENCH_PR<N>.json. A tracked bench whose
 # fresh median exceeds baseline × TOLERANCE (default 1.3) fails the
 # check — but not before being re-run ONCE in isolation: on this 1-CPU
@@ -28,7 +28,7 @@ cd "$(dirname "$0")/.."
 TOLERANCE="${TOLERANCE:-1.3}"
 # The bench suites a regressed name might live in (the shim's CLI
 # filter makes a no-match suite run a cheap no-op).
-SUITES=(substrate store analysis policy)
+SUITES=(substrate store analysis policy serve)
 # tick_threads/{2,4,...} are deliberately NOT gated: they measure the
 # host's parallelism (a 1-core CI box vs a multicore baseline host
 # would "regress" 3x with zero code change). Only the single-thread
@@ -54,7 +54,11 @@ SUITES=(substrate store analysis policy)
 # over the pool since PR 10 and stays gated; tick_threads/{2,4}
 # remain ungated on this 1-CPU host for the reason above — the pool
 # does not change that (parked workers still need real cores to help).
-TRACKED='^(tick|tick_component|store_query_100k|store_ingest_contended|store_ingest_durable|store_window_sweep_1m|recover_1m)/|^tick_threads/1$|^pool_dispatch/pool_scope'
+# serve_route/*, serve_json/*, serve_parse/* (PR 13) gate the HTTP
+# request path without the socket: parse a point head, route it (query
+# + JSON encode into the caller's buffer), the two all-market advisor
+# scans, and one availability body.
+TRACKED='^(tick|tick_component|store_query_100k|store_ingest_contended|store_ingest_durable|store_window_sweep_1m|recover_1m|serve_route|serve_json|serve_parse)/|^tick_threads/1$|^pool_dispatch/pool_scope'
 
 BASELINE="${1:-}"
 if [ -z "$BASELINE" ]; then

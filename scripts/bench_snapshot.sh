@@ -12,7 +12,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 OUT="${1:-BENCH_SNAPSHOT.json}"
-SUITES=(substrate store analysis policy)
+SUITES=(substrate store analysis policy serve)
 
 LINES="$(mktemp)"
 trap 'rm -f "$LINES"' EXIT

@@ -6,9 +6,10 @@ use cloud_sim::config::{DemandProfile, SimConfig};
 use cloud_sim::ids::{Az, MarketId, Platform, Region};
 use cloud_sim::market::clear;
 use cloud_sim::price::Price;
-use cloud_sim::time::SimTime;
+use cloud_sim::time::{SimDuration, SimTime};
 use proptest::prelude::*;
 use spotlight_core::probe::{ProbeKind, ProbeOutcome, ProbeRecord, ProbeTrigger};
+use spotlight_core::query::{AvailabilityStats, SpotLightQuery};
 use spotlight_core::stats::{BucketedRate, Ecdf};
 use spotlight_core::store::DataStore;
 use spotlight_derivative::series::AvailabilityTimeline;
@@ -589,5 +590,141 @@ fn concurrent_ingest_matches_sequential_ingest() {
                 s.unavailable_seconds_in(m, kind, span.0, span.1)
             );
         }
+    }
+}
+
+// ---- advisor top-n selection vs the full sort it replaced --------------
+
+/// Forty markets over two regions: with at most 200 probes most of them
+/// are never rejected, so `unavailable_fraction == 0.0` ties dominate.
+fn advisor_markets() -> Vec<MarketId> {
+    let mut out = Vec::new();
+    for region in [Region::UsEast1, Region::SaEast1] {
+        for zone in 0..4u8 {
+            for ty in [
+                "c3.large",
+                "c3.xlarge",
+                "m3.large",
+                "r3.8xlarge",
+                "t1.micro",
+            ] {
+                out.push(MarketId {
+                    az: Az::new(region, zone),
+                    instance_type: ty.parse().unwrap(),
+                    platform: Platform::LinuxUnix,
+                });
+            }
+        }
+    }
+    out
+}
+
+/// `top_available_markets` as it was before the top-n selection: a
+/// stable sort of every qualifying row, then `truncate(n)`.
+fn full_sort_top(
+    q: &SpotLightQuery<'_>,
+    candidates: &[MarketId],
+    region: Option<Region>,
+    min_probes: u64,
+    n: usize,
+) -> Vec<(MarketId, AvailabilityStats)> {
+    let mut rows: Vec<(MarketId, AvailabilityStats)> = candidates
+        .iter()
+        .copied()
+        .filter(|m| region.is_none_or(|r| m.region() == r))
+        .map(|m| (m, q.availability(m, ProbeKind::OnDemand)))
+        .filter(|(_, st)| st.probes >= min_probes)
+        .collect();
+    rows.sort_by(|a, b| {
+        a.1.unavailable_fraction
+            .partial_cmp(&b.1.unavailable_fraction)
+            .expect("fractions are finite")
+    });
+    rows.truncate(n);
+    rows
+}
+
+/// `uncorrelated_fallbacks` as it was: stable sort, then `take(n)`.
+fn full_sort_fallbacks(
+    q: &SpotLightQuery<'_>,
+    market: MarketId,
+    candidates: &[MarketId],
+    window: SimDuration,
+    n: usize,
+) -> Vec<MarketId> {
+    let mut rows: Vec<(MarketId, f64, f64)> = candidates
+        .iter()
+        .copied()
+        .filter(|&c| c != market && c.pool() != market.pool())
+        .map(|c| {
+            let corr = q
+                .conditional_unavailability(market, c, window)
+                .unwrap_or(0.0);
+            let own = q.availability(c, ProbeKind::OnDemand).unavailable_fraction;
+            (c, corr, own)
+        })
+        .collect();
+    rows.sort_by(|a, b| (a.1, a.2).partial_cmp(&(b.1, b.2)).expect("finite scores"));
+    rows.into_iter().take(n).map(|(m, _, _)| m).collect()
+}
+
+proptest! {
+    #[test]
+    fn advisor_top_n_selection_matches_the_full_sort(
+        probes in proptest::collection::vec((0usize..40, 0u64..40, 0u8..8), 0..200),
+        n_picks in (0usize..8, 0usize..45),
+        min_probes in 0u64..4,
+        region_pick in 0usize..3,
+        target in 0usize..40,
+    ) {
+        let (n_pick, n_free) = n_picks;
+        let markets = advisor_markets();
+        let store = DataStore::new();
+        let mut at = 0u64;
+        for (m, step, roll) in probes {
+            at += step;
+            store.record_probe(ProbeRecord {
+                at: SimTime::from_secs(at),
+                market: markets[m],
+                kind: ProbeKind::OnDemand,
+                trigger: ProbeTrigger::Periodic,
+                // Rejections are rare, so most fractions tie at 0.0.
+                outcome: if roll == 0 {
+                    ProbeOutcome::InsufficientCapacity
+                } else {
+                    ProbeOutcome::Fulfilled
+                },
+                spot_ratio: 1.0,
+                bid: None,
+                cost: Price::ZERO,
+            });
+        }
+        let read = store.read();
+        let q = SpotLightQuery::new(&read, SimTime::ZERO, SimTime::from_secs(at + 1));
+        // The serving tier's candidate list: every probed market, sorted.
+        let mut candidates: Vec<MarketId> = read.probed_markets().collect();
+        candidates.sort_unstable();
+        let len = candidates.len();
+        let n = [0, 1, 10, len, len + 1, usize::MAX, n_free, len.saturating_sub(1)][n_pick];
+        let region = [None, Some(Region::UsEast1), Some(Region::SaEast1)][region_pick];
+
+        prop_assert_eq!(
+            q.top_available_markets(&candidates, region, min_probes, n),
+            full_sort_top(&q, &candidates, region, min_probes, n)
+        );
+        // All forty markets, unprobed ones included, in catalog order.
+        prop_assert_eq!(
+            q.top_available_markets(&markets, region, min_probes, n),
+            full_sort_top(&q, &markets, region, min_probes, n)
+        );
+        let window = SimDuration::from_secs(900);
+        prop_assert_eq!(
+            q.uncorrelated_fallbacks(markets[target], &candidates, window, n),
+            full_sort_fallbacks(&q, markets[target], &candidates, window, n)
+        );
+        prop_assert_eq!(
+            q.uncorrelated_fallbacks(markets[target], &markets, window, n),
+            full_sort_fallbacks(&q, markets[target], &markets, window, n)
+        );
     }
 }
