@@ -1,9 +1,9 @@
 //! Probe-database hot paths: ingest (`record_probe`, which maintains
 //! every secondary index and epoch summary — sequential and contended
-//! across threads), the per-market query interface, and the
-//! epoch-summarized month-scale window sweep, each measured against
-//! naive full-log scans so the index/summary speedup is a number, not a
-//! claim.
+//! across threads, in memory and through the WAL), recovery replay,
+//! the per-market query interface, and the epoch-summarized
+//! month-scale window sweep. The full-scan oracles these paths are
+//! checked against live in `tests/properties.rs`.
 
 use cloud_sim::ids::MarketId;
 use cloud_sim::time::{SimDuration, SimTime};
@@ -11,92 +11,10 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use spotlight_bench::{synthetic_probes, synthetic_store, synthetic_store_spaced};
 use spotlight_core::probe::ProbeKind;
 use spotlight_core::query::SpotLightQuery;
-use spotlight_core::store::{DataStore, StoreRead};
+use spotlight_core::store::DataStore;
 use spotlight_core::{DurableOptions, FsyncPolicy};
 use spotlight_persist::tempdir::TempDir;
-use std::collections::HashMap;
 use std::hint::black_box;
-
-/// The old full-scan availability computation, kept as the measured
-/// baseline for the indexed [`SpotLightQuery::availability`].
-fn scan_availability(store: &StoreRead<'_>, market: MarketId, kind: ProbeKind) -> (u64, u64, u64) {
-    let mut probes = 0u64;
-    let mut rejections = 0u64;
-    for p in store.probes() {
-        if p.market == market && p.kind == kind && p.outcome.is_informative() {
-            probes += 1;
-            if p.outcome.is_unavailable() {
-                rejections += 1;
-            }
-        }
-    }
-    let unavailable: u64 = store
-        .intervals()
-        .filter(|i| i.market == market && i.kind == kind)
-        .map(|i| {
-            i.end
-                .unwrap_or(SimTime::from_secs(u64::MAX / 2))
-                .saturating_since(i.start)
-                .as_secs()
-        })
-        .sum();
-    (probes, rejections, unavailable)
-}
-
-/// The old full-scan conditional-unavailability trial loop.
-fn scan_conditional(
-    store: &StoreRead<'_>,
-    a: MarketId,
-    b: MarketId,
-    window: SimDuration,
-) -> Option<f64> {
-    let b_times: Vec<SimTime> = store
-        .probes()
-        .filter(|p| p.market == b && p.kind == ProbeKind::OnDemand && p.outcome.is_unavailable())
-        .map(|p| p.at)
-        .collect();
-    let mut trials = 0u64;
-    let mut hits = 0u64;
-    for i in store.intervals() {
-        if i.market != a || i.kind != ProbeKind::OnDemand {
-            continue;
-        }
-        trials += 1;
-        let to = i.start + window;
-        if b_times.iter().any(|&t| t >= i.start && t <= to) {
-            hits += 1;
-        }
-    }
-    (trials > 0).then(|| hits as f64 / trials as f64)
-}
-
-/// One full-log pass computing every market's availability sweep — the
-/// best a scan can do, and the baseline the epoch-summarized sweep is
-/// gated against (the acceptance target is ≥ 5× over this).
-fn scan_sweep(store: &StoreRead<'_>, span_end: SimTime) -> u64 {
-    let mut stats: HashMap<MarketId, (u64, u64)> = HashMap::new();
-    for p in store.probes() {
-        if p.kind == ProbeKind::OnDemand && p.outcome.is_informative() {
-            let e = stats.entry(p.market).or_insert((0, 0));
-            e.0 += 1;
-            if p.outcome.is_unavailable() {
-                e.1 += 1;
-            }
-        }
-    }
-    let mut unavail: HashMap<MarketId, u64> = HashMap::new();
-    for i in store.intervals() {
-        if i.kind == ProbeKind::OnDemand {
-            *unavail.entry(i.market).or_insert(0) += i
-                .end
-                .unwrap_or(span_end)
-                .min(span_end)
-                .saturating_since(i.start)
-                .as_secs();
-        }
-    }
-    stats.values().map(|&(p, _)| p).sum::<u64>() + unavail.values().sum::<u64>()
-}
 
 fn bench_record_probe(c: &mut Criterion) {
     let probes = synthetic_probes(10_000);
@@ -245,19 +163,8 @@ fn bench_queries(c: &mut Criterion) {
                 .sum::<u64>()
         })
     });
-    group.bench_function("availability_scan_baseline", |bch| {
-        bch.iter(|| {
-            markets
-                .iter()
-                .map(|&m| scan_availability(&read, m, ProbeKind::OnDemand).0)
-                .sum::<u64>()
-        })
-    });
     group.bench_function("conditional_unavailability_indexed", |bch| {
         bch.iter(|| black_box(query.conditional_unavailability(a, b, SimDuration::from_secs(900))))
-    });
-    group.bench_function("conditional_unavailability_scan_baseline", |bch| {
-        bch.iter(|| black_box(scan_conditional(&read, a, b, SimDuration::from_secs(900))))
     });
     group.bench_function("probes_between_1h_window", |bch| {
         let from = SimTime::from_secs(4_000_000);
@@ -272,8 +179,7 @@ fn bench_queries(c: &mut Criterion) {
 
 /// The month-scale availability sweep: one million probes packed into
 /// ~35 simulated days, every market's availability over the whole span.
-/// `availability_summarized` reads running counters + epoch buckets;
-/// `availability_raw_scan_baseline` is the single-pass full-log scan.
+/// `availability_summarized` reads running counters + epoch buckets.
 fn bench_window_sweep(c: &mut Criterion) {
     let store = synthetic_store_spaced(1_000_000, 3);
     let span_end = SimTime::from_secs(1_000_000 * 3 + 1);
@@ -294,9 +200,6 @@ fn bench_window_sweep(c: &mut Criterion) {
                 })
                 .sum::<u64>()
         })
-    });
-    group.bench_function("availability_raw_scan_baseline", |bch| {
-        bch.iter(|| black_box(scan_sweep(&read, span_end)))
     });
     group.finish();
 }

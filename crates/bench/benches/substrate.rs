@@ -136,14 +136,6 @@ fn bench_tick_components(c: &mut Criterion) {
             demand.tick(SimTime::from_secs(t), &profile, &mut rng);
         });
     });
-    group.bench_function("level_masses_and_clear", |b| {
-        let demand = MarketDemand::new();
-        let mut out = vec![0.0; grid.len()];
-        b.iter(|| {
-            demand.level_masses_into(&grid, 50.0, &sw, &mut out);
-            black_box(clear(&profile.level_multiples, &out, 40.0))
-        });
-    });
     // The fused path `clear_markets` actually runs: fixed-width mass
     // fill + running total, then the branch-free 15-level walk.
     group.bench_function("level_masses_and_clear_fused", |b| {

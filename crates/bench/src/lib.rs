@@ -5,54 +5,27 @@
 //! * `substrate` — cloud-sim hot paths (tick, clearing, API calls);
 //! * `policy` — SpotLight's probing paths;
 //! * `analysis` — the Chapter 5 analysis kernels on synthetic stores;
-//! * `figures` — one group per paper table/figure, running the
-//!   scaled-down experiment end to end;
-//! * `store` — probe-database ingest and the indexed query paths,
-//!   including scan-oracle comparisons;
-//! * `ablation` — demand-model parameter sweeps (tick cost vs surge
-//!   rates, catalog scale).
+//! * `store` — probe-database ingest, recovery replay, and the indexed
+//!   and epoch-summarized query paths;
+//! * `serve` — the HTTP request path without the socket (parse, route,
+//!   JSON encode).
+//!
+//! `scripts/bench_snapshot.sh` runs all five.
 
 use cloud_sim::catalog::Catalog;
 use cloud_sim::cloud::Cloud;
 use cloud_sim::config::SimConfig;
-use cloud_sim::engine::Engine;
 use cloud_sim::ids::{Az, MarketId, Platform, Region};
 use cloud_sim::price::Price;
-use cloud_sim::time::{SimDuration, SimTime};
-use spotlight_core::policy::{PolicyConfig, SpotLightConfig};
+use cloud_sim::time::SimTime;
 use spotlight_core::probe::{ProbeKind, ProbeOutcome, ProbeRecord, ProbeTrigger};
-use spotlight_core::spotlight::SpotLight;
-use spotlight_core::store::{shared_store, DataStore, SharedStore, SpikeEvent};
+use spotlight_core::store::{DataStore, SpikeEvent};
 
 /// A warmed-up testbed cloud.
 pub fn testbed_cloud(seed: u64) -> Cloud {
     let mut cloud = Cloud::new(Catalog::testbed(), SimConfig::paper(seed));
     cloud.warmup(20);
     cloud
-}
-
-/// Runs a small SpotLight study on the testbed and returns its store
-/// (the input for analysis and figure benches).
-pub fn small_study(seed: u64, days: u64) -> (Cloud, SharedStore, SimTime, SimTime) {
-    let mut engine = Engine::new(Catalog::testbed(), SimConfig::paper(seed));
-    engine.cloud_mut().warmup(20);
-    let start = engine.cloud().now();
-    let end = start + SimDuration::days(days);
-    let store = shared_store();
-    engine.add_agent(Box::new(SpotLight::new(
-        SpotLightConfig {
-            policy: PolicyConfig {
-                spike_threshold: 0.5,
-                subthreshold_sampling: 0.05,
-                ..PolicyConfig::default()
-            },
-            ..SpotLightConfig::default()
-        },
-        store.clone(),
-    )));
-    engine.run_until(end);
-    let (cloud, _) = engine.into_parts();
-    (cloud, store, start, end)
 }
 
 /// Deterministic synthetic probe records over a dozen us-east-1

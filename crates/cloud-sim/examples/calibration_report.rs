@@ -38,9 +38,11 @@ fn main() {
     let mut max_ratio: f64 = 0.0;
     let mut ratio_buckets = [0u64; 12]; // per spike multiple 1x..>10x
 
+    let mut events = Vec::new();
     while cloud.now() < end {
         cloud.tick();
-        for ev in cloud.take_events() {
+        cloud.drain_events_into(&mut events);
+        for &ev in &events {
             match ev {
                 CloudEvent::PriceChange { market, price, .. } => {
                     price_changes += 1;

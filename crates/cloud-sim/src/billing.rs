@@ -8,10 +8,9 @@
 use crate::ids::MarketId;
 use crate::price::Price;
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// What kind of usage a billing record covers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UsageKind {
     /// On-demand instance time.
     OnDemand,
@@ -22,7 +21,7 @@ pub enum UsageKind {
 }
 
 /// One charge on the account.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BillingRecord {
     /// When the charge was applied.
     pub at: SimTime,
@@ -47,7 +46,7 @@ pub struct BillingRecord {
 /// let ledger = Ledger::new();
 /// assert!(ledger.total().is_zero());
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Ledger {
     records: Vec<BillingRecord>,
     total: Price,

@@ -36,10 +36,9 @@
 use crate::ids::Region;
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// A scheduled per-region fault window `[start, start + duration)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChaosWindow {
     /// The region the fault applies to.
     pub region: Region,
@@ -64,7 +63,7 @@ impl ChaosWindow {
 /// A transient-error burst: during the window, each API call in the
 /// region independently fails with [`crate::api::ApiError::InternalError`]
 /// with probability `fraction`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ErrorBurst {
     /// When and where the burst applies.
     pub window: ChaosWindow,
@@ -77,7 +76,7 @@ pub struct ErrorBurst {
 /// with probability `probability`. Event timestamps keep the original
 /// emission time — only *delivery* to the subscriber lags, the way a
 /// slow notification pipeline lags the price history.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EventDelay {
     /// Per-event delay probability in `[0, 1]`.
     pub probability: f64,
@@ -91,7 +90,7 @@ pub struct EventDelay {
 /// ahead of the reclaim, running spot instances there get revocation
 /// warnings, and at eviction time the pool withholds spot capacity for
 /// `hold` (new requests see `capacity-not-available`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EvictionProfile {
     /// Poisson rate of evictions per market per day.
     pub rate_per_market_day: f64,
@@ -102,7 +101,7 @@ pub struct EvictionProfile {
 }
 
 /// Declarative fault-injection plan. The default injects nothing.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ChaosConfig {
     /// Regional API outages: every call fails with
     /// [`crate::api::ApiError::ServiceUnavailable`].

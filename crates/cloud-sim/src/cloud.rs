@@ -5,8 +5,7 @@
 //! [`Cloud`] owns all dynamic state. Requests arrive through the API
 //! methods in [`crate::api`]; the engine (or any driver) calls
 //! [`Cloud::tick`] to advance time one demand step and then drains
-//! [`Cloud::take_events`] (or, allocation-free,
-//! [`Cloud::drain_events_into`]) for what happened.
+//! [`Cloud::drain_events_into`] for what happened.
 //!
 //! # The region-sharded ownership model
 //!
@@ -31,12 +30,10 @@
 //! [`crate::config::SimConfig::threads`] worker groups per tick; `1`
 //! runs them inline with no cross-thread dispatch at all — and then
 //! merges every shard's buffered events, trace ops, and charges in
-//! ascending region order. Earlier revisions spawned OS threads via
-//! `std::thread::scope` on every tick; the pool's parked workers make
-//! dispatch a queue push + wakeup instead of a `clone(2)` (the
-//! `pool_dispatch` bench in `crates/bench` tracks the ratio), and the
-//! HTTP service and snapshot builder share the same pool, sized once
-//! to the host.
+//! ascending region order. Dispatch to the pool's parked workers is a
+//! queue push + wakeup (the `pool_dispatch` bench in `crates/bench`
+//! tracks it against a thread spawn), and the HTTP service and
+//! snapshot builder share the same pool, sized once to the host.
 //!
 //! # The determinism contract
 //!
@@ -57,8 +54,7 @@
 //! it millions of times, so the steady-state tick performs **no heap
 //! allocation** (with `threads = 1`; higher settings pay one boxed
 //! pool task per worker group plus the worker-group vector per tick —
-//! the persistent pool's dispatch cost, orders of magnitude below the
-//! per-tick thread spawns it replaced).
+//! the persistent pool's dispatch cost).
 //! Concretely:
 //!
 //! * the demand profile, level grid, and per-pool market indices are
@@ -1020,9 +1016,6 @@ pub struct Cloud {
     /// on (the process-wide [`WorkerPool::global`] instance, grown to
     /// the resolved worker count at construction).
     pool: Arc<WorkerPool>,
-    /// Test/bench escape hatch: `true` restores the pre-pool per-tick
-    /// `std::thread::scope` fan-out. See [`Cloud::force_scoped_fanout`].
-    scoped_fanout: bool,
 }
 
 impl std::fmt::Debug for Cloud {
@@ -1242,7 +1235,6 @@ impl Cloud {
             threads,
             group_of_shard,
             pool,
-            scoped_fanout: false,
         }
     }
 
@@ -1282,19 +1274,11 @@ impl Cloud {
         self.trace.watch(market);
     }
 
-    /// Drains the events accumulated since the last call.
-    ///
-    /// Allocates a fresh `Vec` per call; tick-loop drivers should prefer
-    /// [`Cloud::drain_events_into`], which recycles a caller-owned
-    /// buffer.
-    pub fn take_events(&mut self) -> Vec<CloudEvent> {
-        std::mem::take(&mut self.events)
-    }
-
-    /// Drains the accumulated events into `out` (cleared first) by
-    /// swapping buffers: `out`'s old allocation becomes the cloud's next
-    /// accumulation buffer, so a steady-state drive loop ping-pongs two
-    /// buffers and never reallocates, even under event churn.
+    /// Drains the events accumulated since the last call into `out`
+    /// (cleared first) by swapping buffers: `out`'s old allocation
+    /// becomes the cloud's next accumulation buffer, so a steady-state
+    /// drive loop ping-pongs two buffers and never reallocates, even
+    /// under event churn.
     pub fn drain_events_into(&mut self, out: &mut Vec<CloudEvent>) {
         out.clear();
         std::mem::swap(out, &mut self.events);
@@ -1420,53 +1404,27 @@ impl Cloud {
         } else {
             // Distribute shards by the precomputed load-balanced
             // grouping, one pool task per non-empty group. The pool's
-            // scope is the same join barrier `thread::scope` gave us —
-            // every shard has ticked before the merge below runs —
-            // without the per-tick thread spawn/join cycle.
+            // scope is a join barrier: every shard has ticked before
+            // the merge below runs.
             let mut groups: Vec<Vec<&mut RegionShard>> = (0..workers).map(|_| Vec::new()).collect();
             for (i, shard) in self.shards.iter_mut().enumerate() {
                 groups[self.group_of_shard[i]].push(shard);
             }
             let ctx = &ctx;
-            if self.scoped_fanout {
-                std::thread::scope(|s| {
-                    for group in groups {
-                        if group.is_empty() {
-                            continue;
-                        }
-                        s.spawn(move || {
-                            for shard in group {
-                                shard.tick(ctx);
-                            }
-                        });
+            self.pool.scope(|s| {
+                for group in groups {
+                    if group.is_empty() {
+                        continue;
                     }
-                });
-            } else {
-                self.pool.scope(|s| {
-                    for group in groups {
-                        if group.is_empty() {
-                            continue;
+                    s.spawn(move || {
+                        for shard in group {
+                            shard.tick(ctx);
                         }
-                        s.spawn(move || {
-                            for shard in group {
-                                shard.tick(ctx);
-                            }
-                        });
-                    }
-                });
-            }
+                    });
+                }
+            });
         }
         self.merge_shard_outputs();
-    }
-
-    /// Test/bench escape hatch: `true` fans the parallel tick out via
-    /// per-tick `std::thread::scope` spawns (the pre-pool dispatch)
-    /// instead of the shared worker pool. Results are bit-identical
-    /// either way — `tests/determinism.rs` proves it — only dispatch
-    /// cost differs. Not part of the simulation API.
-    #[doc(hidden)]
-    pub fn force_scoped_fanout(&mut self, scoped: bool) {
-        self.scoped_fanout = scoped;
     }
 
     /// Benchmark hook: one market-clearing pass at the current time,
@@ -1595,9 +1553,11 @@ mod tests {
         config.record_all_prices = true;
         let mut c = Cloud::new(Catalog::testbed(), config);
         let mut saw_change = false;
+        let mut events = Vec::new();
         for _ in 0..300 {
             c.tick();
-            for ev in c.take_events() {
+            c.drain_events_into(&mut events);
+            for &ev in &events {
                 if let CloudEvent::PriceChange { market, price, .. } = ev {
                     saw_change = true;
                     // The published price matches the event.
@@ -1616,9 +1576,11 @@ mod tests {
         let config = SimConfig::paper(11);
         let mut c = Cloud::new(Catalog::testbed(), config);
         let mut open: HashMap<PoolId, u32> = HashMap::new();
+        let mut events = Vec::new();
         for _ in 0..1500 {
             c.tick();
-            for ev in c.take_events() {
+            c.drain_events_into(&mut events);
+            for &ev in &events {
                 match ev {
                     CloudEvent::PoolShortageStarted { pool, .. } => {
                         *open.entry(pool).or_insert(0) += 1;
@@ -1638,7 +1600,9 @@ mod tests {
     fn warmup_clears_events() {
         let mut c = quiet_cloud();
         c.warmup(10);
-        assert!(c.take_events().is_empty());
+        let mut events = Vec::new();
+        c.drain_events_into(&mut events);
+        assert!(events.is_empty());
     }
 
     #[test]
@@ -1655,7 +1619,8 @@ mod tests {
         }
         assert!(total > 0, "expected events in 100 paper-demand ticks");
         // After a drain the internal buffer is empty again.
-        assert!(c.take_events().is_empty());
+        c.drain_events_into(&mut buf);
+        assert!(buf.is_empty());
     }
 
     /// The determinism contract: the same seed and config produce the
@@ -1668,9 +1633,11 @@ mod tests {
             config.threads = threads;
             let mut c = Cloud::new(Catalog::testbed(), config);
             let mut events = Vec::new();
+            let mut drained = Vec::new();
             for _ in 0..300 {
                 c.tick();
-                events.extend(c.take_events());
+                c.drain_events_into(&mut drained);
+                events.extend_from_slice(&drained);
             }
             let prices: Vec<Price> = c
                 .catalog()

@@ -10,12 +10,11 @@
 use crate::chaos::ChaosConfig;
 use crate::ids::{Family, Platform, Region, Size};
 use crate::time::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Per-region service limits, mirroring the limits SpotLight's prototype
 /// had to manage (Chapter 4): at most 20 running on-demand instances and
 /// 20 open spot requests per region, plus an API rate limit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServiceLimits {
     /// Maximum concurrently running externally launched on-demand
     /// instances per region.
@@ -37,7 +36,7 @@ impl Default for ServiceLimits {
 }
 
 /// All calibration constants of the generative demand model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DemandProfile {
     // ---- pool sizing -------------------------------------------------
     /// Physical pool units = `pool_scale × Σ member-market units`,
@@ -416,13 +415,11 @@ impl Default for DemandProfile {
 /// markets). A `W`-worker fan-out saves at most `T·(W−1)/W` of a
 /// `T`-long tick, so parallelism breaks even around `T ≈ 2·dispatch ≈
 /// 2.8 µs ≈ 30 markets; 128 keeps a ~4× margin for the boxed task and
-/// worker-group vector each parallel tick allocates. The pre-pool
-/// cutoff was 512, sized to per-tick `std::thread::scope` spawns; the
-/// pool moves the crossover down 4×.
+/// worker-group vector each parallel tick allocates.
 pub(crate) const PARALLEL_AUTO_MIN_MARKETS: usize = 128;
 
 /// Top-level simulator configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// Seed for every stochastic process in the run.
     pub seed: u64,

@@ -21,7 +21,6 @@
 use crate::config::DemandProfile;
 use crate::rng::SimRng;
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Seasonal multiplier combining diurnal and weekly cycles.
 ///
@@ -39,7 +38,7 @@ pub fn seasonal_factor(
 }
 
 /// One active demand surge.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Surge {
     /// Extra demand while active. For pool surges this is a fraction of
     /// the pool's on-demand cap; for market surges it is bid mass
@@ -50,7 +49,7 @@ pub struct Surge {
 }
 
 /// The region-shared busy factor: an OU process around 1.0.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RegionDemand {
     busy: f64,
 }
@@ -81,7 +80,7 @@ impl Default for RegionDemand {
 }
 
 /// Demand targets produced by one pool tick, in capacity units.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PoolTargets {
     /// Desired running reserved units.
     pub reserved_units: u64,
@@ -92,7 +91,7 @@ pub struct PoolTargets {
 
 /// Per-pool demand state: reserved and on-demand OU processes plus
 /// active surge events.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PoolDemand {
     od_cap: f64,
     reserved_granted: f64,
@@ -241,7 +240,7 @@ impl LevelGrid {
 
 /// Per-market spot demand: a parametric bid curve with drifting scale
 /// and tilt, plus spot-side surges.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MarketDemand {
     scale: f64,
     tilt: f64,
@@ -279,26 +278,12 @@ impl MarketDemand {
         self.tilt = self.tilt.clamp(-0.9, 0.9);
     }
 
-    /// Writes the current bid-level masses (in instances) into `out`.
+    /// Writes the current bid-level masses (in instances) into `out`,
+    /// over a precomputed [`LevelGrid`] (no per-call normalization
+    /// work).
     ///
     /// `base_mass` is the market's baseline total demand in instances;
     /// `surge_weights` distributes surge mass over the high bid levels.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice lengths disagree with the profile.
-    pub fn level_masses(
-        &self,
-        profile: &DemandProfile,
-        base_mass: f64,
-        surge_weights: &[f64],
-        out: &mut [f64],
-    ) {
-        self.level_masses_into(&LevelGrid::new(profile), base_mass, surge_weights, out);
-    }
-
-    /// [`MarketDemand::level_masses`] over a precomputed [`LevelGrid`] —
-    /// the form the tick loop uses, with no per-call normalization work.
     ///
     /// # Panics
     ///
@@ -319,7 +304,7 @@ impl MarketDemand {
         // slices to `[f64; 15]` gives the loop a constant trip count, so
         // the compiler fully unrolls and auto-vectorizes the kernel
         // (element-wise only — bit-identical to the generic loop). The
-        // `tick_component/level_masses_and_clear` bench guards this.
+        // `tick_component/level_masses_and_clear_fused` bench guards this.
         if let (Ok(out), Ok(profile), Ok(tilt), Ok(surge)) = (
             <&mut [f64; FIXED_LEVELS]>::try_from(&mut *out),
             <&[f64; FIXED_LEVELS]>::try_from(grid.norm_profile.as_slice()),
@@ -497,8 +482,9 @@ mod tests {
             p.surge_bid_decay,
             p.surge_bid_cap_share,
         );
+        let grid = LevelGrid::new(&p);
         let mut out = vec![0.0; n];
-        md.level_masses(&p, 50.0, &sw, &mut out);
+        md.level_masses_into(&grid, 50.0, &sw, &mut out);
         let total: f64 = out.iter().sum();
         assert!((total - 50.0).abs() < 1e-9, "total {total}");
     }
@@ -514,14 +500,15 @@ mod tests {
             p.surge_bid_decay,
             p.surge_bid_cap_share,
         );
+        let grid = LevelGrid::new(&p);
         let mut base = vec![0.0; n];
-        md.level_masses(&p, 50.0, &sw, &mut base);
+        md.level_masses_into(&grid, 50.0, &sw, &mut base);
         md.add_surge(Surge {
             magnitude: 1.0,
             ends_at: SimTime::from_secs(600),
         });
         let mut surged = vec![0.0; n];
-        md.level_masses(&p, 50.0, &sw, &mut surged);
+        md.level_masses_into(&grid, 50.0, &sw, &mut surged);
         // Mass below 0.85× unchanged; mass above increased.
         for i in 0..n {
             if p.level_multiples[i] < 0.85 {

@@ -20,7 +20,6 @@
 //! # Ok::<(), cloud_sim::ids::ParseIdError>(())
 //! ```
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
@@ -52,7 +51,7 @@ impl std::error::Error for ParseIdError {}
 ///
 /// The nine regions match EC2's footprint at the time of the SpotLight
 /// study (Chapter 1 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Region {
     /// N. Virginia — EC2's largest and best-provisioned region.
     UsEast1,
@@ -137,7 +136,7 @@ impl FromStr for Region {
 }
 
 /// An availability zone: a region plus a zone letter (`a`, `b`, …).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Az {
     region: Region,
     index: u8,
@@ -199,7 +198,7 @@ impl FromStr for Az {
 ///
 /// The paper defines a family as "server types with the same prefix"
 /// (§3.2.1) and assumes members of a family share one physical pool.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Family {
     /// Burstable previous generation.
     T1,
@@ -317,7 +316,7 @@ impl FromStr for Family {
 /// Sizes within a family differ by powers of two in capacity (§3.2.1),
 /// which is what makes bin-packing them onto one physical pool simple and
 /// what [`Size::units`] encodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Size {
     /// `.micro`
     Micro,
@@ -402,7 +401,7 @@ impl FromStr for Size {
 }
 
 /// An instance type: a family plus a size, e.g. `c3.2xlarge`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct InstanceType {
     family: Family,
     size: Size,
@@ -458,7 +457,7 @@ impl FromStr for InstanceType {
 /// Each platform of each instance type in each availability zone is a
 /// distinct spot market with its own price (Chapter 2), but all platforms
 /// share the same physical pool.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Platform {
     /// `Linux/UNIX` (EC2-Classic).
     LinuxUnix,
@@ -516,7 +515,7 @@ impl fmt::Display for Platform {
 }
 
 /// A capacity pool identifier: one physical pool per family per zone.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PoolId {
     /// The availability zone hosting the pool.
     pub az: Az,
@@ -532,7 +531,7 @@ impl fmt::Display for PoolId {
 
 /// A market identifier: one spot (and on-demand) market per availability
 /// zone × instance type × platform, the unit SpotLight monitors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MarketId {
     /// The availability zone.
     pub az: Az,
@@ -577,7 +576,7 @@ impl fmt::Display for MarketId {
 }
 
 /// Unique identifier of a launched instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct InstanceId(pub u64);
 
 impl fmt::Display for InstanceId {
@@ -587,7 +586,7 @@ impl fmt::Display for InstanceId {
 }
 
 /// Unique identifier of a spot instance request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SpotRequestId(pub u64);
 
 impl fmt::Display for SpotRequestId {

@@ -11,11 +11,10 @@
 //! `fig-3-2` regenerate the figures from this module).
 
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// States of an on-demand instance (Figure 3.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OdState {
     /// Request submitted, not yet running.
     Pending,
@@ -98,7 +97,7 @@ impl fmt::Display for OdState {
 }
 
 /// States of a spot instance request (Figure 3.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SpotRequestState {
     /// Request submitted; parameters being evaluated.
     PendingEvaluation,
@@ -303,7 +302,7 @@ fn render_dot(name: &str, nodes: &[(&str, bool)], edges: &[(&str, &str, &str)]) 
 }
 
 /// A timestamped record of one state transition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Transition<S> {
     /// When the transition happened.
     pub at: SimTime,
@@ -324,7 +323,7 @@ pub struct Transition<S> {
 /// assert_eq!(st.current(), OdState::Running);
 /// assert_eq!(st.history().len(), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Tracked<S> {
     current: S,
     history: Vec<Transition<S>>,

@@ -11,10 +11,9 @@
 
 use crate::price::Price;
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// The result of clearing one market.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Clearing {
     /// Index of the price level in the level grid.
     pub level_idx: usize,
@@ -146,7 +145,7 @@ pub fn clear_with_total(multiples: &[f64], masses: &[f64], total: f64, supply: f
 }
 
 /// Dynamic state of one spot market.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MarketState {
     /// The on-demand price governing this market (fixed by the catalog).
     pub od_price: Price,

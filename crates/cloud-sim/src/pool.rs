@@ -18,10 +18,8 @@
 //! tick phase only that shard's worker may touch it, which is what lets
 //! the tick fan out across regions without locks.
 
-use serde::{Deserialize, Serialize};
-
 /// Why an on-demand admission attempt was refused.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OdRejection {
     /// The request would push on-demand usage above
     /// `physical − reserved_granted` — the pool is genuinely out of
@@ -34,7 +32,7 @@ pub enum OdRejection {
 }
 
 /// Snapshot of a pool's occupancy, returned by [`CapacityPool::snapshot`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PoolSnapshot {
     /// Total physical units.
     pub physical: u64,
@@ -80,7 +78,7 @@ impl PoolSnapshot {
 }
 
 /// One physical capacity pool (family × availability zone).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CapacityPool {
     physical: u64,
     reserved_granted: u64,

@@ -16,15 +16,12 @@
 //! assert!((spike.ratio_to(od) - 2.5).abs() < 1e-9);
 //! ```
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Sub, SubAssign};
 
 /// A non-negative monetary amount (or hourly price) in micro-dollars.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Price(u64);
 
 impl Price {

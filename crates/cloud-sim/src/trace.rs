@@ -11,11 +11,10 @@
 use crate::ids::{MarketId, PoolId};
 use crate::price::Price;
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
 /// One point in a market's published price history.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PricePoint {
     /// When the price became visible.
     pub at: SimTime,
@@ -24,7 +23,7 @@ pub struct PricePoint {
 }
 
 /// A completed or open ground-truth shortage interval of one pool.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShortageInterval {
     /// The pool that ran short of on-demand capacity.
     pub pool: PoolId,

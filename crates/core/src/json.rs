@@ -1,7 +1,6 @@
 //! A minimal in-tree JSON writer — the serialization the HTTP service
-//! and report surfaces actually need, instead of the serde
-//! derive-marker shim (`crates/shims/serde`) the offline container
-//! forced on the report/config types.
+//! and report surfaces need, and the workspace's only text format
+//! (`spotlight_persist::codec` is the binary one for disk).
 //!
 //! The writer is string-building only (no reader): escaped keys and
 //! strings, `u64`/`i64`/`f64`/bool/null scalars (non-finite floats

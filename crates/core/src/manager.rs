@@ -566,8 +566,8 @@ impl RegionWorker {
         }
 
         for event in events {
-            let market = match event {
-                CloudEvent::PriceChange { market, .. } => market,
+            let (market, price) = match event {
+                CloudEvent::PriceChange { market, price, .. } => (market, price),
                 CloudEvent::CapacityEvictionNotice {
                     market, evict_at, ..
                 } => {
@@ -587,9 +587,6 @@ impl RegionWorker {
                     continue;
                 }
                 _ => continue,
-            };
-            let CloudEvent::PriceChange { price, .. } = event else {
-                unreachable!("only price changes fall through");
             };
             debug_assert_eq!(market.region(), self.region);
             let ratio = price.ratio_to(self.catalog.od_price(market));

@@ -24,19 +24,19 @@
 //! clone rather than an `AtomicPtr` dance; the generation check keeps
 //! that mutex off the per-request path entirely.
 //!
-//! On multicore hosts the expensive half — the per-stripe deep copies
-//! in [`DataStore::snapshot`] — fans out over the shared persistent
-//! worker pool ([`spotlight_pool::WorkerPool::global`]), under all
-//! stripe read locks so consistency is unchanged; the scoped-borrow
-//! machinery lives in that crate, keeping this one `unsafe`-free.
+//! The expensive half — the per-stripe deep copies in
+//! [`DataStore::snapshot`] — fans out over the shared persistent
+//! worker pool ([`spotlight_pool::WorkerPool::global`]; the capturing
+//! thread helps, so a one-thread pool copies at sequential speed),
+//! under all stripe read locks; the scoped-borrow machinery lives in
+//! that crate, keeping this one `unsafe`-free.
 
-use crate::store::{DataStore, ReadView, RegionHealth, StoreRead, Stripe};
+use crate::store::{DataStore, StoreHeader, StoreRead, Stripe};
 use crate::sync::Mutex;
-use cloud_sim::ids::{MarketId, Region};
+use cloud_sim::ids::MarketId;
 use cloud_sim::price::Price;
 use cloud_sim::time::SimTime;
 use spotlight_pool::WorkerPool;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -44,13 +44,8 @@ use std::sync::Arc;
 /// across stripes (captured under every stripe's read lock).
 #[derive(Debug)]
 pub struct StoreSnapshot {
-    pub(crate) stripes: Box<[Stripe]>,
-    pub(crate) epoch_secs: u64,
-    pub(crate) recorded_probes: u64,
-    pub(crate) total_cost_micros: u64,
-    pub(crate) suppressed_probes: u64,
-    pub(crate) region_health: HashMap<Region, RegionHealth>,
-    pub(crate) durability_lost: Option<SimTime>,
+    stripes: Box<[Stripe]>,
+    header: StoreHeader,
     as_of: SimTime,
     /// Every probed market in `MarketId` order, built once at capture.
     probed_markets: Box<[MarketId]>,
@@ -61,9 +56,7 @@ impl StoreSnapshot {
     /// [`StoreRead`] query/analysis surface, shareable across any
     /// number of threads.
     pub fn read(&self) -> StoreRead<'_> {
-        StoreRead {
-            view: ReadView::Snapshot(self),
-        }
+        StoreRead::frozen(&self.header, &self.stripes)
     }
 
     /// The publisher-supplied capture time: queries default their
@@ -82,17 +75,17 @@ impl StoreSnapshot {
 
     /// Probes recorded over the store's lifetime as of the capture.
     pub fn len(&self) -> usize {
-        self.recorded_probes as usize
+        self.read().len()
     }
 
     /// True when the captured store had recorded no probes.
     pub fn is_empty(&self) -> bool {
-        self.recorded_probes == 0
+        self.len() == 0
     }
 
     /// Total money spent on probes as of the capture.
     pub fn total_cost(&self) -> Price {
-        Price::from_micros(self.total_cost_micros)
+        self.read().total_cost()
     }
 }
 
@@ -107,32 +100,23 @@ impl DataStore {
     /// the resident data); call it at ingest cadence (seconds), not
     /// query cadence.
     pub fn snapshot(&self, as_of: SimTime) -> StoreSnapshot {
-        // Consistency first: take every stripe's read lock before any
-        // copying starts, exactly as the sequential path always did.
-        let guards: Vec<_> = self.stripes.iter().map(|s| s.read()).collect();
-        let pool = WorkerPool::global();
-        let stripes: Box<[Stripe]> = if pool.threads() > 1 && guards.len() > 1 {
-            // With all guards held the stripes are frozen, so the deep
-            // copies are independent — fan one clone per stripe out on
-            // the shared persistent pool. The scope's join barrier
-            // keeps the guards (and `slots`) borrowed until every
-            // clone lands.
-            let mut slots: Vec<Option<Stripe>> = Vec::new();
-            slots.resize_with(guards.len(), || None);
-            pool.scope(|s| {
-                for (slot, guard) in slots.iter_mut().zip(guards.iter()) {
-                    let stripe: &Stripe = guard;
-                    s.spawn(move || *slot = Some(stripe.clone()));
-                }
-            });
-            slots
-                .into_iter()
-                .map(|s| s.expect("scope join barrier ran every clone"))
-                .collect()
-        } else {
-            guards.iter().map(|g| (**g).clone()).collect()
-        };
-        drop(guards);
+        let live = self.read();
+        // Under the view's guards the stripes are frozen, so the deep
+        // copies are independent — one clone per stripe on the shared
+        // persistent pool. The scope's join barrier keeps `live` (and
+        // `slots`) borrowed until every clone lands.
+        let mut slots: Vec<Option<Stripe>> = Vec::new();
+        slots.resize_with(self.stripe_count(), || None);
+        WorkerPool::global().scope(|s| {
+            for (slot, stripe) in slots.iter_mut().zip(live.stripes()) {
+                s.spawn(move || *slot = Some(stripe.clone()));
+            }
+        });
+        let header = live.into_header();
+        let stripes: Box<[Stripe]> = slots
+            .into_iter()
+            .map(|s| s.expect("scope join barrier ran every clone"))
+            .collect();
         // Outside the stripe locks: ingest is not held up by the sort.
         let mut probed_markets: Box<[MarketId]> = stripes
             .iter()
@@ -141,12 +125,7 @@ impl DataStore {
         probed_markets.sort_unstable();
         StoreSnapshot {
             stripes,
-            epoch_secs: self.epoch_secs,
-            recorded_probes: self.recorded_probes.load(Ordering::Relaxed),
-            total_cost_micros: self.total_cost_micros.load(Ordering::Relaxed),
-            suppressed_probes: self.suppressed_probes.load(Ordering::Relaxed),
-            region_health: self.region_health.read().clone(),
-            durability_lost: self.durability_lost(),
+            header,
             as_of,
             probed_markets,
         }
@@ -239,7 +218,9 @@ mod tests {
     use super::*;
     use crate::probe::{ProbeKind, ProbeOutcome, ProbeRecord, ProbeTrigger};
     use crate::query::SpotLightQuery;
-    use cloud_sim::ids::{Az, Platform};
+    use cloud_sim::catalog::Catalog;
+    use cloud_sim::ids::{Az, Platform, Region};
+    use std::sync::atomic::AtomicBool;
 
     fn market(i: u8) -> MarketId {
         MarketId {
@@ -308,6 +289,55 @@ mod tests {
         assert_eq!(frozen.len(), 1);
         assert!(!frozen.is_unavailable(m, ProbeKind::OnDemand));
         assert_eq!(store.read().len(), 2);
+    }
+
+    /// The header must be read under the stripe guards: read after
+    /// they drop, a writer racing the capture (not the publisher
+    /// itself, as in the coherence tests below) leaves `len` and
+    /// `total_cost` ahead of the probes the snapshot holds.
+    #[test]
+    fn snapshot_header_matches_stripes_under_a_racing_writer() {
+        let markets = Catalog::standard().markets().to_vec();
+        let store = DataStore::new();
+        for (i, &m) in markets.iter().enumerate() {
+            store.record_probe(probe(i as u64, m, ProbeOutcome::Fulfilled));
+        }
+        // Stops the writer when the captures finish — or a failed
+        // assertion unwinds — so the scope's join never hangs.
+        struct StopOnDrop<'a>(&'a AtomicBool);
+        impl Drop for StopOnDrop<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::Relaxed);
+            }
+        }
+        let stop = AtomicBool::new(false);
+        let started = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                started.wait();
+                let mut t = 0;
+                while !stop.load(Ordering::Relaxed) {
+                    store.record_probe(probe(
+                        t,
+                        markets[t as usize % markets.len()],
+                        ProbeOutcome::Fulfilled,
+                    ));
+                    t += 1;
+                }
+            });
+            let _stop = StopOnDrop(&stop);
+            started.wait();
+            for t in 0..50u64 {
+                let snap = store.snapshot(SimTime::from_secs(t));
+                let held = snap.read().probes().map(|p| p.cost).sum::<Price>();
+                assert_eq!(
+                    snap.len(),
+                    snap.read().probes().count(),
+                    "capture {t}: header ahead of stripes"
+                );
+                assert_eq!(snap.total_cost(), held, "capture {t}");
+            }
+        });
     }
 
     #[test]

@@ -16,9 +16,10 @@
 //! concurrent probe workers in live mode only contend when they hit the
 //! same stripe. Reads go through [`DataStore::read`], which acquires
 //! every stripe's read lock (in stripe order, so readers never deadlock
-//! against writers) and exposes the whole-log iteration and per-market
-//! index API on the combined snapshot. Store-wide counters
-//! (`len`, `total_cost`, `suppressed_probes`) are lock-free atomics.
+//! against writers), reads the store-wide counters and health table
+//! while they are held, and exposes the whole-log iteration and
+//! per-market index API on the combined view. On the store itself
+//! `len`, `total_cost` and `suppressed_probes` are lock-free atomics.
 //!
 //! # Index invariants
 //!
@@ -120,6 +121,7 @@ use crate::sync::{RwLock, RwLockReadGuard};
 use cloud_sim::ids::{MarketId, Region};
 use cloud_sim::price::Price;
 use cloud_sim::time::{SimDuration, SimTime};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -381,6 +383,29 @@ pub struct RegionHealth {
     pub trips: u64,
 }
 
+/// The store-wide state a read view reports next to its stripes,
+/// captured once per view by [`DataStore::read`].
+#[derive(Debug, Clone)]
+pub(crate) struct StoreHeader {
+    epoch_secs: u64,
+    recorded_probes: u64,
+    total_cost_micros: u64,
+    suppressed_probes: u64,
+    region_health: HashMap<Region, RegionHealth>,
+    durability_lost: Option<SimTime>,
+}
+
+/// Regions marked degraded in `health`, in canonical region order.
+fn degraded_in(health: &HashMap<Region, RegionHealth>) -> Vec<Region> {
+    let mut out: Vec<Region> = health
+        .iter()
+        .filter(|(_, h)| h.degraded)
+        .map(|(&r, _)| r)
+        .collect();
+    out.sort_unstable();
+    out
+}
+
 /// The in-memory database: N independently locked stripes plus
 /// store-wide atomic counters and the region-health table.
 #[derive(Debug)]
@@ -500,14 +525,25 @@ impl DataStore {
         stripe_index(market, self.stripes.len())
     }
 
-    /// Acquires a consistent read snapshot over every stripe. Readers
-    /// share; writers to any stripe wait until the snapshot is dropped.
+    /// Acquires a consistent read view over every stripe. Readers
+    /// share; writers to any stripe wait until the view is dropped.
+    /// `len`, `total_cost`, region health, … are as of this call. The
+    /// store's one capture: [`DataStore::snapshot`] deep-copies it.
     pub fn read(&self) -> StoreRead<'_> {
+        let guards: Vec<_> = self.stripes.iter().map(|s| s.read()).collect();
+        // Under the guards: `record_probe` bumps the two probe counters
+        // inside its stripe's write lock, so they match the stripes.
+        let header = StoreHeader {
+            epoch_secs: self.epoch_secs,
+            recorded_probes: self.recorded_probes.load(Ordering::Relaxed),
+            total_cost_micros: self.total_cost_micros.load(Ordering::Relaxed),
+            suppressed_probes: self.suppressed_probes.load(Ordering::Relaxed),
+            region_health: self.region_health.read().clone(),
+            durability_lost: self.durability_lost(),
+        };
         StoreRead {
-            view: ReadView::Live {
-                store: self,
-                stripes: self.stripes.iter().map(|s| s.read()).collect(),
-            },
+            header: Cow::Owned(header),
+            stripes: StripeRefs::Live(guards),
         }
     }
 
@@ -604,6 +640,12 @@ impl DataStore {
     /// The health record of one region, if a breaker ever reported it.
     pub fn region_health(&self, region: Region) -> Option<RegionHealth> {
         self.region_health.read().get(&region).copied()
+    }
+
+    /// Regions currently marked degraded, in canonical region order.
+    /// Takes no stripe lock, so health endpoints never queue on ingest.
+    pub fn degraded_regions(&self) -> Vec<Region> {
+        degraded_in(&self.region_health.read())
     }
 
     /// Records a revocation-watch observation.
@@ -984,57 +1026,60 @@ impl Stripe {
 /// A consistent read view over every stripe: the whole query and
 /// analysis surface of the store.
 ///
-/// Two backings share this one API:
-///
-/// * **Live** ([`DataStore::read`]) — holds every stripe's read guard.
-///   Holding one blocks writers, so drop it before resuming
-///   ingest-heavy work.
-/// * **Snapshot** ([`crate::snapshot::StoreSnapshot::read`]) — borrows
-///   an owned, immutable copy of the stripes. No locks are held; a
-///   million concurrent readers share it freely (the HTTP service's
-///   hot path).
+/// Every accessor reads a [`StoreHeader`] and stripe `i`; a view from
+/// [`DataStore::read`] differs from [`crate::snapshot::StoreSnapshot::read`]'s
+/// only in where the stripes live. The former holds every stripe's
+/// read guard (writers wait: drop it before ingest-heavy work), the
+/// latter borrows an owned, immutable copy (no locks; any number of
+/// readers share it — the HTTP service's hot path).
 #[derive(Debug)]
 pub struct StoreRead<'a> {
-    pub(crate) view: ReadView<'a>,
+    header: Cow<'a, StoreHeader>,
+    stripes: StripeRefs<'a>,
 }
 
 #[derive(Debug)]
-pub(crate) enum ReadView<'a> {
-    Live {
-        store: &'a DataStore,
-        stripes: Vec<RwLockReadGuard<'a, Stripe>>,
-    },
-    Snapshot(&'a crate::snapshot::StoreSnapshot),
+enum StripeRefs<'a> {
+    Live(Vec<RwLockReadGuard<'a, Stripe>>),
+    Frozen(&'a [Stripe]),
+}
+
+impl<'a> StoreRead<'a> {
+    /// A lock-free view over an owned capture (O(1), no allocation).
+    pub(crate) fn frozen(header: &'a StoreHeader, stripes: &'a [Stripe]) -> Self {
+        StoreRead {
+            header: Cow::Borrowed(header),
+            stripes: StripeRefs::Frozen(stripes),
+        }
+    }
+
+    /// Ends the view (releasing any stripe guards), keeping its header.
+    pub(crate) fn into_header(self) -> StoreHeader {
+        self.header.into_owned()
+    }
 }
 
 impl StoreRead<'_> {
     fn stripe_count(&self) -> usize {
-        match &self.view {
-            ReadView::Live { stripes, .. } => stripes.len(),
-            ReadView::Snapshot(s) => s.stripes.len(),
+        match &self.stripes {
+            StripeRefs::Live(guards) => guards.len(),
+            StripeRefs::Frozen(stripes) => stripes.len(),
         }
     }
 
     fn stripe_at(&self, i: usize) -> &Stripe {
-        match &self.view {
-            ReadView::Live { stripes, .. } => &stripes[i],
-            ReadView::Snapshot(s) => &s.stripes[i],
+        match &self.stripes {
+            StripeRefs::Live(guards) => &guards[i],
+            StripeRefs::Frozen(stripes) => &stripes[i],
         }
     }
 
-    fn stripes(&self) -> impl Iterator<Item = &Stripe> + '_ {
+    pub(crate) fn stripes(&self) -> impl Iterator<Item = &Stripe> + '_ {
         (0..self.stripe_count()).map(|i| self.stripe_at(i))
     }
 
     fn stripe_for(&self, market: MarketId) -> &Stripe {
         self.stripe_at(stripe_index(market, self.stripe_count()))
-    }
-
-    fn epoch_secs(&self) -> u64 {
-        match &self.view {
-            ReadView::Live { store, .. } => store.epoch_secs,
-            ReadView::Snapshot(s) => s.epoch_secs,
-        }
     }
 
     /// All resident probes, stripe by stripe (oldest first within a
@@ -1171,7 +1216,7 @@ impl StoreRead<'_> {
         let Some(state) = self.stripe_for(market).keys.get(&(market, kind)) else {
             return (0, 0);
         };
-        let w = self.epoch_secs();
+        let w = self.header.epoch_secs;
         state
             .epochs
             .counts_in(from.as_secs() / w, to.as_secs().div_ceil(w))
@@ -1187,8 +1232,9 @@ impl StoreRead<'_> {
         from: SimTime,
         to: SimTime,
     ) -> u64 {
+        let width = self.header.epoch_secs;
         self.stripe_for(market)
-            .unavailable_seconds_in((market, kind), from, to, self.epoch_secs())
+            .unavailable_seconds_in((market, kind), from, to, width)
     }
 
     /// On-demand rejection counts per region, merged into `out`
@@ -1232,36 +1278,18 @@ impl StoreRead<'_> {
 
     /// The health record of one region, if a breaker ever reported it.
     pub fn region_health(&self, region: Region) -> Option<RegionHealth> {
-        match &self.view {
-            ReadView::Live { store, .. } => store.region_health(region),
-            ReadView::Snapshot(s) => s.region_health.get(&region).copied(),
-        }
+        self.header.region_health.get(&region).copied()
     }
 
-    /// The store's durability-loss watermark, if its durable log is
-    /// currently degraded (see [`DataStore::durability_lost`]). A
-    /// snapshot reports the watermark captured at publication.
+    /// The store's durability-loss watermark as of this view, if its
+    /// durable log was degraded (see [`DataStore::durability_lost`]).
     pub fn durability_lost(&self) -> Option<SimTime> {
-        match &self.view {
-            ReadView::Live { store, .. } => store.durability_lost(),
-            ReadView::Snapshot(s) => s.durability_lost,
-        }
+        self.header.durability_lost
     }
 
-    /// Regions currently marked degraded, in canonical region order.
+    /// Regions marked degraded, in canonical region order.
     pub fn degraded_regions(&self) -> Vec<Region> {
-        let collect = |iter: &mut dyn Iterator<Item = (Region, RegionHealth)>| {
-            let mut out: Vec<Region> = iter.filter(|(_, h)| h.degraded).map(|(r, _)| r).collect();
-            out.sort_unstable();
-            out
-        };
-        match &self.view {
-            ReadView::Live { store, .. } => {
-                let health = store.region_health.read();
-                collect(&mut health.iter().map(|(&r, &h)| (r, h)))
-            }
-            ReadView::Snapshot(s) => collect(&mut s.region_health.iter().map(|(&r, &h)| (r, h))),
-        }
+        degraded_in(&self.header.region_health)
     }
 
     /// All revocation observations.
@@ -1294,26 +1322,17 @@ impl StoreRead<'_> {
 
     /// Total money spent on probes.
     pub fn total_cost(&self) -> Price {
-        match &self.view {
-            ReadView::Live { store, .. } => store.total_cost(),
-            ReadView::Snapshot(s) => Price::from_micros(s.total_cost_micros),
-        }
+        Price::from_micros(self.header.total_cost_micros)
     }
 
     /// Probes suppressed by budget or service limits.
     pub fn suppressed_probes(&self) -> u64 {
-        match &self.view {
-            ReadView::Live { store, .. } => store.suppressed_probes(),
-            ReadView::Snapshot(s) => s.suppressed_probes,
-        }
+        self.header.suppressed_probes
     }
 
     /// Number of probes recorded over the store's lifetime.
     pub fn len(&self) -> usize {
-        match &self.view {
-            ReadView::Live { store, .. } => store.len(),
-            ReadView::Snapshot(s) => s.recorded_probes as usize,
-        }
+        self.header.recorded_probes as usize
     }
 
     /// True when no probes have been recorded.

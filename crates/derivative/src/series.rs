@@ -10,10 +10,9 @@
 use cloud_sim::price::Price;
 use cloud_sim::time::SimTime;
 use cloud_sim::trace::PricePoint;
-use serde::{Deserialize, Serialize};
 
 /// A right-continuous step function of price over time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PriceSeries {
     points: Vec<PricePoint>,
 }
@@ -96,7 +95,7 @@ impl PriceSeries {
 
 /// A timeline of unavailability intervals (closed-open, time-sorted,
 /// non-overlapping after normalization).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct AvailabilityTimeline {
     /// Sorted, merged `(start, end)` unavailability intervals in seconds.
     intervals: Vec<(u64, u64)>,

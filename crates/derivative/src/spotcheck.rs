@@ -15,10 +15,9 @@
 use crate::series::{AvailabilityTimeline, PriceSeries};
 use cloud_sim::price::Price;
 use cloud_sim::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// SpotCheck configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpotCheckConfig {
     /// Bid as a multiple of the on-demand price (SpotCheck bids the
     /// on-demand price: revocation == price exceeding it).
@@ -41,7 +40,7 @@ impl Default for SpotCheckConfig {
 }
 
 /// How SpotCheck chooses its on-demand fallback.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FallbackPolicy {
     /// The paper's baseline: fall back to the on-demand servers of the
     /// *same* market (whose availability is correlated with the
@@ -54,7 +53,7 @@ pub enum FallbackPolicy {
 }
 
 /// Result of replaying a SpotCheck VM over a trace.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpotCheckReport {
     /// Fraction of time the VM was up.
     pub availability: f64,

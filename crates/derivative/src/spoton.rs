@@ -12,10 +12,9 @@
 use crate::series::{AvailabilityTimeline, PriceSeries};
 use cloud_sim::price::Price;
 use cloud_sim::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// A batch job.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JobSpec {
     /// Useful work the job must complete.
     pub work: SimDuration,
@@ -42,7 +41,7 @@ impl JobSpec {
 }
 
 /// Where a SpotOn job restarts after a revocation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RestartPolicy {
     /// The baseline: restart on the *same* market's on-demand servers
     /// (waiting out any unavailability).
@@ -52,7 +51,7 @@ pub enum RestartPolicy {
 }
 
 /// Result of one job trial.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrialResult {
     /// Wall-clock completion time.
     pub completion: SimDuration,
@@ -195,7 +194,7 @@ pub fn mean_completion_hours(trials: &[TrialResult]) -> f64 {
 
 /// Market statistics SpotOn estimates from a price history for a bid
 /// equal to the on-demand price.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MarketStats {
     /// Probability a job of length `T` is revoked before completing.
     pub revocation_probability: f64,

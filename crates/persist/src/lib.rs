@@ -2,8 +2,8 @@
 //!
 //! Crash-safe persistence for the SpotLight probe store (ROADMAP item
 //! 2): a small in-tree binary serialization layer plus a per-stripe
-//! append-only segment log with checkpoints — the real serialization
-//! that retires the no-op serde shim for persisted types.
+//! append-only segment log with checkpoints — the workspace's one
+//! on-disk format (`spotlight_core::json` is the one wire format).
 //!
 //! The crate is deliberately application-agnostic: it moves *byte
 //! payloads* through CRC-checked frames and numbered log streams, and

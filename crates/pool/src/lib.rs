@@ -1,13 +1,11 @@
 //! A persistent, shared worker pool — `thread::scope` ergonomics
 //! without the per-call thread spawn.
 //!
-//! Every hot path in the workspace used to pay an OS thread
-//! spawn/join cycle per call: `Cloud::tick` fanned its region shards
-//! out through `std::thread::scope` on **every tick**, the store's
-//! snapshot build cloned stripes sequentially, and each HTTP server
-//! owned a private set of worker threads that sat idle between
-//! requests. This crate replaces all of that with one process-wide
-//! pool of **persistent** workers:
+//! `Cloud::tick` fans its region shards out on **every tick**, the
+//! store's snapshot build clones one stripe per task, and the HTTP
+//! server's connection drainers run as detached tasks — all on one
+//! process-wide pool of **persistent** workers, so none of them pays
+//! an OS thread spawn/join cycle per call:
 //!
 //! * **Fixed threads, parked when idle.** Workers block on a condvar
 //!   (futex park/unpark under Linux) over a shared injection queue;

@@ -625,7 +625,7 @@ fn write_store_health(o: &mut json::Object<'_>, store: &Weak<DataStore>) {
                 None => o.null("durability"),
             }
             o.array("degraded_regions", |a| {
-                for region in store.read().degraded_regions() {
+                for region in store.degraded_regions() {
                     a.str(region.name());
                 }
             });
@@ -676,7 +676,7 @@ fn readyz(request: &mut Request<'_>, state: &ServiceState) -> Handled {
             store.durability_lost().map(|t| t.as_secs()),
         );
         o.array("degraded_regions", |a| {
-            for region in store.read().degraded_regions() {
+            for region in store.degraded_regions() {
                 a.str(region.name());
             }
         });

@@ -11,6 +11,8 @@
 # bench runs alone. Only a bench that regresses in BOTH the shared run
 # and its isolated re-run fails the gate. (With a pre-generated FRESH
 # snapshot there is nothing to re-run, so the first verdict stands.)
+# A tracked bench that is in the baseline but not in the fresh run
+# fails the same way, as MISSING.
 #
 # The fresh snapshot also runs the HTTP load generator with `--check`
 # (see bench_snapshot.sh): serving capacity, overload shedding, and
@@ -102,14 +104,17 @@ for f in "$SCRATCH/base.pairs" "$SCRATCH/fresh.pairs"; do
 done
 
 # compare <base.pairs> <fresh.pairs> <regressed-names-out>
-# Prints the comparison table; writes each regressed name to $3; exits
-# non-zero when anything regressed. First median per name wins on both
-# sides: snapshots may embed older baseline sections further down, and
-# a retried fresh run prepends its isolated medians.
+# Prints the comparison table; writes each regressed or missing name to
+# $3; exits non-zero when anything regressed or a tracked baseline
+# bench is MISSING from the fresh run (renamed, filtered out, or its
+# suite died mid-run — a deliberate deletion is retired by committing
+# a newer BENCH_PR<N>.json without it). First median per name wins on
+# both sides: snapshots may embed older baseline sections further down,
+# and a retried fresh run prepends its isolated medians.
 compare() {
     : > "$3"
     awk -v tol="$TOLERANCE" -v tracked="$TRACKED" -v rout="$3" '
-        NR == FNR { if (!($1 in base)) base[$1] = $2; next }
+        NR == FNR { if (!($1 in base)) { base[$1] = $2; order[++nbase] = $1 } next }
         $1 ~ tracked && !($1 in seen) {
             seen[$1] = 1
             if (!($1 in base)) {
@@ -122,8 +127,15 @@ compare() {
             if (ratio > tol) { failures++; print $1 >> rout }
         }
         END {
-            if (failures > 0) {
-                printf "bench_check: %d tracked bench(es) regressed beyond %.2fx\n", failures, tol
+            for (i = 1; i <= nbase; i++) {
+                name = order[i]
+                if (name ~ tracked && !(name in seen)) {
+                    printf "  MISSING  %-55s %12.1f ns in baseline, absent from fresh run\n", name, base[name]
+                    missing++; print name >> rout
+                }
+            }
+            if (failures > 0 || missing > 0) {
+                printf "bench_check: %d tracked bench(es) regressed beyond %.2fx, %d missing\n", failures, tol, missing
                 exit 1
             }
             print "bench_check: all tracked benches within tolerance"
@@ -166,7 +178,7 @@ if [ "$FRESH_GENERATED" -ne 1 ] || [ ! -s "$SCRATCH/regressed" ]; then
     exit 1
 fi
 
-echo "bench_check: re-running $(wc -l < "$SCRATCH/regressed") regressed bench(es) once in isolation" >&2
+echo "bench_check: re-running $(wc -l < "$SCRATCH/regressed") regressed or missing bench(es) once in isolation" >&2
 RETRY_LINES="$SCRATCH/retry.lines"
 : > "$RETRY_LINES"
 while IFS= read -r name; do

@@ -47,6 +47,7 @@ LOADGEN="$(cargo run --release -p spotlight-bench --bin loadgen -- --check 2>/de
     echo "  \"suites\": [$(printf '"%s",' "${SUITES[@]}" | sed 's/,$//')],"
     echo "  \"store_footprint\": ${FOOTPRINT:-null},"
     echo "  \"http_loadgen\": ${LOADGEN:-null},"
+    echo "  \"loc\": $(scripts/loc_report.sh --json),"
     echo '  "benches": ['
     sed 's/^/    /; $!s/$/,/' "$LINES"
     echo '  ]'

@@ -30,33 +30,20 @@ struct Fingerprint {
 /// requests (exact-price bids fulfil and later revoke; low bids stay
 /// held and re-evaluate every tick) and occasional cancellations.
 fn run(catalog: Catalog, seed: u64, threads: usize, ticks: u64) -> Fingerprint {
-    run_with_fanout(catalog, seed, threads, ticks, false)
-}
-
-/// [`run`] with the fan-out mechanism explicit: `scoped = true` forces
-/// the legacy per-tick `std::thread::scope` dispatch, `false` uses the
-/// persistent shared worker pool (the default). The two must be
-/// bit-identical — only dispatch cost may differ.
-fn run_with_fanout(
-    catalog: Catalog,
-    seed: u64,
-    threads: usize,
-    ticks: u64,
-    scoped: bool,
-) -> Fingerprint {
     let mut config = SimConfig::paper(seed);
     config.record_all_prices = true;
     config.threads = threads;
     let markets: Vec<MarketId> = catalog.markets().to_vec();
     let mut cloud = Cloud::new(catalog, config);
-    cloud.force_scoped_fanout(scoped);
 
     let mut events = Vec::new();
+    let mut drained = Vec::new();
     let mut submissions = Vec::new();
     let mut open: Vec<SpotRequestId> = Vec::new();
     for t in 0..ticks {
         cloud.tick();
-        events.extend(cloud.take_events());
+        cloud.drain_events_into(&mut drained);
+        events.extend_from_slice(&drained);
         let m = markets[(t as usize * 7) % markets.len()];
         if t % 3 == 0 {
             if let Some(p) = cloud.oracle_published_price(m) {
@@ -151,10 +138,12 @@ fn run_with_chaos(
     let mut cloud = Cloud::new(catalog, config);
 
     let mut events = Vec::new();
+    let mut drained = Vec::new();
     let mut submissions = Vec::new();
     for t in 0..ticks {
         cloud.tick();
-        events.extend(cloud.take_events());
+        cloud.drain_events_into(&mut drained);
+        events.extend_from_slice(&drained);
         if t % 2 == 0 {
             match cloud.run_od_instance(od_target) {
                 Ok(id) => {
@@ -242,28 +231,6 @@ proptest! {
         prop_assert_eq!(&single, &four, "threads=4 diverged from threads=1");
         let three = run(catalog(), seed, 3, 120);
         prop_assert_eq!(&single, &three, "threads=3 diverged from threads=1");
-    }
-
-    // `threads = N` over the persistent worker pool must be
-    // bit-identical to the same fan-out over per-tick
-    // `std::thread::scope` spawns — the pool changes dispatch cost,
-    // never results — and to the inline `threads = 1` baseline.
-    #[test]
-    fn pool_fanout_matches_scoped_fanout(
-        seed in 0u64..1_000_000,
-        region_mask in 1u16..512,
-        az_count in 1u8..3,
-    ) {
-        let catalog = || build_catalog(region_mask, az_count, 1);
-        let single = run(catalog(), seed, 1, 120);
-        let pool_three = run_with_fanout(catalog(), seed, 3, 120, false);
-        let scoped_three = run_with_fanout(catalog(), seed, 3, 120, true);
-        prop_assert_eq!(&pool_three, &scoped_three, "pool diverged from thread::scope at threads=3");
-        prop_assert_eq!(&single, &pool_three, "threads=3 over pool diverged from threads=1");
-        let pool_four = run_with_fanout(catalog(), seed, 4, 120, false);
-        let scoped_four = run_with_fanout(catalog(), seed, 4, 120, true);
-        prop_assert_eq!(&pool_four, &scoped_four, "pool diverged from thread::scope at threads=4");
-        prop_assert_eq!(&single, &pool_four, "threads=4 over pool diverged from threads=1");
     }
 
     // The chaos schedule is part of the determinism contract: the same

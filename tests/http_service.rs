@@ -5,17 +5,26 @@
 //! acquire/release interleaving, and the server must enforce its
 //! deadline and size caps with the documented status codes.
 
+use cloud_sim::ids::{Az, MarketId, Platform, Region};
+use cloud_sim::price::Price;
+use cloud_sim::time::SimTime;
 use proptest::prelude::*;
-use spotlight_core::snapshot::SnapshotHub;
+use spotlight_core::probe::{ProbeKind, ProbeOutcome, ProbeRecord, ProbeTrigger};
+use spotlight_core::snapshot::{SnapshotHub, SnapshotReader};
 use spotlight_core::store::{DataStore, SharedStore};
+use spotlight_core::{DurableOptions, FsyncPolicy};
+use spotlight_persist::tempdir::TempDir;
+use spotlight_persist::DiskIo;
 use spotlight_serve::admission::{Permit, ServerStats};
 use spotlight_serve::parser::{parse, Limits, Parsed};
+use spotlight_serve::router::{route, ServiceState};
 use spotlight_serve::server::{Server, ServerConfig};
-use std::io::{Read, Write};
+use std::fs::File;
+use std::io::{self, Read, Write};
 use std::net::TcpStream;
-use std::sync::atomic::Ordering;
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc, Barrier, Condvar, Mutex};
+use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------- parser
 
@@ -238,4 +247,151 @@ fn malformed_bytes_get_400_and_unknown_routes_404() {
         400
     );
     finish(server);
+}
+
+// --------------------------------------------- health under a stalled disk
+
+/// A disk whose writes block while the gate is closed — the stall that
+/// turns the WAL's bounded queue into backpressure on ingest.
+#[derive(Debug)]
+struct StalledDisk {
+    closed: Mutex<bool>,
+    opened: Condvar,
+    /// Signalled each time a write finds the gate closed.
+    stalled: Mutex<mpsc::Sender<()>>,
+}
+
+impl StalledDisk {
+    fn set_closed(&self, closed: bool) {
+        *self.closed.lock().unwrap() = closed;
+        self.opened.notify_all();
+    }
+}
+
+impl DiskIo for StalledDisk {
+    fn write_all(&self, file: &mut File, bytes: &[u8]) -> io::Result<()> {
+        let mut closed = self.closed.lock().unwrap();
+        if *closed {
+            let _ = self.stalled.lock().unwrap().send(());
+        }
+        while *closed {
+            closed = self.opened.wait(closed).unwrap();
+        }
+        file.write_all(bytes)
+    }
+
+    fn sync_data(&self, file: &File) -> io::Result<()> {
+        file.sync_data()
+    }
+}
+
+/// `/healthz` and `/readyz` are what a load balancer polls while the
+/// service is in trouble, so they must not need a stripe lock: here the
+/// disk stalls, the WAL queue fills, and an ingest writer sits inside
+/// its stripe's write lock — both endpoints still answer.
+#[test]
+fn health_endpoints_answer_while_a_writer_holds_a_stripe_lock() {
+    let probe = |at: u64| ProbeRecord {
+        at: SimTime::from_secs(at),
+        market: MarketId {
+            az: Az::new(Region::UsEast1, 0),
+            instance_type: "c3.large".parse().expect("type"),
+            platform: Platform::LinuxUnix,
+        },
+        kind: ProbeKind::OnDemand,
+        trigger: ProbeTrigger::Periodic,
+        outcome: ProbeOutcome::Fulfilled,
+        spot_ratio: 0.3,
+        bid: None,
+        cost: Price::ZERO,
+    };
+    let (stalled_tx, stalled_rx) = mpsc::channel();
+    let disk = Arc::new(StalledDisk {
+        closed: Mutex::new(false),
+        opened: Condvar::new(),
+        stalled: Mutex::new(stalled_tx),
+    });
+    let tmp = TempDir::new("health-stalled-disk");
+    let store: SharedStore = Arc::new(
+        DataStore::create_durable(
+            &tmp.path().join("store"),
+            DurableOptions {
+                // Every append goes straight to a one-slot queue.
+                fsync: FsyncPolicy::Always,
+                queue_capacity: 1,
+                io: Some(Arc::clone(&disk) as Arc<dyn DiskIo>),
+                ..DurableOptions::default()
+            },
+        )
+        .expect("durable store"),
+    );
+    store.mark_region_degraded(Region::EuWest1, SimTime::from_secs(1));
+    let state = ServiceState {
+        hub: Arc::new(SnapshotHub::new(store.snapshot(SimTime::ZERO))),
+        store: Arc::downgrade(&store),
+        stats: Arc::new(ServerStats::default()),
+        draining: Arc::new(AtomicBool::new(false)),
+        retry_after_secs: 1,
+    };
+    // The writer must be idle before the gate closes, or it stalls on
+    // the region mark and the count below is off by one.
+    store.flush().expect("flush");
+    disk.set_closed(true);
+
+    let go = Barrier::new(2);
+    let (answer_tx, answer_rx) = mpsc::channel();
+    std::thread::scope(|scope| {
+        let ingest = scope.spawn(|| {
+            // The WAL writer takes this frame and stalls writing it …
+            store.record_probe(probe(10));
+            go.wait();
+            // … this one fills the queue's only slot …
+            store.record_probe(probe(20));
+            // … and this one blocks in the send, inside the stripe lock.
+            store.record_probe(probe(30));
+        });
+        stalled_rx.recv().expect("writer reached the stalled disk");
+        go.wait();
+        // `len` is bumped inside the stripe's critical section, before
+        // the append: at 3 the third writer holds the lock for good.
+        // (The deadline only keeps a WAL whose queueing changed from
+        // hanging the test; it then fails on `writer_in_lock` below.)
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while store.len() < 3 && Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+
+        let poller = scope.spawn(|| {
+            let mut reader = SnapshotReader::new(&state.hub);
+            for path in ["/healthz", "/readyz"] {
+                answer_tx
+                    .send(route(path, "", &state, &mut reader))
+                    .expect("send");
+            }
+        });
+        let answers: Vec<_> = (0..2)
+            .map_while(|_| answer_rx.recv_timeout(Duration::from_secs(10)).ok())
+            .collect();
+        let writer_in_lock = store.len() == 3 && !ingest.is_finished();
+        // Release everything before asserting, so a failure reports
+        // instead of hanging the scope's join.
+        disk.set_closed(false);
+        ingest.join().expect("ingest");
+        poller.join().expect("poller");
+
+        assert_eq!(
+            answers.len(),
+            2,
+            "a health endpoint waited on a stripe lock"
+        );
+        for outcome in &answers {
+            assert_eq!(outcome.status, 200, "{}", outcome.body);
+            assert!(
+                outcome.body.contains(r#""degraded_regions":["eu-west-1"]"#),
+                "{}",
+                outcome.body
+            );
+        }
+        assert!(writer_in_lock, "the writer never sat in its stripe lock");
+    });
 }
