@@ -7,11 +7,13 @@
 //! non-zero on the first violated invariant; prints one `ok <what>`
 //! line per section.
 
+use cloud_sim::ids::{Az, MarketId, Platform, Region};
+use cloud_sim::price::Price;
 use cloud_sim::time::SimTime;
-use spotlight_bench::feed_synthetic_spaced;
 use spotlight_core::durable::{DurableOptions, FsyncPolicy};
+use spotlight_core::probe::{ProbeKind, ProbeOutcome, ProbeRecord, ProbeTrigger};
 use spotlight_core::snapshot::SnapshotHub;
-use spotlight_core::store::{DataStore, SharedStore};
+use spotlight_core::store::{DataStore, SharedStore, SpikeEvent};
 use spotlight_persist::tempdir::TempDir;
 use spotlight_serve::client::Client;
 use spotlight_serve::parser::Limits;
@@ -41,6 +43,52 @@ const PATHS: [&str; 8] = [
 
 fn ok(what: &str) {
     println!("ok {what}");
+}
+
+/// Feeds [`RECORDS`] deterministic probes, each with its spike, over a
+/// dozen us-east-1 markets (the ones [`PATHS`] asks about): time-ordered,
+/// [`SPACING`] seconds apart, with a mix of kinds and outcomes.
+fn feed_synthetic(store: &DataStore) {
+    let types = ["c3.large", "c3.xlarge", "c3.2xlarge", "m3.large"]
+        .map(|name| name.parse().expect("instance type"));
+    for i in 0..RECORDS {
+        let market = MarketId {
+            az: Az::new(Region::UsEast1, (i % 3) as u8),
+            instance_type: types[(i % 4) as usize],
+            platform: Platform::LinuxUnix,
+        };
+        let at = SimTime::from_secs(i * SPACING);
+        let ratio = 0.2 + ((i * 7919) % 1000) as f64 / 100.0;
+        let spot = i % 5 == 0;
+        store.record_spike(SpikeEvent {
+            market,
+            at,
+            ratio,
+            probed: true,
+        });
+        store.record_probe(ProbeRecord {
+            at,
+            market,
+            kind: if spot {
+                ProbeKind::Spot
+            } else {
+                ProbeKind::OnDemand
+            },
+            trigger: if spot {
+                ProbeTrigger::Periodic
+            } else {
+                ProbeTrigger::PriceSpike { ratio }
+            },
+            outcome: match (i % 17 == 0, spot) {
+                (false, _) => ProbeOutcome::Fulfilled,
+                (true, true) => ProbeOutcome::CapacityNotAvailable,
+                (true, false) => ProbeOutcome::InsufficientCapacity,
+            },
+            spot_ratio: ratio.min(1.2),
+            bid: None,
+            cost: Price::ZERO,
+        });
+    }
 }
 
 /// Raw request → (status, closed). Accepts early close as status 0.
@@ -84,7 +132,7 @@ fn main() {
         },
     )
     .expect("create durable store");
-    feed_synthetic_spaced(&store, RECORDS, SPACING);
+    feed_synthetic(&store);
     store.flush().expect("flush");
     let store: SharedStore = Arc::new(store);
     let as_of = SimTime::from_secs(RECORDS * SPACING);

@@ -29,9 +29,9 @@
 //! ## Cost when disabled
 //!
 //! The default configuration injects nothing and [`ChaosConfig::is_enabled`]
-//! is `false`; the tick and API paths then pay a single branch. The
-//! `tick/tick_chaos_disabled` bench in `benches/substrate.rs` gates
-//! this.
+//! is `false`; the tick and API paths then pay a single branch. Every
+//! workload of `benchmark/run.sh` runs with chaos disabled, so its
+//! `sim.tick_t1_us` is the cost of this path.
 
 use crate::ids::Region;
 use crate::rng::SimRng;

@@ -31,9 +31,9 @@
 //! runs them inline with no cross-thread dispatch at all — and then
 //! merges every shard's buffered events, trace ops, and charges in
 //! ascending region order. Dispatch to the pool's parked workers is a
-//! queue push + wakeup (the `pool_dispatch` bench in `crates/bench`
-//! tracks it against a thread spawn), and the HTTP service and
-//! snapshot builder share the same pool, sized once to the host.
+//! queue push + wakeup (`pool.dispatch_us` in the traced pass of
+//! `benchmark/run.sh`), and the HTTP service and snapshot builder share
+//! the same pool, sized once to the host.
 //!
 //! # The determinism contract
 //!
@@ -71,8 +71,8 @@
 //! *new* work appears (an event is emitted, a request is admitted) —
 //! amortized by `Vec` growth — but a quiescent tick allocates nothing.
 //! Keep it that way: anything added to the tick path should either
-//! borrow or reuse a scratch buffer, and `benches/substrate.rs` guards
-//! the budget.
+//! borrow or reuse a scratch buffer; `sim.tick_t1_us` in the traced
+//! pass of `benchmark/run.sh` is where a broken budget shows.
 
 use crate::billing::{Ledger, UsageKind};
 use crate::catalog::Catalog;
@@ -1425,25 +1425,6 @@ impl Cloud {
             });
         }
         self.merge_shard_outputs();
-    }
-
-    /// Benchmark hook: one market-clearing pass at the current time,
-    /// without advancing demand or request processing. Exists so the
-    /// substrate bench can isolate the (single-threaded) clearing cost;
-    /// not part of the simulation API.
-    #[doc(hidden)]
-    pub fn bench_clear_markets(&mut self) {
-        let ctx = TickCtx {
-            config: &self.config,
-            level_grid: &self.level_grid,
-            surge_dist: &self.surge_dist,
-            trace: &self.trace,
-            now: self.now,
-            dt: self.config.tick,
-        };
-        for shard in &mut self.shards {
-            shard.clear_markets(&ctx);
-        }
     }
 
     /// Applies every shard's buffered events, trace writes, and ledger

@@ -3,9 +3,7 @@
 //!
 //! The demand model is deliberately explicit about its constants —
 //! [`DemandProfile::paper_calibration`] is the preset that reproduces the
-//! qualitative shapes of the paper's Chapter 5, and the ablation benches
-//! sweep the constants DESIGN.md calls out (surge mixture, provisioning
-//! factors, reserve-price floor) to show the shapes are robust.
+//! qualitative shapes of the paper's Chapter 5.
 
 use crate::chaos::ChaosConfig;
 use crate::ids::{Family, Platform, Region, Size};
@@ -405,14 +403,14 @@ impl Default for DemandProfile {
 /// `1` and the tick runs inline. Explicit `threads` values are always
 /// honoured.
 ///
-/// Derivation (PR 10, re-derived for the persistent worker pool): the
-/// `pool_dispatch/pool_scope_4` bench — submitting four worker-group
-/// tasks to the parked pool and joining the barrier — measures
-/// ≈ 1.4 µs on the 1-CPU reference host (vs ≈ 98 µs for the
-/// `thread_scope_4` spawn/join it replaced, a ~70× drop), while one
-/// market's share of the tick is ≈ 93 ns
-/// (`tick/standard_catalog_tick_5184_markets` ≈ 480 µs over 5184
-/// markets). A `W`-worker fan-out saves at most `T·(W−1)/W` of a
+/// Derivation (PR 10, re-derived for the persistent worker pool):
+/// submitting four worker-group tasks to the parked pool and joining
+/// the barrier measured ≈ 1.4 µs on the 1-CPU reference host (vs
+/// ≈ 98 µs for the `thread::scope` spawn/join it replaced, a ~70×
+/// drop), while one market's share of the tick is ≈ 93 ns (a
+/// standard-catalog tick ≈ 480 µs over 5184 markets). The traced pass
+/// of `benchmark/run.sh` reports both terms today, as
+/// `pool.dispatch_us` and `sim.tick_t1_us`. A `W`-worker fan-out saves at most `T·(W−1)/W` of a
 /// `T`-long tick, so parallelism breaks even around `T ≈ 2·dispatch ≈
 /// 2.8 µs ≈ 30 markets; 128 keeps a ~4× margin for the boxed task and
 /// worker-group vector each parallel tick allocates.

@@ -303,8 +303,8 @@ impl MarketDemand {
         // Fast path for the paper's fixed 15-level grid: converting the
         // slices to `[f64; 15]` gives the loop a constant trip count, so
         // the compiler fully unrolls and auto-vectorizes the kernel
-        // (element-wise only — bit-identical to the generic loop). The
-        // `tick_component/level_masses_and_clear_fused` bench guards this.
+        // (element-wise only — bit-identical to the generic loop). A lost
+        // unroll shows in `sim.tick_t1_us` (traced `benchmark/run.sh`).
         if let (Ok(out), Ok(profile), Ok(tilt), Ok(surge)) = (
             <&mut [f64; FIXED_LEVELS]>::try_from(&mut *out),
             <&[f64; FIXED_LEVELS]>::try_from(grid.norm_profile.as_slice()),

@@ -131,10 +131,10 @@ pub const DEFAULT_STRIPES: usize = 16;
 
 /// rustc-hash-style multiplicative hasher. Two properties matter here:
 /// it is a few ns per `MarketId` (the store hashes a market on every
-/// record and every per-market lookup — SipHash showed up as 30%+ on
-/// the indexed query benches), and it is deterministic across
-/// processes, so stripe layout and map iteration order are stable for
-/// bench snapshots and reproducible output.
+/// record and every per-market lookup — SipHash showed up as 30%+ of
+/// an indexed query), and it is deterministic across processes, so
+/// stripe layout and map iteration order are stable and output is
+/// reproducible.
 #[derive(Default)]
 pub(crate) struct FxHasher {
     hash: u64,

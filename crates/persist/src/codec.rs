@@ -12,17 +12,16 @@
 //!   are assigned by **exhaustive `match`es** — adding a variant
 //!   upstream breaks this crate's build instead of silently skipping
 //!   persistence;
-//! * `Option<T>` is a presence byte then the value; `String`/`Vec<T>`
-//!   are a `u32` count then the elements.
+//! * `Option<T>` is a presence byte then the value; `Vec<T>` is a `u32`
+//!   count then the elements.
 //!
 //! Decoding is total: malformed input yields a [`DecodeError`], never a
 //! panic, even though in practice every payload handed to `decode` has
 //! already passed its frame CRC.
 
-use cloud_sim::api::ApiError;
 use cloud_sim::ids::{Az, Family, InstanceType, MarketId, Platform, Region, Size};
 use cloud_sim::price::Price;
-use cloud_sim::time::{SimDuration, SimTime};
+use cloud_sim::time::SimTime;
 use std::fmt;
 
 /// A value that can serialize itself onto a byte buffer.
@@ -148,7 +147,7 @@ macro_rules! int_codec {
         )+
     };
 }
-int_codec!(u8, u16, u32, u64, i64);
+int_codec!(u8, u32, u64);
 
 impl Encode for usize {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -239,21 +238,6 @@ impl<T: Decode> Decode for Vec<T> {
     }
 }
 
-impl Encode for String {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.len().encode(out);
-        out.extend_from_slice(self.as_bytes());
-    }
-}
-
-impl Decode for String {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let len = usize::decode(r)?;
-        let raw = r.take(len)?;
-        String::from_utf8(raw.to_vec()).map_err(|_| DecodeError::Invalid("utf-8 string"))
-    }
-}
-
 impl<A: Encode, B: Encode> Encode for (A, B) {
     fn encode(&self, out: &mut Vec<u8>) {
         self.0.encode(out);
@@ -280,18 +264,6 @@ impl Encode for SimTime {
 impl Decode for SimTime {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         Ok(SimTime::from_secs(u64::decode(r)?))
-    }
-}
-
-impl Encode for SimDuration {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.as_secs().encode(out);
-    }
-}
-
-impl Decode for SimDuration {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(SimDuration::from_secs(u64::decode(r)?))
     }
 }
 
@@ -452,89 +424,6 @@ impl Decode for MarketId {
     }
 }
 
-impl Encode for ApiError {
-    fn encode(&self, out: &mut Vec<u8>) {
-        // Exhaustive: a new ApiError variant fails to compile here
-        // rather than silently never persisting.
-        match self {
-            ApiError::InsufficientInstanceCapacity { market } => {
-                out.push(0);
-                market.encode(out);
-            }
-            ApiError::RequestLimitExceeded { region } => {
-                out.push(1);
-                region.encode(out);
-            }
-            ApiError::InstanceLimitExceeded { region } => {
-                out.push(2);
-                region.encode(out);
-            }
-            ApiError::SpotRequestLimitExceeded { region } => {
-                out.push(3);
-                region.encode(out);
-            }
-            ApiError::MaxSpotPriceTooHigh { market, cap } => {
-                out.push(4);
-                market.encode(out);
-                cap.encode(out);
-            }
-            ApiError::InvalidParameter(what) => {
-                out.push(5);
-                what.encode(out);
-            }
-            ApiError::NotFound(what) => {
-                out.push(6);
-                what.encode(out);
-            }
-            ApiError::InvalidState(what) => {
-                out.push(7);
-                what.encode(out);
-            }
-            ApiError::ServiceUnavailable { region } => {
-                out.push(8);
-                region.encode(out);
-            }
-            ApiError::InternalError { region } => {
-                out.push(9);
-                region.encode(out);
-            }
-        }
-    }
-}
-
-impl Decode for ApiError {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(match u8::decode(r)? {
-            0 => ApiError::InsufficientInstanceCapacity {
-                market: MarketId::decode(r)?,
-            },
-            1 => ApiError::RequestLimitExceeded {
-                region: Region::decode(r)?,
-            },
-            2 => ApiError::InstanceLimitExceeded {
-                region: Region::decode(r)?,
-            },
-            3 => ApiError::SpotRequestLimitExceeded {
-                region: Region::decode(r)?,
-            },
-            4 => ApiError::MaxSpotPriceTooHigh {
-                market: MarketId::decode(r)?,
-                cap: Price::decode(r)?,
-            },
-            5 => ApiError::InvalidParameter(String::decode(r)?),
-            6 => ApiError::NotFound(String::decode(r)?),
-            7 => ApiError::InvalidState(String::decode(r)?),
-            8 => ApiError::ServiceUnavailable {
-                region: Region::decode(r)?,
-            },
-            9 => ApiError::InternalError {
-                region: Region::decode(r)?,
-            },
-            _ => return Err(DecodeError::Invalid("api error tag")),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -556,16 +445,14 @@ mod tests {
     fn primitives_round_trip() {
         round_trip(0u8);
         round_trip(u64::MAX);
-        round_trip(-17i64);
         round_trip(1.5f64);
         round_trip(f64::NAN.to_bits()); // NaN itself is != NaN
         assert!(f64::from_bytes(&f64::NAN.to_bytes()).unwrap().is_nan());
         round_trip(true);
         round_trip(Some(42u32));
         round_trip(None::<u32>);
-        round_trip(vec![1u16, 2, 3]);
-        round_trip("stripe".to_string());
-        round_trip((7u8, "x".to_string()));
+        round_trip(vec![1u32, 2, 3]);
+        round_trip((7u8, 9u64));
     }
 
     #[test]
@@ -585,67 +472,7 @@ mod tests {
         round_trip(Az::new(Region::UsWest2, 25));
         round_trip(market());
         round_trip(SimTime::from_secs(86_400));
-        round_trip(SimDuration::hours(3));
         round_trip(Price::from_dollars(0.1234));
-    }
-
-    /// Every [`ApiError`] variant round-trips. The constructor list is
-    /// itself produced by an exhaustive match so a new variant fails
-    /// this test's build, not just its assertions.
-    #[test]
-    fn api_error_every_variant_round_trips() {
-        let witness = ApiError::InternalError {
-            region: Region::UsEast1,
-        };
-        // Exhaustive match over a witness proves the list below covers
-        // every variant: add one upstream and this match stops
-        // compiling until the list is extended.
-        let all: Vec<ApiError> = match witness {
-            ApiError::InsufficientInstanceCapacity { .. }
-            | ApiError::RequestLimitExceeded { .. }
-            | ApiError::InstanceLimitExceeded { .. }
-            | ApiError::SpotRequestLimitExceeded { .. }
-            | ApiError::MaxSpotPriceTooHigh { .. }
-            | ApiError::InvalidParameter(_)
-            | ApiError::NotFound(_)
-            | ApiError::InvalidState(_)
-            | ApiError::ServiceUnavailable { .. }
-            | ApiError::InternalError { .. } => vec![
-                ApiError::InsufficientInstanceCapacity { market: market() },
-                ApiError::RequestLimitExceeded {
-                    region: Region::ApNortheast1,
-                },
-                ApiError::InstanceLimitExceeded {
-                    region: Region::SaEast1,
-                },
-                ApiError::SpotRequestLimitExceeded {
-                    region: Region::UsWest1,
-                },
-                ApiError::MaxSpotPriceTooHigh {
-                    market: market(),
-                    cap: Price::from_dollars(1.05),
-                },
-                ApiError::InvalidParameter("zero bid".into()),
-                ApiError::NotFound("sir-42".into()),
-                ApiError::InvalidState("already terminated".into()),
-                ApiError::ServiceUnavailable {
-                    region: Region::EuCentral1,
-                },
-                ApiError::InternalError {
-                    region: Region::UsEast1,
-                },
-            ],
-        };
-        assert_eq!(all.len(), 10);
-        let mut tags = Vec::new();
-        for e in all {
-            let bytes = e.to_bytes();
-            tags.push(bytes[0]);
-            assert_eq!(ApiError::from_bytes(&bytes).expect("decode"), e);
-        }
-        tags.sort_unstable();
-        tags.dedup();
-        assert_eq!(tags.len(), 10, "variant tags must be distinct");
     }
 
     #[test]

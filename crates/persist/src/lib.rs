@@ -15,7 +15,7 @@
 //!
 //! * [`crc`] — CRC32 (IEEE) over payload bytes;
 //! * [`codec`] — [`codec::Encode`]/[`codec::Decode`] for primitives and
-//!   the `cloud-sim` id/time/price/error types, little-endian,
+//!   the `cloud-sim` id/time/price types, little-endian,
 //!   length-prefixed where variable;
 //! * [`disk`] — the injectable disk-I/O layer ([`disk::DiskIo`]):
 //!   [`disk::RealDisk`] in production, the deterministic
@@ -33,7 +33,7 @@
 //! * [`fault`] — the crash-injection helpers the torn-write recovery
 //!   tests drive (truncate/corrupt/duplicate-tail at byte offsets);
 //! * [`tempdir`] — a tiny RAII scratch-directory helper for tests and
-//!   benches (no `tempfile` crate offline).
+//!   harnesses (no `tempfile` crate offline).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -10,8 +10,8 @@
 //! * **Fixed threads, parked when idle.** Workers block on a condvar
 //!   (futex park/unpark under Linux) over a shared injection queue;
 //!   submitting a task is a mutex push + one wakeup, two orders of
-//!   magnitude cheaper than `thread::spawn` (see the `pool_dispatch`
-//!   bench in `crates/bench`).
+//!   magnitude cheaper than `thread::spawn` (`pool.dispatch_us` in the
+//!   traced pass of `benchmark/run.sh`).
 //! * **Scoped-borrow submission.** [`WorkerPool::scope`] mirrors
 //!   [`std::thread::scope`]: tasks may borrow non-`'static` data
 //!   because the scope is a join barrier — it does not return until

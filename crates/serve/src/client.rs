@@ -1,10 +1,10 @@
 //! A minimal blocking HTTP/1.1 client for the query service — used by
-//! the load generator, the smoke harness, and the integration tests.
+//! the end-to-end benchmark, the smoke harness, and the integration
+//! tests.
 //!
 //! Supports keep-alive and explicit pipelining: [`Client::send_get`]
-//! queues a request without waiting ([`Client::send_gets`] a whole
-//! batch in one write), [`Client::read_response`] pulls the next
-//! response off the wire, and [`Client::get`] does one round-trip.
+//! queues a request without waiting, [`Client::read_response`] pulls the
+//! next response off the wire, and [`Client::get`] does one round-trip.
 
 use crate::readbuf::ReadBuf;
 use std::io::{self, ErrorKind, Write};
@@ -38,7 +38,7 @@ impl Response {
 pub struct Client {
     stream: TcpStream,
     rbuf: ReadBuf,
-    /// Outgoing batch of [`Client::send_gets`], reused across calls.
+    /// Outgoing request of [`Client::send_get`], reused across calls.
     wbuf: Vec<u8>,
 }
 
@@ -66,23 +66,13 @@ impl Client {
         &mut self.stream
     }
 
-    /// Queues a `GET` without waiting for the response.
+    /// Queues a `GET` (one write) without waiting for the response.
     pub fn send_get(&mut self, path_and_query: &str) -> io::Result<()> {
-        self.send_gets([path_and_query])
-    }
-
-    /// Queues one `GET` per path in a **single write**, without waiting
-    /// for the responses. A pipelining caller that issues one write per
-    /// request leaves it to the scheduler how many of them the server
-    /// sees per read; one write makes the batch the unit.
-    pub fn send_gets<'p>(&mut self, paths: impl IntoIterator<Item = &'p str>) -> io::Result<()> {
         self.wbuf.clear();
-        for path_and_query in paths {
-            self.wbuf.extend_from_slice(b"GET ");
-            self.wbuf.extend_from_slice(path_and_query.as_bytes());
-            self.wbuf
-                .extend_from_slice(b" HTTP/1.1\r\nHost: spotlight\r\n\r\n");
-        }
+        self.wbuf.extend_from_slice(b"GET ");
+        self.wbuf.extend_from_slice(path_and_query.as_bytes());
+        self.wbuf
+            .extend_from_slice(b" HTTP/1.1\r\nHost: spotlight\r\n\r\n");
         self.stream.write_all(&self.wbuf)
     }
 

@@ -36,8 +36,8 @@
 //!    caller so [`spotlight_core::DataStore::close`] yields a
 //!    zero-replay restart.
 //!
-//! [`client`] is the matching blocking client used by the load
-//! generator, the smoke harness, and the tests.
+//! [`client`] is the matching blocking client used by the end-to-end
+//! benchmark, the smoke harness, and the tests.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,17 +1,16 @@
 #!/usr/bin/env bash
 # Lines of code per workspace member, so the size trend ROADMAP aim 2
 # tracks is a number. Physical lines (comments and blanks included),
-# split three ways per crate:
+# split two ways per crate:
 #   src    src/**/*.rs up to the file's `#[cfg(test)] mod ...` tail
 #   test   that tail (unit tests and proptests living beside the code)
-#   bench  benches/*.rs
 # plus the workspace-level tests/ and examples/ (crate-local examples/
 # directories included) and the workspace-member count. `benchmark/` is
 # its own package outside the workspace and is not counted.
 #
 # Usage:
 #   scripts/loc_report.sh          # table
-#   scripts/loc_report.sh --json   # one JSON object (bench_snapshot.sh embeds it)
+#   scripts/loc_report.sh --json   # one JSON object
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -42,9 +41,8 @@ split_src() {
 ROWS=""
 for member in "${MEMBERS[@]}"; do
     mapfile -t src_files < <(find "$member/src" -name '*.rs' 2>/dev/null | sort)
-    mapfile -t bench_files < <(find "$member/benches" -name '*.rs' 2>/dev/null | sort)
     read -r src test <<< "$(split_src "${src_files[@]}")"
-    ROWS+="${member#crates/} $src $test $(lines "${bench_files[@]}")"$'\n'
+    ROWS+="${member#crates/} $src $test"$'\n'
 done
 mapfile -t test_files < <(find tests -name '*.rs' | sort)
 mapfile -t example_files < <(find examples crates/*/examples -name '*.rs' 2>/dev/null | sort)
@@ -52,21 +50,21 @@ TESTS="$(lines "${test_files[@]}")"
 EXAMPLES="$(lines "${example_files[@]}")"
 
 printf '%s' "$ROWS" | awk -v json="${1:-}" -v members="${#MEMBERS[@]}" -v tests="$TESTS" -v examples="$EXAMPLES" '
-    { name[NR] = $1; src[NR] = $2; test[NR] = $3; bench[NR] = $4
-      tsrc += $2; ttest += $3; tbench += $4 }
+    { name[NR] = $1; src[NR] = $2; test[NR] = $3
+      tsrc += $2; ttest += $3 }
     END {
         if (json == "--json") {
             printf "{\"workspace_members\":%d,\"crates\":{", members
             for (i = 1; i <= NR; i++)
-                printf "%s\"%s\":{\"src\":%d,\"test\":%d,\"bench\":%d}", (i > 1 ? "," : ""), name[i], src[i], test[i], bench[i]
-            printf "},\"crates_src\":%d,\"crates_test\":%d,\"crates_bench\":%d,\"crates_non_test\":%d,\"tests\":%d,\"examples\":%d}\n", tsrc, ttest, tbench, tsrc + tbench, tests, examples
+                printf "%s\"%s\":{\"src\":%d,\"test\":%d}", (i > 1 ? "," : ""), name[i], src[i], test[i]
+            printf "},\"crates_src\":%d,\"crates_test\":%d,\"crates_non_test\":%d,\"tests\":%d,\"examples\":%d}\n", tsrc, ttest, tsrc, tests, examples
             exit
         }
-        printf "%-18s %8s %8s %8s\n", "crate", "src", "test", "bench"
+        printf "%-18s %8s %8s\n", "crate", "src", "test"
         for (i = 1; i <= NR; i++)
-            printf "%-18s %8d %8d %8d\n", name[i], src[i], test[i], bench[i]
-        printf "%-18s %8d %8d %8d\n", "crates total", tsrc, ttest, tbench
-        printf "non-test lines under crates/ (src + bench): %d\n", tsrc + tbench
+            printf "%-18s %8d %8d\n", name[i], src[i], test[i]
+        printf "%-18s %8d %8d\n", "crates total", tsrc, ttest
+        printf "non-test lines under crates/: %d\n", tsrc
         printf "tests/: %d   examples/: %d   workspace members: %d\n", tests, examples, members
     }
 '

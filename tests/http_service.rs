@@ -15,7 +15,8 @@ use spotlight_core::store::{DataStore, SharedStore};
 use spotlight_core::{DurableOptions, FsyncPolicy};
 use spotlight_persist::tempdir::TempDir;
 use spotlight_persist::DiskIo;
-use spotlight_serve::admission::{Permit, ServerStats};
+use spotlight_serve::admission::{Permit, ServerStats, StatsSnapshot};
+use spotlight_serve::client::Client;
 use spotlight_serve::parser::{parse, Limits, Parsed};
 use spotlight_serve::router::{route, ServiceState};
 use spotlight_serve::server::{Server, ServerConfig};
@@ -166,7 +167,7 @@ fn raw_status(server: &Server, request: &[u8]) -> u16 {
         .unwrap_or(0)
 }
 
-fn finish(server: Server) {
+fn finish(server: Server) -> StatsSnapshot {
     let report = server.drain(Duration::from_secs(5));
     assert!(!report.forced, "drain deadline hit: {:?}", report.stats);
     assert_eq!(
@@ -179,6 +180,7 @@ fn finish(server: Server) {
         "handler 5xx: {:?}",
         report.stats
     );
+    report.stats
 }
 
 #[test]
@@ -247,6 +249,82 @@ fn malformed_bytes_get_400_and_unknown_routes_404() {
         400
     );
     finish(server);
+}
+
+// ---------------------------------------------------- overload shedding
+
+/// Both refusal causes end the same way on the wire: a connection the
+/// server cannot take is answered by the shedder — unasked, before any
+/// request — with the canned `503`, the configured `Retry-After` and
+/// `Connection: close`, counted in `shed` and never as a handler 5xx.
+/// Nothing here sleeps for ordering: `hold`'s completed response proves
+/// the only drainer is parked on it, and the listener's accept queue is
+/// FIFO, so each later connection meets exactly the state the earlier
+/// ones left.
+#[test]
+fn overload_is_shed_with_503_and_permits_are_released() {
+    const WAIT: Duration = Duration::from_secs(10);
+    // An idle keep-alive connection must outlive the test.
+    let base = ServerConfig {
+        workers: 1,
+        read_timeout: Duration::from_secs(60),
+        retry_after_secs: 7,
+        ..ServerConfig::default()
+    };
+    let queue_full = ServerConfig {
+        queue_depth: 1,
+        ..base.clone()
+    };
+    let no_permit = ServerConfig {
+        max_connections: 1,
+        ..base
+    };
+    // (cause, config, connections that fit behind the held one)
+    for (cause, config, queued) in [("queue full", queue_full, 1), ("no permit", no_permit, 0)] {
+        let (server, _store) = start_server(config);
+        let addr = server.local_addr();
+        let connect = || Client::connect(addr, WAIT).expect("connect");
+
+        let mut hold = connect();
+        assert_eq!(hold.get("/healthz").expect("held request").status, 200);
+        let mut waiting: Vec<Client> = (0..queued).map(|_| connect()).collect();
+
+        let refused = connect().read_response().expect("refusal");
+        assert_eq!(refused.status, 503, "{cause}: {}", refused.body);
+        assert_eq!(refused.header("retry-after"), Some("7"), "{cause}");
+        assert_eq!(refused.header("connection"), Some("close"), "{cause}");
+        let stats = server.stats();
+        assert_eq!(stats.admitted, 1 + queued as u64, "{cause}: {stats:?}");
+        assert_eq!(stats.open_connections, stats.admitted, "{cause}: {stats:?}");
+
+        // The held connection closes: the drainer moves on to whatever
+        // was queued, and every permit comes back.
+        drop(hold);
+        for client in &mut waiting {
+            let resp = client.get("/healthz").expect("queued connection");
+            assert_eq!(resp.status, 200, "{cause}: {}", resp.body);
+        }
+        drop(waiting);
+        let deadline = Instant::now() + WAIT;
+        while server.stats().open_connections > 0 && Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+        assert_eq!(server.stats().open_connections, 0, "{cause}: permit leaked");
+        assert_eq!(
+            connect().get("/healthz").expect("after release").status,
+            200,
+            "{cause}: a released permit must admit the next connection"
+        );
+        // `shed` is bumped after the socket is handed to the shedder, so
+        // it is read once drain has joined both threads.
+        let stats = finish(server);
+        assert_eq!(
+            (stats.shed, stats.shed_dropped),
+            (1, 0),
+            "{cause}: {stats:?}"
+        );
+        assert_eq!(stats.open_connections, 0, "{cause}: {stats:?}");
+    }
 }
 
 // --------------------------------------------- health under a stalled disk
