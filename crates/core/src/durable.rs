@@ -19,7 +19,8 @@
 //! Appends carry a global monotone sequence number assigned under the
 //! mutated lock. [`DataStore::checkpoint`] briefly acquires *every*
 //! stripe lock plus the region-health lock, captures the next unissued
-//! sequence number and the full store state, releases, rotates the WAL
+//! sequence number and the full store state (a shallow clone of each
+//! stripe), releases, encodes the captured state, rotates the WAL
 //! to a fresh generation, writes the checkpoint atomically
 //! (temp + fsync + rename + dir fsync), and only then deletes
 //! generations older than the one current during capture. Any op
@@ -81,6 +82,7 @@
 //! leaves no marker and recovery replays the tail as usual.
 
 use crate::probe::{ProbeKind, ProbeOutcome, ProbeRecord, ProbeTrigger, UnavailabilityInterval};
+use crate::shared::{ChunkVec, CowVec};
 use crate::store::{
     DataStore, EpochCell, EpochSeries, IntrinsicBidRecord, KeyState, ProbeStats, RegionHealth,
     RevocationRecord, SpikeEvent, Stripe,
@@ -724,6 +726,7 @@ impl Decode for ProbeStats {
 
 impl Encode for EpochCell {
     fn encode(&self, out: &mut Vec<u8>) {
+        self.epoch.encode(out);
         self.informative.encode(out);
         self.rejections.encode(out);
         self.unavail_secs.encode(out);
@@ -733,6 +736,7 @@ impl Encode for EpochCell {
 impl Decode for EpochCell {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         Ok(EpochCell {
+            epoch: Decode::decode(r)?,
             informative: Decode::decode(r)?,
             rejections: Decode::decode(r)?,
             unavail_secs: Decode::decode(r)?,
@@ -740,19 +744,51 @@ impl Decode for EpochCell {
     }
 }
 
+/// Sparse on disk as in memory (format version 2): only the key's
+/// non-empty buckets travel, each carrying its epoch.
 impl Encode for EpochSeries {
     fn encode(&self, out: &mut Vec<u8>) {
-        self.first.encode(out);
         self.cells.encode(out);
     }
 }
 
 impl Decode for EpochSeries {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(EpochSeries {
-            first: Decode::decode(r)?,
-            cells: Decode::decode(r)?,
-        })
+        let cells = CowVec::<EpochCell>::decode(r)?;
+        // The in-memory binary searches rely on it.
+        if !cells.windows(2).all(|w| w[0].epoch < w[1].epoch) {
+            return Err(DecodeError::Invalid("epoch series order"));
+        }
+        Ok(EpochSeries { cells })
+    }
+}
+
+/// On disk both shared containers are the `Vec<T>` of their elements:
+/// `u32` count, then the elements.
+impl<T: Encode> Encode for CowVec<T> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        (**self).encode(out);
+    }
+}
+
+impl<T: Decode> Decode for CowVec<T> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Ok(Vec::decode(r)?.into_iter().collect())
+    }
+}
+
+impl<T: Encode> Encode for ChunkVec<T> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.len().encode(out);
+        for item in self.iter() {
+            item.encode(out);
+        }
+    }
+}
+
+impl<T: Decode + Copy> Decode for ChunkVec<T> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Ok(Vec::decode(r)?.into_iter().collect())
     }
 }
 
@@ -856,12 +892,12 @@ fn corrupt(what: &'static str) -> io::Error {
 /// stripe lock; the slow segment write is [`write_spill`].
 pub(crate) fn encode_spill(stripe: &Stripe, before: SimTime) -> Vec<Vec<u8>> {
     let mut records: Vec<Vec<u8>> = Vec::new();
-    for p in &stripe.probes {
+    for p in stripe.probes.iter() {
         if p.at < before {
             records.push(StoreOp::Probe(*p).to_bytes());
         }
     }
-    for s in &stripe.spikes {
+    for s in stripe.spikes.iter() {
         if s.at < before {
             records.push(StoreOp::Spike(*s).to_bytes());
         }
@@ -1136,10 +1172,13 @@ impl DataStore {
     /// Writes a full-state checkpoint and prunes the log behind it.
     /// Recovery cost is then one checkpoint load plus the tail since.
     ///
-    /// Checkpointing briefly blocks all ingest (it takes every stripe
-    /// lock to capture a consistent snapshot). It is caller-driven —
-    /// there is no automatic trigger — so ingest paths can never
-    /// self-deadlock against it.
+    /// Ingest waits only for the capture: under every stripe lock the
+    /// checkpoint reads the counters and the WAL position and takes a
+    /// shallow clone of each stripe (see [`crate::store`], "Sharing");
+    /// encoding and the disk writes run with no stripe lock held, and a
+    /// writer touching a captured key, index or chunk meanwhile copies
+    /// that one unit. It is caller-driven — there is no automatic
+    /// trigger — so ingest paths can never self-deadlock against it.
     ///
     /// # Errors
     ///
@@ -1156,7 +1195,7 @@ impl DataStore {
         let _ckpt = d.ckpt_lock.lock();
         let mut sections = Vec::with_capacity(self.stripes.len() + 1);
         let capture_gen;
-        {
+        let captured: Vec<Stripe> = {
             // Capture under every lock: ops sequenced before `next_seq`
             // are inside this snapshot, everything at or after it is
             // replayed on recovery.
@@ -1178,9 +1217,12 @@ impl DataStore {
             capture_gen.encode(&mut meta);
             encode_map(&health, &mut meta);
             sections.push(meta);
-            for guard in &guards {
-                sections.push(guard.to_bytes());
-            }
+            guards.iter().map(|g| Stripe::clone(g)).collect()
+        };
+        // Encoded with no lock held; each clone goes as soon as it is
+        // encoded, so ingest stops copying what it shares with it.
+        for stripe in captured {
+            sections.push(stripe.to_bytes());
         }
         // Rotate first: generations before `capture_gen` then hold only
         // checkpoint-covered sequence numbers and can be deleted once
@@ -1623,6 +1665,91 @@ mod tests {
             recovered.total_cost(),
             Price::from_micros(Price::from_dollars(0.1).as_micros() * total as u64)
         );
+    }
+
+    /// `checkpoint()` encodes from shallow clones after releasing the
+    /// stripe locks, so writers run — and copy what the clones still
+    /// hold — during the encode. Whatever the interleaving, checkpoint
+    /// plus tail must hold exactly what was recorded.
+    #[test]
+    fn checkpoint_racing_ingest_loses_nothing() {
+        use std::sync::atomic::AtomicBool;
+        const WRITERS: u8 = 3; // one market each: per-key order is the writer's
+        const ROUNDS: u64 = 8;
+        const PER_ROUND: u64 = 400;
+        fn nth_probe(writer: u8, i: u64) -> ProbeRecord {
+            let outcome = match i % 5 {
+                0 | 1 => ProbeOutcome::InsufficientCapacity,
+                4 => ProbeOutcome::ApiLimited,
+                _ => ProbeOutcome::Fulfilled,
+            };
+            probe(i * 60, market(writer), outcome)
+        }
+        // Releases the writers even when an assertion unwinds.
+        struct StopOnDrop<'a>(&'a AtomicBool);
+        impl Drop for StopOnDrop<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::Release);
+            }
+        }
+
+        let tmp = TempDir::new("durable-ckpt-race-twin");
+        let dir = tmp.path().join("store");
+        let store = DataStore::create_durable(&dir, DurableOptions::default()).expect("create");
+        // Ops each writer may have issued so far; the main thread raises
+        // it a round at a time and checkpoints once the round is under
+        // way, so every checkpoint runs against live ingest.
+        let allowed = AtomicU64::new(0);
+        let written = AtomicU64::new(0);
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            for w in 0..WRITERS {
+                let (store, allowed, written, stop) = (&store, &allowed, &written, &stop);
+                scope.spawn(move || {
+                    let mut i = 0;
+                    loop {
+                        if i < allowed.load(Ordering::Acquire) {
+                            store.record_probe(nth_probe(w, i));
+                            written.fetch_add(1, Ordering::Release);
+                            i += 1;
+                        } else if stop.load(Ordering::Acquire) {
+                            break;
+                        } else {
+                            std::thread::yield_now();
+                        }
+                    }
+                });
+            }
+            let _stop = StopOnDrop(&stop);
+            for round in 0..ROUNDS {
+                allowed.fetch_add(PER_ROUND, Ordering::Release);
+                let before = round * PER_ROUND * u64::from(WRITERS);
+                while written.load(Ordering::Acquire) == before {
+                    std::thread::yield_now();
+                }
+                store.checkpoint().expect("checkpoint");
+            }
+        });
+        assert_eq!(store.durability_stats().expect("stats").checkpoints, ROUNDS);
+        store.close().expect("close");
+
+        let twin = DataStore::new();
+        for w in 0..WRITERS {
+            for i in 0..ROUNDS * PER_ROUND {
+                twin.record_probe(nth_probe(w, i));
+            }
+        }
+        let recovered = DataStore::recover(&dir).expect("recover");
+        assert_eq!(recovered.len(), twin.len());
+        assert_eq!(recovered.total_cost(), twin.total_cost());
+        let (r, t) = (recovered.read(), twin.read());
+        assert_eq!(r.probes().count(), t.probes().count());
+        for w in 0..WRITERS {
+            let (m, kind) = (market(w), ProbeKind::OnDemand);
+            assert_eq!(r.probe_stats(m, kind), t.probe_stats(m, kind));
+            assert_eq!(r.is_unavailable(m, kind), t.is_unavailable(m, kind));
+            assert_eq!(r.rejection_times(m, kind), t.rejection_times(m, kind));
+        }
     }
 
     #[test]

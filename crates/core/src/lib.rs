@@ -66,6 +66,7 @@ pub mod manager;
 pub mod policy;
 pub mod probe;
 pub mod query;
+mod shared;
 pub mod snapshot;
 pub mod spotlight;
 pub mod stats;

@@ -14,7 +14,7 @@
 
 use crate::budget::SpikeRate;
 use crate::probe::ProbeKind;
-use crate::store::StoreRead;
+use crate::store::{KeyRef, StoreRead};
 use cloud_sim::ids::{MarketId, Region};
 use cloud_sim::time::{SimDuration, SimTime};
 use std::collections::{HashMap, HashSet};
@@ -103,6 +103,31 @@ fn best_n<T, K: PartialOrd>(
     rows.into_iter().map(|(_, row)| row)
 }
 
+/// P(`b` rejected within `window` of a detection of `a`) over two
+/// fetched on-demand keys; `None` when `a` has no detections.
+fn conditional_unavailability(
+    a: Option<KeyRef<'_>>,
+    b: Option<KeyRef<'_>>,
+    window: SimDuration,
+) -> Option<f64> {
+    // Both sides are index-backed: `a`'s detections come from its
+    // interval index and `b`'s rejections from its time-sorted
+    // rejection index, so each trial is a binary search. The shared
+    // read snapshot makes the cross-stripe access free.
+    let b_times = b.map_or(&[][..], |k| &k.state.rejection_times);
+    let mut trials = 0u64;
+    let mut hits = 0u64;
+    for i in a.into_iter().flat_map(KeyRef::intervals) {
+        trials += 1;
+        let to = i.start + window;
+        let lo = b_times.partition_point(|&t| t < i.start);
+        if b_times.get(lo).is_some_and(|&t| t <= to) {
+            hits += 1;
+        }
+    }
+    (trials > 0).then(|| hits as f64 / trials as f64)
+}
+
 /// The query interface over a probe-database snapshot.
 #[derive(Debug, Clone, Copy)]
 pub struct SpotLightQuery<'a> {
@@ -144,21 +169,34 @@ impl<'a> SpotLightQuery<'a> {
     /// store's running per-`(market, kind)` counters (O(1)); the
     /// unavailable fraction comes from the epoch summaries.
     pub fn availability(&self, market: MarketId, kind: ProbeKind) -> AvailabilityStats {
+        self.availability_of(self.store.key(market, kind))
+    }
+
+    /// [`SpotLightQuery::availability`] of an already fetched key (one
+    /// hash lookup per answer); a never-probed key reads all zeros.
+    fn availability_of(&self, key: Option<KeyRef<'_>>) -> AvailabilityStats {
         let (start, end) = self.span;
         let span_secs = (end - start).as_secs().max(1);
-        let stats = self.store.probe_stats(market, kind);
+        let stats = key.map(|k| k.state.stats).unwrap_or_default();
+        let unavailable = key.map_or(0, |k| k.unavailable_seconds_in(start, end));
         AvailabilityStats {
             probes: stats.informative,
             rejections: stats.rejections,
-            unavailable_fraction: self.unavailable_seconds(market, kind) as f64 / span_secs as f64,
-            intervals: self.store.closed_interval_count(market, kind),
+            unavailable_fraction: unavailable as f64 / span_secs as f64,
+            intervals: key.map_or(0, |k| k.state.closed_intervals),
         }
     }
 
     /// How current the store's knowledge of `(market, kind)` is, aged
     /// against the query span's end.
     pub fn freshness(&self, market: MarketId, kind: ProbeKind) -> Freshness {
-        let last = self.store.last_informative_at(market, kind);
+        self.freshness_of(self.store.key(market, kind), market)
+    }
+
+    /// [`SpotLightQuery::freshness`] of an already fetched key of
+    /// `market`.
+    fn freshness_of(&self, key: Option<KeyRef<'_>>, market: MarketId) -> Freshness {
+        let last = key.and_then(|k| k.state.last_informative);
         let (_, end) = self.span;
         Freshness {
             last_informative: last,
@@ -181,10 +219,8 @@ impl<'a> SpotLightQuery<'a> {
         market: MarketId,
         kind: ProbeKind,
     ) -> (AvailabilityStats, Freshness) {
-        (
-            self.availability(market, kind),
-            self.freshness(market, kind),
-        )
+        let key = self.store.key(market, kind);
+        (self.availability_of(key), self.freshness_of(key, market))
     }
 
     /// Regions currently marked degraded by live-mode circuit breakers,
@@ -259,22 +295,11 @@ impl<'a> SpotLightQuery<'a> {
         b: MarketId,
         window: SimDuration,
     ) -> Option<f64> {
-        // Both sides are index-backed: `a`'s detections come from its
-        // interval index and `b`'s rejections from its time-sorted
-        // rejection index, so each trial is a binary search. The shared
-        // read snapshot makes the cross-stripe access free.
-        let b_times = self.store.rejection_times(b, ProbeKind::OnDemand);
-        let mut trials = 0u64;
-        let mut hits = 0u64;
-        for i in self.store.intervals_of(a, ProbeKind::OnDemand) {
-            trials += 1;
-            let to = i.start + window;
-            let lo = b_times.partition_point(|&t| t < i.start);
-            if b_times.get(lo).is_some_and(|&t| t <= to) {
-                hits += 1;
-            }
-        }
-        (trials > 0).then(|| hits as f64 / trials as f64)
+        conditional_unavailability(
+            self.store.key(a, ProbeKind::OnDemand),
+            self.store.key(b, ProbeKind::OnDemand),
+            window,
+        )
     }
 
     /// Fallback markets for `market`, ranked by (conditional correlation
@@ -290,17 +315,15 @@ impl<'a> SpotLightQuery<'a> {
         window: SimDuration,
         n: usize,
     ) -> Vec<MarketId> {
+        let origin = self.store.key(market, ProbeKind::OnDemand);
         let rows: Vec<(usize, (MarketId, f64, f64))> = candidates
             .iter()
             .copied()
             .filter(|&c| c != market && c.pool() != market.pool())
             .map(|c| {
-                let corr = self
-                    .conditional_unavailability(market, c, window)
-                    .unwrap_or(0.0);
-                let own = self
-                    .availability(c, ProbeKind::OnDemand)
-                    .unavailable_fraction;
+                let key = self.store.key(c, ProbeKind::OnDemand);
+                let corr = conditional_unavailability(origin, key, window).unwrap_or(0.0);
+                let own = self.availability_of(key).unavailable_fraction;
                 (c, corr, own)
             })
             .enumerate()
@@ -319,11 +342,13 @@ impl<'a> SpotLightQuery<'a> {
     pub fn spike_rates(&self, thresholds: &[f64], window: SimDuration) -> Vec<SpikeRate> {
         let (start, end) = self.span;
         let windows = ((end - start).as_secs() as f64 / window.as_secs().max(1) as f64).max(1.0);
+        let counts = self.store.spikes_at_or_above_each(thresholds);
         thresholds
             .iter()
-            .map(|&t| SpikeRate {
-                threshold: t,
-                spikes_per_window: self.store.spikes_at_or_above(t) as f64 / windows,
+            .zip(counts)
+            .map(|(&threshold, count)| SpikeRate {
+                threshold,
+                spikes_per_window: count as f64 / windows,
             })
             .collect()
     }

@@ -5,14 +5,19 @@
 //! which is exactly right for a batch of analyses but wrong for a
 //! serving hot path: a million concurrent GETs would contend with each
 //! other and stall ingest. Instead the service publishes a
-//! [`StoreSnapshot`] — an owned deep copy of the stripes plus the
-//! store-wide counters, taken under one consistent read pass — into a
-//! [`SnapshotHub`], and request workers read through a per-worker
+//! [`StoreSnapshot`] — an owned, immutable capture of the stripes plus
+//! the store-wide counters, taken under one consistent read pass — into
+//! a [`SnapshotHub`], and request workers read through a per-worker
 //! [`SnapshotReader`] cache:
 //!
-//! * **Publish** (ingest side, rare): [`DataStore::snapshot`] →
-//!   [`SnapshotHub::publish`]. Swaps the `Arc` under a tiny mutex and
-//!   bumps a generation counter.
+//! * **Publish** (ingest side): [`DataStore::snapshot`] →
+//!   [`SnapshotHub::publish`]. The capture is a shallow clone of each
+//!   stripe — it shares every record chunk, per-market index and
+//!   per-key state with the store, and ingest copies on first write
+//!   what a capture still holds (see [`crate::store`], "Sharing") — so
+//!   a publish costs what changed since the last one, not the size of
+//!   the store. The publish itself swaps the `Arc` under a tiny mutex
+//!   and bumps a generation counter.
 //! * **Read** (query side, hot): [`SnapshotReader::current`] is one
 //!   atomic generation load plus a branch; the mutex is touched only
 //!   on the first read after a publish. Queries then run over
@@ -23,25 +28,18 @@
 //! The crate forbids `unsafe`, so the swap is a mutex-guarded `Arc`
 //! clone rather than an `AtomicPtr` dance; the generation check keeps
 //! that mutex off the per-request path entirely.
-//!
-//! The expensive half — the per-stripe deep copies in
-//! [`DataStore::snapshot`] — fans out over the shared persistent
-//! worker pool ([`spotlight_pool::WorkerPool::global`]; the capturing
-//! thread helps, so a one-thread pool copies at sequential speed),
-//! under all stripe read locks; the scoped-borrow machinery lives in
-//! that crate, keeping this one `unsafe`-free.
 
 use crate::store::{DataStore, StoreHeader, StoreRead, Stripe};
 use crate::sync::Mutex;
 use cloud_sim::ids::MarketId;
 use cloud_sim::price::Price;
 use cloud_sim::time::SimTime;
-use spotlight_pool::WorkerPool;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// An owned, immutable copy of the store's queryable state, consistent
-/// across stripes (captured under every stripe's read lock).
+/// An owned, immutable capture of the store's queryable state,
+/// consistent across stripes (captured under every stripe's read lock)
+/// and sharing with the store whatever ingest has not rewritten since.
 #[derive(Debug)]
 pub struct StoreSnapshot {
     stripes: Box<[Stripe]>,
@@ -91,32 +89,20 @@ impl StoreSnapshot {
 
 impl DataStore {
     /// Captures an immutable snapshot of the store's queryable state:
-    /// a deep copy of every stripe plus the store-wide counters and
-    /// health tables, taken under one consistent all-stripe read pass.
-    /// `as_of` is the publisher's clock — what snapshot queries treat
-    /// as "now".
+    /// a shallow clone of every stripe plus the store-wide counters and
+    /// health tables, taken under one consistent all-stripe read pass
+    /// on the calling thread. `as_of` is the publisher's clock — what
+    /// snapshot queries treat as "now".
     ///
-    /// This is the expensive half of the RCU pattern (a full copy of
-    /// the resident data); call it at ingest cadence (seconds), not
-    /// query cadence.
+    /// The capture copies no record, index or key state — only each
+    /// stripe's chunk spines and map tables — so its cost follows the
+    /// number of keys, markets and chunks, and what ingest pays
+    /// afterwards follows what it rewrites while the snapshot is alive.
+    /// A sub-second publish cadence is affordable.
     pub fn snapshot(&self, as_of: SimTime) -> StoreSnapshot {
         let live = self.read();
-        // Under the view's guards the stripes are frozen, so the deep
-        // copies are independent — one clone per stripe on the shared
-        // persistent pool. The scope's join barrier keeps `live` (and
-        // `slots`) borrowed until every clone lands.
-        let mut slots: Vec<Option<Stripe>> = Vec::new();
-        slots.resize_with(self.stripe_count(), || None);
-        WorkerPool::global().scope(|s| {
-            for (slot, stripe) in slots.iter_mut().zip(live.stripes()) {
-                s.spawn(move || *slot = Some(stripe.clone()));
-            }
-        });
+        let stripes: Box<[Stripe]> = live.stripes().cloned().collect();
         let header = live.into_header();
-        let stripes: Box<[Stripe]> = slots
-            .into_iter()
-            .map(|s| s.expect("scope join barrier ran every clone"))
-            .collect();
         // Outside the stripe locks: ingest is not held up by the sort.
         let mut probed_markets: Box<[MarketId]> = stripes
             .iter()
@@ -152,13 +138,21 @@ impl SnapshotHub {
 
     /// Publishes a new snapshot, returning the new generation. Readers
     /// observe the bump and refresh on their next request.
+    ///
+    /// The previous generation is released only after the hub's mutex
+    /// is: when no reader still holds it that release is its whole
+    /// teardown, and a reloading reader's [`SnapshotHub::load`] must
+    /// not wait behind it.
     pub fn publish(&self, snapshot: StoreSnapshot) -> u64 {
         let next = Arc::new(snapshot);
         let mut current = self.current.lock();
-        *current = next;
+        let previous = std::mem::replace(&mut *current, next);
         // Bumped while the mutex is held so a reader that sees the new
         // generation is guaranteed to load (at least) this snapshot.
-        self.generation.fetch_add(1, Ordering::Release) + 1
+        let generation = self.generation.fetch_add(1, Ordering::Release) + 1;
+        drop(current);
+        drop(previous);
+        generation
     }
 
     /// Captures and publishes a fresh snapshot of `store` in one call —
@@ -399,9 +393,7 @@ mod tests {
     /// The same publisher/reader stress as above, but with every
     /// participant running as a task on a persistent worker pool
     /// instead of ad-hoc scoped threads — the pool's scope must give
-    /// the identical coherence guarantees (and the publisher's
-    /// `snapshot()` calls themselves exercise the pool-parallel
-    /// stripe-clone path whenever the global pool is multithreaded).
+    /// the identical coherence guarantees.
     #[test]
     fn concurrent_publishers_and_readers_over_pool() {
         let store = DataStore::new();

@@ -47,17 +47,56 @@
 //! buckets ([`DataStore::epoch_width`], default one hour) with
 //! informative/rejection counts and **closed-unavailable seconds**,
 //! updated incrementally at ingest (interval seconds are distributed
-//! over the epochs they cover when the interval closes). Window sweeps
+//! over the epochs they cover when the interval closes). The series is
+//! **sparse**: it is the epoch-sorted list of the key's *non-empty*
+//! buckets, so a key costs what was observed of it, not how long the
+//! store has been up — SpotLight probes on price spikes under a budget,
+//! and a key is observed in few of its hours. Window sweeps
 //! ([`StoreRead::unavailable_seconds_in`]) read whole buckets for the
-//! epochs fully inside the query span and binary-search the key's
-//! interval index only for the two boundary epochs — O(buckets in
-//! span plus log intervals) instead of O(intervals in span). The fast path
+//! epochs fully inside the query span (two partition points and a scan)
+//! and binary-search the key's interval index only for the two boundary
+//! epochs — O(log buckets + buckets in span + log intervals) instead of
+//! O(intervals in span). The fast path
 //! requires the key's intervals to be start-sorted and non-overlapping
 //! (always true for the engine's monotone timestamps); a key that ever
 //! observes out-of-order interval bookkeeping is flagged and falls back
 //! to the exact full walk. Spike ratios are likewise bucketed per epoch
 //! in sorted lists, so threshold counts ([`StoreRead::spikes_at_or_above`])
 //! are binary searches per bucket, independent of the raw spike log.
+//!
+//! # Sharing
+//!
+//! A stripe holds **one copy of what was observed** and hands out
+//! shallow captures of it. `Stripe::clone` — what
+//! [`DataStore::snapshot`] and [`DataStore::checkpoint`] do under the
+//! stripe locks — copies the stripe's tables and never a record, an
+//! index or a key's history:
+//!
+//! * the five record slabs (`probes`, `spikes`, `intervals`,
+//!   `revocations`, `intrinsic_bids`) are [`crate::shared::ChunkVec`]s
+//!   of `Arc`-shared chunks; a clone copies the chunk spine;
+//! * every list in the four maps — a market's probe and revocation
+//!   indices, an epoch's sorted spike ratios, a key's interval index,
+//!   rejection times and epoch summary — is a [`crate::shared::CowVec`],
+//!   elements and spare capacity in one `Arc`'d buffer; a clone bumps a
+//!   reference count. The buffer is one pointer hop from its table, as
+//!   the `Vec` it replaces was, and a key's scalars (counters, open
+//!   interval, freshness) stay inline in the key table: a capture copies
+//!   those with the table, and the advisor scans never chase a key's
+//!   allocation around a heap that copy-on-write has shuffled.
+//!
+//! The invariant that makes a capture immutable: ***no `&mut` into a
+//! stripe's shared parts except through the two containers' write
+//! methods***, which test [`Arc::get_mut`] and copy the one buffer a
+//! clone still holds before writing (what `Arc::make_mut` does, without
+//! the second hop an `Arc<Vec<T>>` would add). Every `record_*` /
+//! `compact` mutation goes through them, so a writer copies one list or
+//! one chunk the first time it touches it after a capture — under the
+//! stripe's write lock, which is why the units are that small — and
+//! nothing when no capture is alive (the test is then an uncontended
+//! reference-count check). A publish so costs what changed since the
+//! last one, and the previous generation's teardown frees only what was
+//! replaced.
 //!
 //! # Compaction
 //!
@@ -117,6 +156,7 @@
 //! child processes against it.
 
 use crate::probe::{ProbeKind, ProbeOutcome, ProbeRecord, UnavailabilityInterval};
+use crate::shared::{ChunkVec, CowVec};
 use crate::sync::{RwLock, RwLockReadGuard};
 use cloud_sim::ids::{MarketId, Region};
 use cloud_sim::price::Price;
@@ -266,105 +306,117 @@ pub struct CompactionStats {
     pub dropped_spikes: u64,
 }
 
-/// One epoch bucket of a `(market, kind)` summary.
-#[derive(Debug, Clone, Copy, Default)]
+/// One non-empty epoch bucket of a `(market, kind)` summary.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct EpochCell {
+    pub(crate) epoch: u64,
     pub(crate) informative: u64,
     pub(crate) rejections: u64,
     pub(crate) unavail_secs: u64,
 }
 
-/// A dense, growable run of epoch buckets starting at epoch `first`.
-#[derive(Debug, Clone, Default)]
+impl EpochCell {
+    fn at(epoch: u64) -> Self {
+        EpochCell {
+            epoch,
+            ..EpochCell::default()
+        }
+    }
+}
+
+/// A key's non-empty epoch buckets, strictly sorted by epoch.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct EpochSeries {
-    pub(crate) first: u64,
-    pub(crate) cells: Vec<EpochCell>,
+    pub(crate) cells: CowVec<EpochCell>,
 }
 
 impl EpochSeries {
-    /// Mutable access to epoch `e`'s cell, growing the run as needed.
+    /// Mutable access to epoch `e`'s cell, creating it if absent: an
+    /// O(1) update or append when `e` is the latest epoch (the engine's
+    /// monotone time), a binary-search insert otherwise (live-mode
+    /// reordering).
     fn cell(&mut self, e: u64) -> &mut EpochCell {
-        if self.cells.is_empty() {
-            self.first = e;
-            self.cells.push(EpochCell::default());
-        } else if e < self.first {
-            // Rare (out-of-order live-mode arrivals): prepend.
-            let missing = (self.first - e) as usize;
-            self.cells
-                .splice(0..0, std::iter::repeat_n(EpochCell::default(), missing));
-            self.first = e;
-        } else if e >= self.first + self.cells.len() as u64 {
-            let needed = (e - self.first) as usize + 1;
-            self.cells.resize(needed, EpochCell::default());
-        }
-        &mut self.cells[(e - self.first) as usize]
+        let pos = match self.cells.last() {
+            Some(last) if last.epoch == e => self.cells.len() - 1,
+            Some(last) if last.epoch > e => {
+                let pos = self.cells.partition_point(|c| c.epoch < e);
+                if self.cells[pos].epoch != e {
+                    self.cells.insert(pos, EpochCell::at(e));
+                }
+                pos
+            }
+            _ => {
+                self.cells.push(EpochCell::at(e));
+                self.cells.len() - 1
+            }
+        };
+        &mut self.cells.as_mut_slice()[pos]
+    }
+
+    /// The cells of epochs `[from, to)`.
+    fn cells_in(&self, from: u64, to: u64) -> &[EpochCell] {
+        let lo = self.cells.partition_point(|c| c.epoch < from);
+        let hi = self.cells.partition_point(|c| c.epoch < to);
+        &self.cells[lo..hi.max(lo)]
     }
 
     /// Sum of closed-unavailable seconds over epochs `[from, to)`.
     fn unavail_in(&self, from: u64, to: u64) -> u64 {
-        let lo = from.max(self.first);
-        let hi = to.min(self.first + self.cells.len() as u64);
-        if hi <= lo {
-            return 0;
-        }
-        self.cells[(lo - self.first) as usize..(hi - self.first) as usize]
-            .iter()
-            .map(|c| c.unavail_secs)
-            .sum()
+        self.cells_in(from, to).iter().map(|c| c.unavail_secs).sum()
     }
 
     /// Sum of (informative, rejection) counts over epochs `[from, to)`.
     fn counts_in(&self, from: u64, to: u64) -> (u64, u64) {
-        let lo = from.max(self.first);
-        let hi = to.min(self.first + self.cells.len() as u64);
-        if hi <= lo {
-            return (0, 0);
-        }
-        self.cells[(lo - self.first) as usize..(hi - self.first) as usize]
+        self.cells_in(from, to)
             .iter()
             .fold((0, 0), |(i, r), c| (i + c.informative, r + c.rejections))
     }
 }
 
 /// Everything one `(market, kind)` key maintains, reachable in a single
-/// hash lookup at ingest.
+/// hash lookup at ingest. It sits in the stripe's key table itself — the
+/// scalars inline, each list's buffer one hop away — so an all-market
+/// scan never chases a key's allocation around the heap.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct KeyState {
     pub(crate) stats: ProbeStats,
     /// Indices into the stripe's interval slab, in interval-open order.
-    pub(crate) intervals: Vec<usize>,
+    pub(crate) intervals: CowVec<usize>,
     /// The at-most-one open interval, as an index into the slab.
     pub(crate) open: Option<usize>,
     pub(crate) closed_intervals: u64,
-    /// Time-sorted timestamps of unavailable-outcome probes.
-    pub(crate) rejection_times: Vec<SimTime>,
     /// Latest informative probe timestamp — the freshness anchor of
     /// [`StoreRead::last_informative_at`]. A max, not a last-write, so
     /// out-of-order live-mode arrivals cannot move it backwards.
     pub(crate) last_informative: Option<SimTime>,
-    pub(crate) epochs: EpochSeries,
     /// Set once the key's intervals stop being start-sorted and
     /// non-overlapping (possible under live-mode reordering); the
     /// epoch fast path then yields to the exact full walk.
     pub(crate) disordered: bool,
+    /// Time-sorted timestamps of unavailable-outcome probes.
+    pub(crate) rejection_times: CowVec<SimTime>,
+    pub(crate) epochs: EpochSeries,
 }
 
 /// One lock stripe: a shard of the log plus its secondary indices.
-/// `Clone` is what [`DataStore::snapshot`] deep-copies per stripe.
+/// `Clone` is the shallow capture [`DataStore::snapshot`] and
+/// [`DataStore::checkpoint`] take per stripe; what it shares with the
+/// clone is written only through the copy-on-write containers (module
+/// docs, "Sharing").
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Stripe {
-    pub(crate) probes: Vec<ProbeRecord>,
-    pub(crate) probes_by_market: FxHashMap<MarketId, Vec<usize>>,
-    pub(crate) spikes: Vec<SpikeEvent>,
+    pub(crate) probes: ChunkVec<ProbeRecord>,
+    pub(crate) probes_by_market: FxHashMap<MarketId, CowVec<usize>>,
+    pub(crate) spikes: ChunkVec<SpikeEvent>,
     /// Sorted spike ratios per epoch — the summary `spike_rates` reads;
     /// holds every spike ever recorded (compaction keeps it intact).
-    pub(crate) spike_ratios_by_epoch: FxHashMap<u64, Vec<f64>>,
-    pub(crate) intervals: Vec<UnavailabilityInterval>,
+    pub(crate) spike_ratios_by_epoch: FxHashMap<u64, CowVec<f64>>,
+    pub(crate) intervals: ChunkVec<UnavailabilityInterval>,
     pub(crate) keys: FxHashMap<(MarketId, ProbeKind), KeyState>,
     pub(crate) od_rejections_by_region: HashMap<Region, u64>,
-    pub(crate) revocations: Vec<RevocationRecord>,
-    pub(crate) revocations_by_market: FxHashMap<MarketId, Vec<usize>>,
-    pub(crate) intrinsic_bids: Vec<IntrinsicBidRecord>,
+    pub(crate) revocations: ChunkVec<RevocationRecord>,
+    pub(crate) revocations_by_market: FxHashMap<MarketId, CowVec<usize>>,
+    pub(crate) intrinsic_bids: ChunkVec<IntrinsicBidRecord>,
 }
 
 /// The health of one region's probing transport, as the live pipeline's
@@ -453,21 +505,21 @@ pub(crate) fn stripe_index(market: MarketId, stripes: usize) -> usize {
     ((h >> 32) ^ h) as usize % stripes
 }
 
-/// Inserts `item` into a vector kept sorted by `key_of`. Appends in
-/// O(1) when the new item's key is the latest (the engine's monotone
-/// case); binary-search inserts otherwise.
+/// Inserts `item` into a list kept sorted by `key_of`. Appends in O(1)
+/// when the new item's key is the latest (the engine's monotone case);
+/// binary-search inserts otherwise.
 fn insert_sorted_by<T: Copy, K: PartialOrd>(
-    sorted: &mut Vec<T>,
+    sorted: &mut CowVec<T>,
     item: T,
     key_of: impl Fn(&T) -> K,
 ) {
-    match sorted.last() {
+    let at = match sorted.last() {
         Some(last) if key_of(last) > key_of(&item) => {
-            let pos = sorted.partition_point(|x| key_of(x) <= key_of(&item));
-            sorted.insert(pos, item);
+            sorted.partition_point(|x| key_of(x) <= key_of(&item))
         }
-        _ => sorted.push(item),
-    }
+        _ => sorted.len(),
+    };
+    sorted.insert(at, item);
 }
 
 /// Distributes a closed interval's `[start, end)` seconds over the
@@ -528,7 +580,8 @@ impl DataStore {
     /// Acquires a consistent read view over every stripe. Readers
     /// share; writers to any stripe wait until the view is dropped.
     /// `len`, `total_cost`, region health, … are as of this call. The
-    /// store's one capture: [`DataStore::snapshot`] deep-copies it.
+    /// store's one capture: [`DataStore::snapshot`] is a shallow clone
+    /// of it.
     pub fn read(&self) -> StoreRead<'_> {
         let guards: Vec<_> = self.stripes.iter().map(|s| s.read()).collect();
         // Under the guards: `record_probe` bumps the two probe counters
@@ -662,11 +715,8 @@ impl DataStore {
             revocations_by_market,
             ..
         } = &mut *stripe;
-        insert_sorted_by(
-            revocations_by_market.entry(rec.market).or_default(),
-            idx,
-            |&i| revocations[i].acquired_at,
-        );
+        let by_market = revocations_by_market.entry(rec.market).or_default();
+        insert_sorted_by(by_market, idx, |&i| revocations[i].acquired_at);
     }
 
     /// Records an intrinsic-bid measurement.
@@ -745,40 +795,36 @@ impl DataStore {
     }
 
     /// Approximate resident heap footprint of the store's slabs and
-    /// indices, in bytes (capacities × element sizes; hash-map control
-    /// overhead is not counted).
+    /// indices, in bytes: capacities × element sizes over the slabs'
+    /// chunks and spines, the per-market and per-epoch lists, and each
+    /// key's interval index, rejection times and sparse epoch cells.
+    /// Hash-map tables — a key's scalars live there — and allocator or
+    /// reference-count headers are not counted; buffers shared with a
+    /// live capture are counted once, here.
     pub fn resident_bytes(&self) -> u64 {
-        use std::mem::size_of;
         let mut bytes = 0usize;
         for stripe in &self.stripes {
             let s = stripe.read();
-            bytes += s.probes.capacity() * size_of::<ProbeRecord>();
-            bytes += s.spikes.capacity() * size_of::<SpikeEvent>();
-            bytes += s.intervals.capacity() * size_of::<UnavailabilityInterval>();
-            bytes += s.revocations.capacity() * size_of::<RevocationRecord>();
-            bytes += s.intrinsic_bids.capacity() * size_of::<IntrinsicBidRecord>();
-            bytes += s
-                .probes_by_market
-                .values()
-                .map(|v| v.capacity() * size_of::<usize>())
-                .sum::<usize>();
-            bytes += s
-                .revocations_by_market
-                .values()
-                .map(|v| v.capacity() * size_of::<usize>())
-                .sum::<usize>();
+            bytes += s.probes.heap_bytes();
+            bytes += s.spikes.heap_bytes();
+            bytes += s.intervals.heap_bytes();
+            bytes += s.revocations.heap_bytes();
+            bytes += s.intrinsic_bids.heap_bytes();
+            for index in [&s.probes_by_market, &s.revocations_by_market] {
+                bytes += index.values().map(CowVec::heap_bytes).sum::<usize>();
+            }
             bytes += s
                 .spike_ratios_by_epoch
                 .values()
-                .map(|v| v.capacity() * size_of::<f64>())
+                .map(CowVec::heap_bytes)
                 .sum::<usize>();
             bytes += s
                 .keys
                 .values()
                 .map(|k| {
-                    k.intervals.capacity() * size_of::<usize>()
-                        + k.rejection_times.capacity() * size_of::<SimTime>()
-                        + k.epochs.cells.capacity() * size_of::<EpochCell>()
+                    k.intervals.heap_bytes()
+                        + k.rejection_times.heap_bytes()
+                        + k.epochs.cells.heap_bytes()
                 })
                 .sum::<usize>();
         }
@@ -895,7 +941,7 @@ impl Stripe {
             return 0;
         }
         let mut remap = vec![usize::MAX; old_len];
-        let mut kept = Vec::new();
+        let mut kept = ChunkVec::default();
         for (i, p) in self.probes.iter().enumerate() {
             if i >= limit || p.at >= before {
                 remap[i] = kept.len();
@@ -905,18 +951,13 @@ impl Stripe {
         if kept.len() == old_len {
             return 0;
         }
-        kept.shrink_to_fit();
         self.probes = kept;
         for ids in self.probes_by_market.values_mut() {
-            ids.retain_mut(|id| {
-                if remap[*id] == usize::MAX {
-                    false
-                } else {
-                    *id = remap[*id];
-                    true
-                }
-            });
-            ids.shrink_to_fit();
+            *ids = ids
+                .iter()
+                .map(|&id| remap[id])
+                .filter(|&id| id != usize::MAX)
+                .collect();
         }
         (old_len - self.probes.len()) as u64
     }
@@ -927,13 +968,16 @@ impl Stripe {
     /// `spike_rates` is unchanged.
     fn compact_spikes(&mut self, before: SimTime, limit: usize) -> u64 {
         let old_len = self.spikes.len();
-        let mut i = 0;
-        self.spikes.retain(|s| {
-            let keep = i >= limit || s.at >= before;
-            i += 1;
-            keep
-        });
-        self.spikes.shrink_to_fit();
+        let kept: ChunkVec<SpikeEvent> = self
+            .spikes
+            .iter()
+            .enumerate()
+            .filter(|&(i, s)| i >= limit || s.at >= before)
+            .map(|(_, s)| *s)
+            .collect();
+        if kept.len() != old_len {
+            self.spikes = kept;
+        }
         (old_len - self.spikes.len()) as u64
     }
 
@@ -969,20 +1013,18 @@ impl Stripe {
         total
     }
 
-    /// Seconds of measured unavailability of `key` inside `[from, to)`,
-    /// open intervals running to `to`. Epoch-summarized: whole buckets
-    /// for the epochs fully inside the span, binary searches for the
-    /// two boundary epochs; exact full walk for disordered keys.
+    /// Seconds of measured unavailability of the key `state` (one of
+    /// this stripe's) inside `[from, to)`, open intervals running to
+    /// `to`. Epoch-summarized: whole buckets for the epochs fully inside
+    /// the span, binary searches for the two boundary epochs; exact
+    /// full walk for disordered keys.
     fn unavailable_seconds_in(
         &self,
-        key: (MarketId, ProbeKind),
+        state: &KeyState,
         from: SimTime,
         to: SimTime,
         epoch_secs: u64,
     ) -> u64 {
-        let Some(state) = self.keys.get(&key) else {
-            return 0;
-        };
         let (a, b) = (from.as_secs(), to.as_secs());
         if b <= a {
             return 0;
@@ -1003,7 +1045,7 @@ impl Stripe {
         } else {
             let first_full = a.div_ceil(epoch_secs);
             let end_full = b / epoch_secs;
-            // Adaptive: the epoch path touches one cell per in-span
+            // Adaptive: the epoch path touches up to one cell per in-span
             // bucket, the index walk one entry per interval — pick
             // whichever is smaller (sparse keys over long spans are
             // cheaper to walk; dense keys are cheaper to bucket-sum).
@@ -1030,7 +1072,7 @@ impl Stripe {
 /// [`DataStore::read`] differs from [`crate::snapshot::StoreSnapshot::read`]'s
 /// only in where the stripes live. The former holds every stripe's
 /// read guard (writers wait: drop it before ingest-heavy work), the
-/// latter borrows an owned, immutable copy (no locks; any number of
+/// latter borrows an owned, immutable capture (no locks; any number of
 /// readers share it — the HTTP service's hot path).
 #[derive(Debug)]
 pub struct StoreRead<'a> {
@@ -1059,7 +1101,46 @@ impl<'a> StoreRead<'a> {
     }
 }
 
+/// One `(market, kind)`'s state next to the stripe whose interval slab
+/// its indices point into — what [`StoreRead::key`]'s single hash
+/// lookup yields, and what every per-key answer is read from.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct KeyRef<'a> {
+    stripe: &'a Stripe,
+    pub(crate) state: &'a KeyState,
+    epoch_secs: u64,
+}
+
+impl<'a> KeyRef<'a> {
+    /// Seconds of measured unavailability inside `[from, to)`.
+    pub(crate) fn unavailable_seconds_in(self, from: SimTime, to: SimTime) -> u64 {
+        self.stripe
+            .unavailable_seconds_in(self.state, from, to, self.epoch_secs)
+    }
+
+    /// The key's unavailability intervals, in open order.
+    pub(crate) fn intervals(self) -> impl Iterator<Item = &'a UnavailabilityInterval> {
+        let stripe = self.stripe;
+        self.state
+            .intervals
+            .iter()
+            .map(move |&i| &stripe.intervals[i])
+    }
+}
+
 impl StoreRead<'_> {
+    /// The one hash lookup behind every per-key accessor; callers that
+    /// need several facts of a key fetch it once.
+    pub(crate) fn key(&self, market: MarketId, kind: ProbeKind) -> Option<KeyRef<'_>> {
+        let stripe = self.stripe_for(market);
+        let state = stripe.keys.get(&(market, kind))?;
+        Some(KeyRef {
+            stripe,
+            state,
+            epoch_secs: self.header.epoch_secs,
+        })
+    }
+
     fn stripe_count(&self) -> usize {
         match &self.stripes {
             StripeRefs::Live(guards) => guards.len(),
@@ -1095,7 +1176,7 @@ impl StoreRead<'_> {
             .probes_by_market
             .get(&market)
             .into_iter()
-            .flatten()
+            .flat_map(|ids| ids.iter())
             .map(move |&i| &stripe.probes[i])
     }
 
@@ -1109,10 +1190,7 @@ impl StoreRead<'_> {
         to: SimTime,
     ) -> impl Iterator<Item = &ProbeRecord> + '_ {
         let stripe = self.stripe_for(market);
-        let index: &[usize] = stripe
-            .probes_by_market
-            .get(&market)
-            .map_or(&[], |v| v.as_slice());
+        let index: &[usize] = stripe.probes_by_market.get(&market).map_or(&[], |ids| ids);
         let lo = index.partition_point(|&i| stripe.probes[i].at < from);
         index[lo..]
             .iter()
@@ -1129,10 +1207,22 @@ impl StoreRead<'_> {
     /// lifetime from the per-epoch sorted ratio buckets (a binary
     /// search per bucket; unaffected by compaction).
     pub fn spikes_at_or_above(&self, threshold: f64) -> u64 {
-        self.stripes()
+        self.spikes_at_or_above_each(&[threshold])[0]
+    }
+
+    /// [`StoreRead::spikes_at_or_above`] for each of `thresholds`, in
+    /// one pass over the buckets.
+    pub fn spikes_at_or_above_each(&self, thresholds: &[f64]) -> Vec<u64> {
+        let mut counts = vec![0; thresholds.len()];
+        for ratios in self
+            .stripes()
             .flat_map(|s| s.spike_ratios_by_epoch.values())
-            .map(|ratios| (ratios.len() - ratios.partition_point(|&r| r < threshold)) as u64)
-            .sum()
+        {
+            for (count, &t) in counts.iter_mut().zip(thresholds) {
+                *count += (ratios.len() - ratios.partition_point(|&r| r < t)) as u64;
+            }
+        }
+        counts
     }
 
     /// All unavailability intervals (open ones have `end == None`),
@@ -1148,23 +1238,16 @@ impl StoreRead<'_> {
         market: MarketId,
         kind: ProbeKind,
     ) -> impl Iterator<Item = &UnavailabilityInterval> + '_ {
-        let stripe = self.stripe_for(market);
-        stripe
-            .keys
-            .get(&(market, kind))
-            .map(|k| k.intervals.as_slice())
-            .unwrap_or(&[])
-            .iter()
-            .map(move |&i| &stripe.intervals[i])
+        self.key(market, kind)
+            .into_iter()
+            .flat_map(KeyRef::intervals)
     }
 
     /// Completed unavailability intervals of one `(market, kind)` —
     /// a running counter, O(1).
     pub fn closed_interval_count(&self, market: MarketId, kind: ProbeKind) -> u64 {
-        self.stripe_for(market)
-            .keys
-            .get(&(market, kind))
-            .map_or(0, |k| k.closed_intervals)
+        self.key(market, kind)
+            .map_or(0, |k| k.state.closed_intervals)
     }
 
     /// The time-sorted timestamps of unavailable-outcome probes of one
@@ -1176,10 +1259,8 @@ impl StoreRead<'_> {
     /// `InsufficientCapacity`, but a caller recording an on-demand
     /// probe with `CapacityNotAvailable` would be counted here too.
     pub fn rejection_times(&self, market: MarketId, kind: ProbeKind) -> &[SimTime] {
-        self.stripe_for(market)
-            .keys
-            .get(&(market, kind))
-            .map_or(&[], |k| k.rejection_times.as_slice())
+        self.key(market, kind)
+            .map_or(&[], |k| &k.state.rejection_times)
     }
 
     /// Iterates every `(market, kind)` that has recorded rejections,
@@ -1191,16 +1272,14 @@ impl StoreRead<'_> {
             s.keys
                 .iter()
                 .filter(|(_, k)| !k.rejection_times.is_empty())
-                .map(|(&key, k)| (key, k.rejection_times.as_slice()))
+                .map(|(&key, k)| (key, &*k.rejection_times))
         })
     }
 
     /// Running informative/rejection counters of one `(market, kind)`.
     pub fn probe_stats(&self, market: MarketId, kind: ProbeKind) -> ProbeStats {
-        self.stripe_for(market)
-            .keys
-            .get(&(market, kind))
-            .map_or_else(ProbeStats::default, |k| k.stats)
+        self.key(market, kind)
+            .map_or_else(ProbeStats::default, |k| k.state.stats)
     }
 
     /// Informative/rejection counts of one `(market, kind)` restricted
@@ -1213,13 +1292,12 @@ impl StoreRead<'_> {
         from: SimTime,
         to: SimTime,
     ) -> (u64, u64) {
-        let Some(state) = self.stripe_for(market).keys.get(&(market, kind)) else {
-            return (0, 0);
-        };
         let w = self.header.epoch_secs;
-        state
-            .epochs
-            .counts_in(from.as_secs() / w, to.as_secs().div_ceil(w))
+        self.key(market, kind).map_or((0, 0), |k| {
+            k.state
+                .epochs
+                .counts_in(from.as_secs() / w, to.as_secs().div_ceil(w))
+        })
     }
 
     /// Seconds of measured unavailability of `(market, kind)` inside
@@ -1232,9 +1310,8 @@ impl StoreRead<'_> {
         from: SimTime,
         to: SimTime,
     ) -> u64 {
-        let width = self.header.epoch_secs;
-        self.stripe_for(market)
-            .unavailable_seconds_in((market, kind), from, to, width)
+        self.key(market, kind)
+            .map_or(0, |k| k.unavailable_seconds_in(from, to))
     }
 
     /// On-demand rejection counts per region, merged into `out`
@@ -1259,10 +1336,8 @@ impl StoreRead<'_> {
 
     /// Whether `(market, kind)` has an open unavailability interval.
     pub fn is_unavailable(&self, market: MarketId, kind: ProbeKind) -> bool {
-        self.stripe_for(market)
-            .keys
-            .get(&(market, kind))
-            .is_some_and(|k| k.open.is_some())
+        self.key(market, kind)
+            .is_some_and(|k| k.state.open.is_some())
     }
 
     /// The latest informative probe timestamp of `(market, kind)` —
@@ -1270,10 +1345,8 @@ impl StoreRead<'_> {
     /// `None` when the key has never produced an informative
     /// observation.
     pub fn last_informative_at(&self, market: MarketId, kind: ProbeKind) -> Option<SimTime> {
-        self.stripe_for(market)
-            .keys
-            .get(&(market, kind))
-            .and_then(|k| k.last_informative)
+        self.key(market, kind)
+            .and_then(|k| k.state.last_informative)
     }
 
     /// The health record of one region, if a breaker ever reported it.
@@ -1304,7 +1377,7 @@ impl StoreRead<'_> {
             .revocations_by_market
             .get(&market)
             .into_iter()
-            .flatten()
+            .flat_map(|ids| ids.iter())
             .map(move |&i| &stripe.revocations[i])
     }
 
@@ -1582,6 +1655,81 @@ mod tests {
         assert_eq!(
             r.probe_counts_around(market(1), ProbeKind::OnDemand, SimTime::ZERO, SimTime::MAX),
             (0, 0)
+        );
+    }
+
+    proptest::proptest! {
+        // The sparse series against a `BTreeMap` model: random
+        // per-field updates at out-of-order epochs and multi-epoch
+        // closed spans.
+        #[test]
+        fn epoch_series_matches_a_btreemap_model(
+            ops in proptest::collection::vec((0u8..4, 0u64..40, 1u64..500, 0u64..6), 0..120),
+            ranges in proptest::collection::vec((0u64..50, 0u64..50), 1..12),
+        ) {
+            use spotlight_persist::{Decode, Encode};
+            const WIDTH: u64 = 100;
+            let mut series = EpochSeries::default();
+            // epoch -> (informative, rejections, unavail_secs)
+            let mut model = std::collections::BTreeMap::<u64, (u64, u64, u64)>::new();
+            let mut unavail_secs = 0;
+            for (field, epoch, delta, more_epochs) in ops {
+                match field {
+                    0 => {
+                        series.cell(epoch).informative += delta;
+                        model.entry(epoch).or_default().0 += delta;
+                    }
+                    1 => {
+                        series.cell(epoch).rejections += delta;
+                        model.entry(epoch).or_default().1 += delta;
+                    }
+                    2 => {
+                        series.cell(epoch).unavail_secs += delta;
+                        model.entry(epoch).or_default().2 += delta;
+                        unavail_secs += delta;
+                    }
+                    _ => {
+                        // Starts inside `epoch`, ends `more_epochs` later.
+                        let start = epoch * WIDTH + delta % WIDTH;
+                        let end = start + more_epochs * WIDTH + delta % 37;
+                        add_closed_span(&mut series, start, end, WIDTH);
+                        unavail_secs += end - start;
+                        for second in start..end {
+                            model.entry(second / WIDTH).or_default().2 += 1;
+                        }
+                    }
+                }
+            }
+            proptest::prop_assert_eq!(series.unavail_in(0, u64::MAX), unavail_secs);
+            let as_model: Vec<_> = series
+                .cells
+                .iter()
+                .map(|c| (c.epoch, (c.informative, c.rejections, c.unavail_secs)))
+                .collect();
+            // Strictly epoch-sorted, and exactly the non-empty buckets.
+            proptest::prop_assert_eq!(&as_model, &model.clone().into_iter().collect::<Vec<_>>());
+            for (a, b) in ranges {
+                let expect = model.range(a..b.max(a)).fold((0, 0, 0), |acc, (_, m)| {
+                    (acc.0 + m.0, acc.1 + m.1, acc.2 + m.2)
+                });
+                proptest::prop_assert_eq!(series.counts_in(a, b), (expect.0, expect.1));
+                proptest::prop_assert_eq!(series.unavail_in(a, b), expect.2);
+            }
+            // Reads over absent epochs inserted nothing.
+            proptest::prop_assert_eq!(series.cells.len(), model.len());
+            let bytes = series.to_bytes();
+            proptest::prop_assert_eq!(bytes.len(), 4 + 32 * model.len());
+            proptest::prop_assert_eq!(EpochSeries::from_bytes(&bytes), Ok(series));
+        }
+    }
+
+    #[test]
+    fn an_unsorted_epoch_series_does_not_decode() {
+        use spotlight_persist::{Decode, DecodeError, Encode};
+        let cells = vec![EpochCell::at(7), EpochCell::at(7)];
+        assert_eq!(
+            EpochSeries::from_bytes(&cells.to_bytes()),
+            Err(DecodeError::Invalid("epoch series order"))
         );
     }
 

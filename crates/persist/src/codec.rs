@@ -2,7 +2,8 @@
 //! primitives and `cloud-sim` vocabulary every persisted record is
 //! built from.
 //!
-//! Wire conventions (version 1, see [`crate::frame`] for the envelope):
+//! Wire conventions (see [`crate::frame`] for the envelope and the
+//! format version):
 //!
 //! * integers are little-endian fixed width; `usize` lengths travel as
 //!   `u32` (a single record never holds 4 billion elements);
@@ -12,8 +13,8 @@
 //!   are assigned by **exhaustive `match`es** — adding a variant
 //!   upstream breaks this crate's build instead of silently skipping
 //!   persistence;
-//! * `Option<T>` is a presence byte then the value; `Vec<T>` is a `u32`
-//!   count then the elements.
+//! * `Option<T>` is a presence byte then the value; `Vec<T>` (like any
+//!   slice) is a `u32` count then the elements.
 //!
 //! Decoding is total: malformed input yields a [`DecodeError`], never a
 //! panic, even though in practice every payload handed to `decode` has
@@ -213,12 +214,18 @@ impl<T: Decode> Decode for Option<T> {
     }
 }
 
-impl<T: Encode> Encode for Vec<T> {
+impl<T: Encode> Encode for [T] {
     fn encode(&self, out: &mut Vec<u8>) {
         self.len().encode(out);
         for item in self {
             item.encode(out);
         }
+    }
+}
+
+impl<T: Encode> Encode for Vec<T> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.as_slice().encode(out);
     }
 }
 
@@ -453,6 +460,7 @@ mod tests {
         round_trip(None::<u32>);
         round_trip(vec![1u32, 2, 3]);
         round_trip((7u8, 9u64));
+        assert_eq!([4u64, 5][..].to_bytes(), vec![4u64, 5].to_bytes());
     }
 
     #[test]

@@ -30,8 +30,11 @@ use crate::crc::crc32;
 /// treated as corruption, bounding allocations while scanning.
 pub const MAX_FRAME: usize = 1 << 26;
 
-/// Frame/file-format version stamped into every file header.
-pub const FORMAT_VERSION: u32 = 1;
+/// Frame/file-format version stamped into every file header. Version
+/// 2 persists a key's epoch summary sparse (non-empty buckets only);
+/// there is one decoder, so files of any other version are refused by
+/// [`strip_header`].
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Byte length of a file header (`magic ++ version`).
 pub const HEADER_LEN: usize = 8;
@@ -102,7 +105,7 @@ pub fn write_header(out: &mut Vec<u8>, kind: [u8; 4]) {
 /// # Errors
 ///
 /// Returns a static description when the file is too short, carries a
-/// different magic, or a newer format version.
+/// different magic, or any format version but [`FORMAT_VERSION`].
 pub fn strip_header(bytes: &[u8], kind: [u8; 4]) -> Result<&[u8], &'static str> {
     if bytes.len() < HEADER_LEN {
         return Err("file shorter than header");
@@ -220,6 +223,13 @@ mod tests {
         let mut wrong_version = file.clone();
         wrong_version[4] = 0xFF;
         assert!(strip_header(&wrong_version, magic::WAL).is_err());
+        // Version 1 stored epoch summaries dense; nothing decodes it.
+        let mut version_1 = file.clone();
+        version_1[4..8].copy_from_slice(&1u32.to_le_bytes());
+        assert_eq!(
+            strip_header(&version_1, magic::WAL),
+            Err("unsupported format version")
+        );
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! A persistent, shared worker pool — `thread::scope` ergonomics
 //! without the per-call thread spawn.
 //!
-//! `Cloud::tick` fans its region shards out on **every tick**, the
-//! store's snapshot build clones one stripe per task, and the HTTP
-//! server's connection drainers run as detached tasks — all on one
-//! process-wide pool of **persistent** workers, so none of them pays
-//! an OS thread spawn/join cycle per call:
+//! `Cloud::tick` fans its region shards out on **every tick** and the
+//! HTTP server's connection drainers run as detached tasks — both on
+//! one process-wide pool of **persistent** workers, so neither pays an
+//! OS thread spawn/join cycle per call:
 //!
 //! * **Fixed threads, parked when idle.** Workers block on a condvar
 //!   (futex park/unpark under Linux) over a shared injection queue;

@@ -452,6 +452,80 @@ fn checkpoint_with_torn_tail_recovers_through_the_snapshot() {
     assert_same_summaries(&DataStore::recover(&dir).unwrap(), &twin, &[m]);
 }
 
+/// Sparse epoch summaries: keys observed in a handful of hours that
+/// lie months apart persist those hours only, and recover — through
+/// the checkpoint and through the replayed tail — to the same answers.
+#[test]
+fn keys_with_long_empty_epoch_gaps_recover_exactly() {
+    use ProbeOutcome::{Fulfilled, InsufficientCapacity};
+    const HOUR: u64 = 3600;
+    // Gaps of 1200–2500 empty epochs; one interval closes two epochs
+    // after it opened, the last one stays open.
+    let script = [
+        (0, InsufficientCapacity),
+        (2, Fulfilled),
+        (1203, Fulfilled),
+        (2500, InsufficientCapacity),
+        (2501, Fulfilled),
+        (5002, InsufficientCapacity),
+    ];
+    let markets = [market(0), market(1)];
+    let feed = |store: &DataStore, steps: &[(u64, ProbeOutcome)]| {
+        for &(hour, outcome) in steps {
+            for (i, &m) in markets.iter().enumerate() {
+                let mut p = probe_at(0, m);
+                p.at = SimTime::from_secs(hour * HOUR + 600 * i as u64);
+                p.outcome = outcome;
+                store.record_probe(p);
+            }
+        }
+    };
+
+    let tmp = TempDir::new("sparse-epoch-gaps");
+    let dir = tmp.path().join("store");
+    let store = DataStore::create_durable(&dir, opts()).unwrap();
+    feed(&store, &script[..4]);
+    store.checkpoint().unwrap();
+    feed(&store, &script[4..]);
+    store.flush().unwrap();
+    drop(store);
+    let checkpoint_len = std::fs::metadata(dir.join("checkpoint")).unwrap().len();
+    assert!(
+        checkpoint_len < 16 * 1024,
+        "2501 hours of two keys must not persist 2501 buckets each: {checkpoint_len} B"
+    );
+
+    let twin = DataStore::new();
+    feed(&twin, &script);
+    let recovered = DataStore::recover(&dir).unwrap();
+    assert_same_summaries(&recovered, &twin, &markets);
+    let (g, w) = (recovered.read(), twin.read());
+    for &m in &markets {
+        for (from, to) in [(0, 6000), (1, 2500), (3, 1203), (2500, 2502), (2400, 5003)] {
+            let (from, to) = (
+                SimTime::from_secs(from * HOUR),
+                SimTime::from_secs(to * HOUR),
+            );
+            let kind = ProbeKind::OnDemand;
+            assert_eq!(
+                g.unavailable_seconds_in(m, kind, from, to),
+                w.unavailable_seconds_in(m, kind, from, to)
+            );
+            assert_eq!(
+                g.probe_counts_around(m, kind, from, to),
+                w.probe_counts_around(m, kind, from, to)
+            );
+        }
+        let whole = g.unavailable_seconds_in(
+            m,
+            ProbeKind::OnDemand,
+            SimTime::ZERO,
+            SimTime::from_secs(6000 * HOUR),
+        );
+        assert_eq!(whole, (2 + 1 + 998) * HOUR - 600 * (m == markets[1]) as u64);
+    }
+}
+
 /// One market of the paper's 5184: 9 regions × 6 AZ indices × 8
 /// instance families × 3 sizes × 4 platforms, mixed-radix over `i`.
 fn wide_market(i: usize) -> MarketId {

@@ -511,6 +511,208 @@ proptest! {
     }
 }
 
+// ---- capture isolation ------------------------------------------------
+//
+// A snapshot is a shallow clone that shares record chunks, per-market
+// indices and per-key state with the store it was taken from; ingest
+// and compaction copy on first write whatever a capture still holds.
+// So nothing done to the store after a capture — however much, and
+// including a compaction that drops every raw record — may show
+// through it: the snapshot taken after op `k` keeps answering exactly
+// like a fresh store that only ever saw ops `0..k`.
+
+#[derive(Debug, Clone)]
+enum StoreOp {
+    Probe(ProbeRecord),
+    Spike(spotlight_core::store::SpikeEvent),
+    Revocation(spotlight_core::store::RevocationRecord),
+    IntrinsicBid(spotlight_core::store::IntrinsicBidRecord),
+    Compact(SimTime),
+    Snapshot,
+}
+
+impl StoreOp {
+    fn apply(&self, store: &DataStore) {
+        match *self {
+            StoreOp::Probe(p) => {
+                store.record_probe(p);
+            }
+            StoreOp::Spike(s) => store.record_spike(s),
+            StoreOp::Revocation(r) => store.record_revocation(r),
+            StoreOp::IntrinsicBid(b) => store.record_intrinsic_bid(b),
+            StoreOp::Compact(before) => {
+                store.compact(before);
+            }
+            StoreOp::Snapshot => {}
+        }
+    }
+}
+
+fn any_store_op() -> impl Strategy<Value = StoreOp> {
+    use spotlight_core::store::{IntrinsicBidRecord, RevocationRecord, SpikeEvent};
+    (0u8..16, any_probe(), 0.0f64..12.0).prop_map(|(pick, p, ratio)| {
+        let (market, at) = (p.market, p.at);
+        let price = Price::from_micros((ratio * 1e5) as u64);
+        match pick {
+            0..=8 => StoreOp::Probe(ProbeRecord { cost: price, ..p }),
+            9 | 10 => StoreOp::Spike(SpikeEvent {
+                market,
+                at,
+                ratio,
+                probed: pick == 9,
+            }),
+            11 => StoreOp::Revocation(RevocationRecord {
+                market,
+                acquired_at: at,
+                bid: price,
+                revoked_at: None,
+                released_at: Some(at + SimDuration::from_secs(600)),
+            }),
+            12 => StoreOp::IntrinsicBid(IntrinsicBidRecord {
+                market,
+                at,
+                published: price,
+                intrinsic: price.scale(0.5),
+                attempts: 3,
+            }),
+            13 => StoreOp::Compact(at),
+            _ => StoreOp::Snapshot,
+        }
+    })
+}
+
+/// A deterministic run-in that fills several slab chunks of a
+/// one-stripe store: a rejection of market 0 that stays open (interval
+/// slab index 0), then market 1 alternating rejected / fulfilled — one
+/// more closed interval per pair. A later fulfilment of market 0 then
+/// writes into the *first* interval chunk, long since full and shared
+/// with every capture taken in between.
+fn run_in(len: usize) -> Vec<StoreOp> {
+    let markets = all_markets();
+    (0..len as u64)
+        .map(|i| {
+            let rejected = i == 0 || i % 2 == 1;
+            StoreOp::Probe(ProbeRecord {
+                at: SimTime::from_secs(i * 30),
+                market: markets[usize::from(i > 0)],
+                kind: ProbeKind::OnDemand,
+                trigger: ProbeTrigger::Periodic,
+                outcome: if rejected {
+                    ProbeOutcome::InsufficientCapacity
+                } else {
+                    ProbeOutcome::Fulfilled
+                },
+                spot_ratio: 1.5,
+                bid: None,
+                cost: Price::from_micros(i),
+            })
+        })
+        .collect()
+}
+
+/// Everything a snapshot serves, compared between two captures.
+fn assert_same_answers(
+    got: &spotlight_core::StoreSnapshot,
+    want: &spotlight_core::StoreSnapshot,
+    spans: &[(u64, u64)],
+    what: &str,
+) {
+    assert_eq!(got.len(), want.len(), "{what}: len");
+    assert_eq!(got.total_cost(), want.total_cost(), "{what}: total_cost");
+    assert_eq!(
+        got.probed_markets_sorted(),
+        want.probed_markets_sorted(),
+        "{what}: probed markets"
+    );
+    let (g, w) = (got.read(), want.read());
+    for threshold in [0.0, 1.0, 2.5, 6.0] {
+        assert_eq!(
+            g.spikes_at_or_above(threshold),
+            w.spikes_at_or_above(threshold),
+            "{what}: spikes >= {threshold}"
+        );
+    }
+    assert!(g.spikes().eq(w.spikes()), "{what}: raw spikes");
+    assert!(g.intrinsic_bids().eq(w.intrinsic_bids()), "{what}: bids");
+    for m in all_markets() {
+        assert!(g.probes_of(m).eq(w.probes_of(m)), "{what}: probes_of {m}");
+        assert!(
+            g.revocations_of(m).eq(w.revocations_of(m)),
+            "{what}: revocations_of {m}"
+        );
+        for kind in [ProbeKind::OnDemand, ProbeKind::Spot] {
+            let what = format!("{what}: {m} {kind:?}");
+            assert!(
+                g.intervals_of(m, kind).eq(w.intervals_of(m, kind)),
+                "{what}"
+            );
+            assert_eq!(
+                g.rejection_times(m, kind),
+                w.rejection_times(m, kind),
+                "{what}"
+            );
+            assert_eq!(g.probe_stats(m, kind), w.probe_stats(m, kind), "{what}");
+            for &(from, len) in spans {
+                let (from, to) = (SimTime::from_secs(from), SimTime::from_secs(from + len));
+                assert_eq!(
+                    g.unavailable_seconds_in(m, kind, from, to),
+                    w.unavailable_seconds_in(m, kind, from, to),
+                    "{what} in [{from}, {to})"
+                );
+            }
+        }
+    }
+}
+
+proptest! {
+    #[test]
+    fn snapshots_stay_isolated_from_later_ingest_and_compaction(
+        run_in_len in prop_oneof![Just(0usize), 0usize..1400],
+        random_ops in proptest::collection::vec(any_store_op(), 0..120),
+        spans in proptest::collection::vec((0u64..50_000, 1u64..50_000), 1..6),
+    ) {
+        // One stripe when there is a run-in, so that it fills chunks.
+        let layout = || DataStore::with_layout(
+            if run_in_len > 0 { 1 } else { 16 },
+            SimDuration::from_secs(3600),
+        );
+        let mut ops = run_in(run_in_len);
+        // Captures inside the run-in too: the random ops then write
+        // into chunks those hold.
+        for at in [run_in_len / 3, run_in_len / 3 * 2] {
+            if at > 0 {
+                ops.insert(at, StoreOp::Snapshot);
+            }
+        }
+        ops.extend(random_ops);
+        let as_of = SimTime::from_secs(60_000);
+
+        let store = layout();
+        let mut snapshots = Vec::new();
+        for (k, op) in ops.iter().enumerate() {
+            op.apply(&store);
+            if matches!(op, StoreOp::Snapshot) {
+                snapshots.push((k, store.snapshot(as_of)));
+            }
+        }
+        store.compact(SimTime::MAX);
+        prop_assert_eq!(store.read().probes().count(), 0);
+
+        for (k, snapshot) in &snapshots {
+            let replayed = layout();
+            for op in &ops[..*k] {
+                op.apply(&replayed);
+            }
+            assert_same_answers(
+                snapshot,
+                &replayed.snapshot(as_of),
+                &spans,
+                &format!("snapshot after op {k}"),
+            );
+        }
+    }
+}
+
 // ---- concurrent ingest vs sequential ingest ---------------------------
 
 /// Concurrent writers (each owning a disjoint set of markets, so per-key
