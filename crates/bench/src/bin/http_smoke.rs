@@ -233,6 +233,8 @@ fn main() {
         400,
         "bad market parameter"
     );
+    let signed_length = b"GET /healthz HTTP/1.1\r\nContent-Length: +5\r\n\r\nhello";
+    assert_eq!(raw_roundtrip(addr, signed_length), 400, "signed length");
     ok("hostile inputs answered with the right statuses");
 
     // Slow-loris: dribble a header forever; the deadline must cut it

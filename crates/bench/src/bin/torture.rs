@@ -7,7 +7,7 @@
 //!
 //! * **append** — a random delay, landing between WAL writes;
 //! * **checkpoint** — the instant the child announces a checkpoint,
-//!   landing inside the capture/rotate/write/prune protocol;
+//!   landing inside the rotate/capture/write/prune protocol;
 //! * **spill** — the instant the child announces a compaction, landing
 //!   inside the spill-then-drop protocol.
 //!

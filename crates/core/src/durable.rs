@@ -17,29 +17,60 @@
 //! # Checkpoints and the sequence protocol
 //!
 //! Appends carry a global monotone sequence number assigned under the
-//! mutated lock. [`DataStore::checkpoint`] briefly acquires *every*
-//! stripe lock plus the region-health lock, captures the next unissued
-//! sequence number and the full store state (a shallow clone of each
-//! stripe), releases, encodes the captured state, rotates the WAL
-//! to a fresh generation, writes the checkpoint atomically
-//! (temp + fsync + rename + dir fsync), and only then deletes
-//! generations older than the one current during capture. Any op
-//! sequenced at or after the captured number post-dates the snapshot —
-//! wherever its frame landed — and is replayed; anything earlier is
-//! already inside it and is skipped. A crash at any point in that
-//! protocol leaves either the old checkpoint plus a full log, or the
-//! new checkpoint plus a log tail; both recover exactly.
+//! mutated lock. [`DataStore::checkpoint`] **rotates, then captures**:
+//!
+//! 1. *Rotate.* With no store lock held it closes the WAL's current
+//!    generation and moves the writer to a fresh one — the checkpoint's
+//!    **floor**. `rotate()` returns only after every frame of the closed
+//!    generation has been handed to the writer, written, and fsynced.
+//! 2. *Capture.* It then briefly acquires *every* stripe lock plus the
+//!    region-health lock, reads the next unissued sequence number
+//!    `next_seq` and the counters, takes a shallow clone of each
+//!    stripe, and releases.
+//! 3. *Write.* It encodes the captured state with no lock held and
+//!    writes the checkpoint — `next_seq` and the floor in its meta
+//!    section — atomically (temp + fsync + rename + dir fsync).
+//! 4. *Prune.* Only then does it delete every generation below the
+//!    floor.
+//!
+//! Why nothing below the floor is ever needed again: a frame's sequence
+//! number is assigned, and its op applied in memory, inside one critical
+//! section of the lock the op mutates under. A frame in a generation
+//! older than the floor was handed to the writer before `rotate()`
+//! returned, so its sequence number was assigned before the capture
+//! took that lock — it is below the captured `next_seq`, and its
+//! critical section had ended, so its effect is inside the captured
+//! state. (The lock-free suppressed counter: its frame carries a total
+//! the counter had already reached, and the capture reads the counter
+//! later.) Conversely an op sequenced at or after `next_seq` ran after
+//! the capture released its lock, so its frame was staged after the
+//! rotate and lands in the floor generation or a later one, which
+//! recovery scans. Ops that slipped in between the rotate and the
+//! capture sit in the floor generation with sequence numbers below
+//! `next_seq`; recovery's per-stream floor skips them — they are inside
+//! the checkpoint. So the covered log is gone the moment the checkpoint
+//! lands, and a just-checkpointed, quiescent directory holds no log at
+//! all.
+//!
+//! Nothing is deleted until the checkpoint write has returned: a
+//! failure at any step (the rotate, the write, a crash between them)
+//! leaves the previous checkpoint and the whole log since *its* floor —
+//! one generation boundary richer, nothing poorer — and a crash after
+//! the write leaves the new checkpoint plus a log tail, and perhaps some
+//! generations below the floor that recovery skips and the next
+//! checkpoint deletes. Every case recovers exactly.
 //!
 //! # Recovery
 //!
 //! [`DataStore::recover`] rebuilds the store: decode the last
-//! checkpoint (if any), then replay every surviving WAL generation in
-//! `(generation, stream)` order through the normal in-memory ingest
-//! paths, filtering each stream by a monotone per-stream sequence
-//! floor — which uniformly drops both checkpoint-covered frames and
-//! the duplicated-tail frames a retried append can leave behind. Frame
-//! scanning stops at the first torn, truncated, or corrupt frame, so a
-//! crash mid-write costs at most the unsynced tail. Recovery never
+//! checkpoint (if any), then replay every WAL generation **at or above
+//! the checkpoint's floor** in `(generation, stream)` order through the
+//! normal in-memory ingest paths, filtering each stream by a monotone
+//! per-stream sequence floor that starts at the checkpoint's
+//! `next_seq` — which uniformly drops both checkpoint-covered frames
+//! and the duplicated-tail frames a retried append can leave behind.
+//! Frame scanning stops at the first torn, truncated, or corrupt frame,
+//! so a crash mid-write costs at most the unsynced tail. Recovery never
 //! appends to scanned files: it reopens the log at a fresh generation.
 //!
 //! # Degraded durability and healing
@@ -63,21 +94,26 @@
 //! * [`DataStore::tend_durability`] — called by the live driver every
 //!   tick, or by any caller on its own schedule — retries a *heal*
 //!   with exponential backoff: revive the WAL at a fresh generation,
-//!   then take a full checkpoint. The checkpoint captures every op the
-//!   degraded window dropped (they are still in memory), so a
-//!   successful heal loses nothing that was recorded: the store
-//!   returns to [`DurabilityMode::Durable`] and the watermark clears.
+//!   then take a full checkpoint (which rotates once more — a heal
+//!   advances two generations, and its floor is the second). The
+//!   checkpoint captures every op the degraded window dropped (they are
+//!   still in memory), so a successful heal loses nothing that was
+//!   recorded: the store returns to [`DurabilityMode::Durable`] and the
+//!   watermark clears.
 //!   A still-broken disk fails the checkpoint and the sink returns to
 //!   degraded, backing off further.
 //!
 //! # Graceful shutdown
 //!
-//! [`DataStore::close`] drains the write-behind queue, takes a final
-//! checkpoint, and writes an atomic clean-shutdown marker recording
-//! the log position. [`DataStore::recover`] consumes the marker (it is
-//! removed before the store reopens, so it can never be trusted twice)
-//! and, when it matches the checkpoint, skips the WAL tail scan
-//! entirely — [`RecoveryInfo::replayed_ops`] is 0 and
+//! [`DataStore::close`] takes a final checkpoint (its rotate drains the
+//! write-behind queue) and writes an atomic clean-shutdown marker
+//! recording the log position: the next sequence number and the
+//! generation the writer stands at, which nothing was appended to.
+//! [`DataStore::recover`] consumes the marker (it is removed, and the
+//! removal fsynced, before the store reopens, so it can never be
+//! trusted twice) and, when it matches the checkpoint — same
+//! `next_seq`, and `marker.generation == checkpoint floor` — skips the
+//! WAL tail scan entirely: [`RecoveryInfo::replayed_ops`] is 0 and
 //! [`RecoveryInfo::from_clean_shutdown`] is true. An unclean death
 //! leaves no marker and recovery replays the tail as usual.
 
@@ -206,9 +242,10 @@ pub(crate) struct DurableSink {
     pub(crate) wal: WalHandle,
     checkpoints: AtomicU64,
     spilled_records: AtomicU64,
-    /// Generation the writer is currently appending to.
+    /// Generation the writer is currently appending to — after a
+    /// successful checkpoint, that checkpoint's floor.
     current_gen: AtomicU64,
-    /// Serializes checkpoints (capture + rotate + write must not
+    /// Serializes checkpoints (rotate + capture + write must not
     /// interleave between two callers).
     ckpt_lock: crate::sync::Mutex<()>,
     /// Serializes durable compaction passes: spill-then-drop releases
@@ -744,8 +781,8 @@ impl Decode for EpochCell {
     }
 }
 
-/// Sparse on disk as in memory (format version 2): only the key's
-/// non-empty buckets travel, each carrying its epoch.
+/// Sparse on disk as in memory (since format version 2): only the
+/// key's non-empty buckets travel, each carrying its epoch.
 impl Encode for EpochSeries {
     fn encode(&self, out: &mut Vec<u8>) {
         self.cells.encode(out);
@@ -764,7 +801,7 @@ impl Decode for EpochSeries {
 }
 
 /// On disk both shared containers are the `Vec<T>` of their elements:
-/// `u32` count, then the elements.
+/// the count, then the elements.
 impl<T: Encode> Encode for CowVec<T> {
     fn encode(&self, out: &mut Vec<u8>) {
         (**self).encode(out);
@@ -887,38 +924,59 @@ fn corrupt(what: &'static str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, what)
 }
 
-/// Encodes every raw record of `stripe` older than `before` for
-/// spilling. Memory-only, so it is cheap enough to run under the
-/// stripe lock; the slow segment write is [`write_spill`].
-pub(crate) fn encode_spill(stripe: &Stripe, before: SimTime) -> Vec<Vec<u8>> {
-    let mut records: Vec<Vec<u8>> = Vec::new();
-    for p in stripe.probes.iter() {
-        if p.at < before {
-            records.push(StoreOp::Probe(*p).to_bytes());
-        }
+/// Encodes every raw record of `stripe` older than `before` as one
+/// spill block — the `Vec<StoreOp>` wire form, `count ++ ops`, probes
+/// then spikes — and returns it with the count. One buffer per stripe
+/// and memory-only, so it is cheap enough to run under the stripe lock;
+/// the slow segment write is [`write_spill`].
+pub(crate) fn encode_spill(stripe: &Stripe, before: SimTime) -> (Vec<u8>, u64) {
+    let probes = || stripe.probes.iter().filter(|p| p.at < before);
+    let spikes = || stripe.spikes.iter().filter(|s| s.at < before);
+    // Counted first: the count leads the block, and sizes it.
+    let count = probes().count() + spikes().count();
+    if count == 0 {
+        return (Vec::new(), 0);
     }
-    for s in stripe.spikes.iter() {
-        if s.at < before {
-            records.push(StoreOp::Spike(*s).to_bytes());
-        }
+    let mut block = Vec::with_capacity(count * 32);
+    count.encode(&mut block);
+    for p in probes() {
+        StoreOp::Probe(*p).encode(&mut block);
     }
-    records
+    for s in spikes() {
+        StoreOp::Spike(*s).encode(&mut block);
+    }
+    (block, count as u64)
 }
 
-/// Seals pre-encoded `records` into a spill segment for stripe `idx`.
-/// Synchronous disk IO — callers must **not** hold the stripe lock, so
-/// ingest and reads proceed while the segment lands. Returns `false` —
-/// telling the caller to *keep* the raw slabs — if the segment could
-/// not be written; spill-then-drop is the no-data-loss invariant of
-/// durable compaction.
-pub(crate) fn write_spill(sink: &DurableSink, idx: usize, records: &[Vec<u8>]) -> bool {
-    if records.is_empty() {
+/// The next free spill-segment number of every stripe, from one
+/// directory listing per compaction pass. `None` — no stripe may spill,
+/// so none may drop — if the directory cannot be listed.
+pub(crate) fn next_spill_numbers(sink: &DurableSink, stripes: usize) -> Option<Vec<u64>> {
+    sink.dir
+        .next_spill_numbers(stripes)
+        .map_err(|err| sink.note_error("spill", &err))
+        .ok()
+}
+
+/// Seals an [`encode_spill`] block of `records` records into spill
+/// segment `n` of stripe `idx`. Synchronous disk IO — callers must
+/// **not** hold the stripe lock, so ingest and reads proceed while the
+/// segment lands. Returns `false` — telling the caller to *keep* the
+/// raw slabs — if the segment could not be written; spill-then-drop is
+/// the no-data-loss invariant of durable compaction.
+pub(crate) fn write_spill(
+    sink: &DurableSink,
+    idx: usize,
+    n: u64,
+    block: &[u8],
+    records: u64,
+) -> bool {
+    if records == 0 {
         return true;
     }
-    match sink.dir.write_spill(idx as u32, records) {
-        Ok(_) => {
-            sink.spilled_records
-                .fetch_add(records.len() as u64, Ordering::Relaxed);
+    match sink.dir.write_spill(idx as u32, n, block) {
+        Ok(()) => {
+            sink.spilled_records.fetch_add(records, Ordering::Relaxed);
             true
         }
         Err(err) => {
@@ -1066,22 +1124,23 @@ impl DataStore {
         // proves the tail holds nothing past the checkpoint. The marker
         // must agree with the checkpoint it was written after
         // (`close()` writes the marker with no appends in between, at
-        // the generation the closing checkpoint rotated to); any
-        // mismatch means it is stale debris and the full scan runs.
+        // the generation the closing checkpoint rotated to — its
+        // floor); any mismatch means it is stale debris and the full
+        // scan runs.
         let from_clean_shutdown = checkpoint_loaded
-            && marker.is_some_and(|m| m.next_seq == next_seq && m.generation == min_gen + 1);
+            && marker.is_some_and(|m| m.next_seq == next_seq && m.generation == min_gen);
         let mut replayed_ops = 0u64;
         let mut max_gen = min_gen;
         let mut max_seq = next_seq;
-        if from_clean_shutdown {
-            max_gen = min_gen + 1;
-        } else {
+        if !from_clean_shutdown {
             // Per-stream monotone sequence floors drop
             // checkpoint-covered frames and retried-append duplicates
             // alike; the frame scanner already trimmed torn tails.
             let mut floor = vec![next_seq; stripes + 1];
             for (generation, stream) in log.list_wal()? {
                 max_gen = max_gen.max(generation);
+                // Below the checkpoint's floor every frame is inside
+                // the checkpoint (module docs): not even read.
                 if generation < min_gen || stream as usize > stripes {
                     continue;
                 }
@@ -1169,10 +1228,11 @@ impl DataStore {
         }
     }
 
-    /// Writes a full-state checkpoint and prunes the log behind it.
+    /// Writes a full-state checkpoint and deletes the log it covers.
     /// Recovery cost is then one checkpoint load plus the tail since.
     ///
-    /// Ingest waits only for the capture: under every stripe lock the
+    /// Ingest waits only for the capture: the WAL is rotated first with
+    /// no store lock held; then, under every stripe lock, the
     /// checkpoint reads the counters and the WAL position and takes a
     /// shallow clone of each stripe (see [`crate::store`], "Sharing");
     /// encoding and the disk writes run with no stripe lock held, and a
@@ -1193,8 +1253,12 @@ impl DataStore {
             ));
         };
         let _ckpt = d.ckpt_lock.lock();
+        // Rotate, then capture (module docs): once `rotate` returns,
+        // every frame in a generation below `floor` is on disk with a
+        // sequence number the capture below will find already issued.
+        let floor = d.wal.rotate()?;
+        d.current_gen.store(floor, Ordering::Relaxed);
         let mut sections = Vec::with_capacity(self.stripes.len() + 1);
-        let capture_gen;
         let captured: Vec<Stripe> = {
             // Capture under every lock: ops sequenced before `next_seq`
             // are inside this snapshot, everything at or after it is
@@ -1202,7 +1266,6 @@ impl DataStore {
             let guards: Vec<_> = self.stripes.iter().map(|s| s.write()).collect();
             let health = self.region_health.write();
             let next_seq = d.wal.next_seq();
-            capture_gen = d.current_gen.load(Ordering::Relaxed);
             let mut meta = Vec::new();
             self.recorded_probes
                 .load(Ordering::Relaxed)
@@ -1214,7 +1277,7 @@ impl DataStore {
                 .load(Ordering::Relaxed)
                 .encode(&mut meta);
             next_seq.encode(&mut meta);
-            capture_gen.encode(&mut meta);
+            floor.encode(&mut meta);
             encode_map(&health, &mut meta);
             sections.push(meta);
             guards.iter().map(|g| Stripe::clone(g)).collect()
@@ -1224,13 +1287,10 @@ impl DataStore {
         for stripe in captured {
             sections.push(stripe.to_bytes());
         }
-        // Rotate first: generations before `capture_gen` then hold only
-        // checkpoint-covered sequence numbers and can be deleted once
-        // the checkpoint is durable.
-        let new_gen = d.wal.rotate()?;
-        d.current_gen.store(new_gen, Ordering::Relaxed);
+        // Nothing is deleted before the checkpoint is durable; from
+        // then on recovery starts at `floor`.
         d.dir.write_checkpoint(&sections)?;
-        d.dir.delete_wal_before(capture_gen)?;
+        d.dir.delete_wal_before(floor)?;
         d.checkpoints.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
@@ -1326,10 +1386,11 @@ impl DataStore {
         };
         d.current_gen.store(new_gen, Ordering::Relaxed);
         // Re-enable appends *before* the checkpoint: an op recorded
-        // from here on lands either in the fresh WAL generation or
-        // inside the checkpoint snapshot — both recoverable. The
-        // reverse order would silently lose ops recorded between the
-        // capture and the flip.
+        // from here on lands either in a fresh WAL generation (this
+        // one, or the one the checkpoint rotates to) or inside the
+        // checkpoint snapshot — both recoverable. The reverse order
+        // would silently lose ops recorded between the capture and the
+        // flip.
         d.mode.store(MODE_DURABLE, Ordering::Release);
         if let Err(err) = self.checkpoint() {
             // The disk is still bad: back off and go around again.
@@ -1404,6 +1465,8 @@ mod tests {
     use cloud_sim::price::Price;
     use spotlight_persist::tempdir::TempDir;
     use spotlight_persist::{FaultKind, FaultWindow, FaultyDisk};
+
+    const HOUR: SimDuration = SimDuration::from_secs(3600);
 
     fn market(i: u8) -> MarketId {
         MarketId {
@@ -1770,6 +1833,385 @@ mod tests {
         assert_eq!(dstats.spilled_records, stats.dropped_probes);
         assert_eq!(dstats.io_errors, 0);
         assert!(store.disk_bytes().expect("disk bytes") > 0);
+    }
+
+    /// A spill segment is one block in the `Vec<StoreOp>` wire form:
+    /// the doomed probes in slab order, then the doomed spikes.
+    #[test]
+    fn spill_segment_is_one_block_of_store_ops() {
+        let tmp = TempDir::new("durable-spill-block");
+        let dir = tmp.path().join("store");
+        let store = DataStore::create_durable_with_layout(&dir, DurableOptions::default(), 1, HOUR)
+            .expect("create");
+        let mut expected = Vec::new();
+        for t in 0..40u64 {
+            let p = probe(t * 100, market((t % 3) as u8), ProbeOutcome::Fulfilled);
+            store.record_probe(p);
+            if t * 100 < 2500 {
+                expected.push(StoreOp::Probe(p));
+            }
+        }
+        for t in [300u64, 2400, 2600] {
+            let s = SpikeEvent {
+                market: market(0),
+                at: SimTime::from_secs(t),
+                ratio: 2.5,
+                probed: true,
+            };
+            store.record_spike(s);
+            if t < 2500 {
+                expected.push(StoreOp::Spike(s));
+            }
+        }
+        let stats = store.compact(SimTime::from_secs(2500));
+        assert_eq!(
+            (stats.dropped_probes, stats.dropped_spikes),
+            (25, 2),
+            "everything older than the horizon was resident"
+        );
+        let log = &store.durable.as_ref().expect("durable").dir;
+        assert_eq!(log.list_spills().expect("list"), vec![(0, 0)]);
+        let block = log.read_spill(0, 0).expect("read");
+        assert_eq!(
+            Vec::<StoreOp>::from_bytes(&block).expect("decode"),
+            expected
+        );
+        // A pass with nothing to seal writes no segment; the next one
+        // that has takes the next number.
+        assert_eq!(store.compact(SimTime::from_secs(2500)).dropped_probes, 0);
+        assert_eq!(store.compact(SimTime::from_secs(3000)).dropped_probes, 5);
+        assert_eq!(log.list_spills().expect("list"), vec![(0, 0), (0, 1)]);
+        assert_eq!(
+            store.durability_stats().expect("stats").spilled_records,
+            25 + 2 + 5 + 1
+        );
+    }
+
+    fn wal_bytes(log: &LogDir) -> Vec<((u64, u32), u64)> {
+        log.list_wal()
+            .expect("list")
+            .into_iter()
+            .map(|(generation, stream)| {
+                let len = std::fs::metadata(log.wal_path(generation, stream))
+                    .expect("wal file")
+                    .len();
+                ((generation, stream), len)
+            })
+            .collect()
+    }
+
+    /// Rotate-then-capture: the generation a checkpoint closes holds
+    /// only ops the checkpoint contains, so it is deleted as soon as
+    /// the checkpoint is durable — not one checkpoint later.
+    #[test]
+    fn checkpoint_leaves_no_covered_log() {
+        let tmp = TempDir::new("durable-no-covered-log");
+        let dir = tmp.path().join("store");
+        let store = DataStore::create_durable(&dir, DurableOptions::default()).expect("create");
+        let d = store.durable.as_ref().expect("durable");
+        for round in 0..3u64 {
+            for t in 0..200u64 {
+                let at = (round * 200 + t) * 60;
+                store.record_probe(probe(at, market((t % 5) as u8), ProbeOutcome::Fulfilled));
+            }
+            if round == 1 {
+                store.compact(SimTime::from_secs(200 * 60));
+            }
+            store.flush().expect("flush");
+            assert!(
+                wal_bytes(&d.dir).iter().map(|(_, len)| len).sum::<u64>() > 200 * 20,
+                "the round's ops are in the log"
+            );
+            store.checkpoint().expect("checkpoint");
+
+            let floor = d.current_gen.load(Ordering::Relaxed);
+            assert_eq!(floor, round + 1, "one generation per checkpoint");
+            let wal = wal_bytes(&d.dir);
+            assert!(
+                wal.iter().all(|&((generation, _), _)| generation >= floor),
+                "a generation below the floor {floor} survived: {wal:?}"
+            );
+            // Quiescent: what is left of the log is at most the file
+            // headers of the floor generation (its files are created on
+            // first append, so here: nothing), and the directory is
+            // checkpoint + spill + header.
+            let wal_total: u64 = wal.iter().map(|(_, len)| len).sum();
+            assert!(wal_total <= 8 * wal.len() as u64, "log bytes left: {wal:?}");
+            let named = |prefix: &str| -> u64 {
+                std::fs::read_dir(&dir)
+                    .expect("read dir")
+                    .map(|entry| entry.expect("entry"))
+                    .filter(|entry| entry.file_name().to_string_lossy().starts_with(prefix))
+                    .map(|entry| entry.metadata().expect("metadata").len())
+                    .sum()
+            };
+            assert_eq!(round >= 1, named("spill-") > 0);
+            assert_eq!(
+                store.disk_bytes().expect("disk bytes"),
+                named("checkpoint") + named("spill-") + named("header") + wal_total
+            );
+        }
+        drop(store);
+        let (recovered, info) =
+            DataStore::recover_with_report(&dir, DurableOptions::default()).expect("recover");
+        assert!(info.checkpoint_loaded && !info.from_clean_shutdown);
+        assert_eq!(
+            info.replayed_ops, 0,
+            "nothing was logged past the checkpoint"
+        );
+        assert_eq!(recovered.len(), 600);
+    }
+
+    /// A checkpoint that fails *after* its rotate (the write itself
+    /// hits a bad sector) has deleted nothing: recovery runs from the
+    /// previous checkpoint through every generation since, across the
+    /// extra boundary, and equals a twin that saw every op.
+    #[test]
+    fn failed_checkpoint_write_after_the_rotate_keeps_the_old_checkpoint_and_the_full_log() {
+        // The same script on a healthy disk first, to learn where the
+        // second checkpoint's one write starts (the encoding is
+        // deterministic); then with an EIO window exactly there.
+        let run = |windows: Vec<FaultWindow>, dir: &Path| {
+            let io = Arc::new(FaultyDisk::scripted(windows));
+            let store = DataStore::create_durable(
+                dir,
+                DurableOptions {
+                    io: Some(io.clone() as Arc<dyn DiskIo>),
+                    ..DurableOptions::default()
+                },
+            )
+            .expect("create");
+            for t in 0..30u64 {
+                store.record_probe(probe(
+                    t * 60,
+                    market((t % 4) as u8),
+                    ProbeOutcome::Fulfilled,
+                ));
+            }
+            store.checkpoint().expect("first checkpoint");
+            for t in 30..50u64 {
+                let outcome = ProbeOutcome::InsufficientCapacity;
+                store.record_probe(probe(t * 60, market((t % 4) as u8), outcome));
+            }
+            store.flush().expect("flush");
+            let at = io.written();
+            (store, at, io)
+        };
+        let tmp = TempDir::new("durable-failed-ckpt");
+        let (healthy, write_at, _) = run(Vec::new(), &tmp.path().join("healthy"));
+        healthy.checkpoint().expect("healthy second checkpoint");
+        drop(healthy);
+
+        let dir = tmp.path().join("store");
+        let (store, at, io) = run(
+            vec![FaultWindow {
+                kind: FaultKind::WriteEio,
+                from: write_at,
+                to: write_at + 1,
+            }],
+            &dir,
+        );
+        assert_eq!(at, write_at, "the script is deterministic");
+        let d = store.durable.as_ref().expect("durable");
+        let before = wal_bytes(&d.dir);
+        let err = store
+            .checkpoint()
+            .expect_err("the checkpoint write must fail");
+        assert_eq!(err.raw_os_error(), Some(5), "EIO surfaces: {err}");
+        assert_eq!(io.injected(), 1);
+        assert_eq!(
+            d.current_gen.load(Ordering::Relaxed),
+            2,
+            "the rotate happened before the failure"
+        );
+        assert_eq!(wal_bytes(&d.dir), before, "nothing was deleted");
+        assert_eq!(store.durability_stats().expect("stats").checkpoints, 1);
+        // Ingest goes on, into the generation the failed checkpoint
+        // rotated to; then the process dies without another checkpoint.
+        for t in 50..60u64 {
+            store.record_probe(probe(
+                t * 60,
+                market((t % 4) as u8),
+                ProbeOutcome::Fulfilled,
+            ));
+        }
+        store.flush().expect("flush");
+        let generations: Vec<u64> = wal_bytes(&d.dir).iter().map(|&((g, _), _)| g).collect();
+        assert!(generations.contains(&1) && generations.contains(&2));
+        drop(store);
+
+        let twin = DataStore::new();
+        for t in 0..60u64 {
+            let outcome = if (30..50).contains(&t) {
+                ProbeOutcome::InsufficientCapacity
+            } else {
+                ProbeOutcome::Fulfilled
+            };
+            twin.record_probe(probe(t * 60, market((t % 4) as u8), outcome));
+        }
+        let (recovered, info) =
+            DataStore::recover_with_report(&dir, DurableOptions::default()).expect("recover");
+        assert!(info.checkpoint_loaded);
+        assert_eq!(
+            info.replayed_ops, 30,
+            "everything since the first checkpoint"
+        );
+        assert_eq!(recovered.len(), twin.len());
+        assert_eq!(recovered.total_cost(), twin.total_cost());
+        let (r, t) = (recovered.read(), twin.read());
+        assert_eq!(r.probes().count(), t.probes().count());
+        for i in 0..4u8 {
+            let (m, kind) = (market(i), ProbeKind::OnDemand);
+            assert_eq!(r.probe_stats(m, kind), t.probe_stats(m, kind));
+            assert_eq!(r.is_unavailable(m, kind), t.is_unavailable(m, kind));
+            assert_eq!(r.rejection_times(m, kind), t.rejection_times(m, kind));
+            assert_eq!(
+                r.probes_of(m).copied().collect::<Vec<_>>(),
+                t.probes_of(m).copied().collect::<Vec<_>>()
+            );
+        }
+        drop((r, t));
+        // The disk healed (the window is behind us): the next
+        // checkpoint lands and takes the whole backlog with it.
+        recovered.checkpoint().expect("checkpoint after recovery");
+        let d = recovered.durable.as_ref().expect("durable");
+        assert!(wal_bytes(&d.dir).is_empty());
+    }
+
+    /// The log's directory entries are made durable, not just its
+    /// bytes: a new generation file is synced into the directory before
+    /// the flush that covers it is acknowledged, and recovery syncs the
+    /// removal of the clean-shutdown marker it consumed.
+    #[test]
+    fn log_names_and_marker_removal_are_synced_to_the_directory() {
+        let tmp = TempDir::new("durable-dir-sync");
+        let dir = tmp.path().join("store");
+        let io = Arc::new(FaultyDisk::scripted(Vec::new()));
+        let opts = |io: &Arc<FaultyDisk>| DurableOptions {
+            io: Some(io.clone() as Arc<dyn DiskIo>),
+            ..DurableOptions::default()
+        };
+        let store = DataStore::create_durable(&dir, opts(&io)).expect("create");
+        assert_eq!((io.written(), io.dir_syncs()), (0, 0));
+        store.record_probe(probe(60, market(0), ProbeOutcome::Fulfilled));
+        store.flush().expect("flush");
+        assert!(
+            io.written() > 8,
+            "the generation file was created and written"
+        );
+        assert_eq!(io.dir_syncs(), 1, "and named durably before the ack");
+        store.record_probe(probe(120, market(0), ProbeOutcome::Fulfilled));
+        store.flush().expect("flush");
+        assert_eq!(io.dir_syncs(), 1, "once per created file, not per batch");
+        store.close().expect("close");
+
+        let io = Arc::new(FaultyDisk::scripted(Vec::new()));
+        let (recovered, info) = DataStore::recover_with_report(&dir, opts(&io)).expect("recover");
+        assert!(info.from_clean_shutdown);
+        assert!(!dir.join("clean").exists());
+        assert_eq!(
+            (io.written(), io.dir_syncs()),
+            (0, 1),
+            "recovery wrote nothing, and synced the marker's removal"
+        );
+        drop(recovered);
+        // No marker this time: nothing removed, nothing to sync.
+        let io = Arc::new(FaultyDisk::scripted(Vec::new()));
+        let (_, info) = DataStore::recover_with_report(&dir, opts(&io)).expect("recover again");
+        assert!(!info.from_clean_shutdown);
+        assert_eq!(io.dir_syncs(), 0);
+    }
+
+    /// Whole-stripe state through the codec: what a checkpoint section
+    /// holds decodes to the same records, indices, key states and
+    /// counters.
+    #[test]
+    fn stripe_and_key_state_round_trip() {
+        fn same_key(a: &KeyState, b: &KeyState) {
+            assert_eq!(a.stats, b.stats);
+            assert_eq!(a.intervals, b.intervals);
+            assert_eq!(a.open, b.open);
+            assert_eq!(a.closed_intervals, b.closed_intervals);
+            assert_eq!(a.last_informative, b.last_informative);
+            assert_eq!(a.disordered, b.disordered);
+            assert_eq!(a.rejection_times, b.rejection_times);
+            assert_eq!(a.epochs, b.epochs);
+        }
+        let store = DataStore::with_layout(1, HOUR);
+        for t in 0..300u64 {
+            let outcome = match t % 7 {
+                0 | 1 => ProbeOutcome::InsufficientCapacity,
+                2 => ProbeOutcome::ApiLimited,
+                _ => ProbeOutcome::Fulfilled,
+            };
+            let mut p = probe(t * 1700, market((t % 3) as u8), outcome);
+            if t % 2 == 1 {
+                p.kind = ProbeKind::Spot;
+                p.bid = Some(Price::from_dollars(0.25));
+            }
+            store.record_probe(p);
+        }
+        for t in 0..20u64 {
+            store.record_spike(SpikeEvent {
+                market: market((t % 3) as u8),
+                at: SimTime::from_secs(t * 9000),
+                ratio: 1.5 + t as f64 / 8.0,
+                probed: t % 2 == 0,
+            });
+        }
+        store.record_revocation(RevocationRecord {
+            market: market(1),
+            acquired_at: SimTime::from_secs(5),
+            bid: Price::from_dollars(0.3),
+            revoked_at: Some(SimTime::from_secs(u64::from(u32::MAX) + 9)),
+            released_at: None,
+        });
+        store.record_intrinsic_bid(IntrinsicBidRecord {
+            market: market(2),
+            at: SimTime::from_secs(80),
+            published: Price::from_dollars(0.09),
+            intrinsic: Price::from_micros(u64::MAX),
+            attempts: u32::MAX,
+        });
+        store.compact(SimTime::from_secs(100 * 1700));
+
+        let original = store.stripes[0].read();
+        assert!(original.keys.len() >= 6 && original.intervals.len() > 10);
+        let bytes = original.to_bytes();
+        let decoded = Stripe::from_bytes(&bytes).expect("stripe decodes");
+        assert!(original.probes.iter().eq(decoded.probes.iter()));
+        assert_eq!(original.probes_by_market, decoded.probes_by_market);
+        assert!(original.spikes.iter().eq(decoded.spikes.iter()));
+        assert_eq!(
+            original.spike_ratios_by_epoch,
+            decoded.spike_ratios_by_epoch
+        );
+        assert!(original.intervals.iter().eq(decoded.intervals.iter()));
+        assert_eq!(
+            original.od_rejections_by_region,
+            decoded.od_rejections_by_region
+        );
+        assert!(original.revocations.iter().eq(decoded.revocations.iter()));
+        assert_eq!(
+            original.revocations_by_market,
+            decoded.revocations_by_market
+        );
+        assert!(original
+            .intrinsic_bids
+            .iter()
+            .eq(decoded.intrinsic_bids.iter()));
+        assert_eq!(original.keys.len(), decoded.keys.len());
+        for (key, state) in &original.keys {
+            same_key(state, &decoded.keys[key]);
+            same_key(
+                state,
+                &KeyState::from_bytes(&state.to_bytes()).expect("key state decodes"),
+            );
+        }
+        // Truncated anywhere, a stripe is an error, never a panic.
+        for cut in (0..bytes.len()).step_by(97) {
+            assert!(Stripe::from_bytes(&bytes[..cut]).is_err());
+        }
     }
 
     #[test]

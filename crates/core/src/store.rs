@@ -747,6 +747,17 @@ impl DataStore {
         // same records would be sealed twice).
         let _spill_guard = self.durable.as_ref().map(|d| d.compact_lock.lock());
         let mut stats = CompactionStats::default();
+        // One directory listing numbers the whole pass's segments.
+        let spill_numbers = match &self.durable {
+            Some(d) => {
+                let Some(numbers) = crate::durable::next_spill_numbers(d, self.stripes.len())
+                else {
+                    return stats; // nothing can be sealed: every slab stays
+                };
+                Some((d, numbers))
+            }
+            None => None,
+        };
         for (idx, stripe) in self.stripes.iter().enumerate() {
             // In durable mode the doomed records are sealed *before*
             // their slabs are touched, and the synchronous segment
@@ -755,9 +766,9 @@ impl DataStore {
             // prefix is dropped afterwards: records that arrive
             // mid-spill (even ones older than `before`) stay resident
             // until the next pass, so segments never hold duplicates.
-            let spilled = match &self.durable {
-                Some(d) => {
-                    let (records, probes_len, spikes_len) = {
+            let spilled = match &spill_numbers {
+                Some((d, numbers)) => {
+                    let ((block, records), probes_len, spikes_len) = {
                         let s = stripe.read();
                         (
                             crate::durable::encode_spill(&s, before),
@@ -765,7 +776,7 @@ impl DataStore {
                             s.spikes.len(),
                         )
                     };
-                    if !crate::durable::write_spill(d, idx, &records) {
+                    if !crate::durable::write_spill(d, idx, numbers[idx], &block, records) {
                         continue; // keep the raw slabs: nothing sealed
                     }
                     Some((probes_len, spikes_len))
@@ -1717,8 +1728,15 @@ mod tests {
             }
             // Reads over absent epochs inserted nothing.
             proptest::prop_assert_eq!(series.cells.len(), model.len());
+            // On disk: the cell count, then the four integers of each
+            // non-empty bucket and nothing for the empty ones.
+            let cells_len: usize = model
+                .iter()
+                .flat_map(|(&e, &(i, r, u))| [e, i, r, u])
+                .map(|v| v.to_bytes().len())
+                .sum();
             let bytes = series.to_bytes();
-            proptest::prop_assert_eq!(bytes.len(), 4 + 32 * model.len());
+            proptest::prop_assert_eq!(bytes.len(), model.len().to_bytes().len() + cells_len);
             proptest::prop_assert_eq!(EpochSeries::from_bytes(&bytes), Ok(series));
         }
     }

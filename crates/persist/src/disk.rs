@@ -43,7 +43,8 @@ pub trait DiskIo: Send + Sync + Debug {
     /// the caller's concern — WAL files are opened `O_APPEND`).
     fn write_all(&self, file: &mut File, bytes: &[u8]) -> io::Result<()>;
     /// Flushes `file`'s data (not necessarily metadata) to stable
-    /// storage.
+    /// storage. Handed an open *directory*, it makes the names in it
+    /// durable (creations, renames, removals).
     fn sync_data(&self, file: &File) -> io::Result<()>;
 }
 
@@ -127,6 +128,8 @@ pub struct FaultyDisk {
     written: AtomicU64,
     /// Faults fired so far.
     injected: AtomicU64,
+    /// Successful fsyncs of a directory (not a file) so far.
+    dir_syncs: AtomicU64,
 }
 
 impl FaultyDisk {
@@ -140,6 +143,7 @@ impl FaultyDisk {
             windows,
             written: AtomicU64::new(0),
             injected: AtomicU64::new(0),
+            dir_syncs: AtomicU64::new(0),
         }
     }
 
@@ -182,6 +186,13 @@ impl FaultyDisk {
     /// Faults fired so far.
     pub fn injected(&self) -> u64 {
         self.injected.load(Ordering::Relaxed)
+    }
+
+    /// Successful directory fsyncs so far — how tests see that a file
+    /// creation, rename or removal was made durable, not just the
+    /// file's bytes.
+    pub fn dir_syncs(&self) -> u64 {
+        self.dir_syncs.load(Ordering::Relaxed)
     }
 
     /// True once the write position is past every scheduled window —
@@ -230,7 +241,11 @@ impl DiskIo for FaultyDisk {
             self.injected.fetch_add(1, Ordering::Relaxed);
             return Err(io::Error::from_raw_os_error(EIO));
         }
-        self.inner.sync_data(file)
+        self.inner.sync_data(file)?;
+        if file.metadata()?.is_dir() {
+            self.dir_syncs.fetch_add(1, Ordering::Relaxed);
+        }
+        Ok(())
     }
 }
 

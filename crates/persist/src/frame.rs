@@ -31,10 +31,14 @@ use crate::crc::crc32;
 pub const MAX_FRAME: usize = 1 << 26;
 
 /// Frame/file-format version stamped into every file header. Version
-/// 2 persists a key's epoch summary sparse (non-empty buckets only);
-/// there is one decoder, so files of any other version are refused by
-/// [`strip_header`].
-pub const FORMAT_VERSION: u32 = 2;
+/// 3 encodes `u32`/`u64`/`usize` as canonical LEB128 varints
+/// ([`crate::codec`]), frames a spill segment as one chunked section
+/// instead of a frame per record ([`crate::log`]), and lets a
+/// checkpoint name the generation it *rotated to* as its replay floor;
+/// version 2 made a key's epoch summary sparse. The frame envelope
+/// itself has not changed since version 1. There is one decoder, so
+/// files of any other version are refused by [`strip_header`].
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Byte length of a file header (`magic ++ version`).
 pub const HEADER_LEN: usize = 8;
@@ -223,13 +227,16 @@ mod tests {
         let mut wrong_version = file.clone();
         wrong_version[4] = 0xFF;
         assert!(strip_header(&wrong_version, magic::WAL).is_err());
-        // Version 1 stored epoch summaries dense; nothing decodes it.
-        let mut version_1 = file.clone();
-        version_1[4..8].copy_from_slice(&1u32.to_le_bytes());
-        assert_eq!(
-            strip_header(&version_1, magic::WAL),
-            Err("unsupported format version")
-        );
+        // Version 1 stored epoch summaries dense and version 2 every
+        // integer fixed-width; nothing decodes either.
+        for old in [1u32, 2] {
+            let mut stale = file.clone();
+            stale[4..8].copy_from_slice(&old.to_le_bytes());
+            assert_eq!(
+                strip_header(&stale, magic::WAL),
+                Err("unsupported format version")
+            );
+        }
     }
 
     #[test]

@@ -15,8 +15,9 @@
 //!
 //! * [`crc`] — CRC32 (IEEE) over payload bytes;
 //! * [`codec`] — [`codec::Encode`]/[`codec::Decode`] for primitives and
-//!   the `cloud-sim` id/time/price types, little-endian,
-//!   length-prefixed where variable;
+//!   the `cloud-sim` id/time/price types: canonical LEB128 varints for
+//!   the integers, raw bytes for tags and floats, count-prefixed where
+//!   variable;
 //! * [`disk`] — the injectable disk-I/O layer ([`disk::DiskIo`]):
 //!   [`disk::RealDisk`] in production, the deterministic
 //!   [`disk::FaultyDisk`] (seeded ENOSPC/EIO/fsync-failure schedules)
@@ -28,8 +29,9 @@
 //! * [`wal`] — a bounded-queue single-writer append log over N streams
 //!   with a configurable fsync policy and generation rotation;
 //! * [`log`] — the on-disk directory layout (header, per-stream WAL
-//!   generations, the checkpoint file written temp+rename+fsync, sealed
-//!   spill segments);
+//!   generations of one frame per record, and the checkpoint file and
+//!   sealed spill segments — chunked sections written
+//!   temp+rename+fsync);
 //! * [`fault`] — the crash-injection helpers the torn-write recovery
 //!   tests drive (truncate/corrupt/duplicate-tail at byte offsets);
 //! * [`tempdir`] — a tiny RAII scratch-directory helper for tests and

@@ -6,7 +6,19 @@
 //!   wal-<gen>-<stream>.log  append-only generation files, per stream
 //!   checkpoint              latest checkpoint (temp+rename+fsync)
 //!   spill-<stripe>-<n>.seg  sealed, immutable spill segments
+//!   clean                   clean-shutdown marker (consumed on open)
 //! ```
+//!
+//! Two framings share the [`crate::frame`] envelope. A WAL generation
+//! file is a run of **one frame per record**, each carrying its own
+//! sequence number — it is appended to, so its tail can tear, and the
+//! prefix-valid scan recovers whole records up to the tear. The
+//! checkpoint and every spill segment are **sections**: each section is
+//! one opaque buffer (for a spill segment, `count ++ records`) cut into
+//! frames of at most [`CHECKPOINT_CHUNK`] bytes that share the section
+//! index as their sequence number — one CRC per ≤ 16 MiB, no per-record
+//! envelope. Sections are only ever written whole and atomically, so a
+//! tear cannot happen and any damage is a hard error.
 //!
 //! Mutation rules that make crashes survivable:
 //!
@@ -15,6 +27,10 @@
 //! * The checkpoint and every spill segment are written to a temp file,
 //!   fsynced, then renamed into place, then the directory is fsynced —
 //!   readers see either the old file or the complete new one.
+//! * A name is as durable as the last directory fsync: the WAL writer
+//!   syncs the directory after creating generation files and before it
+//!   acknowledges anything written to them, and consuming the
+//!   clean-shutdown marker syncs its removal.
 //! * Old WAL generations are deleted only *after* the checkpoint that
 //!   supersedes them is durable.
 
@@ -28,8 +44,9 @@ use std::sync::Arc;
 const HEADER_FILE: &str = "header";
 const CHECKPOINT_FILE: &str = "checkpoint";
 const CLEAN_FILE: &str = "clean";
-/// Checkpoint sections are split into frames of at most this many
-/// bytes, so a section (one stripe's full state) may exceed
+/// Sections (of the checkpoint and of spill segments) are split into
+/// frames of at most this many bytes, so a section (one stripe's full
+/// state, or everything a stripe spills in one pass) may exceed
 /// [`frame::MAX_FRAME`] without overflowing a frame.
 const CHECKPOINT_CHUNK: usize = 1 << 24;
 
@@ -255,8 +272,8 @@ impl LogDir {
         Ok(())
     }
 
-    /// Atomically replaces the checkpoint file with `sections` (one
-    /// CRC'd frame each, sequence = section index).
+    /// Atomically replaces the checkpoint file with `sections`, each
+    /// chunked into CRC'd frames (sequence = section index).
     ///
     /// # Errors
     ///
@@ -266,15 +283,7 @@ impl LogDir {
         let mut body = Vec::new();
         frame::write_header(&mut body, magic::CHECKPOINT);
         for (i, section) in sections.iter().enumerate() {
-            // A section larger than one frame allows (year-scale epoch
-            // summaries can exceed MAX_FRAME) is chunked across
-            // consecutive frames sharing the section index as their
-            // sequence number; the reader reassembles by index.
-            let mut chunks = section.chunks(CHECKPOINT_CHUNK);
-            frame::write_frame(&mut body, i as u64, chunks.next().unwrap_or(&[]));
-            for chunk in chunks {
-                frame::write_frame(&mut body, i as u64, chunk);
-            }
+            write_section(&mut body, i as u64, section);
         }
         self.write_atomic(CHECKPOINT_FILE, &body)
     }
@@ -294,51 +303,22 @@ impl LogDir {
             Err(err) => return Err(err),
         };
         let body = frame::strip_header(&bytes, magic::CHECKPOINT).map_err(corrupt)?;
-        let scanned = frame::scan(body);
-        if scanned.end != ScanEnd::Clean {
-            return Err(corrupt("damaged checkpoint"));
-        }
-        // Reassemble chunked sections: consecutive frames share the
-        // section index as their sequence number.
-        let mut sections: Vec<Vec<u8>> = Vec::new();
-        for frame in scanned.frames {
-            match (frame.seq as usize).cmp(&sections.len()) {
-                std::cmp::Ordering::Equal => sections.push(frame.body),
-                std::cmp::Ordering::Less if frame.seq as usize + 1 == sections.len() => {
-                    sections
-                        .last_mut()
-                        .expect("non-empty by the index check")
-                        .extend_from_slice(&frame.body);
-                }
-                _ => return Err(corrupt("checkpoint section indices out of order")),
-            }
-        }
-        Ok(Some(sections))
+        read_sections(body, "damaged checkpoint").map(Some)
     }
 
-    /// Writes a sealed spill segment for `stripe` holding `records`
-    /// (one frame each) and returns its path. Atomic: temp, fsync,
-    /// rename, directory fsync.
+    /// Writes sealed spill segment `n` of `stripe`: `block` (the
+    /// caller's `count ++ records`) as one chunked section. Atomic:
+    /// temp, fsync, rename, directory fsync. `n` comes from
+    /// [`LogDir::next_spill_numbers`].
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors; on error no segment is visible.
-    pub fn write_spill(&self, stripe: u32, records: &[Vec<u8>]) -> io::Result<PathBuf> {
-        let n = self
-            .list_spills()?
-            .into_iter()
-            .filter(|&(s, _)| s == stripe)
-            .map(|(_, n)| n + 1)
-            .max()
-            .unwrap_or(0);
-        let name = format!("spill-{stripe:04}-{n:08}.seg");
+    pub fn write_spill(&self, stripe: u32, n: u64, block: &[u8]) -> io::Result<()> {
         let mut body = Vec::new();
         frame::write_header(&mut body, magic::SPILL);
-        for (i, record) in records.iter().enumerate() {
-            frame::write_frame(&mut body, i as u64, record);
-        }
-        self.write_atomic(&name, &body)?;
-        Ok(self.root.join(name))
+        write_section(&mut body, 0, block);
+        self.write_atomic(&spill_name(stripe, n), &body)
     }
 
     /// Every `(stripe, index)` spill segment present, sorted.
@@ -365,20 +345,39 @@ impl LogDir {
         Ok(out)
     }
 
-    /// Reads one sealed spill segment's records.
+    /// The next free segment number of each of the first `stripes`
+    /// stripes, from **one** directory listing — what a compaction pass
+    /// asks once and then hands to [`LogDir::write_spill`] per stripe.
+    ///
+    /// # Errors
+    ///
+    /// Propagates directory-read errors.
+    pub fn next_spill_numbers(&self, stripes: usize) -> io::Result<Vec<u64>> {
+        let mut next = vec![0u64; stripes];
+        for (stripe, n) in self.list_spills()? {
+            if let Some(slot) = next.get_mut(stripe as usize) {
+                *slot = (*slot).max(n + 1);
+            }
+        }
+        Ok(next)
+    }
+
+    /// Reads one sealed spill segment's block (see
+    /// [`LogDir::write_spill`]).
     ///
     /// # Errors
     ///
     /// A damaged spill segment is a hard error: segments are written
     /// atomically and never appended to, so torn tails cannot happen.
-    pub fn read_spill(&self, stripe: u32, n: u64) -> io::Result<Vec<Vec<u8>>> {
-        let bytes = fs::read(self.root.join(format!("spill-{stripe:04}-{n:08}.seg")))?;
+    pub fn read_spill(&self, stripe: u32, n: u64) -> io::Result<Vec<u8>> {
+        const DAMAGED: &str = "damaged spill segment";
+        let bytes = fs::read(self.root.join(spill_name(stripe, n)))?;
         let body = frame::strip_header(&bytes, magic::SPILL).map_err(corrupt)?;
-        let scanned = frame::scan(body);
-        if scanned.end != ScanEnd::Clean {
-            return Err(corrupt("damaged spill segment"));
+        let mut sections = read_sections(body, DAMAGED)?;
+        match sections.pop() {
+            Some(block) if sections.is_empty() => Ok(block),
+            _ => Err(corrupt(DAMAGED)),
         }
-        Ok(scanned.frames.into_iter().map(|f| f.body).collect())
     }
 
     /// Atomically writes the clean-shutdown marker: proof that the WAL
@@ -429,16 +428,19 @@ impl LogDir {
         }))
     }
 
-    /// Removes the clean-shutdown marker. Recovery does this *before*
-    /// reopening the store, so a later unclean death can never reuse a
-    /// stale marker to skip replay it actually needs.
+    /// Removes the clean-shutdown marker and fsyncs the directory.
+    /// Recovery does this *before* reopening the store, so a later
+    /// unclean death can never reuse a stale marker to skip replay it
+    /// actually needs.
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors; an already-absent marker is fine.
     pub fn remove_clean_marker(&self) -> io::Result<()> {
         match fs::remove_file(self.root.join(CLEAN_FILE)) {
-            Ok(()) => Ok(()),
+            // Make the removal durable: a marker that came back after a
+            // power loss would vouch for a tail it never saw.
+            Ok(()) => self.sync_dir(),
             Err(err) if err.kind() == io::ErrorKind::NotFound => Ok(()),
             Err(err) => Err(err),
         }
@@ -484,9 +486,59 @@ impl LogDir {
         }
         fs::rename(&tmp, self.root.join(name))?;
         // Make the rename itself durable.
-        self.io.sync_data(&File::open(&self.root)?)?;
-        Ok(())
+        self.sync_dir()
     }
+
+    /// Fsyncs the directory itself, making every file creation, rename
+    /// and removal so far durable. File contents are the files' own
+    /// `sync_data`; a name is only as durable as this.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem errors.
+    pub(crate) fn sync_dir(&self) -> io::Result<()> {
+        self.io.sync_data(&File::open(&self.root)?)
+    }
+}
+
+fn spill_name(stripe: u32, n: u64) -> String {
+    format!("spill-{stripe:04}-{n:08}.seg")
+}
+
+/// Appends `section` to `body` as frames of at most
+/// [`CHECKPOINT_CHUNK`] bytes (at least one, so an empty section still
+/// exists) that share `index` as their sequence number;
+/// [`read_sections`] reassembles by index.
+fn write_section(body: &mut Vec<u8>, index: u64, section: &[u8]) {
+    let mut chunks = section.chunks(CHECKPOINT_CHUNK);
+    frame::write_frame(body, index, chunks.next().unwrap_or(&[]));
+    for chunk in chunks {
+        frame::write_frame(body, index, chunk);
+    }
+}
+
+/// Reassembles the sections [`write_section`] wrote into `body`, in
+/// index order. Anything but a clean run of frames whose indices count
+/// up from zero is `damaged`.
+fn read_sections(body: &[u8], damaged: &'static str) -> io::Result<Vec<Vec<u8>>> {
+    let scanned = frame::scan(body);
+    if scanned.end != ScanEnd::Clean {
+        return Err(corrupt(damaged));
+    }
+    let mut sections: Vec<Vec<u8>> = Vec::new();
+    for frame in scanned.frames {
+        match (frame.seq as usize).cmp(&sections.len()) {
+            std::cmp::Ordering::Equal => sections.push(frame.body),
+            std::cmp::Ordering::Less if frame.seq as usize + 1 == sections.len() => {
+                sections
+                    .last_mut()
+                    .expect("non-empty by the index check")
+                    .extend_from_slice(&frame.body);
+            }
+            _ => return Err(corrupt(damaged)),
+        }
+    }
+    Ok(sections)
 }
 
 fn corrupt(what: &'static str) -> io::Error {
@@ -564,7 +616,7 @@ mod tests {
         assert!(!tmp.path().join("spill-0000-00000000.seg.tmp").exists());
         assert!(!tmp.path().join("checkpoint.tmp").exists());
         // The swept name is free again for a real spill.
-        dir.write_spill(0, &[b"a".to_vec()]).expect("spill");
+        dir.write_spill(0, 0, b"a").expect("spill");
         assert_eq!(dir.list_spills().expect("list"), vec![(0, 0)]);
     }
 
@@ -644,7 +696,8 @@ mod tests {
         assert!(dir.list_wal().is_err());
         assert!(dir.list_spills().is_err());
         assert!(dir.write_checkpoint(&[b"meta".to_vec()]).is_err());
-        assert!(dir.write_spill(0, &[b"a".to_vec()]).is_err());
+        assert!(dir.next_spill_numbers(1).is_err());
+        assert!(dir.write_spill(0, 0, b"a").is_err());
         assert!(dir.disk_bytes().is_err());
         // Reopening also fails cleanly, and leaves no recreated state.
         assert!(LogDir::open(tmp.path()).is_err());
@@ -686,18 +739,101 @@ mod tests {
     fn spill_segments_are_numbered_per_stripe() {
         let tmp = TempDir::new("logdir-spill");
         let dir = LogDir::create(tmp.path(), 1, &[]).expect("create");
-        dir.write_spill(0, &[b"a".to_vec()]).expect("spill");
-        dir.write_spill(0, &[b"b".to_vec(), b"c".to_vec()])
-            .expect("spill");
-        dir.write_spill(3, &[b"d".to_vec()]).expect("spill");
+        // One listing numbers a whole pass; a stripe the listing has
+        // never seen starts at 0, one past the layout is ignored.
+        assert_eq!(dir.next_spill_numbers(4).expect("next"), vec![0; 4]);
+        dir.write_spill(0, 0, b"a").expect("spill");
+        dir.write_spill(0, 1, b"bc").expect("spill");
+        dir.write_spill(3, 0, b"d").expect("spill");
+        dir.write_spill(9, 5, b"e").expect("spill");
         assert_eq!(
             dir.list_spills().expect("list"),
-            vec![(0, 0), (0, 1), (3, 0)]
+            vec![(0, 0), (0, 1), (3, 0), (9, 5)]
+        );
+        assert_eq!(dir.next_spill_numbers(4).expect("next"), vec![2, 0, 0, 1]);
+        assert_eq!(dir.read_spill(0, 1).expect("read"), b"bc");
+        assert!(dir.disk_bytes().expect("bytes") > 0);
+    }
+
+    #[test]
+    fn spill_block_larger_than_one_chunk_round_trips() {
+        let tmp = TempDir::new("logdir-spill-chunks");
+        let dir = LogDir::create(tmp.path(), 1, &[]).expect("create");
+        let mut block = vec![0x5a; CHECKPOINT_CHUNK + 4567];
+        for (i, byte) in block.iter_mut().step_by(4099).enumerate() {
+            *byte = i as u8;
+        }
+        dir.write_spill(2, 7, &block).expect("spill");
+        assert_eq!(dir.read_spill(2, 7).expect("read"), block);
+        // One envelope per chunk, none per record.
+        let len = std::fs::metadata(tmp.path().join(spill_name(2, 7)))
+            .expect("segment")
+            .len() as usize;
+        assert_eq!(
+            len,
+            frame::HEADER_LEN + block.len() + 2 * (frame::FRAME_OVERHEAD + 8)
+        );
+        // An empty block is still a segment with one (empty) section.
+        dir.write_spill(2, 8, &[]).expect("empty spill");
+        assert_eq!(dir.read_spill(2, 8).expect("read"), Vec::<u8>::new());
+    }
+
+    #[test]
+    fn damaged_spill_segment_is_a_hard_error() {
+        let tmp = TempDir::new("logdir-spill-damage");
+        let dir = LogDir::create(tmp.path(), 1, &[]).expect("create");
+        let block: Vec<u8> = (0..600u32).map(|i| (i % 251) as u8).collect();
+        dir.write_spill(0, 0, &block).expect("spill");
+        let path = tmp.path().join(spill_name(0, 0));
+        let pristine = std::fs::read(&path).expect("read segment");
+        let damaged = |bytes: &[u8]| {
+            std::fs::write(&path, bytes).expect("damage");
+            let err = dir.read_spill(0, 0).expect_err("damage must not read");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            err.to_string()
+        };
+        // A flipped byte anywhere past the file header: length, CRC,
+        // section index or block.
+        for at in [8, 13, 17, 40, pristine.len() - 1] {
+            let mut flipped = pristine.clone();
+            flipped[at] ^= 0x10;
+            assert_eq!(damaged(&flipped), "damaged spill segment", "byte {at}");
+        }
+        // A short file, a header alone, and a second section.
+        assert_eq!(
+            damaged(&pristine[..pristine.len() - 3]),
+            "damaged spill segment"
         );
         assert_eq!(
-            dir.read_spill(0, 1).expect("read"),
-            vec![b"b".to_vec(), b"c".to_vec()]
+            damaged(&pristine[..frame::HEADER_LEN]),
+            "damaged spill segment"
         );
-        assert!(dir.disk_bytes().expect("bytes") > 0);
+        let mut two = pristine.clone();
+        frame::write_frame(&mut two, 1, b"stowaway");
+        assert_eq!(damaged(&two), "damaged spill segment");
+        std::fs::write(&path, &pristine).expect("restore");
+        assert_eq!(dir.read_spill(0, 0).expect("read"), block);
+    }
+
+    #[test]
+    fn removing_the_marker_syncs_the_directory() {
+        use crate::disk::FaultyDisk;
+        let tmp = TempDir::new("logdir-clean-sync");
+        let disk = Arc::new(FaultyDisk::scripted(Vec::new()));
+        let dir = LogDir::create(tmp.path(), 1, &[])
+            .expect("create")
+            .with_io(Arc::clone(&disk) as Arc<_>);
+        dir.write_clean_marker(CleanMarker {
+            next_seq: 1,
+            generation: 1,
+        })
+        .expect("write");
+        let renamed = disk.dir_syncs();
+        assert_eq!(renamed, 1, "the rename into place is synced");
+        dir.remove_clean_marker().expect("remove");
+        assert_eq!(disk.dir_syncs(), renamed + 1, "so is the removal");
+        // Nothing was unlinked, so there is nothing to make durable.
+        dir.remove_clean_marker().expect("idempotent");
+        assert_eq!(disk.dir_syncs(), renamed + 1);
     }
 }

@@ -8,7 +8,10 @@
 //! accrue (group commit — one send and one writer wakeup per ~32 KiB,
 //! not per record), so the ingest path never touches the filesystem.
 //! The writer batches whatever is queued, coalesces each stream's
-//! frames into one write, and fsyncs per the configured [`FsyncPolicy`].
+//! frames into one write, and fsyncs per the configured [`FsyncPolicy`]
+//! — the touched files, and the directory too whenever the pass created
+//! a generation file (a file's bytes are only as durable as its name),
+//! before the durability watermark moves or a flush is acknowledged.
 //!
 //! Ordering guarantee: sequence numbers are assigned under the stream's
 //! staging lock, staged buffers only ever append, the channel send of a
@@ -424,6 +427,10 @@ struct WriterState {
     files: HashMap<u32, OpenFile>,
     /// Streams written since the last fsync.
     dirty: Vec<u32>,
+    /// A generation file was opened (so, in a fresh generation,
+    /// created) since the last directory fsync: its *name* is not
+    /// durable yet, whatever its bytes are.
+    dir_dirty: bool,
     /// Max op time among frames written since the last fully successful
     /// fsync pass; folded into `stats.durable_at` when one completes.
     unsynced_max_at: u64,
@@ -462,6 +469,7 @@ impl WriterState {
         // revive.
         self.files.clear();
         self.dirty.clear();
+        self.dir_dirty = false;
         self.unsynced_max_at = 0;
         self.sync_failures = 0;
         self.stats.degraded.store(true, Ordering::Release);
@@ -511,6 +519,7 @@ impl WriterState {
                         // idempotent.
                         tail_restored: true,
                     })?;
+                self.dir_dirty = true;
                 let good_len = file
                     .metadata()
                     .map(|m| m.len())
@@ -569,6 +578,22 @@ impl WriterState {
                 }
             }
         }
+        // Once per batch of file creations (the first writes after a
+        // rotate), not per batch of frames: a synced file nobody can
+        // find by name holds nothing. It gates the watermark and the
+        // flush ack like any other fsync of the pass.
+        if self.dir_dirty {
+            match self.dir.sync_dir() {
+                Ok(()) => {
+                    self.dir_dirty = false;
+                    self.stats.fsyncs.fetch_add(1, Ordering::Relaxed);
+                }
+                Err(err) => {
+                    failed = true;
+                    self.note_error(err, "wal directory fsync");
+                }
+            }
+        }
         if failed {
             self.sync_failures += 1;
             if self.sync_failures >= SYNC_FAILURE_LIMIT {
@@ -624,6 +649,7 @@ fn writer_loop(
         generation,
         files: HashMap::new(),
         dirty: Vec::new(),
+        dir_dirty: false,
         unsynced_max_at: 0,
         sync_failures: 0,
         degraded: false,
@@ -710,6 +736,7 @@ fn writer_loop(
                     state.write_coalesced(&mut pending);
                     state.files.clear();
                     state.dirty.clear();
+                    state.dir_dirty = false;
                     state.unsynced_max_at = 0;
                     state.sync_failures = 0;
                     state.generation += 1;
@@ -797,6 +824,53 @@ mod tests {
         wal.flush().expect("flush");
         assert_eq!(read_stream(&dir, 0, 0), vec![(100, b"before".to_vec())]);
         assert_eq!(read_stream(&dir, 1, 0), vec![(101, b"after".to_vec())]);
+    }
+
+    #[test]
+    fn new_generation_files_are_named_durably_before_the_ack() {
+        let tmp = TempDir::new("wal-dir-sync");
+        // A healthy disk that counts what it is asked to do.
+        let disk = Arc::new(FaultyDisk::scripted(Vec::new()));
+        let dir = LogDir::create(tmp.path(), 2, &[])
+            .expect("create")
+            .with_io(Arc::clone(&disk) as Arc<_>);
+        // `Never`: the writer syncs on flush and rotate only, so the
+        // counts below do not depend on its group-commit timer.
+        let wal = WalHandle::open(
+            &dir,
+            WalConfig {
+                streams: 2,
+                fsync: FsyncPolicy::Never,
+                ..WalConfig::default()
+            },
+            0,
+            0,
+        )
+        .expect("open");
+        assert_eq!((disk.written(), disk.dir_syncs()), (0, 0));
+        // The first append of each stream creates its generation file;
+        // by the time the flush is acknowledged the directory has been
+        // synced — once for both, not once per file or per batch.
+        wal.append(0, b"a", 1).expect("append");
+        wal.append(1, b"b", 2).expect("append");
+        wal.flush().expect("flush");
+        assert!(
+            disk.written() > 0,
+            "the files were created through this disk"
+        );
+        assert_eq!(disk.dir_syncs(), 1);
+        assert_eq!(wal.durable_at(), 2);
+        // More frames into files that already have names: no new sync.
+        wal.append(0, b"c", 3).expect("append");
+        wal.flush().expect("flush");
+        assert_eq!(disk.dir_syncs(), 1);
+        // A rotate moves to files that do not exist yet.
+        wal.rotate().expect("rotate");
+        assert_eq!(disk.dir_syncs(), 1, "nothing created, nothing to sync");
+        wal.append(1, b"d", 4).expect("append");
+        wal.flush().expect("flush");
+        assert_eq!(disk.dir_syncs(), 2);
+        assert_eq!(dir.list_wal().expect("list"), vec![(0, 0), (0, 1), (1, 1)]);
     }
 
     #[test]

@@ -159,6 +159,18 @@ fn head_end(buf: &[u8]) -> Option<usize> {
     None
 }
 
+/// Parses `1*DIGIT` — RFC 9110's grammar for `Content-Length`, and
+/// what the API means by "a non-negative integer": ASCII digits only.
+/// `str::parse` alone also takes a leading `+`, and a length two
+/// parsers read differently is how a request gets smuggled past a
+/// front end. `None` for anything else, overflow included.
+pub(crate) fn parse_digits(s: &str) -> Option<u64> {
+    if s.is_empty() || !s.bytes().all(|b| b.is_ascii_digit()) {
+        return None;
+    }
+    s.parse().ok()
+}
+
 fn is_token(s: &str) -> bool {
     !s.is_empty()
         && s.bytes()
@@ -246,7 +258,7 @@ pub fn parse<'b>(buf: &'b [u8], limits: &Limits) -> Parsed<'b> {
         }
         let value = value.trim();
         if name.eq_ignore_ascii_case("content-length") {
-            let Ok(n) = value.parse::<usize>() else {
+            let Some(n) = parse_digits(value).and_then(|n| usize::try_from(n).ok()) else {
                 return Parsed::Reject(Reject::BadRequest("malformed content-length"));
             };
             if content_length.is_some_and(|prev| prev != n) {
@@ -371,6 +383,26 @@ mod tests {
             parse_reject(b"GET / HTTP/1.1\r\nContent-Length: zero\r\n\r\n").status(),
             400
         );
+        // `1*DIGIT` and nothing else: no sign, no inner space, no
+        // fraction, no hex, no empty value, no overflow.
+        for value in [
+            "+5",
+            "-0",
+            "+0",
+            "5 5",
+            "5.0",
+            "0x5",
+            "",
+            "٥",
+            "99999999999999999999",
+        ] {
+            let request = format!("GET / HTTP/1.1\r\nContent-Length: {value}\r\n\r\nabcde");
+            assert_eq!(
+                parse_reject(request.as_bytes()),
+                Reject::BadRequest("malformed content-length"),
+                "Content-Length: {value:?}"
+            );
+        }
         assert_eq!(
             parse_reject(b"GET / HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 3\r\n\r\n")
                 .status(),
@@ -384,6 +416,17 @@ mod tests {
             parse_reject(b"GET / HTTP/1.1\r\nContent-Length: 999999999\r\n\r\n"),
             Reject::BodyTooLarge
         );
+    }
+
+    #[test]
+    fn digits_only_integers() {
+        assert_eq!(parse_digits("0"), Some(0));
+        assert_eq!(parse_digits("007"), Some(7));
+        assert_eq!(parse_digits("18446744073709551615"), Some(u64::MAX));
+        assert_eq!(parse_digits("18446744073709551616"), None);
+        for bad in ["", "+5", "-5", " 5", "5 ", "5_0", "1e3", "５"] {
+            assert_eq!(parse_digits(bad), None, "{bad:?}");
+        }
     }
 
     #[test]

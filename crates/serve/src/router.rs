@@ -265,7 +265,7 @@ impl<'a> Request<'a> {
     fn u64(&mut self, name: &str, raw: Option<&'a str>, default: u64) -> Result<u64, Routed> {
         match self.decoded(name, raw)? {
             None => Ok(default),
-            Some(v) => v.parse::<u64>().map_err(|_| {
+            Some(v) => crate::parser::parse_digits(&v).ok_or_else(|| {
                 self.fail(400, format_args!("'{name}' must be a non-negative integer"))
             }),
         }

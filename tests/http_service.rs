@@ -251,6 +251,36 @@ fn malformed_bytes_get_400_and_unknown_routes_404() {
     finish(server);
 }
 
+/// `1*DIGIT` means digits: a sign that `str::parse` would wave through
+/// is a 400, in the framing header (where a front end that reads `+5`
+/// as 5 and a back end that does not disagree on where the next
+/// request starts) and in the API's integer parameters alike.
+#[test]
+fn signed_integers_are_400_in_content_length_and_parameters() {
+    let (server, _store) = start_server(ServerConfig::default());
+    for head in [
+        "GET /healthz HTTP/1.1\r\nContent-Length: +5\r\n\r\nhello",
+        "GET /healthz HTTP/1.1\r\nContent-Length: -0\r\n\r\n",
+        "GET /healthz HTTP/1.1\r\nContent-Length: 5, 5\r\n\r\nhello",
+        "GET /v1/advisor/top?end_secs=9&n=%2B5 HTTP/1.1\r\n\r\n",
+        "GET /v1/advisor/top?end_secs=9&n=-5 HTTP/1.1\r\n\r\n",
+        "GET /v1/spike-rates?end_secs=9&window_secs=%2B3600 HTTP/1.1\r\n\r\n",
+    ] {
+        assert_eq!(raw_status(&server, head.as_bytes()), 400, "{head:?}");
+    }
+    // The unsigned spellings of the same requests are served (the
+    // store is empty, hence the explicit span).
+    for head in [
+        "GET /healthz HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello",
+        "GET /v1/advisor/top?end_secs=9&n=5 HTTP/1.1\r\n\r\n",
+        "GET /v1/advisor/top?end_secs=9&n=%35 HTTP/1.1\r\n\r\n",
+        "GET /v1/spike-rates?end_secs=9&window_secs=3600 HTTP/1.1\r\n\r\n",
+    ] {
+        assert_eq!(raw_status(&server, head.as_bytes()), 200, "{head:?}");
+    }
+    finish(server);
+}
+
 // ---------------------------------------------------- overload shedding
 
 /// Both refusal causes end the same way on the wire: a connection the

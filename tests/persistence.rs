@@ -14,7 +14,9 @@ use spotlight_core::probe::{ProbeKind, ProbeOutcome, ProbeRecord, ProbeTrigger};
 use spotlight_core::store::{DataStore, SpikeEvent};
 use spotlight_core::{DurabilityMode, DurableOptions, FsyncPolicy};
 use spotlight_persist::tempdir::TempDir;
-use spotlight_persist::{fault, DiskIo, FaultKind, FaultProfile, FaultyDisk, LogDir};
+use spotlight_persist::{
+    fault, Decode, DiskIo, FaultKind, FaultProfile, FaultyDisk, LogDir, Reader,
+};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -230,8 +232,15 @@ proptest! {
         )
         .unwrap();
 
+        // At least `n_ops` ops, and as many more as it takes to put the
+        // whole fault schedule behind the disk's write position (how
+        // many bytes an op costs is the format's business, not this
+        // test's): the clean close below needs a disk that has healed.
         let mut crash_checked = false;
-        for i in 0..n_ops {
+        let mut issued = 0u64;
+        while issued < n_ops || !io.exhausted() {
+            let i = issued;
+            issued += 1;
             store.record_probe(probe_at(i, m));
             // Flushes fail while a fault window is active; the sink is
             // expected to absorb that, not ingest.
@@ -285,6 +294,7 @@ proptest! {
         // more op, a clean close, and a zero-replay recovery seeing
         // every op ever applied in memory (the healing checkpoint
         // captured the ones the degraded WAL dropped).
+        let n_ops = issued;
         store.record_probe(probe_at(n_ops, m));
         store.close().unwrap();
         let (full, info) = DataStore::recover_with_report(
@@ -380,11 +390,13 @@ fn compact_then_crash_then_recover_loses_nothing() {
     assert_eq!(again, dropped);
     assert_eq!(recovered.resident_records(), twin.resident_records());
 
-    // The spill archive holds every record either compaction dropped.
+    // The spill archive holds every record either compaction dropped:
+    // each segment is one block that leads with its record count.
     let (log, _) = LogDir::open(&dir).unwrap();
     let mut archived = 0u64;
     for (stripe, n) in log.list_spills().unwrap() {
-        archived += log.read_spill(stripe, n).unwrap().len() as u64;
+        let block = log.read_spill(stripe, n).unwrap();
+        archived += usize::decode(&mut Reader::new(&block)).unwrap() as u64;
     }
     assert_eq!(
         archived,
@@ -437,10 +449,9 @@ fn checkpoint_with_torn_tail_recovers_through_the_snapshot() {
     }
     assert_same_summaries(&recovered, &twin, &[m]);
 
-    // A checkpoint only prunes generations *strictly below* the one it
-    // captured (appends may race into that generation after the
-    // snapshot), so full pruning shows up one checkpoint later: this
-    // one covers everything and deletes generations 0 and 1.
+    // Recovery reopened the log at generation 2 and replayed 0 and 1
+    // into memory; this checkpoint rotates to 3, captures everything,
+    // and deletes every generation below its floor.
     recovered.checkpoint().unwrap();
     drop(recovered);
     let (log, _) = LogDir::open(&dir).unwrap();
