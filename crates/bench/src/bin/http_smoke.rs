@@ -337,7 +337,7 @@ fn main() {
         DataStore::recover_with_report(&dir, DurableOptions::default()).expect("recover");
     assert_eq!(info.replayed_ops, 0, "clean shutdown must not replay");
     assert!(info.from_clean_shutdown, "close marker missing");
-    assert_eq!(reopened.read().len(), RECORDS as usize, "records lost");
+    assert_eq!(reopened.len(), RECORDS as usize, "records lost");
     ok("drained store closed cleanly: zero-replay restart");
 
     println!("http_smoke: all sections passed");

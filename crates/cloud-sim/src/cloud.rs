@@ -13,7 +13,7 @@
 //! by region: a pool's siblings live in the same region, demand spills
 //! only between sibling zones, region surges touch one region, and a
 //! spot request targets a single market. The cloud therefore stores all
-//! dynamic state in one [`RegionShard`] per catalog region. A shard owns
+//! dynamic state in one `RegionShard` per catalog region. A shard owns
 //!
 //! * its pools and markets (with shard-local index vectors and lookup
 //!   maps — `PoolEntry::market_indices` and `MarketEntry::pool_idx` are
@@ -59,7 +59,7 @@
 //!
 //! * the demand profile, level grid, and per-pool market indices are
 //!   only *borrowed* during a tick — never cloned (shards receive a
-//!   shared [`TickCtx`] of read-only state);
+//!   shared `TickCtx` of read-only state);
 //! * static topology (pools per region, sibling pools, market indices)
 //!   is precomputed once in [`Cloud::new`];
 //! * per-tick working sets reuse scratch buffers owned by each shard

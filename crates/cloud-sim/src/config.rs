@@ -439,7 +439,7 @@ pub struct SimConfig {
     pub record_all_prices: bool,
     /// Worker threads for the region-sharded tick: `0` (auto) resolves
     /// at construction to the machine's available parallelism — or to
-    /// `1` for catalogs under [`PARALLEL_AUTO_MIN_MARKETS`] markets,
+    /// `1` for catalogs under `PARALLEL_AUTO_MIN_MARKETS` markets,
     /// where even the persistent pool's dispatch would cost more than
     /// the tick itself; `1` runs the shards inline on the calling
     /// thread (no cross-thread dispatch); higher values are always

@@ -128,7 +128,7 @@ impl SimRng {
         lo + (self.next_u64() % (hi - lo) as u64) as usize
     }
 
-    /// A Bernoulli trial with success probability `p` (clamped to [0,1]).
+    /// A Bernoulli trial with success probability `p` (clamped to `[0,1]`).
     pub fn chance(&mut self, p: f64) -> bool {
         if p <= 0.0 {
             return false;

@@ -6,7 +6,7 @@
 //! A durable [`DataStore`] owns a [`spotlight_persist::WalHandle`] with
 //! one log *stream per stripe* plus a meta stream (stream index =
 //! stripe count) for store-wide events. Every `record_*` call encodes a
-//! [`StoreOp`] and appends it **while holding the lock it mutated
+//! `StoreOp` and appends it **while holding the lock it mutated
 //! under** (the market's stripe lock; the region-health lock for
 //! breaker events), so each stream's frames are in exactly the order
 //! the in-memory state observed them. Suppressed-probe counts are the
@@ -23,10 +23,19 @@
 //!    generation and moves the writer to a fresh one — the checkpoint's
 //!    **floor**. `rotate()` returns only after every frame of the closed
 //!    generation has been handed to the writer, written, and fsynced.
-//! 2. *Capture.* It then briefly acquires *every* stripe lock plus the
-//!    region-health lock, reads the next unissued sequence number
-//!    `next_seq` and the counters, takes a shallow clone of each
-//!    stripe, and releases.
+//! 2. *Capture.* It then takes the store's one capture
+//!    (`DataStore::capture`, which [`DataStore::read`] and
+//!    [`DataStore::snapshot`] take too): under *every* stripe's **read**
+//!    guard plus the region-health read guard it reads `next_seq`, the
+//!    next unissued sequence number, and the counters, takes a shallow
+//!    clone of each stripe, and releases. Shared guards suffice: a
+//!    frame is sequenced, and its op applied, inside one *write*-lock
+//!    critical section of the lock the op mutates under, and a read
+//!    guard excludes those sections exactly as a write guard would —
+//!    while all are held no such op is half-applied and none can be
+//!    sequenced, so `next_seq` still splits them into "inside the
+//!    capture" and "replayed". (The lock-free suppressed counter has
+//!    its own argument below.)
 //! 3. *Write.* It encodes the captured state with no lock held and
 //!    writes the checkpoint — `next_seq` and the floor in its meta
 //!    section — atomically (temp + fsync + rename + dir fsync).
@@ -1231,14 +1240,14 @@ impl DataStore {
     /// Writes a full-state checkpoint and deletes the log it covers.
     /// Recovery cost is then one checkpoint load plus the tail since.
     ///
-    /// Ingest waits only for the capture: the WAL is rotated first with
-    /// no store lock held; then, under every stripe lock, the
-    /// checkpoint reads the counters and the WAL position and takes a
-    /// shallow clone of each stripe (see [`crate::store`], "Sharing");
-    /// encoding and the disk writes run with no stripe lock held, and a
-    /// writer touching a captured key, index or chunk meanwhile copies
-    /// that one unit. It is caller-driven — there is no automatic
-    /// trigger — so ingest paths can never self-deadlock against it.
+    /// Ingest waits only for the capture and a live read view holds
+    /// nothing up: the WAL is rotated with no store lock held; the
+    /// store's one capture then takes every stripe lock, shared, for
+    /// the length of a shallow clone (see [`crate::store`], "Sharing"),
+    /// reading the counters and the WAL position with the stripes;
+    /// encoding and the disk writes run with no lock held, a writer
+    /// meanwhile copying the one list or chunk it touches. Caller-driven
+    /// (no automatic trigger), so ingest cannot self-deadlock against it.
     ///
     /// # Errors
     ///
@@ -1258,33 +1267,20 @@ impl DataStore {
         // sequence number the capture below will find already issued.
         let floor = d.wal.rotate()?;
         d.current_gen.store(floor, Ordering::Relaxed);
-        let mut sections = Vec::with_capacity(self.stripes.len() + 1);
-        let captured: Vec<Stripe> = {
-            // Capture under every lock: ops sequenced before `next_seq`
-            // are inside this snapshot, everything at or after it is
-            // replayed on recovery.
-            let guards: Vec<_> = self.stripes.iter().map(|s| s.write()).collect();
-            let health = self.region_health.write();
-            let next_seq = d.wal.next_seq();
-            let mut meta = Vec::new();
-            self.recorded_probes
-                .load(Ordering::Relaxed)
-                .encode(&mut meta);
-            self.total_cost_micros
-                .load(Ordering::Relaxed)
-                .encode(&mut meta);
-            self.suppressed_probes
-                .load(Ordering::Relaxed)
-                .encode(&mut meta);
-            next_seq.encode(&mut meta);
-            floor.encode(&mut meta);
-            encode_map(&health, &mut meta);
-            sections.push(meta);
-            guards.iter().map(|g| Stripe::clone(g)).collect()
-        };
+        // Ops sequenced before `next_seq` are inside the capture,
+        // everything at or after it is replayed on recovery.
+        let (captured, next_seq) = self.capture(|| d.wal.next_seq());
+        let mut meta = Vec::new();
+        captured.recorded_probes.encode(&mut meta);
+        captured.total_cost_micros.encode(&mut meta);
+        captured.suppressed_probes.encode(&mut meta);
+        next_seq.encode(&mut meta);
+        floor.encode(&mut meta);
+        encode_map(&captured.region_health, &mut meta);
         // Encoded with no lock held; each clone goes as soon as it is
         // encoded, so ingest stops copying what it shares with it.
-        for stripe in captured {
+        let mut sections = vec![meta];
+        for stripe in captured.stripes.into_vec() {
             sections.push(stripe.to_bytes());
         }
         // Nothing is deleted before the checkpoint is durable; from
@@ -1339,8 +1335,9 @@ impl DataStore {
 
     /// Drives the degraded → durable heal loop. Call this periodically
     /// from a maintenance point (the live driver does so once per
-    /// tick), never from an ingest path — a successful heal runs a full
-    /// checkpoint, which takes every stripe lock.
+    /// tick), never from inside a `record_*` call — a successful heal
+    /// runs a full checkpoint, which takes every stripe lock (shared, for
+    /// the length of a clone: a live read view does not hold it up).
     ///
     /// Returns `Ok(true)` when a heal completed this call, `Ok(false)`
     /// when there was nothing to do (healthy, in-memory, or backoff not
@@ -2261,6 +2258,9 @@ mod tests {
         assert_eq!(recovered.len(), 0);
     }
 
+    /// Probes the disk-fault tests record before their scripted window.
+    const PROBES: u64 = 20;
+
     /// Measures the byte length of the single coalesced WAL write that
     /// flushing `count` identical probes produces, so fault windows can
     /// target exact write attempts (the encoding is deterministic).
@@ -2289,7 +2289,6 @@ mod tests {
     /// full checkpoint, and nothing recorded in memory is lost.
     #[test]
     fn faulty_disk_degrades_store_then_tend_heals() {
-        const PROBES: u64 = 20;
         let flush_len = measured_flush_len(PROBES);
         // Cover the first write attempt and the start of the third:
         // all three retries fail (each attempt advances the cumulative
@@ -2351,27 +2350,23 @@ mod tests {
         assert_eq!(recovered.len(), PROBES as usize + 2);
     }
 
-    /// `close()` on a degraded store heals first (ignoring backoff), so
-    /// the final checkpoint and marker cover the memory-only ops.
-    #[test]
-    fn close_while_degraded_heals_first() {
-        const PROBES: u64 = 20;
+    /// A durable store at `dir` holding `PROBES` probes of market 0 that
+    /// a scripted ENOSPC window has kept off the disk: the failed flush
+    /// is behind it and the window exhausted, so the next append
+    /// observes the degraded writer and the next heal goes through.
+    fn store_on_a_full_disk(dir: &Path, heal_retry_base: Duration) -> DataStore {
         let flush_len = measured_flush_len(PROBES);
         let io = Arc::new(FaultyDisk::scripted(vec![FaultWindow {
             kind: FaultKind::WriteEnospc,
             from: 8,
             to: 8 + 2 * flush_len + 1,
         }]));
-        let tmp = TempDir::new("durable-degraded-close");
-        let dir = tmp.path().join("store");
         let store = DataStore::create_durable(
-            &dir,
+            dir,
             DurableOptions {
                 fsync: FsyncPolicy::Never,
-                io: Some(io.clone() as Arc<dyn DiskIo>),
-                // A heal via tend would have to wait out this backoff;
-                // close ignores it.
-                heal_retry_base: Duration::from_secs(3600),
+                io: Some(io as Arc<dyn DiskIo>),
+                heal_retry_base,
                 ..DurableOptions::default()
             },
         )
@@ -2379,7 +2374,19 @@ mod tests {
         for t in 0..PROBES {
             store.record_probe(probe(t * 60, market(0), ProbeOutcome::Fulfilled));
         }
-        assert!(store.flush().is_err());
+        assert!(store.flush().is_err(), "the scripted window must fire");
+        store
+    }
+
+    /// `close()` on a degraded store heals first (ignoring backoff), so
+    /// the final checkpoint and marker cover the memory-only ops.
+    #[test]
+    fn close_while_degraded_heals_first() {
+        let tmp = TempDir::new("durable-degraded-close");
+        let dir = tmp.path().join("store");
+        // A heal via tend would have to wait out this backoff; close
+        // ignores it.
+        let store = store_on_a_full_disk(&dir, Duration::from_secs(3600));
         store.record_probe(probe(PROBES * 60, market(2), ProbeOutcome::Fulfilled));
         assert_eq!(store.durability_mode(), Some(DurabilityMode::Degraded));
         assert!(!store.tend_durability().expect("backoff holds"));
@@ -2390,6 +2397,80 @@ mod tests {
         assert!(info.from_clean_shutdown);
         assert_eq!(info.replayed_ops, 0);
         assert_eq!(recovered.len(), PROBES as usize + 1);
+    }
+
+    /// A read view holds no stripe guard, so nothing durable waits for
+    /// it: with one alive — on the same thread, where a guard-holding
+    /// view would be a self-deadlock — ingest proceeds, a degraded store
+    /// heals through `tend_durability` and `checkpoint()` returns;
+    /// `close()` then writes its marker beside the same capture held as
+    /// a snapshot (`close(self)` ends the view's borrow, not a lock).
+    /// Both keep answering as of the capture and the recovered store
+    /// equals a twin that saw every op. Runs under a watchdog so a
+    /// regression fails instead of hanging.
+    #[test]
+    fn checkpoint_heal_and_close_do_not_wait_for_a_view() {
+        let (done, finished) = std::sync::mpsc::channel();
+        let body = std::thread::spawn(move || {
+            let tmp = TempDir::new("durable-view-held");
+            let dir = tmp.path().join("store");
+            let store = store_on_a_full_disk(&dir, Duration::ZERO);
+            let twin = DataStore::new();
+            for t in 0..PROBES {
+                twin.record_probe(probe(t * 60, market(0), ProbeOutcome::Fulfilled));
+            }
+            let record = |p: ProbeRecord| {
+                store.record_probe(p);
+                twin.record_probe(p);
+            };
+            record(probe(PROBES * 60, market(0), ProbeOutcome::Fulfilled));
+            assert_eq!(store.durability_mode(), Some(DurabilityMode::Degraded));
+
+            let view = store.read();
+            // The same capture without the borrow of `store`: it
+            // outlives the store below.
+            let kept = store.snapshot(SimTime::from_secs(PROBES * 60));
+            let as_of_capture = |r: &crate::store::StoreRead<'_>| {
+                assert_eq!(r.len(), PROBES as usize + 1);
+                assert_eq!(r.probes_of(market(0)).count(), PROBES as usize + 1);
+                assert_eq!(r.probes_of(market(1)).count(), 0);
+                assert!(!r.is_unavailable(market(1), ProbeKind::OnDemand));
+                assert!(r.durability_lost().is_some(), "captured while degraded");
+            };
+            record(probe(1, market(1), ProbeOutcome::InsufficientCapacity));
+            assert!(store.tend_durability().expect("heal"), "heal ran");
+            assert_eq!(store.durability_mode(), Some(DurabilityMode::Durable));
+            record(probe(2, market(1), ProbeOutcome::InsufficientCapacity));
+            store.checkpoint().expect("checkpoint");
+            record(probe(3, market(2), ProbeOutcome::Fulfilled));
+            as_of_capture(&view);
+            drop(view);
+            store.close().expect("close");
+            as_of_capture(&kept.read());
+
+            let (recovered, info) =
+                DataStore::recover_with_report(&dir, DurableOptions::default()).expect("recover");
+            assert!(info.from_clean_shutdown, "close wrote its marker");
+            assert_eq!(recovered.len(), twin.len());
+            assert_eq!(recovered.total_cost(), twin.total_cost());
+            let (r, t) = (recovered.read(), twin.read());
+            assert!(r.probes().eq(t.probes()));
+            for m in [market(0), market(1), market(2)] {
+                let kind = ProbeKind::OnDemand;
+                assert_eq!(r.probe_stats(m, kind), t.probe_stats(m, kind));
+                assert_eq!(r.is_unavailable(m, kind), t.is_unavailable(m, kind));
+                assert_eq!(r.rejection_times(m, kind), t.rejection_times(m, kind));
+            }
+            let _ = done.send(());
+        });
+        if finished.recv_timeout(Duration::from_secs(30))
+            == Err(std::sync::mpsc::RecvTimeoutError::Timeout)
+        {
+            panic!("still running after 30 s: something durable waits for the view");
+        }
+        if let Err(panic) = body.join() {
+            std::panic::resume_unwind(panic);
+        }
     }
 
     #[test]

@@ -43,8 +43,8 @@
 //! let end = SimTime::ZERO + SimDuration::days(1);
 //! engine.run_until(end);
 //!
-//! // Ask the information service what it learned (a read snapshot
-//! // over the store's lock stripes).
+//! // Ask the information service what it learned (a consistent
+//! // capture of the store; it holds no lock).
 //! let db = store.read();
 //! let query = SpotLightQuery::new(&db, SimTime::ZERO, end);
 //! for market in engine.cloud().catalog().markets() {

@@ -8,9 +8,9 @@
 //! toward markets whose on-demand fallbacks are actually obtainable when
 //! spot servers are revoked.
 //!
-//! Queries run over a [`StoreRead`] snapshot of the striped store, so a
-//! batch of queries sees one consistent state and pays the stripe locks
-//! once, not per call.
+//! Queries run over a [`StoreRead`] capture of the striped store, so a
+//! batch of queries sees one consistent state, pays for the capture
+//! once, not per call, and holds no lock while it runs.
 
 use crate::budget::SpikeRate;
 use crate::probe::ProbeKind;
@@ -338,7 +338,9 @@ impl<'a> SpotLightQuery<'a> {
     ///
     /// Served from the per-epoch sorted spike-ratio buckets (a binary
     /// search per bucket per threshold), not a raw-log scan — so the
-    /// answer is unchanged by compaction.
+    /// answer is unchanged by compaction. The counts are over the
+    /// store's **lifetime**: the query span does not select spikes, it
+    /// only sets the number of windows the counts are divided by.
     pub fn spike_rates(&self, thresholds: &[f64], window: SimDuration) -> Vec<SpikeRate> {
         let (start, end) = self.span;
         let windows = ((end - start).as_secs() as f64 / window.as_secs().max(1) as f64).max(1.0);

@@ -1,13 +1,13 @@
 //! Immutable, atomically-swapped snapshots of the store — the
 //! RCU/arc-swap pattern the HTTP query service reads through.
 //!
-//! A live [`crate::store::StoreRead`] holds every stripe's read lock,
-//! which is exactly right for a batch of analyses but wrong for a
-//! serving hot path: a million concurrent GETs would contend with each
-//! other and stall ingest. Instead the service publishes a
-//! [`StoreSnapshot`] — an owned, immutable capture of the stripes plus
-//! the store-wide counters, taken under one consistent read pass — into
-//! a [`SnapshotHub`], and request workers read through a per-worker
+//! [`DataStore::read`] takes a capture of the store per call — right
+//! for a batch of analyses, wrong for a serving hot path, where a
+//! million GETs must not each pay O(keys) and visit every stripe lock.
+//! Instead the service publishes a [`StoreSnapshot`] — the same owned,
+//! immutable capture of the stripes plus the store-wide counters, kept
+//! with its capture time and sorted market list — into a
+//! [`SnapshotHub`], and request workers read through a per-worker
 //! [`SnapshotReader`] cache:
 //!
 //! * **Publish** (ingest side): [`DataStore::snapshot`] →
@@ -22,14 +22,14 @@
 //!   atomic generation load plus a branch; the mutex is touched only
 //!   on the first read after a publish. Queries then run over
 //!   [`StoreSnapshot::read`] — the same [`crate::store::StoreRead`]
-//!   API as a live read, with **no locks held**, so readers never
-//!   block ingest and ingest never blocks readers.
+//!   view [`DataStore::read`] returns, borrowed instead of owned, so
+//!   readers never block ingest and ingest never blocks readers.
 //!
 //! The crate forbids `unsafe`, so the swap is a mutex-guarded `Arc`
 //! clone rather than an `AtomicPtr` dance; the generation check keeps
 //! that mutex off the per-request path entirely.
 
-use crate::store::{DataStore, StoreHeader, StoreRead, Stripe};
+use crate::store::{Capture, DataStore, StoreRead};
 use crate::sync::Mutex;
 use cloud_sim::ids::MarketId;
 use cloud_sim::price::Price;
@@ -42,8 +42,7 @@ use std::sync::Arc;
 /// and sharing with the store whatever ingest has not rewritten since.
 #[derive(Debug)]
 pub struct StoreSnapshot {
-    stripes: Box<[Stripe]>,
-    header: StoreHeader,
+    capture: Capture,
     as_of: SimTime,
     /// Every probed market in `MarketId` order, built once at capture.
     probed_markets: Box<[MarketId]>,
@@ -54,7 +53,7 @@ impl StoreSnapshot {
     /// [`StoreRead`] query/analysis surface, shareable across any
     /// number of threads.
     pub fn read(&self) -> StoreRead<'_> {
-        StoreRead::frozen(&self.header, &self.stripes)
+        self.capture.read()
     }
 
     /// The publisher-supplied capture time: queries default their
@@ -88,10 +87,10 @@ impl StoreSnapshot {
 }
 
 impl DataStore {
-    /// Captures an immutable snapshot of the store's queryable state:
-    /// a shallow clone of every stripe plus the store-wide counters and
-    /// health tables, taken under one consistent all-stripe read pass
-    /// on the calling thread. `as_of` is the publisher's clock — what
+    /// Captures an immutable snapshot of the store's queryable state —
+    /// the capture [`DataStore::read`] takes (a shallow clone of every
+    /// stripe plus the store-wide counters and health tables, from one
+    /// instant), kept with `as_of`, the publisher's clock: what
     /// snapshot queries treat as "now".
     ///
     /// The capture copies no record, index or key state — only each
@@ -100,18 +99,12 @@ impl DataStore {
     /// afterwards follows what it rewrites while the snapshot is alive.
     /// A sub-second publish cadence is affordable.
     pub fn snapshot(&self, as_of: SimTime) -> StoreSnapshot {
-        let live = self.read();
-        let stripes: Box<[Stripe]> = live.stripes().cloned().collect();
-        let header = live.into_header();
+        let (capture, ()) = self.capture(|| ());
         // Outside the stripe locks: ingest is not held up by the sort.
-        let mut probed_markets: Box<[MarketId]> = stripes
-            .iter()
-            .flat_map(|s| s.probes_by_market.keys().copied())
-            .collect();
+        let mut probed_markets: Box<[MarketId]> = capture.read().probed_markets().collect();
         probed_markets.sort_unstable();
         StoreSnapshot {
-            stripes,
-            header,
+            capture,
             as_of,
             probed_markets,
         }
@@ -386,41 +379,6 @@ mod tests {
                 });
             }
             publisher.join().unwrap();
-        });
-        assert_eq!(hub.load().len(), 200);
-    }
-
-    /// The same publisher/reader stress as above, but with every
-    /// participant running as a task on a persistent worker pool
-    /// instead of ad-hoc scoped threads — the pool's scope must give
-    /// the identical coherence guarantees.
-    #[test]
-    fn concurrent_publishers_and_readers_over_pool() {
-        let store = DataStore::new();
-        let hub = SnapshotHub::new(store.snapshot(SimTime::ZERO));
-        let pool = spotlight_pool::WorkerPool::new(3);
-        pool.scope(|s| {
-            let store = &store;
-            let hub = &hub;
-            s.spawn(move || {
-                for t in 0..200u64 {
-                    store.record_probe(probe(t, market((t % 4) as u8), ProbeOutcome::Fulfilled));
-                    hub.republish(store, SimTime::from_secs(t));
-                }
-            });
-            for _ in 0..2 {
-                s.spawn(move || {
-                    let mut reader = SnapshotReader::new(hub);
-                    let mut last = 0usize;
-                    for _ in 0..1000 {
-                        let snap = reader.current(hub);
-                        let n = snap.len();
-                        assert!(n >= last, "snapshots must advance monotonically");
-                        assert_eq!(snap.read().probes().count(), n);
-                        last = n;
-                    }
-                });
-            }
         });
         assert_eq!(hub.load().len(), 200);
     }

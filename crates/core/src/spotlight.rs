@@ -5,7 +5,7 @@
 //!
 //! This is the deterministic in-engine deployment; the threaded
 //! "live" deployment of Chapter 4's manager hierarchy lives in
-//! [`crate::manager`]. Both write the same [`DataStore`].
+//! [`crate::manager`]. Both write the same [`crate::store::DataStore`].
 
 use crate::bidspread::find_intrinsic_bid;
 use crate::policy::SpotLightConfig;

@@ -14,12 +14,14 @@
 //! each stripe sits behind its own [`crate::sync::RwLock`]. Ingest
 //! (`record_*`, all `&self`) write-locks exactly one stripe, so
 //! concurrent probe workers in live mode only contend when they hit the
-//! same stripe. Reads go through [`DataStore::read`], which acquires
-//! every stripe's read lock (in stripe order, so readers never deadlock
-//! against writers), reads the store-wide counters and health table
-//! while they are held, and exposes the whole-log iteration and
-//! per-market index API on the combined view. On the store itself
-//! `len`, `total_cost` and `suppressed_probes` are lock-free atomics.
+//! same stripe. Reads are **captures**: [`DataStore::read`] takes every
+//! stripe's read lock (in stripe order, so captures never deadlock
+//! against writers) for the length of a shallow clone, reads the
+//! store-wide counters and health table while they are held, lets go,
+//! and exposes the whole-log iteration and per-market index API on the
+//! owned view. No caller ever holds a stripe guard, so nothing that
+//! reads the store stops what fills it. On the store itself `len`,
+//! `total_cost` and `suppressed_probes` are lock-free atomics.
 //!
 //! # Index invariants
 //!
@@ -34,7 +36,7 @@
 //!   interleavings) costs a binary-search insertion. Sorted order is
 //!   what turns time-range queries into binary searches
 //!   ([`StoreRead::probes_between`]).
-//! * `keys` — one [`KeyState`] per `(market, kind)` holding everything
+//! * `keys` — one `KeyState` per `(market, kind)` holding everything
 //!   the per-key queries need in a single hash lookup: running
 //!   informative/rejection counters, the key's interval index (in
 //!   interval-open order), the at-most-one open interval, the
@@ -67,17 +69,18 @@
 //! # Sharing
 //!
 //! A stripe holds **one copy of what was observed** and hands out
-//! shallow captures of it. `Stripe::clone` — what
-//! [`DataStore::snapshot`] and [`DataStore::checkpoint`] do under the
-//! stripe locks — copies the stripe's tables and never a record, an
-//! index or a key's history:
+//! shallow captures of it. `Stripe::clone` — taken in one place,
+//! `DataStore::capture`, under the stripes' read locks, for
+//! [`DataStore::read`], [`DataStore::snapshot`] and
+//! [`DataStore::checkpoint`] alike — copies the stripe's tables and
+//! never a record, an index or a key's history:
 //!
 //! * the five record slabs (`probes`, `spikes`, `intervals`,
-//!   `revocations`, `intrinsic_bids`) are [`crate::shared::ChunkVec`]s
+//!   `revocations`, `intrinsic_bids`) are `crate::shared::ChunkVec`s
 //!   of `Arc`-shared chunks; a clone copies the chunk spine;
 //! * every list in the four maps — a market's probe and revocation
 //!   indices, an epoch's sorted spike ratios, a key's interval index,
-//!   rejection times and epoch summary — is a [`crate::shared::CowVec`],
+//!   rejection times and epoch summary — is a `crate::shared::CowVec`,
 //!   elements and spare capacity in one `Arc`'d buffer; a clone bumps a
 //!   reference count. The buffer is one pointer hop from its table, as
 //!   the `Vec` it replaces was, and a key's scalars (counters, open
@@ -157,7 +160,7 @@
 
 use crate::probe::{ProbeKind, ProbeOutcome, ProbeRecord, UnavailabilityInterval};
 use crate::shared::{ChunkVec, CowVec};
-use crate::sync::{RwLock, RwLockReadGuard};
+use crate::sync::RwLock;
 use cloud_sim::ids::{MarketId, Region};
 use cloud_sim::price::Price;
 use cloud_sim::time::{SimDuration, SimTime};
@@ -399,10 +402,9 @@ pub(crate) struct KeyState {
 }
 
 /// One lock stripe: a shard of the log plus its secondary indices.
-/// `Clone` is the shallow capture [`DataStore::snapshot`] and
-/// [`DataStore::checkpoint`] take per stripe; what it shares with the
-/// clone is written only through the copy-on-write containers (module
-/// docs, "Sharing").
+/// `Clone` is the shallow capture `DataStore::capture` takes per
+/// stripe; what it shares with the clone is written only through the
+/// copy-on-write containers (module docs, "Sharing").
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Stripe {
     pub(crate) probes: ChunkVec<ProbeRecord>,
@@ -435,16 +437,28 @@ pub struct RegionHealth {
     pub trips: u64,
 }
 
-/// The store-wide state a read view reports next to its stripes,
-/// captured once per view by [`DataStore::read`].
+/// What `DataStore::capture` takes, all of it as of one instant: the
+/// store-wide counters and health table, and a shallow clone of every
+/// stripe. A [`StoreRead`] owns or borrows one; a `StoreSnapshot` keeps
+/// one; a checkpoint encodes one.
 #[derive(Debug, Clone)]
-pub(crate) struct StoreHeader {
+pub(crate) struct Capture {
     epoch_secs: u64,
-    recorded_probes: u64,
-    total_cost_micros: u64,
-    suppressed_probes: u64,
-    region_health: HashMap<Region, RegionHealth>,
+    pub(crate) recorded_probes: u64,
+    pub(crate) total_cost_micros: u64,
+    pub(crate) suppressed_probes: u64,
+    pub(crate) region_health: HashMap<Region, RegionHealth>,
     durability_lost: Option<SimTime>,
+    pub(crate) stripes: Box<[Stripe]>,
+}
+
+impl Capture {
+    /// A view borrowing this capture (O(1), no allocation).
+    pub(crate) fn read(&self) -> StoreRead<'_> {
+        StoreRead {
+            capture: Cow::Borrowed(self),
+        }
+    }
 }
 
 /// Regions marked degraded in `health`, in canonical region order.
@@ -577,26 +591,41 @@ impl DataStore {
         stripe_index(market, self.stripes.len())
     }
 
-    /// Acquires a consistent read view over every stripe. Readers
-    /// share; writers to any stripe wait until the view is dropped.
-    /// `len`, `total_cost`, region health, … are as of this call. The
-    /// store's one capture: [`DataStore::snapshot`] is a shallow clone
-    /// of it.
-    pub fn read(&self) -> StoreRead<'_> {
+    /// The store's one capture, and the only code that holds more than
+    /// one stripe guard: under every stripe's read guard (in stripe
+    /// order) and the region-health guard it reads the counters, runs
+    /// `under_guards` and shallow-clones the stripes (module docs,
+    /// "Sharing"). Every `record_*` bumps its counters and stages its
+    /// log frame inside the write-lock section of the one lock it
+    /// mutates under, which these guards exclude: counters, stripes and
+    /// whatever `under_guards` reads are as of one instant.
+    pub(crate) fn capture<T>(&self, under_guards: impl FnOnce() -> T) -> (Capture, T) {
         let guards: Vec<_> = self.stripes.iter().map(|s| s.read()).collect();
-        // Under the guards: `record_probe` bumps the two probe counters
-        // inside its stripe's write lock, so they match the stripes.
-        let header = StoreHeader {
+        let health = self.region_health.read();
+        let extra = under_guards();
+        let capture = Capture {
             epoch_secs: self.epoch_secs,
             recorded_probes: self.recorded_probes.load(Ordering::Relaxed),
             total_cost_micros: self.total_cost_micros.load(Ordering::Relaxed),
             suppressed_probes: self.suppressed_probes.load(Ordering::Relaxed),
-            region_health: self.region_health.read().clone(),
+            region_health: health.clone(),
             durability_lost: self.durability_lost(),
+            stripes: guards.iter().map(|g| Stripe::clone(g)).collect(),
         };
+        (capture, extra)
+    }
+
+    /// A consistent view of the whole store as of this call: `len`,
+    /// `total_cost`, region health and every stripe from one instant.
+    /// The view owns a shallow capture and holds **no lock** — ingest,
+    /// checkpoints and heals proceed while it lives, and it can be sent
+    /// to or shared with other threads. Taking it costs a shallow clone,
+    /// O(keys + markets + chunks); a view alive during ingest costs the
+    /// writer one copy per list or chunk it touches (module docs,
+    /// "Sharing").
+    pub fn read(&self) -> StoreRead<'_> {
         StoreRead {
-            header: Cow::Owned(header),
-            stripes: StripeRefs::Live(guards),
+            capture: Cow::Owned(self.capture(|| ()).0),
         }
     }
 
@@ -1079,37 +1108,15 @@ impl Stripe {
 /// A consistent read view over every stripe: the whole query and
 /// analysis surface of the store.
 ///
-/// Every accessor reads a [`StoreHeader`] and stripe `i`; a view from
-/// [`DataStore::read`] differs from [`crate::snapshot::StoreSnapshot::read`]'s
-/// only in where the stripes live. The former holds every stripe's
-/// read guard (writers wait: drop it before ingest-heavy work), the
-/// latter borrows an owned, immutable capture (no locks; any number of
-/// readers share it — the HTTP service's hot path).
+/// A view is one capture of the store — counters and stripes as of one
+/// instant — and holds no lock. [`DataStore::read`]'s view owns its
+/// capture; [`crate::snapshot::StoreSnapshot::read`]'s borrows the
+/// snapshot's (O(1); any number of readers share it — the HTTP
+/// service's hot path). Every accessor reads a counter or indexes the
+/// stripe slice, whichever it is.
 #[derive(Debug)]
 pub struct StoreRead<'a> {
-    header: Cow<'a, StoreHeader>,
-    stripes: StripeRefs<'a>,
-}
-
-#[derive(Debug)]
-enum StripeRefs<'a> {
-    Live(Vec<RwLockReadGuard<'a, Stripe>>),
-    Frozen(&'a [Stripe]),
-}
-
-impl<'a> StoreRead<'a> {
-    /// A lock-free view over an owned capture (O(1), no allocation).
-    pub(crate) fn frozen(header: &'a StoreHeader, stripes: &'a [Stripe]) -> Self {
-        StoreRead {
-            header: Cow::Borrowed(header),
-            stripes: StripeRefs::Frozen(stripes),
-        }
-    }
-
-    /// Ends the view (releasing any stripe guards), keeping its header.
-    pub(crate) fn into_header(self) -> StoreHeader {
-        self.header.into_owned()
-    }
+    capture: Cow<'a, Capture>,
 }
 
 /// One `(market, kind)`'s state next to the stripe whose interval slab
@@ -1148,30 +1155,17 @@ impl StoreRead<'_> {
         Some(KeyRef {
             stripe,
             state,
-            epoch_secs: self.header.epoch_secs,
+            epoch_secs: self.capture.epoch_secs,
         })
     }
 
-    fn stripe_count(&self) -> usize {
-        match &self.stripes {
-            StripeRefs::Live(guards) => guards.len(),
-            StripeRefs::Frozen(stripes) => stripes.len(),
-        }
-    }
-
-    fn stripe_at(&self, i: usize) -> &Stripe {
-        match &self.stripes {
-            StripeRefs::Live(guards) => &guards[i],
-            StripeRefs::Frozen(stripes) => &stripes[i],
-        }
-    }
-
-    pub(crate) fn stripes(&self) -> impl Iterator<Item = &Stripe> + '_ {
-        (0..self.stripe_count()).map(|i| self.stripe_at(i))
+    fn stripes(&self) -> std::slice::Iter<'_, Stripe> {
+        self.capture.stripes.iter()
     }
 
     fn stripe_for(&self, market: MarketId) -> &Stripe {
-        self.stripe_at(stripe_index(market, self.stripe_count()))
+        let stripes = &self.capture.stripes;
+        &stripes[stripe_index(market, stripes.len())]
     }
 
     /// All resident probes, stripe by stripe (oldest first within a
@@ -1303,7 +1297,7 @@ impl StoreRead<'_> {
         from: SimTime,
         to: SimTime,
     ) -> (u64, u64) {
-        let w = self.header.epoch_secs;
+        let w = self.capture.epoch_secs;
         self.key(market, kind).map_or((0, 0), |k| {
             k.state
                 .epochs
@@ -1362,18 +1356,18 @@ impl StoreRead<'_> {
 
     /// The health record of one region, if a breaker ever reported it.
     pub fn region_health(&self, region: Region) -> Option<RegionHealth> {
-        self.header.region_health.get(&region).copied()
+        self.capture.region_health.get(&region).copied()
     }
 
     /// The store's durability-loss watermark as of this view, if its
     /// durable log was degraded (see [`DataStore::durability_lost`]).
     pub fn durability_lost(&self) -> Option<SimTime> {
-        self.header.durability_lost
+        self.capture.durability_lost
     }
 
     /// Regions marked degraded, in canonical region order.
     pub fn degraded_regions(&self) -> Vec<Region> {
-        degraded_in(&self.header.region_health)
+        degraded_in(&self.capture.region_health)
     }
 
     /// All revocation observations.
@@ -1397,6 +1391,16 @@ impl StoreRead<'_> {
         self.stripes().flat_map(|s| s.intrinsic_bids.iter())
     }
 
+    /// The intrinsic-bid measurements of one market, in record order —
+    /// a scan of the market's own stripe (bids are too few to index).
+    pub fn intrinsic_bids_of(
+        &self,
+        market: MarketId,
+    ) -> impl Iterator<Item = &IntrinsicBidRecord> + '_ {
+        let bids = self.stripe_for(market).intrinsic_bids.iter();
+        bids.filter(move |r| r.market == market)
+    }
+
     /// Markets that were probed at least once (a lifetime fact;
     /// compaction does not remove markets).
     pub fn probed_markets(&self) -> impl Iterator<Item = MarketId> + '_ {
@@ -1406,17 +1410,17 @@ impl StoreRead<'_> {
 
     /// Total money spent on probes.
     pub fn total_cost(&self) -> Price {
-        Price::from_micros(self.header.total_cost_micros)
+        Price::from_micros(self.capture.total_cost_micros)
     }
 
     /// Probes suppressed by budget or service limits.
     pub fn suppressed_probes(&self) -> u64 {
-        self.header.suppressed_probes
+        self.capture.suppressed_probes
     }
 
     /// Number of probes recorded over the store's lifetime.
     pub fn len(&self) -> usize {
-        self.header.recorded_probes as usize
+        self.capture.recorded_probes as usize
     }
 
     /// True when no probes have been recorded.
@@ -1578,6 +1582,8 @@ mod tests {
     fn shared_store_is_send_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<SharedStore>();
+        // A view holds no guard, so it crosses threads too.
+        assert_send_sync::<StoreRead<'_>>();
         let s = shared_store();
         s.record_spike(SpikeEvent {
             market: market(0),
@@ -1585,8 +1591,13 @@ mod tests {
             ratio: 1.5,
             probed: true,
         });
-        assert_eq!(s.read().spikes().count(), 1);
-        assert_eq!(s.read().spikes_at_or_above(1.0), 1);
+        let view = s.read();
+        std::thread::scope(|scope| {
+            scope.spawn(|| assert_eq!(view.spikes().count(), 1));
+        });
+        std::thread::scope(|scope| {
+            scope.spawn(move || assert_eq!(view.spikes_at_or_above(1.0), 1));
+        });
         assert_eq!(s.read().spikes_at_or_above(2.0), 0);
     }
 

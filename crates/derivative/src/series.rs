@@ -4,7 +4,7 @@
 //! Both case studies replay *measured* data — a market's published price
 //! history and the on-demand unavailability intervals SpotLight
 //! collected — so the inputs here are exactly what
-//! [`spotlight_core::store::DataStore`] and the simulator's trace store
+//! `spotlight_core::store::DataStore` and the simulator's trace store
 //! produce.
 
 use cloud_sim::price::Price;

@@ -15,7 +15,7 @@
 //! prefix-valid scan recovers whole records up to the tear. The
 //! checkpoint and every spill segment are **sections**: each section is
 //! one opaque buffer (for a spill segment, `count ++ records`) cut into
-//! frames of at most [`CHECKPOINT_CHUNK`] bytes that share the section
+//! frames of at most `CHECKPOINT_CHUNK` bytes that share the section
 //! index as their sequence number — one CRC per ≤ 16 MiB, no per-record
 //! envelope. Sections are only ever written whole and atomically, so a
 //! tear cannot happen and any damage is a hard error.

@@ -134,10 +134,7 @@ pub fn fig_5_2(study: &Study, out: &Path) {
     banner("Figure 5.2 — intrinsic bid price vs published spot price (BidSpread)");
     let market = fig_5_2_market();
     let store = study.store.read();
-    let records: Vec<_> = store
-        .intrinsic_bids()
-        .filter(|r| r.market == market)
-        .collect();
+    let records: Vec<_> = store.intrinsic_bids_of(market).collect();
     let mut table = Table::new(vec!["t_secs", "published", "intrinsic", "attempts"]);
     let mut above = 0usize;
     let mut attempts_total = 0u32;

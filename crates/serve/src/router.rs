@@ -443,6 +443,9 @@ fn freshness(
     Ok(OK)
 }
 
+/// `/v1/spike-rates`: spikes per window at each threshold. The counts
+/// are over the store's lifetime; `start_secs`/`end_secs` only set the
+/// number of windows they are divided by (`SpotLightQuery::spike_rates`).
 fn spike_rates(
     request: &mut Request<'_>,
     state: &ServiceState,
@@ -506,7 +509,7 @@ fn bid_spread(
     let mut markup_total = 0.0f64;
     let mut markup_n = 0u64;
     let mut latest = None;
-    for rec in read.intrinsic_bids().filter(|r| r.market == market) {
+    for rec in read.intrinsic_bids_of(market) {
         observations += 1;
         attempts_total += u64::from(rec.attempts);
         if rec.published != cloud_sim::price::Price::ZERO {

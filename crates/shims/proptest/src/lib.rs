@@ -551,7 +551,7 @@ pub mod collection {
         }
     }
 
-    /// The result of [`vec`].
+    /// The result of [`vec()`].
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         element: S,

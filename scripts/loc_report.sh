@@ -9,8 +9,10 @@
 # its own package outside the workspace and is not counted.
 #
 # Usage:
-#   scripts/loc_report.sh          # table
-#   scripts/loc_report.sh --json   # one JSON object
+#   scripts/loc_report.sh                  # table
+#   scripts/loc_report.sh --json           # one JSON object
+#   scripts/loc_report.sh --files <path>…  # src (non-test) lines of each
+#                                          # named file, and their sum
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -37,6 +39,19 @@ split_src() {
         END { printf "%d %d\n", src + held, test }
     ' "$@"
 }
+
+if [ "${1:-}" = "--files" ]; then
+    shift
+    total=0
+    for f in "$@"; do
+        [ -f "$f" ] || { echo "loc_report.sh: no such file: $f" >&2; exit 2; }
+        read -r src _ <<< "$(split_src "$f")"
+        printf '%-40s %6d\n' "$f" "$src"
+        total=$((total + src))
+    done
+    printf '%-40s %6d\n' "total" "$total"
+    exit
+fi
 
 ROWS=""
 for member in "${MEMBERS[@]}"; do

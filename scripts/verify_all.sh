@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # The full verify path of ROADMAP.md, in its order, stopping at the
-# first failing step: format, lints, tier-1 build + tests, the
-# benchmark package's own tests (it must compile unmodified against
-# the crates), the benchmark itself, then the four smokes.
+# first failing step: format, lints, rustdoc (no broken or private
+# intra-doc link), tier-1 build + tests, the benchmark package's own
+# tests (it must compile unmodified against the crates), the benchmark
+# itself, then the four smokes.
 #
 # Cargo rewrites benchmark/Cargo.lock in the working copy whenever it
 # builds the benchmark package (the committed file predates PR 16); the
@@ -31,6 +32,7 @@ step() {
 
 step cargo fmt --check
 step cargo clippy --all-targets -- -D warnings
+RUSTDOCFLAGS="-D warnings" step cargo doc --no-deps --offline
 step cargo build --release
 step cargo test -q
 (cd benchmark && step cargo test --release --offline)

@@ -11,7 +11,7 @@ use proptest::prelude::*;
 use spotlight_core::probe::{ProbeKind, ProbeOutcome, ProbeRecord, ProbeTrigger};
 use spotlight_core::query::{AvailabilityStats, SpotLightQuery};
 use spotlight_core::stats::{BucketedRate, Ecdf};
-use spotlight_core::store::DataStore;
+use spotlight_core::store::{DataStore, StoreRead};
 use spotlight_derivative::series::AvailabilityTimeline;
 
 fn any_market() -> impl Strategy<Value = MarketId> {
@@ -513,13 +513,15 @@ proptest! {
 
 // ---- capture isolation ------------------------------------------------
 //
-// A snapshot is a shallow clone that shares record chunks, per-market
-// indices and per-key state with the store it was taken from; ingest
-// and compaction copy on first write whatever a capture still holds.
-// So nothing done to the store after a capture — however much, and
+// A capture — a snapshot, or the view `DataStore::read` returns — is a
+// shallow clone that shares record chunks, per-market indices and
+// per-key state with the store it was taken from; ingest and
+// compaction copy on first write whatever a capture still holds. So
+// nothing done to the store after a capture — however much, and
 // including a compaction that drops every raw record — may show
-// through it: the snapshot taken after op `k` keeps answering exactly
-// like a fresh store that only ever saw ops `0..k`.
+// through it, and none of it waits for the capture to go: the one taken
+// after op `k` keeps answering exactly like a fresh store that only
+// ever saw ops `0..k`.
 
 #[derive(Debug, Clone)]
 enum StoreOp {
@@ -610,21 +612,16 @@ fn run_in(len: usize) -> Vec<StoreOp> {
         .collect()
 }
 
-/// Everything a snapshot serves, compared between two captures.
-fn assert_same_answers(
-    got: &spotlight_core::StoreSnapshot,
-    want: &spotlight_core::StoreSnapshot,
-    spans: &[(u64, u64)],
-    what: &str,
-) {
-    assert_eq!(got.len(), want.len(), "{what}: len");
-    assert_eq!(got.total_cost(), want.total_cost(), "{what}: total_cost");
-    assert_eq!(
-        got.probed_markets_sorted(),
-        want.probed_markets_sorted(),
-        "{what}: probed markets"
-    );
-    let (g, w) = (got.read(), want.read());
+/// Everything a view serves, compared between two captures.
+fn assert_same_answers(g: &StoreRead<'_>, w: &StoreRead<'_>, spans: &[(u64, u64)], what: &str) {
+    assert_eq!(g.len(), w.len(), "{what}: len");
+    assert_eq!(g.total_cost(), w.total_cost(), "{what}: total_cost");
+    let probed = |r: &StoreRead<'_>| {
+        let mut markets: Vec<MarketId> = r.probed_markets().collect();
+        markets.sort_unstable();
+        markets
+    };
+    assert_eq!(probed(g), probed(w), "{what}: probed markets");
     for threshold in [0.0, 1.0, 2.5, 6.0] {
         assert_eq!(
             g.spikes_at_or_above(threshold),
@@ -636,6 +633,11 @@ fn assert_same_answers(
     assert!(g.intrinsic_bids().eq(w.intrinsic_bids()), "{what}: bids");
     for m in all_markets() {
         assert!(g.probes_of(m).eq(w.probes_of(m)), "{what}: probes_of {m}");
+        assert!(
+            g.intrinsic_bids_of(m)
+                .eq(w.intrinsic_bids().filter(|r| r.market == m)),
+            "{what}: intrinsic_bids_of {m}"
+        );
         assert!(
             g.revocations_of(m).eq(w.revocations_of(m)),
             "{what}: revocations_of {m}"
@@ -672,7 +674,7 @@ proptest! {
         spans in proptest::collection::vec((0u64..50_000, 1u64..50_000), 1..6),
     ) {
         // One stripe when there is a run-in, so that it fills chunks.
-        let layout = || DataStore::with_layout(
+        let layout = move || DataStore::with_layout(
             if run_in_len > 0 { 1 } else { 16 },
             SimDuration::from_secs(3600),
         );
@@ -687,28 +689,46 @@ proptest! {
         ops.extend(random_ops);
         let as_of = SimTime::from_secs(60_000);
 
-        let store = layout();
-        let mut snapshots = Vec::new();
-        for (k, op) in ops.iter().enumerate() {
-            op.apply(&store);
-            if matches!(op, StoreOp::Snapshot) {
-                snapshots.push((k, store.snapshot(as_of)));
+        // On its own thread, under a watchdog: were a view to hold a
+        // stripe guard, the ingest after it on the same thread would
+        // never return — that must fail the case, not hang the suite.
+        let (done, finished) = std::sync::mpsc::channel();
+        let body = std::thread::spawn(move || {
+            let store = layout();
+            let mut captures = Vec::new();
+            for (k, op) in ops.iter().enumerate() {
+                op.apply(&store);
+                if matches!(op, StoreOp::Snapshot) {
+                    captures.push((k, store.snapshot(as_of), store.read()));
+                }
             }
-        }
-        store.compact(SimTime::MAX);
-        prop_assert_eq!(store.read().probes().count(), 0);
+            store.compact(SimTime::MAX);
+            assert_eq!(store.read().probes().count(), 0);
 
-        for (k, snapshot) in &snapshots {
-            let replayed = layout();
-            for op in &ops[..*k] {
-                op.apply(&replayed);
+            for (k, snapshot, view) in &captures {
+                let replayed = layout();
+                for op in &ops[..*k] {
+                    op.apply(&replayed);
+                }
+                let want = replayed.snapshot(as_of);
+                assert_eq!(
+                    snapshot.probed_markets_sorted(),
+                    want.probed_markets_sorted(),
+                    "snapshot after op {k}: probed markets"
+                );
+                let what = format!("snapshot after op {k}");
+                assert_same_answers(&snapshot.read(), &want.read(), &spans, &what);
+                let what = format!("view after op {k}");
+                assert_same_answers(view, &replayed.read(), &spans, &what);
             }
-            assert_same_answers(
-                snapshot,
-                &replayed.snapshot(as_of),
-                &spans,
-                &format!("snapshot after op {k}"),
-            );
+            let _ = done.send(());
+        });
+        let limit = std::time::Duration::from_secs(10);
+        if finished.recv_timeout(limit) == Err(std::sync::mpsc::RecvTimeoutError::Timeout) {
+            panic!("still running after {limit:?}: a capture is holding up the store");
+        }
+        if let Err(panic) = body.join() {
+            std::panic::resume_unwind(panic);
         }
     }
 }
