@@ -339,6 +339,34 @@ pub enum Size {
 }
 
 impl Size {
+    /// All sizes, in canonical order.
+    pub const ALL: [Size; 9] = [
+        Size::Micro,
+        Size::Small,
+        Size::Medium,
+        Size::Large,
+        Size::Xlarge,
+        Size::X2,
+        Size::X4,
+        Size::X8,
+        Size::X10,
+    ];
+
+    /// A dense index in `0..9`: the size's position in [`Size::ALL`].
+    pub const fn index(self) -> usize {
+        match self {
+            Size::Micro => 0,
+            Size::Small => 1,
+            Size::Medium => 2,
+            Size::Large => 3,
+            Size::Xlarge => 4,
+            Size::X2 => 5,
+            Size::X4 => 6,
+            Size::X8 => 7,
+            Size::X10 => 8,
+        }
+    }
+
     /// The size suffix, e.g. `"2xlarge"`.
     pub const fn suffix(self) -> &'static str {
         match self {
@@ -383,18 +411,8 @@ impl FromStr for Size {
     type Err = ParseIdError;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        const ALL: [Size; 9] = [
-            Size::Micro,
-            Size::Small,
-            Size::Medium,
-            Size::Large,
-            Size::Xlarge,
-            Size::X2,
-            Size::X4,
-            Size::X8,
-            Size::X10,
-        ];
-        ALL.into_iter()
+        Size::ALL
+            .into_iter()
             .find(|z| z.suffix() == s)
             .ok_or_else(|| ParseIdError::new("instance size", s))
     }

@@ -38,7 +38,8 @@
 //!    its own argument below.)
 //! 3. *Write.* It encodes the captured state with no lock held and
 //!    writes the checkpoint — `next_seq` and the floor in its meta
-//!    section — atomically (temp + fsync + rename + dir fsync).
+//!    section, a `CheckpointMeta` record, then one section per stripe —
+//!    atomically (temp + fsync + rename + dir fsync).
 //! 4. *Prune.* Only then does it delete every generation below the
 //!    floor.
 //!
@@ -136,9 +137,8 @@ use cloud_sim::ids::Region;
 use cloud_sim::time::{SimDuration, SimTime};
 use spotlight_persist::log::{CleanMarker, LogDir};
 use spotlight_persist::wal::{WalConfig, WalHandle};
-use spotlight_persist::{Decode, DecodeError, DiskIo, Encode, Reader};
+use spotlight_persist::{enum_codec, record_codec, Decode, DecodeError, DiskIo, Encode, Reader};
 use std::collections::HashMap;
-use std::hash::{BuildHasher, Hash};
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
@@ -386,8 +386,8 @@ impl DurableSink {
     }
 }
 
-/// One logged store mutation. The match in `encode` is exhaustive over
-/// the record types, so a new persisted record type cannot compile
+/// One logged store mutation. Its tag table below expands to an
+/// exhaustive `match`, so a new persisted record type cannot compile
 /// without a wire representation.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum StoreOp {
@@ -420,65 +420,15 @@ pub(crate) enum StoreOp {
     },
 }
 
-impl Encode for StoreOp {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            StoreOp::Probe(p) => {
-                out.push(0);
-                p.encode(out);
-            }
-            StoreOp::Spike(s) => {
-                out.push(1);
-                s.encode(out);
-            }
-            StoreOp::Revocation(r) => {
-                out.push(2);
-                r.encode(out);
-            }
-            StoreOp::IntrinsicBid(b) => {
-                out.push(3);
-                b.encode(out);
-            }
-            StoreOp::Suppressed { total } => {
-                out.push(4);
-                total.encode(out);
-            }
-            StoreOp::RegionDegraded { region, at } => {
-                out.push(5);
-                region.encode(out);
-                at.encode(out);
-            }
-            StoreOp::RegionRecovered { region, at } => {
-                out.push(6);
-                region.encode(out);
-                at.encode(out);
-            }
-        }
-    }
-}
-
-impl Decode for StoreOp {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(match u8::decode(r)? {
-            0 => StoreOp::Probe(ProbeRecord::decode(r)?),
-            1 => StoreOp::Spike(SpikeEvent::decode(r)?),
-            2 => StoreOp::Revocation(RevocationRecord::decode(r)?),
-            3 => StoreOp::IntrinsicBid(IntrinsicBidRecord::decode(r)?),
-            4 => StoreOp::Suppressed {
-                total: u64::decode(r)?,
-            },
-            5 => StoreOp::RegionDegraded {
-                region: Region::decode(r)?,
-                at: SimTime::decode(r)?,
-            },
-            6 => StoreOp::RegionRecovered {
-                region: Region::decode(r)?,
-                at: SimTime::decode(r)?,
-            },
-            _ => return Err(DecodeError::Invalid("store op tag")),
-        })
-    }
-}
+enum_codec!(StoreOp, "store op tag" {
+    0 => Probe(p),
+    1 => Spike(s),
+    2 => Revocation(r),
+    3 => IntrinsicBid(b),
+    4 => Suppressed { total },
+    5 => RegionDegraded { region, at },
+    6 => RegionRecovered { region, at },
+});
 
 impl StoreOp {
     /// The op's time in seconds, fed to the WAL's durability watermark.
@@ -501,294 +451,32 @@ impl StoreOp {
     }
 }
 
-impl Encode for ProbeKind {
-    fn encode(&self, out: &mut Vec<u8>) {
-        // Exhaustive: a new kind cannot silently skip persistence.
-        out.push(match self {
-            ProbeKind::OnDemand => 0,
-            ProbeKind::Spot => 1,
-            ProbeKind::InterruptionNotice => 2,
-        });
-    }
-}
+enum_codec!(ProbeKind, "probe kind tag" {
+    0 => OnDemand,
+    1 => Spot,
+    2 => InterruptionNotice,
+});
 
-impl Decode for ProbeKind {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(match u8::decode(r)? {
-            0 => ProbeKind::OnDemand,
-            1 => ProbeKind::Spot,
-            2 => ProbeKind::InterruptionNotice,
-            _ => return Err(DecodeError::Invalid("probe kind tag")),
-        })
-    }
-}
+enum_codec!(ProbeOutcome, "probe outcome tag" {
+    0 => Fulfilled,
+    1 => InsufficientCapacity,
+    2 => CapacityNotAvailable,
+    3 => PriceTooLow,
+    4 => CapacityOversubscribed,
+    5 => ApiLimited,
+});
 
-impl Encode for ProbeOutcome {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(match self {
-            ProbeOutcome::Fulfilled => 0,
-            ProbeOutcome::InsufficientCapacity => 1,
-            ProbeOutcome::CapacityNotAvailable => 2,
-            ProbeOutcome::PriceTooLow => 3,
-            ProbeOutcome::CapacityOversubscribed => 4,
-            ProbeOutcome::ApiLimited => 5,
-        });
-    }
-}
-
-impl Decode for ProbeOutcome {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(match u8::decode(r)? {
-            0 => ProbeOutcome::Fulfilled,
-            1 => ProbeOutcome::InsufficientCapacity,
-            2 => ProbeOutcome::CapacityNotAvailable,
-            3 => ProbeOutcome::PriceTooLow,
-            4 => ProbeOutcome::CapacityOversubscribed,
-            5 => ProbeOutcome::ApiLimited,
-            _ => return Err(DecodeError::Invalid("probe outcome tag")),
-        })
-    }
-}
-
-impl Encode for ProbeTrigger {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            ProbeTrigger::PriceSpike { ratio } => {
-                out.push(0);
-                ratio.encode(out);
-            }
-            ProbeTrigger::FamilyFanout {
-                origin,
-                origin_ratio,
-            } => {
-                out.push(1);
-                origin.encode(out);
-                origin_ratio.encode(out);
-            }
-            ProbeTrigger::CrossAzFanout {
-                origin,
-                origin_ratio,
-            } => {
-                out.push(2);
-                origin.encode(out);
-                origin_ratio.encode(out);
-            }
-            ProbeTrigger::Recovery => out.push(3),
-            ProbeTrigger::Periodic => out.push(4),
-            ProbeTrigger::CrossVerify { origin } => {
-                out.push(5);
-                origin.encode(out);
-            }
-            ProbeTrigger::BidSearch => out.push(6),
-            ProbeTrigger::RevocationWatch => out.push(7),
-            ProbeTrigger::EvictionNotice { evict_at } => {
-                out.push(8);
-                evict_at.encode(out);
-            }
-        }
-    }
-}
-
-impl Decode for ProbeTrigger {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(match u8::decode(r)? {
-            0 => ProbeTrigger::PriceSpike {
-                ratio: f64::decode(r)?,
-            },
-            1 => ProbeTrigger::FamilyFanout {
-                origin: Decode::decode(r)?,
-                origin_ratio: f64::decode(r)?,
-            },
-            2 => ProbeTrigger::CrossAzFanout {
-                origin: Decode::decode(r)?,
-                origin_ratio: f64::decode(r)?,
-            },
-            3 => ProbeTrigger::Recovery,
-            4 => ProbeTrigger::Periodic,
-            5 => ProbeTrigger::CrossVerify {
-                origin: Decode::decode(r)?,
-            },
-            6 => ProbeTrigger::BidSearch,
-            7 => ProbeTrigger::RevocationWatch,
-            8 => ProbeTrigger::EvictionNotice {
-                evict_at: SimTime::decode(r)?,
-            },
-            _ => return Err(DecodeError::Invalid("probe trigger tag")),
-        })
-    }
-}
-
-impl Encode for ProbeRecord {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.at.encode(out);
-        self.market.encode(out);
-        self.kind.encode(out);
-        self.trigger.encode(out);
-        self.outcome.encode(out);
-        self.spot_ratio.encode(out);
-        self.bid.encode(out);
-        self.cost.encode(out);
-    }
-}
-
-impl Decode for ProbeRecord {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(ProbeRecord {
-            at: Decode::decode(r)?,
-            market: Decode::decode(r)?,
-            kind: Decode::decode(r)?,
-            trigger: Decode::decode(r)?,
-            outcome: Decode::decode(r)?,
-            spot_ratio: Decode::decode(r)?,
-            bid: Decode::decode(r)?,
-            cost: Decode::decode(r)?,
-        })
-    }
-}
-
-impl Encode for SpikeEvent {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.market.encode(out);
-        self.at.encode(out);
-        self.ratio.encode(out);
-        self.probed.encode(out);
-    }
-}
-
-impl Decode for SpikeEvent {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(SpikeEvent {
-            market: Decode::decode(r)?,
-            at: Decode::decode(r)?,
-            ratio: Decode::decode(r)?,
-            probed: Decode::decode(r)?,
-        })
-    }
-}
-
-impl Encode for RevocationRecord {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.market.encode(out);
-        self.acquired_at.encode(out);
-        self.bid.encode(out);
-        self.revoked_at.encode(out);
-        self.released_at.encode(out);
-    }
-}
-
-impl Decode for RevocationRecord {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(RevocationRecord {
-            market: Decode::decode(r)?,
-            acquired_at: Decode::decode(r)?,
-            bid: Decode::decode(r)?,
-            revoked_at: Decode::decode(r)?,
-            released_at: Decode::decode(r)?,
-        })
-    }
-}
-
-impl Encode for IntrinsicBidRecord {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.market.encode(out);
-        self.at.encode(out);
-        self.published.encode(out);
-        self.intrinsic.encode(out);
-        self.attempts.encode(out);
-    }
-}
-
-impl Decode for IntrinsicBidRecord {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(IntrinsicBidRecord {
-            market: Decode::decode(r)?,
-            at: Decode::decode(r)?,
-            published: Decode::decode(r)?,
-            intrinsic: Decode::decode(r)?,
-            attempts: Decode::decode(r)?,
-        })
-    }
-}
-
-impl Encode for UnavailabilityInterval {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.market.encode(out);
-        self.kind.encode(out);
-        self.start.encode(out);
-        self.end.encode(out);
-        self.detect_ratio.encode(out);
-        self.detected_via_related.encode(out);
-    }
-}
-
-impl Decode for UnavailabilityInterval {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(UnavailabilityInterval {
-            market: Decode::decode(r)?,
-            kind: Decode::decode(r)?,
-            start: Decode::decode(r)?,
-            end: Decode::decode(r)?,
-            detect_ratio: Decode::decode(r)?,
-            detected_via_related: Decode::decode(r)?,
-        })
-    }
-}
-
-impl Encode for RegionHealth {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.degraded.encode(out);
-        self.since.encode(out);
-        self.degraded_secs.encode(out);
-        self.trips.encode(out);
-    }
-}
-
-impl Decode for RegionHealth {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(RegionHealth {
-            degraded: Decode::decode(r)?,
-            since: Decode::decode(r)?,
-            degraded_secs: Decode::decode(r)?,
-            trips: Decode::decode(r)?,
-        })
-    }
-}
-
-impl Encode for ProbeStats {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.informative.encode(out);
-        self.rejections.encode(out);
-    }
-}
-
-impl Decode for ProbeStats {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(ProbeStats {
-            informative: Decode::decode(r)?,
-            rejections: Decode::decode(r)?,
-        })
-    }
-}
-
-impl Encode for EpochCell {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.epoch.encode(out);
-        self.informative.encode(out);
-        self.rejections.encode(out);
-        self.unavail_secs.encode(out);
-    }
-}
-
-impl Decode for EpochCell {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(EpochCell {
-            epoch: Decode::decode(r)?,
-            informative: Decode::decode(r)?,
-            rejections: Decode::decode(r)?,
-            unavail_secs: Decode::decode(r)?,
-        })
-    }
-}
+enum_codec!(ProbeTrigger, "probe trigger tag" {
+    0 => PriceSpike { ratio },
+    1 => FamilyFanout { origin, origin_ratio },
+    2 => CrossAzFanout { origin, origin_ratio },
+    3 => Recovery,
+    4 => Periodic,
+    5 => CrossVerify { origin },
+    6 => BidSearch,
+    7 => RevocationWatch,
+    8 => EvictionNotice { evict_at },
+});
 
 /// Sparse on disk as in memory (since format version 2): only the
 /// key's non-empty buckets travel, each carrying its epoch.
@@ -838,90 +526,42 @@ impl<T: Decode + Copy> Decode for ChunkVec<T> {
     }
 }
 
-impl Encode for KeyState {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.stats.encode(out);
-        self.intervals.encode(out);
-        self.open.encode(out);
-        self.closed_intervals.encode(out);
-        self.rejection_times.encode(out);
-        self.last_informative.encode(out);
-        self.epochs.encode(out);
-        self.disordered.encode(out);
-    }
+/// A checkpoint's meta section (section 0; the stripes follow, one
+/// section each): the store-wide counters and health table of the
+/// capture, and the two numbers recovery resumes the log from —
+/// `next_seq`, the first sequence number *not* inside the capture, and
+/// `floor`, the generation the checkpoint rotated to.
+#[derive(Debug, PartialEq)]
+struct CheckpointMeta {
+    recorded_probes: u64,
+    total_cost_micros: u64,
+    suppressed_probes: u64,
+    next_seq: u64,
+    floor: u64,
+    region_health: HashMap<Region, RegionHealth>,
 }
 
-impl Decode for KeyState {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(KeyState {
-            stats: Decode::decode(r)?,
-            intervals: Decode::decode(r)?,
-            open: Decode::decode(r)?,
-            closed_intervals: Decode::decode(r)?,
-            rejection_times: Decode::decode(r)?,
-            last_informative: Decode::decode(r)?,
-            epochs: Decode::decode(r)?,
-            disordered: Decode::decode(r)?,
-        })
+// Every plain record of the store as it lies on disk: its fields in
+// wire order — which for `KeyState` is *not* the declaration order.
+record_codec! {
+    ProbeRecord { at, market, kind, trigger, outcome, spot_ratio, bid, cost }
+    SpikeEvent { market, at, ratio, probed }
+    RevocationRecord { market, acquired_at, bid, revoked_at, released_at }
+    IntrinsicBidRecord { market, at, published, intrinsic, attempts }
+    UnavailabilityInterval { market, kind, start, end, detect_ratio, detected_via_related }
+    RegionHealth { degraded, since, degraded_secs, trips }
+    ProbeStats { informative, rejections }
+    EpochCell { epoch, informative, rejections, unavail_secs }
+    KeyState {
+        stats, intervals, open, closed_intervals, rejection_times, last_informative, epochs,
+        disordered,
     }
-}
-
-fn encode_map<K: Encode, V: Encode, S: BuildHasher>(map: &HashMap<K, V, S>, out: &mut Vec<u8>) {
-    map.len().encode(out);
-    for (k, v) in map {
-        k.encode(out);
-        v.encode(out);
+    Stripe {
+        probes, probes_by_market, spikes, spike_ratios_by_epoch, intervals, keys,
+        od_rejections_by_region, revocations, revocations_by_market, intrinsic_bids,
     }
-}
-
-fn decode_map<K, V, S>(r: &mut Reader<'_>) -> Result<HashMap<K, V, S>, DecodeError>
-where
-    K: Decode + Eq + Hash,
-    V: Decode,
-    S: BuildHasher + Default,
-{
-    let len = usize::decode(r)?;
-    if len > r.remaining() {
-        return Err(DecodeError::Invalid("map length"));
-    }
-    let mut map = HashMap::with_capacity_and_hasher(len, S::default());
-    for _ in 0..len {
-        let k = K::decode(r)?;
-        let v = V::decode(r)?;
-        map.insert(k, v);
-    }
-    Ok(map)
-}
-
-impl Encode for Stripe {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.probes.encode(out);
-        encode_map(&self.probes_by_market, out);
-        self.spikes.encode(out);
-        encode_map(&self.spike_ratios_by_epoch, out);
-        self.intervals.encode(out);
-        encode_map(&self.keys, out);
-        encode_map(&self.od_rejections_by_region, out);
-        self.revocations.encode(out);
-        encode_map(&self.revocations_by_market, out);
-        self.intrinsic_bids.encode(out);
-    }
-}
-
-impl Decode for Stripe {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(Stripe {
-            probes: Decode::decode(r)?,
-            probes_by_market: decode_map(r)?,
-            spikes: Decode::decode(r)?,
-            spike_ratios_by_epoch: decode_map(r)?,
-            intervals: Decode::decode(r)?,
-            keys: decode_map(r)?,
-            od_rejections_by_region: decode_map(r)?,
-            revocations: Decode::decode(r)?,
-            revocations_by_market: decode_map(r)?,
-            intrinsic_bids: Decode::decode(r)?,
-        })
+    CheckpointMeta {
+        recorded_probes, total_cost_micros, suppressed_probes, next_seq, floor, region_health,
     }
 }
 
@@ -1112,18 +752,18 @@ impl DataStore {
             if sections.len() != stripes + 1 {
                 return Err(corrupt("checkpoint section count mismatch"));
             }
-            let mut r = Reader::new(&sections[0]);
-            let recorded = u64::decode(&mut r).map_err(bad_data)?;
-            let cost = u64::decode(&mut r).map_err(bad_data)?;
-            let suppressed = u64::decode(&mut r).map_err(bad_data)?;
-            next_seq = u64::decode(&mut r).map_err(bad_data)?;
-            min_gen = u64::decode(&mut r).map_err(bad_data)?;
-            let health: HashMap<Region, RegionHealth> = decode_map(&mut r).map_err(bad_data)?;
-            r.expect_empty().map_err(bad_data)?;
-            store.recorded_probes.store(recorded, Ordering::Relaxed);
-            store.total_cost_micros.store(cost, Ordering::Relaxed);
-            store.suppressed_probes.store(suppressed, Ordering::Relaxed);
-            *store.region_health.write() = health;
+            let meta = CheckpointMeta::from_bytes(&sections[0]).map_err(bad_data)?;
+            next_seq = meta.next_seq;
+            min_gen = meta.floor;
+            let relaxed = Ordering::Relaxed;
+            store.recorded_probes.store(meta.recorded_probes, relaxed);
+            store
+                .total_cost_micros
+                .store(meta.total_cost_micros, relaxed);
+            store
+                .suppressed_probes
+                .store(meta.suppressed_probes, relaxed);
+            *store.region_health.write() = meta.region_health;
             for (i, section) in sections[1..].iter().enumerate() {
                 *store.stripes[i].write() = Stripe::from_bytes(section).map_err(bad_data)?;
             }
@@ -1270,16 +910,17 @@ impl DataStore {
         // Ops sequenced before `next_seq` are inside the capture,
         // everything at or after it is replayed on recovery.
         let (captured, next_seq) = self.capture(|| d.wal.next_seq());
-        let mut meta = Vec::new();
-        captured.recorded_probes.encode(&mut meta);
-        captured.total_cost_micros.encode(&mut meta);
-        captured.suppressed_probes.encode(&mut meta);
-        next_seq.encode(&mut meta);
-        floor.encode(&mut meta);
-        encode_map(&captured.region_health, &mut meta);
+        let meta = CheckpointMeta {
+            recorded_probes: captured.recorded_probes,
+            total_cost_micros: captured.total_cost_micros,
+            suppressed_probes: captured.suppressed_probes,
+            next_seq,
+            floor,
+            region_health: captured.region_health,
+        };
         // Encoded with no lock held; each clone goes as soon as it is
         // encoded, so ingest stops copying what it shares with it.
-        let mut sections = vec![meta];
+        let mut sections = vec![meta.to_bytes()];
         for stripe in captured.stripes.into_vec() {
             sections.push(stripe.to_bytes());
         }
@@ -1460,6 +1101,7 @@ mod tests {
     use crate::probe::ProbeOutcome;
     use cloud_sim::ids::{Az, MarketId, Platform};
     use cloud_sim::price::Price;
+    use proptest::prelude::*;
     use spotlight_persist::tempdir::TempDir;
     use spotlight_persist::{FaultKind, FaultWindow, FaultyDisk};
 
@@ -1491,21 +1133,21 @@ mod tests {
         assert_eq!(StoreOp::from_bytes(&bytes).expect("decode"), op);
     }
 
-    /// Satellite: every `ProbeKind` and `ProbeTrigger` variant
-    /// round-trips, with the variant lists produced by compile-time
-    /// exhaustive matches — adding a variant upstream breaks this
-    /// build, not just coverage.
-    #[test]
-    fn probe_kind_and_trigger_every_variant_round_trips() {
-        let all_kinds: Vec<ProbeKind> = match ProbeKind::OnDemand {
+    /// Every variant of the three probe enums. The lists come out of
+    /// compile-time exhaustive matches: adding a variant upstream breaks
+    /// this build, not just coverage.
+    fn all_kinds() -> Vec<ProbeKind> {
+        match ProbeKind::OnDemand {
             ProbeKind::OnDemand | ProbeKind::Spot | ProbeKind::InterruptionNotice => vec![
                 ProbeKind::OnDemand,
                 ProbeKind::Spot,
                 ProbeKind::InterruptionNotice,
             ],
-        };
-        assert_eq!(all_kinds.len(), 3);
-        let all_triggers: Vec<ProbeTrigger> = match ProbeTrigger::Recovery {
+        }
+    }
+
+    fn all_triggers() -> Vec<ProbeTrigger> {
+        match ProbeTrigger::Recovery {
             ProbeTrigger::PriceSpike { .. }
             | ProbeTrigger::FamilyFanout { .. }
             | ProbeTrigger::CrossAzFanout { .. }
@@ -1533,9 +1175,11 @@ mod tests {
                     evict_at: SimTime::from_secs(7200),
                 },
             ],
-        };
-        assert_eq!(all_triggers.len(), 9);
-        let all_outcomes: Vec<ProbeOutcome> = match ProbeOutcome::Fulfilled {
+        }
+    }
+
+    fn all_outcomes() -> Vec<ProbeOutcome> {
+        match ProbeOutcome::Fulfilled {
             ProbeOutcome::Fulfilled
             | ProbeOutcome::InsufficientCapacity
             | ProbeOutcome::CapacityNotAvailable
@@ -1549,7 +1193,14 @@ mod tests {
                 ProbeOutcome::CapacityOversubscribed,
                 ProbeOutcome::ApiLimited,
             ],
-        };
+        }
+    }
+
+    #[test]
+    fn probe_kind_and_trigger_every_variant_round_trips() {
+        let (all_kinds, all_triggers, all_outcomes) = (all_kinds(), all_triggers(), all_outcomes());
+        assert_eq!(all_kinds.len(), 3);
+        assert_eq!(all_triggers.len(), 9);
         for kind in &all_kinds {
             for trigger in &all_triggers {
                 for outcome in &all_outcomes {
@@ -1594,6 +1245,291 @@ mod tests {
             region: Region::EuWest1,
             at: SimTime::from_secs(65),
         });
+    }
+
+    /// Markets for the golden records: between them every `Size`, and
+    /// regions, zones, families and platforms away from tag 0.
+    fn golden_market(i: usize) -> MarketId {
+        const TYPES: [&str; 9] = [
+            "t1.micro",
+            "m1.small",
+            "m3.medium",
+            "c3.large",
+            "r3.xlarge",
+            "d2.2xlarge",
+            "i2.4xlarge",
+            "cc2.8xlarge",
+            "c4.10xlarge",
+        ];
+        MarketId {
+            az: Az::new(Region::ALL[(i + 3) % 9], (i * 7 % 26) as u8),
+            instance_type: TYPES[i % 9].parse().unwrap(),
+            platform: Platform::ALL[(i + 1) % 4],
+        }
+    }
+
+    /// One `StoreOp` of every variant; the probes carry one
+    /// `ProbeTrigger` of every variant and, between them, every
+    /// `ProbeKind` and `ProbeOutcome`. Integers straddle varint widths.
+    fn golden_ops() -> Vec<StoreOp> {
+        let (kinds, outcomes) = (all_kinds(), all_outcomes());
+        let mut ops: Vec<StoreOp> = all_triggers()
+            .into_iter()
+            .enumerate()
+            .map(|(i, trigger)| {
+                let kind = kinds[i % kinds.len()];
+                StoreOp::Probe(ProbeRecord {
+                    at: SimTime::from_secs(100 + 70_000 * i as u64),
+                    market: golden_market(i),
+                    kind,
+                    trigger,
+                    outcome: outcomes[i % outcomes.len()],
+                    spot_ratio: 0.5 + i as f64,
+                    bid: (kind == ProbeKind::Spot).then(|| Price::from_micros(65_000 + i as u64)),
+                    cost: Price::from_micros(130 * i as u64),
+                })
+            })
+            .collect();
+        ops.extend([
+            StoreOp::Spike(SpikeEvent {
+                market: golden_market(9),
+                at: SimTime::from_secs(42),
+                ratio: 3.25,
+                probed: true,
+            }),
+            StoreOp::Revocation(RevocationRecord {
+                market: golden_market(10),
+                acquired_at: SimTime::from_secs(100),
+                bid: Price::from_dollars(0.2),
+                revoked_at: Some(SimTime::from_secs(u64::from(u32::MAX) + 9)),
+                released_at: None,
+            }),
+            StoreOp::IntrinsicBid(IntrinsicBidRecord {
+                market: golden_market(11),
+                at: SimTime::from_secs(55),
+                published: Price::from_dollars(0.1),
+                intrinsic: Price::from_micros(u64::MAX),
+                attempts: 3,
+            }),
+            StoreOp::Suppressed { total: 17_000 },
+            StoreOp::RegionDegraded {
+                region: Region::EuWest1,
+                at: SimTime::from_secs(5),
+            },
+            StoreOp::RegionRecovered {
+                region: Region::SaEast1,
+                at: SimTime::from_secs(3_000_000),
+            },
+        ]);
+        ops
+    }
+
+    /// Every list non-empty, `open: Some`, and no two fields of one
+    /// type equal — so two fields swapped on the wire change the bytes.
+    fn golden_key_state() -> KeyState {
+        KeyState {
+            stats: ProbeStats {
+                informative: 300,
+                rejections: 17,
+            },
+            intervals: [3usize, 200].into_iter().collect(),
+            open: Some(200),
+            closed_intervals: 1,
+            last_informative: Some(SimTime::from_secs(2_500_000)),
+            disordered: true,
+            rejection_times: [90u64, 20_000]
+                .into_iter()
+                .map(SimTime::from_secs)
+                .collect(),
+            epochs: EpochSeries {
+                cells: [(0u64, 2u64, 1u64, 3_600u64), (694, 298, 16, 1_234)]
+                    .into_iter()
+                    .map(|(epoch, informative, rejections, unavail_secs)| EpochCell {
+                        epoch,
+                        informative,
+                        rejections,
+                        unavail_secs,
+                    })
+                    .collect(),
+            },
+        }
+    }
+
+    /// A one-element slab, list or map.
+    fn one<C: FromIterator<T>, T>(item: T) -> C {
+        std::iter::once(item).collect()
+    }
+
+    /// One element per slab and one entry per map: with a single entry,
+    /// `RandomState` iteration order cannot reach the bytes.
+    fn golden_stripe() -> Stripe {
+        let m = golden_market(12);
+        let Some(StoreOp::Probe(p)) = golden_ops().into_iter().nth(1) else {
+            unreachable!("the golden ops start with the probes");
+        };
+        Stripe {
+            probes: one(p),
+            probes_by_market: one((p.market, one(0usize))),
+            spikes: one(SpikeEvent {
+                market: m,
+                at: SimTime::from_secs(18_001),
+                ratio: 2.25,
+                probed: false,
+            }),
+            spike_ratios_by_epoch: one((5u64, [1.5, 2.25].into_iter().collect())),
+            intervals: one(UnavailabilityInterval {
+                market: m,
+                kind: ProbeKind::Spot,
+                start: SimTime::from_secs(600),
+                end: Some(SimTime::from_secs(4_200)),
+                detect_ratio: 1.75,
+                detected_via_related: true,
+            }),
+            keys: one(((m, ProbeKind::Spot), golden_key_state())),
+            od_rejections_by_region: one((Region::ApNortheast1, 41)),
+            revocations: one(RevocationRecord {
+                market: m,
+                acquired_at: SimTime::from_secs(7),
+                bid: Price::from_micros(310_000),
+                revoked_at: None,
+                released_at: Some(SimTime::from_secs(3_607)),
+            }),
+            revocations_by_market: one((m, one(0usize))),
+            intrinsic_bids: one(IntrinsicBidRecord {
+                market: m,
+                at: SimTime::from_secs(80),
+                published: Price::from_micros(90_000),
+                intrinsic: Price::from_micros(50_001),
+                attempts: 2,
+            }),
+        }
+    }
+
+    fn golden_meta() -> CheckpointMeta {
+        CheckpointMeta {
+            recorded_probes: 1_234_567,
+            total_cost_micros: 98_765_432_100,
+            suppressed_probes: 321,
+            next_seq: 4_300_000_000,
+            floor: 17,
+            region_health: one((
+                Region::ApSoutheast2,
+                RegionHealth {
+                    degraded: true,
+                    since: SimTime::from_secs(86_400),
+                    degraded_secs: 7_200,
+                    trips: 3,
+                },
+            )),
+        }
+    }
+
+    /// The golden values' encodings, labelled as the golden file labels
+    /// them: `store_op.<n>`, `key_state`, `stripe`, `checkpoint_meta`.
+    fn golden_records() -> Vec<(String, Vec<u8>)> {
+        let mut records: Vec<(String, Vec<u8>)> = golden_ops()
+            .iter()
+            .enumerate()
+            .map(|(i, op)| (format!("store_op.{i}"), op.to_bytes()))
+            .collect();
+        records.push(("key_state".into(), golden_key_state().to_bytes()));
+        records.push(("stripe".into(), golden_stripe().to_bytes()));
+        records.push(("checkpoint_meta".into(), golden_meta().to_bytes()));
+        records
+    }
+
+    /// Format 3, byte for byte: `tests/golden/format3_records.hex` was
+    /// written by this test at PR 20 (`7d1bf61`, the last commit with a
+    /// hand-written `Encode`/`Decode` pair per record), so a field list
+    /// or tag table that drifts from that wire order fails here. It is
+    /// regenerated (`FORMAT3_GOLDEN_WRITE=1 cargo test -p spotlight-core
+    /// format3_golden`) only together with a `FORMAT_VERSION` bump.
+    #[test]
+    fn format3_golden_bytes_encode_and_decode() {
+        const GOLDEN: &str = include_str!("../../../tests/golden/format3_records.hex");
+        let rendered: String = golden_records()
+            .iter()
+            .map(|(label, bytes)| {
+                let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+                format!("{label} {hex}\n")
+            })
+            .collect();
+        if std::env::var_os("FORMAT3_GOLDEN_WRITE").is_some() {
+            let path = concat!(
+                env!("CARGO_MANIFEST_DIR"),
+                "/../../tests/golden/format3_records.hex"
+            );
+            std::fs::write(path, &rendered).expect("write golden");
+            return;
+        }
+        assert_eq!(rendered, GOLDEN, "format 3 bytes moved");
+
+        // And the file decodes back to the values it was written from.
+        let ops = golden_ops();
+        for line in GOLDEN.lines() {
+            let (label, hex) = line.split_once(' ').expect("label, space, hex");
+            let bytes: Vec<u8> = (0..hex.len())
+                .step_by(2)
+                .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex byte"))
+                .collect();
+            match label {
+                "key_state" => same_key(
+                    &KeyState::from_bytes(&bytes).expect(label),
+                    &golden_key_state(),
+                ),
+                "stripe" => {
+                    same_stripe(&Stripe::from_bytes(&bytes).expect(label), &golden_stripe())
+                }
+                "checkpoint_meta" => assert_eq!(
+                    CheckpointMeta::from_bytes(&bytes).expect(label),
+                    golden_meta()
+                ),
+                op => {
+                    let n = op
+                        .strip_prefix("store_op.")
+                        .and_then(|n| n.parse::<usize>().ok());
+                    assert_eq!(
+                        StoreOp::from_bytes(&bytes).expect(label),
+                        ops[n.expect("store_op.<n>")]
+                    );
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        // Real bytes, one drawn flip / truncate / insert: no decoder of
+        // a persisted shape panics, and whatever still decodes as a
+        // `StoreOp` is the one encoding of its value.
+        #[test]
+        fn decoders_are_total_and_canonical_on_mutated_golden_bytes(
+            pick in any::<usize>(),
+            mutation in 0u8..3,
+            at in any::<usize>(),
+            byte in any::<u8>(),
+        ) {
+            let records = golden_records();
+            let (label, mut bytes) = records[pick % records.len()].clone();
+            let at = at % bytes.len();
+            match mutation {
+                0 => bytes[at] ^= byte | 1,
+                1 => bytes.truncate(at),
+                _ => bytes.insert(at, byte),
+            }
+            let mut r = Reader::new(&bytes);
+            match label.as_str() {
+                "key_state" => drop(KeyState::decode(&mut r)),
+                "stripe" => drop(Stripe::decode(&mut r)),
+                "checkpoint_meta" => drop(CheckpointMeta::decode(&mut r)),
+                _ => {
+                    if let Ok(op) = StoreOp::decode(&mut r) {
+                        prop_assert_eq!(op.to_bytes(), &bytes[..bytes.len() - r.remaining()]);
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -2119,21 +2055,38 @@ mod tests {
         assert_eq!(io.dir_syncs(), 0);
     }
 
+    fn same_key(a: &KeyState, b: &KeyState) {
+        assert_eq!(a.stats, b.stats);
+        assert_eq!(a.intervals, b.intervals);
+        assert_eq!(a.open, b.open);
+        assert_eq!(a.closed_intervals, b.closed_intervals);
+        assert_eq!(a.last_informative, b.last_informative);
+        assert_eq!(a.disordered, b.disordered);
+        assert_eq!(a.rejection_times, b.rejection_times);
+        assert_eq!(a.epochs, b.epochs);
+    }
+
+    fn same_stripe(a: &Stripe, b: &Stripe) {
+        assert!(a.probes.iter().eq(b.probes.iter()));
+        assert_eq!(a.probes_by_market, b.probes_by_market);
+        assert!(a.spikes.iter().eq(b.spikes.iter()));
+        assert_eq!(a.spike_ratios_by_epoch, b.spike_ratios_by_epoch);
+        assert!(a.intervals.iter().eq(b.intervals.iter()));
+        assert_eq!(a.od_rejections_by_region, b.od_rejections_by_region);
+        assert!(a.revocations.iter().eq(b.revocations.iter()));
+        assert_eq!(a.revocations_by_market, b.revocations_by_market);
+        assert!(a.intrinsic_bids.iter().eq(b.intrinsic_bids.iter()));
+        assert_eq!(a.keys.len(), b.keys.len());
+        for (key, state) in &a.keys {
+            same_key(state, &b.keys[key]);
+        }
+    }
+
     /// Whole-stripe state through the codec: what a checkpoint section
     /// holds decodes to the same records, indices, key states and
     /// counters.
     #[test]
     fn stripe_and_key_state_round_trip() {
-        fn same_key(a: &KeyState, b: &KeyState) {
-            assert_eq!(a.stats, b.stats);
-            assert_eq!(a.intervals, b.intervals);
-            assert_eq!(a.open, b.open);
-            assert_eq!(a.closed_intervals, b.closed_intervals);
-            assert_eq!(a.last_informative, b.last_informative);
-            assert_eq!(a.disordered, b.disordered);
-            assert_eq!(a.rejection_times, b.rejection_times);
-            assert_eq!(a.epochs, b.epochs);
-        }
         let store = DataStore::with_layout(1, HOUR);
         for t in 0..300u64 {
             let outcome = match t % 7 {
@@ -2176,30 +2129,8 @@ mod tests {
         assert!(original.keys.len() >= 6 && original.intervals.len() > 10);
         let bytes = original.to_bytes();
         let decoded = Stripe::from_bytes(&bytes).expect("stripe decodes");
-        assert!(original.probes.iter().eq(decoded.probes.iter()));
-        assert_eq!(original.probes_by_market, decoded.probes_by_market);
-        assert!(original.spikes.iter().eq(decoded.spikes.iter()));
-        assert_eq!(
-            original.spike_ratios_by_epoch,
-            decoded.spike_ratios_by_epoch
-        );
-        assert!(original.intervals.iter().eq(decoded.intervals.iter()));
-        assert_eq!(
-            original.od_rejections_by_region,
-            decoded.od_rejections_by_region
-        );
-        assert!(original.revocations.iter().eq(decoded.revocations.iter()));
-        assert_eq!(
-            original.revocations_by_market,
-            decoded.revocations_by_market
-        );
-        assert!(original
-            .intrinsic_bids
-            .iter()
-            .eq(decoded.intrinsic_bids.iter()));
-        assert_eq!(original.keys.len(), decoded.keys.len());
-        for (key, state) in &original.keys {
-            same_key(state, &decoded.keys[key]);
+        same_stripe(&original, &decoded);
+        for state in original.keys.values() {
             same_key(
                 state,
                 &KeyState::from_bytes(&state.to_bytes()).expect("key state decodes"),

@@ -17,7 +17,7 @@ use crate::probe::ProbeKind;
 use crate::store::{KeyRef, StoreRead};
 use cloud_sim::ids::{MarketId, Region};
 use cloud_sim::time::{SimDuration, SimTime};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Availability summary of one market and contract kind.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -369,9 +369,13 @@ impl<'a> SpotLightQuery<'a> {
         self.store.od_rejections_by_region()
     }
 
-    /// Markets that were probed at least once.
-    pub fn observed_markets(&self) -> HashSet<MarketId> {
-        self.store.probed_markets().collect()
+    /// Markets that were probed at least once, sorted — the store's own
+    /// iteration order is per-stripe hash order, and callers such as
+    /// [`Self::uncorrelated_fallbacks`] break ties by position.
+    pub fn observed_markets(&self) -> Vec<MarketId> {
+        let mut markets: Vec<MarketId> = self.store.probed_markets().collect();
+        markets.sort_unstable();
+        markets
     }
 }
 

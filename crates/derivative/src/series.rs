@@ -83,14 +83,6 @@ impl PriceSeries {
             .find(|p| p.price <= threshold)
             .map(|p| p.at)
     }
-
-    /// Converts to `(seconds, dollars)` pairs for the analysis helpers.
-    pub fn to_dollar_points(&self) -> Vec<(u64, f64)> {
-        self.points
-            .iter()
-            .map(|p| (p.at.as_secs(), p.price.as_dollars()))
-            .collect()
-    }
 }
 
 /// A timeline of unavailability intervals (closed-open, time-sorted,

@@ -23,12 +23,30 @@
 //!   round-trips are bit-exact including NaN payloads — a float's
 //!   significant bits sit in its *high* bytes, so a varint would cost
 //!   9–10 bytes, not fewer;
-//! * enums are a one-byte tag followed by the variant's fields. Tags
-//!   are assigned by **exhaustive `match`es** — adding a variant
-//!   upstream breaks this crate's build instead of silently skipping
-//!   persistence;
+//! * enums are a one-byte tag followed by the variant's fields. Each
+//!   enum states its tag table **once**, in an
+//!   [`enum_codec!`](crate::enum_codec) invocation: a variant missing
+//!   from it, or a tag listed twice, breaks the build instead of
+//!   silently skipping persistence. The `cloud-sim` enums that publish
+//!   `ALL`/`index()` go through `index_codec!`: the tag is the
+//!   variant's position in `ALL`, decided in `cloud_sim::ids` alone;
+//! * a plain record is its fields in the order
+//!   [`record_codec!`](crate::record_codec) lists them, nothing between.
+//!   **That list is the wire order**, not the declaration order;
+//!   reordering, adding or dropping an entry — like renumbering a tag —
+//!   is a format change and needs a [`crate::frame::FORMAT_VERSION`]
+//!   bump (`spotlight-core`'s `tests/golden/format3_records.hex` fails
+//!   on an accidental one);
 //! * `Option<T>` is a presence byte then the value; `Vec<T>` (like any
-//!   slice) is a `usize` count then the elements.
+//!   slice) is a `usize` count then the elements; a `HashMap<K, V>` is a
+//!   `usize` count then the `(key, value)` pairs in the map's own
+//!   iteration order.
+//!
+//! What stays hand-written is the code that *checks* something: the
+//! primitives, the containers' length guards, `Az` (its constructor
+//! panics past zone `z`), `InstanceType` (private fields, built through
+//! its constructor) and `spotlight-core`'s `EpochSeries` (strict epoch
+//! order).
 //!
 //! Decoding is total: malformed input yields a [`DecodeError`], never a
 //! panic, even though in practice every payload handed to `decode` has
@@ -37,7 +55,9 @@
 use cloud_sim::ids::{Az, Family, InstanceType, MarketId, Platform, Region, Size};
 use cloud_sim::price::Price;
 use cloud_sim::time::SimTime;
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasher, Hash};
 
 /// A value that can serialize itself onto a byte buffer.
 pub trait Encode {
@@ -352,6 +372,100 @@ impl<A: Decode, B: Decode> Decode for (A, B) {
     }
 }
 
+impl<K: Encode, V: Encode, S> Encode for HashMap<K, V, S> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.len().encode(out);
+        for (k, v) in self {
+            k.encode(out);
+            v.encode(out);
+        }
+    }
+}
+
+impl<K, V, S> Decode for HashMap<K, V, S>
+where
+    K: Decode + Eq + Hash,
+    V: Decode,
+    S: BuildHasher + Default,
+{
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let len = usize::decode(r)?;
+        if len > r.remaining() {
+            return Err(DecodeError::Invalid("map length"));
+        }
+        let mut map = HashMap::with_capacity_and_hasher(len, S::default());
+        for _ in 0..len {
+            let k = K::decode(r)?;
+            let v = V::decode(r)?;
+            map.insert(k, v);
+        }
+        Ok(map)
+    }
+}
+
+/// `Encode` + `Decode` for a plain record from **one** field list: the
+/// fields go out, and come back, in the order listed — the wire order
+/// (module docs). Encode destructures `let Type { … } = self`, so a
+/// field missing from the list does not compile; decode builds the
+/// struct literal from the same list.
+#[macro_export]
+macro_rules! record_codec {
+    ($($ty:ident { $($field:ident),+ $(,)? })+) => {
+        $(
+            impl $crate::Encode for $ty {
+                fn encode(&self, out: &mut Vec<u8>) {
+                    let $ty { $($field),+ } = self;
+                    $($crate::Encode::encode($field, out);)+
+                }
+            }
+            impl $crate::Decode for $ty {
+                fn decode(r: &mut $crate::Reader<'_>) -> Result<Self, $crate::DecodeError> {
+                    Ok($ty { $($field: $crate::Decode::decode(r)?),+ })
+                }
+            }
+        )+
+    };
+}
+
+/// `Encode` + `Decode` for an enum from **one** tag table,
+/// `tag => Unit`, `tag => Tuple(a, …)` or `tag => Struct { a, … }`: a
+/// one-byte tag, then the variant's fields in the order listed. Encode
+/// is an exhaustive `match` with no wildcard, so a variant missing
+/// from the table does not compile; decode reads the table the other
+/// way, refuses an unlisted tag as `Invalid($what)`, and a tag listed
+/// twice is an unreachable arm — denied, so it does not compile either.
+#[macro_export]
+macro_rules! enum_codec {
+    ($ty:ident, $what:literal {
+        $($tag:literal => $variant:ident $(($($t:ident),+))? $({ $($s:ident),+ })?),+ $(,)?
+    }) => {
+        impl $crate::Encode for $ty {
+            fn encode(&self, out: &mut Vec<u8>) {
+                match self {
+                    $($ty::$variant $(($($t),+))? $({ $($s),+ })? => {
+                        out.push($tag);
+                        $($($crate::Encode::encode($t, out);)+)?
+                        $($($crate::Encode::encode($s, out);)+)?
+                    })+
+                }
+            }
+        }
+        impl $crate::Decode for $ty {
+            #[deny(unreachable_patterns)]
+            fn decode(r: &mut $crate::Reader<'_>) -> Result<Self, $crate::DecodeError> {
+                match <u8 as $crate::Decode>::decode(r)? {
+                    $($tag => {
+                        $($(let $t = $crate::Decode::decode(r)?;)+)?
+                        $($(let $s = $crate::Decode::decode(r)?;)+)?
+                        Ok($ty::$variant $(($($t),+))? $({ $($s),+ })?)
+                    })+
+                    _ => Err($crate::DecodeError::Invalid($what)),
+                }
+            }
+        }
+    };
+}
+
 // ---------------------------------------------------------------------
 // cloud-sim vocabulary
 // ---------------------------------------------------------------------
@@ -380,99 +494,32 @@ impl Decode for Price {
     }
 }
 
-impl Encode for Region {
-    fn encode(&self, out: &mut Vec<u8>) {
-        // `Region::index` is an exhaustive match in cloud-sim and
-        // `ALL` is checked dense below, so the tag is stable.
-        out.push(self.index() as u8);
-    }
+/// `Encode` + `Decode` for the vocabulary enums that publish
+/// `ALL`/`index()`: the tag is the variant's position in `ALL`, so
+/// `cloud_sim::ids` alone decides it (`ALL` is checked dense under
+/// `index` in the tests below).
+macro_rules! index_codec {
+    ($($ty:ident, $what:literal);+ $(;)?) => {
+        $(
+            impl Encode for $ty {
+                fn encode(&self, out: &mut Vec<u8>) {
+                    out.push(self.index() as u8);
+                }
+            }
+            impl Decode for $ty {
+                fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+                    let tag = u8::decode(r)? as usize;
+                    $ty::ALL.get(tag).copied().ok_or(DecodeError::Invalid($what))
+                }
+            }
+        )+
+    };
 }
-
-impl Decode for Region {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let tag = u8::decode(r)? as usize;
-        Region::ALL
-            .get(tag)
-            .copied()
-            .ok_or(DecodeError::Invalid("region tag"))
-    }
-}
-
-impl Encode for Family {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(self.index() as u8);
-    }
-}
-
-impl Decode for Family {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let tag = u8::decode(r)? as usize;
-        Family::ALL
-            .get(tag)
-            .copied()
-            .ok_or(DecodeError::Invalid("family tag"))
-    }
-}
-
-/// The canonical wire order of [`Size`] variants. `Size` exposes no
-/// `ALL`/`index` upstream, so the tag table lives here; the match in
-/// [`size_tag`] is exhaustive, so a new size breaks this build.
-const SIZE_ALL: [Size; 9] = [
-    Size::Micro,
-    Size::Small,
-    Size::Medium,
-    Size::Large,
-    Size::Xlarge,
-    Size::X2,
-    Size::X4,
-    Size::X8,
-    Size::X10,
-];
-
-fn size_tag(size: Size) -> u8 {
-    match size {
-        Size::Micro => 0,
-        Size::Small => 1,
-        Size::Medium => 2,
-        Size::Large => 3,
-        Size::Xlarge => 4,
-        Size::X2 => 5,
-        Size::X4 => 6,
-        Size::X8 => 7,
-        Size::X10 => 8,
-    }
-}
-
-impl Encode for Size {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(size_tag(*self));
-    }
-}
-
-impl Decode for Size {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let tag = u8::decode(r)? as usize;
-        SIZE_ALL
-            .get(tag)
-            .copied()
-            .ok_or(DecodeError::Invalid("size tag"))
-    }
-}
-
-impl Encode for Platform {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(self.index() as u8);
-    }
-}
-
-impl Decode for Platform {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let tag = u8::decode(r)? as usize;
-        Platform::ALL
-            .get(tag)
-            .copied()
-            .ok_or(DecodeError::Invalid("platform tag"))
-    }
+index_codec! {
+    Region, "region tag";
+    Family, "family tag";
+    Size, "size tag";
+    Platform, "platform tag";
 }
 
 impl Encode for Az {
@@ -507,23 +554,7 @@ impl Decode for InstanceType {
     }
 }
 
-impl Encode for MarketId {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.az.encode(out);
-        self.instance_type.encode(out);
-        self.platform.encode(out);
-    }
-}
-
-impl Decode for MarketId {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(MarketId {
-            az: Az::decode(r)?,
-            instance_type: InstanceType::decode(r)?,
-            platform: Platform::decode(r)?,
-        })
-    }
-}
+record_codec! { MarketId { az, instance_type, platform } }
 
 #[cfg(test)]
 mod tests {
@@ -566,7 +597,7 @@ mod tests {
         for family in Family::ALL {
             round_trip(family);
         }
-        for size in SIZE_ALL {
+        for size in Size::ALL {
             round_trip(size);
         }
         for platform in Platform::ALL {
@@ -737,6 +768,8 @@ mod tests {
             prop_assert!(check::<usize>(&bytes));
             prop_assert!(check::<Vec<u32>>(&bytes));
             prop_assert!(check::<Option<u64>>(&bytes));
+            prop_assert!(check::<MarketId>(&bytes));
+            prop_assert!(check::<Size>(&bytes));
         }
     }
 
@@ -747,6 +780,9 @@ mod tests {
         }
         for (i, family) in Family::ALL.iter().enumerate() {
             assert_eq!(family.index(), i);
+        }
+        for (i, size) in Size::ALL.iter().enumerate() {
+            assert_eq!(size.index(), i);
         }
         for (i, platform) in Platform::ALL.iter().enumerate() {
             assert_eq!(platform.index(), i);

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # The full verify path of ROADMAP.md, in its order, stopping at the
-# first failing step: format, lints, rustdoc (no broken or private
-# intra-doc link), tier-1 build + tests, the benchmark package's own
+# first failing step: every tests/ and examples/ file bound to a crate,
+# format, lints, rustdoc (no broken or private intra-doc link), tier-1
+# build + tests, the benchmark package's own
 # tests (it must compile unmodified against the crates), the benchmark
 # itself, then the four smokes.
 #
@@ -30,6 +31,19 @@ step() {
     "$@"
 }
 
+# crates/integration/Cargo.toml binds tests/ and examples/ by hand: a
+# file it does not list is silently neither built nor run.
+tests_and_examples_are_listed() {
+    local f missing=0
+    for f in tests/*.rs examples/*.rs; do
+        grep -qF "path = \"../../$f\"" crates/integration/Cargo.toml && continue
+        echo "verify_all: $f has no [[test]]/[[example]] entry in crates/integration/Cargo.toml" >&2
+        missing=1
+    done
+    return "$missing"
+}
+
+step tests_and_examples_are_listed
 step cargo fmt --check
 step cargo clippy --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" step cargo doc --no-deps --offline

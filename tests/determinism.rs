@@ -276,3 +276,54 @@ proptest! {
         prop_assert!(a != c, "different seeds should diverge");
     }
 }
+
+/// The service's answers are part of "same seed, same bits": two stores
+/// fed the same probes list the same observed markets in the same
+/// order, and — every candidate here ties on both of
+/// `uncorrelated_fallbacks`' scores, so position decides — name the same
+/// fallbacks. (`observed_markets` was a `RandomState` `HashSet`: each
+/// call drew its own order, and `repro fig-6-1` named a different
+/// fallback market per run.)
+#[test]
+fn observed_markets_and_fallbacks_do_not_depend_on_hasher_state() {
+    use spotlight_core::probe::{ProbeKind, ProbeOutcome, ProbeRecord, ProbeTrigger};
+    use spotlight_core::query::SpotLightQuery;
+    use spotlight_core::store::DataStore;
+
+    let markets: Vec<MarketId> = Catalog::standard()
+        .markets()
+        .iter()
+        .copied()
+        .filter(|m| m.region() == Region::UsEast1)
+        .take(60)
+        .collect();
+    assert_eq!(markets.len(), 60);
+    let answers = || {
+        let store = DataStore::new();
+        for (i, &market) in markets.iter().enumerate() {
+            store.record_probe(ProbeRecord {
+                at: SimTime::from_secs(60 * i as u64),
+                market,
+                kind: ProbeKind::OnDemand,
+                trigger: ProbeTrigger::Periodic,
+                outcome: ProbeOutcome::Fulfilled,
+                spot_ratio: 1.0,
+                bid: None,
+                cost: Price::ZERO,
+            });
+        }
+        let view = store.read();
+        let query = SpotLightQuery::new(&view, SimTime::ZERO, SimTime::from_secs(86_400));
+        let observed = query.observed_markets();
+        let fallbacks =
+            query.uncorrelated_fallbacks(markets[0], &observed, SimDuration::hours(1), 5);
+        (observed, fallbacks)
+    };
+    let (observed, fallbacks) = answers();
+    assert_eq!(observed.len(), 60);
+    assert_eq!(fallbacks.len(), 5);
+    assert!(observed.windows(2).all(|w| w[0] < w[1]), "sorted");
+    for _ in 0..3 {
+        assert_eq!(answers(), (observed.clone(), fallbacks.clone()));
+    }
+}
