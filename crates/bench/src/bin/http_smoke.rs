@@ -1,7 +1,8 @@
 //! End-to-end smoke test of the HTTP query service against a durable
 //! store: concurrent clients, hostile clients (slow-loris, oversized,
-//! malformed), and a mid-flight graceful drain that must leave the
-//! store closed cleanly (zero-replay restart).
+//! malformed), a republish whose all-market answers must move as the
+//! in-process reference's do, and a mid-flight graceful drain that must
+//! leave the store closed cleanly (zero-replay restart).
 //!
 //! Run via `scripts/http_smoke.sh` (part of the verify path). Exits
 //! non-zero on the first violated invariant; prints one `ok <what>`
@@ -9,22 +10,29 @@
 
 use cloud_sim::ids::{Az, MarketId, Platform, Region};
 use cloud_sim::price::Price;
-use cloud_sim::time::SimTime;
+use cloud_sim::time::{SimDuration, SimTime};
 use spotlight_core::durable::{DurableOptions, FsyncPolicy};
+use spotlight_core::json;
 use spotlight_core::probe::{ProbeKind, ProbeOutcome, ProbeRecord, ProbeTrigger};
-use spotlight_core::snapshot::SnapshotHub;
+use spotlight_core::query::SpotLightQuery;
+use spotlight_core::snapshot::{SnapshotHub, StoreSnapshot, MAX_SPIKE_THRESHOLDS};
 use spotlight_core::store::{DataStore, SharedStore, SpikeEvent};
 use spotlight_persist::tempdir::TempDir;
 use spotlight_serve::client::Client;
 use spotlight_serve::parser::Limits;
+use spotlight_serve::router::{market_param, parse_market};
 use spotlight_serve::server::{Server, ServerConfig};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Probes fed into the durable store (~42 simulated hours at 3 s).
+/// Probes fed into the durable store (~42 simulated hours at 3 s)
+/// before the server starts, and those fed before the republish — not
+/// a whole number of the 1,000-record cycles spike ratios repeat in, so
+/// that spike *rates* move too.
 const RECORDS: u64 = 50_000;
+const LATER_RECORDS: u64 = 5_300;
 const SPACING: u64 = 3;
 /// Well-behaved concurrent clients and requests each.
 const CLIENTS: usize = 4;
@@ -45,13 +53,14 @@ fn ok(what: &str) {
     println!("ok {what}");
 }
 
-/// Feeds [`RECORDS`] deterministic probes, each with its spike, over a
-/// dozen us-east-1 markets (the ones [`PATHS`] asks about): time-ordered,
-/// [`SPACING`] seconds apart, with a mix of kinds and outcomes.
-fn feed_synthetic(store: &DataStore) {
+/// Feeds the deterministic probes numbered `records`, each with its
+/// spike, over a dozen us-east-1 markets (the ones [`PATHS`] asks
+/// about): time-ordered, [`SPACING`] seconds apart, with a mix of kinds
+/// and outcomes.
+fn feed_synthetic(store: &DataStore, records: std::ops::Range<u64>) {
     let types = ["c3.large", "c3.xlarge", "c3.2xlarge", "m3.large"]
         .map(|name| name.parse().expect("instance type"));
-    for i in 0..RECORDS {
+    for i in records {
         let market = MarketId {
             az: Az::new(Region::UsEast1, (i % 3) as u8),
             instance_type: types[(i % 4) as usize],
@@ -89,6 +98,56 @@ fn feed_synthetic(store: &DataStore) {
             cost: Price::ZERO,
         });
     }
+}
+
+/// What the reference path — `SpotLightQuery` over `observed_markets()`,
+/// which reads none of a snapshot's derived state — answers the three
+/// all-market questions of [`PATHS`] with on `snapshot`, as the JSON
+/// array each response body must contain.
+fn reference_answers(snapshot: &StoreSnapshot) -> [(&'static str, String); 3] {
+    let read = snapshot.read();
+    let q = SpotLightQuery::new(&read, SimTime::ZERO, snapshot.as_of());
+    let observed = q.observed_markets();
+    let origin = parse_market("us-east-1a/c3.large/linux").expect("market");
+    let mut answers = [PATHS[3], PATHS[5], PATHS[6]].map(|path| (path, String::new()));
+    json::array(&mut answers[0].1, |a| {
+        for rate in q.spike_rates(&[1.25, 2.0, 5.0], SimDuration::from_secs(3600)) {
+            a.object(|o| {
+                o.f64("threshold", rate.threshold);
+                o.f64("spikes_per_window", rate.spikes_per_window);
+            });
+        }
+    });
+    json::array(&mut answers[1].1, |a| {
+        for (market, stats) in q.top_available_markets(&observed, Some(Region::UsEast1), 1, 5) {
+            a.object(|o| {
+                o.str("market", &market_param(market));
+                o.value("availability", &stats);
+            });
+        }
+    });
+    json::array(&mut answers[2].1, |a| {
+        for market in q.uncorrelated_fallbacks(origin, &observed, SimDuration::from_secs(900), 3) {
+            a.str(&market_param(market));
+        }
+    });
+    answers
+}
+
+/// Asks the server the three questions and holds each body to the
+/// reference's answer on `snapshot`, the generation now published.
+fn assert_reference_answers(client: &mut Client, snapshot: &StoreSnapshot) -> [String; 3] {
+    reference_answers(snapshot).map(|(path, answer)| {
+        let resp = client.get(path).expect("request");
+        assert!(
+            resp.status == 200 && resp.body.contains(&answer),
+            "GET {path} as of {}: {} {}\nreference: {answer}",
+            snapshot.as_of(),
+            resp.status,
+            resp.body
+        );
+        answer
+    })
 }
 
 /// Raw request → (status, closed). Accepts early close as status 0.
@@ -132,7 +191,7 @@ fn main() {
         },
     )
     .expect("create durable store");
-    feed_synthetic(&store);
+    feed_synthetic(&store, 0..RECORDS);
     store.flush().expect("flush");
     let store: SharedStore = Arc::new(store);
     let as_of = SimTime::from_secs(RECORDS * SPACING);
@@ -235,6 +294,27 @@ fn main() {
     );
     let signed_length = b"GET /healthz HTTP/1.1\r\nContent-Length: +5\r\n\r\nhello";
     assert_eq!(raw_roundtrip(addr, signed_length), 400, "signed length");
+    // A threshold list is bounded, and lists of distinct thresholds at
+    // the bound — each a sweep, together more than a snapshot memoises —
+    // are still answered.
+    let thresholds = |from: usize, len: usize| {
+        let list: Vec<String> = (from..from + len).map(|i| format!("{}.5", i)).collect();
+        format!("/v1/spike-rates?thresholds={}", list.join(","))
+    };
+    let resp = client
+        .get(&thresholds(0, MAX_SPIKE_THRESHOLDS + 1))
+        .expect("over the bound");
+    assert_eq!(resp.status, 400, "{}", resp.body);
+    assert!(resp.body.contains("at most 32"), "{}", resp.body);
+    for flood in 0..3 {
+        let path = thresholds(flood * MAX_SPIKE_THRESHOLDS, MAX_SPIKE_THRESHOLDS);
+        let resp = client.get(&path).expect("at the bound");
+        assert_eq!(resp.status, 200, "{}", resp.body);
+        assert_eq!(
+            resp.body.matches("\"threshold\":").count(),
+            MAX_SPIKE_THRESHOLDS
+        );
+    }
     ok("hostile inputs answered with the right statuses");
 
     // Slow-loris: dribble a header forever; the deadline must cut it
@@ -284,6 +364,22 @@ fn main() {
         h.join().expect("well-behaved client");
     }
     ok("concurrent clients all served");
+
+    // ---- republish: derived state must not outlive its generation ----
+    // (The first connection has idled past the server's read timeout.)
+    let mut client = Client::connect(addr, Duration::from_secs(2)).expect("connect");
+    let before = assert_reference_answers(&mut client, &hub.load());
+    feed_synthetic(&store, RECORDS..RECORDS + LATER_RECORDS);
+    hub.republish(
+        &store,
+        SimTime::from_secs((RECORDS + LATER_RECORDS) * SPACING),
+    );
+    let after = assert_reference_answers(&mut client, &hub.load());
+    assert!(
+        before[0] != after[0] && before[1] != after[1],
+        "the later records must move the reference, or a stale answer passes: {after:?}"
+    );
+    ok("all-market answers follow the republished generation as the reference does");
 
     // ---- mid-flight drain: in-flight requests finish, then close ----
     let inflight = std::thread::spawn(move || {
@@ -337,7 +433,8 @@ fn main() {
         DataStore::recover_with_report(&dir, DurableOptions::default()).expect("recover");
     assert_eq!(info.replayed_ops, 0, "clean shutdown must not replay");
     assert!(info.from_clean_shutdown, "close marker missing");
-    assert_eq!(reopened.len(), RECORDS as usize, "records lost");
+    let records = (RECORDS + LATER_RECORDS) as usize;
+    assert_eq!(reopened.len(), records, "records lost");
     ok("drained store closed cleanly: zero-replay restart");
 
     println!("http_smoke: all sections passed");

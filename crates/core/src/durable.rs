@@ -138,7 +138,7 @@ use cloud_sim::time::{SimDuration, SimTime};
 use spotlight_persist::log::{CleanMarker, LogDir};
 use spotlight_persist::wal::{WalConfig, WalHandle};
 use spotlight_persist::{enum_codec, record_codec, Decode, DecodeError, DiskIo, Encode, Reader};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
@@ -538,7 +538,7 @@ struct CheckpointMeta {
     suppressed_probes: u64,
     next_seq: u64,
     floor: u64,
-    region_health: HashMap<Region, RegionHealth>,
+    region_health: BTreeMap<Region, RegionHealth>,
 }
 
 // Every plain record of the store as it lies on disk: its fields in

@@ -14,6 +14,8 @@
 
 use crate::budget::SpikeRate;
 use crate::probe::ProbeKind;
+use crate::shared::CowVec;
+use crate::snapshot::StoreSnapshot;
 use crate::store::{KeyRef, StoreRead};
 use cloud_sim::ids::{MarketId, Region};
 use cloud_sim::time::{SimDuration, SimTime};
@@ -103,18 +105,18 @@ fn best_n<T, K: PartialOrd>(
     rows.into_iter().map(|(_, row)| row)
 }
 
-/// P(`b` rejected within `window` of a detection of `a`) over two
-/// fetched on-demand keys; `None` when `a` has no detections.
+/// P(`b` rejected within `window` of a detection of `a`) over `a`'s
+/// fetched on-demand key and `b`'s time-sorted rejection times; `None`
+/// when `a` has no detections.
 fn conditional_unavailability(
     a: Option<KeyRef<'_>>,
-    b: Option<KeyRef<'_>>,
+    b_times: &[SimTime],
     window: SimDuration,
 ) -> Option<f64> {
     // Both sides are index-backed: `a`'s detections come from its
     // interval index and `b`'s rejections from its time-sorted
     // rejection index, so each trial is a binary search. The shared
     // read snapshot makes the cross-stripe access free.
-    let b_times = b.map_or(&[][..], |k| &k.state.rejection_times);
     let mut trials = 0u64;
     let mut hits = 0u64;
     for i in a.into_iter().flat_map(KeyRef::intervals) {
@@ -126,6 +128,123 @@ fn conditional_unavailability(
         }
     }
     (trials > 0).then(|| hits as f64 / trials as f64)
+}
+
+/// What the all-market rankings read of one probed market's on-demand
+/// key: its availability over the table's span, and its time-sorted
+/// rejection times, shared with the capture.
+#[derive(Debug)]
+struct AdvisorRow {
+    own: AvailabilityStats,
+    rejection_times: CowVec<SimTime>,
+}
+
+/// Every probed market of one capture in `MarketId` order, one
+/// contiguous [`AdvisorRow`] each: an all-market ranking walks this
+/// instead of hashing every candidate into its stripe and chasing its
+/// key. Derived from an immutable capture, so built at most once per
+/// snapshot (see [`crate::snapshot`]) and never by the reference path —
+/// [`SpotLightQuery`]'s rankings over caller-supplied candidates, which
+/// the snapshot's are tested against.
+#[derive(Debug)]
+pub(crate) struct AdvisorTable {
+    /// `[0, max(as_of, 1))`, the span requests default to.
+    span: (SimTime, SimTime),
+    pub(crate) markets: Box<[MarketId]>,
+    rows: Box<[AdvisorRow]>,
+}
+
+impl AdvisorTable {
+    pub(crate) fn build(read: &StoreRead<'_>, as_of: SimTime) -> Self {
+        let span = (SimTime::ZERO, as_of.max(SimTime::from_secs(1)));
+        let q = SpotLightQuery::new(read, span.0, span.1);
+        let markets = q.observed_markets().into_boxed_slice();
+        let row = |&market: &MarketId| {
+            let key = read.key(market, ProbeKind::OnDemand);
+            AdvisorRow {
+                own: q.availability_of(key),
+                rejection_times: key
+                    .map(|k| k.state.rejection_times.clone())
+                    .unwrap_or_default(),
+            }
+        };
+        let rows = markets.iter().map(row).collect();
+        AdvisorTable {
+            span,
+            markets,
+            rows,
+        }
+    }
+
+    /// `(position, market, row)` of every probed market.
+    fn rows(&self) -> impl Iterator<Item = (usize, MarketId, &AdvisorRow)> {
+        let rows = self.markets.iter().zip(&self.rows).enumerate();
+        rows.map(|(at, (&market, row))| (at, market, row))
+    }
+}
+
+/// The all-market questions, answered from the snapshot's derived
+/// state (see [`crate::snapshot`]).
+impl StoreSnapshot {
+    /// [`SpotLightQuery::top_available_markets`] over every probed
+    /// market and the span `[start, end)` (panics if it is empty): a
+    /// market answers the default span, `[0, max(as_of, 1))`, from its
+    /// row and asks its key only for another.
+    pub fn top_available_markets(
+        &self,
+        span: (SimTime, SimTime),
+        region: Option<Region>,
+        min_probes: u64,
+        n: usize,
+    ) -> Vec<(MarketId, AvailabilityStats)> {
+        let (table, read) = (self.advisor(), self.read());
+        let q = SpotLightQuery::new(&read, span.0, span.1);
+        let rows = (table.rows())
+            .filter(|&(_, m, row)| {
+                row.own.probes >= min_probes && region.is_none_or(|r| m.region() == r)
+            })
+            .map(|(at, m, row)| {
+                let own_span = span == table.span;
+                let stats = if own_span {
+                    row.own
+                } else {
+                    q.availability(m, ProbeKind::OnDemand)
+                };
+                (at, (m, stats))
+            })
+            .collect();
+        best_n(rows, n, |(_, st)| st.unavailable_fraction).collect()
+    }
+
+    /// [`SpotLightQuery::uncorrelated_fallbacks`] for `market` over
+    /// every probed market and the span `[0, max(as_of, 1))`. Only a
+    /// candidate with rejections runs a correlation trial, and only
+    /// against an origin with some.
+    pub fn uncorrelated_fallbacks(
+        &self,
+        market: MarketId,
+        window: SimDuration,
+        n: usize,
+    ) -> Vec<MarketId> {
+        let (table, read) = (self.advisor(), self.read());
+        let origin =
+            (read.key(market, ProbeKind::OnDemand)).filter(|k| !k.state.rejection_times.is_empty());
+        let pool = market.pool();
+        let rows = (table.rows())
+            .filter(|&(_, c, _)| c != market && c.pool() != pool)
+            .map(|(at, c, row)| {
+                let corr = if origin.is_none() || row.rejection_times.is_empty() {
+                    0.0
+                } else {
+                    conditional_unavailability(origin, &row.rejection_times, window).unwrap_or(0.0)
+                };
+                (at, (c, corr, row.own.unavailable_fraction))
+            })
+            .collect();
+        best_n(rows, n, |&(_, corr, own)| (corr, own))
+            .map(|(m, _, _)| m)
+            .collect()
+    }
 }
 
 /// The query interface over a probe-database snapshot.
@@ -297,7 +416,7 @@ impl<'a> SpotLightQuery<'a> {
     ) -> Option<f64> {
         conditional_unavailability(
             self.store.key(a, ProbeKind::OnDemand),
-            self.store.key(b, ProbeKind::OnDemand),
+            self.store.rejection_times(b, ProbeKind::OnDemand),
             window,
         )
     }
@@ -322,7 +441,8 @@ impl<'a> SpotLightQuery<'a> {
             .filter(|&c| c != market && c.pool() != market.pool())
             .map(|c| {
                 let key = self.store.key(c, ProbeKind::OnDemand);
-                let corr = conditional_unavailability(origin, key, window).unwrap_or(0.0);
+                let rejected = key.map_or(&[][..], |k| &k.state.rejection_times);
+                let corr = conditional_unavailability(origin, rejected, window).unwrap_or(0.0);
                 let own = self.availability_of(key).unavailable_fraction;
                 (c, corr, own)
             })
@@ -342,9 +462,24 @@ impl<'a> SpotLightQuery<'a> {
     /// store's **lifetime**: the query span does not select spikes, it
     /// only sets the number of windows the counts are divided by.
     pub fn spike_rates(&self, thresholds: &[f64], window: SimDuration) -> Vec<SpikeRate> {
+        self.spike_rates_from(
+            thresholds,
+            self.store.spikes_at_or_above_each(thresholds),
+            window,
+        )
+    }
+
+    /// [`SpotLightQuery::spike_rates`] from lifetime `counts` the caller
+    /// already holds, one per threshold
+    /// ([`StoreSnapshot::spikes_at_or_above_each`] memoises them).
+    pub fn spike_rates_from(
+        &self,
+        thresholds: &[f64],
+        counts: Vec<u64>,
+        window: SimDuration,
+    ) -> Vec<SpikeRate> {
         let (start, end) = self.span;
         let windows = ((end - start).as_secs() as f64 / window.as_secs().max(1) as f64).max(1.0);
-        let counts = self.store.spikes_at_or_above_each(thresholds);
         thresholds
             .iter()
             .zip(counts)

@@ -6,9 +6,8 @@
 //! million GETs must not each pay O(keys) and visit every stripe lock.
 //! Instead the service publishes a [`StoreSnapshot`] — the same owned,
 //! immutable capture of the stripes plus the store-wide counters, kept
-//! with its capture time and sorted market list — into a
-//! [`SnapshotHub`], and request workers read through a per-worker
-//! [`SnapshotReader`] cache:
+//! with its capture time — into a [`SnapshotHub`], and request workers
+//! read through a per-worker [`SnapshotReader`] cache:
 //!
 //! * **Publish** (ingest side): [`DataStore::snapshot`] →
 //!   [`SnapshotHub::publish`]. The capture is a shallow clone of each
@@ -28,14 +27,47 @@
 //! The crate forbids `unsafe`, so the swap is a mutex-guarded `Arc`
 //! clone rather than an `AtomicPtr` dance; the generation check keeps
 //! that mutex off the per-request path entirely.
+//!
+//! # Captured eagerly, derived lazily
+//!
+//! A publish takes the capture and the clock and nothing else. What
+//! only the all-market questions need is **derived** from the capture
+//! by the first request of a generation that asks, and kept with the
+//! snapshot for the rest of them — the capture cannot change, so every
+//! request would otherwise recompute the same per-market numbers:
+//!
+//! * an `AdvisorTable` (see [`crate::query`]): every probed market in
+//!   `MarketId` order with its on-demand key's counters, its
+//!   unavailable seconds over the default span `[0, max(as_of, 1))` and
+//!   its rejection times, behind [`StoreSnapshot::probed_markets_sorted`],
+//!   [`StoreSnapshot::top_available_markets`] and
+//!   [`StoreSnapshot::uncorrelated_fallbacks`] — a `OnceLock`, so
+//!   requests racing for it build it once;
+//! * lifetime spike counts per threshold asked for, at most
+//!   [`MAX_SPIKE_THRESHOLDS`] of them, behind
+//!   [`StoreSnapshot::spikes_at_or_above_each`].
+//!
+//! Lazily, because a publish nobody puts such a question to then costs
+//! nothing (no per-capture sort of the market list any more); the
+//! first request of a generation pays the build instead — the walk
+//! every such request used to make, plus that sort.
+//! Neither is part of the capture: [`StoreSnapshot::read`] — what
+//! [`crate::query::SpotLightQuery`], `repro`, the examples and the
+//! benchmark's oracle evaluate — never reads them, which is what lets
+//! `tests/properties.rs` hold the derived answers to that path's.
 
+use crate::query::AdvisorTable;
 use crate::store::{Capture, DataStore, StoreRead};
 use crate::sync::Mutex;
 use cloud_sim::ids::MarketId;
 use cloud_sim::price::Price;
 use cloud_sim::time::SimTime;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+
+/// The most thresholds one `/v1/spike-rates` request may name, and the
+/// most distinct thresholds a snapshot memoises spike counts for.
+pub const MAX_SPIKE_THRESHOLDS: usize = 32;
 
 /// An owned, immutable capture of the store's queryable state,
 /// consistent across stripes (captured under every stripe's read lock)
@@ -44,8 +76,11 @@ use std::sync::Arc;
 pub struct StoreSnapshot {
     capture: Capture,
     as_of: SimTime,
-    /// Every probed market in `MarketId` order, built once at capture.
-    probed_markets: Box<[MarketId]>,
+    /// Derived by the first request that ranks every market.
+    advisor: OnceLock<AdvisorTable>,
+    /// Lifetime spike counts by threshold bits, as asked for; at most
+    /// [`MAX_SPIKE_THRESHOLDS`] entries.
+    spike_counts: Mutex<Vec<(u64, u64)>>,
 }
 
 impl StoreSnapshot {
@@ -62,12 +97,46 @@ impl StoreSnapshot {
         self.as_of
     }
 
+    /// The derived table, built by the first caller.
+    pub(crate) fn advisor(&self) -> &AdvisorTable {
+        self.advisor
+            .get_or_init(|| AdvisorTable::build(&self.read(), self.as_of))
+    }
+
     /// Every market probed at least once as of the capture, sorted —
-    /// the advisor endpoints' candidate list. The stripes' hash maps
-    /// iterate in arbitrary order, so the list is sorted once here
-    /// instead of once per request.
+    /// the advisor endpoints' candidates (derived on first use).
     pub fn probed_markets_sorted(&self) -> &[MarketId] {
-        &self.probed_markets
+        &self.advisor().markets
+    }
+
+    /// [`StoreRead::spikes_at_or_above_each`], memoised: a threshold is
+    /// swept for once per snapshot while the memo has room, all the
+    /// misses of one call in one pass over the buckets.
+    pub fn spikes_at_or_above_each(&self, thresholds: &[f64]) -> Vec<u64> {
+        let known = |counts: &[(u64, u64)], threshold: f64| {
+            let hit = counts
+                .iter()
+                .find(|&&(bits, _)| bits == threshold.to_bits());
+            hit.map(|&(_, count)| count)
+        };
+        // Held across the sweep: requests racing for a threshold wait
+        // for one sweep rather than each running their own.
+        let mut memo = self.spike_counts.lock();
+        let mut missing: Vec<f64> = thresholds.to_vec();
+        missing.retain(|&t| known(&memo, t).is_none());
+        let mut swept = Vec::new();
+        if !missing.is_empty() {
+            let counts = self.read().spikes_at_or_above_each(&missing);
+            swept.extend(missing.iter().map(|t| t.to_bits()).zip(counts));
+            for &(bits, count) in &swept {
+                if memo.len() < MAX_SPIKE_THRESHOLDS && memo.iter().all(|&(b, _)| b != bits) {
+                    memo.push((bits, count));
+                }
+            }
+        }
+        let count = |&t| known(&memo, t).or_else(|| known(&swept, t));
+        let counts = thresholds.iter().map(count);
+        counts.map(|c| c.expect("every miss was swept")).collect()
     }
 
     /// Probes recorded over the store's lifetime as of the capture.
@@ -99,14 +168,11 @@ impl DataStore {
     /// afterwards follows what it rewrites while the snapshot is alive.
     /// A sub-second publish cadence is affordable.
     pub fn snapshot(&self, as_of: SimTime) -> StoreSnapshot {
-        let (capture, ()) = self.capture(|| ());
-        // Outside the stripe locks: ingest is not held up by the sort.
-        let mut probed_markets: Box<[MarketId]> = capture.read().probed_markets().collect();
-        probed_markets.sort_unstable();
         StoreSnapshot {
-            capture,
+            capture: self.capture(|| ()).0,
             as_of,
-            probed_markets,
+            advisor: OnceLock::new(),
+            spike_counts: Mutex::default(),
         }
     }
 }
@@ -325,6 +391,64 @@ mod tests {
                 assert_eq!(snap.total_cost(), held, "capture {t}");
             }
         });
+    }
+
+    /// The derived state is per generation, built by whoever asks
+    /// first — once, however many ask at once — and a generation nobody
+    /// asks costs nothing to publish or to drop.
+    #[test]
+    fn derived_state_is_built_once_on_demand_and_never_by_a_publish() {
+        let store = DataStore::new();
+        for (i, m) in (0..8).map(market).enumerate() {
+            store.record_probe(probe(i as u64, m, ProbeOutcome::InsufficientCapacity));
+            store.record_spike(crate::store::SpikeEvent {
+                market: m,
+                at: SimTime::from_secs(i as u64),
+                ratio: i as f64,
+                probed: true,
+            });
+        }
+        let hub = SnapshotHub::new(store.snapshot(SimTime::from_secs(10)));
+        let first = hub.load();
+        let gate = std::sync::Barrier::new(4);
+        let tables: Vec<usize> = std::thread::scope(|scope| {
+            let racers: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        gate.wait();
+                        let markets = first.probed_markets_sorted();
+                        assert_eq!(markets.len(), 8);
+                        markets.as_ptr() as usize
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|t| t.join().unwrap()).collect()
+        });
+        assert!(
+            tables.iter().all(|&t| t == tables[0]),
+            "one table: {tables:?}"
+        );
+
+        // Superseded before anybody asked: nothing was derived.
+        hub.republish(&store, SimTime::from_secs(20));
+        let second = hub.load();
+        hub.republish(&store, SimTime::from_secs(30));
+        assert!(second.advisor.get().is_none());
+        assert_eq!(second.spike_counts.lock().capacity(), 0);
+        assert!(hub.load().advisor.get().is_none());
+
+        // Distinct thresholds fill the memo and then stop growing it.
+        for base in 0..3 {
+            let flood: Vec<f64> = (0..MAX_SPIKE_THRESHOLDS)
+                .map(|i| (base * MAX_SPIKE_THRESHOLDS + i) as f64 / 10.0)
+                .collect();
+            assert_eq!(
+                second.spikes_at_or_above_each(&flood),
+                second.read().spikes_at_or_above_each(&flood)
+            );
+            assert_eq!(second.spike_counts.lock().len(), MAX_SPIKE_THRESHOLDS);
+        }
+        assert!(second.advisor.get().is_none(), "spike counts need no table");
     }
 
     #[test]

@@ -165,7 +165,7 @@ use cloud_sim::ids::{MarketId, Region};
 use cloud_sim::price::Price;
 use cloud_sim::time::{SimDuration, SimTime};
 use std::borrow::Cow;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -415,7 +415,9 @@ pub(crate) struct Stripe {
     pub(crate) spike_ratios_by_epoch: FxHashMap<u64, CowVec<f64>>,
     pub(crate) intervals: ChunkVec<UnavailabilityInterval>,
     pub(crate) keys: FxHashMap<(MarketId, ProbeKind), KeyState>,
-    pub(crate) od_rejections_by_region: HashMap<Region, u64>,
+    /// Ordered, like the region-health table: a checkpoint of equal
+    /// state is then equal bytes.
+    pub(crate) od_rejections_by_region: BTreeMap<Region, u64>,
     pub(crate) revocations: ChunkVec<RevocationRecord>,
     pub(crate) revocations_by_market: FxHashMap<MarketId, CowVec<usize>>,
     pub(crate) intrinsic_bids: ChunkVec<IntrinsicBidRecord>,
@@ -447,7 +449,7 @@ pub(crate) struct Capture {
     pub(crate) recorded_probes: u64,
     pub(crate) total_cost_micros: u64,
     pub(crate) suppressed_probes: u64,
-    pub(crate) region_health: HashMap<Region, RegionHealth>,
+    pub(crate) region_health: BTreeMap<Region, RegionHealth>,
     durability_lost: Option<SimTime>,
     pub(crate) stripes: Box<[Stripe]>,
 }
@@ -462,14 +464,9 @@ impl Capture {
 }
 
 /// Regions marked degraded in `health`, in canonical region order.
-fn degraded_in(health: &HashMap<Region, RegionHealth>) -> Vec<Region> {
-    let mut out: Vec<Region> = health
-        .iter()
-        .filter(|(_, h)| h.degraded)
-        .map(|(&r, _)| r)
-        .collect();
-    out.sort_unstable();
-    out
+fn degraded_in(health: &BTreeMap<Region, RegionHealth>) -> Vec<Region> {
+    let degraded = health.iter().filter(|(_, h)| h.degraded);
+    degraded.map(|(&r, _)| r).collect()
 }
 
 /// The in-memory database: N independently locked stripes plus
@@ -484,7 +481,7 @@ pub struct DataStore {
     /// Region degradation markers, written by live-mode circuit
     /// breakers. A separate (tiny, rarely written) lock so marking a
     /// region never contends with probe ingest.
-    pub(crate) region_health: RwLock<HashMap<Region, RegionHealth>>,
+    pub(crate) region_health: RwLock<BTreeMap<Region, RegionHealth>>,
     /// The operation log, when this store was opened in durable mode
     /// (see [`crate::durable`]). `None` for plain in-memory stores —
     /// every ingest path then skips logging entirely.

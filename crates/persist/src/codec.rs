@@ -38,9 +38,10 @@
 //!   bump (`spotlight-core`'s `tests/golden/format3_records.hex` fails
 //!   on an accidental one);
 //! * `Option<T>` is a presence byte then the value; `Vec<T>` (like any
-//!   slice) is a `usize` count then the elements; a `HashMap<K, V>` is a
-//!   `usize` count then the `(key, value)` pairs in the map's own
-//!   iteration order.
+//!   slice) is a `usize` count then the elements; a `HashMap<K, V>` or
+//!   `BTreeMap<K, V>` is a `usize` count then the `(key, value)` pairs
+//!   in the map's own iteration order — key order for a `BTreeMap`, the
+//!   one to use where the hasher is seeded per process.
 //!
 //! What stays hand-written is the code that *checks* something: the
 //! primitives, the containers' length guards, `Az` (its constructor
@@ -55,7 +56,7 @@
 use cloud_sim::ids::{Az, Family, InstanceType, MarketId, Platform, Region, Size};
 use cloud_sim::price::Price;
 use cloud_sim::time::SimTime;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::hash::{BuildHasher, Hash};
 
@@ -400,6 +401,23 @@ where
             map.insert(k, v);
         }
         Ok(map)
+    }
+}
+
+impl<K: Encode, V: Encode> Encode for BTreeMap<K, V> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.len().encode(out);
+        for (k, v) in self {
+            k.encode(out);
+            v.encode(out);
+        }
+    }
+}
+
+/// Reads what either map wrote: pairs in any order.
+impl<K: Decode + Ord, V: Decode> Decode for BTreeMap<K, V> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Ok(Vec::decode(r)?.into_iter().collect())
     }
 }
 

@@ -24,10 +24,20 @@
 //! body seen, routing costs no heap traffic; market ids are written as
 //! their static region/family/size/platform names, never formatted.
 //! [`route`] is the same call with a fresh body per request, for
-//! callers that want an owned [`RouteOutcome`]. (The all-market advisor
-//! scans and `/v1/spike-rates` still build their result rows on the
-//! heap; the candidate list they rank is the snapshot's, sorted once at
-//! capture.)
+//! callers that want an owned [`RouteOutcome`].
+//!
+//! The all-market questions — `/v1/advisor/top`,
+//! `/v1/advisor/fallbacks`, `/v1/spike-rates` — are asked of the
+//! snapshot itself ([`StoreSnapshot::top_available_markets`],
+//! [`StoreSnapshot::uncorrelated_fallbacks`],
+//! [`StoreSnapshot::spikes_at_or_above_each`]), which derives a table of
+//! every probed market and the spike counts asked for once per
+//! generation, on the first such request, and answers the rest of the
+//! generation's from them: a ranking is one walk of that table (its
+//! rows on the heap, as before), not a hash lookup per market, and the
+//! same bytes as the per-market path gives. A publish derives nothing;
+//! `thresholds` is bounded by [`MAX_SPIKE_THRESHOLDS`], the memo's
+//! capacity.
 
 use crate::admission::ServerStats;
 use cloud_sim::ids::{Az, InstanceType, MarketId, Platform, Region};
@@ -35,7 +45,7 @@ use cloud_sim::time::{SimDuration, SimTime};
 use spotlight_core::json;
 use spotlight_core::probe::ProbeKind;
 use spotlight_core::query::SpotLightQuery;
-use spotlight_core::snapshot::{SnapshotHub, SnapshotReader, StoreSnapshot};
+use spotlight_core::snapshot::{SnapshotHub, SnapshotReader, StoreSnapshot, MAX_SPIKE_THRESHOLDS};
 use spotlight_core::store::DataStore;
 use std::borrow::Cow;
 use std::fmt;
@@ -472,14 +482,23 @@ fn spike_rates(
                     format_args!("'thresholds' must name at least one threshold"),
                 ));
             }
+            // Each one is a sweep of every spike bucket, and a slot in
+            // the snapshot's memo.
+            if thresholds.len() > MAX_SPIKE_THRESHOLDS {
+                return Err(request.fail(
+                    400,
+                    format_args!("'thresholds' may name at most {MAX_SPIKE_THRESHOLDS} thresholds"),
+                ));
+            }
         }
     }
     let window = request.window(86_400)?;
     let snapshot = reader.current(&state.hub);
     let (start, end) = request.span(snapshot)?;
     let read = snapshot.read();
-    let q = SpotLightQuery::new(&read, start, end);
-    let rates = q.spike_rates(&thresholds, window);
+    let counts = snapshot.spikes_at_or_above_each(&thresholds);
+    let rates =
+        SpotLightQuery::new(&read, start, end).spike_rates_from(&thresholds, counts, window);
     json::object(request.body, |o| {
         o.u64("window_secs", window.as_secs());
         o.u64("start_secs", start.as_secs());
@@ -563,14 +582,11 @@ fn advisor_top(
     let n = request.usize("n", request.params.n, 10)?;
     let snapshot = reader.current(&state.hub);
     let (start, end) = request.span(snapshot)?;
-    let read = snapshot.read();
-    let candidates = snapshot.probed_markets_sorted();
-    let q = SpotLightQuery::new(&read, start, end);
-    let top = q.top_available_markets(candidates, region, min_probes, n);
+    let top = snapshot.top_available_markets((start, end), region, min_probes, n);
     json::object(request.body, |o| {
         o.u64("start_secs", start.as_secs());
         o.u64("end_secs", end.as_secs());
-        o.u64("candidates", candidates.len() as u64);
+        o.u64("candidates", snapshot.probed_markets_sorted().len() as u64);
         o.array("markets", |a| {
             for (market, stats) in &top {
                 a.object(|o| {
@@ -592,10 +608,7 @@ fn advisor_fallbacks(
     let window = request.window(900)?;
     let n = request.usize("n", request.params.n, 5)?;
     let snapshot = reader.current(&state.hub);
-    let end = snapshot.as_of().max(SimTime::from_secs(1));
-    let read = snapshot.read();
-    let q = SpotLightQuery::new(&read, SimTime::ZERO, end);
-    let fallbacks = q.uncorrelated_fallbacks(market, snapshot.probed_markets_sorted(), window, n);
+    let fallbacks = snapshot.uncorrelated_fallbacks(market, window, n);
     json::object(request.body, |o| {
         o.str_parts("market", &market_parts(market));
         o.u64("window_secs", window.as_secs());

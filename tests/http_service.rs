@@ -7,10 +7,12 @@
 
 use cloud_sim::ids::{Az, MarketId, Platform, Region};
 use cloud_sim::price::Price;
-use cloud_sim::time::SimTime;
+use cloud_sim::time::{SimDuration, SimTime};
 use proptest::prelude::*;
+use spotlight_core::json;
 use spotlight_core::probe::{ProbeKind, ProbeOutcome, ProbeRecord, ProbeTrigger};
-use spotlight_core::snapshot::{SnapshotHub, SnapshotReader};
+use spotlight_core::query::SpotLightQuery;
+use spotlight_core::snapshot::{SnapshotHub, SnapshotReader, StoreSnapshot};
 use spotlight_core::store::{DataStore, SharedStore};
 use spotlight_core::{DurableOptions, FsyncPolicy};
 use spotlight_persist::tempdir::TempDir;
@@ -18,7 +20,7 @@ use spotlight_persist::DiskIo;
 use spotlight_serve::admission::{Permit, ServerStats, StatsSnapshot};
 use spotlight_serve::client::Client;
 use spotlight_serve::parser::{parse, Limits, Parsed};
-use spotlight_serve::router::{route, ServiceState};
+use spotlight_serve::router::{market_param, route, ServiceState};
 use spotlight_serve::server::{Server, ServerConfig};
 use std::fs::File;
 use std::io::{self, Read, Write};
@@ -281,6 +283,22 @@ fn signed_integers_are_400_in_content_length_and_parameters() {
     finish(server);
 }
 
+/// `thresholds` is bounded: each entry is a sweep of every spike
+/// bucket (and, if new, a slot in the snapshot's memo), and only the
+/// URI cap stood in the way of a few thousand of them.
+#[test]
+fn spike_rate_threshold_lists_are_bounded() {
+    let (server, _store) = start_server(ServerConfig::default());
+    let request = |thresholds: usize| {
+        let list: Vec<String> = (0..thresholds).map(|i| format!("{i}.5")).collect();
+        let list = list.join(",");
+        format!("GET /v1/spike-rates?end_secs=9&thresholds={list} HTTP/1.1\r\n\r\n")
+    };
+    assert_eq!(raw_status(&server, request(32).as_bytes()), 200);
+    assert_eq!(raw_status(&server, request(33).as_bytes()), 400);
+    finish(server);
+}
+
 // ---------------------------------------------------- overload shedding
 
 /// Both refusal causes end the same way on the wire: a connection the
@@ -502,4 +520,249 @@ fn health_endpoints_answer_while_a_writer_holds_a_stripe_lock() {
         }
         assert!(writer_in_lock, "the writer never sat in its stripe lock");
     });
+}
+
+// ------------------------------------- derived state under republish
+
+/// One all-market question, as its query string and as the body the
+/// reference path — `SpotLightQuery` over `observed_markets()`, which
+/// reads none of the snapshot's derived state — answers it with.
+enum Ask {
+    Top(Option<Region>, u64, usize),
+    Fallbacks(MarketId, u64, usize),
+    Spikes(Vec<f64>),
+}
+
+impl Ask {
+    fn route(&self, state: &ServiceState, reader: &mut SnapshotReader) -> String {
+        let (path, query) = match self {
+            Ask::Top(region, min_probes, n) => {
+                let region = region.map_or(String::new(), |r| format!("&region={}", r.name()));
+                (
+                    "/v1/advisor/top",
+                    format!("n={n}&min_probes={min_probes}{region}"),
+                )
+            }
+            Ask::Fallbacks(market, window, n) => {
+                let market = market_param(*market);
+                (
+                    "/v1/advisor/fallbacks",
+                    format!("market={market}&window_secs={window}&n={n}"),
+                )
+            }
+            Ask::Spikes(thresholds) => {
+                let list: Vec<String> = thresholds.iter().map(f64::to_string).collect();
+                ("/v1/spike-rates", format!("thresholds={}", list.join(",")))
+            }
+        };
+        let outcome = route(path, &query, state, reader);
+        assert_eq!(outcome.status, 200, "{path}?{query}: {}", outcome.body);
+        outcome.body
+    }
+
+    fn reference(&self, snapshot: &StoreSnapshot) -> String {
+        let read = snapshot.read();
+        let (as_of, end) = (
+            snapshot.as_of(),
+            snapshot.as_of().max(SimTime::from_secs(1)),
+        );
+        let q = SpotLightQuery::new(&read, SimTime::ZERO, end);
+        let observed = q.observed_markets();
+        let mut body = String::new();
+        json::object(&mut body, |o| match self {
+            Ask::Top(region, min_probes, n) => {
+                o.u64("start_secs", 0);
+                o.u64("end_secs", as_of.as_secs());
+                o.u64("candidates", observed.len() as u64);
+                o.array("markets", |a| {
+                    for (market, stats) in
+                        q.top_available_markets(&observed, *region, *min_probes, *n)
+                    {
+                        a.object(|o| {
+                            o.str("market", &market_param(market));
+                            o.value("availability", &stats);
+                        });
+                    }
+                });
+            }
+            Ask::Fallbacks(market, window, n) => {
+                o.str("market", &market_param(*market));
+                o.u64("window_secs", *window);
+                let window = SimDuration::from_secs(*window);
+                o.array("fallbacks", |a| {
+                    for fallback in q.uncorrelated_fallbacks(*market, &observed, window, *n) {
+                        a.str(&market_param(fallback));
+                    }
+                });
+                o.u64("as_of_secs", as_of.as_secs());
+            }
+            Ask::Spikes(thresholds) => {
+                o.u64("window_secs", 86_400);
+                o.u64("start_secs", 0);
+                o.u64("end_secs", as_of.as_secs());
+                o.array("rates", |a| {
+                    for rate in q.spike_rates(thresholds, SimDuration::days(1)) {
+                        a.object(|o| {
+                            o.f64("threshold", rate.threshold);
+                            o.f64("spikes_per_window", rate.spikes_per_window);
+                        });
+                    }
+                });
+            }
+        });
+        body
+    }
+}
+
+/// The first unsigned integer after `"key":` in `body`.
+fn json_u64(body: &str, key: &str) -> u64 {
+    let rest = body.split(&format!("\"{key}\":")).nth(1).expect(key);
+    let digits = rest
+        .find(|c: char| !c.is_ascii_digit())
+        .unwrap_or(rest.len());
+    rest[..digits].parse().expect(key)
+}
+
+/// Every round the publisher publishes a generation nobody has asked
+/// yet, four request threads are let onto it at once — racing to derive
+/// its table and spike counts — and the publisher goes on ingesting and
+/// publishes the next one among their requests. Whichever generation
+/// answered, the body must be the reference's for the snapshot whose
+/// `as_of` it names: derived state never outlives, mixes or precedes
+/// its generation.
+#[test]
+fn all_market_answers_match_the_reference_at_their_as_of_under_republish() {
+    const ROUNDS: u64 = 10;
+    const THREADS: usize = 4;
+    let markets: Vec<MarketId> = [Region::UsEast1, Region::EuWest1]
+        .into_iter()
+        .flat_map(|region| (0..3).map(move |zone| Az::new(region, zone)))
+        .flat_map(|az| {
+            ["c3.large", "c3.xlarge", "m3.large", "r3.large"].map(|ty| MarketId {
+                az,
+                instance_type: ty.parse().expect("type"),
+                platform: Platform::LinuxUnix,
+            })
+        })
+        .collect();
+    let store: SharedStore = Arc::new(DataStore::new());
+    // 60 probes and spikes per step; rejections cluster so that
+    // fallbacks have correlations to rank.
+    let feed = |step: u64| {
+        for i in step * 60..(step + 1) * 60 {
+            let market = markets[(i * 7 % markets.len() as u64) as usize];
+            let at = SimTime::from_secs(i * 20);
+            store.record_spike(spotlight_core::store::SpikeEvent {
+                market,
+                at,
+                ratio: (i * 37 % 90) as f64 / 10.0,
+                probed: true,
+            });
+            store.record_probe(ProbeRecord {
+                at,
+                market,
+                kind: if i % 11 == 0 {
+                    ProbeKind::Spot
+                } else {
+                    ProbeKind::OnDemand
+                },
+                trigger: ProbeTrigger::Periodic,
+                outcome: match i % 9 {
+                    0 | 1 => ProbeOutcome::InsufficientCapacity,
+                    _ => ProbeOutcome::Fulfilled,
+                },
+                spot_ratio: 1.0,
+                bid: None,
+                cost: Price::ZERO,
+            });
+        }
+    };
+    // A step spans 1,200 s: every publish names a distinct `as_of`.
+    let as_of = |generation: u64| SimTime::from_secs(generation * 600);
+    feed(0);
+    let state = ServiceState {
+        hub: Arc::new(SnapshotHub::new(store.snapshot(as_of(1)))),
+        store: Arc::downgrade(&store),
+        stats: Arc::new(ServerStats::default()),
+        draining: Arc::new(AtomicBool::new(false)),
+        retry_after_secs: 1,
+    };
+    let asks = |thread: usize, round: u64| {
+        let pick = thread + round as usize;
+        let mut asks = vec![
+            Ask::Top(
+                [None, Some(Region::UsEast1), Some(Region::EuWest1)][pick % 3],
+                round % 3,
+                5,
+            ),
+            Ask::Fallbacks(markets[pick * 5 % markets.len()], 900, 4),
+            Ask::Spikes(vec![1.25, 2.0, 5.0, pick as f64 / 2.0]),
+        ];
+        // Each thread opens a generation with a different question.
+        asks.rotate_left(thread % 3);
+        asks
+    };
+
+    let gate = Barrier::new(THREADS + 1);
+    let mut published = vec![state.hub.load()];
+    let answered: Vec<(usize, u64, usize, String)> = std::thread::scope(|scope| {
+        let requesters: Vec<_> = (0..THREADS)
+            .map(|thread| {
+                let (state, gate, asks) = (&state, &gate, &asks);
+                scope.spawn(move || {
+                    let mut reader = SnapshotReader::new(&state.hub);
+                    let mut answered = Vec::new();
+                    for round in 0..ROUNDS {
+                        gate.wait(); // the round before is over
+                        gate.wait(); // a generation nobody has asked is up
+                        for (i, ask) in asks(thread, round).iter().enumerate() {
+                            answered.push((thread, round, i, ask.route(state, &mut reader)));
+                        }
+                    }
+                    answered
+                })
+            })
+            .collect();
+        for round in 0..ROUNDS {
+            gate.wait();
+            for generation in [2 * round + 2, 2 * round + 3] {
+                feed(generation);
+                state.hub.republish(&store, as_of(generation));
+                published.push(state.hub.load());
+                if generation % 2 == 0 {
+                    gate.wait(); // … and the second lands among the requests
+                }
+            }
+        }
+        let joined = requesters.into_iter().map(|t| t.join().expect("requester"));
+        joined.flatten().collect()
+    });
+
+    assert_eq!(answered.len(), THREADS * ROUNDS as usize * 3);
+    let mut generations_answering = std::collections::BTreeSet::new();
+    for (thread, round, i, body) in answered {
+        let ask = &asks(thread, round)[i];
+        let key = if matches!(ask, Ask::Fallbacks(..)) {
+            "as_of_secs"
+        } else {
+            "end_secs"
+        };
+        let named = SimTime::from_secs(json_u64(&body, key));
+        let snapshot = published
+            .iter()
+            .find(|s| s.as_of() == named)
+            .unwrap_or_else(|| panic!("no generation was published as of {named}: {body}"));
+        assert_eq!(
+            body,
+            ask.reference(snapshot),
+            "thread {thread} round {round} ask {i}"
+        );
+        generations_answering.insert(named);
+    }
+    // The generation put up before each gate answered at least the
+    // first request of that round.
+    assert!(
+        generations_answering.len() >= ROUNDS as usize,
+        "{generations_answering:?}"
+    );
 }

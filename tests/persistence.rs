@@ -463,6 +463,45 @@ fn checkpoint_with_torn_tail_recovers_through_the_snapshot() {
     assert_same_summaries(&DataStore::recover(&dir).unwrap(), &twin, &[m]);
 }
 
+/// Same ops, same bytes: a checkpoint holds nothing that depends on
+/// the process that wrote it. The on-demand rejection counts and the
+/// region-health table (one entry per region here, the former all in
+/// one stripe) were `RandomState` maps written in iteration order.
+#[test]
+fn checkpoints_of_equal_stores_are_byte_identical() {
+    let write = |name: &str| {
+        let tmp = TempDir::new(name);
+        let dir = tmp.path().join("store");
+        let store =
+            DataStore::create_durable_with_layout(&dir, opts(), 1, SimDuration::from_secs(3600))
+                .unwrap();
+        for (i, region) in Region::ALL.into_iter().enumerate() {
+            let m = MarketId {
+                az: Az::new(region, 0),
+                ..market(0)
+            };
+            for j in 0..4 {
+                store.record_probe(probe_at(4 * i as u64 + j, m));
+            }
+            let at = SimTime::from_secs(1_000 * i as u64);
+            store.mark_region_degraded(region, at);
+            if i % 2 == 0 {
+                store.mark_region_recovered(region, at + SimDuration::from_secs(300));
+            }
+        }
+        store.checkpoint().unwrap();
+        std::fs::read(dir.join("checkpoint")).unwrap()
+    };
+    let first = write("ckpt-bytes-a");
+    assert!(first.len() > 1_000, "a real checkpoint: {} B", first.len());
+    for name in ["ckpt-bytes-b", "ckpt-bytes-c"] {
+        assert!(
+            first == write(name),
+            "{name}: equal stores, different bytes"
+        );
+    }
+}
+
 /// Sparse epoch summaries: keys observed in a handful of hours that
 /// lie months apart persist those hours only, and recover — through
 /// the checkpoint and through the replayed tail — to the same answers.

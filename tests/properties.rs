@@ -950,3 +950,127 @@ proptest! {
         );
     }
 }
+
+// ---- the snapshot's derived table and memo vs the reference path -------
+
+proptest! {
+    // What `/v1/advisor/*` and `/v1/spike-rates` answer from — the
+    // snapshot's lazily derived `AdvisorTable` and spike-count memo —
+    // equals `SpotLightQuery` over `observed_markets()` and
+    // `StoreRead::spikes_at_or_above_each`, which never read either.
+    #[test]
+    fn derived_advisor_table_and_spike_memo_match_the_reference(
+        // (The shim takes at most five strategies: grouped.)
+        // Times in any order: keys go disordered, intervals stay open.
+        load in (
+            proptest::collection::vec((0usize..40, 0u8..10, 0u8..6, 0u64..50_000), 0..250),
+            proptest::collection::vec((0usize..40, 0u64..50_000, 0.0f64..12.0), 0..60),
+            prop_oneof![Just(None), (0u64..60_000).prop_map(Some)],
+        ),
+        as_of in prop_oneof![Just(0u64), Just(1u64), 1u64..60_000],
+        explicit in (0u64..50_000, 1u64..50_000),
+        picks in (0usize..40, 0usize..40, 2u64..6),
+        thresholds in proptest::collection::vec(
+            prop_oneof![Just(0.0f64), Just(1.25), Just(2.0), Just(5.0), 0.0f64..12.0], 1..40),
+    ) {
+        let (probes, spikes, compact_before) = load;
+        let k = picks.2;
+        let markets = advisor_markets();
+        let store = DataStore::new();
+        for (m, kind, outcome, t) in probes {
+            store.record_probe(ProbeRecord {
+                at: SimTime::from_secs(t),
+                market: markets[m],
+                // Mostly on-demand; some markets end up spot-only.
+                kind: if kind < 8 { ProbeKind::OnDemand } else { ProbeKind::Spot },
+                trigger: ProbeTrigger::Periodic,
+                outcome: [
+                    ProbeOutcome::Fulfilled,
+                    ProbeOutcome::Fulfilled,
+                    ProbeOutcome::Fulfilled,
+                    ProbeOutcome::InsufficientCapacity,
+                    ProbeOutcome::CapacityNotAvailable,
+                    ProbeOutcome::ApiLimited,
+                ][usize::from(outcome)],
+                spot_ratio: 1.0,
+                bid: None,
+                cost: Price::ZERO,
+            });
+        }
+        for (m, t, ratio) in spikes {
+            store.record_spike(spotlight_core::store::SpikeEvent {
+                market: markets[m],
+                at: SimTime::from_secs(t),
+                ratio,
+                probed: true,
+            });
+        }
+        if let Some(before) = compact_before {
+            store.compact(SimTime::from_secs(before));
+        }
+        let snapshot = store.snapshot(SimTime::from_secs(as_of));
+        let read = snapshot.read();
+        let default_span = (SimTime::ZERO, SimTime::from_secs(as_of.max(1)));
+        let explicit = (
+            SimTime::from_secs(explicit.0),
+            SimTime::from_secs(explicit.0 + explicit.1),
+        );
+        let observed = SpotLightQuery::new(&read, default_span.0, default_span.1).observed_markets();
+        prop_assert_eq!(snapshot.probed_markets_sorted(), &observed[..]);
+        let len = observed.len();
+
+        for span in [default_span, explicit] {
+            let q = SpotLightQuery::new(&read, span.0, span.1);
+            // Every region with markets, and one with none.
+            for region in [None, Some(Region::UsEast1), Some(Region::SaEast1), Some(Region::EuWest1)] {
+                for min_probes in [0, 1, k] {
+                    for n in [0, 1, 10, len + 1] {
+                        prop_assert_eq!(
+                            snapshot.top_available_markets(span, region, min_probes, n),
+                            q.top_available_markets(&observed, region, min_probes, n),
+                            "top: span {:?} region {:?} min_probes {} n {}", span, region, min_probes, n
+                        );
+                    }
+                }
+            }
+        }
+
+        let q = SpotLightQuery::new(&read, default_span.0, default_span.1);
+        let never_probed = MarketId { az: Az::new(Region::EuWest1, 0), ..markets[0] };
+        // `markets[i ^ 1]` shares `markets[i]`'s pool for the c3 pair.
+        for origin in [markets[picks.0], markets[picks.1], markets[picks.0 ^ 1], never_probed] {
+            for window in [60, 900, 50_000].map(SimDuration::from_secs) {
+                for n in [0, 1, 10, len + 1] {
+                    prop_assert_eq!(
+                        snapshot.uncorrelated_fallbacks(origin, window, n),
+                        q.uncorrelated_fallbacks(origin, &observed, window, n),
+                        "fallbacks: origin {} window {:?} n {}", origin, window, n
+                    );
+                }
+            }
+        }
+
+        // The memo: first asked, repeated, permuted, then pushed past
+        // its capacity by distinct thresholds — and asked again.
+        let mut permuted = thresholds.clone();
+        permuted.reverse();
+        let flood: Vec<Vec<f64>> = (0..3)
+            .map(|i| (0..30).map(|j| f64::from(i * 30 + j) / 7.0).collect())
+            .collect();
+        let lists = [&thresholds, &thresholds, &permuted, &flood[0], &flood[1], &flood[2], &permuted, &flood[2]];
+        for (i, list) in lists.into_iter().enumerate() {
+            prop_assert_eq!(
+                snapshot.spikes_at_or_above_each(list),
+                read.spikes_at_or_above_each(list),
+                "spike counts, list {}", i
+            );
+        }
+        let window = SimDuration::from_secs(3600);
+        let q = SpotLightQuery::new(&read, explicit.0, explicit.1);
+        let counts = snapshot.spikes_at_or_above_each(&thresholds);
+        prop_assert_eq!(
+            q.spike_rates_from(&thresholds, counts, window),
+            q.spike_rates(&thresholds, window)
+        );
+    }
+}
