@@ -433,14 +433,10 @@ impl ToJson for RegionHealth {
 
 impl ToJson for LiveReport {
     fn write_json(&self, out: &mut String) {
-        let mut regions: Vec<_> = self.per_region_probes.iter().collect();
-        regions.sort_by_key(|(r, _)| **r);
-        let mut degraded: Vec<_> = self.degraded_secs.iter().collect();
-        degraded.sort_by_key(|(r, _)| **r);
         object(out, |o| {
             o.u64("probes", self.probes as u64);
             o.object("per_region_probes", |o| {
-                for (region, n) in regions {
+                for (region, n) in &self.per_region_probes {
                     o.u64(region.name(), *n as u64);
                 }
             });
@@ -449,7 +445,7 @@ impl ToJson for LiveReport {
             o.u64("probes_abandoned", self.probes_abandoned);
             o.u64("breaker_trips", self.breaker_trips);
             o.object("degraded_secs", |o| {
-                for (region, secs) in degraded {
+                for (region, secs) in &self.degraded_secs {
                     o.u64(region.name(), *secs);
                 }
             });

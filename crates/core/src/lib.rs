@@ -14,7 +14,7 @@
 //! The crate provides:
 //!
 //! * [`spotlight::SpotLight`] — the probing service, runnable as a
-//!   deterministic engine agent (and in a threaded live deployment via
+//!   deterministic engine agent (and in a concurrent live deployment via
 //!   [`manager`]);
 //! * [`policy`] / [`budget`] — the §3 probing policy and §3.4 cost
 //!   control, including threshold calibration;

@@ -1,16 +1,20 @@
-//! The live deployment: Chapter 4's hierarchical managers, as threads,
-//! hardened against a misbehaving cloud.
+//! The live deployment: Chapter 4's hierarchical managers under one
+//! clock, hardened against a misbehaving cloud.
 //!
 //! The paper's prototype ran region managers (one per region, batching
 //! state polls and enforcing service limits), per-market probe managers,
 //! and a database manager that serialized all writes. This module
 //! reproduces that shape with real concurrency:
 //!
-//! * a **driver** advances the shared cloud tick by tick and fans each
-//!   region's events out to its region manager over a channel;
-//! * **region managers** (one thread per region) run the spike-triggered
-//!   probing policy against the shared cloud, keeping their own
-//!   re-probe (recovery) schedules.
+//! * a [`LiveDriver`] owns the cloud and the clock: each
+//!   [`LiveDriver::step`] advances the cloud one tick, routes the
+//!   tick's events per region, and runs every region manager's batch as
+//!   a task of one [`WorkerPool::scope`], whose join barrier holds the
+//!   clock until all are done. Whatever else must ride that clock (a
+//!   publisher, a checkpointer, a shutdown) goes between two `step`s;
+//! * **region managers** (one per region, concurrent within a step) run
+//!   the spike-triggered probing policy against the shared cloud,
+//!   keeping their own re-probe (recovery) schedules.
 //!
 //! # The retry/breaker pipeline
 //!
@@ -44,10 +48,9 @@
 //! 5. **Supervision** — each region manager catches panics at the batch
 //!    boundary: a crash while handling one tick's events is counted
 //!    ([`LiveReport::worker_panics`]), fed to the circuit breaker, and
-//!    the worker carries on with its pending queue, recovery schedule,
-//!    and orphan list intact. Should a thread die outright anyway, the
-//!    driver strikes it from the ack rotation and the run degrades to
-//!    the surviving regions instead of aborting.
+//!    the manager carries on with its pending queue, recovery schedule,
+//!    and orphan list intact. A manager is a plain value the driver
+//!    owns, not a thread: nothing can die between batches.
 //!
 //! The driver also tends the store's durability each tick
 //! ([`crate::store::DataStore::tend_durability`]): when disk faults
@@ -68,12 +71,15 @@
 //! mutate it.
 //!
 //! The engine-hosted [`crate::spotlight::SpotLight`] agent is the
-//! deterministic twin of this deployment; the live mode exists to
-//! demonstrate and test the concurrent architecture (mpsc channels,
+//! single-threaded twin of this deployment; the live mode exists to
+//! demonstrate and test the concurrent architecture (pool tasks,
 //! [`crate::sync::Mutex`] for the cloud, the store's internal
-//! [`crate::sync::RwLock`] stripes) at the cost of determinism across
-//! thread interleavings. Within one region, probing is deterministic up
-//! to the retry jitter.
+//! [`crate::sync::RwLock`] stripes). A region manager's calls touch
+//! only its own region's shard, token bucket, chaos stream and jitter
+//! RNG, so each market's probe and spike history and the [`LiveReport`]
+//! (but for its wall-clock-batched fsync count) are seed-deterministic
+//! at any interleaving; the order in which *different* regions' records
+//! land in the store's slabs is not.
 
 use crate::policy::PolicyConfig;
 use crate::probe::{ProbeKind, ProbeOutcome, ProbeRecord, ProbeTrigger};
@@ -86,13 +92,8 @@ use cloud_sim::ids::{InstanceId, MarketId, Region};
 use cloud_sim::price::Price;
 use cloud_sim::rng::SimRng;
 use cloud_sim::time::{SimDuration, SimTime};
-use std::collections::HashMap;
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::Arc;
-use std::thread;
-
-/// A cloud shared between the driver and the region managers.
-pub type SharedCloud = Arc<Mutex<Cloud>>;
+use spotlight_pool::WorkerPool;
+use std::collections::{BTreeMap, HashMap};
 
 /// Knobs of the per-region retry/breaker pipeline.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -185,7 +186,7 @@ pub struct LiveReport {
     /// Probes recorded.
     pub probes: usize,
     /// Probes issued per region.
-    pub per_region_probes: HashMap<Region, usize>,
+    pub per_region_probes: BTreeMap<Region, usize>,
     /// Ticks driven.
     pub ticks: u64,
     /// Retry attempts dispatched from the pending queues.
@@ -196,7 +197,7 @@ pub struct LiveReport {
     pub breaker_trips: u64,
     /// Seconds each region spent with its breaker open or half-open
     /// (only regions that degraded at all appear).
-    pub degraded_secs: HashMap<Region, u64>,
+    pub degraded_secs: BTreeMap<Region, u64>,
     /// Operations this run appended to the store's durable log (zero
     /// for an in-memory store).
     pub durable_ops: u64,
@@ -206,8 +207,7 @@ pub struct LiveReport {
     /// including the final end-of-run flush.
     pub durable_fsyncs: u64,
     /// Worker panics the supervisors caught (the worker kept running
-    /// with its pending queue intact) plus region-manager threads that
-    /// died outright and were struck from the rotation.
+    /// with its pending queue intact).
     pub worker_panics: u64,
     /// Write/fsync errors the durable paths hit during this run (zero
     /// for an in-memory store).
@@ -220,16 +220,6 @@ pub struct LiveReport {
     /// at or before this time are provably on disk, later ones may be
     /// memory-only. `None` when fully durable (or in-memory).
     pub durability_lost: Option<SimTime>,
-}
-
-enum RegionMsg {
-    /// One tick's events for this region, with the tick's timestamp.
-    /// The worker acks after handling so the driver can hold the clock:
-    /// without that backpressure a starved worker's probes would land
-    /// at whatever later cloud time the lock race gives them, sliding
-    /// the probing (and any chaos fault windows) off schedule.
-    Events(Vec<CloudEvent>, SimTime),
-    Shutdown,
 }
 
 /// A probe intent waiting in the backoff queue.
@@ -270,14 +260,16 @@ struct RegionWorker {
     region: Region,
     policy: PolicyConfig,
     resilience: ResilienceConfig,
-    cloud: SharedCloud,
-    /// The immutable market catalog, cloned once at spawn so lookups
-    /// need no cloud lock.
+    /// The immutable market catalog, cloned once at construction so
+    /// lookups need no cloud lock.
     catalog: Catalog,
     store: SharedStore,
     cooldown_until: HashMap<MarketId, SimTime>,
     /// Markets awaiting recovery, with their next re-probe time.
-    recovery_due: HashMap<MarketId, SimTime>,
+    /// Iterated to order a tick's recovery probes — and under a binding
+    /// API limit the order decides which probe is throttled — so it is
+    /// an ordered map: same seed, same probes.
+    recovery_due: BTreeMap<MarketId, SimTime>,
     /// Probe intents waiting out a backoff or an open breaker.
     pending: Vec<PendingProbe>,
     /// Launched instances whose terminate call failed; retried every
@@ -287,14 +279,14 @@ struct RegionWorker {
     consecutive_failures: u32,
     /// Start of the current degraded episode, while one is open.
     degraded_since: Option<SimTime>,
-    /// Backoff jitter source. Worker-local: live mode is already
-    /// nondeterministic across thread interleavings.
+    /// Backoff jitter source, seeded from the region alone.
     rng: SimRng,
     stats: WorkerStats,
     /// Event batches handled so far (drives the chaos panic knob).
     batches_handled: u64,
-    /// Per-batch ack back to the driver (the lockstep backpressure).
-    ack: Sender<()>,
+    /// The current tick's events for this region, routed here by the
+    /// driver; the buffer is reused across ticks.
+    batch: Vec<CloudEvent>,
 }
 
 /// What one transport attempt produced.
@@ -307,36 +299,67 @@ enum Attempt {
 }
 
 impl RegionWorker {
-    fn probe_od(&mut self, market: MarketId, trigger: ProbeTrigger, now: SimTime) {
-        self.probe_od_attempt(market, trigger, now, 0);
+    fn new(
+        region: Region,
+        policy: &PolicyConfig,
+        resilience: &ResilienceConfig,
+        catalog: Catalog,
+        store: SharedStore,
+    ) -> Self {
+        RegionWorker {
+            region,
+            policy: policy.clone(),
+            resilience: resilience.clone(),
+            catalog,
+            store,
+            cooldown_until: HashMap::new(),
+            recovery_due: BTreeMap::new(),
+            pending: Vec::new(),
+            orphans: Vec::new(),
+            breaker: Breaker::Closed,
+            consecutive_failures: 0,
+            degraded_since: None,
+            rng: SimRng::seed_from(0x00C0_FFEE ^ region.index() as u64),
+            stats: WorkerStats::default(),
+            batches_handled: 0,
+            batch: Vec::new(),
+        }
     }
 
-    fn probe_od_attempt(
+    fn probe_od(
         &mut self,
+        cloud: &Mutex<Cloud>,
         market: MarketId,
         trigger: ProbeTrigger,
         now: SimTime,
-        attempt: u32,
     ) {
+        let intent = PendingProbe {
+            market,
+            trigger,
+            due: now,
+            attempt: 0,
+        };
+        self.probe_od_attempt(cloud, intent, now);
+    }
+
+    /// Spends one transport attempt on `intent` — none while the breaker
+    /// is open — and records the answer, re-queues, or gives up.
+    fn probe_od_attempt(&mut self, cloud: &Mutex<Cloud>, mut intent: PendingProbe, now: SimTime) {
         if !self.breaker_allows(now) {
             // No attempt is spent while the breaker is open — the
             // intent waits for the half-open trial window.
-            let due = match self.breaker {
+            intent.due = match self.breaker {
                 Breaker::Open { until } => until,
                 _ => now + self.resilience.retry_base,
             };
-            self.enqueue(PendingProbe {
-                market,
-                trigger,
-                due,
-                attempt,
-            });
+            self.enqueue(intent);
             return;
         }
+        let market = intent.market;
         let od_price = self.catalog.od_price(market);
         // Cloud critical section: just the API call and the price read.
         let (attempt_result, spot_ratio) = {
-            let mut cloud = self.cloud.lock();
+            let mut cloud = cloud.lock();
             let result = match cloud.run_od_instance(market) {
                 Ok(id) => match cloud.terminate_od_instance(id) {
                     Ok(cost) => Attempt::Answered(ProbeOutcome::Fulfilled, cost),
@@ -362,35 +385,25 @@ impl RegionWorker {
                 .map_or(0.0, |p| p.ratio_to(od_price));
             (result, spot_ratio)
         };
-        match attempt_result {
+        let (outcome, cost) = match attempt_result {
             Attempt::Answered(outcome, cost) => {
                 self.on_transport_success(now);
-                self.record(market, trigger, outcome, spot_ratio, cost, now);
+                (outcome, cost)
             }
             Attempt::Failed => {
                 self.on_transport_failure(now);
-                if attempt + 1 < self.resilience.retry_budget {
-                    let due = now + self.backoff(attempt);
-                    self.enqueue(PendingProbe {
-                        market,
-                        trigger,
-                        due,
-                        attempt: attempt + 1,
-                    });
-                } else {
-                    // Budget exhausted: the missing observation is
-                    // recorded as the probe having been squeezed out.
-                    self.record(
-                        market,
-                        trigger,
-                        ProbeOutcome::ApiLimited,
-                        spot_ratio,
-                        Price::ZERO,
-                        now,
-                    );
+                if intent.attempt + 1 < self.resilience.retry_budget {
+                    intent.due = now + self.backoff(intent.attempt);
+                    intent.attempt += 1;
+                    self.enqueue(intent);
+                    return;
                 }
+                // Budget exhausted: the missing observation is
+                // recorded as the probe having been squeezed out.
+                (ProbeOutcome::ApiLimited, Price::ZERO)
             }
-        }
+        };
+        self.record(market, intent.trigger, outcome, spot_ratio, cost, now);
     }
 
     /// Records a probe outcome and maintains the recovery schedule.
@@ -500,12 +513,12 @@ impl RegionWorker {
 
     /// Retries terminate calls for instances whose first terminate
     /// failed. Keeps only the ones that fail retryably again.
-    fn reap_orphans(&mut self, now: SimTime) {
+    fn reap_orphans(&mut self, cloud: &Mutex<Cloud>, now: SimTime) {
         if self.orphans.is_empty() || !self.breaker_allows(now) {
             return;
         }
         let orphans = std::mem::take(&mut self.orphans);
-        let mut cloud = self.cloud.lock();
+        let mut cloud = cloud.lock();
         for id in orphans {
             match cloud.terminate_od_instance(id) {
                 Err(e) if e.is_retryable() => self.orphans.push(id),
@@ -520,7 +533,7 @@ impl RegionWorker {
     /// Dispatches pending probes that have come due. Dispatching can
     /// re-enqueue (breaker still open, next backoff step), so it runs
     /// over a drained snapshot.
-    fn dispatch_due(&mut self, now: SimTime) {
+    fn dispatch_due(&mut self, cloud: &Mutex<Cloud>, now: SimTime) {
         if self.pending.iter().all(|p| p.due > now) {
             return;
         }
@@ -532,7 +545,7 @@ impl RegionWorker {
                 if p.attempt > 0 {
                     self.stats.retries_issued += 1;
                 }
-                self.probe_od_attempt(p.market, p.trigger, now, p.attempt);
+                self.probe_od_attempt(cloud, p, now);
             } else {
                 i += 1;
             }
@@ -542,15 +555,15 @@ impl RegionWorker {
         self.pending = queue;
     }
 
-    fn handle_events(&mut self, events: Vec<CloudEvent>, now: SimTime) {
+    fn handle_events(&mut self, cloud: &Mutex<Cloud>, events: &[CloudEvent], now: SimTime) {
         self.batches_handled += 1;
         if let Some(period) = self.resilience.chaos_panic_period {
             if self.batches_handled.is_multiple_of(period) {
                 panic!("chaos: injected worker panic (region {:?})", self.region);
             }
         }
-        self.reap_orphans(now);
-        self.dispatch_due(now);
+        self.reap_orphans(cloud, now);
+        self.dispatch_due(cloud, now);
 
         // Due recovery probes (the batch cadence is the tick).
         let due: Vec<MarketId> = self
@@ -562,10 +575,10 @@ impl RegionWorker {
         for market in due {
             self.recovery_due
                 .insert(market, now + self.policy.reprobe_interval);
-            self.probe_od(market, ProbeTrigger::Recovery, now);
+            self.probe_od(cloud, market, ProbeTrigger::Recovery, now);
         }
 
-        for event in events {
+        for &event in events {
             let (market, price) = match event {
                 CloudEvent::PriceChange { market, price, .. } => (market, price),
                 CloudEvent::CapacityEvictionNotice {
@@ -608,250 +621,211 @@ impl RegionWorker {
                 ratio,
                 probed: true,
             });
-            self.probe_od(market, ProbeTrigger::PriceSpike { ratio }, now);
+            self.probe_od(cloud, market, ProbeTrigger::PriceSpike { ratio }, now);
 
             // Fan out while we still believe the market is unavailable.
             if self.recovery_due.contains_key(&market) {
                 if self.policy.family_fanout {
+                    let trigger = ProbeTrigger::FamilyFanout {
+                        origin: market,
+                        origin_ratio: ratio,
+                    };
                     for sibling in self.catalog.family_siblings(market) {
-                        self.probe_od(
-                            sibling,
-                            ProbeTrigger::FamilyFanout {
-                                origin: market,
-                                origin_ratio: ratio,
-                            },
-                            now,
-                        );
+                        self.probe_od(cloud, sibling, trigger, now);
                     }
                 }
                 if self.policy.cross_az_fanout {
+                    let trigger = ProbeTrigger::CrossAzFanout {
+                        origin: market,
+                        origin_ratio: ratio,
+                    };
                     for sibling in self.catalog.az_siblings(market) {
-                        self.probe_od(
-                            sibling,
-                            ProbeTrigger::CrossAzFanout {
-                                origin: market,
-                                origin_ratio: ratio,
-                            },
-                            now,
-                        );
+                        self.probe_od(cloud, sibling, trigger, now);
                     }
                 }
             }
         }
     }
 
-    fn run(mut self, rx: Receiver<RegionMsg>) -> WorkerStats {
-        let mut last_now = SimTime::ZERO;
-        while let Ok(msg) = rx.recv() {
-            match msg {
-                RegionMsg::Events(events, now) => {
-                    last_now = now;
-                    // Supervision: a panic while handling one batch
-                    // must not take the region manager down. The worker
-                    // keeps its pending queue, recovery schedule, and
-                    // orphan list; the panic is counted and fed to the
-                    // circuit breaker like any other transport-layer
-                    // failure, so a persistently-crashing region backs
-                    // off instead of crash-looping at full speed.
-                    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        self.handle_events(events, now)
-                    }));
-                    if outcome.is_err() {
-                        self.stats.worker_panics += 1;
-                        self.on_transport_failure(now);
-                    }
-                    // Ack even a panicked batch: the driver's lockstep
-                    // clock must never wait on a batch that will not
-                    // complete.
-                    let _ = self.ack.send(());
-                }
-                RegionMsg::Shutdown => break,
-            }
+    /// Handles the batch the driver routed here, supervised: a panic
+    /// while handling one batch must not take the region manager down.
+    /// The worker keeps its pending queue, recovery schedule, and orphan
+    /// list; the panic is counted and fed to the circuit breaker like
+    /// any other transport-layer failure, so a persistently-crashing
+    /// region backs off instead of crash-looping at full speed.
+    fn handle_batch(&mut self, cloud: &Mutex<Cloud>, now: SimTime) {
+        let mut events = std::mem::take(&mut self.batch);
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            self.handle_events(cloud, &events, now)
+        }));
+        if outcome.is_err() {
+            self.stats.worker_panics += 1;
+            self.on_transport_failure(now);
         }
-        // Fold a still-open degraded episode into the counters so the
-        // report sees it even when the run ends mid-outage.
-        if let Some(since) = self.degraded_since.take() {
-            self.stats.degraded_secs += last_now.saturating_since(since).as_secs();
-        }
-        self.stats
+        events.clear();
+        self.batch = events;
     }
 }
 
-/// Runs the threaded deployment over `cloud` and records into `store`.
-///
-/// Returns the cloud (for post-run oracle inspection) and a run summary.
-/// The store passed in receives every probe and spike, plus region
-/// degradation markers from the workers' circuit breakers.
-pub fn run_live(cloud: Cloud, store: SharedStore, config: LiveConfig) -> (Cloud, LiveReport) {
-    config.policy.validate().expect("invalid policy");
-    config.resilience.validate().expect("invalid resilience");
-    let regions: Vec<Region> = cloud.catalog().regions();
-    let catalog = cloud.catalog().clone();
+/// The live deployment as a clock a caller can ride: [`LiveDriver::new`]
+/// builds the region managers, each [`LiveDriver::step`] is one lockstep
+/// tick, [`LiveDriver::finish`] closes the run. [`run_live`] is the
+/// run-to-completion loop over it; a service that publishes,
+/// checkpoints or stops *between* ticks calls `step` itself.
+pub struct LiveDriver {
+    cloud: Mutex<Cloud>,
+    store: SharedStore,
+    /// One region manager per region, in [`Catalog::regions`] order.
+    workers: Vec<RegionWorker>,
+    /// Drain buffer for a tick's events, reused across ticks.
+    events: Vec<CloudEvent>,
+    ticks: u64,
     // The report counts THIS run's probes even on a pre-populated store.
-    let probes_at_start = store.len();
-    let durable_at_start = store.durability_stats();
-    let shared: SharedCloud = Arc::new(Mutex::new(cloud));
+    probes_at_start: usize,
+    durable_at_start: Option<crate::durable::DurabilityStats>,
+}
 
-    // Region managers, writing straight into the striped store. Each
-    // worker acks on its own channel so the driver can tell *which*
-    // manager went silent if one dies outright.
-    let mut region_txs: HashMap<Region, Sender<RegionMsg>> = HashMap::new();
-    let mut acks: HashMap<Region, Receiver<()>> = HashMap::new();
-    let mut handles = Vec::new();
-    for &region in &regions {
-        let (tx, rx) = channel::<RegionMsg>();
-        let (ack_tx, ack_rx) = channel::<()>();
-        region_txs.insert(region, tx);
-        acks.insert(region, ack_rx);
-        let worker = RegionWorker {
-            region,
-            policy: config.policy.clone(),
-            resilience: config.resilience.clone(),
-            cloud: shared.clone(),
-            catalog: catalog.clone(),
-            store: store.clone(),
-            cooldown_until: HashMap::new(),
-            recovery_due: HashMap::new(),
-            pending: Vec::new(),
-            orphans: Vec::new(),
-            breaker: Breaker::Closed,
-            consecutive_failures: 0,
-            degraded_since: None,
-            rng: SimRng::seed_from(0x00C0_FFEE ^ region.index() as u64),
-            stats: WorkerStats::default(),
-            batches_handled: 0,
-            ack: ack_tx,
-        };
-        handles.push((region, thread::spawn(move || worker.run(rx))));
+impl LiveDriver {
+    /// Builds one region manager per region of `cloud`'s catalog,
+    /// recording into `store`. Nothing runs until the first `step`.
+    ///
+    /// # Panics
+    ///
+    /// If `policy` or `resilience` fails its own `validate`.
+    pub fn new(
+        cloud: Cloud,
+        store: SharedStore,
+        policy: &PolicyConfig,
+        resilience: &ResilienceConfig,
+    ) -> Self {
+        policy.validate().expect("invalid policy");
+        resilience.validate().expect("invalid resilience");
+        let catalog = cloud.catalog();
+        let workers = catalog
+            .regions()
+            .into_iter()
+            .map(|r| RegionWorker::new(r, policy, resilience, catalog.clone(), store.clone()))
+            .collect();
+        LiveDriver {
+            workers,
+            events: Vec::new(),
+            ticks: 0,
+            probes_at_start: store.len(),
+            durable_at_start: store.durability_stats(),
+            cloud: Mutex::new(cloud),
+            store,
+        }
     }
 
-    // Driver: advance the cloud, fan events out per region. The drain
-    // buffer and the per-region routing map are reused across ticks;
-    // only the event batches themselves are allocated per tick, because
-    // their ownership crosses the channel to the region managers.
-    let tick = { shared.lock().config().tick };
-    let ticks = config.duration.as_secs() / tick.as_secs().max(1);
-    let mut events: Vec<CloudEvent> = Vec::new();
-    let mut per_region: HashMap<Region, Vec<CloudEvent>> =
-        region_txs.keys().map(|&r| (r, Vec::new())).collect();
-    for _ in 0..ticks {
+    /// One lockstep tick: advances the cloud, hands every region
+    /// manager its events, waits for all of them, tends the store's
+    /// durability. Returns the simulated time the tick ended at.
+    pub fn step(&mut self) -> SimTime {
         let now = {
-            let mut cloud = shared.lock();
+            let mut cloud = self.cloud.lock();
             cloud.tick();
-            cloud.drain_events_into(&mut events);
+            cloud.drain_events_into(&mut self.events);
             cloud.now()
         };
-        for event in events.drain(..) {
+        for event in self.events.drain(..) {
             let market = match event {
                 CloudEvent::PriceChange { market, .. }
                 | CloudEvent::CapacityEvictionNotice { market, .. } => market,
                 _ => continue,
             };
-            if let Some(batch) = per_region.get_mut(&market.region()) {
-                batch.push(event);
+            let region = market.region();
+            if let Some(worker) = self.workers.iter_mut().find(|w| w.region == region) {
+                worker.batch.push(event);
             }
         }
-        for (&region, tx) in &region_txs {
-            let batch = std::mem::take(per_region.get_mut(&region).expect("prebuilt"));
-            let _ = tx.send(RegionMsg::Events(batch, now));
-        }
-        // Lockstep: hold the clock until every live region manager
-        // drained this tick's batch, so probes (and chaos faults)
+        // Lockstep: the scope returns only when every region manager
+        // has drained this tick's batch, so probes (and chaos faults)
         // happen at the simulated times they were scheduled for,
-        // independent of how the OS schedules the worker threads. A
-        // manager whose thread died outright (its ack channel hung up)
-        // is struck from the rotation — the run degrades to the
-        // surviving regions instead of wedging the clock.
-        let mut dead: Vec<Region> = Vec::new();
-        for &region in region_txs.keys() {
-            if acks[&region].recv().is_err() {
-                dead.push(region);
-            }
-        }
-        for region in dead {
-            region_txs.remove(&region);
-        }
-        // Durability maintenance rides the driver's clock: if the
-        // store degraded (disk faults), this is where heals run.
-        let _ = store.tend_durability();
-    }
-    for tx in region_txs.values() {
-        let _ = tx.send(RegionMsg::Shutdown);
-    }
-
-    let mut per_region_probes = HashMap::new();
-    let mut retries_issued = 0;
-    let mut probes_abandoned = 0;
-    let mut breaker_trips = 0;
-    let mut degraded_secs = HashMap::new();
-    let mut worker_panics = 0;
-    for (region, handle) in handles {
-        let stats = handle.join().unwrap_or_else(|_| {
-            // The thread died outside the supervised batch loop: its
-            // counters are lost, but the death itself is reported.
-            WorkerStats {
-                worker_panics: 1,
-                ..WorkerStats::default()
+        // independent of how the pool schedules the tasks. Without that
+        // barrier a starved manager's probes would land at whatever
+        // later cloud time the lock race gives them.
+        let cloud = &self.cloud;
+        WorkerPool::global().scope(|scope| {
+            for worker in &mut self.workers {
+                scope.spawn(move || worker.handle_batch(cloud, now));
             }
         });
-        per_region_probes.insert(region, stats.probes_issued);
-        retries_issued += stats.retries_issued;
-        probes_abandoned += stats.probes_abandoned;
-        breaker_trips += stats.breaker_trips;
-        worker_panics += stats.worker_panics;
-        if stats.degraded_secs > 0 {
-            degraded_secs.insert(region, stats.degraded_secs);
-        }
+        // Durability maintenance rides the driver's clock: if the
+        // store degraded (disk faults), this is where heals run.
+        let _ = self.store.tend_durability();
+        self.ticks += 1;
+        now
     }
-    let probes = store.len() - probes_at_start;
 
-    // Make the run durable before reporting: everything the workers
-    // appended is on disk when this returns. An in-memory store's
-    // flush is a no-op; a failing disk surfaces through
-    // `durability_stats`, not a panic mid-report.
-    let _ = store.flush();
-    let (durable_ops, durable_bytes, durable_fsyncs, durable_io_errors, durable_ops_dropped) =
-        match (durable_at_start, store.durability_stats()) {
-            (Some(start), Some(end)) => (
-                end.appended_ops - start.appended_ops,
-                end.appended_bytes - start.appended_bytes,
-                end.fsyncs - start.fsyncs,
-                end.io_errors - start.io_errors,
-                end.ops_dropped - start.ops_dropped,
-            ),
-            _ => (0, 0, 0, 0, 0),
+    /// Closes the run: flushes the store and returns the cloud (for
+    /// post-run oracle inspection) with the run's summary.
+    pub fn finish(self) -> (Cloud, LiveReport) {
+        let cloud = self.cloud.into_inner();
+        let mut report = LiveReport {
+            ticks: self.ticks,
+            ..LiveReport::default()
         };
-    let durability_lost = store.durability_lost();
+        for worker in self.workers {
+            let mut stats = worker.stats;
+            // Fold a still-open degraded episode into the counters so
+            // the report sees it even when the run ends mid-outage.
+            if let Some(since) = worker.degraded_since {
+                stats.degraded_secs += cloud.now().saturating_since(since).as_secs();
+            }
+            report
+                .per_region_probes
+                .insert(worker.region, stats.probes_issued);
+            report.retries_issued += stats.retries_issued;
+            report.probes_abandoned += stats.probes_abandoned;
+            report.breaker_trips += stats.breaker_trips;
+            report.worker_panics += stats.worker_panics;
+            if stats.degraded_secs > 0 {
+                report
+                    .degraded_secs
+                    .insert(worker.region, stats.degraded_secs);
+            }
+        }
+        report.probes = self.store.len() - self.probes_at_start;
 
-    let cloud = Arc::into_inner(shared)
-        .expect("all workers joined")
-        .into_inner();
-    (
-        cloud,
-        LiveReport {
-            probes,
-            per_region_probes,
-            ticks,
-            retries_issued,
-            probes_abandoned,
-            breaker_trips,
-            degraded_secs,
-            durable_ops,
-            durable_bytes,
-            durable_fsyncs,
-            worker_panics,
-            durable_io_errors,
-            durable_ops_dropped,
-            durability_lost,
-        },
-    )
+        // Make the run durable before reporting: everything the workers
+        // appended is on disk when this returns. An in-memory store's
+        // flush is a no-op; a failing disk surfaces through
+        // `durability_stats`, not a panic mid-report.
+        let _ = self.store.flush();
+        if let (Some(start), Some(end)) = (self.durable_at_start, self.store.durability_stats()) {
+            report.durable_ops = end.appended_ops - start.appended_ops;
+            report.durable_bytes = end.appended_bytes - start.appended_bytes;
+            report.durable_fsyncs = end.fsyncs - start.fsyncs;
+            report.durable_io_errors = end.io_errors - start.io_errors;
+            report.durable_ops_dropped = end.ops_dropped - start.ops_dropped;
+        }
+        report.durability_lost = self.store.durability_lost();
+        (cloud, report)
+    }
+}
+
+/// Runs the live deployment over `cloud` for `config.duration` and
+/// records into `store`.
+///
+/// Returns the cloud (for post-run oracle inspection) and a run summary.
+/// The store passed in receives every probe and spike, plus region
+/// degradation markers from the workers' circuit breakers.
+pub fn run_live(cloud: Cloud, store: SharedStore, config: LiveConfig) -> (Cloud, LiveReport) {
+    let ticks = config.duration.as_secs() / cloud.config().tick.as_secs().max(1);
+    let mut driver = LiveDriver::new(cloud, store, &config.policy, &config.resilience);
+    for _ in 0..ticks {
+        driver.step();
+    }
+    driver.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::store::shared_store;
+    use cloud_sim::chaos::ChaosWindow;
     use cloud_sim::config::SimConfig;
+    use std::sync::Arc;
 
     #[test]
     fn live_run_collects_probes_concurrently() {
@@ -1051,5 +1025,222 @@ mod tests {
         };
         assert!(r.validate().is_err());
         ResilienceConfig::default().validate().unwrap();
+    }
+
+    // ---- The retry/breaker pipeline on a bare `RegionWorker`: no
+    // driver, no pool, no thread. ----
+
+    const HIT: Region = Region::UsEast1;
+    const OUTAGE: SimDuration = SimDuration::from_secs(7_200);
+    const T0: SimTime = SimTime::ZERO;
+
+    /// A region manager for [`HIT`] over a fresh testbed cloud whose
+    /// API is out in that region for the first [`OUTAGE`] of simulated
+    /// time, plus the region's markets.
+    fn pipeline(resilience: ResilienceConfig) -> (Mutex<Cloud>, RegionWorker, Vec<MarketId>) {
+        let mut config = SimConfig::paper(67);
+        config.chaos.outages.push(ChaosWindow {
+            region: HIT,
+            start: T0,
+            duration: OUTAGE,
+        });
+        let cloud = Cloud::new(Catalog::testbed(), config);
+        let catalog = cloud.catalog().clone();
+        let markets: Vec<MarketId> = catalog
+            .markets()
+            .iter()
+            .copied()
+            .filter(|m| m.region() == HIT)
+            .collect();
+        let worker = RegionWorker::new(
+            HIT,
+            &PolicyConfig::default(),
+            &resilience,
+            catalog,
+            shared_store(),
+        );
+        (Mutex::new(cloud), worker, markets)
+    }
+
+    /// [`pipeline`] with three probes already failed into the outage at
+    /// [`T0`] (one attempt spent each) — enough to trip a threshold-3
+    /// breaker.
+    fn tripped() -> (Mutex<Cloud>, RegionWorker, Vec<MarketId>) {
+        let (cloud, mut w, markets) = pipeline(ResilienceConfig {
+            breaker_threshold: 3,
+            ..ResilienceConfig::default()
+        });
+        for &m in &markets[..3] {
+            w.probe_od(&cloud, m, ProbeTrigger::Recovery, T0);
+        }
+        (cloud, w, markets)
+    }
+
+    /// Ticks `cloud` until its clock reads `until`.
+    fn advance(cloud: &Mutex<Cloud>, until: SimTime) -> SimTime {
+        let mut cloud = cloud.lock();
+        while cloud.now() < until {
+            cloud.tick();
+        }
+        cloud.now()
+    }
+
+    #[test]
+    fn breaker_opens_at_exactly_the_threshold_and_degrades_the_region_once() {
+        let (cloud, mut w, markets) = pipeline(ResilienceConfig {
+            breaker_threshold: 3,
+            ..ResilienceConfig::default()
+        });
+        for &m in &markets[..2] {
+            w.probe_od(&cloud, m, ProbeTrigger::Recovery, T0);
+        }
+        assert_eq!(w.breaker, Breaker::Closed, "one short of the threshold");
+        assert_eq!(w.consecutive_failures, 2);
+        assert_eq!(w.store.region_health(HIT), None);
+
+        w.probe_od(&cloud, markets[2], ProbeTrigger::Recovery, T0);
+        let until = T0 + w.resilience.breaker_cooldown;
+        assert_eq!(w.breaker, Breaker::Open { until });
+        assert_eq!(w.degraded_since, Some(T0));
+        // A failed attempt is a missing observation: nothing recorded,
+        // every intent back in the queue with one attempt spent.
+        assert_eq!(w.store.len(), 0);
+        assert_eq!(w.pending.len(), 3);
+        assert!(w.pending.iter().all(|p| p.attempt == 1 && p.due > T0));
+
+        // More traffic against the open breaker is not another trip.
+        w.probe_od(&cloud, markets[3], ProbeTrigger::Recovery, T0);
+        assert_eq!(w.stats.breaker_trips, 1);
+        let health = w.store.region_health(HIT).expect("marked degraded");
+        assert!(health.degraded);
+        assert_eq!((health.since, health.trips), (T0, 1));
+    }
+
+    #[test]
+    fn an_open_breaker_spends_no_attempt_and_requeues_at_its_deadline() {
+        let (cloud, mut w, markets) = tripped();
+        let Breaker::Open { until } = w.breaker else {
+            panic!("fixture must have tripped the breaker");
+        };
+        let later = T0 + SimDuration::from_secs(60);
+        w.probe_od(&cloud, markets[3], ProbeTrigger::Recovery, later);
+        let queued = w.pending.last().expect("re-queued");
+        assert_eq!((queued.market, queued.attempt), (markets[3], 0));
+        assert_eq!(queued.due, until, "waits for the half-open window");
+        assert_eq!(w.breaker, Breaker::Open { until }, "state untouched");
+        assert_eq!(w.store.len(), 0);
+    }
+
+    #[test]
+    fn a_failed_half_open_trial_reopens_without_a_new_trip() {
+        let (cloud, mut w, _) = tripped();
+        // The cooldown elapses while the outage still rages.
+        let now = advance(&cloud, T0 + w.resilience.breaker_cooldown);
+        assert!(now < T0 + OUTAGE);
+        w.dispatch_due(&cloud, now);
+        let until = now + w.resilience.breaker_cooldown;
+        assert_eq!(w.breaker, Breaker::Open { until });
+        assert_eq!(w.stats.breaker_trips, 1, "same episode");
+        assert_eq!(w.store.region_health(HIT).map(|h| h.trips), Some(1));
+        assert_eq!(w.degraded_since, Some(T0));
+        // Exactly one intent was the trial (a second attempt spent);
+        // the other two met the re-opened breaker and wait for it.
+        assert_eq!(w.pending.len(), 3);
+        let mut attempts: Vec<u32> = w.pending.iter().map(|p| p.attempt).collect();
+        attempts.sort_unstable();
+        assert_eq!(attempts, [1, 1, 2]);
+        assert_eq!(w.pending.iter().filter(|p| p.due == until).count(), 2);
+    }
+
+    #[test]
+    fn a_half_open_success_closes_the_breaker_and_accounts_the_episode() {
+        let (cloud, mut w, _) = tripped();
+        let now = advance(&cloud, T0 + OUTAGE);
+        w.dispatch_due(&cloud, now);
+        assert_eq!(w.breaker, Breaker::Closed);
+        assert_eq!(w.consecutive_failures, 0);
+        assert_eq!(w.degraded_since, None);
+        assert_eq!(w.stats.degraded_secs, now.saturating_since(T0).as_secs());
+        let health = w.store.region_health(HIT).expect("was marked");
+        assert!(!health.degraded, "marked recovered");
+        assert_eq!(health.degraded_secs, w.stats.degraded_secs);
+        // All three intents finally got their answer.
+        assert!(w.pending.is_empty());
+        assert_eq!(w.stats.retries_issued, 3);
+        assert_eq!((w.store.len(), w.stats.probes_issued), (3, 3));
+    }
+
+    #[test]
+    fn a_full_pending_queue_abandons_and_counts_a_suppressed_probe() {
+        let (cloud, mut w, markets) = pipeline(ResilienceConfig {
+            max_pending: 2,
+            ..ResilienceConfig::default()
+        });
+        for &m in &markets[..3] {
+            w.probe_od(&cloud, m, ProbeTrigger::Recovery, T0);
+        }
+        assert_eq!(w.pending.len(), 2, "the bound holds");
+        assert_eq!(w.stats.probes_abandoned, 1);
+        assert_eq!(
+            w.store.suppressed_probes(),
+            1,
+            "the loss shows in the store"
+        );
+        assert!(w.pending.iter().all(|p| p.market != markets[2]));
+    }
+
+    #[test]
+    fn backoff_stays_within_half_to_three_halves_of_the_capped_exponential() {
+        let (_, mut w, _) = pipeline(ResilienceConfig::default());
+        let base = w.resilience.retry_base.as_secs();
+        let cap = w.resilience.retry_cap.as_secs();
+        for attempt in 0..40 {
+            let raw = base.saturating_mul(1 << attempt.min(16)).min(cap);
+            for _ in 0..50 {
+                let delay = w.backoff(attempt).as_secs();
+                assert!(
+                    (raw / 2..=raw * 3 / 2).contains(&delay),
+                    "attempt {attempt}: {delay}s outside [0.5, 1.5] x {raw}s"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_caught_panic_feeds_the_breaker_and_keeps_the_queues() {
+        silence_chaos_panics();
+        let (cloud, mut w, markets) = pipeline(ResilienceConfig {
+            breaker_threshold: 1,
+            chaos_panic_period: Some(1),
+            ..ResilienceConfig::default()
+        });
+        let later = T0 + SimDuration::hours(9);
+        w.pending.push(PendingProbe {
+            market: markets[0],
+            trigger: ProbeTrigger::Recovery,
+            due: later,
+            attempt: 2,
+        });
+        w.recovery_due.insert(markets[1], later);
+        w.orphans.push(InstanceId(7));
+        w.batch.push(CloudEvent::PriceChange {
+            market: markets[2],
+            previous: Price::ZERO,
+            price: Price::from_dollars(9.0),
+            at: T0,
+        });
+
+        w.handle_batch(&cloud, T0);
+        assert_eq!(w.stats.worker_panics, 1);
+        assert_eq!(w.stats.breaker_trips, 1, "a crash is a transport failure");
+        assert!(matches!(w.breaker, Breaker::Open { .. }));
+        assert!(w.store.region_health(HIT).is_some_and(|h| h.degraded));
+        assert_eq!(w.pending.len(), 1);
+        assert_eq!((w.pending[0].market, w.pending[0].attempt), (markets[0], 2));
+        assert_eq!(w.recovery_due.get(&markets[1]), Some(&later));
+        assert_eq!(w.orphans, [InstanceId(7)]);
+        // The crashed batch is dropped, not replayed into the next tick.
+        assert!(w.batch.is_empty());
+        assert_eq!(w.store.len(), 0);
     }
 }

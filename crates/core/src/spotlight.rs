@@ -3,7 +3,7 @@
 //! unavailability until recovery, periodically checks spot capacity,
 //! measures intrinsic bids, and observes revocations.
 //!
-//! This is the deterministic in-engine deployment; the threaded
+//! This is the deterministic in-engine deployment; the concurrent
 //! "live" deployment of Chapter 4's manager hierarchy lives in
 //! [`crate::manager`]. Both write the same [`crate::store::DataStore`].
 

@@ -1,7 +1,9 @@
-//! Live deployment: the Chapter 4 manager hierarchy with real threads —
-//! one region manager per region probing concurrently against the shared
-//! cloud — run through a chaos schedule to show the retry/breaker
-//! pipeline degrading gracefully and recovering.
+//! Live deployment: the Chapter 4 manager hierarchy under one clock —
+//! one region manager per region, run concurrently each tick as tasks of
+//! the shared worker pool against the shared cloud — through a chaos
+//! schedule, to show the retry/breaker pipeline degrading gracefully and
+//! recovering. The report and every market's history repeat for a seed;
+//! only the wall time differs between runs.
 //!
 //! ```sh
 //! cargo run --release -p spotlight-tests --example live_deployment
@@ -40,7 +42,7 @@ fn main() {
         ..LiveConfig::default()
     };
 
-    println!("driving the cloud with one region-manager thread per region...");
+    println!("driving the cloud with one region manager per region...");
     let wall = std::time::Instant::now();
     let (cloud, report) = run_live(cloud, store.clone(), config);
     println!(

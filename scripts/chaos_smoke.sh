@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
-# Seeded chaos soak for the verify path: drives the threaded live-mode
+# Seeded chaos soak for the verify path: drives the live-mode
 # deployment through a regional API outage, a throttling storm, and a
 # transient-error burst (tests/live_mode.rs, seed 53) and checks the
-# retry/breaker pipeline degrades gracefully and recovers, then replays
-# the chaos schedule at several thread counts to hold the determinism
-# contract (tests/determinism.rs).
+# retry/breaker pipeline degrades gracefully and recovers; reruns a
+# chaotic seed (default and binding API limit) and demands the same
+# report and per-market histories; then replays the chaos schedule at
+# several thread counts to hold the determinism contract
+# (tests/determinism.rs).
 #
 # Usage:
 #   scripts/chaos_smoke.sh
@@ -14,6 +16,9 @@ cd "$(dirname "$0")/.."
 
 echo "== chaos smoke: live-mode soak (outage + storm + burst) =="
 cargo test --release --test live_mode chaos_soak_degrades_gracefully_and_recovers
+
+echo "== chaos smoke: same seed, same service history =="
+cargo test --release --test live_mode same_seed_same_service_history
 
 echo "== chaos smoke: fault-schedule determinism across thread counts =="
 cargo test --release --test determinism chaos_schedule_is_thread_count_invariant

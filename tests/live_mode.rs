@@ -1,18 +1,22 @@
-//! Integration tests of the threaded (Chapter 4) deployment: the
-//! manager hierarchy must produce a store equivalent in structure to the
-//! engine deployment's.
+//! Integration tests of the live (Chapter 4) deployment: the manager
+//! hierarchy must produce a store equivalent in structure to the engine
+//! deployment's, the same store for the same seed, and a clock that a
+//! publisher, a checkpointer and a compactor can ride.
 
 use cloud_sim::catalog::Catalog;
 use cloud_sim::chaos::{ChaosWindow, ErrorBurst};
 use cloud_sim::cloud::Cloud;
 use cloud_sim::config::SimConfig;
-use cloud_sim::ids::Region;
+use cloud_sim::ids::{MarketId, Region};
 use cloud_sim::time::{SimDuration, SimTime};
-use spotlight_core::manager::{run_live, LiveConfig};
+use spotlight_core::manager::{run_live, LiveConfig, LiveDriver};
 use spotlight_core::policy::PolicyConfig;
-use spotlight_core::probe::{ProbeKind, ProbeOutcome};
+use spotlight_core::probe::{ProbeKind, ProbeOutcome, ProbeRecord};
 use spotlight_core::query::SpotLightQuery;
-use spotlight_core::store::shared_store;
+use spotlight_core::store::{shared_store, DataStore, SpikeEvent};
+use spotlight_core::{DurableOptions, LiveReport, ResilienceConfig, SnapshotHub};
+use spotlight_persist::tempdir::TempDir;
+use std::sync::Arc;
 
 fn policy() -> PolicyConfig {
     PolicyConfig {
@@ -212,4 +216,158 @@ fn chaos_soak_degrades_gracefully_and_recovers() {
         recovered_markets > 0,
         "informative probes must resume after the fault window"
     );
+}
+
+/// A testbed cloud (seed 61) whose us-east-1 suffers a 6 h API outage
+/// on day two and a 2 h transient-error burst on day three.
+fn chaotic_cloud(api_calls_per_minute: Option<u32>) -> Cloud {
+    let mut config = SimConfig::paper(61);
+    if let Some(limit) = api_calls_per_minute {
+        config.limits.api_calls_per_minute_per_region = limit;
+    }
+    config.chaos.outages.push(ChaosWindow {
+        region: Region::UsEast1,
+        start: SimTime::from_secs(86_400),
+        duration: SimDuration::hours(6),
+    });
+    config.chaos.error_bursts.push(ErrorBurst {
+        window: ChaosWindow {
+            region: Region::UsEast1,
+            start: SimTime::from_secs(200_000),
+            duration: SimDuration::hours(2),
+        },
+        fraction: 0.5,
+    });
+    let mut cloud = Cloud::new(Catalog::testbed(), config);
+    cloud.warmup(20);
+    cloud
+}
+
+/// What a market's consumers can see of one run: its probes and its
+/// spikes, each in store order.
+type MarketHistory = (MarketId, Vec<ProbeRecord>, Vec<SpikeEvent>);
+
+/// Three chaotic days through `run_live` into an in-memory store: the
+/// report and every catalog market's history.
+fn service_history(api_calls_per_minute: Option<u32>) -> (LiveReport, Vec<MarketHistory>) {
+    let store = shared_store();
+    let (cloud, report) = run_live(
+        chaotic_cloud(api_calls_per_minute),
+        store.clone(),
+        LiveConfig {
+            policy: policy(),
+            duration: SimDuration::days(3),
+            ..LiveConfig::default()
+        },
+    );
+    let s = store.read();
+    let histories = cloud
+        .catalog()
+        .markets()
+        .iter()
+        .map(|&m| {
+            let probes = s.probes_of(m).copied().collect();
+            let spikes = s.spikes().filter(|sp| sp.market == m).copied().collect();
+            (m, probes, spikes)
+        })
+        .collect();
+    (report, histories)
+}
+
+#[test]
+fn same_seed_same_service_history() {
+    // Region managers run concurrently, but each one's calls touch only
+    // its own region's shard, token bucket, chaos stream and jitter RNG:
+    // interleaving may reorder *different* regions' records in a shared
+    // slab, never what any one market's consumers see, nor the report.
+    // The 3 calls/min run makes the API limit bind, so the order a
+    // manager issues a tick's probes in decides which one is throttled.
+    for limit in [None, Some(3)] {
+        let (report, histories) = service_history(limit);
+        assert!(report.retries_issued > 0 && report.breaker_trips > 0);
+        assert!(histories.iter().any(|(_, probes, _)| !probes.is_empty()));
+        for run in 1..=2 {
+            let (again, histories_again) = service_history(limit);
+            assert_eq!(again, report, "limit {limit:?}, rerun {run}: report");
+            for (want, got) in histories.iter().zip(&histories_again) {
+                assert_eq!(got, want, "limit {limit:?}, rerun {run}: {}", want.0);
+            }
+        }
+    }
+}
+
+#[test]
+fn publisher_checkpointer_and_compactor_ride_the_drivers_clock() {
+    const DAYS: u64 = 2;
+    const EVERY: u64 = 12; // ticks between maintenance rounds: one simulated hour
+    let tmp = TempDir::new("live-driver-clock");
+    let dir = tmp.path().join("store");
+    let store =
+        Arc::new(DataStore::create_durable(&dir, DurableOptions::default()).expect("create"));
+    let cloud = chaotic_cloud(None);
+    let ticks = DAYS * 86_400 / cloud.config().tick.as_secs();
+    let hub = SnapshotHub::new(store.snapshot(cloud.now()));
+    let mut driver = LiveDriver::new(
+        cloud,
+        store.clone(),
+        &policy(),
+        &ResilienceConfig::default(),
+    );
+
+    let (mut last_as_of, mut last_len, mut rounds) = (hub.load().as_of(), 0, 0);
+    for tick in 1..=ticks {
+        let now = driver.step();
+        if tick % EVERY != 0 {
+            continue;
+        }
+        rounds += 1;
+        hub.republish(&store, now);
+        store.checkpoint().expect("checkpoint between ticks");
+        store.compact(SimTime::from_secs(now.as_secs().saturating_sub(86_400)));
+        let published = hub.load();
+        assert_eq!(hub.generation(), rounds);
+        assert!(published.as_of() > last_as_of, "as_of is monotone");
+        assert!(published.as_of() <= now, "never ahead of the clock");
+        assert!(published.len() >= last_len, "a snapshot never forgets");
+        assert!(published.len() <= store.len());
+        (last_as_of, last_len) = (published.as_of(), published.len());
+    }
+    assert_eq!(rounds, ticks / EVERY);
+    let (cloud, report) = driver.finish();
+
+    // Riding the clock changes nothing the clock drives: the same seed
+    // and span through run_live reports the same probes and ticks.
+    let (_, reference) = run_live(
+        chaotic_cloud(None),
+        shared_store(),
+        LiveConfig {
+            policy: policy(),
+            duration: SimDuration::days(DAYS),
+            ..LiveConfig::default()
+        },
+    );
+    assert_eq!(report.ticks, reference.ticks);
+    assert_eq!(report.probes, reference.probes);
+    assert_eq!(report.per_region_probes, reference.per_region_probes);
+    assert_eq!(report.probes, store.len());
+    assert_eq!(report.durability_lost, None);
+
+    // finish() dropped the driver's handles: the store closes cleanly
+    // and a restart replays nothing and answers what the live one did.
+    let markets = cloud.catalog().markets().to_vec();
+    let stats_of = |s: &DataStore| -> Vec<_> {
+        let view = s.read();
+        let stats = |&m| view.probe_stats(m, ProbeKind::OnDemand);
+        markets.iter().map(stats).collect()
+    };
+    let live_stats = stats_of(&store);
+    let live_len = store.len();
+    let store = Arc::into_inner(store).expect("finish released the driver's store handles");
+    store.close().expect("close");
+    let (recovered, info) =
+        DataStore::recover_with_report(&dir, DurableOptions::default()).expect("recover");
+    assert!(info.from_clean_shutdown);
+    assert_eq!(info.replayed_ops, 0, "clean restart replays nothing");
+    assert_eq!(recovered.len(), live_len);
+    assert_eq!(stats_of(&recovered), live_stats);
 }
