@@ -292,6 +292,9 @@ fn main() {
         400,
         "bad market parameter"
     );
+    let endless_window = b"GET /v1/advisor/fallbacks?market=us-east-1c/c3.large/linux&\
+        window_secs=18446744073709551615 HTTP/1.1\r\n\r\n";
+    assert_eq!(raw_roundtrip(addr, endless_window), 200, "endless window");
     let signed_length = b"GET /healthz HTTP/1.1\r\nContent-Length: +5\r\n\r\nhello";
     assert_eq!(raw_roundtrip(addr, signed_length), 400, "signed length");
     // A threshold list is bounded, and lists of distinct thresholds at

@@ -47,6 +47,33 @@ impl fmt::Display for ParseIdError {
 
 impl std::error::Error for ParseIdError {}
 
+/// A vocabulary's wire names, listed once: the `const fn` that names a
+/// variant and the `FromStr` that is a `match` on the same strings, so
+/// the two cannot disagree and parsing is not a search.
+macro_rules! names {
+    ($ty:ident, $kind:literal, $(#[$doc:meta])* $getter:ident: $($variant:ident => $name:literal,)+) => {
+        impl $ty {
+            $(#[$doc])*
+            pub const fn $getter(self) -> &'static str {
+                match self {
+                    $($ty::$variant => $name,)+
+                }
+            }
+        }
+
+        impl FromStr for $ty {
+            type Err = ParseIdError;
+
+            fn from_str(s: &str) -> Result<Self, Self::Err> {
+                match s {
+                    $($name => Ok($ty::$variant),)+
+                    _ => Err(ParseIdError::new($kind, s)),
+                }
+            }
+        }
+    };
+}
+
 /// A geographical region of the cloud.
 ///
 /// The nine regions match EC2's footprint at the time of the SpotLight
@@ -87,21 +114,6 @@ impl Region {
         Region::SaEast1,
     ];
 
-    /// The canonical lowercase region name, e.g. `"us-east-1"`.
-    pub const fn name(self) -> &'static str {
-        match self {
-            Region::UsEast1 => "us-east-1",
-            Region::UsWest1 => "us-west-1",
-            Region::UsWest2 => "us-west-2",
-            Region::EuWest1 => "eu-west-1",
-            Region::EuCentral1 => "eu-central-1",
-            Region::ApNortheast1 => "ap-northeast-1",
-            Region::ApSoutheast1 => "ap-southeast-1",
-            Region::ApSoutheast2 => "ap-southeast-2",
-            Region::SaEast1 => "sa-east-1",
-        }
-    }
-
     /// A dense index in `0..9`, usable for array-backed per-region state.
     pub const fn index(self) -> usize {
         match self {
@@ -124,15 +136,18 @@ impl fmt::Display for Region {
     }
 }
 
-impl FromStr for Region {
-    type Err = ParseIdError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        Region::ALL
-            .into_iter()
-            .find(|r| r.name() == s)
-            .ok_or_else(|| ParseIdError::new("region", s))
-    }
+names! { Region, "region",
+    /// The canonical lowercase region name, e.g. `"us-east-1"`.
+    name:
+    UsEast1 => "us-east-1",
+    UsWest1 => "us-west-1",
+    UsWest2 => "us-west-2",
+    EuWest1 => "eu-west-1",
+    EuCentral1 => "eu-central-1",
+    ApNortheast1 => "ap-northeast-1",
+    ApSoutheast1 => "ap-southeast-1",
+    ApSoutheast2 => "ap-southeast-2",
+    SaEast1 => "sa-east-1",
 }
 
 /// An availability zone: a region plus a zone letter (`a`, `b`, …).
@@ -261,30 +276,6 @@ impl Family {
         Family::Cg1,
     ];
 
-    /// The lowercase family prefix, e.g. `"c3"`.
-    pub const fn name(self) -> &'static str {
-        match self {
-            Family::T1 => "t1",
-            Family::T2 => "t2",
-            Family::M1 => "m1",
-            Family::M2 => "m2",
-            Family::M3 => "m3",
-            Family::M4 => "m4",
-            Family::C1 => "c1",
-            Family::C3 => "c3",
-            Family::C4 => "c4",
-            Family::R3 => "r3",
-            Family::D2 => "d2",
-            Family::G2 => "g2",
-            Family::I2 => "i2",
-            Family::Hs1 => "hs1",
-            Family::Hi1 => "hi1",
-            Family::Cc2 => "cc2",
-            Family::Cr1 => "cr1",
-            Family::Cg1 => "cg1",
-        }
-    }
-
     /// A dense index usable for array-backed per-family state.
     pub fn index(self) -> usize {
         Family::ALL
@@ -300,15 +291,27 @@ impl fmt::Display for Family {
     }
 }
 
-impl FromStr for Family {
-    type Err = ParseIdError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        Family::ALL
-            .into_iter()
-            .find(|f| f.name() == s)
-            .ok_or_else(|| ParseIdError::new("instance family", s))
-    }
+names! { Family, "instance family",
+    /// The lowercase family prefix, e.g. `"c3"`.
+    name:
+    T1 => "t1",
+    T2 => "t2",
+    M1 => "m1",
+    M2 => "m2",
+    M3 => "m3",
+    M4 => "m4",
+    C1 => "c1",
+    C3 => "c3",
+    C4 => "c4",
+    R3 => "r3",
+    D2 => "d2",
+    G2 => "g2",
+    I2 => "i2",
+    Hs1 => "hs1",
+    Hi1 => "hi1",
+    Cc2 => "cc2",
+    Cr1 => "cr1",
+    Cg1 => "cg1",
 }
 
 /// An instance size within a family.
@@ -367,21 +370,6 @@ impl Size {
         }
     }
 
-    /// The size suffix, e.g. `"2xlarge"`.
-    pub const fn suffix(self) -> &'static str {
-        match self {
-            Size::Micro => "micro",
-            Size::Small => "small",
-            Size::Medium => "medium",
-            Size::Large => "large",
-            Size::Xlarge => "xlarge",
-            Size::X2 => "2xlarge",
-            Size::X4 => "4xlarge",
-            Size::X8 => "8xlarge",
-            Size::X10 => "10xlarge",
-        }
-    }
-
     /// Normalized capacity units consumed by one instance of this size.
     ///
     /// One unit is roughly one "small" worth of hardware; sizes double:
@@ -407,15 +395,18 @@ impl fmt::Display for Size {
     }
 }
 
-impl FromStr for Size {
-    type Err = ParseIdError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        Size::ALL
-            .into_iter()
-            .find(|z| z.suffix() == s)
-            .ok_or_else(|| ParseIdError::new("instance size", s))
-    }
+names! { Size, "instance size",
+    /// The size suffix, e.g. `"2xlarge"`.
+    suffix:
+    Micro => "micro",
+    Small => "small",
+    Medium => "medium",
+    Large => "large",
+    Xlarge => "xlarge",
+    X2 => "2xlarge",
+    X4 => "4xlarge",
+    X8 => "8xlarge",
+    X10 => "10xlarge",
 }
 
 /// An instance type: a family plus a size, e.g. `c3.2xlarge`.
@@ -623,6 +614,44 @@ mod tests {
             assert_eq!(r.name().parse::<Region>().unwrap(), r);
         }
         assert!("mars-north-1".parse::<Region>().is_err());
+    }
+
+    /// Every name the vocabulary can print parses back to what printed
+    /// it, and a near-miss is refused with the text it always was (the
+    /// HTTP tier's 400 bodies quote these).
+    #[test]
+    fn every_name_round_trips_and_near_misses_keep_their_errors() {
+        fn check<T>(all: &[T], name_of: impl Fn(&T) -> String, kind: &str)
+        where
+            T: FromStr<Err = ParseIdError> + PartialEq + fmt::Debug,
+        {
+            let names: Vec<String> = all.iter().map(name_of).collect();
+            for (value, name) in all.iter().zip(&names) {
+                assert_eq!(name.parse::<T>().as_ref(), Ok(value), "{name}");
+                let misses = [
+                    name.to_uppercase(),
+                    format!("{name}x"),
+                    format!(" {name}"),
+                    name[..name.len() - 1].to_owned(),
+                ];
+                for miss in misses.iter().filter(|miss| !names.contains(miss)) {
+                    let error = miss.parse::<T>().expect_err(miss);
+                    assert_eq!(error.to_string(), format!("unknown {kind} `{miss}`"));
+                }
+            }
+            let error = "".parse::<T>().expect_err("empty");
+            assert_eq!(error.to_string(), format!("unknown {kind} ``"));
+        }
+        let catalog = crate::catalog::Catalog::standard();
+        check(&Region::ALL, |r| r.name().to_owned(), "region");
+        check(&Family::ALL, |f| f.name().to_owned(), "instance family");
+        check(&Size::ALL, |z| z.suffix().to_owned(), "instance size");
+        check(
+            catalog.instance_types(),
+            ToString::to_string,
+            "instance type",
+        );
+        check(catalog.azs(), ToString::to_string, "availability zone");
     }
 
     #[test]

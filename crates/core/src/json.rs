@@ -12,14 +12,27 @@
 //! into response bodies with the same builders.
 //!
 //! **Invariant: the writer itself never allocates.** Every scalar goes
-//! straight into the caller's `&mut String` — integers through a stack
-//! digit buffer, floats through `fmt::Write`, strings by one escape
-//! scan and a single `push_str` when nothing needs escaping — so a
-//! body encoded into a buffer that already has the capacity (the
-//! serving tier's per-connection scratch, see `spotlight_serve::router`)
-//! costs no heap traffic. The bytes are identical to PR 12's encoder
-//! (`format!`/`to_string` based), pinned by a proptest against a copy
-//! of it in `tests/serve_bytes.rs`.
+//! straight into the caller's `&mut String`, so a body encoded into a
+//! buffer that already has the capacity (the serving tier's
+//! per-connection scratch, see `spotlight_serve::router`) costs no heap
+//! traffic — and in as few appends as its shape allows, an append being
+//! a capacity check and a copy however short:
+//!
+//! * a key whose name is known where it is written is a [`key!`]
+//!   literal, `,"probes":` composed at compile time and pushed whole
+//!   (minus the comma on an object's first field); a `&str` key is for
+//!   names only known at run time, and is escaped like any string;
+//! * an integer goes out two digits at a time as slices of one static
+//!   `"00".."99"` table — already `str`s, so there is no digit buffer
+//!   to validate or push byte by byte;
+//! * a string is one escape scan and a single `push_str` when nothing
+//!   needs escaping; floats go through `fmt::Write` (`Display`'s
+//!   shortest round-trip digits, ~110 ns each: the largest term left
+//!   in a point answer), whole ones through the integer path.
+//!
+//! The bytes are identical to PR 12's encoder (`format!`/`to_string`
+//! based), pinned by a proptest against a copy of it in
+//! `tests/serve_bytes.rs` and by `tests/serve_golden.rs`.
 
 use crate::durable::{DurabilityMode, DurabilityStats, RecoveryInfo};
 use crate::manager::LiveReport;
@@ -28,7 +41,7 @@ use crate::store::RegionHealth;
 use std::fmt::Write;
 
 /// Bytes a JSON string literal cannot carry verbatim.
-fn needs_escape(b: u8) -> bool {
+const fn needs_escape(b: u8) -> bool {
     b == b'"' || b == b'\\' || b < 0x20
 }
 
@@ -43,9 +56,8 @@ pub fn write_str(out: &mut String, s: &str) {
 /// region + zone letter + type + platform) without an intermediate
 /// `String`.
 ///
-/// Inlined, with the escaping loop out of line: for the literal keys
-/// every call site passes, the scan folds away at compile time and the
-/// copy becomes a few stores.
+/// Inlined, with the escaping loop out of line: for a literal the scan
+/// folds away at compile time and the copy becomes a few stores.
 #[inline]
 pub fn write_str_parts(out: &mut String, parts: &[&str]) {
     out.push('"');
@@ -90,26 +102,47 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push_str(&s[run..]);
 }
 
-/// The ASCII digits of `v` in decimal, written into the caller's stack
-/// buffer (`u64::MAX` has 20 digits) — the allocation-free `to_string`.
-pub fn decimal(mut v: u64, digits: &mut [u8; 20]) -> &[u8] {
-    let mut at = digits.len();
-    loop {
-        at -= 1;
-        digits[at] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
+/// `"00"`, `"01"`, … `"99"`: a slice of it is already a `str`, so an
+/// integer goes out two digits at a time with nothing to validate.
+const PAIRS: &str = "0001020304050607080910111213141516171819\
+                     2021222324252627282930313233343536373839\
+                     4041424344454647484950515253545556575859\
+                     6061626364656667686970717273747576777879\
+                     8081828384858687888990919293949596979899";
+
+/// Hands `emit` the decimal digits of `v`, most significant first, two
+/// at a time (the first time one, when their number is odd).
+#[inline]
+fn digit_pairs(mut v: u64, mut emit: impl FnMut(&'static str)) {
+    // `u64::MAX` has 20 digits: a leading pair and nine more.
+    let mut low = [0usize; 9];
+    let mut n = 0;
+    while v >= 100 {
+        low[n] = 2 * (v % 100) as usize;
+        v /= 100;
+        n += 1;
     }
-    &digits[at..]
+    let lead = 2 * v as usize;
+    emit(&PAIRS[lead + usize::from(v < 10)..lead + 2]);
+    for &at in low[..n].iter().rev() {
+        emit(&PAIRS[at..at + 2]);
+    }
+}
+
+/// The ASCII digits of `v` in decimal, written into the caller's stack
+/// buffer — the allocation-free `to_string` for byte sinks (the
+/// response head).
+pub fn decimal(v: u64, digits: &mut [u8; 20]) -> &[u8] {
+    let mut len = 0;
+    digit_pairs(v, |pair| {
+        digits[len..len + pair.len()].copy_from_slice(pair.as_bytes());
+        len += pair.len();
+    });
+    &digits[..len]
 }
 
 fn write_u64(out: &mut String, v: u64) {
-    // Digit by digit: cheaper than validating the buffer as UTF-8.
-    for &digit in decimal(v, &mut [0; 20]) {
-        out.push(digit as char);
-    }
+    digit_pairs(v, |pair| out.push_str(pair));
 }
 
 fn write_i64(out: &mut String, v: i64) {
@@ -163,6 +196,63 @@ pub fn array(out: &mut String, f: impl FnOnce(&mut Array<'_>)) {
     out.push(']');
 }
 
+/// An object key: a `&str`, escaped as it is written, or — for a name
+/// known where it is written — a [`key!`] literal, which is one append.
+pub trait Key {
+    /// Appends `"name":` to `out`, after a comma unless `first`.
+    fn write(self, out: &mut String, first: bool);
+}
+
+impl Key for &str {
+    #[inline]
+    fn write(self, out: &mut String, first: bool) {
+        if !first {
+            out.push(',');
+        }
+        write_str(out, self);
+        out.push(':');
+    }
+}
+
+/// A key composed at compile time, comma, quotes and colon included
+/// (`,"probes":`); made by [`key!`].
+#[derive(Debug, Clone, Copy)]
+pub struct Lit(&'static str);
+
+impl Lit {
+    /// [`key!`]'s constructor: `text` is `,"name":`, and a name that
+    /// would need escaping fails the build.
+    #[doc(hidden)]
+    pub const fn composed(text: &'static str) -> Lit {
+        let mut i = 2;
+        while i + 2 < text.len() {
+            assert!(
+                !needs_escape(text.as_bytes()[i]),
+                "key!: the name needs escaping"
+            );
+            i += 1;
+        }
+        Lit(text)
+    }
+}
+
+impl Key for Lit {
+    #[inline]
+    fn write(self, out: &mut String, first: bool) {
+        out.push_str(if first { &self.0[1..] } else { self.0 });
+    }
+}
+
+/// The object key `$name` as a [`Lit`](crate::json::Lit).
+#[macro_export]
+macro_rules! key {
+    ($name:literal) => {{
+        const KEY: $crate::json::Lit = $crate::json::Lit::composed(concat!(",\"", $name, "\":"));
+        KEY
+    }};
+}
+pub use crate::key;
+
 /// An in-progress JSON object; each method appends one key/value pair.
 #[derive(Debug)]
 pub struct Object<'a> {
@@ -172,47 +262,43 @@ pub struct Object<'a> {
 
 impl Object<'_> {
     #[inline]
-    fn key(&mut self, key: &str) -> &mut String {
-        if !self.first {
-            self.out.push(',');
-        }
+    fn key(&mut self, key: impl Key) -> &mut String {
+        key.write(self.out, self.first);
         self.first = false;
-        write_str(self.out, key);
-        self.out.push(':');
         self.out
     }
 
     /// Appends an unsigned integer field.
     #[inline]
-    pub fn u64(&mut self, key: &str, v: u64) {
+    pub fn u64(&mut self, key: impl Key, v: u64) {
         let out = self.key(key);
         write_u64(out, v);
     }
 
     /// Appends a signed integer field.
     #[inline]
-    pub fn i64(&mut self, key: &str, v: i64) {
+    pub fn i64(&mut self, key: impl Key, v: i64) {
         let out = self.key(key);
         write_i64(out, v);
     }
 
     /// Appends a float field (`null` when non-finite).
     #[inline]
-    pub fn f64(&mut self, key: &str, v: f64) {
+    pub fn f64(&mut self, key: impl Key, v: f64) {
         let out = self.key(key);
         write_f64(out, v);
     }
 
     /// Appends a boolean field.
     #[inline]
-    pub fn bool(&mut self, key: &str, v: bool) {
+    pub fn bool(&mut self, key: impl Key, v: bool) {
         let out = self.key(key);
         out.push_str(if v { "true" } else { "false" });
     }
 
     /// Appends a string field.
     #[inline]
-    pub fn str(&mut self, key: &str, v: &str) {
+    pub fn str(&mut self, key: impl Key, v: &str) {
         let out = self.key(key);
         write_str(out, v);
     }
@@ -220,21 +306,21 @@ impl Object<'_> {
     /// Appends a string field whose value is the concatenation of
     /// `parts` (see [`write_str_parts`]).
     #[inline]
-    pub fn str_parts(&mut self, key: &str, parts: &[&str]) {
+    pub fn str_parts(&mut self, key: impl Key, parts: &[&str]) {
         let out = self.key(key);
         write_str_parts(out, parts);
     }
 
     /// Appends an explicit `null` field.
     #[inline]
-    pub fn null(&mut self, key: &str) {
+    pub fn null(&mut self, key: impl Key) {
         let out = self.key(key);
         out.push_str("null");
     }
 
     /// Appends an integer-or-`null` field.
     #[inline]
-    pub fn opt_u64(&mut self, key: &str, v: Option<u64>) {
+    pub fn opt_u64(&mut self, key: impl Key, v: Option<u64>) {
         match v {
             Some(v) => self.u64(key, v),
             None => self.null(key),
@@ -243,7 +329,7 @@ impl Object<'_> {
 
     /// Appends a string-or-`null` field.
     #[inline]
-    pub fn opt_str(&mut self, key: &str, v: Option<&str>) {
+    pub fn opt_str(&mut self, key: impl Key, v: Option<&str>) {
         match v {
             Some(v) => self.str(key, v),
             None => self.null(key),
@@ -252,21 +338,21 @@ impl Object<'_> {
 
     /// Appends a nested object field.
     #[inline]
-    pub fn object(&mut self, key: &str, f: impl FnOnce(&mut Object<'_>)) {
+    pub fn object(&mut self, key: impl Key, f: impl FnOnce(&mut Object<'_>)) {
         let out = self.key(key);
         object(out, f);
     }
 
     /// Appends a nested array field.
     #[inline]
-    pub fn array(&mut self, key: &str, f: impl FnOnce(&mut Array<'_>)) {
+    pub fn array(&mut self, key: impl Key, f: impl FnOnce(&mut Array<'_>)) {
         let out = self.key(key);
         array(out, f);
     }
 
     /// Appends a field whose value is `v`'s [`ToJson`] serialization.
     #[inline]
-    pub fn value(&mut self, key: &str, v: &impl ToJson) {
+    pub fn value(&mut self, key: impl Key, v: &impl ToJson) {
         let out = self.key(key);
         v.write_json(out);
     }
@@ -349,11 +435,11 @@ pub trait ToJson {
 impl ToJson for AvailabilityStats {
     fn write_json(&self, out: &mut String) {
         object(out, |o| {
-            o.u64("probes", self.probes);
-            o.u64("rejections", self.rejections);
-            o.f64("unavailable_fraction", self.unavailable_fraction);
-            o.f64("availability", self.availability());
-            o.u64("intervals", self.intervals);
+            o.u64(key!("probes"), self.probes);
+            o.u64(key!("rejections"), self.rejections);
+            o.f64(key!("unavailable_fraction"), self.unavailable_fraction);
+            o.f64(key!("availability"), self.availability());
+            o.u64(key!("intervals"), self.intervals);
         });
     }
 }
@@ -362,13 +448,13 @@ impl ToJson for Freshness {
     fn write_json(&self, out: &mut String) {
         object(out, |o| {
             o.opt_u64(
-                "last_informative_secs",
+                key!("last_informative_secs"),
                 self.last_informative.map(|t| t.as_secs()),
             );
-            o.opt_u64("age_secs", self.age.map(|a| a.as_secs()));
-            o.bool("region_degraded", self.region_degraded);
+            o.opt_u64(key!("age_secs"), self.age.map(|a| a.as_secs()));
+            o.bool(key!("region_degraded"), self.region_degraded);
             o.opt_u64(
-                "durability_lost_secs",
+                key!("durability_lost_secs"),
                 self.durability_lost.map(|t| t.as_secs()),
             );
         });
@@ -390,22 +476,22 @@ impl ToJson for DurabilityMode {
 impl ToJson for DurabilityStats {
     fn write_json(&self, out: &mut String) {
         object(out, |o| {
-            o.u64("appended_ops", self.appended_ops);
-            o.u64("appended_bytes", self.appended_bytes);
-            o.u64("fsyncs", self.fsyncs);
-            o.u64("checkpoints", self.checkpoints);
-            o.u64("spilled_records", self.spilled_records);
-            o.u64("io_errors", self.io_errors);
-            o.opt_str("last_error", self.last_error.as_deref());
-            o.value("mode", &self.mode);
+            o.u64(key!("appended_ops"), self.appended_ops);
+            o.u64(key!("appended_bytes"), self.appended_bytes);
+            o.u64(key!("fsyncs"), self.fsyncs);
+            o.u64(key!("checkpoints"), self.checkpoints);
+            o.u64(key!("spilled_records"), self.spilled_records);
+            o.u64(key!("io_errors"), self.io_errors);
+            o.opt_str(key!("last_error"), self.last_error.as_deref());
+            o.value(key!("mode"), &self.mode);
             o.opt_u64(
-                "durability_lost_secs",
+                key!("durability_lost_secs"),
                 self.durability_lost.map(|t| t.as_secs()),
             );
-            o.u64("ops_dropped", self.ops_dropped);
-            o.u64("dropped_frames", self.dropped_frames);
-            o.u64("degraded_transitions", self.degraded_transitions);
-            o.u64("heals", self.heals);
+            o.u64(key!("ops_dropped"), self.ops_dropped);
+            o.u64(key!("dropped_frames"), self.dropped_frames);
+            o.u64(key!("degraded_transitions"), self.degraded_transitions);
+            o.u64(key!("heals"), self.heals);
         });
     }
 }
@@ -413,9 +499,9 @@ impl ToJson for DurabilityStats {
 impl ToJson for RecoveryInfo {
     fn write_json(&self, out: &mut String) {
         object(out, |o| {
-            o.u64("replayed_ops", self.replayed_ops);
-            o.bool("from_clean_shutdown", self.from_clean_shutdown);
-            o.bool("checkpoint_loaded", self.checkpoint_loaded);
+            o.u64(key!("replayed_ops"), self.replayed_ops);
+            o.bool(key!("from_clean_shutdown"), self.from_clean_shutdown);
+            o.bool(key!("checkpoint_loaded"), self.checkpoint_loaded);
         });
     }
 }
@@ -423,10 +509,10 @@ impl ToJson for RecoveryInfo {
 impl ToJson for RegionHealth {
     fn write_json(&self, out: &mut String) {
         object(out, |o| {
-            o.bool("degraded", self.degraded);
-            o.u64("since_secs", self.since.as_secs());
-            o.u64("degraded_secs", self.degraded_secs);
-            o.u64("trips", self.trips);
+            o.bool(key!("degraded"), self.degraded);
+            o.u64(key!("since_secs"), self.since.as_secs());
+            o.u64(key!("degraded_secs"), self.degraded_secs);
+            o.u64(key!("trips"), self.trips);
         });
     }
 }
@@ -434,29 +520,29 @@ impl ToJson for RegionHealth {
 impl ToJson for LiveReport {
     fn write_json(&self, out: &mut String) {
         object(out, |o| {
-            o.u64("probes", self.probes as u64);
-            o.object("per_region_probes", |o| {
+            o.u64(key!("probes"), self.probes as u64);
+            o.object(key!("per_region_probes"), |o| {
                 for (region, n) in &self.per_region_probes {
                     o.u64(region.name(), *n as u64);
                 }
             });
-            o.u64("ticks", self.ticks);
-            o.u64("retries_issued", self.retries_issued);
-            o.u64("probes_abandoned", self.probes_abandoned);
-            o.u64("breaker_trips", self.breaker_trips);
-            o.object("degraded_secs", |o| {
+            o.u64(key!("ticks"), self.ticks);
+            o.u64(key!("retries_issued"), self.retries_issued);
+            o.u64(key!("probes_abandoned"), self.probes_abandoned);
+            o.u64(key!("breaker_trips"), self.breaker_trips);
+            o.object(key!("degraded_secs"), |o| {
                 for (region, secs) in &self.degraded_secs {
                     o.u64(region.name(), *secs);
                 }
             });
-            o.u64("durable_ops", self.durable_ops);
-            o.u64("durable_bytes", self.durable_bytes);
-            o.u64("durable_fsyncs", self.durable_fsyncs);
-            o.u64("worker_panics", self.worker_panics);
-            o.u64("durable_io_errors", self.durable_io_errors);
-            o.u64("durable_ops_dropped", self.durable_ops_dropped);
+            o.u64(key!("durable_ops"), self.durable_ops);
+            o.u64(key!("durable_bytes"), self.durable_bytes);
+            o.u64(key!("durable_fsyncs"), self.durable_fsyncs);
+            o.u64(key!("worker_panics"), self.worker_panics);
+            o.u64(key!("durable_io_errors"), self.durable_io_errors);
+            o.u64(key!("durable_ops_dropped"), self.durable_ops_dropped);
             o.opt_u64(
-                "durability_lost_secs",
+                key!("durability_lost_secs"),
                 self.durability_lost.map(|t| t.as_secs()),
             );
         });

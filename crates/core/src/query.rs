@@ -121,7 +121,8 @@ fn conditional_unavailability(
     let mut hits = 0u64;
     for i in a.into_iter().flat_map(KeyRef::intervals) {
         trials += 1;
-        let to = i.start + window;
+        // `window` is a caller's (an HTTP client's) to choose.
+        let to = i.start.saturating_add(window);
         let lo = b_times.partition_point(|&t| t < i.start);
         if b_times.get(lo).is_some_and(|&t| t <= to) {
             hits += 1;

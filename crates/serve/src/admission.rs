@@ -11,7 +11,7 @@
 //! (counted, never queued), so no part of the accept path grows
 //! without bound.
 
-use spotlight_core::json;
+use spotlight_core::json::{self, key};
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -111,21 +111,21 @@ impl StatsSnapshot {
     /// Serializes the counters for `/statz`.
     pub fn write_json(&self, out: &mut String) {
         json::object(out, |o| {
-            o.u64("accepted", self.accepted);
-            o.u64("admitted", self.admitted);
-            o.u64("shed", self.shed);
-            o.u64("shed_dropped", self.shed_dropped);
-            o.u64("requests", self.requests);
-            o.u64("responses_2xx", self.responses_2xx);
-            o.u64("responses_4xx", self.responses_4xx);
-            o.u64("responses_5xx", self.responses_5xx);
-            o.u64("drain_rejects", self.drain_rejects);
-            o.u64("timeouts", self.timeouts);
-            o.u64("closed_unanswered", self.closed_unanswered);
-            o.u64("panics", self.panics);
-            o.u64("open_connections", self.open_connections);
-            o.u64("bytes_in", self.bytes_in);
-            o.u64("bytes_out", self.bytes_out);
+            o.u64(key!("accepted"), self.accepted);
+            o.u64(key!("admitted"), self.admitted);
+            o.u64(key!("shed"), self.shed);
+            o.u64(key!("shed_dropped"), self.shed_dropped);
+            o.u64(key!("requests"), self.requests);
+            o.u64(key!("responses_2xx"), self.responses_2xx);
+            o.u64(key!("responses_4xx"), self.responses_4xx);
+            o.u64(key!("responses_5xx"), self.responses_5xx);
+            o.u64(key!("drain_rejects"), self.drain_rejects);
+            o.u64(key!("timeouts"), self.timeouts);
+            o.u64(key!("closed_unanswered"), self.closed_unanswered);
+            o.u64(key!("panics"), self.panics);
+            o.u64(key!("open_connections"), self.open_connections);
+            o.u64(key!("bytes_in"), self.bytes_in);
+            o.u64(key!("bytes_out"), self.bytes_out);
         });
     }
 }

@@ -16,8 +16,9 @@ use std::time::Duration;
 pub struct Response {
     /// Status code.
     pub status: u16,
-    /// Header lines as `(lowercased-name, value)` pairs.
-    pub headers: Vec<(String, String)>,
+    /// The head as received, status line included: one allocation a
+    /// response, scanned only when a header is asked for.
+    head: String,
     /// Response body.
     pub body: String,
 }
@@ -25,12 +26,19 @@ pub struct Response {
 impl Response {
     /// Looks up a header (name matched case-insensitively).
     pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
-        self.headers
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, v)| v.as_str())
+        header_lines(&self.head)
+            .find(|(n, _)| n.eq_ignore_ascii_case(name))
+            .map(|(_, value)| value)
     }
+}
+
+/// The `name: value` lines of a response head, both sides trimmed
+/// (of each line's `\r` too: the cut is at `\n`, a byte search).
+fn header_lines(head: &str) -> impl Iterator<Item = (&str, &str)> {
+    head.split('\n')
+        .skip(1)
+        .filter_map(|line| line.split_once(':'))
+        .map(|(name, value)| (name.trim(), value.trim()))
 }
 
 /// A keep-alive connection to the server.
@@ -89,24 +97,19 @@ impl Client {
         };
         let head = std::str::from_utf8(&self.rbuf.unread()[..head_len])
             .map_err(|_| invalid("non-UTF-8 response head"))?;
-        let mut lines = head.split("\r\n");
-        let status: u16 = lines
+        let status: u16 = head
+            .split('\n')
             .next()
             .and_then(|status_line| status_line.split_whitespace().nth(1))
             .and_then(|s| s.parse().ok())
             .ok_or_else(|| invalid("bad status line"))?;
-        let mut headers = Vec::new();
         let mut content_length = 0usize;
-        for line in lines.filter(|l| !l.is_empty()) {
-            let Some((name, value)) = line.split_once(':') else {
-                continue;
-            };
-            let (name, value) = (name.trim(), value.trim());
+        for (name, value) in header_lines(head) {
             if name.eq_ignore_ascii_case("content-length") {
                 content_length = value.parse().map_err(|_| invalid("bad content-length"))?;
             }
-            headers.push((name.to_ascii_lowercase(), value.to_string()));
         }
+        let head = head.to_owned();
         let response_len = head_len + content_length;
         while self.rbuf.unread().len() < response_len {
             self.fill()?;
@@ -114,11 +117,7 @@ impl Client {
         let body =
             String::from_utf8_lossy(&self.rbuf.unread()[head_len..response_len]).into_owned();
         self.rbuf.consume(response_len);
-        Ok(Response {
-            status,
-            headers,
-            body,
-        })
+        Ok(Response { status, head, body })
     }
 
     /// One round-trip.

@@ -16,6 +16,26 @@
 //! Only `GET` and `HEAD` are served (the API is read-only): other
 //! known methods get `405`, unknown tokens `501`, `Transfer-Encoding`
 //! `501`, and non-HTTP/1.x versions `505`.
+//!
+//! **One walk.** [`parse`] reads each byte of a head once, through a
+//! 256-entry table of *classes* — space, `\n`, `?`, `:` (where the
+//! walk stops to cut a piece, a line, the query, a header name) and
+//! "not a token byte", "not a target byte", "≥ 0x80" (which it only
+//! accumulates, per piece and over the whole head). What a line said
+//! is decided from those unions, not by scanning it again; header
+//! values are trimmed and read only under the three names the server
+//! acts on. A refusal found on the way is held back until the blank
+//! line is in, because an unfinished head is `Partial` (or over a cap)
+//! whatever it holds, and is then reported in a fixed precedence: byte
+//! cap, UTF-8, line cap, request line, method, version, target, first
+//! bad header, body cap. UTF-8 is validated only if a byte ≥ 0x80 was
+//! seen — an all-ASCII head is valid by construction — and the one
+//! `from_utf8` a good request pays is over its target, which is what
+//! turns checked bytes into the `&str` path and query without
+//! `unsafe`. The five-pass parser this replaced lives on as the
+//! reference of `tests/parser_equivalence.rs`, which holds the two
+//! equal on mutated, truncated, spliced and pipelined heads under caps
+//! at, under and over each length.
 
 /// Hard caps the parser enforces before any routing happens.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -140,25 +160,6 @@ pub enum Parsed<'b> {
     Reject(Reject),
 }
 
-/// Finds the end of the head: the byte index one past the blank line.
-/// Tolerates bare-LF line endings alongside CRLF.
-fn head_end(buf: &[u8]) -> Option<usize> {
-    let mut i = 0;
-    while i < buf.len() {
-        if buf[i] == b'\n' {
-            let rest = &buf[i + 1..];
-            if rest.first() == Some(&b'\n') {
-                return Some(i + 2);
-            }
-            if rest.len() >= 2 && rest[0] == b'\r' && rest[1] == b'\n' {
-                return Some(i + 3);
-            }
-        }
-        i += 1;
-    }
-    None
-}
-
 /// Parses `1*DIGIT` — RFC 9110's grammar for `Content-Length`, and
 /// what the API means by "a non-negative integer": ASCII digits only.
 /// `str::parse` alone also takes a leading `+`, and a length two
@@ -171,112 +172,271 @@ pub(crate) fn parse_digits(s: &str) -> Option<u64> {
     s.parse().ok()
 }
 
-fn is_token(s: &str) -> bool {
-    !s.is_empty()
-        && s.bytes()
-            .all(|b| b.is_ascii_alphanumeric() || b"!#$%&'*+-.^_`|~".contains(&b))
+// Byte classes (see the module docs); a byte may carry several.
+const SP: u8 = 1;
+const LF: u8 = 1 << 1;
+const QUERY: u8 = 1 << 2;
+const COLON: u8 = 1 << 3;
+/// Not an RFC 9110 `tchar`: may not appear in a method or header name.
+const NOT_TOKEN: u8 = 1 << 4;
+/// ASCII control, space, DEL or non-ASCII: may not appear in a target.
+const NOT_TARGET: u8 = 1 << 5;
+const HIGH: u8 = 1 << 6;
+
+static CLASS: [u8; 256] = {
+    const fn bit(class: u8, when: bool) -> u8 {
+        class * when as u8
+    }
+    let mut table = [0u8; 256];
+    let mut b = 0;
+    while b < 256 {
+        let byte = b as u8;
+        let token = byte.is_ascii_alphanumeric()
+            || matches!(byte, b'!' | b'#'..=b'\'' | b'*' | b'+' | b'-' | b'.' | b'^'..=b'`' | b'|' | b'~');
+        let target = !(byte.is_ascii_control() || byte == b' ' || byte >= 0x7f);
+        table[b] = bit(SP, byte == b' ')
+            | bit(LF, byte == b'\n')
+            | bit(QUERY, byte == b'?')
+            | bit(COLON, byte == b':')
+            | bit(NOT_TOKEN, !token)
+            | bit(NOT_TARGET, !target)
+            | bit(HIGH, byte >= 0x80);
+        b += 1;
+    }
+    table
+};
+
+/// Walks `buf` from `from` up to the first byte of a class in `stop`:
+/// that byte's index and class, and the union of the classes walked
+/// over. `None` when the buffer ends first.
+#[inline(always)]
+fn walk(buf: &[u8], from: usize, stop: u8) -> Option<(usize, u8, u8)> {
+    let mut walked = 0u8;
+    for (offset, &byte) in buf[from..].iter().enumerate() {
+        let class = CLASS[usize::from(byte)];
+        if class & stop != 0 {
+            return Some((from + offset, class, walked));
+        }
+        walked |= class;
+    }
+    None
+}
+
+/// `end`, or one less when the line `[start, end)` ends in a `\r`.
+fn strip_cr(buf: &[u8], start: usize, end: usize) -> usize {
+    end - usize::from(end > start && buf[end - 1] == b'\r')
+}
+
+/// The buffer ended before a blank line did: only the caps can speak.
+fn no_head_yet<'b>(buffered: usize, any_line_end: bool, limits: &Limits) -> Parsed<'b> {
+    if !any_line_end && buffered > limits.max_request_line {
+        Parsed::Reject(Reject::UriTooLong)
+    } else if buffered > limits.max_header_bytes {
+        Parsed::Reject(Reject::HeadersTooLarge)
+    } else {
+        Parsed::Partial
+    }
+}
+
+/// What the header lines walked so far have said.
+#[derive(Default)]
+struct Headers {
+    count: usize,
+    content_length: Option<usize>,
+    keep_alive: Option<bool>,
+}
+
+impl Headers {
+    /// Reads one non-blank line: `name` is what precedes its first
+    /// colon (`None` without one) with the classes of its bytes,
+    /// `value` what follows, untrimmed.
+    fn line(
+        &mut self,
+        name: Option<(&[u8], u8)>,
+        value: &[u8],
+        limits: &Limits,
+    ) -> Result<(), Reject> {
+        self.count += 1;
+        if self.count > limits.max_headers {
+            return Err(Reject::HeadersTooLarge);
+        }
+        let Some((name, classes)) = name else {
+            return Err(Reject::BadRequest("header without colon"));
+        };
+        if name.is_empty() || classes & NOT_TOKEN != 0 {
+            // Also rejects obs-fold continuations (leading whitespace).
+            return Err(Reject::BadRequest("malformed header name"));
+        }
+        // Only these three values are ever looked at, so only they are
+        // made a `str` and trimmed (`str::trim` knows the non-ASCII
+        // spaces a valid UTF-8 head may carry).
+        let trimmed = || {
+            std::str::from_utf8(value)
+                .map(str::trim)
+                .map_err(|_| Reject::BadRequest("head is not valid UTF-8"))
+        };
+        if name.eq_ignore_ascii_case(b"content-length") {
+            let Some(n) = parse_digits(trimmed()?).and_then(|n| usize::try_from(n).ok()) else {
+                return Err(Reject::BadRequest("malformed content-length"));
+            };
+            if self.content_length.is_some_and(|prev| prev != n) {
+                return Err(Reject::BadRequest("conflicting content-length"));
+            }
+            self.content_length = Some(n);
+        } else if name.eq_ignore_ascii_case(b"transfer-encoding") {
+            return Err(Reject::NotImplemented("transfer-encoding"));
+        } else if name.eq_ignore_ascii_case(b"connection") {
+            let value = trimmed()?;
+            if value.eq_ignore_ascii_case("close") {
+                self.keep_alive = Some(false);
+            } else if value.eq_ignore_ascii_case("keep-alive") {
+                self.keep_alive = Some(true);
+            }
+        }
+        Ok(())
+    }
+}
+
+/// One space-separated piece of the request line: its span and the
+/// union of its bytes' classes.
+#[derive(Clone, Copy, Default)]
+struct Piece {
+    start: usize,
+    end: usize,
+    classes: u8,
 }
 
 /// Attempts to parse one request from the front of `buf`.
 pub fn parse<'b>(buf: &'b [u8], limits: &Limits) -> Parsed<'b> {
-    let Some(head_len) = head_end(buf) else {
-        // No full head yet: check the caps against what has arrived so
-        // a trickler cannot buffer unboundedly.
-        if !buf.contains(&b'\n') && buf.len() > limits.max_request_line {
-            return Parsed::Reject(Reject::UriTooLong);
+    // Union of the classes of every byte of the head.
+    let mut seen = 0u8;
+
+    // The request line: its non-empty pieces between spaces (the first
+    // three are kept, all are counted) and the target's first `?`.
+    let mut pieces = [Piece::default(); 3];
+    let mut count = 0;
+    let mut piece = Piece::default();
+    let mut query_at = None;
+    let mut i = 0;
+    let line_end = loop {
+        let Some((at, class, walked)) = walk(buf, i, SP | LF | QUERY) else {
+            return no_head_yet(buf.len(), false, limits);
+        };
+        seen |= walked | class;
+        piece.classes |= walked;
+        i = at + 1;
+        if class & QUERY != 0 {
+            piece.classes |= class;
+            if count == 1 {
+                query_at.get_or_insert(at);
+            }
+            continue;
         }
-        if buf.len() > limits.max_header_bytes {
-            return Parsed::Reject(Reject::HeadersTooLarge);
+        piece.end = if class & LF != 0 {
+            strip_cr(buf, piece.start, at)
+        } else {
+            at
+        };
+        if piece.end > piece.start {
+            if let Some(slot) = pieces.get_mut(count) {
+                *slot = piece;
+            }
+            count += 1;
         }
-        return Parsed::Partial;
+        piece = Piece {
+            start: i,
+            end: i,
+            classes: 0,
+        };
+        if class & LF != 0 {
+            break at;
+        }
     };
+
+    // The header lines, up to the blank one. Their first refusal waits
+    // until the whole head is known to be here (and valid UTF-8): the
+    // caps and the request line outrank it.
+    let mut headers = Headers::default();
+    let mut refusal = None;
+    let mut line = i;
+    let head_len = loop {
+        let Some((at, class, name_classes)) = walk(buf, line, COLON | LF) else {
+            return no_head_yet(buf.len(), true, limits);
+        };
+        seen |= name_classes | class;
+        let mut end = at;
+        if class & COLON != 0 {
+            let Some((lf, _, walked)) = walk(buf, at + 1, LF) else {
+                return no_head_yet(buf.len(), true, limits);
+            };
+            seen |= walked;
+            end = lf;
+        }
+        let text_end = strip_cr(buf, line, end);
+        if text_end == line {
+            break end + 1;
+        }
+        if refusal.is_none() {
+            let name = (class & COLON != 0).then(|| (&buf[line..at], name_classes));
+            // Without a colon `at` is the line's end: an empty value.
+            let value = &buf[(at + 1).min(text_end)..text_end];
+            refusal = headers.line(name, value, limits).err();
+        }
+        line = end + 1;
+    };
+
+    // The whole head is here: refusals in their order of precedence.
     if head_len > limits.max_header_bytes {
         return Parsed::Reject(Reject::HeadersTooLarge);
     }
-    let Ok(head) = std::str::from_utf8(&buf[..head_len]) else {
+    if seen & HIGH != 0 && std::str::from_utf8(&buf[..head_len]).is_err() {
         return Parsed::Reject(Reject::BadRequest("head is not valid UTF-8"));
-    };
-
-    let mut lines = head.split('\n').map(|l| l.strip_suffix('\r').unwrap_or(l));
-    let request_line = lines.next().unwrap_or("");
-    if request_line.len() > limits.max_request_line {
+    }
+    if strip_cr(buf, 0, line_end) > limits.max_request_line {
         return Parsed::Reject(Reject::UriTooLong);
     }
-    let mut parts = request_line.split(' ').filter(|p| !p.is_empty());
-    let (Some(method), Some(target), Some(version), None) =
-        (parts.next(), parts.next(), parts.next(), parts.next())
-    else {
+    if count != 3 {
         return Parsed::Reject(Reject::BadRequest("malformed request line"));
-    };
+    }
+    let [method, target, version] = pieces;
 
-    let method = match method {
-        "GET" => Method::Get,
-        "HEAD" => Method::Head,
-        "POST" | "PUT" | "DELETE" | "PATCH" | "OPTIONS" | "TRACE" | "CONNECT" => {
+    let method = match &buf[method.start..method.end] {
+        b"GET" => Method::Get,
+        b"HEAD" => Method::Head,
+        b"POST" | b"PUT" | b"DELETE" | b"PATCH" | b"OPTIONS" | b"TRACE" | b"CONNECT" => {
             return Parsed::Reject(Reject::MethodNotAllowed)
         }
-        m if is_token(m) => return Parsed::Reject(Reject::NotImplemented("unknown method")),
+        _ if method.classes & NOT_TOKEN == 0 => {
+            return Parsed::Reject(Reject::NotImplemented("unknown method"))
+        }
         _ => return Parsed::Reject(Reject::BadRequest("malformed method")),
     };
 
-    let http11 = match version {
-        "HTTP/1.1" => true,
-        "HTTP/1.0" => false,
-        v if v.starts_with("HTTP/") => return Parsed::Reject(Reject::VersionNotSupported),
+    let http11 = match &buf[version.start..version.end] {
+        b"HTTP/1.1" => true,
+        b"HTTP/1.0" => false,
+        v if v.starts_with(b"HTTP/") => return Parsed::Reject(Reject::VersionNotSupported),
         _ => return Parsed::Reject(Reject::BadRequest("malformed version")),
     };
 
-    if !target.starts_with('/')
-        || target
-            .bytes()
-            .any(|b| b.is_ascii_control() || b == b' ' || b >= 0x7f)
-    {
-        return Parsed::Reject(Reject::BadRequest("malformed request target"));
-    }
-    let (path, query) = match target.split_once('?') {
-        Some((p, q)) => (p, q),
-        None => (target, ""),
+    // A target free of `NOT_TARGET` bytes is ASCII, so this validation
+    // cannot fail; it is what hands out a `str` without `unsafe`.
+    let target_str = match std::str::from_utf8(&buf[target.start..target.end]) {
+        Ok(t) if t.starts_with('/') && target.classes & NOT_TARGET == 0 => t,
+        _ => return Parsed::Reject(Reject::BadRequest("malformed request target")),
+    };
+    let (path, query) = match query_at {
+        Some(at) => (
+            &target_str[..at - target.start],
+            &target_str[at + 1 - target.start..],
+        ),
+        None => (target_str, ""),
     };
 
-    let mut keep_alive = http11;
-    let mut content_length: Option<usize> = None;
-    let mut headers = 0usize;
-    for line in lines {
-        if line.is_empty() {
-            continue; // the blank terminator (and the split's tail)
-        }
-        headers += 1;
-        if headers > limits.max_headers {
-            return Parsed::Reject(Reject::HeadersTooLarge);
-        }
-        let Some((name, value)) = line.split_once(':') else {
-            return Parsed::Reject(Reject::BadRequest("header without colon"));
-        };
-        if !is_token(name) {
-            // Also rejects obs-fold continuations (leading whitespace).
-            return Parsed::Reject(Reject::BadRequest("malformed header name"));
-        }
-        let value = value.trim();
-        if name.eq_ignore_ascii_case("content-length") {
-            let Some(n) = parse_digits(value).and_then(|n| usize::try_from(n).ok()) else {
-                return Parsed::Reject(Reject::BadRequest("malformed content-length"));
-            };
-            if content_length.is_some_and(|prev| prev != n) {
-                return Parsed::Reject(Reject::BadRequest("conflicting content-length"));
-            }
-            content_length = Some(n);
-        } else if name.eq_ignore_ascii_case("transfer-encoding") {
-            return Parsed::Reject(Reject::NotImplemented("transfer-encoding"));
-        } else if name.eq_ignore_ascii_case("connection") {
-            if value.eq_ignore_ascii_case("close") {
-                keep_alive = false;
-            } else if value.eq_ignore_ascii_case("keep-alive") {
-                keep_alive = true;
-            }
-        }
+    if let Some(refusal) = refusal {
+        return Parsed::Reject(refusal);
     }
-
-    let content_length = content_length.unwrap_or(0);
+    let content_length = headers.content_length.unwrap_or(0);
     if content_length > limits.max_body {
         return Parsed::Reject(Reject::BodyTooLarge);
     }
@@ -290,7 +450,7 @@ pub fn parse<'b>(buf: &'b [u8], limits: &Limits) -> Parsed<'b> {
             path,
             query,
             http11,
-            keep_alive,
+            keep_alive: headers.keep_alive.unwrap_or(http11),
             content_length,
         },
         consumed: total,

@@ -14,15 +14,19 @@
 //!
 //! **Invariant: a steady-state point request performs no heap
 //! allocation, and every body is byte-identical to PR 12's.** There is
-//! one implementation, `route_into`: it splits the query string once
-//! into borrowed `&str` parameters (a component is percent-decoded —
-//! into an owned string, the one exception — only if it actually
-//! contains `%` or `+`), runs the query over the snapshot, and encodes
-//! the body into a `String` the caller owns. The server passes the same
-//! scratch `String` for every request of a connection (it lives in
+//! one implementation, `route_into`: it walks the query string once,
+//! cutting it into borrowed `&str` parameters and noting on the way
+//! which values hold a `%` or `+` (only those are percent-decoded —
+//! into an owned string, the one exception — and only if a route reads
+//! them), runs the query over the snapshot, and encodes the body into a
+//! `String` the caller owns. The server passes the same scratch `String`
+//! for every request of a connection (it lives in
 //! `server::serve_connection`), so once it has grown to the largest
-//! body seen, routing costs no heap traffic; market ids are written as
-//! their static region/family/size/platform names, never formatted.
+//! body seen, routing costs no heap traffic. Market ids are matched on
+//! the way in (`FromStr` of the id vocabulary and the platform names
+//! are `match`es on the string, not searches) and written as their
+//! static region/family/size/platform names on the way out, never
+//! formatted; keys are [`json::key!`] literals.
 //! [`route`] is the same call with a fresh body per request, for
 //! callers that want an owned [`RouteOutcome`].
 //!
@@ -42,7 +46,7 @@
 use crate::admission::ServerStats;
 use cloud_sim::ids::{Az, InstanceType, MarketId, Platform, Region};
 use cloud_sim::time::{SimDuration, SimTime};
-use spotlight_core::json;
+use spotlight_core::json::{self, key};
 use spotlight_core::probe::ProbeKind;
 use spotlight_core::query::SpotLightQuery;
 use spotlight_core::snapshot::{SnapshotHub, SnapshotReader, StoreSnapshot, MAX_SPIKE_THRESHOLDS};
@@ -152,67 +156,73 @@ pub(crate) fn route_into(
 
 // ---------------------------------------------------------------- params
 
-/// The raw (still percent-encoded) value of every parameter any route
-/// reads, borrowed from the query string in one pass. The first
-/// occurrence of a name wins; names no route reads are skipped.
+/// One parameter's value as the query string carries it, and whether
+/// it holds a `%` or `+` — i.e. whether reading it means decoding it.
+#[derive(Debug, Clone, Copy)]
+struct Raw<'q> {
+    text: &'q str,
+    escaped: bool,
+}
+
+/// The raw value of every parameter any route reads, borrowed from the
+/// query string in one pass. The first occurrence of a name wins;
+/// names no route reads are skipped.
 #[derive(Debug, Default, Clone, Copy)]
 struct Params<'q> {
-    market: Option<&'q str>,
-    kind: Option<&'q str>,
-    start_secs: Option<&'q str>,
-    end_secs: Option<&'q str>,
-    thresholds: Option<&'q str>,
-    window_secs: Option<&'q str>,
-    region: Option<&'q str>,
-    min_probes: Option<&'q str>,
-    n: Option<&'q str>,
+    market: Option<Raw<'q>>,
+    kind: Option<Raw<'q>>,
+    start_secs: Option<Raw<'q>>,
+    end_secs: Option<Raw<'q>>,
+    thresholds: Option<Raw<'q>>,
+    window_secs: Option<Raw<'q>>,
+    region: Option<Raw<'q>>,
+    min_probes: Option<Raw<'q>>,
+    n: Option<Raw<'q>>,
 }
 
 impl<'q> Params<'q> {
     fn split(query: &'q str) -> Self {
         let mut params = Params::default();
-        // Byte scans, not `str::split`: the searcher set-up costs more
-        // than the scan on components this short. `&` and `=` are
-        // ASCII, so every cut is a char boundary.
-        let mut rest = query;
-        while !rest.is_empty() {
-            let pair = match rest.bytes().position(|b| b == b'&') {
-                Some(at) => {
-                    let pair = &rest[..at];
-                    rest = &rest[at + 1..];
-                    pair
+        // One walk of the bytes: an `&` (or the end) closes a pair, the
+        // pair's first `=` closes its name, and a `%` or `+` after that
+        // marks the value. All ASCII, so every cut is a char boundary.
+        let (mut pair, mut eq, mut escaped) = (0, None, false);
+        for (i, byte) in query.bytes().chain([b'&']).enumerate() {
+            match byte {
+                b'=' if eq.is_none() => eq = Some(i),
+                b'%' | b'+' => escaped |= eq.is_some(),
+                b'&' => {
+                    let (key, text) = match eq {
+                        Some(eq) => (&query[pair..eq], &query[eq + 1..i]),
+                        None => (&query[pair..i], ""),
+                    };
+                    let slot = match key {
+                        "market" => Some(&mut params.market),
+                        "kind" => Some(&mut params.kind),
+                        "start_secs" => Some(&mut params.start_secs),
+                        "end_secs" => Some(&mut params.end_secs),
+                        "thresholds" => Some(&mut params.thresholds),
+                        "window_secs" => Some(&mut params.window_secs),
+                        "region" => Some(&mut params.region),
+                        "min_probes" => Some(&mut params.min_probes),
+                        "n" => Some(&mut params.n),
+                        _ => None,
+                    };
+                    if let Some(slot) = slot {
+                        slot.get_or_insert(Raw { text, escaped });
+                    }
+                    (pair, eq, escaped) = (i + 1, None, false);
                 }
-                None => std::mem::take(&mut rest),
-            };
-            let (key, value) = match pair.bytes().position(|b| b == b'=') {
-                Some(at) => (&pair[..at], &pair[at + 1..]),
-                None => (pair, ""),
-            };
-            let slot = match key {
-                "market" => &mut params.market,
-                "kind" => &mut params.kind,
-                "start_secs" => &mut params.start_secs,
-                "end_secs" => &mut params.end_secs,
-                "thresholds" => &mut params.thresholds,
-                "window_secs" => &mut params.window_secs,
-                "region" => &mut params.region,
-                "min_probes" => &mut params.min_probes,
-                "n" => &mut params.n,
-                _ => continue,
-            };
-            slot.get_or_insert(value);
+                _ => {}
+            }
         }
         params
     }
 }
 
 /// Percent-decodes one query-string component (`+` means space).
-/// A component without escapes is returned as it stands.
-fn percent_decode(s: &str) -> Option<Cow<'_, str>> {
+fn percent_decode(s: &str) -> Option<String> {
     let bytes = s.as_bytes();
-    if !bytes.iter().any(|&b| b == b'%' || b == b'+') {
-        return Some(Cow::Borrowed(s));
-    }
     let mut out = Vec::with_capacity(bytes.len());
     let mut i = 0;
     while i < bytes.len() {
@@ -234,7 +244,7 @@ fn percent_decode(s: &str) -> Option<Cow<'_, str>> {
             }
         }
     }
-    String::from_utf8(out).ok().map(Cow::Owned)
+    String::from_utf8(out).ok()
 }
 
 /// One request on its way through a handler: the split parameters and
@@ -249,8 +259,8 @@ impl<'a> Request<'a> {
     fn fail(&mut self, status: u16, message: fmt::Arguments<'_>) -> Routed {
         self.body.clear();
         match message.as_str() {
-            Some(message) => json::object(self.body, |o| o.str("error", message)),
-            None => json::object(self.body, |o| o.str("error", &message.to_string())),
+            Some(message) => json::object(self.body, |o| o.str(key!("error"), message)),
+            None => json::object(self.body, |o| o.str(key!("error"), &message.to_string())),
         }
         Routed {
             status,
@@ -263,16 +273,19 @@ impl<'a> Request<'a> {
     fn decoded(
         &mut self,
         name: &str,
-        raw: Option<&'a str>,
+        raw: Option<Raw<'a>>,
     ) -> Result<Option<Cow<'a, str>>, Routed> {
         let Some(raw) = raw else { return Ok(None) };
-        match percent_decode(raw) {
-            Some(value) => Ok(Some(value)),
+        if !raw.escaped {
+            return Ok(Some(Cow::Borrowed(raw.text)));
+        }
+        match percent_decode(raw.text) {
+            Some(value) => Ok(Some(Cow::Owned(value))),
             None => Err(self.fail(400, format_args!("malformed percent-encoding in '{name}'"))),
         }
     }
 
-    fn u64(&mut self, name: &str, raw: Option<&'a str>, default: u64) -> Result<u64, Routed> {
+    fn u64(&mut self, name: &str, raw: Option<Raw<'a>>, default: u64) -> Result<u64, Routed> {
         match self.decoded(name, raw)? {
             None => Ok(default),
             Some(v) => crate::parser::parse_digits(&v).ok_or_else(|| {
@@ -281,7 +294,7 @@ impl<'a> Request<'a> {
         }
     }
 
-    fn usize(&mut self, name: &str, raw: Option<&'a str>, default: usize) -> Result<usize, Routed> {
+    fn usize(&mut self, name: &str, raw: Option<Raw<'a>>, default: usize) -> Result<usize, Routed> {
         self.u64(name, raw, default as u64).map(|v| v as usize)
     }
 
@@ -332,20 +345,14 @@ impl<'a> Request<'a> {
 
 // ------------------------------------------------------------- market ids
 
-const PLATFORMS: [(&str, Platform); 4] = [
-    ("linux", Platform::LinuxUnix),
-    ("linux-vpc", Platform::LinuxUnixVpc),
-    ("windows", Platform::Windows),
-    ("suse", Platform::SuseLinux),
-];
-
 /// The wire name of a platform (see the module docs).
 pub fn platform_param(platform: Platform) -> &'static str {
-    PLATFORMS
-        .iter()
-        .find(|(_, p)| *p == platform)
-        .map(|(name, _)| *name)
-        .expect("every platform has a wire name")
+    match platform {
+        Platform::LinuxUnix => "linux",
+        Platform::LinuxUnixVpc => "linux-vpc",
+        Platform::Windows => "windows",
+        Platform::SuseLinux => "suse",
+    }
 }
 
 /// The static pieces whose concatenation is the market's wire form.
@@ -384,13 +391,17 @@ pub fn parse_market(s: &str) -> Result<MarketId, String> {
     let (az, ty, platform) = (&s[..first], &s[first + 1..second], &s[second + 1..]);
     let az: Az = az.parse().map_err(|e| format!("{e}"))?;
     let instance_type: InstanceType = ty.parse().map_err(|e| format!("{e}"))?;
-    let platform = PLATFORMS
-        .iter()
-        .find(|(name, _)| *name == platform)
-        .map(|(_, p)| *p)
-        .ok_or_else(|| {
-            format!("unknown platform '{platform}' (linux, linux-vpc, windows, suse)")
-        })?;
+    let platform = match platform {
+        "linux" => Platform::LinuxUnix,
+        "linux-vpc" => Platform::LinuxUnixVpc,
+        "windows" => Platform::Windows,
+        "suse" => Platform::SuseLinux,
+        _ => {
+            return Err(format!(
+                "unknown platform '{platform}' (linux, linux-vpc, windows, suse)"
+            ))
+        }
+    };
     Ok(MarketId {
         az,
         instance_type,
@@ -421,13 +432,13 @@ fn availability(
     let q = SpotLightQuery::new(&read, start, end);
     let (stats, fresh) = q.availability_qualified(market, kind);
     json::object(request.body, |o| {
-        o.str_parts("market", &market_parts(market));
-        o.str("kind", kind_name(kind));
-        o.u64("start_secs", start.as_secs());
-        o.u64("end_secs", end.as_secs());
-        o.value("availability", &stats);
-        o.value("freshness", &fresh);
-        o.u64("as_of_secs", snapshot.as_of().as_secs());
+        o.str_parts(key!("market"), &market_parts(market));
+        o.str(key!("kind"), kind_name(kind));
+        o.u64(key!("start_secs"), start.as_secs());
+        o.u64(key!("end_secs"), end.as_secs());
+        o.value(key!("availability"), &stats);
+        o.value(key!("freshness"), &fresh);
+        o.u64(key!("as_of_secs"), snapshot.as_of().as_secs());
     });
     Ok(OK)
 }
@@ -445,10 +456,10 @@ fn freshness(
     let q = SpotLightQuery::new(&read, SimTime::ZERO, end);
     let fresh = q.freshness(market, kind);
     json::object(request.body, |o| {
-        o.str_parts("market", &market_parts(market));
-        o.str("kind", kind_name(kind));
-        o.value("freshness", &fresh);
-        o.u64("as_of_secs", snapshot.as_of().as_secs());
+        o.str_parts(key!("market"), &market_parts(market));
+        o.str(key!("kind"), kind_name(kind));
+        o.value(key!("freshness"), &fresh);
+        o.u64(key!("as_of_secs"), snapshot.as_of().as_secs());
     });
     Ok(OK)
 }
@@ -500,14 +511,14 @@ fn spike_rates(
     let rates =
         SpotLightQuery::new(&read, start, end).spike_rates_from(&thresholds, counts, window);
     json::object(request.body, |o| {
-        o.u64("window_secs", window.as_secs());
-        o.u64("start_secs", start.as_secs());
-        o.u64("end_secs", end.as_secs());
-        o.array("rates", |a| {
+        o.u64(key!("window_secs"), window.as_secs());
+        o.u64(key!("start_secs"), start.as_secs());
+        o.u64(key!("end_secs"), end.as_secs());
+        o.array(key!("rates"), |a| {
             for rate in &rates {
                 a.object(|o| {
-                    o.f64("threshold", rate.threshold);
-                    o.f64("spikes_per_window", rate.spikes_per_window);
+                    o.f64(key!("threshold"), rate.threshold);
+                    o.f64(key!("spikes_per_window"), rate.spikes_per_window);
                 });
             }
         });
@@ -540,28 +551,34 @@ fn bid_spread(
         }
     }
     json::object(request.body, |o| {
-        o.str_parts("market", &market_parts(market));
-        o.u64("observations", observations);
+        o.str_parts(key!("market"), &market_parts(market));
+        o.u64(key!("observations"), observations);
         if observations > 0 {
-            o.f64("mean_attempts", attempts_total as f64 / observations as f64);
+            o.f64(
+                key!("mean_attempts"),
+                attempts_total as f64 / observations as f64,
+            );
         } else {
-            o.null("mean_attempts");
+            o.null(key!("mean_attempts"));
         }
         if markup_n > 0 {
-            o.f64("mean_intrinsic_markup", markup_total / markup_n as f64);
+            o.f64(
+                key!("mean_intrinsic_markup"),
+                markup_total / markup_n as f64,
+            );
         } else {
-            o.null("mean_intrinsic_markup");
+            o.null(key!("mean_intrinsic_markup"));
         }
         match latest {
-            Some(rec) => o.object("latest", |o| {
-                o.u64("at_secs", rec.at.as_secs());
-                o.f64("published_dollars", rec.published.as_dollars());
-                o.f64("intrinsic_dollars", rec.intrinsic.as_dollars());
-                o.u64("attempts", u64::from(rec.attempts));
+            Some(rec) => o.object(key!("latest"), |o| {
+                o.u64(key!("at_secs"), rec.at.as_secs());
+                o.f64(key!("published_dollars"), rec.published.as_dollars());
+                o.f64(key!("intrinsic_dollars"), rec.intrinsic.as_dollars());
+                o.u64(key!("attempts"), u64::from(rec.attempts));
             }),
-            None => o.null("latest"),
+            None => o.null(key!("latest")),
         }
-        o.u64("as_of_secs", snapshot.as_of().as_secs());
+        o.u64(key!("as_of_secs"), snapshot.as_of().as_secs());
     });
     Ok(OK)
 }
@@ -584,14 +601,17 @@ fn advisor_top(
     let (start, end) = request.span(snapshot)?;
     let top = snapshot.top_available_markets((start, end), region, min_probes, n);
     json::object(request.body, |o| {
-        o.u64("start_secs", start.as_secs());
-        o.u64("end_secs", end.as_secs());
-        o.u64("candidates", snapshot.probed_markets_sorted().len() as u64);
-        o.array("markets", |a| {
+        o.u64(key!("start_secs"), start.as_secs());
+        o.u64(key!("end_secs"), end.as_secs());
+        o.u64(
+            key!("candidates"),
+            snapshot.probed_markets_sorted().len() as u64,
+        );
+        o.array(key!("markets"), |a| {
             for (market, stats) in &top {
                 a.object(|o| {
-                    o.str_parts("market", &market_parts(*market));
-                    o.value("availability", stats);
+                    o.str_parts(key!("market"), &market_parts(*market));
+                    o.value(key!("availability"), stats);
                 });
             }
         });
@@ -610,14 +630,14 @@ fn advisor_fallbacks(
     let snapshot = reader.current(&state.hub);
     let fallbacks = snapshot.uncorrelated_fallbacks(market, window, n);
     json::object(request.body, |o| {
-        o.str_parts("market", &market_parts(market));
-        o.u64("window_secs", window.as_secs());
-        o.array("fallbacks", |a| {
+        o.str_parts(key!("market"), &market_parts(market));
+        o.u64(key!("window_secs"), window.as_secs());
+        o.array(key!("fallbacks"), |a| {
             for fallback in &fallbacks {
                 a.str_parts(&market_parts(*fallback));
             }
         });
-        o.u64("as_of_secs", snapshot.as_of().as_secs());
+        o.u64(key!("as_of_secs"), snapshot.as_of().as_secs());
     });
     Ok(OK)
 }
@@ -626,27 +646,27 @@ fn advisor_fallbacks(
 
 fn write_store_health(o: &mut json::Object<'_>, store: &Weak<DataStore>) {
     match store.upgrade() {
-        Some(store) => o.object("store", |o| {
-            o.bool("available", true);
+        Some(store) => o.object(key!("store"), |o| {
+            o.bool(key!("available"), true);
             match store.durability_mode() {
-                Some(mode) => o.value("durability_mode", &mode),
-                None => o.str("durability_mode", "in-memory"),
+                Some(mode) => o.value(key!("durability_mode"), &mode),
+                None => o.str(key!("durability_mode"), "in-memory"),
             }
             o.opt_u64(
-                "durability_lost_secs",
+                key!("durability_lost_secs"),
                 store.durability_lost().map(|t| t.as_secs()),
             );
             match store.durability_stats() {
-                Some(stats) => o.value("durability", &stats),
-                None => o.null("durability"),
+                Some(stats) => o.value(key!("durability"), &stats),
+                None => o.null(key!("durability")),
             }
-            o.array("degraded_regions", |a| {
+            o.array(key!("degraded_regions"), |a| {
                 for region in store.degraded_regions() {
                     a.str(region.name());
                 }
             });
         }),
-        None => o.object("store", |o| o.bool("available", false)),
+        None => o.object(key!("store"), |o| o.bool(key!("available"), false)),
     }
 }
 
@@ -657,12 +677,12 @@ fn healthz(
 ) -> Handled {
     let snapshot = reader.current(&state.hub);
     json::object(request.body, |o| {
-        o.str("status", "ok");
-        o.bool("draining", state.draining.load(Ordering::Relaxed));
-        o.u64("snapshot_generation", state.hub.generation());
-        o.object("snapshot", |o| {
-            o.u64("as_of_secs", snapshot.as_of().as_secs());
-            o.u64("probes", snapshot.len() as u64);
+        o.str(key!("status"), "ok");
+        o.bool(key!("draining"), state.draining.load(Ordering::Relaxed));
+        o.u64(key!("snapshot_generation"), state.hub.generation());
+        o.object(key!("snapshot"), |o| {
+            o.u64(key!("as_of_secs"), snapshot.as_of().as_secs());
+            o.u64(key!("probes"), snapshot.len() as u64);
         });
         write_store_health(o, &state.store);
     });
@@ -673,8 +693,11 @@ fn readyz(request: &mut Request<'_>, state: &ServiceState) -> Handled {
     let draining = state.draining.load(Ordering::Relaxed);
     let Some(store) = state.store.upgrade().filter(|_| !draining) else {
         json::object(request.body, |o| {
-            o.bool("ready", false);
-            o.str("reason", if draining { "draining" } else { "store closed" });
+            o.bool(key!("ready"), false);
+            o.str(
+                key!("reason"),
+                if draining { "draining" } else { "store closed" },
+            );
         });
         return Ok(Routed {
             status: 503,
@@ -682,16 +705,16 @@ fn readyz(request: &mut Request<'_>, state: &ServiceState) -> Handled {
         });
     };
     json::object(request.body, |o| {
-        o.bool("ready", true);
+        o.bool(key!("ready"), true);
         match store.durability_mode() {
-            Some(mode) => o.value("durability_mode", &mode),
-            None => o.str("durability_mode", "in-memory"),
+            Some(mode) => o.value(key!("durability_mode"), &mode),
+            None => o.str(key!("durability_mode"), "in-memory"),
         }
         o.opt_u64(
-            "durability_lost_secs",
+            key!("durability_lost_secs"),
             store.durability_lost().map(|t| t.as_secs()),
         );
-        o.array("degraded_regions", |a| {
+        o.array(key!("degraded_regions"), |a| {
             for region in store.degraded_regions() {
                 a.str(region.name());
             }
@@ -725,6 +748,24 @@ mod tests {
         assert!(parse_market("us-east-1a/c3.large/linux/extra").is_err());
         // A decoded multi-byte zone letter is refused, not sliced.
         assert!(parse_market("us-east-1\u{e9}/c3.large/linux").is_err());
+    }
+
+    #[test]
+    fn every_catalog_market_round_trips_and_platform_near_misses_are_refused() {
+        for &market in cloud_sim::catalog::Catalog::standard().markets() {
+            assert_eq!(parse_market(&market_param(market)), Ok(market));
+        }
+        for platform in Platform::ALL {
+            let name = platform_param(platform);
+            for miss in [name.to_uppercase(), format!("{name} "), String::new()] {
+                assert_eq!(
+                    parse_market(&format!("us-east-1a/c3.large/{miss}")),
+                    Err(format!(
+                        "unknown platform '{miss}' (linux, linux-vpc, windows, suse)"
+                    ))
+                );
+            }
+        }
     }
 
     #[test]

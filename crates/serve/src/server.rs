@@ -22,10 +22,11 @@
 //! **A steady-state request performs no heap allocation**, and every
 //! response is byte-identical to PR 12's: each connection owns one
 //! scratch set (read buffer, body `String`, outgoing batch — see
-//! `serve_connection`) that the parser borrows from, the router
-//! encodes into ([`crate::router`]), and [`write_response`] frames
-//! without `format!`; requests of a pipelined batch are consumed with a
-//! cursor and the buffer is compacted once per read.
+//! `serve_connection`) that the parser walks once and borrows from
+//! ([`crate::parser`]), the router encodes into ([`crate::router`]),
+//! and [`write_response`] frames without `format!`; requests of a
+//! pipelined batch are consumed with a cursor and the buffer is
+//! compacted once per read.
 //!
 //! Each connection is handled under `catch_unwind`, so a handler
 //! panic burns that one connection (counted) and nothing else — the
@@ -44,7 +45,7 @@ use crate::admission::{Permit, ServerStats, Shedder, StatsSnapshot};
 use crate::parser::{self, Limits, Method, Parsed, Reject};
 use crate::readbuf::ReadBuf;
 use crate::router::{route_into, ServiceState};
-use spotlight_core::json;
+use spotlight_core::json::{self, key};
 use spotlight_core::snapshot::{SnapshotHub, SnapshotReader};
 use spotlight_core::store::SharedStore;
 use spotlight_pool::WorkerPool;
@@ -554,7 +555,7 @@ fn respond_reject(stats: &ServerStats, out: &mut Vec<u8>, body: &mut String, rej
         _ => stats.responses_4xx.fetch_add(1, Ordering::Relaxed),
     };
     body.clear();
-    json::object(body, |o| o.str("error", reject.detail()));
+    json::object(body, |o| o.str(key!("error"), reject.detail()));
     write_response(out, reject.status(), body, false, true, None);
 }
 

@@ -299,6 +299,78 @@ fn spike_rate_threshold_lists_are_bounded() {
     finish(server);
 }
 
+/// `window_secs` is a client's to choose and is added to a detection
+/// time: the largest one must saturate — not overflow (a panic in
+/// checked builds; in release a window that ends before it starts, so
+/// that every candidate silently reads "uncorrelated") — and so answer
+/// what a window as long as the store's whole span answers.
+#[test]
+fn a_fallback_window_past_the_end_of_time_saturates() {
+    let store: SharedStore = Arc::new(DataStore::new());
+    let market = |zone: u8, ty: &str| MarketId {
+        az: Az::new(Region::UsEast1, zone),
+        instance_type: ty.parse().expect("type"),
+        platform: Platform::LinuxUnix,
+    };
+    let origin = market(2, "c3.large");
+    // The origin is rejected at 1,000 s and 5,000 s; three candidates
+    // in other pools are rejected never, once long after both, and
+    // once right after the first — so a short window ranks the second
+    // before the third and a long one the third before the second.
+    let rejected_at: [(MarketId, &[u64]); 4] = [
+        (origin, &[1_000, 5_000]),
+        (market(0, "m3.large"), &[]),
+        (market(1, "r3.large"), &[9_000]),
+        (market(0, "c4.large"), &[1_010]),
+    ];
+    for (m, rejections) in rejected_at {
+        for at in (0..100u64)
+            .map(|i| i * 100)
+            .chain(rejections.iter().copied())
+        {
+            store.record_probe(ProbeRecord {
+                at: SimTime::from_secs(at),
+                market: m,
+                kind: ProbeKind::OnDemand,
+                trigger: ProbeTrigger::Periodic,
+                outcome: if rejections.contains(&at) {
+                    ProbeOutcome::InsufficientCapacity
+                } else {
+                    ProbeOutcome::Fulfilled
+                },
+                spot_ratio: 1.0,
+                bid: None,
+                cost: Price::ZERO,
+            });
+        }
+    }
+    const SPAN: u64 = 10_000;
+    let state = ServiceState {
+        hub: Arc::new(SnapshotHub::new(store.snapshot(SimTime::from_secs(SPAN)))),
+        store: Arc::downgrade(&store),
+        stats: Arc::new(ServerStats::default()),
+        draining: Arc::new(AtomicBool::new(false)),
+        retry_after_secs: 1,
+    };
+    let mut reader = SnapshotReader::new(&state.hub);
+    let mut fallbacks = |window: u64| {
+        let query = format!("market={}&window_secs={window}&n=3", market_param(origin));
+        let outcome = route("/v1/advisor/fallbacks", &query, &state, &mut reader);
+        assert_eq!(outcome.status, 200, "window {window}: {}", outcome.body);
+        let (_, list) = outcome
+            .body
+            .split_once("\"fallbacks\":")
+            .expect("fallbacks");
+        list.to_owned()
+    };
+    let whole_span = fallbacks(SPAN);
+    assert_eq!(fallbacks(u64::MAX), whole_span);
+    assert_eq!(fallbacks(u64::MAX - 999), whole_span);
+    // And the window does decide the ranking here: the guard above is
+    // not comparing two constant answers.
+    assert_ne!(fallbacks(60), whole_span);
+}
+
 // ---------------------------------------------------- overload shedding
 
 /// Both refusal causes end the same way on the wire: a connection the

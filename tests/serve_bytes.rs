@@ -216,12 +216,29 @@ fn any_char() -> impl Strategy<Value = char> {
 
 proptest! {
     #[test]
-    fn integers_match_the_legacy_encoder(v in any::<u64>(), shift in 0u32..64) {
+    fn integers_match_the_legacy_encoder(
+        v in any::<u64>(),
+        shift in 0u32..64,
+        digits in 1u32..21,
+    ) {
         check_u64(v);
         check_u64(v >> shift);
         check_i64(v as i64);
         check_i64((v >> shift) as i64);
         check_i64(((v >> shift) as i64).wrapping_neg());
+        // Every digit count, on both sides of where the pair walk
+        // changes its number of steps and its leading pair's width:
+        // the smallest and largest values of `digits` digits (0 and 9
+        // for one digit, `u64::MAX` for twenty), one of them at random,
+        // and their negatives down to `i64::MIN`.
+        let lowest = if digits == 1 { 0 } else { 10u64.pow(digits - 1) };
+        let highest = 10u64.checked_pow(digits).map_or(u64::MAX, |next| next - 1);
+        for value in [lowest, highest, lowest + v % (highest - lowest + 1)] {
+            check_u64(value);
+            check_i64(value as i64);
+            check_i64((value as i64).wrapping_neg());
+            check_i64((value.min(1 << 63) as i64).wrapping_neg());
+        }
     }
 
     #[test]
