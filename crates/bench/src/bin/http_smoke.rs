@@ -102,15 +102,34 @@ fn feed_synthetic(store: &DataStore, records: std::ops::Range<u64>) {
 
 /// What the reference path — `SpotLightQuery` over `observed_markets()`,
 /// which reads none of a snapshot's derived state — answers the three
-/// all-market questions of [`PATHS`] with on `snapshot`, as the JSON
-/// array each response body must contain.
-fn reference_answers(snapshot: &StoreSnapshot) -> [(&'static str, String); 3] {
+/// all-market questions of [`PATHS`] with on `snapshot`, and a fourth:
+/// every fallback of the first observed market with on-demand
+/// rejections, an answer that runs past the uncorrelated candidates into
+/// the correlated ones. As (path, the JSON array each response body
+/// must contain).
+fn reference_answers(snapshot: &StoreSnapshot) -> [(String, String); 4] {
     let read = snapshot.read();
     let q = SpotLightQuery::new(&read, SimTime::ZERO, snapshot.as_of());
     let observed = q.observed_markets();
-    let origin = parse_market("us-east-1a/c3.large/linux").expect("market");
-    let mut answers = [PATHS[3], PATHS[5], PATHS[6]].map(|path| (path, String::new()));
-    json::array(&mut answers[0].1, |a| {
+    let window = SimDuration::from_secs(900);
+    let fallbacks = |origin, n| {
+        let mut answer = String::new();
+        json::array(&mut answer, |a| {
+            for market in q.uncorrelated_fallbacks(origin, &observed, window, n) {
+                a.str(&market_param(market));
+            }
+        });
+        answer
+    };
+    let rejected = *(observed.iter())
+        .find(|&&m| !read.rejection_times(m, ProbeKind::OnDemand).is_empty())
+        .expect("a market with on-demand rejections");
+    assert!(
+        (observed.iter()).any(|&c| q.conditional_unavailability(rejected, c, window) > Some(0.0)),
+        "{rejected} must have correlated candidates"
+    );
+    let (mut spike_rates, mut top) = (String::new(), String::new());
+    json::array(&mut spike_rates, |a| {
         for rate in q.spike_rates(&[1.25, 2.0, 5.0], SimDuration::from_secs(3600)) {
             a.object(|o| {
                 o.f64("threshold", rate.threshold);
@@ -118,7 +137,7 @@ fn reference_answers(snapshot: &StoreSnapshot) -> [(&'static str, String); 3] {
             });
         }
     });
-    json::array(&mut answers[1].1, |a| {
+    json::array(&mut top, |a| {
         for (market, stats) in q.top_available_markets(&observed, Some(Region::UsEast1), 1, 5) {
             a.object(|o| {
                 o.str("market", &market_param(market));
@@ -126,19 +145,27 @@ fn reference_answers(snapshot: &StoreSnapshot) -> [(&'static str, String); 3] {
             });
         }
     });
-    json::array(&mut answers[2].1, |a| {
-        for market in q.uncorrelated_fallbacks(origin, &observed, SimDuration::from_secs(900), 3) {
-            a.str(&market_param(market));
-        }
-    });
-    answers
+    let origin = parse_market("us-east-1a/c3.large/linux").expect("market");
+    let every = observed.len() + 1;
+    [
+        (PATHS[3].to_string(), spike_rates),
+        (PATHS[5].to_string(), top),
+        (PATHS[6].to_string(), fallbacks(origin, 3)),
+        (
+            format!(
+                "/v1/advisor/fallbacks?market={}&n={every}",
+                market_param(rejected)
+            ),
+            fallbacks(rejected, every),
+        ),
+    ]
 }
 
-/// Asks the server the three questions and holds each body to the
+/// Asks the server the four questions and holds each body to the
 /// reference's answer on `snapshot`, the generation now published.
-fn assert_reference_answers(client: &mut Client, snapshot: &StoreSnapshot) -> [String; 3] {
+fn assert_reference_answers(client: &mut Client, snapshot: &StoreSnapshot) -> [String; 4] {
     reference_answers(snapshot).map(|(path, answer)| {
-        let resp = client.get(path).expect("request");
+        let resp = client.get(&path).expect("request");
         assert!(
             resp.status == 200 && resp.body.contains(&answer),
             "GET {path} as of {}: {} {}\nreference: {answer}",

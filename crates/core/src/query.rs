@@ -82,8 +82,9 @@ impl Freshness {
 /// The `n` lowest-scored rows in ascending score order, equal scores in
 /// row order — what a stable sort of every row followed by
 /// `truncate(n)` yields, except that the rows beyond `n` are only
-/// partitioned off, never sorted (the advisor scans rank ~5k markets
-/// to return ten). Each row carries its position as the tie-breaker.
+/// partitioned off, never sorted (the reference rankings scan ~5k
+/// markets to return ten). Each row carries its position as the
+/// tie-breaker.
 fn best_n<T, K: PartialOrd>(
     mut rows: Vec<(usize, T)>,
     n: usize,
@@ -147,12 +148,23 @@ struct AdvisorRow {
 /// snapshot (see [`crate::snapshot`]) and never by the reference path —
 /// [`SpotLightQuery`]'s rankings over caller-supplied candidates, which
 /// the snapshot's are tested against.
+///
+/// Its **rank** is the row positions sorted once by (default-span
+/// unavailable fraction, position) — the order both default-span
+/// rankings are final in, so a request walks it and stops at `n`:
+/// `top_available_markets` takes the first `n` rows its filter keeps,
+/// and `uncorrelated_fallbacks`, scoring (correlation, own fraction,
+/// position) with correlation ≥ 0, emits each uncorrelated candidate as
+/// it is met (every one outranks every correlated one, and they are met
+/// in their final order) and ranks the correlated ones it set aside
+/// only if the walk runs out first.
 #[derive(Debug)]
 pub(crate) struct AdvisorTable {
     /// `[0, max(as_of, 1))`, the span requests default to.
     span: (SimTime, SimTime),
     pub(crate) markets: Box<[MarketId]>,
     rows: Box<[AdvisorRow]>,
+    rank: Box<[u32]>,
 }
 
 impl AdvisorTable {
@@ -169,11 +181,16 @@ impl AdvisorTable {
                     .unwrap_or_default(),
             }
         };
-        let rows = markets.iter().map(row).collect();
+        let rows: Box<[AdvisorRow]> = markets.iter().map(row).collect();
+        // Fractions are finite and non-negative: their bits sort as they
+        // do. (Positions fit a `u32`: market ids are a closed vocabulary.)
+        let mut rank: Box<[u32]> = (0..rows.len() as u32).collect();
+        rank.sort_unstable_by_key(|&at| (rows[at as usize].own.unavailable_fraction.to_bits(), at));
         AdvisorTable {
             span,
             markets,
             rows,
+            rank,
         }
     }
 
@@ -182,15 +199,20 @@ impl AdvisorTable {
         let rows = self.markets.iter().zip(&self.rows).enumerate();
         rows.map(|(at, (&market, row))| (at, market, row))
     }
+
+    /// [`Self::rows`] in rank order: most available first.
+    fn ranked(&self) -> impl Iterator<Item = (usize, MarketId, &AdvisorRow)> {
+        (self.rank.iter().map(|&at| at as usize)).map(|at| (at, self.markets[at], &self.rows[at]))
+    }
 }
 
 /// The all-market questions, answered from the snapshot's derived
 /// state (see [`crate::snapshot`]).
 impl StoreSnapshot {
     /// [`SpotLightQuery::top_available_markets`] over every probed
-    /// market and the span `[start, end)` (panics if it is empty): a
-    /// market answers the default span, `[0, max(as_of, 1))`, from its
-    /// row and asks its key only for another.
+    /// market and the span `[start, end)` (panics if it is empty): the
+    /// default span, `[0, max(as_of, 1))`, walks the table's rank and
+    /// stops at `n`; another asks every market's key and ranks them.
     pub fn top_available_markets(
         &self,
         span: (SimTime, SimTime),
@@ -198,29 +220,28 @@ impl StoreSnapshot {
         min_probes: u64,
         n: usize,
     ) -> Vec<(MarketId, AvailabilityStats)> {
-        let (table, read) = (self.advisor(), self.read());
+        let table = self.advisor();
+        let wanted = |m: MarketId, row: &AdvisorRow| {
+            row.own.probes >= min_probes && region.is_none_or(|r| m.region() == r)
+        };
+        if span == table.span {
+            let rows = table.ranked().filter(|&(_, m, row)| wanted(m, row));
+            return rows.map(|(_, m, row)| (m, row.own)).take(n).collect();
+        }
+        let read = self.read();
         let q = SpotLightQuery::new(&read, span.0, span.1);
         let rows = (table.rows())
-            .filter(|&(_, m, row)| {
-                row.own.probes >= min_probes && region.is_none_or(|r| m.region() == r)
-            })
-            .map(|(at, m, row)| {
-                let own_span = span == table.span;
-                let stats = if own_span {
-                    row.own
-                } else {
-                    q.availability(m, ProbeKind::OnDemand)
-                };
-                (at, (m, stats))
-            })
+            .filter(|&(_, m, row)| wanted(m, row))
+            .map(|(at, m, _)| (at, (m, q.availability(m, ProbeKind::OnDemand))))
             .collect();
         best_n(rows, n, |(_, st)| st.unavailable_fraction).collect()
     }
 
     /// [`SpotLightQuery::uncorrelated_fallbacks`] for `market` over
-    /// every probed market and the span `[0, max(as_of, 1))`. Only a
-    /// candidate with rejections runs a correlation trial, and only
-    /// against an origin with some.
+    /// every probed market and the span `[0, max(as_of, 1))`, by a walk
+    /// of the table's rank that stops at `n` (`AdvisorTable` says why
+    /// that is exact). Only a candidate with rejections runs a
+    /// correlation trial, and only against an origin with some.
     pub fn uncorrelated_fallbacks(
         &self,
         market: MarketId,
@@ -231,20 +252,28 @@ impl StoreSnapshot {
         let origin =
             (read.key(market, ProbeKind::OnDemand)).filter(|k| !k.state.rejection_times.is_empty());
         let pool = market.pool();
-        let rows = (table.rows())
-            .filter(|&(_, c, _)| c != market && c.pool() != pool)
-            .map(|(at, c, row)| {
-                let corr = if origin.is_none() || row.rejection_times.is_empty() {
-                    0.0
-                } else {
-                    conditional_unavailability(origin, &row.rejection_times, window).unwrap_or(0.0)
-                };
-                (at, (c, corr, row.own.unavailable_fraction))
-            })
-            .collect();
-        best_n(rows, n, |&(_, corr, own)| (corr, own))
-            .map(|(m, _, _)| m)
-            .collect()
+        let (mut out, mut correlated) = (Vec::new(), Vec::new());
+        for (at, c, row) in table.ranked() {
+            if out.len() == n {
+                return out;
+            }
+            if c.pool() == pool {
+                continue; // `market` itself included
+            }
+            let corr = if origin.is_none() || row.rejection_times.is_empty() {
+                0.0
+            } else {
+                conditional_unavailability(origin, &row.rejection_times, window).unwrap_or(0.0)
+            };
+            if corr > 0.0 {
+                correlated.push((at, (c, corr, row.own.unavailable_fraction)));
+            } else {
+                out.push(c);
+            }
+        }
+        let rest = best_n(correlated, n - out.len(), |&(_, corr, own)| (corr, own));
+        out.extend(rest.map(|(m, _, _)| m));
+        out
     }
 }
 
@@ -491,16 +520,17 @@ impl<'a> SpotLightQuery<'a> {
             .collect()
     }
 
-    /// Regions ordered by their measured on-demand rejection share,
-    /// merged into `out` (cleared first) — a quick "where is the cloud
-    /// under-provisioned" view (§5.2.2) served from the stripes' running
-    /// counters without allocating a fresh map per call.
+    /// Each region's raw count of rejected on-demand probes over the
+    /// store's lifetime, written into `out` (cleared first; unordered; a
+    /// region without a rejection has no entry) — a quick "where is the
+    /// cloud under-provisioned" view (§5.2.2) served from the stripes'
+    /// running counters without allocating a fresh map per call. The
+    /// query span does not select the probes counted.
     pub fn rejection_counts_by_region_into(&self, out: &mut HashMap<Region, u64>) {
         self.store.od_rejections_into(out);
     }
 
-    /// Regions ordered by their measured on-demand rejection share, as a
-    /// fresh map.
+    /// [`Self::rejection_counts_by_region_into`] as a fresh map.
     pub fn rejection_counts_by_region(&self) -> HashMap<Region, u64> {
         self.store.od_rejections_by_region()
     }

@@ -39,10 +39,17 @@
 //! * an `AdvisorTable` (see [`crate::query`]): every probed market in
 //!   `MarketId` order with its on-demand key's counters, its
 //!   unavailable seconds over the default span `[0, max(as_of, 1))` and
-//!   its rejection times, behind [`StoreSnapshot::probed_markets_sorted`],
+//!   its rejection times, plus a **rank** — the rows sorted once by
+//!   (that unavailable fraction, position) — behind
+//!   [`StoreSnapshot::probed_markets_sorted`],
 //!   [`StoreSnapshot::top_available_markets`] and
 //!   [`StoreSnapshot::uncorrelated_fallbacks`] — a `OnceLock`, so
-//!   requests racing for it build it once;
+//!   requests racing for it build it once. A default-span ranking walks
+//!   the rank and stops at `n`, exactly: the top is the rank filtered,
+//!   and a fallback's score (correlation ≥ 0, own fraction, position)
+//!   puts every uncorrelated candidate first and in rank order, so only
+//!   the correlated ones the walk set aside are ever sorted, and only
+//!   when it runs out of the others;
 //! * lifetime spike counts per threshold asked for, at most
 //!   [`MAX_SPIKE_THRESHOLDS`] of them, behind
 //!   [`StoreSnapshot::spikes_at_or_above_each`].
@@ -50,7 +57,7 @@
 //! Lazily, because a publish nobody puts such a question to then costs
 //! nothing (no per-capture sort of the market list any more); the
 //! first request of a generation pays the build instead — the walk
-//! every such request used to make, plus that sort.
+//! every such request used to make, plus that sort and the rank's.
 //! Neither is part of the capture: [`StoreSnapshot::read`] — what
 //! [`crate::query::SpotLightQuery`], `repro`, the examples and the
 //! benchmark's oracle evaluate — never reads them, which is what lets

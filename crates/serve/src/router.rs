@@ -37,9 +37,9 @@
 //! [`StoreSnapshot::spikes_at_or_above_each`]), which derives a table of
 //! every probed market and the spike counts asked for once per
 //! generation, on the first such request, and answers the rest of the
-//! generation's from them: a ranking is one walk of that table (its
-//! rows on the heap, as before), not a hash lookup per market, and the
-//! same bytes as the per-market path gives. A publish derives nothing;
+//! generation's from them: a default-span ranking walks that table's
+//! availability rank and stops at `n`, not a hash lookup per market,
+//! and gives the same bytes as the per-market path. A publish derives nothing;
 //! `thresholds` is bounded by [`MAX_SPIKE_THRESHOLDS`], the memo's
 //! capacity.
 

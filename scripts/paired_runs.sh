@@ -21,7 +21,9 @@
 #             ROADMAP's check that a move is not code placement
 #
 # Run from the root of the checkout. Nothing under benchmark/ is edited;
-# cargo's rewrite of benchmark/Cargo.lock is restored.
+# cargo's rewrite of benchmark/Cargo.lock is restored on exit, unless the
+# file already differed from the index when the script started (an
+# intended edit, kept as found).
 set -euo pipefail
 
 if [[ ! -f benchmark/Cargo.toml || $# -lt 1 ]]; then
@@ -60,7 +62,11 @@ build() { # <checkout> <side>
     CARGO_TARGET_DIR="$scratch/target-$2-cgu$suffix" \
         cargo build --release --offline --quiet --manifest-path "$1/benchmark/Cargo.toml" >&2
 }
-trap 'git checkout --quiet benchmark/Cargo.lock' EXIT
+restore_lock=:
+if git diff --quiet -- benchmark/Cargo.lock; then
+    restore_lock="git checkout --quiet -- benchmark/Cargo.lock"
+fi
+trap '$restore_lock' EXIT
 build "$scratch/parent" parent
 build . change
 

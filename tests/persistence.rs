@@ -15,7 +15,7 @@ use spotlight_core::store::{DataStore, SpikeEvent};
 use spotlight_core::{DurabilityMode, DurableOptions, FsyncPolicy};
 use spotlight_persist::tempdir::TempDir;
 use spotlight_persist::{
-    fault, Decode, DiskIo, FaultKind, FaultProfile, FaultyDisk, LogDir, Reader,
+    fault, frame, Decode, DiskIo, FaultKind, FaultProfile, FaultyDisk, LogDir, Reader,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -178,6 +178,140 @@ proptest! {
         drop(recovered);
         let again = DataStore::recover(&dir).unwrap();
         prop_assert_eq!(again.len() as u64, survivors + 1);
+    }
+}
+
+/// The body (header stripped) of the first WAL generation a one-stripe
+/// durable store writes for 48 probes and 16 spikes, with its frame
+/// boundaries — written once per process.
+fn real_wal() -> &'static (Vec<u8>, Vec<usize>) {
+    static WAL: std::sync::OnceLock<(Vec<u8>, Vec<usize>)> = std::sync::OnceLock::new();
+    WAL.get_or_init(|| {
+        let tmp = TempDir::new("frame-mutation");
+        let dir = tmp.path().join("store");
+        let store =
+            DataStore::create_durable_with_layout(&dir, opts(), 1, SimDuration::from_secs(3600))
+                .unwrap();
+        for i in 0..48 {
+            store.record_probe(probe_at(i, market(i as u8)));
+            if i % 3 == 0 {
+                store.record_spike(SpikeEvent {
+                    market: market(i as u8),
+                    at: SimTime::from_secs(i * 60),
+                    ratio: 1.0 + i as f64 / 8.0,
+                    probed: true,
+                });
+            }
+        }
+        store.flush().unwrap();
+        drop(store);
+        let (log, _) = LogDir::open(&dir).unwrap();
+        let wal = log.wal_path(0, 0);
+        let file = std::fs::read(&wal).unwrap();
+        let body = frame::strip_header(&file, frame::magic::WAL)
+            .unwrap()
+            .to_vec();
+        // The header's span, then one per frame: their ends in the body.
+        let spans = fault::frame_spans(&wal).unwrap();
+        let bounds: Vec<usize> = spans
+            .iter()
+            .map(|&(_, end)| end - frame::HEADER_LEN)
+            .collect();
+        let scanned = frame::scan(&body);
+        assert_eq!(
+            (scanned.end, scanned.frames.len()),
+            (frame::ScanEnd::Clean, 64)
+        );
+        assert_eq!(bounds.len(), 65);
+        (body, bounds)
+    })
+}
+
+/// One byte-level mutation of a file body, at an offset taken modulo
+/// the body's length (plus one).
+#[derive(Debug, Clone)]
+enum Mutation {
+    Overwrite(usize, Vec<u8>),
+    Insert(usize, Vec<u8>),
+    Delete(usize, usize),
+    Truncate(usize),
+    FlipBit(usize, u8),
+}
+
+fn any_mutation() -> impl Strategy<Value = Mutation> {
+    let bytes = || proptest::collection::vec(any::<u8>(), 1..24);
+    prop_oneof![
+        (any::<usize>(), bytes()).prop_map(|(at, b)| Mutation::Overwrite(at, b)),
+        (any::<usize>(), bytes()).prop_map(|(at, b)| Mutation::Insert(at, b)),
+        (any::<usize>(), 1usize..400).prop_map(|(at, n)| Mutation::Delete(at, n)),
+        any::<usize>().prop_map(Mutation::Truncate),
+        (any::<usize>(), 0u8..8).prop_map(|(at, bit)| Mutation::FlipBit(at, bit)),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    // `frame::scan` on damaged real WAL bytes: it never panics, its valid
+    // prefix lies inside the body and re-scans clean to the same frames,
+    // and what it returns is a prefix of the undamaged file's frames —
+    // unless the damage amounts to cutting out whole frames, which leaves
+    // a valid file of the others.
+    #[test]
+    fn frame_scan_of_mutated_wal_bytes_keeps_a_valid_prefix(mutation in any_mutation()) {
+        let (body, bounds) = real_wal();
+        let original = frame::scan(body).frames;
+        let mut bytes = body.clone();
+        let len = bytes.len();
+        let at = |pos: usize| pos % (len + 1);
+        match mutation {
+            Mutation::Overwrite(pos, b) => {
+                let at = at(pos).min(bytes.len() - 1);
+                let end = (at + b.len()).min(bytes.len());
+                bytes[at..end].copy_from_slice(&b[..end - at]);
+            }
+            Mutation::Insert(pos, b) => {
+                let at = at(pos);
+                bytes.splice(at..at, b);
+            }
+            Mutation::Delete(pos, n) => {
+                let at = at(pos);
+                bytes.drain(at..(at + n).min(len));
+            }
+            Mutation::Truncate(pos) => bytes.truncate(at(pos)),
+            Mutation::FlipBit(pos, bit) => {
+                let at = at(pos).min(bytes.len() - 1);
+                bytes[at] ^= 1 << bit;
+            }
+        }
+        // Whether the result is the body less frames `i..j` exactly: its
+        // head up to frame `i` and its tail from frame `j` unchanged. A
+        // delete elsewhere can come to that where the log repeats itself.
+        let head = body.iter().zip(&bytes).take_while(|(a, b)| a == b).count();
+        let tail = (body.iter().rev().zip(bytes.iter().rev()))
+            .take_while(|(a, b)| a == b)
+            .count();
+        let spliced = (len.checked_sub(bytes.len()).filter(|&cut| cut > 0)).and_then(|cut| {
+            (0..bounds.len()).find_map(|i| {
+                let j = bounds.binary_search(&(bounds[i] + cut)).ok()?;
+                (bounds[i] <= head && len - bounds[j] <= tail).then_some((i, j))
+            })
+        });
+
+        let scanned = frame::scan(&bytes);
+        prop_assert!(scanned.valid_len <= bytes.len());
+        match spliced {
+            Some((i, j)) => {
+                let rest = [&original[..i], &original[j..]].concat();
+                prop_assert_eq!(&scanned.frames, &rest);
+                prop_assert_eq!(scanned.end, frame::ScanEnd::Clean);
+            }
+            None => prop_assert!(original.starts_with(&scanned.frames)),
+        }
+        let again = frame::scan(&bytes[..scanned.valid_len]);
+        prop_assert_eq!(again.end, frame::ScanEnd::Clean);
+        prop_assert_eq!(again.frames, scanned.frames);
+        prop_assert_eq!(again.valid_len, scanned.valid_len);
     }
 }
 

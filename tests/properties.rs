@@ -6,6 +6,7 @@ use cloud_sim::config::{DemandProfile, SimConfig};
 use cloud_sim::ids::{Az, MarketId, Platform, Region};
 use cloud_sim::market::clear;
 use cloud_sim::price::Price;
+use cloud_sim::rng::SimRng;
 use cloud_sim::time::{SimDuration, SimTime};
 use proptest::prelude::*;
 use spotlight_core::probe::{ProbeKind, ProbeOutcome, ProbeRecord, ProbeTrigger};
@@ -955,8 +956,9 @@ proptest! {
 
 proptest! {
     // What `/v1/advisor/*` and `/v1/spike-rates` answer from — the
-    // snapshot's lazily derived `AdvisorTable` and spike-count memo —
-    // equals `SpotLightQuery` over `observed_markets()` and
+    // snapshot's lazily derived `AdvisorTable` (its rows and the rank
+    // the default span walks) and spike-count memo — equals
+    // `SpotLightQuery` over `observed_markets()` and
     // `StoreRead::spikes_at_or_above_each`, which never read either.
     #[test]
     fn derived_advisor_table_and_spike_memo_match_the_reference(
@@ -966,6 +968,7 @@ proptest! {
             proptest::collection::vec((0usize..40, 0u8..10, 0u8..6, 0u64..50_000), 0..250),
             proptest::collection::vec((0usize..40, 0u64..50_000, 0.0f64..12.0), 0..60),
             prop_oneof![Just(None), (0u64..60_000).prop_map(Some)],
+            any::<bool>(),
         ),
         as_of in prop_oneof![Just(0u64), Just(1u64), 1u64..60_000],
         explicit in (0u64..50_000, 1u64..50_000),
@@ -973,11 +976,20 @@ proptest! {
         thresholds in proptest::collection::vec(
             prop_oneof![Just(0.0f64), Just(1.25), Just(2.0), Just(5.0), 0.0f64..12.0], 1..40),
     ) {
-        let (probes, spikes, compact_before) = load;
+        let (probes, spikes, compact_before, bursts) = load;
         let k = picks.2;
         let markets = advisor_markets();
         let store = DataStore::new();
         for (m, kind, outcome, t) in probes {
+            // The burst family: every probe lands in one of five
+            // 600-second bursts and half of them are rejections, so most
+            // markets reject within the window of one another's
+            // detections — correlated candidates, ranked last.
+            let (t, outcome) = if bursts {
+                (t % 5 * 10_000 + t / 5 % 600, if outcome == 2 { 3 } else { outcome })
+            } else {
+                (t, outcome)
+            };
             store.record_probe(ProbeRecord {
                 at: SimTime::from_secs(t),
                 market: markets[m],
@@ -1040,7 +1052,20 @@ proptest! {
         // `markets[i ^ 1]` shares `markets[i]`'s pool for the c3 pair.
         for origin in [markets[picks.0], markets[picks.1], markets[picks.0 ^ 1], never_probed] {
             for window in [60, 900, 50_000].map(SimDuration::from_secs) {
-                for n in [0, 1, 10, len + 1] {
+                // Where the snapshot's walk hands over to the rows it set
+                // aside: after the candidates the reference scores
+                // uncorrelated, of which those it scores (0, 0) lead.
+                let scores: Vec<(f64, f64)> = (observed.iter())
+                    .filter(|&&c| c != origin && c.pool() != origin.pool())
+                    .map(|&c| {
+                        let corr = q.conditional_unavailability(origin, c, window).unwrap_or(0.0);
+                        (corr, q.availability(c, ProbeKind::OnDemand).unavailable_fraction)
+                    })
+                    .collect();
+                let uncorrelated = scores.iter().filter(|s| s.0 == 0.0).count();
+                let idle = scores.iter().filter(|&&s| s == (0.0, 0.0)).count();
+                let edges = [uncorrelated, idle].map(|z| [z.saturating_sub(1), z, z + 1]);
+                for n in [0, 1, 10, len + 1].into_iter().chain(edges.into_iter().flatten()) {
                     prop_assert_eq!(
                         snapshot.uncorrelated_fallbacks(origin, window, n),
                         q.uncorrelated_fallbacks(origin, &observed, window, n),
@@ -1073,4 +1098,112 @@ proptest! {
             q.spike_rates(&thresholds, window)
         );
     }
+}
+
+/// The walk at catalog scale: every market of the standard catalog,
+/// probed on demand over a day, one in eighty rejecting in hourly bursts
+/// shared with the others like it and one in eighty at random times.
+/// Every origin's fallbacks (n = 5 and everything) and the top of every
+/// region equal the reference's.
+#[test]
+fn advisor_walk_matches_the_reference_over_the_full_catalog() {
+    let markets = Catalog::standard().markets().to_vec();
+    let store = DataStore::new();
+    let mut rng = SimRng::seed_from(25);
+    for i in 0..30_000 {
+        // Each market once, then at random: 1 to ~15 probes each.
+        let m = if i < markets.len() {
+            i
+        } else {
+            rng.uniform_usize(0, markets.len())
+        };
+        let (at, rejected) = match m % 80 {
+            0 => (
+                rng.uniform_usize(0, 24) * 3600 + rng.uniform_usize(0, 300),
+                rng.chance(0.5),
+            ),
+            1 => (rng.uniform_usize(0, 86_400), rng.chance(0.3)),
+            _ => (rng.uniform_usize(0, 86_400), false),
+        };
+        store.record_probe(ProbeRecord {
+            at: SimTime::from_secs(at as u64),
+            market: markets[m],
+            kind: ProbeKind::OnDemand,
+            trigger: ProbeTrigger::Periodic,
+            outcome: if rejected {
+                ProbeOutcome::InsufficientCapacity
+            } else {
+                ProbeOutcome::Fulfilled
+            },
+            spot_ratio: 1.0,
+            bid: None,
+            cost: Price::ZERO,
+        });
+    }
+    let snapshot = store.snapshot(SimTime::from_secs(86_400));
+    let read = snapshot.read();
+    let span = (SimTime::ZERO, snapshot.as_of());
+    let q = SpotLightQuery::new(&read, span.0, span.1);
+    let observed = q.observed_markets();
+    let len = observed.len();
+    assert_eq!(len, markets.len());
+
+    for region in std::iter::once(None).chain(Region::ALL.map(Some)) {
+        for (min_probes, n) in [(0, 5), (0, len + 1), (6, 5), (6, len + 1)] {
+            assert_eq!(
+                snapshot.top_available_markets(span, region, min_probes, n),
+                q.top_available_markets(&observed, region, min_probes, n),
+                "top: region {region:?} min_probes {min_probes} n {n}"
+            );
+        }
+    }
+
+    // The reference ranks every candidate per origin; asked of every
+    // origin that is too slow unoptimised. An origin without detections
+    // scores every candidate uncorrelated, so its reference answer is the
+    // availability order less its pool (contiguous in `observed`) —
+    // checked against the reference itself once per region.
+    let window = SimDuration::from_secs(900);
+    let by_availability: Vec<MarketId> = (q.top_available_markets(&observed, None, 0, len))
+        .into_iter()
+        .map(|(m, _)| m)
+        .collect();
+    let mut checked = Vec::new();
+    let (mut detected, mut set_aside) = (0, 0);
+    for pool in observed.chunk_by(|a, b| a.pool() == b.pool()) {
+        let uncorrelated: Vec<MarketId> = (by_availability.iter().copied())
+            .filter(|c| c.pool() != pool[0].pool())
+            .collect();
+        for &origin in pool {
+            let reference = || q.uncorrelated_fallbacks(origin, &observed, window, len + 1);
+            let all = if q
+                .conditional_unavailability(origin, origin, window)
+                .is_some()
+            {
+                detected += 1;
+                &reference()
+            } else {
+                if !checked.contains(&origin.region()) {
+                    checked.push(origin.region());
+                    assert_eq!(uncorrelated, reference(), "origin {origin}");
+                }
+                &uncorrelated
+            };
+            let correlated = (all.iter().rev())
+                .take_while(|&&c| q.conditional_unavailability(origin, c, window) > Some(0.0))
+                .count();
+            set_aside += usize::from(correlated > 1);
+            let walked = snapshot.uncorrelated_fallbacks(origin, window, len + 1);
+            assert!(walked == *all, "origin {origin}");
+            let top5 = snapshot.uncorrelated_fallbacks(origin, window, 5);
+            assert_eq!(top5, all[..5], "origin {origin}");
+        }
+    }
+    assert_eq!(checked.len(), Region::ALL.len());
+    // The fill path ran: origins whose answer ends in several correlated
+    // candidates, which the walk ranks only after it runs out.
+    assert!(
+        detected > 50 && set_aside > 20,
+        "{detected} origins with detections, {set_aside} filled"
+    );
 }
