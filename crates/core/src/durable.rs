@@ -557,8 +557,8 @@ record_codec! {
         disordered,
     }
     Stripe {
-        probes, probes_by_market, spikes, spike_ratios_by_epoch, intervals, keys,
-        od_rejections_by_region, revocations, revocations_by_market, intrinsic_bids,
+        probes, spikes, spike_ratios_by_epoch, intervals, keys, od_rejections_by_region,
+        revocations, intrinsic_bids,
     }
     CheckpointMeta {
         recorded_probes, total_cost_micros, suppressed_probes, next_seq, floor, region_health,
@@ -571,6 +571,32 @@ fn bad_data(err: DecodeError) -> io::Error {
 
 fn corrupt(what: &'static str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, what)
+}
+
+/// Decodes a checkpoint's stripe section, refusing what would otherwise
+/// surface at the first query as a panic or a wrong count: an interval
+/// position a key holds (listed or open) past the stripe's interval
+/// slab, or a rejection-time list or spike-ratio bucket out of order
+/// (they are binary-searched; a key's epoch series checks its own).
+fn decode_stripe(section: &[u8]) -> Result<Stripe, DecodeError> {
+    fn ascending<T: PartialOrd>(list: &[T]) -> bool {
+        let descent = |w: &[T]| w[0].partial_cmp(&w[1]) == Some(std::cmp::Ordering::Greater);
+        !list.windows(2).any(descent)
+    }
+    let stripe = Stripe::from_bytes(section)?;
+    let in_slab = |&i: &usize| i < stripe.intervals.len();
+    for key in stripe.keys.values() {
+        if !key.intervals.iter().chain(&key.open).all(in_slab) {
+            return Err(DecodeError::Invalid("interval position"));
+        }
+        if !ascending(&key.rejection_times) {
+            return Err(DecodeError::Invalid("rejection time order"));
+        }
+    }
+    if !stripe.spike_ratios_by_epoch.values().all(|r| ascending(r)) {
+        return Err(DecodeError::Invalid("spike ratio order"));
+    }
+    Ok(stripe)
 }
 
 /// Encodes every raw record of `stripe` older than `before` as one
@@ -765,7 +791,7 @@ impl DataStore {
                 .store(meta.suppressed_probes, relaxed);
             *store.region_health.write() = meta.region_health;
             for (i, section) in sections[1..].iter().enumerate() {
-                *store.stripes[i].write() = Stripe::from_bytes(section).map_err(bad_data)?;
+                *store.stripes[i].write() = decode_stripe(section).map_err(bad_data)?;
             }
         }
 
@@ -1361,15 +1387,20 @@ mod tests {
     }
 
     /// One element per slab and one entry per map: with a single entry,
-    /// `RandomState` iteration order cannot reach the bytes.
+    /// `RandomState` iteration order cannot reach the bytes. Its key
+    /// points at the one interval, so a checkpoint would load it.
     fn golden_stripe() -> Stripe {
         let m = golden_market(12);
         let Some(StoreOp::Probe(p)) = golden_ops().into_iter().nth(1) else {
             unreachable!("the golden ops start with the probes");
         };
+        let key = KeyState {
+            intervals: one(0usize),
+            open: Some(0),
+            ..golden_key_state()
+        };
         Stripe {
             probes: one(p),
-            probes_by_market: one((p.market, one(0usize))),
             spikes: one(SpikeEvent {
                 market: m,
                 at: SimTime::from_secs(18_001),
@@ -1385,7 +1416,7 @@ mod tests {
                 detect_ratio: 1.75,
                 detected_via_related: true,
             }),
-            keys: one(((m, ProbeKind::Spot), golden_key_state())),
+            keys: one(((m, ProbeKind::Spot), key)),
             od_rejections_by_region: one((Region::ApNortheast1, 41)),
             revocations: one(RevocationRecord {
                 market: m,
@@ -1394,7 +1425,6 @@ mod tests {
                 revoked_at: None,
                 released_at: Some(SimTime::from_secs(3_607)),
             }),
-            revocations_by_market: one((m, one(0usize))),
             intrinsic_bids: one(IntrinsicBidRecord {
                 market: m,
                 at: SimTime::from_secs(80),
@@ -1438,15 +1468,17 @@ mod tests {
         records
     }
 
-    /// Format 3, byte for byte: `tests/golden/format3_records.hex` was
-    /// written by this test at PR 20 (`7d1bf61`, the last commit with a
+    /// Format 4, byte for byte: `tests/golden/format4_records.hex` was
+    /// written by this test when format 4 dropped a stripe's per-market
+    /// probe and revocation indices. Its other lines are format 3's,
+    /// first written at PR 20 (`7d1bf61`, the last commit with a
     /// hand-written `Encode`/`Decode` pair per record), so a field list
     /// or tag table that drifts from that wire order fails here. It is
-    /// regenerated (`FORMAT3_GOLDEN_WRITE=1 cargo test -p spotlight-core
-    /// format3_golden`) only together with a `FORMAT_VERSION` bump.
+    /// regenerated (`FORMAT4_GOLDEN_WRITE=1 cargo test -p spotlight-core
+    /// format4_golden`) only together with a `FORMAT_VERSION` bump.
     #[test]
-    fn format3_golden_bytes_encode_and_decode() {
-        const GOLDEN: &str = include_str!("../../../tests/golden/format3_records.hex");
+    fn format4_golden_bytes_encode_and_decode() {
+        const GOLDEN: &str = include_str!("../../../tests/golden/format4_records.hex");
         let rendered: String = golden_records()
             .iter()
             .map(|(label, bytes)| {
@@ -1454,15 +1486,15 @@ mod tests {
                 format!("{label} {hex}\n")
             })
             .collect();
-        if std::env::var_os("FORMAT3_GOLDEN_WRITE").is_some() {
+        if std::env::var_os("FORMAT4_GOLDEN_WRITE").is_some() {
             let path = concat!(
                 env!("CARGO_MANIFEST_DIR"),
-                "/../../tests/golden/format3_records.hex"
+                "/../../tests/golden/format4_records.hex"
             );
             std::fs::write(path, &rendered).expect("write golden");
             return;
         }
-        assert_eq!(rendered, GOLDEN, "format 3 bytes moved");
+        assert_eq!(rendered, GOLDEN, "format 4 bytes moved");
 
         // And the file decodes back to the values it was written from.
         let ops = golden_ops();
@@ -1477,9 +1509,7 @@ mod tests {
                     &KeyState::from_bytes(&bytes).expect(label),
                     &golden_key_state(),
                 ),
-                "stripe" => {
-                    same_stripe(&Stripe::from_bytes(&bytes).expect(label), &golden_stripe())
-                }
+                "stripe" => same_stripe(&decode_stripe(&bytes).expect(label), &golden_stripe()),
                 "checkpoint_meta" => assert_eq!(
                     CheckpointMeta::from_bytes(&bytes).expect(label),
                     golden_meta()
@@ -1521,7 +1551,7 @@ mod tests {
             let mut r = Reader::new(&bytes);
             match label.as_str() {
                 "key_state" => drop(KeyState::decode(&mut r)),
-                "stripe" => drop(Stripe::decode(&mut r)),
+                "stripe" => drop(decode_stripe(&bytes)),
                 "checkpoint_meta" => drop(CheckpointMeta::decode(&mut r)),
                 _ => {
                     if let Ok(op) = StoreOp::decode(&mut r) {
@@ -1610,8 +1640,9 @@ mod tests {
         let recovered = DataStore::recover(&dir).expect("recover");
         assert_eq!(recovered.len(), 40);
         let r = recovered.read();
-        assert_eq!(r.probes_of(market(0)).count(), 30);
-        assert_eq!(r.probes_of(market(1)).count(), 10);
+        let probes_of = |m| r.probes().filter(|p| p.market == m).count();
+        assert_eq!(probes_of(market(0)), 30);
+        assert_eq!(probes_of(market(1)), 10);
         assert!(r.is_unavailable(market(1), ProbeKind::OnDemand));
         // A second recovery of the recovered directory still agrees.
         drop(r);
@@ -1998,10 +2029,10 @@ mod tests {
             assert_eq!(r.probe_stats(m, kind), t.probe_stats(m, kind));
             assert_eq!(r.is_unavailable(m, kind), t.is_unavailable(m, kind));
             assert_eq!(r.rejection_times(m, kind), t.rejection_times(m, kind));
-            assert_eq!(
-                r.probes_of(m).copied().collect::<Vec<_>>(),
-                t.probes_of(m).copied().collect::<Vec<_>>()
-            );
+            assert!(r
+                .probes()
+                .filter(|p| p.market == m)
+                .eq(t.probes().filter(|p| p.market == m)));
         }
         drop((r, t));
         // The disk healed (the window is behind us): the next
@@ -2068,13 +2099,11 @@ mod tests {
 
     fn same_stripe(a: &Stripe, b: &Stripe) {
         assert!(a.probes.iter().eq(b.probes.iter()));
-        assert_eq!(a.probes_by_market, b.probes_by_market);
         assert!(a.spikes.iter().eq(b.spikes.iter()));
         assert_eq!(a.spike_ratios_by_epoch, b.spike_ratios_by_epoch);
         assert!(a.intervals.iter().eq(b.intervals.iter()));
         assert_eq!(a.od_rejections_by_region, b.od_rejections_by_region);
         assert!(a.revocations.iter().eq(b.revocations.iter()));
-        assert_eq!(a.revocations_by_market, b.revocations_by_market);
         assert!(a.intrinsic_bids.iter().eq(b.intrinsic_bids.iter()));
         assert_eq!(a.keys.len(), b.keys.len());
         for (key, state) in &a.keys {
@@ -2128,7 +2157,7 @@ mod tests {
         let original = store.stripes[0].read();
         assert!(original.keys.len() >= 6 && original.intervals.len() > 10);
         let bytes = original.to_bytes();
-        let decoded = Stripe::from_bytes(&bytes).expect("stripe decodes");
+        let decoded = decode_stripe(&bytes).expect("stripe decodes");
         same_stripe(&original, &decoded);
         for state in original.keys.values() {
             same_key(
@@ -2140,6 +2169,72 @@ mod tests {
         for cut in (0..bytes.len()).step_by(97) {
             assert!(Stripe::from_bytes(&bytes[..cut]).is_err());
         }
+    }
+
+    /// A checkpoint is CRC-checked, not trusted: a stripe whose key
+    /// points past its interval slab, or whose binary-searched lists are
+    /// out of order, decodes field by field — and would panic the first
+    /// `intervals_of`, or miscount quietly. Recovery refuses each one
+    /// with `InvalidData`, and loads the unmutated stripe.
+    #[test]
+    fn recovery_refuses_stripe_indices_its_queries_would_trip_over() {
+        let tmp = TempDir::new("durable-bad-indices");
+        let dir = tmp.path().join("store");
+        let store = DataStore::create_durable_with_layout(&dir, DurableOptions::default(), 1, HOUR)
+            .expect("create");
+        for t in 0..6u64 {
+            let outcome = if t % 2 == 0 {
+                ProbeOutcome::InsufficientCapacity
+            } else {
+                ProbeOutcome::Fulfilled
+            };
+            store.record_probe(probe(t * 600, market(0), outcome));
+        }
+        for ratio in [2.0, 3.0] {
+            store.record_spike(SpikeEvent {
+                market: market(0),
+                at: SimTime::from_secs(60),
+                ratio,
+                probed: true,
+            });
+        }
+        store.close().expect("close");
+        let (log, _) = LogDir::open(&dir).expect("open");
+        let sections = log.read_checkpoint().expect("read").expect("a checkpoint");
+        let good = Stripe::from_bytes(&sections[1]).expect("the stripe decodes");
+        for what in [
+            "listed interval",
+            "open interval",
+            "rejection times",
+            "spike ratios",
+        ] {
+            let mut stripe = good.clone();
+            let past = stripe.intervals.len();
+            let key = (market(0), ProbeKind::OnDemand);
+            let state = stripe.keys.get_mut(&key).expect("the key");
+            match what {
+                "listed interval" => state.intervals.push(past),
+                "open interval" => state.open = Some(past),
+                "rejection times" => {
+                    state.rejection_times = state.rejection_times.iter().rev().copied().collect();
+                }
+                _ => {
+                    let ratios = stripe.spike_ratios_by_epoch.values_mut().next();
+                    let ratios = ratios.expect("a bucket");
+                    *ratios = ratios.iter().rev().copied().collect();
+                }
+            }
+            let mut damaged = sections.clone();
+            damaged[1] = stripe.to_bytes();
+            log.write_checkpoint(&damaged).expect("write");
+            let err = DataStore::recover(&dir).expect_err(what);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
+        }
+        log.write_checkpoint(&sections).expect("restore");
+        let recovered = DataStore::recover(&dir).expect("the unmutated checkpoint loads");
+        let r = recovered.read();
+        assert_eq!(r.intervals_of(market(0), ProbeKind::OnDemand).count(), 3);
+        assert_eq!(r.spikes_at_or_above(2.5), 1);
     }
 
     #[test]
@@ -2363,8 +2458,8 @@ mod tests {
             let kept = store.snapshot(SimTime::from_secs(PROBES * 60));
             let as_of_capture = |r: &crate::store::StoreRead<'_>| {
                 assert_eq!(r.len(), PROBES as usize + 1);
-                assert_eq!(r.probes_of(market(0)).count(), PROBES as usize + 1);
-                assert_eq!(r.probes_of(market(1)).count(), 0);
+                assert!(r.probes().all(|p| p.market == market(0)));
+                assert_eq!(r.probes().count(), PROBES as usize + 1);
                 assert!(!r.is_unavailable(market(1), ProbeKind::OnDemand));
                 assert!(r.durability_lost().is_some(), "captured while degraded");
             };

@@ -11,7 +11,7 @@
 //!
 //! * **Publish** (ingest side): [`DataStore::snapshot`] →
 //!   [`SnapshotHub::publish`]. The capture is a shallow clone of each
-//!   stripe — it shares every record chunk, per-market index and
+//!   stripe — it shares every record chunk, spike-ratio bucket and
 //!   per-key state with the store, and ingest copies on first write
 //!   what a capture still holds (see [`crate::store`], "Sharing") — so
 //!   a publish costs what changed since the last one, not the size of
@@ -171,7 +171,7 @@ impl DataStore {
     ///
     /// The capture copies no record, index or key state — only each
     /// stripe's chunk spines and map tables — so its cost follows the
-    /// number of keys, markets and chunks, and what ingest pays
+    /// number of keys, spike epochs and chunks, and what ingest pays
     /// afterwards follows what it rewrites while the snapshot is alive.
     /// A sub-second publish cadence is affordable.
     pub fn snapshot(&self, as_of: SimTime) -> StoreSnapshot {

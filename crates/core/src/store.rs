@@ -18,30 +18,26 @@
 //! stripe's read lock (in stripe order, so captures never deadlock
 //! against writers) for the length of a shallow clone, reads the
 //! store-wide counters and health table while they are held, lets go,
-//! and exposes the whole-log iteration and per-market index API on the
-//! owned view. No caller ever holds a stripe guard, so nothing that
+//! and exposes the whole-log iteration and per-key API on the owned
+//! view. No caller ever holds a stripe guard, so nothing that
 //! reads the store stops what fills it. On the store itself `len`,
 //! `total_cost` and `suppressed_probes` are lock-free atomics.
 //!
 //! # Index invariants
 //!
 //! Within a stripe the log slabs (`probes`, `spikes`, `intervals`, …)
-//! are append-only between compactions; secondary indices refer to
-//! records by their position in the owning slab:
-//!
-//! * `probes_by_market` — per-market record indices, kept **sorted by
-//!   timestamp**. Probes arrive in non-decreasing time order from the
-//!   engine, so maintaining the sort is an O(1) append in the common
-//!   case; a rare out-of-order insert (live mode's thread
-//!   interleavings) costs a binary-search insertion. Sorted order is
-//!   what turns time-range queries into binary searches
-//!   ([`StoreRead::probes_between`]).
-//! * `keys` — one `KeyState` per `(market, kind)` holding everything
-//!   the per-key queries need in a single hash lookup: running
-//!   informative/rejection counters, the key's interval index (in
-//!   interval-open order), the at-most-one open interval, the
-//!   time-sorted rejection timestamps, the closed-interval counter,
-//!   and the key's epoch summary.
+//! are append-only between compactions. The one secondary index is
+//! `keys`: one `KeyState` per `(market, kind)` holding everything the
+//! per-key queries need in a single hash lookup — running
+//! informative/rejection counters, the key's interval index (positions
+//! in the interval slab, in interval-open order), the at-most-one open
+//! interval, the time-sorted rejection timestamps, the closed-interval
+//! counter, and the key's epoch summary. Every probe creates its key and
+//! compaction keeps keys, so the key table is also the set of markets
+//! ever probed. There is no per-market index: a market's raw probes,
+//! revocations and intrinsic bids are a filter over its stripe's slab.
+//! A checkpoint's stripe is refused on load unless its interval
+//! positions fall inside its slab and its sorted lists are sorted.
 //!
 //! # Epoch summaries
 //!
@@ -78,9 +74,9 @@
 //! * the five record slabs (`probes`, `spikes`, `intervals`,
 //!   `revocations`, `intrinsic_bids`) are `crate::shared::ChunkVec`s
 //!   of `Arc`-shared chunks; a clone copies the chunk spine;
-//! * every list in the four maps — a market's probe and revocation
-//!   indices, an epoch's sorted spike ratios, a key's interval index,
-//!   rejection times and epoch summary — is a `crate::shared::CowVec`,
+//! * every list in the two maps — an epoch's sorted spike ratios, a
+//!   key's interval index, rejection times and epoch summary — is a
+//!   `crate::shared::CowVec`,
 //!   elements and spare capacity in one `Arc`'d buffer; a clone bumps a
 //!   reference count. The buffer is one pointer hop from its table, as
 //!   the `Vec` it replaces was, and a key's scalars (counters, open
@@ -114,7 +110,8 @@
 //! `top_available_markets`, `conditional_unavailability`,
 //! `mean_time_to_revocation`, the running counters) therefore return
 //! bit-identical results before and after compaction; only raw-log
-//! iteration (`probes*`, `spikes`) shrinks to the retained window.
+//! iteration (`probes`, `spikes`) shrinks to the retained window. No
+//! index points into either slab, so compacting one is a filter.
 //! [`DataStore::len`] keeps counting every probe ever recorded;
 //! [`DataStore::resident_records`] / [`DataStore::resident_bytes`]
 //! report what is actually held.
@@ -408,7 +405,6 @@ pub(crate) struct KeyState {
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Stripe {
     pub(crate) probes: ChunkVec<ProbeRecord>,
-    pub(crate) probes_by_market: FxHashMap<MarketId, CowVec<usize>>,
     pub(crate) spikes: ChunkVec<SpikeEvent>,
     /// Sorted spike ratios per epoch — the summary `spike_rates` reads;
     /// holds every spike ever recorded (compaction keeps it intact).
@@ -419,7 +415,6 @@ pub(crate) struct Stripe {
     /// state is then equal bytes.
     pub(crate) od_rejections_by_region: BTreeMap<Region, u64>,
     pub(crate) revocations: ChunkVec<RevocationRecord>,
-    pub(crate) revocations_by_market: FxHashMap<MarketId, CowVec<usize>>,
     pub(crate) intrinsic_bids: ChunkVec<IntrinsicBidRecord>,
 }
 
@@ -547,6 +542,30 @@ fn add_closed_span(epochs: &mut EpochSeries, start: u64, end: u64, width: u64) {
     }
 }
 
+/// Drops the records of a raw slab (probes or spikes) older than
+/// `before` among its first `limit` entries, returning how many went.
+/// Entries at or past `limit` are kept regardless: in durable mode they
+/// arrived after the spill snapshot and are not sealed on disk yet. What
+/// the records contributed stays in the key table and the epoch buckets.
+fn compact_slab<T: Copy>(
+    slab: &mut ChunkVec<T>,
+    at: impl Fn(&T) -> SimTime,
+    before: SimTime,
+    limit: usize,
+) -> u64 {
+    let old_len = slab.len();
+    let kept: ChunkVec<T> = slab
+        .iter()
+        .enumerate()
+        .filter(|&(i, r)| i >= limit || at(r) >= before)
+        .map(|(_, r)| *r)
+        .collect();
+    if kept.len() != old_len {
+        *slab = kept;
+    }
+    (old_len - slab.len()) as u64
+}
+
 impl DataStore {
     /// Creates an empty store with the default layout
     /// ([`DEFAULT_STRIPES`] stripes, [`DEFAULT_EPOCH`] epochs).
@@ -617,7 +636,7 @@ impl DataStore {
     /// The view owns a shallow capture and holds **no lock** — ingest,
     /// checkpoints and heals proceed while it lives, and it can be sent
     /// to or shared with other threads. Taking it costs a shallow clone,
-    /// O(keys + markets + chunks); a view alive during ingest costs the
+    /// O(keys + spike epochs + chunks); a view alive during ingest costs the
     /// writer one copy per list or chunk it touches (module docs,
     /// "Sharing").
     pub fn read(&self) -> StoreRead<'_> {
@@ -729,20 +748,12 @@ impl DataStore {
 
     /// Records a revocation-watch observation.
     pub fn record_revocation(&self, rec: RevocationRecord) {
-        let stripe_idx = self.stripe_of(rec.market);
-        let mut stripe = self.stripes[stripe_idx].write();
+        let idx = self.stripe_of(rec.market);
+        let mut stripe = self.stripes[idx].write();
         if let Some(d) = &self.durable {
-            d.append(stripe_idx as u32, &crate::durable::StoreOp::Revocation(rec));
+            d.append(idx as u32, &crate::durable::StoreOp::Revocation(rec));
         }
-        let idx = stripe.revocations.len();
         stripe.revocations.push(rec);
-        let Stripe {
-            revocations,
-            revocations_by_market,
-            ..
-        } = &mut *stripe;
-        let by_market = revocations_by_market.entry(rec.market).or_default();
-        insert_sorted_by(by_market, idx, |&i| revocations[i].acquired_at);
     }
 
     /// Records an intrinsic-bid measurement.
@@ -811,8 +822,8 @@ impl DataStore {
             };
             let mut s = stripe.write();
             let (probe_limit, spike_limit) = spilled.unwrap_or((s.probes.len(), s.spikes.len()));
-            stats.dropped_probes += s.compact_probes(before, probe_limit);
-            stats.dropped_spikes += s.compact_spikes(before, spike_limit);
+            stats.dropped_probes += compact_slab(&mut s.probes, |p| p.at, before, probe_limit);
+            stats.dropped_spikes += compact_slab(&mut s.spikes, |sp| sp.at, before, spike_limit);
         }
         stats
     }
@@ -833,7 +844,7 @@ impl DataStore {
 
     /// Approximate resident heap footprint of the store's slabs and
     /// indices, in bytes: capacities × element sizes over the slabs'
-    /// chunks and spines, the per-market and per-epoch lists, and each
+    /// chunks and spines, the per-epoch lists, and each
     /// key's interval index, rejection times and sparse epoch cells.
     /// Hash-map tables — a key's scalars live there — and allocator or
     /// reference-count headers are not counted; buffers shared with a
@@ -847,9 +858,6 @@ impl DataStore {
             bytes += s.intervals.heap_bytes();
             bytes += s.revocations.heap_bytes();
             bytes += s.intrinsic_bids.heap_bytes();
-            for index in [&s.probes_by_market, &s.revocations_by_market] {
-                bytes += index.values().map(CowVec::heap_bytes).sum::<usize>();
-            }
             bytes += s
                 .spike_ratios_by_epoch
                 .values()
@@ -892,12 +900,7 @@ impl DataStore {
 
 impl Stripe {
     fn record_probe(&mut self, probe: ProbeRecord, epoch: u64, epoch_secs: u64) -> bool {
-        let idx = self.probes.len();
         self.probes.push(probe);
-        let by_market = self.probes_by_market.entry(probe.market).or_default();
-        let probes = &self.probes;
-        insert_sorted_by(by_market, idx, |&i| probes[i].at);
-
         let key = (probe.market, probe.kind);
         let state = self.keys.entry(key).or_default();
         if probe.outcome.is_informative() {
@@ -963,59 +966,6 @@ impl Stripe {
             }
             false
         }
-    }
-
-    /// Drops probe records older than `before` among the first `limit`
-    /// slab entries, remapping the per-market indices onto the retained
-    /// slab. Entries at or past `limit` are kept regardless — in
-    /// durable mode they arrived after the spill snapshot and have not
-    /// been sealed on disk yet. Markets whose probes are all compacted
-    /// keep their (empty) index entry so `probed_markets` stays a
-    /// lifetime fact.
-    fn compact_probes(&mut self, before: SimTime, limit: usize) -> u64 {
-        let old_len = self.probes.len();
-        if old_len == 0 {
-            return 0;
-        }
-        let mut remap = vec![usize::MAX; old_len];
-        let mut kept = ChunkVec::default();
-        for (i, p) in self.probes.iter().enumerate() {
-            if i >= limit || p.at >= before {
-                remap[i] = kept.len();
-                kept.push(*p);
-            }
-        }
-        if kept.len() == old_len {
-            return 0;
-        }
-        self.probes = kept;
-        for ids in self.probes_by_market.values_mut() {
-            *ids = ids
-                .iter()
-                .map(|&id| remap[id])
-                .filter(|&id| id != usize::MAX)
-                .collect();
-        }
-        (old_len - self.probes.len()) as u64
-    }
-
-    /// Drops spike records older than `before` among the first `limit`
-    /// slab entries (later entries postdate the spill snapshot, like
-    /// `compact_probes`); their ratios stay in the epoch buckets, so
-    /// `spike_rates` is unchanged.
-    fn compact_spikes(&mut self, before: SimTime, limit: usize) -> u64 {
-        let old_len = self.spikes.len();
-        let kept: ChunkVec<SpikeEvent> = self
-            .spikes
-            .iter()
-            .enumerate()
-            .filter(|&(i, s)| i >= limit || s.at >= before)
-            .map(|(_, s)| *s)
-            .collect();
-        if kept.len() != old_len {
-            self.spikes = kept;
-        }
-        (old_len - self.spikes.len()) as u64
     }
 
     /// Exact closed-interval overlap with `[from, to)` for a key on the
@@ -1165,39 +1115,11 @@ impl StoreRead<'_> {
         &stripes[stripe_index(market, stripes.len())]
     }
 
-    /// All resident probes, stripe by stripe (oldest first within a
-    /// market; cross-market order is stripe layout, not global time).
+    /// All resident probes, stripe by stripe (record order within a
+    /// stripe; cross-market order is stripe layout, not global time).
+    /// One market's probes are this filtered by market.
     pub fn probes(&self) -> impl Iterator<Item = &ProbeRecord> + '_ {
         self.stripes().flat_map(|s| s.probes.iter())
-    }
-
-    /// The resident probes of one market, oldest first.
-    pub fn probes_of(&self, market: MarketId) -> impl Iterator<Item = &ProbeRecord> + '_ {
-        let stripe = self.stripe_for(market);
-        stripe
-            .probes_by_market
-            .get(&market)
-            .into_iter()
-            .flat_map(|ids| ids.iter())
-            .map(move |&i| &stripe.probes[i])
-    }
-
-    /// The resident probes of one market inside `[from, to]`, oldest
-    /// first — a binary search over the time-sorted per-market index,
-    /// O(log n + matches) rather than O(market probes).
-    pub fn probes_between(
-        &self,
-        market: MarketId,
-        from: SimTime,
-        to: SimTime,
-    ) -> impl Iterator<Item = &ProbeRecord> + '_ {
-        let stripe = self.stripe_for(market);
-        let index: &[usize] = stripe.probes_by_market.get(&market).map_or(&[], |ids| ids);
-        let lo = index.partition_point(|&i| stripe.probes[i].at < from);
-        index[lo..]
-            .iter()
-            .map(move |&i| &stripe.probes[i])
-            .take_while(move |p| p.at <= to)
     }
 
     /// All resident spike observations.
@@ -1372,15 +1294,12 @@ impl StoreRead<'_> {
         self.stripes().flat_map(|s| s.revocations.iter())
     }
 
-    /// The revocation observations of one market, oldest first.
+    /// The revocation observations of one market, in record order — a
+    /// scan of the market's own stripe (like intrinsic bids, too few to
+    /// index).
     pub fn revocations_of(&self, market: MarketId) -> impl Iterator<Item = &RevocationRecord> + '_ {
-        let stripe = self.stripe_for(market);
-        stripe
-            .revocations_by_market
-            .get(&market)
-            .into_iter()
-            .flat_map(|ids| ids.iter())
-            .map(move |&i| &stripe.revocations[i])
+        let revocations = self.stripe_for(market).revocations.iter();
+        revocations.filter(move |r| r.market == market)
     }
 
     /// All intrinsic-bid measurements.
@@ -1398,11 +1317,22 @@ impl StoreRead<'_> {
         bids.filter(move |r| r.market == market)
     }
 
-    /// Markets that were probed at least once (a lifetime fact;
-    /// compaction does not remove markets).
+    /// Markets that were probed at least once, each once (a lifetime
+    /// fact: every probe creates its `(market, kind)` key and compaction
+    /// keeps keys).
     pub fn probed_markets(&self) -> impl Iterator<Item = MarketId> + '_ {
-        self.stripes()
-            .flat_map(|s| s.probes_by_market.keys().copied())
+        self.stripes().flat_map(|s| {
+            // A market is listed at the first of its kinds in this order.
+            let first = move |&&(market, kind): &&(MarketId, ProbeKind)| {
+                let earlier: &[ProbeKind] = match kind {
+                    ProbeKind::OnDemand => &[],
+                    ProbeKind::Spot => &[ProbeKind::OnDemand],
+                    ProbeKind::InterruptionNotice => &[ProbeKind::OnDemand, ProbeKind::Spot],
+                };
+                earlier.iter().all(|&k| !s.keys.contains_key(&(market, k)))
+            };
+            s.keys.keys().filter(first).map(|&(market, _)| market)
+        })
     }
 
     /// Total money spent on probes.
@@ -1490,6 +1420,8 @@ mod tests {
         assert_eq!(r.intervals().count(), 2);
         assert_eq!(r.intervals_of(market(0), ProbeKind::OnDemand).count(), 1);
         assert_eq!(r.intervals_of(market(0), ProbeKind::Spot).count(), 1);
+        // Two keys, one market.
+        assert_eq!(r.probed_markets().collect::<Vec<_>>(), [market(0)]);
     }
 
     #[test]
@@ -1512,8 +1444,9 @@ mod tests {
         s.record_probe(probe(30, market(0), ProbeOutcome::Fulfilled));
         assert_eq!(s.total_cost(), Price::from_dollars(0.3));
         let r = s.read();
-        assert_eq!(r.probes_of(market(0)).count(), 2);
-        assert_eq!(r.probes_of(market(1)).count(), 1);
+        let probes_of = |m| r.probes().filter(|p| p.market == m).count();
+        assert_eq!(probes_of(market(0)), 2);
+        assert_eq!(probes_of(market(1)), 1);
         assert_eq!(s.len(), 3);
     }
 
@@ -1534,33 +1467,12 @@ mod tests {
     }
 
     #[test]
-    fn probes_between_is_a_time_range() {
-        let s = DataStore::new();
-        for t in [10u64, 20, 30, 40, 50] {
-            s.record_probe(probe(t, market(0), ProbeOutcome::Fulfilled));
-        }
-        let r = s.read();
-        let hits: Vec<u64> = r
-            .probes_between(market(0), SimTime::from_secs(20), SimTime::from_secs(40))
-            .map(|p| p.at.as_secs())
-            .collect();
-        assert_eq!(hits, vec![20, 30, 40]);
-        assert_eq!(
-            r.probes_between(market(1), SimTime::ZERO, SimTime::from_secs(100))
-                .count(),
-            0
-        );
-    }
-
-    #[test]
     fn out_of_order_inserts_keep_indices_sorted() {
         let s = DataStore::new();
         for t in [50u64, 10, 30, 20, 40] {
             s.record_probe(probe(t, market(0), ProbeOutcome::InsufficientCapacity));
         }
         let r = s.read();
-        let times: Vec<u64> = r.probes_of(market(0)).map(|p| p.at.as_secs()).collect();
-        assert_eq!(times, vec![10, 20, 30, 40, 50]);
         let rejections = r.rejection_times(market(0), ProbeKind::OnDemand);
         assert!(rejections.windows(2).all(|w| w[0] <= w[1]));
         assert_eq!(rejections.len(), 5);
@@ -1614,7 +1526,7 @@ mod tests {
         assert_eq!(s.len(), 2000);
         let r = s.read();
         for w in 0..4u8 {
-            assert_eq!(r.probes_of(market(w)).count(), 500);
+            assert_eq!(r.probes().filter(|p| p.market == market(w)).count(), 500);
             assert_eq!(
                 r.probe_stats(market(w), ProbeKind::OnDemand).informative,
                 500

@@ -35,7 +35,7 @@
 //!   **That list is the wire order**, not the declaration order;
 //!   reordering, adding or dropping an entry — like renumbering a tag —
 //!   is a format change and needs a [`crate::frame::FORMAT_VERSION`]
-//!   bump (`spotlight-core`'s `tests/golden/format3_records.hex` fails
+//!   bump (`spotlight-core`'s `tests/golden/format4_records.hex` fails
 //!   on an accidental one);
 //! * `Option<T>` is a presence byte then the value; `Vec<T>` (like any
 //!   slice) is a `usize` count then the elements; a `HashMap<K, V>` or
@@ -46,8 +46,9 @@
 //! What stays hand-written is the code that *checks* something: the
 //! primitives, the containers' length guards, `Az` (its constructor
 //! panics past zone `z`), `InstanceType` (private fields, built through
-//! its constructor) and `spotlight-core`'s `EpochSeries` (strict epoch
-//! order).
+//! its constructor), `spotlight-core`'s `EpochSeries` (strict epoch
+//! order) and its checkpoint-stripe read (interval positions inside the
+//! slab, binary-searched lists in order).
 //!
 //! Decoding is total: malformed input yields a [`DecodeError`], never a
 //! panic, even though in practice every payload handed to `decode` has

@@ -31,14 +31,15 @@ use crate::crc::crc32;
 pub const MAX_FRAME: usize = 1 << 26;
 
 /// Frame/file-format version stamped into every file header. Version
-/// 3 encodes `u32`/`u64`/`usize` as canonical LEB128 varints
-/// ([`crate::codec`]), frames a spill segment as one chunked section
-/// instead of a frame per record ([`crate::log`]), and lets a
+/// 4 drops a checkpoint stripe's per-market probe and revocation
+/// indices. Version 3 encodes `u32`/`u64`/`usize` as canonical LEB128
+/// varints ([`crate::codec`]), frames a spill segment as one chunked
+/// section instead of a frame per record ([`crate::log`]), and lets a
 /// checkpoint name the generation it *rotated to* as its replay floor;
 /// version 2 made a key's epoch summary sparse. The frame envelope
 /// itself has not changed since version 1. There is one decoder, so
 /// files of any other version are refused by [`strip_header`].
-pub const FORMAT_VERSION: u32 = 3;
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Byte length of a file header (`magic ++ version`).
 pub const HEADER_LEN: usize = 8;
@@ -227,9 +228,10 @@ mod tests {
         let mut wrong_version = file.clone();
         wrong_version[4] = 0xFF;
         assert!(strip_header(&wrong_version, magic::WAL).is_err());
-        // Version 1 stored epoch summaries dense and version 2 every
-        // integer fixed-width; nothing decodes either.
-        for old in [1u32, 2] {
+        // Version 1 stored epoch summaries dense, version 2 every
+        // integer fixed-width and version 3 two per-market indices per
+        // stripe; nothing decodes any of them.
+        for old in [1u32, 2, 3] {
             let mut stale = file.clone();
             stale[4..8].copy_from_slice(&old.to_le_bytes());
             assert_eq!(

@@ -3,7 +3,7 @@
 # procedure behind every perf claim and "no regression" line in
 # CHANGES.md, by hand until PR 24.
 #
-#   scripts/paired_runs.sh <parent-rev> --workload W [--seed S] [--pairs N]
+#   scripts/paired_runs.sh <parent-rev> --workload W|all [--seed S] [--pairs N]
 #                          [--seconds T] [--trace] [--cgu1] [--scratch DIR]
 #
 # Exports <parent-rev> into DIR/parent (git archive; the working tree is
@@ -15,6 +15,10 @@
 # and quartiles, the pairs the change won, and whether the move exceeds
 # the metric's bound or the parent's inter-quartile range.
 #
+#   --workload all   every workload BENCHMARK.json lists, in one series:
+#             each pair runs them all in turn, the side that goes first
+#             alternating run by run, and one table covers all of them
+#             (the no-regression evidence of a PR that claims no gain)
 #   --trace   a traced pass instead: every per-layer metric, no verdicts
 #             (per-layer numbers explain, they do not gate)
 #   --cgu1    CARGO_PROFILE_RELEASE_CODEGEN_UNITS=1 on both sides —
@@ -27,7 +31,7 @@
 set -euo pipefail
 
 if [[ ! -f benchmark/Cargo.toml || $# -lt 1 ]]; then
-    echo "usage (from the checkout's root): scripts/paired_runs.sh <parent-rev> --workload W" \
+    echo "usage (from the checkout's root): scripts/paired_runs.sh <parent-rev> --workload W|all" \
         "[--seed S] [--pairs N] [--seconds T] [--trace] [--cgu1] [--scratch DIR]" >&2
     exit 2
 fi
@@ -48,6 +52,11 @@ while [[ $# -gt 0 ]]; do
     esac
 done
 [[ -n "$workload" ]] || { echo "paired_runs.sh: --workload is required" >&2; exit 2; }
+workloads=("$workload")
+if [[ "$workload" == all ]]; then
+    mapfile -t workloads < <(python3 -c 'import json
+for w in json.load(open("BENCHMARK.json"))["workloads"]: print(w["name"])')
+fi
 parent_rev="$(git rev-parse --verify "$parent_rev^{commit}")"
 
 mkdir -p "$scratch"
@@ -73,35 +82,43 @@ build . change
 out="$scratch/runs-$workload-seed$seed-trace$trace-cgu$suffix"
 rm -rf "$out"
 mkdir -p "$out"
-run() { # <side> <pair>
-    "$scratch/target-$1-cgu$suffix/release/spotlight-e2e" \
-        --workload "$workload" --seed "$seed" --seconds "$seconds" --trace "$trace" \
-        --work-dir "$out/work-$1" --results-dir "$out/results-$1" 2>/dev/null |
-        tail -n 1 >"$out/$1-$2.json"
+run() { # <workload> <side> <pair>
+    mkdir -p "$out/$1"
+    "$scratch/target-$2-cgu$suffix/release/spotlight-e2e" \
+        --workload "$1" --seed "$seed" --seconds "$seconds" --trace "$trace" \
+        --work-dir "$out/$1/work-$2" --results-dir "$out/$1/results-$2" 2>/dev/null |
+        tail -n 1 >"$out/$1/$2-$3.json"
 }
 for ((pair = 1; pair <= pairs; pair++)); do
-    if ((pair % 2)); then order=(parent change); else order=(change parent); fi
-    for side in "${order[@]}"; do
-        run "$side" "$pair"
+    for i in "${!workloads[@]}"; do
+        # Alternates pair by pair for each workload, and between
+        # neighbouring workloads within a pair.
+        if (((pair + i) % 2)); then order=(parent change); else order=(change parent); fi
+        for side in "${order[@]}"; do
+            run "${workloads[i]}" "$side" "$pair"
+        done
+        echo "pair $pair/$pairs of ${workloads[i]} done (${order[*]})" >&2
     done
-    echo "pair $pair/$pairs done (${order[*]})" >&2
 done
 
-python3 - "$out" "$pairs" "$trace" "$parent_rev" "$workload" "$seed" "$suffix" <<'EOF'
+python3 - "$out" "$pairs" "$trace" "$parent_rev" "$seed" "$suffix" "${workloads[@]}" <<'EOF'
 import json, sys
 from statistics import median, quantiles
 
-out, pairs, trace, rev, workload, seed, cgu = sys.argv[1], int(sys.argv[2]), sys.argv[3] == "1", *sys.argv[4:]
+out, pairs, trace, rev, seed, cgu = sys.argv[1], int(sys.argv[2]), sys.argv[3] == "1", *sys.argv[4:7]
+workloads = sys.argv[7:]
 spec = json.load(open("BENCHMARK.json"))
-runs = {side: [json.load(open(f"{out}/{side}-{p}.json")) for p in range(1, pairs + 1)]
-        for side in ("parent", "change")}
-print(f"parent {rev[:7]} vs working tree, {workload}, seed {seed}, {pairs} pairs, "
+runs = {w: {side: [json.load(open(f"{out}/{w}/{side}-{p}.json")) for p in range(1, pairs + 1)]
+            for side in ("parent", "change")}
+        for w in workloads}
+print(f"parent {rev[:7]} vs working tree, {' '.join(workloads)}, seed {seed}, {pairs} pairs, "
       f"codegen-units {cgu}, trace {int(trace)}")
-for side, results in runs.items():
-    failed = sum(r["failed"] for r in results)
-    attempted = sum(r["attempted"] for r in results)
-    wrong = sum(not r["correct"] for r in results)
-    print(f"  {side}: {failed} of {attempted} operations failed, {wrong} runs incorrect")
+for w in workloads:
+    for side, results in runs[w].items():
+        failed = sum(r["failed"] for r in results)
+        attempted = sum(r["attempted"] for r in results)
+        wrong = sum(not r["correct"] for r in results)
+        print(f"  {w} {side}: {failed} of {attempted} operations failed, {wrong} runs incorrect")
 
 def quartiles(values):
     if len(values) < 2:
@@ -110,17 +127,18 @@ def quartiles(values):
     return q[0], q[2]
 
 end_to_end = {m["name"]: m for m in spec["end_to_end"]}
-names = [n for n in runs["parent"][0]["metrics"] if trace or n in end_to_end]
-print(f"{'metric':32} {'parent median [q1, q3]':>36} {'change median [q1, q3]':>36} {'move':>8}  verdict")
-for name in names:
-    p = [r["metrics"][name]["value"] for r in runs["parent"] if name in r["metrics"]]
-    c = [r["metrics"][name]["value"] for r in runs["change"] if name in r["metrics"]]
+print(f"{'workload':15} {'metric':32} {'parent median [q1, q3]':>36} {'change median [q1, q3]':>36}"
+      f" {'move':>8}  verdict")
+rows = [(w, n) for w in workloads for n in runs[w]["parent"][0]["metrics"] if trace or n in end_to_end]
+for w, name in rows:
+    p = [r["metrics"][name]["value"] for r in runs[w]["parent"] if name in r["metrics"]]
+    c = [r["metrics"][name]["value"] for r in runs[w]["change"] if name in r["metrics"]]
     if not p or not c:
         continue
     (p1, p3), (c1, c3) = quartiles(p), quartiles(c)
     pm, cm = median(p), median(c)
     move = (cm - pm) / pm if pm else 0.0
-    cells = (f"{name:32} " + f"{pm:.6g} [{p1:.6g}, {p3:.6g}]".rjust(36) + " "
+    cells = (f"{w:15} {name:32} " + f"{pm:.6g} [{p1:.6g}, {p3:.6g}]".rjust(36) + " "
              + f"{cm:.6g} [{c1:.6g}, {c3:.6g}]".rjust(36) + f" {move:+8.1%}")
     if name not in end_to_end:
         print(cells)

@@ -266,7 +266,7 @@ fn service_history(api_calls_per_minute: Option<u32>) -> (LiveReport, Vec<Market
         .markets()
         .iter()
         .map(|&m| {
-            let probes = s.probes_of(m).copied().collect();
+            let probes = s.probes().filter(|p| p.market == m).copied().collect();
             let spikes = s.spikes().filter(|sp| sp.market == m).copied().collect();
             (m, probes, spikes)
         })

@@ -180,11 +180,10 @@ proptest! {
 
 // ---- store indices vs full-scan oracle --------------------------------
 //
-// The indexed store (per-market probe slices, per-(market, kind)
-// interval and rejection indices, running probe counters) must answer
-// exactly like a naive scan over the append-only log, on any insert
-// sequence — including out-of-order timestamps, which live mode can
-// produce.
+// The indexed store (per-(market, kind) interval and rejection indices,
+// running probe counters, the probed-market list) must answer exactly
+// like a naive scan over the append-only log, on any insert sequence —
+// including out-of-order timestamps, which live mode can produce.
 
 fn all_markets() -> Vec<MarketId> {
     let mut v = Vec::new();
@@ -225,41 +224,34 @@ fn any_probe() -> impl Strategy<Value = ProbeRecord> {
         })
 }
 
+/// `probed_markets()`, sorted, against the distinct markets of `seq`:
+/// every market once — two kinds of one market are one entry.
+fn assert_probed_markets_are(read: &StoreRead<'_>, seq: &[ProbeRecord], what: &str) {
+    let mut listed: Vec<MarketId> = read.probed_markets().collect();
+    listed.sort_unstable();
+    let mut distinct: Vec<MarketId> = seq.iter().map(|p| p.market).collect();
+    distinct.sort_unstable();
+    distinct.dedup();
+    assert_eq!(listed, distinct, "{what}: probed markets");
+}
+
 proptest! {
     #[test]
     fn indexed_probe_queries_agree_with_scan_oracle(
         seq in proptest::collection::vec(any_probe(), 0..150),
-        from in 0u64..50_000,
-        width in 0u64..20_000,
     ) {
-        let store = DataStore::new();
+        use spotlight_core::durable::DurableOptions;
+        use spotlight_persist::tempdir::TempDir;
+
+        let tmp = TempDir::new("indexed-oracle");
+        let dir = tmp.path().join("store");
+        let store = DataStore::create_durable(&dir, DurableOptions::default()).expect("create");
         for p in &seq {
             store.record_probe(*p);
         }
         let read = store.read();
-        let from = SimTime::from_secs(from);
-        let to = SimTime::from_secs(from.as_secs() + width);
+        assert_probed_markets_are(&read, &seq, "as recorded");
         for market in all_markets() {
-            // probes_of: same multiset as a full scan, sorted by time.
-            let indexed: Vec<SimTime> = read.probes_of(market).map(|p| p.at).collect();
-            let mut oracle: Vec<SimTime> = read
-                .probes()
-                .filter(|p| p.market == market)
-                .map(|p| p.at)
-                .collect();
-            oracle.sort();
-            prop_assert_eq!(&indexed, &oracle, "probes_of({})", market);
-
-            // probes_between: binary-search range == scan filter.
-            let ranged: Vec<SimTime> =
-                read.probes_between(market, from, to).map(|p| p.at).collect();
-            let range_oracle: Vec<SimTime> = oracle
-                .iter()
-                .copied()
-                .filter(|&t| t >= from && t <= to)
-                .collect();
-            prop_assert_eq!(&ranged, &range_oracle, "probes_between({})", market);
-
             for kind in [ProbeKind::OnDemand, ProbeKind::Spot] {
                 // rejection_times: sorted rejected-probe timestamps.
                 let mut rej_oracle: Vec<SimTime> = read
@@ -302,6 +294,15 @@ proptest! {
                 prop_assert_eq!(by_index, by_scan);
             }
         }
+        drop(read);
+        // The market list is a lifetime fact: it survives a compaction
+        // that drops every raw probe, and a checkpoint + recovery.
+        store.compact(SimTime::MAX);
+        assert_probed_markets_are(&store.read(), &seq, "after compact");
+        store.checkpoint().expect("checkpoint");
+        drop(store);
+        let recovered = DataStore::recover(&dir).expect("recover");
+        assert_probed_markets_are(&recovered.read(), &seq, "after recovery");
     }
 
     #[test]
@@ -515,7 +516,7 @@ proptest! {
 // ---- capture isolation ------------------------------------------------
 //
 // A capture — a snapshot, or the view `DataStore::read` returns — is a
-// shallow clone that shares record chunks, per-market indices and
+// shallow clone that shares record chunks, spike-ratio buckets and
 // per-key state with the store it was taken from; ingest and
 // compaction copy on first write whatever a capture still holds. So
 // nothing done to the store after a capture — however much, and
@@ -633,7 +634,12 @@ fn assert_same_answers(g: &StoreRead<'_>, w: &StoreRead<'_>, spans: &[(u64, u64)
     assert!(g.spikes().eq(w.spikes()), "{what}: raw spikes");
     assert!(g.intrinsic_bids().eq(w.intrinsic_bids()), "{what}: bids");
     for m in all_markets() {
-        assert!(g.probes_of(m).eq(w.probes_of(m)), "{what}: probes_of {m}");
+        let (gp, wp) = (g.probes(), w.probes());
+        assert!(
+            gp.filter(|p| p.market == m)
+                .eq(wp.filter(|p| p.market == m)),
+            "{what}: probes of {m}"
+        );
         assert!(
             g.intrinsic_bids_of(m)
                 .eq(w.intrinsic_bids().filter(|r| r.market == m)),
