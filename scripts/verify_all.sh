@@ -2,7 +2,7 @@
 # The full verify path of ROADMAP.md, in its order, stopping at the
 # first failing step: every tests/ and examples/ file bound to a crate,
 # format, lints, rustdoc (no broken or private intra-doc link), tier-1
-# build + tests, the benchmark package's own
+# build + tests, the `repro all` golden, the benchmark package's own
 # tests (it must compile unmodified against the crates), the benchmark
 # itself, then the four smokes.
 #
@@ -49,6 +49,7 @@ step cargo clippy --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" step cargo doc --no-deps --offline
 step cargo build --release
 step cargo test -q
+step scripts/repro_golden.sh
 (cd benchmark && step cargo test --release --offline)
 $restore_lock
 step benchmark/run.sh
