@@ -16,7 +16,7 @@ use crate::stats::{BucketedRate, Ecdf};
 use crate::store::StoreRead;
 use cloud_sim::ids::{Family, MarketId, Region};
 use cloud_sim::time::{SimDuration, SimTime};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// The paper's spike-size thresholds: ≥0×, ≥1×, …, ≥10× on-demand.
 pub fn spike_thresholds() -> Vec<f64> {
@@ -147,10 +147,10 @@ pub fn spike_unavailability(
 /// region, per spike-size bucket. Returns `(edges, region → share per
 /// bucket)`; shares within one bucket sum to 1 (when it has any
 /// rejections).
-pub fn regional_rejection_share(store: &StoreRead<'_>) -> (Vec<f64>, HashMap<Region, Vec<f64>>) {
+pub fn regional_rejection_share(store: &StoreRead<'_>) -> (Vec<f64>, BTreeMap<Region, Vec<f64>>) {
     let edges = spike_thresholds();
     let probe_bucket = BucketedRate::new(&edges);
-    let mut counts: HashMap<Region, Vec<u64>> = HashMap::new();
+    let mut counts: BTreeMap<Region, Vec<u64>> = BTreeMap::new();
     let mut totals = vec![0u64; edges.len()];
     for p in store.probes() {
         if p.kind != ProbeKind::OnDemand || p.outcome != ProbeOutcome::InsufficientCapacity {
@@ -310,10 +310,10 @@ pub fn spot_cna_curve(store: &StoreRead<'_>, region: Option<Region>) -> Vec<Curv
 /// Figure 5.11: where spot capacity-not-available events land, as a
 /// share per region per price bucket. Returns `(edges, region →
 /// share-of-all-CNA per bucket)`.
-pub fn spot_cna_distribution(store: &StoreRead<'_>) -> (Vec<f64>, HashMap<Region, Vec<f64>>) {
+pub fn spot_cna_distribution(store: &StoreRead<'_>) -> (Vec<f64>, BTreeMap<Region, Vec<f64>>) {
     let edges = spot_ratio_buckets();
     let bucketer = BucketedRate::new(&edges);
-    let mut counts: HashMap<Region, Vec<u64>> = HashMap::new();
+    let mut counts: BTreeMap<Region, Vec<u64>> = BTreeMap::new();
     let mut total = 0u64;
     for p in store.probes() {
         use crate::probe::ProbeTrigger;
@@ -350,7 +350,7 @@ pub fn spot_cna_distribution(store: &StoreRead<'_>) -> (Vec<f64>, HashMap<Region
 }
 
 /// The four relations of Figure 5.12.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum CrossRelation {
     /// On-demand detection → related on-demand unavailability.
     OdOd,
@@ -388,10 +388,10 @@ impl CrossRelation {
 pub fn cross_market_unavailability(
     store: &StoreRead<'_>,
     windows: &[SimDuration],
-) -> HashMap<CrossRelation, Vec<f64>> {
+) -> BTreeMap<CrossRelation, Vec<f64>> {
     let od_idx = detections_by_group(store, ProbeKind::OnDemand);
     let spot_idx = detections_by_group(store, ProbeKind::Spot);
-    let mut out: HashMap<CrossRelation, Vec<f64>> = HashMap::new();
+    let mut out: BTreeMap<CrossRelation, Vec<f64>> = BTreeMap::new();
 
     for relation in CrossRelation::ALL {
         let (from_kind, to_idx) = match relation {

@@ -19,7 +19,7 @@ use crate::snapshot::StoreSnapshot;
 use crate::store::{KeyRef, StoreRead};
 use cloud_sim::ids::{MarketId, Region};
 use cloud_sim::time::{SimDuration, SimTime};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Availability summary of one market and contract kind.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -521,17 +521,18 @@ impl<'a> SpotLightQuery<'a> {
     }
 
     /// Each region's raw count of rejected on-demand probes over the
-    /// store's lifetime, written into `out` (cleared first; unordered; a
-    /// region without a rejection has no entry) — a quick "where is the
-    /// cloud under-provisioned" view (§5.2.2) served from the stripes'
-    /// running counters without allocating a fresh map per call. The
-    /// query span does not select the probes counted.
-    pub fn rejection_counts_by_region_into(&self, out: &mut HashMap<Region, u64>) {
+    /// store's lifetime, written into `out` (replaced; filled in region
+    /// order, so a `BTreeMap` or any ordered sink iterates the same on
+    /// every run; a region without a rejection has no entry) — a quick
+    /// "where is the cloud under-provisioned" view (§5.2.2) served from
+    /// the stripes' running counters. The query span does not select
+    /// the probes counted.
+    pub fn rejection_counts_by_region_into<M: Default + Extend<(Region, u64)>>(&self, out: &mut M) {
         self.store.od_rejections_into(out);
     }
 
     /// [`Self::rejection_counts_by_region_into`] as a fresh map.
-    pub fn rejection_counts_by_region(&self) -> HashMap<Region, u64> {
+    pub fn rejection_counts_by_region(&self) -> BTreeMap<Region, u64> {
         self.store.od_rejections_by_region()
     }
 
@@ -711,9 +712,9 @@ mod tests {
         let mut durations = vec![SimDuration::from_secs(999)];
         q.unavailability_durations_into(ProbeKind::OnDemand, &mut durations);
         assert_eq!(durations, vec![SimDuration::from_secs(600)]);
-        let mut counts = HashMap::from([(Region::UsWest1, 42u64)]);
+        let mut counts = BTreeMap::from([(Region::UsWest1, 42u64)]);
         q.rejection_counts_by_region_into(&mut counts);
-        assert_eq!(counts, HashMap::from([(Region::UsEast1, 1u64)]));
+        assert_eq!(counts, BTreeMap::from([(Region::UsEast1, 1u64)]));
         assert_eq!(counts, q.rejection_counts_by_region());
     }
 

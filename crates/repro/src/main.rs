@@ -101,9 +101,8 @@ fn with_study(args: &Args, f: impl FnOnce(&Study, &std::path::Path)) {
             db.intervals().count(),
             db.total_cost(),
         );
-        // Buffer-reusing query variants: one Vec/map serves both lines.
-        // (`--days 0` yields an empty span, which the query interface
-        // rejects — skip the summary rather than crash.)
+        // `--days 0` yields an empty span, which the query interface
+        // rejects — skip the summary rather than crash.
         if study.end > study.start {
             let query = spotlight_core::query::SpotLightQuery::new(&db, study.start, study.end);
             let mut outages = Vec::new();
@@ -111,9 +110,8 @@ fn with_study(args: &Args, f: impl FnOnce(&Study, &std::path::Path)) {
                 spotlight_core::probe::ProbeKind::OnDemand,
                 &mut outages,
             );
-            let mut rejections = std::collections::HashMap::new();
-            query.rejection_counts_by_region_into(&mut rejections);
-            let mut by_region: Vec<_> = rejections.into_iter().collect();
+            let mut by_region: Vec<_> = query.rejection_counts_by_region().into_iter().collect();
+            // Region order, then a stable sort: count ties stay in it.
             by_region.sort_by_key(|&(_, n)| std::cmp::Reverse(n));
             eprintln!(
                 "  {} closed od outages; busiest rejection regions: {}",
