@@ -12,9 +12,9 @@
 //!   a task of one [`WorkerPool::scope`], whose join barrier holds the
 //!   clock until all are done. Whatever else must ride that clock (a
 //!   publisher, a checkpointer, a shutdown) goes between two `step`s;
-//! * **region managers** (one per region, concurrent within a step) run
-//!   the spike-triggered probing policy against the shared cloud,
-//!   keeping their own re-probe (recovery) schedules.
+//! * **region managers** (one per region, concurrent within a step) each
+//!   run their region's instance of the policy the engine's
+//!   [`crate::spotlight::SpotLight`] hosts, through their own transport.
 //!
 //! # The retry/breaker pipeline
 //!
@@ -29,10 +29,11 @@
 //! 2. **Backoff queue** — retryable failures re-enter a per-region
 //!    pending queue with jittered exponential backoff and a per-probe
 //!    attempt budget ([`ResilienceConfig::retry_budget`]); only when the
-//!    budget is exhausted is the probe recorded as
-//!    [`ProbeOutcome::ApiLimited`]. The queue is bounded
+//!    budget is exhausted is the probe answered
+//!    [`crate::probe::ProbeOutcome::ApiLimited`]. The queue is bounded
 //!    ([`ResilienceConfig::max_pending`]); overflow abandons the oldest
-//!    intent (counted, and recorded as suppressed).
+//!    intent (counted, and recorded as suppressed). A parked probe that
+//!    lands, and the spike it confirms, carry the time of that tick.
 //! 3. **Circuit breaker** — consecutive transport failures trip a
 //!    per-region breaker: the worker stops hammering the dead endpoint,
 //!    marks the region degraded in the store
@@ -41,66 +42,65 @@
 //!    breaker and marks the region recovered, so staleness-aware
 //!    queries ([`crate::query::SpotLightQuery::freshness`]) can tell
 //!    "available" from "we could not look".
-//! 4. **Orphan reaping** — an on-demand probe whose launch succeeded but
-//!    whose terminate failed would leak a service-limit slot forever;
-//!    such instances enter a worker-local orphan list retried every
-//!    batch.
+//! 4. **Orphan reaping** — a probe whose launch (or spot request)
+//!    succeeded but whose terminate (or cancel) failed would hold a
+//!    service-limit slot forever; such resources enter a worker-local
+//!    orphan list retried every batch.
 //! 5. **Supervision** — each region manager catches panics at the batch
 //!    boundary: a crash while handling one tick's events is counted
 //!    ([`LiveReport::worker_panics`]), fed to the circuit breaker, and
-//!    the manager carries on with its pending queue, recovery schedule,
-//!    and orphan list intact. A manager is a plain value the driver
-//!    owns, not a thread: nothing can die between batches.
+//!    the manager carries on with its pending queue, policy state, wake
+//!    list, and orphan list intact. A manager is a plain value the
+//!    driver owns, not a thread: nothing can die between batches.
 //!
 //! The driver also tends the store's durability each tick
 //! ([`crate::store::DataStore::tend_durability`]): when disk faults
 //! degrade the durable log, heals — WAL re-establishment plus a full
 //! checkpoint — run on the driver's clock, never on an ingest path.
 //!
-//! Provider-pushed [`cloud_sim::cloud::CloudEvent::CapacityEvictionNotice`]
-//! events are recorded as free [`ProbeKind::InterruptionNotice`] records,
-//! so eviction signals sit in the store alongside probe-derived
-//! observations.
-//!
 //! The paper's *database manager* — a thread serializing every write —
 //! is subsumed by the lock-striped [`SharedStore`]: region managers
 //! record probes and spikes directly, and only writers hitting the same
 //! market-hash stripe contend. Each worker also keeps its own clone of
-//! the immutable catalog, so price/sibling lookups never touch the
-//! cloud lock; the cloud is locked only for the API calls that actually
-//! mutate it.
+//! the immutable catalog, so price and sibling lookups never touch the
+//! cloud lock; the cloud is locked only for API calls and published
+//! prices.
 //!
-//! The engine-hosted [`crate::spotlight::SpotLight`] agent is the
-//! single-threaded twin of this deployment; the live mode exists to
-//! demonstrate and test the concurrent architecture (pool tasks,
-//! [`crate::sync::Mutex`] for the cloud, the store's internal
-//! [`crate::sync::RwLock`] stripes). A region manager's calls touch
-//! only its own region's shard, token bucket, chaos stream and jitter
-//! RNG, so each market's probe and spike history and the [`LiveReport`]
-//! (but for its wall-clock-batched fsync count) are seed-deterministic
-//! at any interleaving; the order in which *different* regions' records
-//! land in the store's slabs is not.
+//! # The engine twin
+//!
+//! A manager handles a tick's events before the wake-ups due at it, as
+//! the engine does; a wake-up between two ticks lands on the next one.
+//! With no faults and an API limit that cannot bind nothing is parked,
+//! and a live run records the per-market probe and spike histories of an
+//! engine run without spot checks, spot probes included
+//! (`tests/live_mode.rs::live_and_engine_hosts_record_identical_histories`).
+//! A manager's calls touch only its region's shard, token bucket, chaos
+//! stream, sampling stream (seeded from the run's seed and the region)
+//! and jitter RNG, so those histories and the [`LiveReport`] (but for its
+//! wall-clock-batched fsync count) are seed-deterministic at any
+//! interleaving; the order of *different* regions' records in the
+//! store's slabs is not.
 
 use crate::policy::PolicyConfig;
-use crate::probe::{ProbeKind, ProbeOutcome, ProbeRecord, ProbeTrigger};
-use crate::store::{SharedStore, SpikeEvent};
+use crate::spotlight::{call, Answer, Orphan, Policy, Port, Probe, API_LIMITED};
+use crate::store::SharedStore;
 use crate::sync::Mutex;
-use cloud_sim::api::ApiError;
 use cloud_sim::catalog::Catalog;
 use cloud_sim::cloud::{Cloud, CloudEvent};
-use cloud_sim::ids::{InstanceId, MarketId, Region};
+use cloud_sim::ids::{MarketId, Region};
 use cloud_sim::price::Price;
 use cloud_sim::rng::SimRng;
 use cloud_sim::time::{SimDuration, SimTime};
 use spotlight_pool::WorkerPool;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// Knobs of the per-region retry/breaker pipeline.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResilienceConfig {
     /// Maximum transport attempts per probe (first try + retries).
     /// When exhausted the probe is recorded as
-    /// [`ProbeOutcome::ApiLimited`].
+    /// [`crate::probe::ProbeOutcome::ApiLimited`].
     pub retry_budget: u32,
     /// Base backoff delay; attempt `n` waits `base × 2^n`, jittered
     /// ±50%, capped at [`ResilienceConfig::retry_cap`].
@@ -222,13 +222,12 @@ pub struct LiveReport {
     pub durability_lost: Option<SimTime>,
 }
 
-/// A probe intent waiting in the backoff queue.
+/// A probe waiting in the backoff queue.
 #[derive(Debug, Clone, Copy)]
 struct PendingProbe {
-    market: MarketId,
-    trigger: ProbeTrigger,
+    probe: Probe,
     due: SimTime,
-    /// Transport attempts already spent on this intent.
+    /// Transport attempts already spent on this probe.
     attempt: u32,
 }
 
@@ -247,7 +246,6 @@ enum Breaker {
 /// The robustness counters one worker accumulates.
 #[derive(Debug, Default, Clone, Copy)]
 struct WorkerStats {
-    probes_issued: usize,
     retries_issued: u64,
     probes_abandoned: u64,
     breaker_trips: u64,
@@ -255,26 +253,27 @@ struct WorkerStats {
     worker_panics: u64,
 }
 
-/// One region manager's probing state.
+/// One region manager, less its policy: the retry/breaker transport the
+/// policy's attempts go through (its [`Port`]), the wake-ups the policy
+/// asked for, and the supervision of each batch.
 struct RegionWorker {
     region: Region,
-    policy: PolicyConfig,
     resilience: ResilienceConfig,
     /// The immutable market catalog, cloned once at construction so
     /// lookups need no cloud lock.
     catalog: Catalog,
     store: SharedStore,
-    cooldown_until: HashMap<MarketId, SimTime>,
-    /// Markets awaiting recovery, with their next re-probe time.
-    /// Iterated to order a tick's recovery probes — and under a binding
-    /// API limit the order decides which probe is throttled — so it is
-    /// an ordered map: same seed, same probes.
-    recovery_due: BTreeMap<MarketId, SimTime>,
-    /// Probe intents waiting out a backoff or an open breaker.
+    cloud: Arc<Mutex<Cloud>>,
+    /// The tick being handled, set with each batch.
+    now: SimTime,
+    /// The policy's wake-ups by `(time, token)`: tokens rise in the
+    /// order they were asked for, so this is the engine's order too.
+    wakes: BTreeSet<(SimTime, u64)>,
+    /// Probes waiting out a backoff or an open breaker.
     pending: Vec<PendingProbe>,
-    /// Launched instances whose terminate call failed; retried every
-    /// batch so they cannot leak service-limit slots.
-    orphans: Vec<InstanceId>,
+    /// What probes could not release; retried every batch so it cannot
+    /// leak service-limit slots.
+    orphans: Vec<Orphan>,
     breaker: Breaker,
     consecutive_failures: u32,
     /// Start of the current degraded episode, while one is open.
@@ -289,31 +288,50 @@ struct RegionWorker {
     batch: Vec<CloudEvent>,
 }
 
-/// What one transport attempt produced.
-enum Attempt {
-    /// The endpoint answered (any answer, including a capacity
-    /// rejection or a terminal error): record this outcome.
-    Answered(ProbeOutcome, Price),
-    /// The endpoint itself failed (throttle/outage/transient): retry.
-    Failed,
+impl Port for RegionWorker {
+    fn now(&self) -> SimTime {
+        self.now
+    }
+
+    fn catalog(&self) -> &Catalog {
+        &self.catalog
+    }
+
+    fn published_price(&self, market: MarketId) -> Option<Price> {
+        self.cloud.lock().oracle_published_price(market)
+    }
+
+    /// `None` when the attempt was parked for a retry.
+    fn attempt(&mut self, probe: Probe) -> Option<Answer> {
+        let due = self.now;
+        self.send(PendingProbe {
+            probe,
+            due,
+            attempt: 0,
+        })
+    }
+
+    fn wake_at(&mut self, at: SimTime, token: u64) {
+        self.wakes.insert((at, token));
+    }
 }
 
 impl RegionWorker {
     fn new(
         region: Region,
-        policy: &PolicyConfig,
         resilience: &ResilienceConfig,
-        catalog: Catalog,
         store: SharedStore,
+        cloud: Arc<Mutex<Cloud>>,
     ) -> Self {
+        let catalog = cloud.lock().catalog().clone();
         RegionWorker {
             region,
-            policy: policy.clone(),
             resilience: resilience.clone(),
             catalog,
             store,
-            cooldown_until: HashMap::new(),
-            recovery_due: BTreeMap::new(),
+            cloud,
+            now: SimTime::ZERO,
+            wakes: BTreeSet::new(),
             pending: Vec::new(),
             orphans: Vec::new(),
             breaker: Breaker::Closed,
@@ -326,25 +344,11 @@ impl RegionWorker {
         }
     }
 
-    fn probe_od(
-        &mut self,
-        cloud: &Mutex<Cloud>,
-        market: MarketId,
-        trigger: ProbeTrigger,
-        now: SimTime,
-    ) {
-        let intent = PendingProbe {
-            market,
-            trigger,
-            due: now,
-            attempt: 0,
-        };
-        self.probe_od_attempt(cloud, intent, now);
-    }
-
     /// Spends one transport attempt on `intent` — none while the breaker
-    /// is open — and records the answer, re-queues, or gives up.
-    fn probe_od_attempt(&mut self, cloud: &Mutex<Cloud>, mut intent: PendingProbe, now: SimTime) {
+    /// is open — and returns the answer, or re-queues the intent and
+    /// returns `None`.
+    fn send(&mut self, mut intent: PendingProbe) -> Option<Answer> {
+        let now = self.now;
         if !self.breaker_allows(now) {
             // No attempt is spent while the breaker is open — the
             // intent waits for the half-open trial window.
@@ -353,94 +357,33 @@ impl RegionWorker {
                 _ => now + self.resilience.retry_base,
             };
             self.enqueue(intent);
-            return;
+            return None;
         }
-        let market = intent.market;
-        let od_price = self.catalog.od_price(market);
-        // Cloud critical section: just the API call and the price read.
-        let (attempt_result, spot_ratio) = {
-            let mut cloud = cloud.lock();
-            let result = match cloud.run_od_instance(market) {
-                Ok(id) => match cloud.terminate_od_instance(id) {
-                    Ok(cost) => Attempt::Answered(ProbeOutcome::Fulfilled, cost),
-                    Err(e) => {
-                        // The observation stands (the launch succeeded;
-                        // the one-hour minimum is the best cost
-                        // estimate), but the instance now occupies a
-                        // service-limit slot until the reaper frees it.
-                        if e.is_retryable() {
-                            self.orphans.push(id);
-                        }
-                        Attempt::Answered(ProbeOutcome::Fulfilled, od_price)
-                    }
-                },
-                Err(ApiError::InsufficientInstanceCapacity { .. }) => {
-                    Attempt::Answered(ProbeOutcome::InsufficientCapacity, Price::ZERO)
-                }
-                Err(e) if e.is_retryable() => Attempt::Failed,
-                Err(_) => Attempt::Answered(ProbeOutcome::ApiLimited, Price::ZERO),
-            };
-            let spot_ratio = cloud
-                .oracle_published_price(market)
-                .map_or(0.0, |p| p.ratio_to(od_price));
-            (result, spot_ratio)
-        };
-        let (outcome, cost) = match attempt_result {
-            Attempt::Answered(outcome, cost) => {
-                self.on_transport_success(now);
-                (outcome, cost)
+        // Cloud critical section: just the API calls.
+        let result = call(&mut self.cloud.lock(), intent.probe);
+        let answer = match result {
+            Ok((answer, orphan)) => {
+                self.orphans.extend(orphan);
+                answer
             }
-            Attempt::Failed => {
+            Err(e) if e.is_retryable() => {
                 self.on_transport_failure(now);
                 if intent.attempt + 1 < self.resilience.retry_budget {
                     intent.due = now + self.backoff(intent.attempt);
                     intent.attempt += 1;
                     self.enqueue(intent);
-                    return;
+                    return None;
                 }
                 // Budget exhausted: the missing observation is
-                // recorded as the probe having been squeezed out.
-                (ProbeOutcome::ApiLimited, Price::ZERO)
+                // answered as the probe having been squeezed out.
+                return Some(API_LIMITED);
             }
+            // A terminal error is the endpoint's answer, with no
+            // availability information in it.
+            Err(_) => API_LIMITED,
         };
-        self.record(market, intent.trigger, outcome, spot_ratio, cost, now);
-    }
-
-    /// Records a probe outcome and maintains the recovery schedule.
-    /// The single `record_probe` call site keeps `probes_issued` equal
-    /// to the store's record count for this worker.
-    fn record(
-        &mut self,
-        market: MarketId,
-        trigger: ProbeTrigger,
-        outcome: ProbeOutcome,
-        spot_ratio: f64,
-        cost: Price,
-        now: SimTime,
-    ) {
-        self.stats.probes_issued += 1;
-        // Direct striped write: locks only this market's stripe.
-        self.store.record_probe(ProbeRecord {
-            at: now,
-            market,
-            kind: ProbeKind::OnDemand,
-            trigger,
-            outcome,
-            spot_ratio,
-            bid: None,
-            cost,
-        });
-        match outcome {
-            ProbeOutcome::InsufficientCapacity => {
-                self.recovery_due
-                    .entry(market)
-                    .or_insert(now + self.policy.reprobe_interval);
-            }
-            ProbeOutcome::Fulfilled => {
-                self.recovery_due.remove(&market);
-            }
-            _ => {}
-        }
+        self.on_transport_success(now);
+        Some(answer)
     }
 
     /// The jittered exponential backoff delay of the given attempt.
@@ -511,152 +454,74 @@ impl RegionWorker {
         }
     }
 
-    /// Retries terminate calls for instances whose first terminate
-    /// failed. Keeps only the ones that fail retryably again.
-    fn reap_orphans(&mut self, cloud: &Mutex<Cloud>, now: SimTime) {
-        if self.orphans.is_empty() || !self.breaker_allows(now) {
+    /// Retries the release of every orphan. Keeps only the ones that
+    /// fail retryably again.
+    fn reap_orphans(&mut self) {
+        if self.orphans.is_empty() || !self.breaker_allows(self.now) {
             return;
         }
-        let orphans = std::mem::take(&mut self.orphans);
-        let mut cloud = cloud.lock();
-        for id in orphans {
-            match cloud.terminate_od_instance(id) {
-                Err(e) if e.is_retryable() => self.orphans.push(id),
-                // Terminated (the duplicate charge supersedes the
-                // estimate already recorded) or gone: either way the
-                // slot is free.
-                _ => {}
+        let mut cloud = self.cloud.lock();
+        // Released (a duplicate charge supersedes the estimate already
+        // recorded) or gone: either way the slot is free.
+        self.orphans
+            .retain(|orphan| orphan.release(&mut cloud).is_err_and(|e| e.is_retryable()));
+    }
+
+    /// Dispatches the pending probes that have come due, answering the
+    /// ones that land into `policy`; the rest, and any a dispatch
+    /// re-queues, wait on.
+    fn dispatch_due(&mut self, policy: &mut Policy) {
+        let now = self.now;
+        let (due, waiting): (Vec<_>, Vec<_>) = std::mem::take(&mut self.pending)
+            .into_iter()
+            .partition(|p| p.due <= now);
+        self.pending = waiting;
+        for p in due {
+            if p.attempt > 0 {
+                self.stats.retries_issued += 1;
+            }
+            if let Some(answer) = self.send(p) {
+                policy.on_answer(self, p.probe, answer);
             }
         }
     }
 
-    /// Dispatches pending probes that have come due. Dispatching can
-    /// re-enqueue (breaker still open, next backoff step), so it runs
-    /// over a drained snapshot.
-    fn dispatch_due(&mut self, cloud: &Mutex<Cloud>, now: SimTime) {
-        if self.pending.iter().all(|p| p.due > now) {
-            return;
-        }
-        let mut queue = std::mem::take(&mut self.pending);
-        let mut i = 0;
-        while i < queue.len() {
-            if queue[i].due <= now {
-                let p = queue.swap_remove(i);
-                if p.attempt > 0 {
-                    self.stats.retries_issued += 1;
-                }
-                self.probe_od_attempt(cloud, p, now);
-            } else {
-                i += 1;
-            }
-        }
-        // Anything probe_od_attempt re-enqueued joins the survivors.
-        queue.append(&mut self.pending);
-        self.pending = queue;
+    /// Takes the next wake-up due by the tick being handled.
+    fn due_wake(&mut self) -> Option<u64> {
+        self.wakes.first().filter(|&&(at, _)| at <= self.now)?;
+        self.wakes.pop_first().map(|(_, token)| token)
     }
 
-    fn handle_events(&mut self, cloud: &Mutex<Cloud>, events: &[CloudEvent], now: SimTime) {
+    fn handle_events(&mut self, policy: &mut Policy, events: &[CloudEvent]) {
         self.batches_handled += 1;
         if let Some(period) = self.resilience.chaos_panic_period {
             if self.batches_handled.is_multiple_of(period) {
                 panic!("chaos: injected worker panic (region {:?})", self.region);
             }
         }
-        self.reap_orphans(cloud, now);
-        self.dispatch_due(cloud, now);
-
-        // Due recovery probes (the batch cadence is the tick).
-        let due: Vec<MarketId> = self
-            .recovery_due
-            .iter()
-            .filter(|&(_, &t)| t <= now)
-            .map(|(&m, _)| m)
-            .collect();
-        for market in due {
-            self.recovery_due
-                .insert(market, now + self.policy.reprobe_interval);
-            self.probe_od(cloud, market, ProbeTrigger::Recovery, now);
+        self.reap_orphans();
+        self.dispatch_due(policy);
+        for event in events {
+            policy.on_event(self, event);
         }
-
-        for &event in events {
-            let (market, price) = match event {
-                CloudEvent::PriceChange { market, price, .. } => (market, price),
-                CloudEvent::CapacityEvictionNotice {
-                    market, evict_at, ..
-                } => {
-                    // A provider-pushed interruption notice: a free
-                    // observation, recorded without any API call.
-                    self.stats.probes_issued += 1;
-                    self.store.record_probe(ProbeRecord {
-                        at: now,
-                        market,
-                        kind: ProbeKind::InterruptionNotice,
-                        trigger: ProbeTrigger::EvictionNotice { evict_at },
-                        outcome: ProbeOutcome::CapacityNotAvailable,
-                        spot_ratio: 0.0,
-                        bid: None,
-                        cost: Price::ZERO,
-                    });
-                    continue;
-                }
-                _ => continue,
-            };
-            debug_assert_eq!(market.region(), self.region);
-            let ratio = price.ratio_to(self.catalog.od_price(market));
-            if ratio < self.policy.spike_threshold {
-                continue;
-            }
-            if self
-                .cooldown_until
-                .get(&market)
-                .is_some_and(|&until| now < until)
-            {
-                continue;
-            }
-            self.cooldown_until
-                .insert(market, now + self.policy.market_cooldown);
-            self.store.record_spike(SpikeEvent {
-                market,
-                at: now,
-                ratio,
-                probed: true,
-            });
-            self.probe_od(cloud, market, ProbeTrigger::PriceSpike { ratio }, now);
-
-            // Fan out while we still believe the market is unavailable.
-            if self.recovery_due.contains_key(&market) {
-                if self.policy.family_fanout {
-                    let trigger = ProbeTrigger::FamilyFanout {
-                        origin: market,
-                        origin_ratio: ratio,
-                    };
-                    for sibling in self.catalog.family_siblings(market) {
-                        self.probe_od(cloud, sibling, trigger, now);
-                    }
-                }
-                if self.policy.cross_az_fanout {
-                    let trigger = ProbeTrigger::CrossAzFanout {
-                        origin: market,
-                        origin_ratio: ratio,
-                    };
-                    for sibling in self.catalog.az_siblings(market) {
-                        self.probe_od(cloud, sibling, trigger, now);
-                    }
-                }
-            }
+        // The engine's order: a tick's events before its wake-ups.
+        while let Some(token) = self.due_wake() {
+            policy.on_wake(self, token);
         }
     }
 
-    /// Handles the batch the driver routed here, supervised: a panic
-    /// while handling one batch must not take the region manager down.
-    /// The worker keeps its pending queue, recovery schedule, and orphan
-    /// list; the panic is counted and fed to the circuit breaker like
-    /// any other transport-layer failure, so a persistently-crashing
-    /// region backs off instead of crash-looping at full speed.
-    fn handle_batch(&mut self, cloud: &Mutex<Cloud>, now: SimTime) {
+    /// Handles the batch the driver routed here at tick `now`,
+    /// supervised: a panic while handling one batch must not take the
+    /// region manager down. The worker keeps its pending queue, wake
+    /// list, and orphan list, and `policy` its state; the panic is
+    /// counted and fed to the circuit breaker like any other
+    /// transport-layer failure, so a persistently-crashing region backs
+    /// off instead of crash-looping at full speed.
+    fn handle_batch(&mut self, policy: &mut Policy, now: SimTime) {
+        self.now = now;
         let mut events = std::mem::take(&mut self.batch);
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.handle_events(cloud, &events, now)
+            self.handle_events(policy, &events)
         }));
         if outcome.is_err() {
             self.stats.worker_panics += 1;
@@ -673,10 +538,11 @@ impl RegionWorker {
 /// run-to-completion loop over it; a service that publishes,
 /// checkpoints or stops *between* ticks calls `step` itself.
 pub struct LiveDriver {
-    cloud: Mutex<Cloud>,
+    cloud: Arc<Mutex<Cloud>>,
     store: SharedStore,
-    /// One region manager per region, in [`Catalog::regions`] order.
-    workers: Vec<RegionWorker>,
+    /// One region manager per region, in [`Catalog::regions`] order: a
+    /// worker and the policy it hosts.
+    workers: Vec<(RegionWorker, Policy)>,
     /// Drain buffer for a tick's events, reused across ticks.
     events: Vec<CloudEvent>,
     ticks: u64,
@@ -700,11 +566,17 @@ impl LiveDriver {
     ) -> Self {
         policy.validate().expect("invalid policy");
         resilience.validate().expect("invalid resilience");
-        let catalog = cloud.catalog();
-        let workers = catalog
-            .regions()
+        let (regions, seed) = (cloud.catalog().regions(), cloud.config().seed);
+        let cloud = Arc::new(Mutex::new(cloud));
+        let workers = regions
             .into_iter()
-            .map(|r| RegionWorker::new(r, policy, resilience, catalog.clone(), store.clone()))
+            .map(|r| {
+                let worker = RegionWorker::new(r, resilience, store.clone(), cloud.clone());
+                // Each region samples from its own stream, so how the pool
+                // interleaves the managers cannot change any draw.
+                let sampling = SimRng::seed_from(seed ^ 0x5107).fork(r.index() as u64);
+                (worker, Policy::new(policy.clone(), sampling, store.clone()))
+            })
             .collect();
         LiveDriver {
             workers,
@@ -712,7 +584,7 @@ impl LiveDriver {
             ticks: 0,
             probes_at_start: store.len(),
             durable_at_start: store.durability_stats(),
-            cloud: Mutex::new(cloud),
+            cloud,
             store,
         }
     }
@@ -734,7 +606,7 @@ impl LiveDriver {
                 _ => continue,
             };
             let region = market.region();
-            if let Some(worker) = self.workers.iter_mut().find(|w| w.region == region) {
+            if let Some((worker, _)) = self.workers.iter_mut().find(|(w, _)| w.region == region) {
                 worker.batch.push(event);
             }
         }
@@ -744,10 +616,9 @@ impl LiveDriver {
         // independent of how the pool schedules the tasks. Without that
         // barrier a starved manager's probes would land at whatever
         // later cloud time the lock race gives them.
-        let cloud = &self.cloud;
         WorkerPool::global().scope(|scope| {
-            for worker in &mut self.workers {
-                scope.spawn(move || worker.handle_batch(cloud, now));
+            for (worker, policy) in &mut self.workers {
+                scope.spawn(move || worker.handle_batch(policy, now));
             }
         });
         // Durability maintenance rides the driver's clock: if the
@@ -760,21 +631,21 @@ impl LiveDriver {
     /// Closes the run: flushes the store and returns the cloud (for
     /// post-run oracle inspection) with the run's summary.
     pub fn finish(self) -> (Cloud, LiveReport) {
-        let cloud = self.cloud.into_inner();
+        let end = self.cloud.lock().now();
         let mut report = LiveReport {
             ticks: self.ticks,
             ..LiveReport::default()
         };
-        for worker in self.workers {
+        for (worker, policy) in self.workers {
             let mut stats = worker.stats;
             // Fold a still-open degraded episode into the counters so
             // the report sees it even when the run ends mid-outage.
             if let Some(since) = worker.degraded_since {
-                stats.degraded_secs += cloud.now().saturating_since(since).as_secs();
+                stats.degraded_secs += end.saturating_since(since).as_secs();
             }
             report
                 .per_region_probes
-                .insert(worker.region, stats.probes_issued);
+                .insert(worker.region, policy.recorded);
             report.retries_issued += stats.retries_issued;
             report.probes_abandoned += stats.probes_abandoned;
             report.breaker_trips += stats.breaker_trips;
@@ -786,6 +657,7 @@ impl LiveDriver {
             }
         }
         report.probes = self.store.len() - self.probes_at_start;
+        let cloud = Arc::into_inner(self.cloud).expect("the workers are gone");
 
         // Make the run durable before reporting: everything the workers
         // appended is on disk when this returns. An in-memory store's
@@ -800,7 +672,7 @@ impl LiveDriver {
             report.durable_ops_dropped = end.ops_dropped - start.ops_dropped;
         }
         report.durability_lost = self.store.durability_lost();
-        (cloud, report)
+        (cloud.into_inner(), report)
     }
 }
 
@@ -822,9 +694,11 @@ pub fn run_live(cloud: Cloud, store: SharedStore, config: LiveConfig) -> (Cloud,
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::probe::{ProbeKind, ProbeOutcome, ProbeTrigger};
     use crate::store::shared_store;
     use cloud_sim::chaos::ChaosWindow;
     use cloud_sim::config::SimConfig;
+    use cloud_sim::ids::{InstanceId, MarketId};
     use std::sync::Arc;
 
     #[test]
@@ -874,29 +748,6 @@ mod tests {
         // What must hold: degraded time is only accounted against
         // regions whose breaker actually tripped.
         assert!(report.degraded_secs.is_empty() || report.breaker_trips > 0);
-    }
-
-    #[test]
-    fn live_and_engine_modes_find_the_same_phenomena() {
-        // Not bit-identical (thread interleavings differ) but both must
-        // observe spikes on the same volatile testbed.
-        let mut cloud = Cloud::new(Catalog::testbed(), SimConfig::paper(23));
-        cloud.warmup(20);
-        let store = shared_store();
-        let (_, report) = run_live(
-            cloud,
-            store.clone(),
-            LiveConfig {
-                policy: PolicyConfig {
-                    spike_threshold: 0.5,
-                    ..PolicyConfig::default()
-                },
-                duration: SimDuration::days(3),
-                ..LiveConfig::default()
-            },
-        );
-        assert!(report.probes > 0, "expected probes in three days");
-        assert!(store.read().spikes().next().is_some());
     }
 
     #[test]
@@ -1037,7 +888,7 @@ mod tests {
     /// A region manager for [`HIT`] over a fresh testbed cloud whose
     /// API is out in that region for the first [`OUTAGE`] of simulated
     /// time, plus the region's markets.
-    fn pipeline(resilience: ResilienceConfig) -> (Mutex<Cloud>, RegionWorker, Vec<MarketId>) {
+    fn pipeline(resilience: ResilienceConfig) -> (Arc<Mutex<Cloud>>, RegionWorker, Vec<MarketId>) {
         let mut config = SimConfig::paper(67);
         config.chaos.outages.push(ChaosWindow {
             region: HIT,
@@ -1045,33 +896,48 @@ mod tests {
             duration: OUTAGE,
         });
         let cloud = Cloud::new(Catalog::testbed(), config);
-        let catalog = cloud.catalog().clone();
-        let markets: Vec<MarketId> = catalog
+        let markets: Vec<MarketId> = cloud
+            .catalog()
             .markets()
             .iter()
             .copied()
             .filter(|m| m.region() == HIT)
             .collect();
-        let worker = RegionWorker::new(
-            HIT,
-            &PolicyConfig::default(),
-            &resilience,
-            catalog,
-            shared_store(),
-        );
-        (Mutex::new(cloud), worker, markets)
+        let cloud = Arc::new(Mutex::new(cloud));
+        let worker = RegionWorker::new(HIT, &resilience, shared_store(), cloud.clone());
+        (cloud, worker, markets)
+    }
+
+    /// A default policy recording into `w`'s store.
+    fn policy_of(w: &RegionWorker) -> Policy {
+        Policy::new(
+            PolicyConfig::default(),
+            SimRng::seed_from(0),
+            w.store.clone(),
+        )
+    }
+
+    /// Sends one recovery probe of `market` through `w`'s port at `now`.
+    fn send(w: &mut RegionWorker, market: MarketId, now: SimTime) {
+        let probe = Probe {
+            market,
+            trigger: ProbeTrigger::Recovery,
+            bid: None,
+        };
+        w.now = now;
+        assert_eq!(w.attempt(probe), None, "the outage parks every probe");
     }
 
     /// [`pipeline`] with three probes already failed into the outage at
     /// [`T0`] (one attempt spent each) — enough to trip a threshold-3
     /// breaker.
-    fn tripped() -> (Mutex<Cloud>, RegionWorker, Vec<MarketId>) {
+    fn tripped() -> (Arc<Mutex<Cloud>>, RegionWorker, Vec<MarketId>) {
         let (cloud, mut w, markets) = pipeline(ResilienceConfig {
             breaker_threshold: 3,
             ..ResilienceConfig::default()
         });
         for &m in &markets[..3] {
-            w.probe_od(&cloud, m, ProbeTrigger::Recovery, T0);
+            send(&mut w, m, T0);
         }
         (cloud, w, markets)
     }
@@ -1087,18 +953,18 @@ mod tests {
 
     #[test]
     fn breaker_opens_at_exactly_the_threshold_and_degrades_the_region_once() {
-        let (cloud, mut w, markets) = pipeline(ResilienceConfig {
+        let (_, mut w, markets) = pipeline(ResilienceConfig {
             breaker_threshold: 3,
             ..ResilienceConfig::default()
         });
         for &m in &markets[..2] {
-            w.probe_od(&cloud, m, ProbeTrigger::Recovery, T0);
+            send(&mut w, m, T0);
         }
         assert_eq!(w.breaker, Breaker::Closed, "one short of the threshold");
         assert_eq!(w.consecutive_failures, 2);
         assert_eq!(w.store.region_health(HIT), None);
 
-        w.probe_od(&cloud, markets[2], ProbeTrigger::Recovery, T0);
+        send(&mut w, markets[2], T0);
         let until = T0 + w.resilience.breaker_cooldown;
         assert_eq!(w.breaker, Breaker::Open { until });
         assert_eq!(w.degraded_since, Some(T0));
@@ -1109,7 +975,7 @@ mod tests {
         assert!(w.pending.iter().all(|p| p.attempt == 1 && p.due > T0));
 
         // More traffic against the open breaker is not another trip.
-        w.probe_od(&cloud, markets[3], ProbeTrigger::Recovery, T0);
+        send(&mut w, markets[3], T0);
         assert_eq!(w.stats.breaker_trips, 1);
         let health = w.store.region_health(HIT).expect("marked degraded");
         assert!(health.degraded);
@@ -1118,14 +984,14 @@ mod tests {
 
     #[test]
     fn an_open_breaker_spends_no_attempt_and_requeues_at_its_deadline() {
-        let (cloud, mut w, markets) = tripped();
+        let (_, mut w, markets) = tripped();
         let Breaker::Open { until } = w.breaker else {
             panic!("fixture must have tripped the breaker");
         };
         let later = T0 + SimDuration::from_secs(60);
-        w.probe_od(&cloud, markets[3], ProbeTrigger::Recovery, later);
+        send(&mut w, markets[3], later);
         let queued = w.pending.last().expect("re-queued");
-        assert_eq!((queued.market, queued.attempt), (markets[3], 0));
+        assert_eq!((queued.probe.market, queued.attempt), (markets[3], 0));
         assert_eq!(queued.due, until, "waits for the half-open window");
         assert_eq!(w.breaker, Breaker::Open { until }, "state untouched");
         assert_eq!(w.store.len(), 0);
@@ -1137,7 +1003,8 @@ mod tests {
         // The cooldown elapses while the outage still rages.
         let now = advance(&cloud, T0 + w.resilience.breaker_cooldown);
         assert!(now < T0 + OUTAGE);
-        w.dispatch_due(&cloud, now);
+        w.now = now;
+        w.dispatch_due(&mut policy_of(&w));
         let until = now + w.resilience.breaker_cooldown;
         assert_eq!(w.breaker, Breaker::Open { until });
         assert_eq!(w.stats.breaker_trips, 1, "same episode");
@@ -1156,7 +1023,9 @@ mod tests {
     fn a_half_open_success_closes_the_breaker_and_accounts_the_episode() {
         let (cloud, mut w, _) = tripped();
         let now = advance(&cloud, T0 + OUTAGE);
-        w.dispatch_due(&cloud, now);
+        let mut policy = policy_of(&w);
+        w.now = now;
+        w.dispatch_due(&mut policy);
         assert_eq!(w.breaker, Breaker::Closed);
         assert_eq!(w.consecutive_failures, 0);
         assert_eq!(w.degraded_since, None);
@@ -1167,17 +1036,17 @@ mod tests {
         // All three intents finally got their answer.
         assert!(w.pending.is_empty());
         assert_eq!(w.stats.retries_issued, 3);
-        assert_eq!((w.store.len(), w.stats.probes_issued), (3, 3));
+        assert_eq!((w.store.len(), policy.recorded), (3, 3));
     }
 
     #[test]
     fn a_full_pending_queue_abandons_and_counts_a_suppressed_probe() {
-        let (cloud, mut w, markets) = pipeline(ResilienceConfig {
+        let (_, mut w, markets) = pipeline(ResilienceConfig {
             max_pending: 2,
             ..ResilienceConfig::default()
         });
         for &m in &markets[..3] {
-            w.probe_od(&cloud, m, ProbeTrigger::Recovery, T0);
+            send(&mut w, m, T0);
         }
         assert_eq!(w.pending.len(), 2, "the bound holds");
         assert_eq!(w.stats.probes_abandoned, 1);
@@ -1186,7 +1055,7 @@ mod tests {
             1,
             "the loss shows in the store"
         );
-        assert!(w.pending.iter().all(|p| p.market != markets[2]));
+        assert!(w.pending.iter().all(|p| p.probe.market != markets[2]));
     }
 
     #[test]
@@ -1207,22 +1076,36 @@ mod tests {
     }
 
     #[test]
+    fn wake_ups_land_on_the_first_tick_at_or_after_their_time() {
+        let (_, mut w, _) = pipeline(ResilienceConfig::default());
+        let at = |secs| T0 + SimDuration::from_secs(secs);
+        w.wakes.extend([(at(301), 1), (at(300), 3), (at(100), 2)]);
+        w.now = at(300);
+        let due: Vec<u64> = std::iter::from_fn(|| w.due_wake()).collect();
+        assert_eq!(due, [2, 3], "in time order; 301 s waits for the next tick");
+        assert_eq!(w.wakes, BTreeSet::from([(at(301), 1)]));
+    }
+
+    #[test]
     fn a_caught_panic_feeds_the_breaker_and_keeps_the_queues() {
         silence_chaos_panics();
-        let (cloud, mut w, markets) = pipeline(ResilienceConfig {
+        let (_, mut w, markets) = pipeline(ResilienceConfig {
             breaker_threshold: 1,
             chaos_panic_period: Some(1),
             ..ResilienceConfig::default()
         });
         let later = T0 + SimDuration::hours(9);
         w.pending.push(PendingProbe {
-            market: markets[0],
-            trigger: ProbeTrigger::Recovery,
+            probe: Probe {
+                market: markets[0],
+                trigger: ProbeTrigger::Recovery,
+                bid: None,
+            },
             due: later,
             attempt: 2,
         });
-        w.recovery_due.insert(markets[1], later);
-        w.orphans.push(InstanceId(7));
+        w.wakes.insert((later, 1));
+        w.orphans.push(Orphan::OdInstance(InstanceId(7)));
         w.batch.push(CloudEvent::PriceChange {
             market: markets[2],
             previous: Price::ZERO,
@@ -1230,15 +1113,18 @@ mod tests {
             at: T0,
         });
 
-        w.handle_batch(&cloud, T0);
+        w.handle_batch(&mut policy_of(&w), T0);
         assert_eq!(w.stats.worker_panics, 1);
         assert_eq!(w.stats.breaker_trips, 1, "a crash is a transport failure");
         assert!(matches!(w.breaker, Breaker::Open { .. }));
         assert!(w.store.region_health(HIT).is_some_and(|h| h.degraded));
         assert_eq!(w.pending.len(), 1);
-        assert_eq!((w.pending[0].market, w.pending[0].attempt), (markets[0], 2));
-        assert_eq!(w.recovery_due.get(&markets[1]), Some(&later));
-        assert_eq!(w.orphans, [InstanceId(7)]);
+        assert_eq!(
+            (w.pending[0].probe.market, w.pending[0].attempt),
+            (markets[0], 2)
+        );
+        assert_eq!(w.wakes, BTreeSet::from([(later, 1)]), "the wake schedule");
+        assert_eq!(w.orphans, [Orphan::OdInstance(InstanceId(7))]);
         // The crashed batch is dropped, not replayed into the next tick.
         assert!(w.batch.is_empty());
         assert_eq!(w.store.len(), 0);

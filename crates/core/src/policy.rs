@@ -11,7 +11,9 @@ use crate::budget::BudgetConfig;
 use cloud_sim::ids::MarketId;
 use cloud_sim::time::SimDuration;
 
-/// The market-based probing policy parameters.
+/// The market-based probing policy parameters. Both hosts of the policy
+/// apply every field: the engine's [`crate::spotlight::SpotLight`] and the
+/// live [`crate::manager::LiveDriver`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct PolicyConfig {
     /// Trigger threshold `T`: probe when spot/od ≥ this multiple. The
@@ -104,7 +106,9 @@ impl Default for SpotCheckConfig {
     }
 }
 
-/// Full SpotLight deployment configuration.
+/// Full SpotLight deployment configuration. Beside the policy, its budget,
+/// spot checks, bid searches and revocation watches are engine-hosted: a
+/// live run carries a [`PolicyConfig`] only.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpotLightConfig {
     /// The probing policy.

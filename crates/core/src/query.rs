@@ -528,7 +528,8 @@ impl<'a> SpotLightQuery<'a> {
     /// the stripes' running counters. The query span does not select
     /// the probes counted.
     pub fn rejection_counts_by_region_into<M: Default + Extend<(Region, u64)>>(&self, out: &mut M) {
-        self.store.od_rejections_into(out);
+        *out = M::default();
+        out.extend(self.rejection_counts_by_region());
     }
 
     /// [`Self::rejection_counts_by_region_into`] as a fresh map.

@@ -1239,29 +1239,15 @@ impl StoreRead<'_> {
     }
 
     /// On-demand rejection counts per region, merged from the stripes'
-    /// running counters into `out` (replaced, filled in region order).
-    pub fn od_rejections_into<M: Default + Extend<(Region, u64)>>(&self, out: &mut M) {
-        let mut counts = [None::<u64>; Region::ALL.len()];
-        for stripe in self.stripes() {
-            for (&region, &n) in &stripe.od_rejections_by_region {
-                *counts[region.index()].get_or_insert(0) += n;
-            }
-        }
-        *out = M::default();
-        out.extend(
-            Region::ALL
-                .into_iter()
-                .zip(counts)
-                .filter_map(|(region, n)| Some((region, n?))),
-        );
-    }
-
-    /// On-demand rejection counts per region, as a fresh map. Counts
-    /// any unavailable outcome on an on-demand probe (from the engine
-    /// that is exactly `InsufficientCapacity`).
+    /// running counters. Counts any unavailable outcome on an on-demand
+    /// probe (from the engine that is exactly `InsufficientCapacity`).
     pub fn od_rejections_by_region(&self) -> BTreeMap<Region, u64> {
         let mut out = BTreeMap::new();
-        self.od_rejections_into(&mut out);
+        for stripe in self.stripes() {
+            for (&region, &n) in &stripe.od_rejections_by_region {
+                *out.entry(region).or_insert(0) += n;
+            }
+        }
         out
     }
 

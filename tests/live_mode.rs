@@ -1,20 +1,22 @@
 //! Integration tests of the live (Chapter 4) deployment: the manager
-//! hierarchy must produce a store equivalent in structure to the engine
-//! deployment's, the same store for the same seed, and a clock that a
-//! publisher, a checkpointer and a compactor can ride.
+//! hierarchy must run the engine's policy (the engine's histories when
+//! nothing fails, every policy field honoured), produce the same store
+//! for the same seed, and offer a clock that a publisher, a checkpointer
+//! and a compactor can ride.
 
 use cloud_sim::catalog::Catalog;
 use cloud_sim::chaos::{ChaosWindow, ErrorBurst};
 use cloud_sim::cloud::Cloud;
 use cloud_sim::config::SimConfig;
+use cloud_sim::engine::Engine;
 use cloud_sim::ids::{MarketId, Region};
 use cloud_sim::time::{SimDuration, SimTime};
 use spotlight_core::manager::{run_live, LiveConfig, LiveDriver};
-use spotlight_core::policy::PolicyConfig;
-use spotlight_core::probe::{ProbeKind, ProbeOutcome, ProbeRecord};
+use spotlight_core::policy::{PolicyConfig, SpotLightConfig};
+use spotlight_core::probe::{ProbeKind, ProbeOutcome, ProbeRecord, ProbeTrigger};
 use spotlight_core::query::SpotLightQuery;
-use spotlight_core::store::{shared_store, DataStore, SpikeEvent};
-use spotlight_core::{DurableOptions, LiveReport, ResilienceConfig, SnapshotHub};
+use spotlight_core::store::{shared_store, DataStore, SharedStore, SpikeEvent};
+use spotlight_core::{DurableOptions, LiveReport, ResilienceConfig, SnapshotHub, SpotLight};
 use spotlight_persist::tempdir::TempDir;
 use std::sync::Arc;
 
@@ -43,7 +45,12 @@ fn live_store_is_structurally_sound() {
     assert_eq!(report.probes, s.len());
     for p in s.probes() {
         assert!(cloud.catalog().market_exists(p.market));
-        assert_eq!(p.kind, ProbeKind::OnDemand, "live mode probes on-demand");
+        if p.kind == ProbeKind::Spot {
+            assert!(
+                matches!(p.trigger, ProbeTrigger::CrossVerify { .. }),
+                "live mode probes spot only to cross-verify: {p:?}"
+            );
+        }
     }
     // Spikes recorded by region managers reference probed markets only.
     for spike in s.spikes() {
@@ -260,8 +267,13 @@ fn service_history(api_calls_per_minute: Option<u32>) -> (LiveReport, Vec<Market
             ..LiveConfig::default()
         },
     );
+    (report, market_histories(&store, &cloud))
+}
+
+/// Every catalog market's history in `store`.
+fn market_histories(store: &SharedStore, cloud: &Cloud) -> Vec<MarketHistory> {
     let s = store.read();
-    let histories = cloud
+    cloud
         .catalog()
         .markets()
         .iter()
@@ -270,8 +282,130 @@ fn service_history(api_calls_per_minute: Option<u32>) -> (LiveReport, Vec<Market
             let spikes = s.spikes().filter(|sp| sp.market == m).copied().collect();
             (m, probes, spikes)
         })
-        .collect();
-    (report, histories)
+        .collect()
+}
+
+/// A warmed-up testbed cloud with no chaos and an API limit that cannot
+/// bind: no probe is ever parked for a retry.
+fn quiet_cloud(seed: u64) -> Cloud {
+    let mut config = SimConfig::paper(seed);
+    config.limits.api_calls_per_minute_per_region = 1_000_000;
+    let mut cloud = Cloud::new(Catalog::testbed(), config);
+    cloud.warmup(20);
+    cloud
+}
+
+#[test]
+fn live_and_engine_hosts_record_identical_histories() {
+    // One policy, two hosts. With nothing parked, a region manager's
+    // port answers every attempt at once, as the engine's does, and a
+    // manager handles a tick's events before its wake-ups, as the engine
+    // does; regions share no policy state the engine would interleave.
+    for seed in [41, 43, 47, 53] {
+        let store = shared_store();
+        let (cloud, _) = run_live(
+            quiet_cloud(seed),
+            store.clone(),
+            LiveConfig {
+                policy: policy(),
+                duration: SimDuration::days(3),
+                ..LiveConfig::default()
+            },
+        );
+        let live = market_histories(&store, &cloud);
+
+        let store = shared_store();
+        let mut engine = Engine::with_cloud(quiet_cloud(seed));
+        let end = engine.cloud().now() + SimDuration::days(3);
+        let config = SpotLightConfig {
+            policy: policy(),
+            spot_check: None,
+            ..SpotLightConfig::default()
+        };
+        engine.add_agent(Box::new(SpotLight::new(config, store.clone())));
+        engine.run_until(end);
+        let hosted = market_histories(&store, engine.cloud());
+
+        let kinds = |h: &[MarketHistory], kind| {
+            h.iter()
+                .flat_map(|(_, p, _)| p)
+                .filter(|p| p.kind == kind)
+                .count()
+        };
+        assert!(
+            kinds(&live, ProbeKind::OnDemand) > 0,
+            "seed {seed}: nothing probed"
+        );
+        assert!(
+            kinds(&live, ProbeKind::Spot) > 0,
+            "seed {seed}: nothing cross-verified"
+        );
+        for (want, got) in hosted.iter().zip(&live) {
+            assert_eq!(got, want, "seed {seed}: {}", want.0);
+        }
+    }
+}
+
+/// Three quiet days (seed 47) of `policy` on a [`LiveDriver`]: every
+/// catalog market's history.
+fn driven_histories(policy: PolicyConfig) -> Vec<MarketHistory> {
+    let store = shared_store();
+    let cloud = quiet_cloud(47);
+    let ticks = 3 * 86_400 / cloud.config().tick.as_secs();
+    let mut driver = LiveDriver::new(cloud, store.clone(), &policy, &ResilienceConfig::default());
+    for _ in 0..ticks {
+        driver.step();
+    }
+    let (cloud, _) = driver.finish();
+    market_histories(&store, &cloud)
+}
+
+#[test]
+fn live_mode_honours_every_policy_field() {
+    let probes = |h: &[MarketHistory], keep: fn(&ProbeRecord) -> bool| -> Vec<ProbeRecord> {
+        let all = h.iter().flat_map(|(_, probes, _)| probes);
+        all.filter(|p| keep(p)).copied().collect()
+    };
+    let spot = |h: &[MarketHistory]| probes(h, |p| p.kind == ProbeKind::Spot);
+    let spike_probes = |h: &[MarketHistory]| {
+        probes(h, |p| matches!(p.trigger, ProbeTrigger::PriceSpike { .. })).len()
+    };
+    let below_t = |h: &[MarketHistory]| h.iter().flat_map(|(_, _, s)| s).any(|s| s.ratio < 0.5);
+    let with = |change: fn(&mut PolicyConfig)| {
+        let mut policy = policy();
+        change(&mut policy);
+        driven_histories(policy)
+    };
+
+    // Defaults: p = 1, p′ = 0, cross-verification on.
+    let full = with(|_| {});
+    assert!(!spot(&full).is_empty(), "cross_verify probes spot");
+    assert!(
+        spot(&full)
+            .iter()
+            .all(|p| matches!(p.trigger, ProbeTrigger::CrossVerify { .. })),
+        "every spot probe cross-verifies"
+    );
+    assert!(!below_t(&full), "p′ = 0 records no spike below T");
+
+    let sampled = with(|p| p.sampling_probability = 0.5);
+    assert!(
+        spike_probes(&sampled) < spike_probes(&full),
+        "p = 0.5 samples fewer spikes: {} vs {}",
+        spike_probes(&sampled),
+        spike_probes(&full)
+    );
+    let again = with(|p| p.sampling_probability = 0.5);
+    assert_eq!(again, sampled, "the sampling stream is seeded");
+
+    assert!(
+        below_t(&with(|p| p.subthreshold_sampling = 1.0)),
+        "p′ = 1 records spikes below T"
+    );
+    assert!(
+        spot(&with(|p| p.cross_verify = false)).is_empty(),
+        "no cross-verification, no spot probe"
+    );
 }
 
 #[test]
