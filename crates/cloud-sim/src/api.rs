@@ -12,8 +12,6 @@ use crate::cloud::{Cloud, OdInstance, SpotEval, SpotRequest};
 use crate::ids::{InstanceId, MarketId, Region, SpotRequestId};
 use crate::lifecycle::{OdState, SpotRequestState, Tracked};
 use crate::price::Price;
-use crate::time::SimTime;
-use crate::trace::PricePoint;
 use std::fmt;
 
 /// An error returned by the cloud API.
@@ -160,23 +158,6 @@ pub struct SpotSubmission {
     pub status: SpotRequestState,
     /// The launched instance, when fulfilled immediately.
     pub instance: Option<InstanceId>,
-}
-
-/// A read-only view of a spot request's current state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SpotRequestInfo {
-    /// The request id.
-    pub id: SpotRequestId,
-    /// The market it targets.
-    pub market: MarketId,
-    /// The bid.
-    pub bid: Price,
-    /// Its current status.
-    pub status: SpotRequestState,
-    /// The launched instance, if any.
-    pub instance: Option<InstanceId>,
-    /// When the instance launched, if any.
-    pub launched_at: Option<SimTime>,
 }
 
 impl Cloud {
@@ -466,31 +447,6 @@ impl Cloud {
         Ok(charged)
     }
 
-    /// Describes a spot request's current state.
-    ///
-    /// # Errors
-    ///
-    /// * [`ApiError::NotFound`] — unknown (or garbage-collected) request.
-    /// * [`ApiError::RequestLimitExceeded`] — API rate limit.
-    pub fn describe_spot_request(
-        &mut self,
-        id: SpotRequestId,
-    ) -> Result<SpotRequestInfo, ApiError> {
-        let (si, market) = self
-            .find_spot_request(id)
-            .ok_or_else(|| ApiError::NotFound(format!("spot request {id}")))?;
-        self.consume_token(market.region())?;
-        let req = &self.shards[si].spot_requests[&id];
-        Ok(SpotRequestInfo {
-            id,
-            market,
-            bid: req.bid,
-            status: req.state.current(),
-            instance: req.instance,
-            launched_at: req.launched_at,
-        })
-    }
-
     /// The currently published spot price of a market.
     ///
     /// # Errors
@@ -504,30 +460,6 @@ impl Cloud {
             .oracle_published_price(market)
             .expect("checked market exists"))
     }
-
-    /// The recorded published price history of a market since `since`
-    /// (inclusive). Only watched markets have history (see
-    /// [`Cloud::watch_market`]).
-    ///
-    /// # Errors
-    ///
-    /// * [`ApiError::InvalidParameter`] — unknown market.
-    /// * [`ApiError::RequestLimitExceeded`] — API rate limit.
-    pub fn describe_spot_price_history(
-        &mut self,
-        market: MarketId,
-        since: SimTime,
-    ) -> Result<Vec<PricePoint>, ApiError> {
-        self.check_market(market)?;
-        self.consume_token(market.region())?;
-        Ok(self
-            .trace
-            .history(market)
-            .iter()
-            .copied()
-            .filter(|p| p.at >= since)
-            .collect())
-    }
 }
 
 #[cfg(test)]
@@ -536,6 +468,7 @@ mod tests {
     use crate::catalog::Catalog;
     use crate::config::{DemandProfile, SimConfig};
     use crate::ids::{Az, Platform};
+    use crate::time::SimTime;
 
     fn quiet_cloud(seed: u64) -> Cloud {
         let mut config = SimConfig::paper(seed);
@@ -623,8 +556,7 @@ mod tests {
         c.cancel_spot_request(sub.id).unwrap();
         // Cancelled requests are garbage-collected after the next tick.
         c.tick();
-        let err = c.describe_spot_request(sub.id).unwrap_err();
-        assert!(matches!(err, ApiError::NotFound(_)));
+        assert_eq!(c.find_spot_request(sub.id), None);
     }
 
     #[test]
@@ -685,15 +617,12 @@ mod tests {
         let mut c = Cloud::new(Catalog::testbed(), config.clone());
         let m = a_market(&c);
         c.warmup(100);
-        assert!(c
-            .describe_spot_price_history(m, SimTime::ZERO)
-            .unwrap()
-            .is_empty());
+        assert!(c.trace().history(m).is_empty());
         let _ = &mut config;
         c.watch_market(m);
         c.warmup(200);
         // A watched volatile market accumulates history.
-        let hist = c.describe_spot_price_history(m, SimTime::ZERO).unwrap();
+        let hist = c.trace().history(m);
         assert!(!hist.is_empty(), "expected price changes after watching");
     }
 

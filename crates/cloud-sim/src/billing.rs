@@ -97,24 +97,6 @@ impl Ledger {
     pub fn records(&self) -> &[BillingRecord] {
         &self.records
     }
-
-    /// Spend within `[from, to)`.
-    pub fn spend_between(&self, from: SimTime, to: SimTime) -> Price {
-        self.records
-            .iter()
-            .filter(|r| r.at >= from && r.at < to)
-            .map(|r| r.amount)
-            .sum()
-    }
-
-    /// Spend per usage kind so far.
-    pub fn spend_by_kind(&self, kind: UsageKind) -> Price {
-        self.records
-            .iter()
-            .filter(|r| r.kind == kind)
-            .map(|r| r.amount)
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -194,14 +176,6 @@ mod tests {
                 Price::from_dollars(1.0),
             );
         }
-        assert_eq!(
-            l.spend_between(SimTime::from_secs(0), SimTime::from_secs(150)),
-            Price::from_dollars(2.0)
-        );
-        assert_eq!(
-            l.spend_by_kind(UsageKind::OnDemand),
-            Price::from_dollars(2.0)
-        );
         assert_eq!(l.records().len(), 3);
     }
 }

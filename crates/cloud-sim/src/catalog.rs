@@ -212,7 +212,7 @@ impl Catalog {
     }
 
     /// The zones of one region.
-    pub fn azs_in(&self, region: Region) -> impl Iterator<Item = Az> + '_ {
+    fn azs_in(&self, region: Region) -> impl Iterator<Item = Az> + '_ {
         self.azs
             .iter()
             .copied()
@@ -228,18 +228,13 @@ impl Catalog {
         seen.into_iter().collect()
     }
 
-    /// All instance types in the catalog.
-    pub fn instance_types(&self) -> &[InstanceType] {
-        &self.types
-    }
-
     /// All platforms offered.
     pub fn platforms(&self) -> &[Platform] {
         &self.platforms
     }
 
     /// The sizes offered within one family, ascending.
-    pub fn family_types(&self, family: Family) -> Vec<InstanceType> {
+    fn family_types(&self, family: Family) -> Vec<InstanceType> {
         self.types
             .iter()
             .copied()
@@ -248,7 +243,7 @@ impl Catalog {
     }
 
     /// Whether a family is offered in a region.
-    pub fn family_available(&self, region: Region, family: Family) -> bool {
+    fn family_available(&self, region: Region, family: Family) -> bool {
         !self.excluded.contains(&(region, family))
     }
 
@@ -383,7 +378,7 @@ impl CatalogBuilder {
     }
 
     /// Sets the regional price multiplier (defaults to 1.0).
-    pub fn region_multiplier(&mut self, region: Region, multiplier: f64) -> &mut Self {
+    fn region_multiplier(&mut self, region: Region, multiplier: f64) -> &mut Self {
         assert!(
             multiplier.is_finite() && multiplier > 0.0,
             "multiplier must be positive, got {multiplier}"
@@ -487,7 +482,7 @@ mod tests {
     #[test]
     fn standard_catalog_scale_matches_paper() {
         let c = Catalog::standard();
-        assert_eq!(c.instance_types().len(), 53, "paper: 53 instance types");
+        assert_eq!(c.types.len(), 53, "paper: 53 instance types");
         assert_eq!(c.azs().len(), 26, "paper: 26 availability zones");
         assert_eq!(c.regions().len(), 9, "paper: 9 regions");
         assert!(

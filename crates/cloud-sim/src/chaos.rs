@@ -28,7 +28,7 @@
 //!
 //! ## Cost when disabled
 //!
-//! The default configuration injects nothing and [`ChaosConfig::is_enabled`]
+//! The default configuration injects nothing and `ChaosConfig::is_enabled`
 //! is `false`; the tick and API paths then pay a single branch. Every
 //! workload of `benchmark/run.sh` runs with chaos disabled, so its
 //! `sim.tick_t1_us` is the cost of this path.
@@ -120,7 +120,7 @@ pub struct ChaosConfig {
 impl ChaosConfig {
     /// Whether any fault is configured at all. When `false`, the tick
     /// and API paths skip chaos entirely (one branch).
-    pub fn is_enabled(&self) -> bool {
+    fn is_enabled(&self) -> bool {
         !self.outages.is_empty()
             || !self.throttle_storms.is_empty()
             || !self.error_bursts.is_empty()

@@ -1366,12 +1366,12 @@ impl Cloud {
     }
 
     /// Number of capacity pools simulated.
-    pub fn pool_count(&self) -> usize {
+    fn pool_count(&self) -> usize {
         self.shards.iter().map(|s| s.pools.len()).sum()
     }
 
     /// Number of open (non-garbage-collected) spot requests.
-    pub fn spot_request_count(&self) -> usize {
+    fn spot_request_count(&self) -> usize {
         self.shards.iter().map(|s| s.spot_requests.len()).sum()
     }
 

@@ -287,7 +287,7 @@ impl DemandProfile {
     /// specialized-hardware pools (d2, g2) the paper's case studies pick
     /// are structurally tight, so their revocations coincide with
     /// on-demand shortages far more often than commodity families'.
-    pub fn family_od_pressure(&self, family: Family) -> f64 {
+    fn family_od_pressure(&self, family: Family) -> f64 {
         match family {
             Family::D2 => 1.18,
             Family::G2 => 1.28,

@@ -25,12 +25,7 @@ use crate::time::SimTime;
 /// Seasonal multiplier combining diurnal and weekly cycles.
 ///
 /// `phase` shifts the diurnal peak to the region's time zone.
-pub fn seasonal_factor(
-    t: SimTime,
-    phase: f64,
-    diurnal_amplitude: f64,
-    weekly_amplitude: f64,
-) -> f64 {
+fn seasonal_factor(t: SimTime, phase: f64, diurnal_amplitude: f64, weekly_amplitude: f64) -> f64 {
     let day = (t.day_fraction() - phase) * std::f64::consts::TAU;
     let week = t.week_fraction() * std::f64::consts::TAU;
     // Peak mid-afternoon (sin peaks at 1/4 of the cycle).
@@ -137,13 +132,8 @@ impl PoolDemand {
         self.surges.push(surge);
     }
 
-    /// Number of active surges (after the last tick's pruning).
-    pub fn active_surges(&self) -> usize {
-        self.surges.len()
-    }
-
     /// Total surge demand currently active, as a fraction of the od cap.
-    pub fn surge_level(&self) -> f64 {
+    fn surge_level(&self) -> f64 {
         self.surges.iter().map(|s| s.magnitude).sum()
     }
 
@@ -263,7 +253,7 @@ impl MarketDemand {
     }
 
     /// Total active surge mass relative to baseline supply.
-    pub fn surge_level(&self) -> f64 {
+    fn surge_level(&self) -> f64 {
         self.surges.iter().map(|s| s.magnitude).sum()
     }
 
@@ -451,7 +441,7 @@ mod tests {
         let during = pd.tick(SimTime::from_secs(300), &p, 1.0, &mut rng);
         let after = pd.tick(SimTime::from_secs(900), &p, 1.0, &mut rng);
         assert!(during.od_units > after.od_units);
-        assert_eq!(pd.active_surges(), 0);
+        assert!(pd.surges.is_empty());
     }
 
     #[test]

@@ -255,12 +255,6 @@ impl MarketState {
             _ => None,
         }
     }
-
-    /// True if a price change is still waiting to propagate — the window
-    /// in which bids at the published price lose (§5.1.2).
-    pub fn publication_lagging(&self) -> bool {
-        self.pending_publish.is_some()
-    }
 }
 
 #[cfg(test)]
@@ -329,11 +323,11 @@ mod tests {
         assert!(changed);
         assert_eq!(m.true_price(), od.scale(2.0));
         assert_eq!(m.published_price(), od.scale(0.1), "not yet published");
-        assert!(m.publication_lagging());
+        assert!(m.pending_publish.is_some());
         assert_eq!(m.publish_due(SimTime::from_secs(120)), None);
         assert_eq!(m.publish_due(SimTime::from_secs(130)), Some(od.scale(2.0)));
         assert_eq!(m.published_price(), od.scale(2.0));
-        assert!(!m.publication_lagging());
+        assert!(m.pending_publish.is_none());
     }
 
     #[test]

@@ -67,7 +67,7 @@ impl PoolSnapshot {
     }
 
     /// Total running spot units.
-    pub fn spot_running(&self) -> u64 {
+    fn spot_running(&self) -> u64 {
         self.spot_market + self.spot_external
     }
 
@@ -137,7 +137,7 @@ impl CapacityPool {
     }
 
     /// Units still available to new on-demand requests.
-    pub fn od_headroom(&self) -> u64 {
+    fn od_headroom(&self) -> u64 {
         self.od_cap()
             .saturating_sub(self.od_organic + self.od_external)
     }
@@ -275,16 +275,6 @@ impl CapacityPool {
             self.spot_external
         );
         self.spot_external -= units;
-    }
-
-    /// Units currently held by external spot instances.
-    pub fn spot_external(&self) -> u64 {
-        self.spot_external
-    }
-
-    /// Units currently held by external on-demand instances.
-    pub fn od_external(&self) -> u64 {
-        self.od_external
     }
 
     /// Applies one demand-process step. Called once per tick by the cloud.

@@ -54,18 +54,6 @@ impl SimTime {
         SimTime(self.0.saturating_add(d.0))
     }
 
-    /// The hour-of-day (0..24) of this instant, assuming the simulation
-    /// starts at midnight.
-    pub const fn hour_of_day(self) -> u64 {
-        (self.0 / 3600) % 24
-    }
-
-    /// The day-of-week (0..7) of this instant, assuming the simulation
-    /// starts on day 0.
-    pub const fn day_of_week(self) -> u64 {
-        (self.0 / 86_400) % 7
-    }
-
     /// Fraction of the day elapsed at this instant, in `[0, 1)`.
     pub fn day_fraction(self) -> f64 {
         (self.0 % 86_400) as f64 / 86_400.0
@@ -235,8 +223,6 @@ mod tests {
     #[test]
     fn calendar_helpers() {
         let t = SimTime::from_secs(86_400 * 8 + 3600 * 5 + 30);
-        assert_eq!(t.day_of_week(), 1);
-        assert_eq!(t.hour_of_day(), 5);
         assert!(t.day_fraction() > 0.2 && t.day_fraction() < 0.22);
     }
 

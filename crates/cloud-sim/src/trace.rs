@@ -115,11 +115,6 @@ impl TraceStore {
     pub fn shortage_open(&self, pool: PoolId) -> bool {
         self.open_shortage.contains_key(&pool)
     }
-
-    /// Total number of price points held (memory diagnostics).
-    pub fn price_points(&self) -> usize {
-        self.histories.values().map(Vec::len).sum()
-    }
 }
 
 #[cfg(test)]
@@ -147,7 +142,7 @@ mod tests {
         let mut t = TraceStore::new(false);
         t.record_price(market(), SimTime::ZERO, Price::from_dollars(0.1));
         assert!(t.history(market()).is_empty());
-        assert_eq!(t.price_points(), 0);
+        assert!(t.histories.is_empty());
     }
 
     #[test]

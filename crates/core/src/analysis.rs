@@ -19,7 +19,7 @@ use cloud_sim::time::{SimDuration, SimTime};
 use std::collections::{BTreeMap, HashMap};
 
 /// The paper's spike-size thresholds: ≥0×, ≥1×, …, ≥10× on-demand.
-pub fn spike_thresholds() -> Vec<f64> {
+fn spike_thresholds() -> Vec<f64> {
     let mut v = vec![0.0];
     v.extend((1..=10).map(|k| k as f64));
     v

@@ -36,8 +36,6 @@ pub struct BudgetManager {
     config: BudgetConfig,
     window_start: SimTime,
     spent_in_window: Price,
-    spent_total: Price,
-    windows_exhausted: u64,
 }
 
 impl BudgetManager {
@@ -47,16 +45,11 @@ impl BudgetManager {
             config,
             window_start: start,
             spent_in_window: Price::ZERO,
-            spent_total: Price::ZERO,
-            windows_exhausted: 0,
         }
     }
 
     fn roll(&mut self, now: SimTime) {
         while now.saturating_since(self.window_start) >= self.config.window {
-            if self.exhausted() {
-                self.windows_exhausted += 1;
-            }
             self.window_start += self.config.window;
             self.spent_in_window = Price::ZERO;
         }
@@ -75,7 +68,6 @@ impl BudgetManager {
     pub fn charge(&mut self, now: SimTime, cost: Price) {
         self.roll(now);
         self.spent_in_window += cost;
-        self.spent_total += cost;
     }
 
     /// Whether the current window's budget is used up.
@@ -84,21 +76,6 @@ impl BudgetManager {
             None => false,
             Some(limit) => self.spent_in_window >= limit,
         }
-    }
-
-    /// Spend in the current window.
-    pub fn spent_in_window(&self) -> Price {
-        self.spent_in_window
-    }
-
-    /// Total spend across all windows.
-    pub fn spent_total(&self) -> Price {
-        self.spent_total
-    }
-
-    /// Windows that ran out of budget before ending.
-    pub fn windows_exhausted(&self) -> u64 {
-        self.windows_exhausted
     }
 }
 
@@ -196,8 +173,6 @@ mod tests {
         assert!(b.exhausted());
         // Next window: fresh budget.
         assert!(b.allows(SimTime::from_secs(3700), Price::from_dollars(0.6)));
-        assert_eq!(b.windows_exhausted(), 1);
-        assert_eq!(b.spent_total(), Price::from_dollars(1.0));
     }
 
     #[test]
@@ -205,7 +180,7 @@ mod tests {
         let mut b = BudgetManager::new(cfg(1.0), SimTime::ZERO);
         b.charge(SimTime::from_secs(10), Price::from_dollars(1.0));
         assert!(b.allows(SimTime::from_secs(10 * 3600), Price::from_dollars(1.0)));
-        assert_eq!(b.spent_in_window(), Price::ZERO);
+        assert_eq!(b.spent_in_window, Price::ZERO);
     }
 
     #[test]

@@ -88,35 +88,40 @@
 //! A long-running collector must survive the disk itself misbehaving,
 //! not just process death. When the WAL writer's bounded in-thread
 //! retries cannot get a batch onto disk (persistent `ENOSPC`/`EIO`, or
-//! repeated fsync failure), the sink transitions to
+//! repeated fsync failure) it *surrenders*, and the store turns
 //! [`DurabilityMode::Degraded`]:
 //!
-//! * Ingest keeps working **in memory** — `record_*` calls skip the
-//!   encode+append entirely (counted in
-//!   [`DurabilityStats::ops_dropped`]) instead of wedging on a dead
-//!   disk.
-//! * The transition publishes a `durability_lost` watermark: the max op
-//!   time that was provably written *and fsynced* before the failure.
-//!   Ops at or before the watermark survive a crash; ops after it exist
-//!   only in memory until the store heals. (The watermark is a valid
-//!   frontier because record order carries non-decreasing op times —
-//!   live ticks advance monotonically.)
-//! * [`DataStore::tend_durability`] — called by the live driver every
-//!   tick, or by any caller on its own schedule — retries a *heal*
-//!   with exponential backoff: revive the WAL at a fresh generation,
-//!   then take a full checkpoint (which rotates once more — a heal
-//!   advances two generations, and its floor is the second). The
-//!   checkpoint captures every op the degraded window dropped (they are
-//!   still in memory), so a successful heal loses nothing that was
-//!   recorded: the store returns to [`DurabilityMode::Durable`] and the
-//!   watermark clears.
-//!   A still-broken disk fails the checkpoint and the sink returns to
-//!   degraded, backing off further.
+//! * Ingest keeps working **in memory**: `record_*` calls skip the
+//!   encode+append (counted in [`DurabilityStats::ops_dropped`]).
+//! * A `durability_lost` watermark is published: the writer's
+//!   `durable_at` at the surrender, the max op time provably written
+//!   *and fsynced* (a valid frontier: record order carries
+//!   non-decreasing op times). Ops after it may exist only in memory. A
+//!   second surrender in the same episode does not move it.
+//! * [`DataStore::tend_durability`] runs a *heal*: revive the WAL at a
+//!   fresh generation, accept appends again, then checkpoint (a heal
+//!   advances two generations; its floor is the second). The checkpoint
+//!   captures every op the degraded window dropped, so a heal that lands
+//!   loses nothing: the store is durable again and the watermark
+//!   clears. A failed heal stays degraded and backs off.
+//!
+//! The logic is one value, `durability::DurabilityMachine`, which does
+//! no IO and reads no clock: its events are the surrender, a tend at
+//! `now`, the heal's success or failure at `now`, and close, and each
+//! transition returns the IO to run with its mutex released. The caller
+//! supplies the time (the live driver the wall clock, tests made-up
+//! instants). The first heal of an episode runs at the first tend after
+//! the surrender; after `n` failed heals the next waits
+//! `min(`[`HEAL_RETRY_BASE`]` · 2^n, `[`HEAL_RETRY_CAP`]`)`. Appends and
+//! captures read atomic mirrors of its mode and watermark that only the
+//! store writes, and the surrender is observed in one place
+//! (`DurableSink::observe`): on an append, a tend or a close.
 //!
 //! # Graceful shutdown
 //!
 //! [`DataStore::close`] takes a final checkpoint (its rotate drains the
-//! write-behind queue) and writes an atomic clean-shutdown marker
+//! write-behind queue; a degraded store heals instead, whatever the
+//! backoff says) and writes an atomic clean-shutdown marker
 //! recording the log position: the next sequence number and the
 //! generation the writer stands at, which nothing was appended to.
 //! [`DataStore::recover`] consumes the marker (it is removed, and the
@@ -127,6 +132,7 @@
 //! [`RecoveryInfo::from_clean_shutdown`] is true. An unclean death
 //! leaves no marker and recovery replays the tail as usual.
 
+use crate::durability::{DurabilityMachine, Event, Io};
 use crate::probe::{ProbeKind, ProbeOutcome, ProbeRecord, ProbeTrigger, UnavailabilityInterval};
 use crate::shared::{ChunkVec, CowVec};
 use crate::store::{
@@ -141,10 +147,11 @@ use spotlight_persist::{enum_codec, record_codec, Decode, DecodeError, DiskIo, E
 use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
+pub use crate::durability::{DurabilityMode, HEAL_RETRY_BASE, HEAL_RETRY_CAP};
 pub use spotlight_persist::FsyncPolicy;
 
 /// Tuning knobs for a durable store's writer.
@@ -159,11 +166,6 @@ pub struct DurableOptions {
     /// real filesystem. Tests inject a
     /// [`spotlight_persist::FaultyDisk`] here.
     pub io: Option<Arc<dyn DiskIo>>,
-    /// Backoff before the first heal attempt after a degraded
-    /// transition; doubles per failed attempt.
-    pub heal_retry_base: Duration,
-    /// Ceiling on the heal backoff.
-    pub heal_retry_cap: Duration,
 }
 
 impl Default for DurableOptions {
@@ -172,27 +174,11 @@ impl Default for DurableOptions {
             fsync: FsyncPolicy::Batch,
             queue_capacity: 4096,
             io: None,
-            heal_retry_base: Duration::from_millis(100),
-            heal_retry_cap: Duration::from_secs(10),
         }
     }
 }
 
-/// Whether a durable store is actually putting ops on disk right now.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum DurabilityMode {
-    /// Appends flow to the WAL normally.
-    #[default]
-    Durable,
-    /// The disk defeated bounded retry: ops are in-memory only until a
-    /// heal succeeds (see the module docs).
-    Degraded,
-}
-
-const MODE_DURABLE: u8 = 0;
-const MODE_DEGRADED: u8 = 1;
-/// Sentinel for "no durability loss": the watermark atomic holds this
-/// when the store has never degraded (or has fully healed).
+/// The watermark mirror outside a degraded episode.
 const NO_LOSS: u64 = u64::MAX;
 
 /// Counters describing a durable store's log activity.
@@ -208,18 +194,17 @@ pub struct DurabilityStats {
     pub checkpoints: u64,
     /// Raw records sealed into spill segments by compaction.
     pub spilled_records: u64,
-    /// Write/fsync errors the durable paths have hit.
+    /// Write/fsync errors the durable paths (log, checkpoint, spill,
+    /// heal) have hit, each counted once.
     pub io_errors: u64,
-    /// Description of the most recent IO error, if any.
+    /// Description of the most recent of them, if any.
     pub last_error: Option<String>,
     /// Whether appends are currently reaching disk.
     pub mode: DurabilityMode,
-    /// While degraded (or until a heal completes): ops at or before
-    /// this time are provably on disk; later ones may be memory-only.
-    /// `None` when fully durable.
+    /// Until a heal lands, ops after this time may be memory-only; `None`
+    /// when fully durable.
     pub durability_lost: Option<SimTime>,
-    /// Ops skipped at the sink while degraded (in memory only until
-    /// the healing checkpoint captures them).
+    /// Ops skipped at the sink while degraded (memory-only until a heal).
     pub ops_dropped: u64,
     /// Frames the WAL writer dropped after exhausting its retries.
     pub dropped_frames: u64,
@@ -244,7 +229,8 @@ pub struct RecoveryInfo {
     pub checkpoint_loaded: bool,
 }
 
-/// The durable half of a [`DataStore`]: directory, WAL, and counters.
+/// The durable half of a [`DataStore`]: directory, WAL, the durability
+/// machine and counters. IO errors go to the WAL's one error record.
 #[derive(Debug)]
 pub(crate) struct DurableSink {
     pub(crate) dir: LogDir,
@@ -262,54 +248,44 @@ pub(crate) struct DurableSink {
     /// `compact` calls could otherwise seal the same records twice and
     /// race each other's prefix drop.
     pub(crate) compact_lock: crate::sync::Mutex<()>,
-    /// Errors from durable paths outside the WAL writer (spills).
-    io_errors: AtomicU64,
-    last_error: crate::sync::Mutex<Option<String>>,
-    /// [`MODE_DURABLE`] or [`MODE_DEGRADED`].
-    mode: AtomicU8,
-    /// Op-time watermark published at the degraded transition
-    /// ([`NO_LOSS`] when fully durable).
-    durability_lost: AtomicU64,
+    /// Held for one transition or a stats read, never across IO.
+    machine: crate::sync::Mutex<DurabilityMachine>,
+    /// Mirrors of the machine: appends are dropped (lowered by a heal
+    /// once the WAL is revived), and its watermark or [`NO_LOSS`].
+    dropping: AtomicBool,
+    lost: AtomicU64,
     /// Ops skipped at the sink while degraded.
     ops_dropped: AtomicU64,
-    degraded_transitions: AtomicU64,
-    heals: AtomicU64,
-    /// Heal backoff bookkeeping.
-    heal: crate::sync::Mutex<HealState>,
-    heal_retry_base: Duration,
-    heal_retry_cap: Duration,
-}
-
-#[derive(Debug, Default)]
-struct HealState {
-    /// Failed heal attempts since the degraded transition.
-    attempts: u32,
-    /// Earliest instant the next heal may run; `None` when not
-    /// degraded.
-    next_retry: Option<Instant>,
 }
 
 impl DurableSink {
-    fn new(dir: LogDir, wal: WalHandle, current_gen: u64, opts: &DurableOptions) -> DurableSink {
-        DurableSink {
+    /// The sink over `dir`'s `streams` streams, its writer appending to
+    /// `generation` from sequence number `seq`.
+    fn open(
+        dir: LogDir,
+        opts: &DurableOptions,
+        streams: u32,
+        generation: u64,
+        seq: u64,
+    ) -> io::Result<Self> {
+        let config = WalConfig {
+            streams,
+            fsync: opts.fsync,
+            queue_capacity: opts.queue_capacity,
+        };
+        Ok(DurableSink {
+            wal: WalHandle::open(&dir, config, generation, seq)?,
             dir,
-            wal,
             checkpoints: AtomicU64::new(0),
             spilled_records: AtomicU64::new(0),
-            current_gen: AtomicU64::new(current_gen),
+            current_gen: AtomicU64::new(generation),
             ckpt_lock: crate::sync::Mutex::new(()),
             compact_lock: crate::sync::Mutex::new(()),
-            io_errors: AtomicU64::new(0),
-            last_error: crate::sync::Mutex::new(None),
-            mode: AtomicU8::new(MODE_DURABLE),
-            durability_lost: AtomicU64::new(NO_LOSS),
+            machine: crate::sync::Mutex::new(DurabilityMachine::default()),
+            dropping: AtomicBool::new(false),
+            lost: AtomicU64::new(NO_LOSS),
             ops_dropped: AtomicU64::new(0),
-            degraded_transitions: AtomicU64::new(0),
-            heals: AtomicU64::new(0),
-            heal: crate::sync::Mutex::new(HealState::default()),
-            heal_retry_base: opts.heal_retry_base,
-            heal_retry_cap: opts.heal_retry_cap,
-        }
+        })
     }
 
     /// Appends one op to `stream`. Called with the mutated lock held so
@@ -317,72 +293,54 @@ impl DurableSink {
     /// thread-local scratch buffer: this is the per-record hot path and
     /// must not allocate.
     ///
-    /// While degraded this is two atomic loads and an increment — the
-    /// op stays in memory only, counted, until a heal's checkpoint
-    /// captures it.
+    /// While degraded this is an atomic load and an increment. A failed
+    /// send means the writer thread is gone: the WAL reports that as a
+    /// surrender for the next call to observe.
     pub(crate) fn append(&self, stream: u32, op: &StoreOp) {
-        if self.mode.load(Ordering::Acquire) == MODE_DEGRADED {
-            self.ops_dropped.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        if self.wal.is_degraded() {
-            // First observer of the writer giving up publishes the
-            // transition and its watermark.
-            self.enter_degraded();
-            self.ops_dropped.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
         thread_local! {
             static SCRATCH: std::cell::RefCell<Vec<u8>> =
                 const { std::cell::RefCell::new(Vec::new()) };
         }
-        SCRATCH.with(|scratch| {
-            let mut buf = scratch.borrow_mut();
-            buf.clear();
-            op.encode(&mut buf);
-            if self.wal.append(stream, &buf, op.at_secs()).is_err() {
-                // The writer thread is gone (shutdown race): stop
-                // pretending appends persist.
-                self.enter_degraded();
-                self.ops_dropped.fetch_add(1, Ordering::Relaxed);
-            }
-        });
-    }
-
-    /// Publishes the durable → degraded transition exactly once per
-    /// episode: the watermark is the writer's durability frontier at
-    /// the moment of failure, and the first heal attempt is scheduled.
-    fn enter_degraded(&self) {
-        if self
-            .mode
-            .compare_exchange(
-                MODE_DURABLE,
-                MODE_DEGRADED,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            )
-            .is_ok()
-        {
-            self.durability_lost
-                .store(self.wal.durable_at(), Ordering::Release);
-            self.degraded_transitions.fetch_add(1, Ordering::Relaxed);
-            let mut heal = self.heal.lock();
-            heal.attempts = 0;
-            heal.next_retry = Some(Instant::now() + self.heal_retry_base);
+        let sent = !self.observe()
+            && SCRATCH.with(|scratch| {
+                let mut buf = scratch.borrow_mut();
+                buf.clear();
+                op.encode(&mut buf);
+                self.wal.append(stream, &buf, op.at_secs()).is_ok()
+            });
+        if !sent {
+            self.ops_dropped.fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    /// The published durability-loss watermark, if any.
-    fn lost_watermark(&self) -> Option<SimTime> {
-        match self.durability_lost.load(Ordering::Acquire) {
-            NO_LOSS => None,
-            secs => Some(SimTime::from_secs(secs)),
+    /// Whether appends are dropped, feeding the writer's surrender to the
+    /// machine on the way: the one place it is observed. Skipped while
+    /// dropping, so a heal's not yet revived writer never counts twice.
+    fn observe(&self) -> bool {
+        if self.dropping.load(Ordering::Acquire) {
+            return true;
         }
+        if !self.wal.is_degraded() {
+            return false;
+        }
+        let durable_at = SimTime::from_secs(self.wal.durable_at());
+        self.drive(Event::Surrendered(durable_at));
+        true
     }
 
-    fn note_error(&self, what: &str, err: &io::Error) {
-        self.io_errors.fetch_add(1, Ordering::Relaxed);
-        *self.last_error.lock() = Some(format!("{what}: {err}"));
+    /// One transition, the mutex held for it alone. A surrender or a
+    /// heal's outcome republishes the mirrors; entering a heal does not:
+    /// its IO lowers `dropping` once the WAL is revived.
+    fn drive(&self, event: Event) -> Io {
+        let mut machine = self.machine.lock();
+        let io = machine.on(event);
+        if !matches!(event, Event::Tend(_) | Event::Close) {
+            let lost = machine.lost();
+            self.dropping.store(lost.is_some(), Ordering::Release);
+            let secs = lost.map_or(NO_LOSS, SimTime::as_secs);
+            self.lost.store(secs, Ordering::Release);
+        }
+        io
     }
 }
 
@@ -629,7 +587,7 @@ pub(crate) fn encode_spill(stripe: &Stripe, before: SimTime) -> (Vec<u8>, u64) {
 pub(crate) fn next_spill_numbers(sink: &DurableSink, stripes: usize) -> Option<Vec<u64>> {
     sink.dir
         .next_spill_numbers(stripes)
-        .map_err(|err| sink.note_error("spill", &err))
+        .inspect_err(|err| sink.wal.stats().record_error(err, "spill"))
         .ok()
 }
 
@@ -646,19 +604,14 @@ pub(crate) fn write_spill(
     block: &[u8],
     records: u64,
 ) -> bool {
-    if records == 0 {
-        return true;
-    }
-    match sink.dir.write_spill(idx as u32, n, block) {
-        Ok(()) => {
-            sink.spilled_records.fetch_add(records, Ordering::Relaxed);
-            true
+    if records > 0 {
+        if let Err(err) = sink.dir.write_spill(idx as u32, n, block) {
+            sink.wal.stats().record_error(&err, "spill");
+            return false;
         }
-        Err(err) => {
-            sink.note_error("spill", &err);
-            false
-        }
+        sink.spilled_records.fetch_add(records, Ordering::Relaxed);
     }
+    true
 }
 
 impl DataStore {
@@ -706,17 +659,7 @@ impl DataStore {
         if let Some(io) = &opts.io {
             log = log.with_io(Arc::clone(io));
         }
-        let wal = WalHandle::open(
-            &log,
-            WalConfig {
-                streams: stripes as u32 + 1,
-                fsync: opts.fsync,
-                queue_capacity: opts.queue_capacity,
-            },
-            0,
-            0,
-        )?;
-        store.durable = Some(DurableSink::new(log, wal, 0, &opts));
+        store.durable = Some(DurableSink::open(log, &opts, stripes as u32 + 1, 0, 0)?);
         Ok(store)
     }
 
@@ -729,20 +672,12 @@ impl DataStore {
     /// undecodable op (all meaning something other than a crash-torn
     /// tail happened to the directory).
     pub fn recover(dir: &Path) -> io::Result<DataStore> {
-        DataStore::recover_with(dir, DurableOptions::default())
+        DataStore::recover_with_report(dir, DurableOptions::default()).map(|(store, _)| store)
     }
 
-    /// [`DataStore::recover`] with explicit writer options.
-    ///
-    /// # Errors
-    ///
-    /// See [`DataStore::recover`].
-    pub fn recover_with(dir: &Path, opts: DurableOptions) -> io::Result<DataStore> {
-        DataStore::recover_with_report(dir, opts).map(|(store, _)| store)
-    }
-
-    /// [`DataStore::recover_with`], also reporting what recovery did —
-    /// the crash-torture harness asserts on this.
+    /// [`DataStore::recover`] with explicit writer options, also
+    /// reporting what recovery did — the crash-torture harness asserts
+    /// on this.
     ///
     /// # Errors
     ///
@@ -781,14 +716,9 @@ impl DataStore {
             let meta = CheckpointMeta::from_bytes(&sections[0]).map_err(bad_data)?;
             next_seq = meta.next_seq;
             min_gen = meta.floor;
-            let relaxed = Ordering::Relaxed;
-            store.recorded_probes.store(meta.recorded_probes, relaxed);
-            store
-                .total_cost_micros
-                .store(meta.total_cost_micros, relaxed);
-            store
-                .suppressed_probes
-                .store(meta.suppressed_probes, relaxed);
+            *store.recorded_probes.get_mut() = meta.recorded_probes;
+            *store.total_cost_micros.get_mut() = meta.total_cost_micros;
+            *store.suppressed_probes.get_mut() = meta.suppressed_probes;
             *store.region_health.write() = meta.region_health;
             for (i, section) in sections[1..].iter().enumerate() {
                 *store.stripes[i].write() = decode_stripe(section).map_err(bad_data)?;
@@ -844,18 +774,13 @@ impl DataStore {
 
         // 3. Never append after a possibly-torn tail: reopen the log at
         // a fresh generation.
-        let new_gen = max_gen + 1;
-        let wal = WalHandle::open(
-            &log,
-            WalConfig {
-                streams: stripes as u32 + 1,
-                fsync: opts.fsync,
-                queue_capacity: opts.queue_capacity,
-            },
-            new_gen,
+        store.durable = Some(DurableSink::open(
+            log,
+            &opts,
+            dir_meta.streams,
+            max_gen + 1,
             max_seq,
-        )?;
-        store.durable = Some(DurableSink::new(log, wal, new_gen, &opts));
+        )?);
         Ok((
             store,
             RecoveryInfo {
@@ -870,23 +795,16 @@ impl DataStore {
     /// (`durable` is still unset during replay, so nothing re-logs).
     fn apply(&self, op: StoreOp) {
         match op {
-            StoreOp::Probe(p) => {
-                self.record_probe(p);
-            }
+            StoreOp::Probe(p) => _ = self.record_probe(p),
             StoreOp::Spike(s) => self.record_spike(s),
             StoreOp::Revocation(r) => self.record_revocation(r),
             StoreOp::IntrinsicBid(b) => self.record_intrinsic_bid(b),
             StoreOp::Suppressed { total } => {
-                self.suppressed_probes.fetch_max(total, Ordering::Relaxed);
+                _ = self.suppressed_probes.fetch_max(total, Ordering::Relaxed)
             }
             StoreOp::RegionDegraded { region, at } => self.mark_region_degraded(region, at),
             StoreOp::RegionRecovered { region, at } => self.mark_region_recovered(region, at),
         }
-    }
-
-    /// Whether this store persists to disk.
-    pub fn is_durable(&self) -> bool {
-        self.durable.is_some()
     }
 
     /// Forces everything appended so far onto disk. A no-op `Ok` for
@@ -917,9 +835,11 @@ impl DataStore {
     ///
     /// # Errors
     ///
-    /// `Unsupported` for in-memory stores; otherwise filesystem errors.
-    /// On error the previous checkpoint and the full log remain, so the
-    /// store stays recoverable.
+    /// `Unsupported` for in-memory stores; otherwise filesystem errors
+    /// (a failed write or prune is counted in [`DurabilityStats`]; a
+    /// failed rotate was, by the writer). On error the previous
+    /// checkpoint and the full log remain, so the store stays
+    /// recoverable.
     pub fn checkpoint(&self) -> io::Result<()> {
         let Some(d) = &self.durable else {
             return Err(io::Error::new(
@@ -952,8 +872,10 @@ impl DataStore {
         }
         // Nothing is deleted before the checkpoint is durable; from
         // then on recovery starts at `floor`.
-        d.dir.write_checkpoint(&sections)?;
-        d.dir.delete_wal_before(floor)?;
+        let written = d.dir.write_checkpoint(&sections);
+        written
+            .and_then(|()| d.dir.delete_wal_before(floor))
+            .inspect_err(|err| d.wal.stats().record_error(err, "checkpoint"))?;
         d.checkpoints.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
@@ -962,24 +884,21 @@ impl DataStore {
     pub fn durability_stats(&self) -> Option<DurabilityStats> {
         let d = self.durable.as_ref()?;
         let ws = d.wal.stats();
-        let last_error = d.last_error.lock().clone().or_else(|| ws.last_error_text());
+        let machine = *d.machine.lock();
         Some(DurabilityStats {
             appended_ops: ws.appended_ops.load(Ordering::Relaxed),
             appended_bytes: ws.appended_bytes.load(Ordering::Relaxed),
             fsyncs: ws.fsyncs.load(Ordering::Relaxed),
             checkpoints: d.checkpoints.load(Ordering::Relaxed),
             spilled_records: d.spilled_records.load(Ordering::Relaxed),
-            io_errors: ws.io_errors.load(Ordering::Relaxed) + d.io_errors.load(Ordering::Relaxed),
-            last_error,
-            mode: match d.mode.load(Ordering::Acquire) {
-                MODE_DEGRADED => DurabilityMode::Degraded,
-                _ => DurabilityMode::Durable,
-            },
-            durability_lost: d.lost_watermark(),
+            io_errors: ws.io_errors.load(Ordering::Relaxed),
+            last_error: ws.last_error_text(),
+            mode: self.durability_mode()?,
+            durability_lost: self.durability_lost(),
             ops_dropped: d.ops_dropped.load(Ordering::Relaxed),
             dropped_frames: ws.dropped_frames.load(Ordering::Relaxed),
-            degraded_transitions: d.degraded_transitions.load(Ordering::Relaxed),
-            heals: d.heals.load(Ordering::Relaxed),
+            degraded_transitions: machine.degraded_transitions,
+            heals: machine.heals,
         })
     }
 
@@ -987,9 +906,9 @@ impl DataStore {
     /// in-memory stores.
     pub fn durability_mode(&self) -> Option<DurabilityMode> {
         let d = self.durable.as_ref()?;
-        Some(match d.mode.load(Ordering::Acquire) {
-            MODE_DEGRADED => DurabilityMode::Degraded,
-            _ => DurabilityMode::Durable,
+        Some(match d.dropping.load(Ordering::Acquire) {
+            true => DurabilityMode::Degraded,
+            false => DurabilityMode::Durable,
         })
     }
 
@@ -997,98 +916,56 @@ impl DataStore {
     /// provably on disk, later ones may be memory-only. `None` when
     /// fully durable (or in-memory).
     pub fn durability_lost(&self) -> Option<SimTime> {
-        self.durable.as_ref()?.lost_watermark()
+        match self.durable.as_ref()?.lost.load(Ordering::Acquire) {
+            NO_LOSS => None,
+            secs => Some(SimTime::from_secs(secs)),
+        }
     }
 
-    /// Drives the degraded → durable heal loop. Call this periodically
-    /// from a maintenance point (the live driver does so once per
-    /// tick), never from inside a `record_*` call — a successful heal
-    /// runs a full checkpoint, which takes every stripe lock (shared, for
-    /// the length of a clone: a live read view does not hold it up).
-    ///
-    /// Returns `Ok(true)` when a heal completed this call, `Ok(false)`
-    /// when there was nothing to do (healthy, in-memory, or backoff not
-    /// yet elapsed).
+    /// Drives the degraded → durable heal loop at `now`, the caller's
+    /// clock. Call it from a maintenance point, never from inside a
+    /// `record_*` call: a heal runs a full checkpoint. Returns whether a
+    /// heal completed (not when healthy, in-memory, or backing off).
     ///
     /// # Errors
     ///
-    /// A failed heal attempt returns its IO error after re-entering
-    /// degraded mode and doubling the retry backoff; the store remains
-    /// usable either way.
-    pub fn tend_durability(&self) -> io::Result<bool> {
+    /// A failed heal returns its IO error; the store stays degraded and
+    /// backs off (module docs), usable either way.
+    pub fn tend_durability(&self, now: Instant) -> io::Result<bool> {
         let Some(d) = &self.durable else {
             return Ok(false);
         };
-        if d.mode.load(Ordering::Acquire) == MODE_DURABLE {
-            if d.wal.is_degraded() {
-                // The writer died quietly (e.g. fsync failures with no
-                // intervening append): publish the transition here so
-                // an idle store still heals.
-                d.enter_degraded();
-            } else {
-                return Ok(false);
-            }
+        // An idle store observes a quiet surrender here.
+        d.observe();
+        if d.drive(Event::Tend(now)) != Io::Heal {
+            return Ok(false);
         }
-        {
-            let heal = d.heal.lock();
-            match heal.next_retry {
-                Some(due) if Instant::now() >= due => {}
-                _ => return Ok(false),
-            }
-        }
-        self.heal_now()
+        let healed = self.heal(d);
+        d.drive(match healed {
+            Ok(()) => Event::HealSucceeded,
+            Err(_) => Event::HealFailed(now),
+        });
+        healed.map(|()| true)
     }
 
-    /// One heal attempt, ignoring backoff: revive the WAL at a fresh
-    /// generation, re-enable appends, then checkpoint so every op that
-    /// was memory-only while degraded becomes durable.
-    fn heal_now(&self) -> io::Result<bool> {
-        let d = self.durable.as_ref().expect("heal on a durable store");
-        let new_gen = match d.wal.revive() {
-            Ok(gen) => gen,
-            Err(err) => return Err(self.heal_failed(err)),
-        };
-        d.current_gen.store(new_gen, Ordering::Relaxed);
-        // Re-enable appends *before* the checkpoint: an op recorded
-        // from here on lands either in a fresh WAL generation (this
-        // one, or the one the checkpoint rotates to) or inside the
-        // checkpoint snapshot — both recoverable. The reverse order
-        // would silently lose ops recorded between the capture and the
-        // flip.
-        d.mode.store(MODE_DURABLE, Ordering::Release);
-        if let Err(err) = self.checkpoint() {
-            // The disk is still bad: back off and go around again.
-            d.mode.store(MODE_DEGRADED, Ordering::Release);
-            return Err(self.heal_failed(err));
-        }
-        d.durability_lost.store(NO_LOSS, Ordering::Release);
-        d.heals.fetch_add(1, Ordering::Relaxed);
-        let mut heal = d.heal.lock();
-        heal.attempts = 0;
-        heal.next_retry = None;
-        Ok(true)
+    /// The machine's `Heal`: revive the WAL at a fresh generation,
+    /// re-enable appends, then checkpoint so every op that was
+    /// memory-only while degraded becomes durable.
+    fn heal(&self, d: &DurableSink) -> io::Result<()> {
+        let revived = d.wal.revive();
+        let generation = revived.inspect_err(|err| d.wal.stats().record_error(err, "heal"))?;
+        d.current_gen.store(generation, Ordering::Relaxed);
+        // Appends back on *before* the checkpoint: an op recorded from
+        // here lands in a fresh generation or inside the capture. The
+        // reverse order would lose ops recorded between the two.
+        d.dropping.store(false, Ordering::Release);
+        self.checkpoint()
     }
 
-    /// Records a failed heal attempt: note the error and double the
-    /// backoff (capped).
-    fn heal_failed(&self, err: io::Error) -> io::Error {
-        let d = self.durable.as_ref().expect("heal on a durable store");
-        d.note_error("heal", &err);
-        let mut heal = d.heal.lock();
-        heal.attempts = heal.attempts.saturating_add(1);
-        let backoff = d
-            .heal_retry_base
-            .saturating_mul(1u32 << heal.attempts.min(16))
-            .min(d.heal_retry_cap);
-        heal.next_retry = Some(Instant::now() + backoff);
-        err
-    }
-
-    /// Gracefully shuts the store down: final checkpoint (healing
-    /// first if degraded, so memory-only ops reach disk), then a
-    /// clean-shutdown marker that lets the next [`DataStore::recover`]
-    /// skip the WAL tail scan entirely. Consumes the store — taking it
-    /// by value is what guarantees no append races the marker.
+    /// Gracefully shuts the store down: final checkpoint (a heal if
+    /// degraded, whatever the backoff says), then a clean-shutdown
+    /// marker that lets the next [`DataStore::recover`] skip the WAL
+    /// tail scan. Taking the store by value keeps appends off the marker.
     ///
     /// A no-op `Ok` for in-memory stores.
     ///
@@ -1096,18 +973,17 @@ impl DataStore {
     ///
     /// Filesystem errors from the final checkpoint or the marker write.
     /// On error the store is dropped *without* a marker, which is
-    /// always safe: the next recovery simply replays the tail.
+    /// always safe: the next recovery simply replays the tail, and the
+    /// watermark's promise still holds.
     pub fn close(self) -> io::Result<()> {
         let Some(d) = &self.durable else {
             return Ok(());
         };
-        if d.mode.load(Ordering::Acquire) == MODE_DEGRADED || d.wal.is_degraded() {
-            d.enter_degraded();
-            self.heal_now()?;
-        } else {
-            self.checkpoint()?;
+        d.observe();
+        match d.drive(Event::Close) {
+            Io::Heal => self.heal(d)?,
+            _ => self.checkpoint()?,
         }
-        let d = self.durable.as_ref().expect("durable checked above");
         d.dir.write_clean_marker(CleanMarker {
             next_seq: d.wal.next_seq(),
             generation: d.current_gen.load(Ordering::Relaxed),
@@ -1600,7 +1476,6 @@ mod tests {
                 intrinsic: Price::from_dollars(0.05),
                 attempts: 2,
             });
-            assert!(store.is_durable());
             let stats = store.durability_stats().expect("stats");
             assert_eq!(stats.appended_ops, 50 + 1 + 2 + 2 + 1 + 1);
             assert_eq!(stats.io_errors, 0);
@@ -2331,7 +2206,6 @@ mod tests {
             DurableOptions {
                 fsync: FsyncPolicy::Never,
                 io: Some(io.clone() as Arc<dyn DiskIo>),
-                heal_retry_base: Duration::ZERO,
                 ..DurableOptions::default()
             },
         )
@@ -2356,16 +2230,18 @@ mod tests {
         // Degraded ingest still lands in memory.
         assert_eq!(store.len(), PROBES as usize + 1);
 
-        // The window is exhausted, so the heal goes through.
+        // The window is exhausted, so the heal — due at the first tend
+        // after the surrender — goes through.
         assert!(io.exhausted());
-        assert!(store.tend_durability().expect("heal"), "heal ran");
+        let now = crate::test_epoch();
+        assert!(store.tend_durability(now).expect("heal"), "heal ran");
         assert_eq!(store.durability_mode(), Some(DurabilityMode::Durable));
         assert_eq!(store.durability_lost(), None);
         let stats = store.durability_stats().expect("stats");
         assert_eq!(stats.heals, 1);
         assert_eq!(stats.checkpoints, 1);
         // Nothing to do when healthy.
-        assert!(!store.tend_durability().expect("idle tend"));
+        assert!(!store.tend_durability(now).expect("idle tend"));
 
         // Post-heal appends persist, and recovery sees every op that
         // was ever applied in memory — including the dropped one the
@@ -2378,21 +2254,22 @@ mod tests {
 
     /// A durable store at `dir` holding `PROBES` probes of market 0 that
     /// a scripted ENOSPC window has kept off the disk: the failed flush
-    /// is behind it and the window exhausted, so the next append
-    /// observes the degraded writer and the next heal goes through.
-    fn store_on_a_full_disk(dir: &Path, heal_retry_base: Duration) -> DataStore {
+    /// is behind it, so the next append observes the degraded writer.
+    /// The window is exhausted, so the next heal goes through — unless
+    /// `heal_fails`, when it takes the first heal's checkpoint write too.
+    fn store_on_a_full_disk(dir: &Path, heal_fails: bool) -> DataStore {
         let flush_len = measured_flush_len(PROBES);
+        let attempts = if heal_fails { 3 } else { 2 };
         let io = Arc::new(FaultyDisk::scripted(vec![FaultWindow {
             kind: FaultKind::WriteEnospc,
             from: 8,
-            to: 8 + 2 * flush_len + 1,
+            to: 8 + attempts * flush_len + 1,
         }]));
         let store = DataStore::create_durable(
             dir,
             DurableOptions {
                 fsync: FsyncPolicy::Never,
                 io: Some(io as Arc<dyn DiskIo>),
-                heal_retry_base,
                 ..DurableOptions::default()
             },
         )
@@ -2410,12 +2287,20 @@ mod tests {
     fn close_while_degraded_heals_first() {
         let tmp = TempDir::new("durable-degraded-close");
         let dir = tmp.path().join("store");
-        // A heal via tend would have to wait out this backoff; close
-        // ignores it.
-        let store = store_on_a_full_disk(&dir, Duration::from_secs(3600));
+        let store = store_on_a_full_disk(&dir, true);
         store.record_probe(probe(PROBES * 60, market(2), ProbeOutcome::Fulfilled));
         assert_eq!(store.durability_mode(), Some(DurabilityMode::Degraded));
-        assert!(!store.tend_durability().expect("backoff holds"));
+        // The first heal fails; a tend would now have to wait out the
+        // backoff, and close ignores it.
+        let now = crate::test_epoch();
+        let err = store
+            .tend_durability(now)
+            .expect_err("the disk is still full");
+        assert_eq!(err.raw_os_error(), Some(28), "ENOSPC surfaces: {err}");
+        let soon = now + HEAL_RETRY_BASE;
+        assert!(!store.tend_durability(soon).expect("backoff holds"));
+        assert_eq!(store.durability_mode(), Some(DurabilityMode::Degraded));
+        assert!(store.durability_lost().is_some());
         store.close().expect("close heals then marks");
 
         let (recovered, info) =
@@ -2440,7 +2325,7 @@ mod tests {
         let body = std::thread::spawn(move || {
             let tmp = TempDir::new("durable-view-held");
             let dir = tmp.path().join("store");
-            let store = store_on_a_full_disk(&dir, Duration::ZERO);
+            let store = store_on_a_full_disk(&dir, false);
             let twin = DataStore::new();
             for t in 0..PROBES {
                 twin.record_probe(probe(t * 60, market(0), ProbeOutcome::Fulfilled));
@@ -2464,7 +2349,8 @@ mod tests {
                 assert!(r.durability_lost().is_some(), "captured while degraded");
             };
             record(probe(1, market(1), ProbeOutcome::InsufficientCapacity));
-            assert!(store.tend_durability().expect("heal"), "heal ran");
+            let now = crate::test_epoch();
+            assert!(store.tend_durability(now).expect("heal"), "heal ran");
             assert_eq!(store.durability_mode(), Some(DurabilityMode::Durable));
             record(probe(2, market(1), ProbeOutcome::InsufficientCapacity));
             store.checkpoint().expect("checkpoint");
@@ -2489,7 +2375,7 @@ mod tests {
             }
             let _ = done.send(());
         });
-        if finished.recv_timeout(Duration::from_secs(30))
+        if finished.recv_timeout(std::time::Duration::from_secs(30))
             == Err(std::sync::mpsc::RecvTimeoutError::Timeout)
         {
             panic!("still running after 30 s: something durable waits for the view");
@@ -2499,10 +2385,84 @@ mod tests {
         }
     }
 
+    /// Every durable path — the log writer, a checkpoint, a spill —
+    /// counts its failures once in one error record, whose last error is
+    /// the latest: a spill's does not hide a later WAL failure, and a
+    /// failed checkpoint write is counted and named.
+    #[test]
+    fn one_error_record_names_the_latest_failure_of_every_durable_path() {
+        // On a flushed, quiescent store: checkpoint, compact (one spill
+        // segment), then one more flushed batch. Returns the write
+        // positions of the checkpoint, the spill and the end of the
+        // batch, which the same script on a healthy disk finds.
+        let run = |windows: Vec<FaultWindow>, dir: &Path| {
+            let io = Arc::new(FaultyDisk::scripted(windows));
+            let opts = DurableOptions {
+                fsync: FsyncPolicy::Never,
+                io: Some(io.clone() as Arc<dyn DiskIo>),
+                ..DurableOptions::default()
+            };
+            let store = DataStore::create_durable_with_layout(dir, opts, 1, HOUR).expect("create");
+            for t in 0..20u64 {
+                store.record_probe(probe(t * 60, market(0), ProbeOutcome::Fulfilled));
+            }
+            store.flush().expect("flush");
+            let errors = || store.durability_stats().expect("stats").io_errors;
+            let last = || store.durability_stats().expect("stats").last_error;
+            let at_checkpoint = io.written();
+            let checkpoint = store.checkpoint();
+            let after_checkpoint = (errors(), last());
+            let at_spill = io.written();
+            store.compact(SimTime::from_secs(600));
+            let after_spill = (errors(), last());
+            store.record_probe(probe(3600, market(1), ProbeOutcome::Fulfilled));
+            let flushed = store.flush();
+            let positions = [at_checkpoint, at_spill, io.written()];
+            (
+                positions,
+                checkpoint,
+                flushed,
+                after_checkpoint,
+                after_spill,
+                (errors(), last()),
+            )
+        };
+        let tmp = TempDir::new("durable-one-error-record");
+        let (at, checkpoint, flushed, _, _, (errors, last)) =
+            run(Vec::new(), &tmp.path().join("a"));
+        assert!(checkpoint.is_ok() && flushed.is_ok());
+        assert_eq!((errors, last), (0, None));
+
+        let window = |kind, from| FaultWindow {
+            kind,
+            from,
+            to: from + 1,
+        };
+        let faults = vec![
+            window(FaultKind::WriteEnospc, at[0]),
+            window(FaultKind::WriteEio, at[1]),
+            // The batch's last byte: its first attempt fails, the retry
+            // lands past the window.
+            window(FaultKind::WriteEnospc, at[2] - 1),
+        ];
+        let (again, checkpoint, flushed, after_checkpoint, after_spill, after_wal) =
+            run(faults, &tmp.path().join("b"));
+        assert_eq!(again[..2], at[..2], "the script is deterministic");
+        assert_eq!(checkpoint.expect_err("ENOSPC").raw_os_error(), Some(28));
+        let named = |(errors, last): (u64, Option<String>), what: &str| {
+            let last = last.expect("an error was recorded");
+            assert!(last.starts_with(what), "{what}: {last}");
+            errors
+        };
+        assert_eq!(named(after_checkpoint, "checkpoint: "), 1);
+        assert_eq!(named(after_spill, "spill: "), 2);
+        assert!(flushed.is_err(), "the flush reports the failed attempt");
+        assert_eq!(named(after_wal, "wal append: "), 3);
+    }
+
     #[test]
     fn checkpoint_on_in_memory_store_is_unsupported() {
         let store = DataStore::new();
-        assert!(!store.is_durable());
         assert!(store.flush().is_ok());
         assert_eq!(store.durability_stats(), None);
         assert_eq!(store.disk_bytes(), None);

@@ -59,7 +59,7 @@ pub fn write_str(out: &mut String, s: &str) {
 /// Inlined, with the escaping loop out of line: for a literal the scan
 /// folds away at compile time and the copy becomes a few stores.
 #[inline]
-pub fn write_str_parts(out: &mut String, parts: &[&str]) {
+fn write_str_parts(out: &mut String, parts: &[&str]) {
     out.push('"');
     for s in parts {
         // Branch-free so the scan vectorizes (and constant-folds).
@@ -304,7 +304,7 @@ impl Object<'_> {
     }
 
     /// Appends a string field whose value is the concatenation of
-    /// `parts` (see [`write_str_parts`]).
+    /// `parts` (see `write_str_parts`).
     #[inline]
     pub fn str_parts(&mut self, key: impl Key, parts: &[&str]) {
         let out = self.key(key);
@@ -397,7 +397,7 @@ impl Array<'_> {
     }
 
     /// Appends a string element that is the concatenation of `parts`
-    /// (see [`write_str_parts`]).
+    /// (see `write_str_parts`).
     #[inline]
     pub fn str_parts(&mut self, parts: &[&str]) {
         let out = self.elem();

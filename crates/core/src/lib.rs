@@ -60,6 +60,7 @@
 pub mod analysis;
 pub mod bidspread;
 pub mod budget;
+mod durability;
 pub mod durable;
 pub mod json;
 pub mod manager;
@@ -82,3 +83,10 @@ pub use query::{Freshness, SpotLightQuery};
 pub use snapshot::{SnapshotHub, SnapshotReader, StoreSnapshot};
 pub use spotlight::SpotLight;
 pub use store::{DataStore, RegionHealth, SharedStore, StoreRead};
+
+/// The anchor the unit tests' made-up instants are offsets from: a
+/// test's one clock read. Product code takes the time from its caller.
+#[cfg(test)]
+pub(crate) fn test_epoch() -> std::time::Instant {
+    std::time::Instant::now()
+}

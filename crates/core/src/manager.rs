@@ -56,7 +56,9 @@
 //! The driver also tends the store's durability each tick
 //! ([`crate::store::DataStore::tend_durability`]): when disk faults
 //! degrade the durable log, heals — WAL re-establishment plus a full
-//! checkpoint — run on the driver's clock, never on an ingest path.
+//! checkpoint — run on the driver's clock, never on an ingest path. The
+//! driver supplies the wall clock the heal backoff is measured on: live
+//! mode's one wall-clock read.
 //!
 //! The paper's *database manager* — a thread serializing every write —
 //! is subsumed by the lock-striped [`SharedStore`]: region managers
@@ -622,8 +624,9 @@ impl LiveDriver {
             }
         });
         // Durability maintenance rides the driver's clock: if the
-        // store degraded (disk faults), this is where heals run.
-        let _ = self.store.tend_durability();
+        // store degraded (disk faults), this is where heals run, their
+        // backoff measured on the wall clock.
+        let _ = self.store.tend_durability(std::time::Instant::now());
         self.ticks += 1;
         now
     }

@@ -740,7 +740,7 @@ mod tests {
             engine.cloud_mut().warmup(20);
             engine.add_agent(Box::new(SpotLight::new(cfg, store.clone())));
             engine.run_until(SimTime::ZERO + SimDuration::days(2));
-            assert!(store.is_durable());
+            assert!(store.durability_stats().is_some());
         } // drop: drain + final fsync
 
         let recovered = DataStore::recover(&dir).expect("recover");

@@ -73,11 +73,6 @@ impl BucketedRate {
         self.trials[bucket]
     }
 
-    /// Successes in a bucket.
-    pub fn successes(&self, bucket: usize) -> u64 {
-        self.successes[bucket]
-    }
-
     /// The success rate of one bucket, `None` if it has no trials.
     pub fn rate(&self, bucket: usize) -> Option<f64> {
         (self.trials[bucket] > 0)

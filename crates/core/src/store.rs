@@ -42,7 +42,7 @@
 //! # Epoch summaries
 //!
 //! Each `(market, kind)` additionally maintains fixed-width time
-//! buckets ([`DataStore::epoch_width`], default one hour) with
+//! buckets (the store's epoch width, default one hour) with
 //! informative/rejection counts and **closed-unavailable seconds**,
 //! updated incrementally at ingest (interval seconds are distributed
 //! over the epochs they cover when the interval closes). The series is
@@ -144,10 +144,14 @@
 //! drops to **degraded** mode: appends stay in memory only, a
 //! `durability_lost` watermark (the last op provably on disk) is
 //! published through [`DataStore::durability_lost`], live reports, and
-//! query freshness, and the driver's periodic
-//! [`DataStore::tend_durability`] call re-establishes the log at a
-//! fresh generation once the disk recovers — a healing checkpoint
-//! captures every op recorded while degraded. Graceful shutdown
+//! query freshness, and the caller's periodic
+//! [`DataStore::tend_durability`]`(now)` re-establishes the log at a
+//! fresh generation — a healing checkpoint captures every op recorded
+//! while degraded. The first heal runs at the first tend after the
+//! writer gives up, later ones back off on the caller's clock (the live
+//! driver passes the wall clock; tests pass made-up instants): one
+//! clock-free state machine decides, `durability::DurabilityMachine`.
+//! Graceful shutdown
 //! ([`DataStore::close`]) writes a clean-shutdown marker after a final
 //! checkpoint so the next recovery skips tail-scan replay entirely.
 //! The full state machine is documented in [`crate::durable`]; the
@@ -596,11 +600,6 @@ impl DataStore {
     /// The configured number of lock stripes.
     pub fn stripe_count(&self) -> usize {
         self.stripes.len()
-    }
-
-    /// The configured epoch-summary bucket width.
-    pub fn epoch_width(&self) -> SimDuration {
-        SimDuration::from_secs(self.epoch_secs)
     }
 
     fn stripe_of(&self, market: MarketId) -> usize {

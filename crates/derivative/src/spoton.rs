@@ -69,7 +69,7 @@ pub struct TrialResult {
 /// it on the fallback on-demand servers — stalling while
 /// `fallback_od` reports them unavailable — then returns to spot when
 /// the price falls back.
-pub fn run_trial(
+fn run_trial(
     job: &JobSpec,
     prices: &PriceSeries,
     od_price: Price,
@@ -258,7 +258,7 @@ pub fn estimate_market_stats(
 /// Returns `None` when the denominator (expected useful time) is not
 /// positive — checkpointing overhead swallows all progress.
 #[allow(clippy::too_many_arguments)]
-pub fn expected_cost_checkpointing(
+fn expected_cost_checkpointing(
     spot_price: Price,
     p: f64,
     e_z: SimDuration,

@@ -124,7 +124,11 @@ pub struct WalStats {
 }
 
 impl WalStats {
-    fn record_error(&self, err: &io::Error, what: &str) {
+    /// Counts `err` and makes it the most recent one. The writer records
+    /// its own failures here; a caller with more durable paths (a
+    /// checkpoint, a spill) records theirs too, so the log's stats are
+    /// the one error record.
+    pub fn record_error(&self, err: &io::Error, what: &str) {
         self.io_errors.fetch_add(1, Ordering::Relaxed);
         *unpoisoned(&self.last_error) = Some(format!("{what}: {err}"));
     }
@@ -262,11 +266,16 @@ impl WalHandle {
         })
     }
 
+    /// A writer thread that has exited has surrendered: the failed send
+    /// marks the log degraded, as [`WalHandle::is_degraded`] reports.
     fn send(&self, msg: Msg) -> io::Result<()> {
         let Some(tx) = self.tx.as_ref() else {
             return Err(writer_gone());
         };
-        tx.send(msg).map_err(|_| writer_gone())
+        tx.send(msg).map_err(|_| {
+            self.stats.degraded.store(true, Ordering::Release);
+            writer_gone()
+        })
     }
 
     /// Appends `body` to `stream` tagged with op time `at` (0 for

@@ -121,7 +121,7 @@ pub fn case_study_markets() -> Vec<(&'static str, MarketId)> {
 }
 
 /// Every market the study watches (full price history recording).
-pub fn watched_markets() -> Vec<MarketId> {
+fn watched_markets() -> Vec<MarketId> {
     let mut v = fig_5_1a_markets();
     v.extend(fig_5_1b_markets());
     v.push(fig_5_2_market());

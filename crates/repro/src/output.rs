@@ -85,7 +85,7 @@ impl Table {
     }
 
     /// Writes the table as CSV into `dir/name.csv`.
-    pub fn write_csv(&self, dir: &Path, name: &str) -> std::io::Result<PathBuf> {
+    fn write_csv(&self, dir: &Path, name: &str) -> std::io::Result<PathBuf> {
         fs::create_dir_all(dir)?;
         let path = dir.join(format!("{name}.csv"));
         let mut f = fs::File::create(&path)?;

@@ -222,7 +222,7 @@ impl Shedder {
 }
 
 /// The canned overload response the shedder writes.
-pub fn canned_503(retry_after_secs: u32) -> String {
+fn canned_503(retry_after_secs: u32) -> String {
     let body = "{\"error\":\"server overloaded, retry later\"}";
     format!(
         "HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\n\

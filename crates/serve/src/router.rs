@@ -346,7 +346,7 @@ impl<'a> Request<'a> {
 // ------------------------------------------------------------- market ids
 
 /// The wire name of a platform (see the module docs).
-pub fn platform_param(platform: Platform) -> &'static str {
+fn platform_param(platform: Platform) -> &'static str {
     match platform {
         Platform::LinuxUnix => "linux",
         Platform::LinuxUnixVpc => "linux-vpc",

@@ -2,8 +2,10 @@
 # Crash-recovery smoke for the verify path: runs the torn-write fault
 # matrix (truncated tail, torn frame, bit rot, duplicated tail record),
 # the compact-then-crash-then-recover sequence, the checkpoint/tail
-# interplay (tests/persistence.rs), and the durable live/engine
-# recovery twins (crates/core), all against release builds.
+# interplay (tests/persistence.rs), the durable live/engine recovery
+# twins (crates/core), and degrade-and-heal: the seeded disk-fault
+# schedule, the durability machine's enumeration and a live run healing
+# on a faulty disk — all against release builds.
 #
 # Usage:
 #   scripts/recovery_smoke.sh
@@ -23,5 +25,10 @@ cargo test --release --test persistence checkpoint_with_torn_tail_recovers_throu
 echo "== recovery smoke: durable live-mode and engine-mode twins =="
 cargo test --release -p spotlight-core durable_live_run_recovers_identically
 cargo test --release -p spotlight-core durable_engine_run_recovers_equal_to_in_memory_twin
+
+echo "== recovery smoke: degrade and heal =="
+cargo test --release --test persistence seeded_fault_schedule_degrades_heals_and_keeps_the_watermark
+cargo test --release -p spotlight-core durability_machine_keeps_its_promises_over_every_sequence
+cargo test --release --test live_mode durable_live_run_degrades_and_heals_on_a_faulty_disk
 
 echo "recovery smoke: OK"

@@ -518,7 +518,6 @@ fn health_endpoints_answer_while_a_writer_holds_a_stripe_lock() {
                 fsync: FsyncPolicy::Always,
                 queue_capacity: 1,
                 io: Some(Arc::clone(&disk) as Arc<dyn DiskIo>),
-                ..DurableOptions::default()
             },
         )
         .expect("durable store"),

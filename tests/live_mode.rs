@@ -18,6 +18,7 @@ use spotlight_core::query::SpotLightQuery;
 use spotlight_core::store::{shared_store, DataStore, SharedStore, SpikeEvent};
 use spotlight_core::{DurableOptions, LiveReport, ResilienceConfig, SnapshotHub, SpotLight};
 use spotlight_persist::tempdir::TempDir;
+use spotlight_persist::{fault, frame, DiskIo, FaultKind, FaultWindow, FaultyDisk, LogDir};
 use std::sync::Arc;
 
 fn policy() -> PolicyConfig {
@@ -504,4 +505,116 @@ fn publisher_checkpointer_and_compactor_ride_the_drivers_clock() {
     assert_eq!(info.replayed_ops, 0, "clean restart replays nothing");
     assert_eq!(recovered.len(), live_len);
     assert_eq!(stats_of(&recovered), live_stats);
+}
+
+/// Per tick of a durable live run: its first sequence number, the next
+/// one, the disk's write position when its flush began, and whether it
+/// created a WAL file.
+type TickWrites = Vec<(u64, u64, u64, bool)>;
+
+/// One quiet testbed day (seed 47) on a `LiveDriver` over a durable store
+/// on `io` at `dir`, flushed after every tick — so each tick's ops reach
+/// the disk at a known position, in one write per stream, in stream
+/// order. A tick whose flush fails leaves the writer's surrender for the
+/// next tick to observe.
+fn faulty_disk_day(
+    dir: &std::path::Path,
+    io: &Arc<FaultyDisk>,
+) -> (DataStore, Cloud, LiveReport, TickWrites) {
+    let opts = DurableOptions {
+        io: Some(io.clone() as Arc<dyn DiskIo>),
+        ..DurableOptions::default()
+    };
+    let store = Arc::new(DataStore::create_durable(dir, opts).expect("create"));
+    let cloud = quiet_cloud(47);
+    let ticks = 86_400 / cloud.config().tick.as_secs();
+    let mut driver = LiveDriver::new(
+        cloud,
+        store.clone(),
+        &policy(),
+        &ResilienceConfig::default(),
+    );
+    let files = || std::fs::read_dir(dir).expect("list").count();
+    let appended = || store.durability_stats().expect("durable").appended_ops;
+    let mut per_tick = Vec::new();
+    for _ in 0..ticks {
+        let (seq, before) = (appended(), files());
+        driver.step();
+        let at = io.written();
+        let _ = store.flush();
+        per_tick.push((seq, appended(), at, files() != before));
+    }
+    let (cloud, report) = driver.finish();
+    let store = Arc::into_inner(store).expect("finish released the store");
+    (store, cloud, report, per_tick)
+}
+
+#[test]
+fn durable_live_run_degrades_and_heals_on_a_faulty_disk() {
+    // A healthy day first, to learn where each tick's writes go.
+    let tmp = TempDir::new("live-faulty-disk");
+    let dir = tmp.path().join("healthy");
+    let (store, _, _, per_tick) =
+        faulty_disk_day(&dir, &Arc::new(FaultyDisk::scripted(Vec::new())));
+    drop(store);
+    // Every frame on disk: its stream and length, by sequence number.
+    let (log, _) = LogDir::open(&dir).expect("open");
+    let mut frames = std::collections::BTreeMap::new();
+    for (generation, stream) in log.list_wal().expect("list") {
+        let path = log.wal_path(generation, stream);
+        let file = std::fs::read(&path).expect("read");
+        let body = frame::strip_header(&file, frame::magic::WAL).expect("a WAL file");
+        let spans = fault::frame_spans(&path).expect("spans");
+        for (f, (start, end)) in frame::scan(body).frames.iter().zip(&spans[1..]) {
+            frames.insert(f.seq, (stream, (end - start) as u64));
+        }
+    }
+
+    // Mid-run, a tick that creates no WAL file, before one that records:
+    // a window twice its flush's first write long, plus a byte, fails
+    // that write's three attempts and is used up by them. The writer
+    // surrenders in the flush; the next tick's first append observes it
+    // and is dropped; that tick's tend heals.
+    let (from, first_write) = (per_tick.len() / 2..per_tick.len() - 1)
+        .find_map(|n| {
+            let ((first, next, at, created), (after, end, _, _)) = (per_tick[n], per_tick[n + 1]);
+            let tick = || (first..next).map(|seq| frames[&seq]);
+            let stream = tick().map(|(stream, _)| stream).min()?;
+            let len: u64 = tick()
+                .filter(|&(s, _)| s == stream)
+                .map(|(_, len)| len)
+                .sum();
+            (!created && end > after).then_some((at, len))
+        })
+        .expect("a quiet tick before a busy one");
+    let io = Arc::new(FaultyDisk::scripted(vec![FaultWindow {
+        kind: FaultKind::WriteEnospc,
+        from,
+        to: from + 2 * first_write + 1,
+    }]));
+    let dir = tmp.path().join("faulty");
+    let (store, cloud, report, _) = faulty_disk_day(&dir, &io);
+    let stats = store.durability_stats().expect("durable");
+    assert!(io.exhausted(), "the window was written through");
+    assert!(stats.degraded_transitions >= 1, "{stats:?}");
+    assert!(stats.heals >= 1, "{stats:?}");
+    assert!(report.durable_ops_dropped >= 1, "{report:?}");
+    assert_eq!(report.durability_lost, None);
+
+    // The heal's checkpoint took what the degraded window dropped: the
+    // recovered store holds the in-memory run's histories.
+    store.close().expect("close");
+    let recovered: SharedStore = Arc::new(DataStore::recover(&dir).expect("recover"));
+    let twin = shared_store();
+    let config = LiveConfig {
+        policy: policy(),
+        duration: SimDuration::days(1),
+        ..LiveConfig::default()
+    };
+    let (twin_cloud, _) = run_live(quiet_cloud(47), twin.clone(), config);
+    let want = market_histories(&twin, &twin_cloud);
+    assert!(want.iter().any(|(_, probes, _)| !probes.is_empty()));
+    for (got, want) in market_histories(&recovered, &cloud).iter().zip(&want) {
+        assert_eq!(got, want, "{}", want.0);
+    }
 }

@@ -10,6 +10,7 @@ use cloud_sim::ids::{Az, MarketId, Platform, Region};
 use cloud_sim::price::Price;
 use cloud_sim::time::{SimDuration, SimTime};
 use proptest::prelude::*;
+use spotlight_core::durable::HEAL_RETRY_CAP;
 use spotlight_core::probe::{ProbeKind, ProbeOutcome, ProbeRecord, ProbeTrigger};
 use spotlight_core::store::{DataStore, SpikeEvent};
 use spotlight_core::{DurabilityMode, DurableOptions, FsyncPolicy};
@@ -18,7 +19,7 @@ use spotlight_persist::{
     fault, frame, Decode, DiskIo, FaultKind, FaultProfile, FaultyDisk, LogDir, Reader,
 };
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::Instant;
 
 /// Fast writer options for tests: no fsync, ample queue.
 fn opts() -> DurableOptions {
@@ -358,13 +359,18 @@ proptest! {
             &dir,
             DurableOptions {
                 io: Some(io.clone() as Arc<dyn DiskIo>),
-                heal_retry_base: Duration::ZERO,
                 ..opts()
             },
             1,
             SimDuration::from_secs(3600),
         )
         .unwrap();
+        // The driver's clock, made up: every tend is past any backoff.
+        let mut now = Instant::now();
+        let mut clock = move || {
+            now += HEAL_RETRY_CAP;
+            now
+        };
 
         // At least `n_ops` ops, and as many more as it takes to put the
         // whole fault schedule behind the disk's write position (how
@@ -404,14 +410,14 @@ proptest! {
                 }
                 // With the crash point audited, let the driver's clock
                 // tick: heals may fail into backoff and retry.
-                let _ = store.tend_durability();
+                let _ = store.tend_durability(clock());
             }
         }
 
         // The schedule is finite, so tending must converge on Durable.
         let mut tends = 0;
         while store.durability_mode() != Some(DurabilityMode::Durable) {
-            let _ = store.tend_durability();
+            let _ = store.tend_durability(clock());
             tends += 1;
             prop_assert!(tends < 200, "heal never converged: {:?}",
                 store.durability_stats());
