@@ -6,10 +6,10 @@
 //! strings, `u64`/`i64`/`f64`/bool/null scalars (non-finite floats
 //! serialize as `null` — JSON has no `NaN`), and closure-scoped nested
 //! objects and arrays. [`ToJson`] is implemented here for the
-//! report types responses are built from ([`AvailabilityStats`],
-//! [`Freshness`], [`DurabilityStats`], [`RecoveryInfo`],
-//! [`RegionHealth`], [`LiveReport`]); `crates/serve` composes them
-//! into response bodies with the same builders.
+//! report types responses and `spotlightd`'s reports are built from
+//! ([`AvailabilityStats`], [`Freshness`], [`DurabilityStats`],
+//! [`RecoveryInfo`], [`LiveReport`]); `crates/serve` composes them into
+//! response bodies with the same builders.
 //!
 //! **Invariant: the writer itself never allocates.** Every scalar goes
 //! straight into the caller's `&mut String`, so a body encoded into a
@@ -37,7 +37,6 @@
 use crate::durable::{DurabilityMode, DurabilityStats, RecoveryInfo};
 use crate::manager::LiveReport;
 use crate::query::{AvailabilityStats, Freshness};
-use crate::store::RegionHealth;
 use std::fmt::Write;
 
 /// Bytes a JSON string literal cannot carry verbatim.
@@ -502,17 +501,6 @@ impl ToJson for RecoveryInfo {
             o.u64(key!("replayed_ops"), self.replayed_ops);
             o.bool(key!("from_clean_shutdown"), self.from_clean_shutdown);
             o.bool(key!("checkpoint_loaded"), self.checkpoint_loaded);
-        });
-    }
-}
-
-impl ToJson for RegionHealth {
-    fn write_json(&self, out: &mut String) {
-        object(out, |o| {
-            o.bool(key!("degraded"), self.degraded);
-            o.u64(key!("since_secs"), self.since.as_secs());
-            o.u64(key!("degraded_secs"), self.degraded_secs);
-            o.u64(key!("trips"), self.trips);
         });
     }
 }

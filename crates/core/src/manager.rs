@@ -11,7 +11,10 @@
 //!   tick's events per region, and runs every region manager's batch as
 //!   a task of one [`WorkerPool::scope`], whose join barrier holds the
 //!   clock until all are done. Whatever else must ride that clock (a
-//!   publisher, a checkpointer, a shutdown) goes between two `step`s;
+//!   publisher, a checkpointer, a shutdown) goes between two `step`s:
+//!   `spotlightd` (the `spotlight-serve` binary) is that loop, with
+//!   an hourly republish, a daily checkpoint and compaction, and a stop
+//!   when its stdin closes;
 //! * **region managers** (one per region, concurrent within a step) each
 //!   run their region's instance of the policy the engine's
 //!   [`crate::spotlight::SpotLight`] hosts, through their own transport.
@@ -538,7 +541,8 @@ impl RegionWorker {
 /// builds the region managers, each [`LiveDriver::step`] is one lockstep
 /// tick, [`LiveDriver::finish`] closes the run. [`run_live`] is the
 /// run-to-completion loop over it; a service that publishes,
-/// checkpoints or stops *between* ticks calls `step` itself.
+/// checkpoints or stops *between* ticks (`spotlightd`) calls `step`
+/// itself.
 pub struct LiveDriver {
     cloud: Arc<Mutex<Cloud>>,
     store: SharedStore,

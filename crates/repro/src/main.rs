@@ -21,7 +21,9 @@
 //!
 //! Every run is fully deterministic in `--seed`. Absolute numbers depend
 //! on the simulated demand model; the *shapes* are the reproduction
-//! target (see EXPERIMENTS.md).
+//! target: `tests/paper_shapes.rs` checks them, and
+//! `scripts/repro_golden.sh` pins `repro all --days 2 --seed 7` byte for
+//! byte against `tests/golden/repro_all_d2_s7/`.
 
 mod case_studies;
 mod experiment;

@@ -11,7 +11,7 @@
 //! (counted, never queued), so no part of the accept path grows
 //! without bound.
 
-use spotlight_core::json::{self, key};
+use spotlight_core::json::{self, key, ToJson};
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -107,9 +107,9 @@ impl ServerStats {
     }
 }
 
-impl StatsSnapshot {
-    /// Serializes the counters for `/statz`.
-    pub fn write_json(&self, out: &mut String) {
+/// The counters as `/statz` serves them.
+impl ToJson for StatsSnapshot {
+    fn write_json(&self, out: &mut String) {
         json::object(out, |o| {
             o.u64(key!("accepted"), self.accepted);
             o.u64(key!("admitted"), self.admitted);

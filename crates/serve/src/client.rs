@@ -1,6 +1,5 @@
 //! A minimal blocking HTTP/1.1 client for the query service — used by
-//! the end-to-end benchmark, the smoke harness, and the integration
-//! tests.
+//! the end-to-end benchmark and the tests.
 //!
 //! Supports keep-alive and explicit pipelining: [`Client::send_get`]
 //! queues a request without waiting, [`Client::read_response`] pulls the

@@ -37,7 +37,34 @@
 //!    zero-replay restart.
 //!
 //! [`client`] is the matching blocking client used by the end-to-end
-//! benchmark, the smoke harness, and the tests.
+//! benchmark and the tests.
+//!
+//! # `spotlightd`: the service as one process
+//!
+//! The crate's binary (`src/bin/spotlightd.rs`) assembles the layers
+//! above around a durable store and the live deployment
+//! ([`spotlight_core::manager::LiveDriver`]) over [`live_world`]:
+//!
+//! ```text
+//! spotlightd --dir <path> [--addr <host:port>] [--days <n>]
+//! ```
+//!
+//! - `--dir` is created when it holds no store and recovered otherwise;
+//!   `--addr` defaults to `127.0.0.1:0` (the bound address is printed).
+//! - Between two steps of the driver it republishes the served snapshot
+//!   every simulated hour, and checkpoints and compacts (raw records
+//!   older than a day) every simulated day. These are constants, not
+//!   flags.
+//! - The driver is not paced. `--days` (default 21, at most 3650) bounds
+//!   the simulated run, after which the final snapshot stays served;
+//!   `--days 0` serves the store as recovered.
+//! - Closing stdin stops it: the driver stops between two steps, the
+//!   server drains, the driver finishes, and the store closes cleanly.
+//!   A restart on the same directory therefore replays nothing, and its
+//!   clock starts at or after its newest recovered record.
+//!
+//! stdout carries `listening <addr>`, the recovery report (JSON) on a
+//! restart, and one JSON exit report; diagnostics go to stderr.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -54,3 +81,38 @@ pub use client::{Client, Response};
 pub use parser::Limits;
 pub use router::{market_param, parse_market, ServiceState};
 pub use server::{DrainReport, Server, ServerConfig};
+
+use cloud_sim::catalog::Catalog;
+use cloud_sim::cloud::Cloud;
+use cloud_sim::config::SimConfig;
+use cloud_sim::time::{SimDuration, SimTime};
+use spotlight_core::manager::{LiveDriver, ResilienceConfig};
+use spotlight_core::policy::PolicyConfig;
+use spotlight_core::store::SharedStore;
+
+/// The world `spotlightd` runs, recording into `store`: the paper's
+/// standard catalog under `SimConfig::paper(42)`, warmed up for whole
+/// simulated days — one, or as many as it takes to reach `after` (a
+/// restart passes its newest recovered record, so its clock never runs
+/// behind its store) — with region managers applying the default
+/// [`PolicyConfig`] and [`ResilienceConfig`]. Returns the driver and the
+/// simulated time its first step starts from.
+///
+/// One definition for the binary and for any in-process twin of it:
+/// from empty stores, both record the same per-market histories.
+pub fn live_world(store: SharedStore, after: SimTime) -> (LiveDriver, SimTime) {
+    let mut cloud = Cloud::new(Catalog::standard(), SimConfig::paper(42));
+    let day = SimDuration::days(1).as_secs();
+    let ticks_per_day = (day / cloud.config().tick.as_secs()) as u32;
+    for _ in 0..after.as_secs().div_ceil(day).max(1) {
+        cloud.warmup(ticks_per_day);
+    }
+    let start = cloud.now();
+    let driver = LiveDriver::new(
+        cloud,
+        store,
+        &PolicyConfig::default(),
+        &ResilienceConfig::default(),
+    );
+    (driver, start)
+}

@@ -46,7 +46,7 @@
 use crate::admission::ServerStats;
 use cloud_sim::ids::{Az, InstanceType, MarketId, Platform, Region};
 use cloud_sim::time::{SimDuration, SimTime};
-use spotlight_core::json::{self, key};
+use spotlight_core::json::{self, key, ToJson};
 use spotlight_core::probe::ProbeKind;
 use spotlight_core::query::SpotLightQuery;
 use spotlight_core::snapshot::{SnapshotHub, SnapshotReader, StoreSnapshot, MAX_SPIKE_THRESHOLDS};

@@ -4,7 +4,7 @@
 //! data fixes it.
 //!
 //! ```sh
-//! cargo run --release -p spotlight-tests --example batch_scheduler
+//! cargo run --release -p spotlight-integration --example batch_scheduler
 //! ```
 
 use cloud_sim::{Catalog, Engine, SimConfig, SimDuration};

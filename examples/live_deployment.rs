@@ -6,7 +6,7 @@
 //! only the wall time differs between runs.
 //!
 //! ```sh
-//! cargo run --release -p spotlight-tests --example live_deployment
+//! cargo run --release -p spotlight-integration --example live_deployment
 //! ```
 
 use cloud_sim::catalog::Catalog;

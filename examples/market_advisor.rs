@@ -3,7 +3,7 @@
 //! calibrate a probing budget from observed spike rates (§3.4).
 //!
 //! ```sh
-//! cargo run --release -p spotlight-tests --example market_advisor
+//! cargo run --release -p spotlight-integration --example market_advisor
 //! ```
 
 use cloud_sim::price::Price;

@@ -2,7 +2,7 @@
 //! and query what it learned.
 //!
 //! ```sh
-//! cargo run --release -p spotlight-tests --example quickstart
+//! cargo run --release -p spotlight-integration --example quickstart
 //! ```
 
 use cloud_sim::{Catalog, Engine, SimConfig, SimDuration};

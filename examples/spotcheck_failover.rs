@@ -5,7 +5,7 @@
 //! fallback choice.
 //!
 //! ```sh
-//! cargo run --release -p spotlight-tests --example spotcheck_failover
+//! cargo run --release -p spotlight-integration --example spotcheck_failover
 //! ```
 
 use cloud_sim::{Catalog, Engine, SimConfig, SimDuration};

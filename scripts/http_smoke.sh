@@ -1,17 +1,20 @@
 #!/usr/bin/env bash
-# HTTP service smoke for the verify path: seeds a durable store, serves
-# it, and drives the server with concurrent well-behaved clients plus
-# hostile ones — slow-loris tricklers, oversized request lines/headers/
-# bodies, malformed and unsupported requests — then drains mid-flight.
-# Asserts every hostile input gets the right status code, the slow-loris
-# is cut off with 408, requests arriving mid-drain get 503 + Retry-After
-# and the drain is not forced, zero handler 5xx and zero worker panics,
-# and the drained store closes cleanly so the restart replays nothing
-# (see crates/bench/src/bin/http_smoke.rs). Overload shedding (the
-# shedder's 503 + Retry-After + Connection: close, for a full queue and
-# for an exhausted permit) is not driven here: it is pinned by
-# overload_is_shed_with_503_and_permits_are_released in
-# tests/http_service.rs.
+# HTTP service smoke for the verify path: runs the shipped `spotlightd`
+# binary (tests/spotlightd.rs, in release) on a fresh durable directory
+# for one simulated day while four keep-alive clients query every
+# endpoint, holds its `/v1/advisor/fallbacks` answers — mid-run and
+# after the run — and one `/v1/availability` body to an in-process twin
+# of the same world, stops it by closing stdin while a client loops
+# (200s, then a 503 with Retry-After or a close; exit 0; the drain not
+# forced; no 5xx, no panic, durability never lost), and restarts it on
+# the same directory (zero replay, a clean-shutdown marker, every probe
+# back, a clock that did not go backwards).
+#
+# The hostile-input matrix (400/404/413/414/431, signed lengths, the
+# endless window, the threshold bound), slow-loris and dribbling heads,
+# a drain with a half-sent head in flight and overload shedding are
+# tests in tests/http_service.rs; 405/505 and every route's bytes are
+# pinned by tests/serve_golden.rs.
 #
 # Usage:
 #   scripts/http_smoke.sh
@@ -19,10 +22,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== http smoke: building release harness =="
-cargo build --release -p spotlight-bench --bin http_smoke
-
-echo "== http smoke: hostile-client and drain scenarios =="
-./target/release/http_smoke
+echo "== http smoke: spotlightd end to end (release) =="
+cargo test --release -p spotlight-serve --test spotlightd
 
 echo "http smoke: OK"

@@ -31,13 +31,14 @@ step() {
     "$@"
 }
 
-# crates/integration/Cargo.toml binds tests/ and examples/ by hand: a
-# file it does not list is silently neither built nor run.
+# crates/integration/Cargo.toml binds tests/ and examples/ by hand (and
+# crates/serve/Cargo.toml the test of its `spotlightd` binary): a file
+# neither lists is silently neither built nor run.
 tests_and_examples_are_listed() {
     local f missing=0
     for f in tests/*.rs examples/*.rs; do
-        grep -qF "path = \"../../$f\"" crates/integration/Cargo.toml && continue
-        echo "verify_all: $f has no [[test]]/[[example]] entry in crates/integration/Cargo.toml" >&2
+        grep -qF "path = \"../../$f\"" crates/integration/Cargo.toml crates/serve/Cargo.toml && continue
+        echo "verify_all: $f has no [[test]]/[[example]] entry in crates/integration/Cargo.toml or crates/serve/Cargo.toml" >&2
         missing=1
     done
     return "$missing"

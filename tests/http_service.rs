@@ -187,16 +187,49 @@ fn finish(server: Server) -> StatsSnapshot {
 
 #[test]
 fn header_deadline_expiry_times_out_with_408() {
+    let header_deadline = Duration::from_millis(150);
     let (server, _store) = start_server(ServerConfig {
         read_timeout: Duration::from_millis(50),
-        header_deadline: Duration::from_millis(150),
+        header_deadline,
         ..ServerConfig::default()
     });
+    let addr = server.local_addr();
     // A partial head that never completes must be answered 408 by the
     // server's clock, not held forever.
     let status = raw_status(&server, b"GET /healthz HTT");
     assert_eq!(status, 408);
+
+    // Nor may a head that keeps growing: a byte every 50 ms never lets
+    // the connection idle, and the deadline still counts from its first
+    // byte.
+    let mut loris = TcpStream::connect(addr).expect("connect");
+    let _ = loris.set_read_timeout(Some(Duration::from_millis(10)));
+    let started = Instant::now();
+    loris.write_all(b"GET /healthz HTT").expect("head");
+    let mut chunk = [0u8; 512];
+    let head = loop {
+        std::thread::sleep(Duration::from_millis(50));
+        match loris.read(&mut chunk) {
+            Ok(n) => break String::from_utf8_lossy(&chunk[..n]).into_owned(),
+            Err(_) => loris.write_all(b"P").expect("dribble"),
+        }
+        assert!(started.elapsed() < Duration::from_secs(5), "no answer");
+    };
+    let lived = started.elapsed();
+    assert!(head.starts_with("HTTP/1.1 408"), "a dribbler got {head:?}");
+    assert!(lived >= header_deadline / 2, "cut off at {lived:?}");
+
+    // A half-sent head must not hold a drain past the header deadline,
+    // and a drained server accepts no connection.
+    let admitted = server.stats().admitted;
+    let mut straggler = TcpStream::connect(addr).expect("connect");
+    straggler.write_all(b"GET /healthz HT").expect("head");
+    while server.stats().admitted == admitted {
+        std::thread::yield_now();
+    }
     finish(server);
+    let refused = TcpStream::connect_timeout(&addr, Duration::from_millis(500)).is_err();
+    assert!(refused, "listener still accepting after the drain");
 }
 
 #[test]

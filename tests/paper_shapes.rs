@@ -77,8 +77,9 @@ fn larger_windows_catch_more_unavailability() {
         // Larger windows both merge trials and extend the hit search;
         // the paper's data shows them higher. At testbed scale the
         // re-weighting across heterogeneous markets adds noise, so allow
-        // a small tolerance here (the full-scale run in EXPERIMENTS.md
-        // shows the clean ordering).
+        // a small tolerance here (the standard-catalog run pinned in
+        // tests/golden/repro_all_d2_s7/fig_5_4.csv shows the clean
+        // ordering).
         assert!(
             b >= a - 0.05,
             "7200 s window ({b:.4}) must not fall far below the 900 s window ({a:.4})"

@@ -176,7 +176,8 @@ mod legacy {
 // ------------------------------------------------------------------ seeds
 
 /// Requests the differential walks start from: what well-behaved
-/// clients send, `http_smoke`'s hostile matrix, the unit tests'
+/// clients send, the hostile matrix of the retired HTTP smoke harness
+/// (now `tests/http_service.rs`), the unit tests'
 /// rejection matrix, and heads built to sit on the parser's own edges
 /// (which `\r` is stripped, what `trim` trims, what ends a head).
 fn seeds() -> Vec<Vec<u8>> {
@@ -191,7 +192,7 @@ fn seeds() -> Vec<Vec<u8>> {
         "GET / HTTP/1.0\n\n",
         "GET / HTTP/1.1\nHost: a\nConnection: close\n\n",
         "GET /? HTTP/1.1\r\n\r\n",
-        // `http_smoke`'s hostile matrix and `rejection_matrix`.
+        // The hostile matrix and `rejection_matrix`.
         "GARBAGE\r\n\r\n",
         "POST /v1/availability HTTP/1.1\r\n\r\n",
         "BREW / HTTP/1.1\r\n\r\n",
