@@ -523,16 +523,7 @@ impl ToJson for LiveReport {
                     o.u64(region.name(), *secs);
                 }
             });
-            o.u64(key!("durable_ops"), self.durable_ops);
-            o.u64(key!("durable_bytes"), self.durable_bytes);
-            o.u64(key!("durable_fsyncs"), self.durable_fsyncs);
             o.u64(key!("worker_panics"), self.worker_panics);
-            o.u64(key!("durable_io_errors"), self.durable_io_errors);
-            o.u64(key!("durable_ops_dropped"), self.durable_ops_dropped);
-            o.opt_u64(
-                key!("durability_lost_secs"),
-                self.durability_lost.map(|t| t.as_secs()),
-            );
         });
     }
 }

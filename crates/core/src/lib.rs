@@ -76,7 +76,7 @@ pub mod sync;
 
 pub use durable::{DurabilityMode, DurabilityStats, DurableOptions, FsyncPolicy, RecoveryInfo};
 pub use json::ToJson;
-pub use manager::{LiveConfig, LiveReport, ResilienceConfig};
+pub use manager::{LiveReport, ResilienceConfig};
 pub use policy::{PolicyConfig, SpotLightConfig};
 pub use probe::{ProbeKind, ProbeOutcome, ProbeRecord, ProbeTrigger};
 pub use query::{Freshness, SpotLightQuery};

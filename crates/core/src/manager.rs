@@ -12,9 +12,9 @@
 //!   a task of one [`WorkerPool::scope`], whose join barrier holds the
 //!   clock until all are done. Whatever else must ride that clock (a
 //!   publisher, a checkpointer, a shutdown) goes between two `step`s:
-//!   `spotlightd` (the `spotlight-serve` binary) is that loop, with
-//!   an hourly republish, a daily checkpoint and compaction, and a stop
-//!   when its stdin closes;
+//!   `spotlight_serve::Service` is that loop, with an hourly republish
+//!   and a daily checkpoint and compaction, and `spotlightd` runs it
+//!   until its stdin closes;
 //! * **region managers** (one per region, concurrent within a step) each
 //!   run their region's instance of the policy the engine's
 //!   [`crate::spotlight::SpotLight`] hosts, through their own transport.
@@ -81,10 +81,9 @@
 //! (`tests/live_mode.rs::live_and_engine_hosts_record_identical_histories`).
 //! A manager's calls touch only its region's shard, token bucket, chaos
 //! stream, sampling stream (seeded from the run's seed and the region)
-//! and jitter RNG, so those histories and the [`LiveReport`] (but for its
-//! wall-clock-batched fsync count) are seed-deterministic at any
-//! interleaving; the order of *different* regions' records in the
-//! store's slabs is not.
+//! and jitter RNG, so those histories and the [`LiveReport`] are
+//! seed-deterministic at any interleaving; the order of *different*
+//! regions' records in the store's slabs is not.
 
 use crate::policy::PolicyConfig;
 use crate::spotlight::{call, Answer, Orphan, Policy, Port, Probe, API_LIMITED};
@@ -164,27 +163,6 @@ impl ResilienceConfig {
     }
 }
 
-/// Configuration for a live run.
-#[derive(Debug, Clone)]
-pub struct LiveConfig {
-    /// The probing policy all region managers apply.
-    pub policy: PolicyConfig,
-    /// How long (simulation time) to run.
-    pub duration: SimDuration,
-    /// The retry/breaker pipeline knobs.
-    pub resilience: ResilienceConfig,
-}
-
-impl Default for LiveConfig {
-    fn default() -> Self {
-        LiveConfig {
-            policy: PolicyConfig::default(),
-            duration: SimDuration::days(1),
-            resilience: ResilienceConfig::default(),
-        }
-    }
-}
-
 /// Summary of a live run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LiveReport {
@@ -203,28 +181,9 @@ pub struct LiveReport {
     /// Seconds each region spent with its breaker open or half-open
     /// (only regions that degraded at all appear).
     pub degraded_secs: BTreeMap<Region, u64>,
-    /// Operations this run appended to the store's durable log (zero
-    /// for an in-memory store).
-    pub durable_ops: u64,
-    /// Framed bytes this run appended to the durable log.
-    pub durable_bytes: u64,
-    /// Fsyncs the durable log's writer issued during this run,
-    /// including the final end-of-run flush.
-    pub durable_fsyncs: u64,
     /// Worker panics the supervisors caught (the worker kept running
     /// with its pending queue intact).
     pub worker_panics: u64,
-    /// Write/fsync errors the durable paths hit during this run (zero
-    /// for an in-memory store).
-    pub durable_io_errors: u64,
-    /// Ops the store skipped persisting while its durability was
-    /// degraded during this run (they stayed in memory until a healing
-    /// checkpoint).
-    pub durable_ops_dropped: u64,
-    /// If the store ended the run with durability still degraded: ops
-    /// at or before this time are provably on disk, later ones may be
-    /// memory-only. `None` when fully durable (or in-memory).
-    pub durability_lost: Option<SimTime>,
 }
 
 /// A probe waiting in the backoff queue.
@@ -539,10 +498,10 @@ impl RegionWorker {
 
 /// The live deployment as a clock a caller can ride: [`LiveDriver::new`]
 /// builds the region managers, each [`LiveDriver::step`] is one lockstep
-/// tick, [`LiveDriver::finish`] closes the run. [`run_live`] is the
-/// run-to-completion loop over it; a service that publishes,
-/// checkpoints or stops *between* ticks (`spotlightd`) calls `step`
-/// itself.
+/// tick, [`LiveDriver::finish`] closes the run. A caller that
+/// publishes, checkpoints or stops *between* ticks does so between two
+/// `step`s, as `spotlight_serve::Service` does; a run to a fixed horizon
+/// is a loop of `step`s.
 pub struct LiveDriver {
     cloud: Arc<Mutex<Cloud>>,
     store: SharedStore,
@@ -554,7 +513,6 @@ pub struct LiveDriver {
     ticks: u64,
     // The report counts THIS run's probes even on a pre-populated store.
     probes_at_start: usize,
-    durable_at_start: Option<crate::durable::DurabilityStats>,
 }
 
 impl LiveDriver {
@@ -589,7 +547,6 @@ impl LiveDriver {
             events: Vec::new(),
             ticks: 0,
             probes_at_start: store.len(),
-            durable_at_start: store.durability_stats(),
             cloud,
             store,
         }
@@ -668,34 +625,11 @@ impl LiveDriver {
 
         // Make the run durable before reporting: everything the workers
         // appended is on disk when this returns. An in-memory store's
-        // flush is a no-op; a failing disk surfaces through
-        // `durability_stats`, not a panic mid-report.
+        // flush is a no-op; a failing disk surfaces through the store's
+        // `durability_stats` and `durability_lost`, not a panic here.
         let _ = self.store.flush();
-        if let (Some(start), Some(end)) = (self.durable_at_start, self.store.durability_stats()) {
-            report.durable_ops = end.appended_ops - start.appended_ops;
-            report.durable_bytes = end.appended_bytes - start.appended_bytes;
-            report.durable_fsyncs = end.fsyncs - start.fsyncs;
-            report.durable_io_errors = end.io_errors - start.io_errors;
-            report.durable_ops_dropped = end.ops_dropped - start.ops_dropped;
-        }
-        report.durability_lost = self.store.durability_lost();
         (cloud.into_inner(), report)
     }
-}
-
-/// Runs the live deployment over `cloud` for `config.duration` and
-/// records into `store`.
-///
-/// Returns the cloud (for post-run oracle inspection) and a run summary.
-/// The store passed in receives every probe and spike, plus region
-/// degradation markers from the workers' circuit breakers.
-pub fn run_live(cloud: Cloud, store: SharedStore, config: LiveConfig) -> (Cloud, LiveReport) {
-    let ticks = config.duration.as_secs() / cloud.config().tick.as_secs().max(1);
-    let mut driver = LiveDriver::new(cloud, store, &config.policy, &config.resilience);
-    for _ in 0..ticks {
-        driver.step();
-    }
-    driver.finish()
 }
 
 #[cfg(test)]
@@ -707,6 +641,26 @@ mod tests {
     use cloud_sim::config::SimConfig;
     use cloud_sim::ids::{InstanceId, MarketId};
     use std::sync::Arc;
+
+    /// `days` of `cloud` on a [`LiveDriver`] recording into `store`, with
+    /// spike threshold 0.5.
+    fn drive(
+        cloud: Cloud,
+        store: SharedStore,
+        days: u64,
+        resilience: &ResilienceConfig,
+    ) -> (Cloud, LiveReport) {
+        let policy = PolicyConfig {
+            spike_threshold: 0.5,
+            ..PolicyConfig::default()
+        };
+        let ticks = SimDuration::days(days).as_secs() / cloud.config().tick.as_secs();
+        let mut driver = LiveDriver::new(cloud, store, &policy, resilience);
+        for _ in 0..ticks {
+            driver.step();
+        }
+        driver.finish()
+    }
 
     #[test]
     fn live_run_collects_probes_concurrently() {
@@ -726,15 +680,7 @@ mod tests {
             cost: Price::ZERO,
         };
         store.record_probe(seeded);
-        let config = LiveConfig {
-            policy: PolicyConfig {
-                spike_threshold: 0.5,
-                ..PolicyConfig::default()
-            },
-            duration: SimDuration::days(2),
-            ..LiveConfig::default()
-        };
-        let (cloud, report) = run_live(cloud, store.clone(), config);
+        let (cloud, report) = drive(cloud, store.clone(), 2, &ResilienceConfig::default());
         assert_eq!(report.ticks, 2 * 86_400 / 300);
         assert_eq!(report.probes, store.len() - 1);
         assert!(
@@ -769,22 +715,12 @@ mod tests {
             Arc::new(DataStore::create_durable(&dir, DurableOptions::default()).expect("create"));
         let mut cloud = Cloud::new(Catalog::testbed(), SimConfig::paper(29));
         cloud.warmup(20);
-        let (_, report) = run_live(
-            cloud,
-            store.clone(),
-            LiveConfig {
-                policy: PolicyConfig {
-                    spike_threshold: 0.5,
-                    ..PolicyConfig::default()
-                },
-                duration: SimDuration::days(1),
-                ..LiveConfig::default()
-            },
-        );
+        let (_, report) = drive(cloud, store.clone(), 1, &ResilienceConfig::default());
         assert!(report.probes > 0);
-        assert!(report.durable_ops >= report.probes as u64);
-        assert!(report.durable_bytes > 0);
-        assert!(report.durable_fsyncs > 0);
+        let durable = store.durability_stats().expect("a durable store");
+        assert!(durable.appended_ops >= report.probes as u64);
+        assert!(durable.appended_bytes > 0);
+        assert!(durable.fsyncs > 0);
 
         // Fingerprint the live store, drop it (joining the log
         // writer), and demand the recovered store answer identically.
@@ -839,19 +775,12 @@ mod tests {
         let mut cloud = Cloud::new(Catalog::testbed(), SimConfig::paper(31));
         cloud.warmup(20);
         let store = shared_store();
-        let config = LiveConfig {
-            policy: PolicyConfig {
-                spike_threshold: 0.5,
-                ..PolicyConfig::default()
-            },
-            duration: SimDuration::days(2),
-            resilience: ResilienceConfig {
-                // Every 40th batch dies mid-flight, per region.
-                chaos_panic_period: Some(40),
-                ..ResilienceConfig::default()
-            },
+        let resilience = ResilienceConfig {
+            // Every 40th batch dies mid-flight, per region.
+            chaos_panic_period: Some(40),
+            ..ResilienceConfig::default()
         };
-        let (cloud, report) = run_live(cloud, store.clone(), config);
+        let (cloud, report) = drive(cloud, store.clone(), 2, &resilience);
         let ticks = 2 * 86_400 / 300;
         assert_eq!(report.ticks, ticks, "the clock never wedges");
         let expected_panics: u64 = (ticks / 40) * report.per_region_probes.len() as u64;

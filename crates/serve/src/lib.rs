@@ -41,30 +41,26 @@
 //!
 //! # `spotlightd`: the service as one process
 //!
-//! The crate's binary (`src/bin/spotlightd.rs`) assembles the layers
-//! above around a durable store and the live deployment
-//! ([`spotlight_core::manager::LiveDriver`]) over [`live_world`]:
+//! [`Service`] assembles the layers above around a durable store and
+//! the live deployment ([`LiveDriver`]) on the paper's standard catalog
+//! (seed 42, the default policy and resilience). Between two ticks of
+//! the region managers it republishes every simulated hour
+//! ([`PUBLISH_EVERY`]), and checkpoints and compacts every simulated day
+//! ([`MAINTAIN_EVERY`]). A `Service` opened with no address is the
+//! in-process twin of a served one. The crate's binary,
+//! `src/bin/spotlightd.rs`, is a `Service` behind a stdin watch:
 //!
 //! ```text
 //! spotlightd --dir <path> [--addr <host:port>] [--days <n>]
 //! ```
 //!
-//! - `--dir` is created when it holds no store and recovered otherwise;
-//!   `--addr` defaults to `127.0.0.1:0` (the bound address is printed).
-//! - Between two steps of the driver it republishes the served snapshot
-//!   every simulated hour, and checkpoints and compacts (raw records
-//!   older than a day) every simulated day. These are constants, not
-//!   flags.
-//! - The driver is not paced. `--days` (default 21, at most 3650) bounds
-//!   the simulated run, after which the final snapshot stays served;
-//!   `--days 0` serves the store as recovered.
-//! - Closing stdin stops it: the driver stops between two steps, the
-//!   server drains, the driver finishes, and the store closes cleanly.
-//!   A restart on the same directory therefore replays nothing, and its
-//!   clock starts at or after its newest recovered record.
-//!
-//! stdout carries `listening <addr>`, the recovery report (JSON) on a
-//! restart, and one JSON exit report; diagnostics go to stderr.
+//! `--addr` defaults to `127.0.0.1:0` (the bound address is printed).
+//! The driver is not paced: `--days` (default 21, at most 3650) bounds
+//! the simulated run, after which the final snapshot stays served;
+//! `--days 0` serves the store as recovered. Closing stdin stops it
+//! between two steps. stdout carries `listening <addr>`, the recovery
+//! report (JSON) on a restart, and the [`ExitReport`] (JSON);
+//! diagnostics go to stderr.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -86,33 +82,157 @@ use cloud_sim::catalog::Catalog;
 use cloud_sim::cloud::Cloud;
 use cloud_sim::config::SimConfig;
 use cloud_sim::time::{SimDuration, SimTime};
-use spotlight_core::manager::{LiveDriver, ResilienceConfig};
-use spotlight_core::policy::PolicyConfig;
-use spotlight_core::store::SharedStore;
+use spotlight_core::json::{self, key};
+use spotlight_core::manager::LiveDriver;
+use spotlight_core::{DataStore, DurabilityStats, DurableOptions, LiveReport, PolicyConfig};
+use spotlight_core::{RecoveryInfo, ResilienceConfig, SharedStore, SnapshotHub, ToJson};
+use std::{io, net::SocketAddr, path::Path, sync::Arc, time::Duration};
 
-/// The world `spotlightd` runs, recording into `store`: the paper's
-/// standard catalog under `SimConfig::paper(42)`, warmed up for whole
-/// simulated days — one, or as many as it takes to reach `after` (a
-/// restart passes its newest recovered record, so its clock never runs
-/// behind its store) — with region managers applying the default
-/// [`PolicyConfig`] and [`ResilienceConfig`]. Returns the driver and the
-/// simulated time its first step starts from.
-///
-/// One definition for the binary and for any in-process twin of it:
-/// from empty stores, both record the same per-market histories.
-pub fn live_world(store: SharedStore, after: SimTime) -> (LiveDriver, SimTime) {
-    let mut cloud = Cloud::new(Catalog::standard(), SimConfig::paper(42));
-    let day = SimDuration::days(1).as_secs();
-    let ticks_per_day = (day / cloud.config().tick.as_secs()) as u32;
-    for _ in 0..after.as_secs().div_ceil(day).max(1) {
-        cloud.warmup(ticks_per_day);
+/// Simulated seconds between two republishes of the served snapshot.
+pub const PUBLISH_EVERY: u64 = 3_600;
+/// Simulated seconds between two checkpoint-and-compact rounds; the
+/// compaction spills raw records older than one such period.
+pub const MAINTAIN_EVERY: u64 = 86_400;
+/// How long a stop waits for in-flight connections before abandoning them.
+const DRAIN_DEADLINE: Duration = Duration::from_secs(10);
+
+/// The information service: a durable store, the live region managers
+/// recording into it, the [`SnapshotHub`] queries read, and, given an
+/// address, a [`Server`] answering them.
+pub struct Service {
+    store: SharedStore,
+    driver: LiveDriver,
+    hub: Arc<SnapshotHub>,
+    server: Option<Server>,
+    now: SimTime,
+}
+
+/// What [`Service::stop`] reports.
+#[derive(Debug)]
+pub struct ExitReport {
+    /// The region managers' run.
+    pub live: LiveReport,
+    /// The server's drain; `None` for a service with no address.
+    pub drain: Option<DrainReport>,
+    /// The store's counters at the stop, before its close.
+    pub durability: DurabilityStats,
+}
+
+impl Service {
+    /// Creates the store at `dir`, or recovers the one there (and returns
+    /// its [`RecoveryInfo`]); warms the world up for whole simulated days,
+    /// one or as many as reach the newest recovered record (so `as_of`
+    /// never goes backwards); publishes; and listens at `addr`, if given.
+    ///
+    /// # Errors
+    ///
+    /// What creating, recovering or binding fails with.
+    pub fn open(dir: &Path, addr: Option<&str>) -> io::Result<(Service, Option<RecoveryInfo>)> {
+        let (store, recovery) = match DataStore::create_durable(dir, DurableOptions::default()) {
+            Ok(store) => (store, None),
+            Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {
+                let (store, info) = DataStore::recover_with_report(dir, DurableOptions::default())?;
+                (store, Some(info))
+            }
+            Err(e) => return Err(e),
+        };
+        let newest = store.read().probes().map(|p| p.at.as_secs()).max();
+        let mut cloud = Cloud::new(Catalog::standard(), SimConfig::paper(42));
+        let day = SimDuration::days(1).as_secs();
+        for _ in 0..newest.unwrap_or(0).div_ceil(day).max(1) {
+            cloud.warmup((day / cloud.config().tick.as_secs()) as u32);
+        }
+        let (now, store) = (cloud.now(), Arc::new(store));
+        let (policy, resilience) = (PolicyConfig::default(), ResilienceConfig::default());
+        let driver = LiveDriver::new(cloud, Arc::clone(&store), &policy, &resilience);
+        let hub = Arc::new(SnapshotHub::new(store.snapshot(now)));
+        let server = addr
+            .map(|addr| Server::start(addr, &store, Arc::clone(&hub), ServerConfig::default()))
+            .transpose()?;
+        let service = Service {
+            store,
+            driver,
+            hub,
+            server,
+            now,
+        };
+        Ok((service, recovery))
     }
-    let start = cloud.now();
-    let driver = LiveDriver::new(
-        cloud,
-        store,
-        &PolicyConfig::default(),
-        &ResilienceConfig::default(),
-    );
-    (driver, start)
+
+    /// One tick of the region managers, then the republish on the simulated
+    /// clock's whole hours and the checkpoint and compaction on its whole
+    /// days (the world starts on one); returns the time collected through.
+    /// A failed checkpoint goes to stderr and [`DurabilityStats`].
+    pub fn step(&mut self) -> SimTime {
+        self.now = self.driver.step();
+        let (store, secs) = (&self.store, self.now.as_secs());
+        if secs % PUBLISH_EVERY == 0 {
+            self.hub.republish(store, self.now);
+        }
+        if secs % MAINTAIN_EVERY == 0 {
+            if let Err(e) = store.checkpoint() {
+                eprintln!("spotlight-serve: checkpoint at {}: {e}", self.now);
+            }
+            store.compact(SimTime::from_secs(secs.saturating_sub(MAINTAIN_EVERY)));
+        }
+        self.now
+    }
+
+    /// The simulated time collected through (the world's start at first).
+    pub fn now(&self) -> SimTime {
+        self.now
+    }
+
+    /// The store the region managers record into.
+    pub fn store(&self) -> &SharedStore {
+        &self.store
+    }
+
+    /// The hub the service publishes to.
+    pub fn hub(&self) -> &Arc<SnapshotHub> {
+        &self.hub
+    }
+
+    /// The address the server listens on, if the service has one.
+    pub fn local_addr(&self) -> Option<SocketAddr> {
+        self.server.as_ref().map(Server::local_addr)
+    }
+
+    /// Drains the server (for up to 10 s), finishes the driver and closes
+    /// the store: a restart replays nothing.
+    ///
+    /// # Errors
+    ///
+    /// The close's, or one when a connection the drain abandoned still
+    /// holds the store.
+    pub fn stop(self) -> io::Result<ExitReport> {
+        let drain = self.server.map(|server| server.drain(DRAIN_DEADLINE));
+        let (_, live) = self.driver.finish();
+        let durability = self.store.durability_stats().expect("a durable store");
+        let store = Arc::into_inner(self.store).ok_or_else(|| {
+            io::Error::other("a connection abandoned by the drain still holds the store")
+        })?;
+        store.close()?;
+        Ok(ExitReport {
+            live,
+            drain,
+            durability,
+        })
+    }
+}
+
+impl ToJson for ExitReport {
+    fn write_json(&self, out: &mut String) {
+        json::object(out, |o| {
+            o.value(key!("live"), &self.live);
+            match &self.drain {
+                Some(drain) => o.object(key!("drain"), |o| {
+                    o.bool(key!("forced"), drain.forced);
+                    o.value(key!("stats"), &drain.stats);
+                }),
+                None => o.null(key!("drain")),
+            }
+            o.value(key!("durability"), &self.durability);
+        });
+    }
 }

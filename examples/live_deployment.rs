@@ -15,9 +15,13 @@ use cloud_sim::cloud::Cloud;
 use cloud_sim::config::SimConfig;
 use cloud_sim::ids::Region;
 use cloud_sim::time::{SimDuration, SimTime};
-use spotlight_core::manager::{run_live, LiveConfig};
+use spotlight_core::manager::LiveDriver;
 use spotlight_core::policy::PolicyConfig;
 use spotlight_core::store::shared_store;
+use spotlight_core::ResilienceConfig;
+
+/// Simulated days the deployment runs.
+const DAYS: u64 = 3;
 
 fn main() {
     let mut sim = SimConfig::paper(31);
@@ -33,18 +37,17 @@ fn main() {
     cloud.warmup(50);
 
     let store = shared_store();
-    let config = LiveConfig {
-        policy: PolicyConfig {
-            spike_threshold: 0.5,
-            ..PolicyConfig::default()
-        },
-        duration: SimDuration::days(3),
-        ..LiveConfig::default()
+    let policy = PolicyConfig {
+        spike_threshold: 0.5,
+        ..PolicyConfig::default()
     };
+    let end = cloud.now() + SimDuration::days(DAYS);
+    let mut driver = LiveDriver::new(cloud, store.clone(), &policy, &ResilienceConfig::default());
 
     println!("driving the cloud with one region manager per region...");
     let wall = std::time::Instant::now();
-    let (cloud, report) = run_live(cloud, store.clone(), config);
+    while driver.step() < end {}
+    let (cloud, report) = driver.finish();
     println!(
         "done in {:.2}s wall time: {} ticks, {} probes",
         wall.elapsed().as_secs_f64(),
@@ -69,6 +72,9 @@ fn main() {
         db.spikes().count(),
         db.intervals().count()
     );
-    println!("probe spend: {} over {} simulated days", db.total_cost(), 3);
+    println!(
+        "probe spend: {} over {DAYS} simulated days",
+        db.total_cost()
+    );
     println!("cloud time now: {}", cloud.now());
 }

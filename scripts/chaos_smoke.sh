@@ -6,9 +6,13 @@
 # chaotic seed (default and binding API limit) and demands the same
 # report and per-market histories; holds the live region managers to
 # the engine's policy (identical histories with no faults, every
-# PolicyConfig field honoured); then replays the chaos schedule at
-# several thread counts to hold the determinism contract
+# PolicyConfig field honoured); holds a probed world to an unprobed
+# one (probing_does_not_move_the_world); then replays the chaos
+# schedule at several thread counts to hold the determinism contract
 # (tests/determinism.rs).
+#
+# Each step runs one test by its exact name through scripts/one_test.sh,
+# which fails unless exactly that one test ran.
 #
 # Usage:
 #   scripts/chaos_smoke.sh
@@ -17,16 +21,19 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "== chaos smoke: live-mode soak (outage + storm + burst) =="
-cargo test --release --test live_mode chaos_soak_degrades_gracefully_and_recovers
+scripts/one_test.sh --test live_mode chaos_soak_degrades_gracefully_and_recovers
 
 echo "== chaos smoke: same seed, same service history =="
-cargo test --release --test live_mode same_seed_same_service_history
+scripts/one_test.sh --test live_mode same_seed_same_service_history
 
 echo "== chaos smoke: one policy, two hosts =="
-cargo test --release --test live_mode live_and_engine_hosts_record_identical_histories
-cargo test --release --test live_mode live_mode_honours_every_policy_field
+scripts/one_test.sh --test live_mode live_and_engine_hosts_record_identical_histories
+scripts/one_test.sh --test live_mode live_mode_honours_every_policy_field
+
+echo "== chaos smoke: probing does not move the world (no chaos, outage, burst) =="
+scripts/one_test.sh --test live_mode probing_does_not_move_the_world
 
 echo "== chaos smoke: fault-schedule determinism across thread counts =="
-cargo test --release --test determinism chaos_schedule_is_thread_count_invariant
+scripts/one_test.sh --test determinism chaos_schedule_is_thread_count_invariant
 
 echo "chaos smoke: OK"

@@ -2,24 +2,24 @@
 //! runs it: one simulated day on a fresh directory while clients query
 //! it, a stop by closing stdin, and a restart on the same directory.
 //!
-//! Its answers are held to an in-process twin built by the same
-//! [`live_world`]: the closed loop of the paper's chapter 6, where a
-//! derivative cloud asks the service for fallback markets, must get what
-//! the reference scan (`SpotLightQuery::uncorrelated_fallbacks`, which
-//! reads none of a snapshot's derived state) answers at the response's
-//! `as_of_secs`, mid-run and after the run.
+//! Its answers are held to an in-process twin, the same [`Service`]
+//! opened with no address on a directory of its own: the closed loop of
+//! the paper's chapter 6, where a derivative cloud asks the service for
+//! fallback markets, must get what the reference scan
+//! (`SpotLightQuery::uncorrelated_fallbacks`, which reads none of a
+//! snapshot's derived state) answers at the response's `as_of_secs`,
+//! mid-run and after the run.
 
 use cloud_sim::ids::MarketId;
 use cloud_sim::time::{SimDuration, SimTime};
 use spotlight_core::json;
 use spotlight_core::probe::ProbeKind;
 use spotlight_core::query::SpotLightQuery;
-use spotlight_core::snapshot::{SnapshotHub, SnapshotReader};
-use spotlight_core::store::shared_store;
+use spotlight_core::snapshot::SnapshotReader;
 use spotlight_persist::tempdir::TempDir;
 use spotlight_serve::client::Client;
-use spotlight_serve::live_world;
 use spotlight_serve::router::{market_param, route, ServiceState};
+use spotlight_serve::Service;
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader};
 use std::net::SocketAddr;
@@ -28,9 +28,6 @@ use std::process::{Child, Command, Stdio};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-/// Simulated seconds between two of `spotlightd`'s publications: the
-/// times the twin answers at.
-const HOUR: u64 = 3_600;
 /// As many fallbacks as there are candidates: the answer runs past the
 /// uncorrelated markets into the correlated ones.
 const EVERY: usize = 100_000;
@@ -54,10 +51,11 @@ fn json_u64(body: &str, key: &str) -> u64 {
     rest[..digits].parse().expect(key)
 }
 
-/// What the in-process twin answers over one day: the first market with
-/// on-demand rejections at one of its hourly publications; from that
-/// publication on, per `as_of` second, the JSON array of its fallbacks;
-/// and the `/v1/availability` body of that market at the day's end.
+/// What the in-process twin, a [`Service`] with no address, answers over
+/// one day: the first market with on-demand rejections at one of its
+/// hourly publications; from that publication on, per `as_of` second, the
+/// JSON array of its fallbacks; and the `/v1/availability` body of that
+/// market at the day's end.
 struct Twin {
     origin: MarketId,
     fallbacks: BTreeMap<u64, String>,
@@ -66,17 +64,17 @@ struct Twin {
 }
 
 fn twin() -> Twin {
-    let store = shared_store();
-    let (mut driver, start) = live_world(store.clone(), SimTime::ZERO);
-    let end = start + SimDuration::days(1);
+    let tmp = TempDir::new("spotlightd-twin");
+    let (mut service, _) = Service::open(&tmp.path().join("store"), None).expect("open the twin");
+    let end = service.now() + SimDuration::days(1);
     let (mut origin, mut fallbacks) = (None, BTreeMap::new());
-    let mut now = start;
-    while now < end {
-        now = driver.step();
-        if now.saturating_since(start).as_secs() % HOUR != 0 {
+    while service.now() < end {
+        let now = service.step();
+        let published = service.hub().load();
+        if published.as_of() != now {
             continue;
         }
-        let read = store.read();
+        let read = published.read();
         let q = SpotLightQuery::new(&read, SimTime::ZERO, now);
         let observed = q.observed_markets();
         let rejected = |m: &&MarketId| !read.rejection_times(**m, ProbeKind::OnDemand).is_empty();
@@ -95,8 +93,8 @@ fn twin() -> Twin {
     }
     let origin = origin.expect("a market with on-demand rejections");
     let state = ServiceState {
-        hub: Arc::new(SnapshotHub::new(store.snapshot(end))),
-        store: Arc::downgrade(&store),
+        hub: Arc::clone(service.hub()),
+        store: Arc::downgrade(service.store()),
         stats: Arc::default(),
         draining: Arc::default(),
         retry_after_secs: 1,
@@ -107,6 +105,7 @@ fn twin() -> Twin {
     );
     let availability = route("/v1/availability", &query, &state, &mut reader);
     assert_eq!(availability.status, 200, "{}", availability.body);
+    service.stop().expect("stop the twin");
     Twin {
         origin,
         fallbacks,
