@@ -214,8 +214,8 @@ pub struct DurabilityStats {
     pub heals: u64,
 }
 
-/// What [`DataStore::recover_with_report`] actually did — the
-/// crash-torture harness asserts on this.
+/// What [`DataStore::recover_with_report`] actually did — the kill-9
+/// test of `spotlightd` asserts on this.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryInfo {
     /// Ops applied from the WAL tail past the checkpoint floor
@@ -676,8 +676,8 @@ impl DataStore {
     }
 
     /// [`DataStore::recover`] with explicit writer options, also
-    /// reporting what recovery did — the crash-torture harness asserts
-    /// on this.
+    /// reporting what recovery did — the kill-9 test of `spotlightd`
+    /// asserts on this.
     ///
     /// # Errors
     ///

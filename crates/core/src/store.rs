@@ -154,10 +154,10 @@
 //! Graceful shutdown
 //! ([`DataStore::close`]) writes a clean-shutdown marker after a final
 //! checkpoint so the next recovery skips tail-scan replay entirely.
-//! The full state machine is documented in [`crate::durable`]; the
-//! kill-9 crash-torture harness (`crates/bench/src/bin/torture.rs`,
-//! driven by `scripts/torture_smoke.sh`) exercises real SIGKILLed
-//! child processes against it.
+//! The full state machine is documented in [`crate::durable`];
+//! `tests/spotlightd.rs::spotlightd_survives_kill_9` (run by
+//! `scripts/torture_smoke.sh`) SIGKILLs the shipped `spotlightd` against
+//! it.
 
 use crate::probe::{ProbeKind, ProbeOutcome, ProbeRecord, UnavailabilityInterval};
 use crate::shared::{ChunkVec, CowVec};

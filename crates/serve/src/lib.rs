@@ -60,7 +60,12 @@
 //! `--days 0` serves the store as recovered. Closing stdin stops it
 //! between two steps. stdout carries `listening <addr>`, the recovery
 //! report (JSON) on a restart, and the [`ExitReport`] (JSON);
-//! diagnostics go to stderr.
+//! diagnostics go to stderr, as do the four lines of each simulated day's
+//! maintenance at its second `<t>`: `spotlight-serve: checkpoint <t>`,
+//! `checkpointed <t>` (or the checkpoint's error), `compact <t>` and
+//! `compacted <t>`. `checkpointed <t>` is the one durability promise:
+//! every record collected at or before `<t>` is on disk and survives a
+//! kill (`tests/spotlightd.rs` holds a SIGKILLed `spotlightd` to it).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -161,8 +166,9 @@ impl Service {
 
     /// One tick of the region managers, then the republish on the simulated
     /// clock's whole hours and the checkpoint and compaction on its whole
-    /// days (the world starts on one); returns the time collected through.
-    /// A failed checkpoint goes to stderr and [`DurabilityStats`].
+    /// days (the world starts on one), each announced on stderr (crate
+    /// docs, "`spotlightd`"); returns the time collected through. A failed
+    /// checkpoint goes to stderr and [`DurabilityStats`].
     pub fn step(&mut self) -> SimTime {
         self.now = self.driver.step();
         let (store, secs) = (&self.store, self.now.as_secs());
@@ -170,10 +176,14 @@ impl Service {
             self.hub.republish(store, self.now);
         }
         if secs % MAINTAIN_EVERY == 0 {
-            if let Err(e) = store.checkpoint() {
-                eprintln!("spotlight-serve: checkpoint at {}: {e}", self.now);
+            eprintln!("spotlight-serve: checkpoint {secs}");
+            match store.checkpoint() {
+                Ok(()) => eprintln!("spotlight-serve: checkpointed {secs}"),
+                Err(e) => eprintln!("spotlight-serve: checkpoint at {}: {e}", self.now),
             }
+            eprintln!("spotlight-serve: compact {secs}");
             store.compact(SimTime::from_secs(secs.saturating_sub(MAINTAIN_EVERY)));
+            eprintln!("spotlight-serve: compacted {secs}");
         }
         self.now
     }

@@ -1,26 +1,26 @@
 #!/usr/bin/env bash
-# Kill-9 crash-torture smoke for the verify path: forks real child
-# processes doing durable ingest, SIGKILLs each one at a scheduled
-# point (mid-append, mid-checkpoint, mid-spill; >=21 kills total with
-# every phase hit), recovers in the parent, and verifies the survivors
-# bit-identically against the child's last acked watermark. Finishes
-# with clean-shutdown rounds asserting a zero-replay restart.
+# Kill-9 crash-torture smoke for the verify path: runs the shipped
+# `spotlightd` binary (tests/spotlightd.rs::spotlightd_survives_kill_9,
+# ignored under plain `cargo test`, in release) on fresh directories
+# while a client queries it, and SIGKILLs it mid-append, mid-checkpoint
+# and mid-compact (>=21 kills, >=4 in each phase by what the daemon
+# printed before it died, >=4 with a request in flight). Each killed
+# directory is recovered twice and held to an uninterrupted in-process
+# run of the same world: per market a prefix of its records, at least
+# the ones collected through the last `checkpointed <t>` the daemon
+# printed, bit-identical on every counter. Then `spotlightd --days 0`
+# restarts on it and serves every recovered probe.
 #
-# The kill points, op streams, and verification twins all come from the
-# seed, so a failure reproduces with the same invocation.
+# The world is fixed (standard catalog, seed 42) and the kill schedule's
+# seed is a constant of the test; only the timing of a kill varies.
 #
 # Usage:
-#   scripts/torture_smoke.sh [seed]
+#   scripts/torture_smoke.sh
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-SEED="${1:-61637}"
-
-echo "== torture smoke: building release torture harness =="
-cargo build --release -p spotlight-bench --bin torture
-
-echo "== torture smoke: kill -9 rounds (seed ${SEED}) =="
-./target/release/torture "${SEED}"
+echo "== torture smoke: kill -9 spotlightd (release) =="
+scripts/one_test.sh -p spotlight-serve --test spotlightd spotlightd_survives_kill_9
 
 echo "torture smoke: OK"

@@ -4,7 +4,8 @@
 # format, lints, rustdoc (no broken or private intra-doc link), tier-1
 # build + tests, the `repro all` golden, the benchmark package's own
 # tests (it must compile unmodified against the crates), the benchmark
-# itself, then the four smokes.
+# itself, then the four smokes (the torture and HTTP smokes run the
+# shipped `spotlightd` binary).
 #
 # Cargo rewrites benchmark/Cargo.lock in the working copy whenever it
 # builds the benchmark package (the committed file predates PR 16); the

@@ -100,16 +100,15 @@ fn measured_unavailability_matches_ground_truth_direction() {
             None => truth.push((shortage.pool, secs)),
         }
     }
-    if truth.is_empty() {
-        return; // nothing to compare on this seed
-    }
+    assert!(
+        !truth.is_empty(),
+        "seed 13 must leave a shortage to compare"
+    );
     // The pool with the most ground-truth shortage should have measured
     // unavailability on at least one of its markets.
     truth.sort_by_key(|&(_, secs)| std::cmp::Reverse(secs));
     let (worst_pool, secs) = truth[0];
-    if secs < 3600 {
-        return; // too little signal
-    }
+    assert!(secs >= 3600, "worst pool {worst_pool} short only {secs}s");
     let measured: u64 = cloud
         .catalog()
         .markets_in_pool(worst_pool)
