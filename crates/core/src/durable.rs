@@ -1349,9 +1349,12 @@ mod tests {
     /// probe and revocation indices. Its other lines are format 3's,
     /// first written at PR 20 (`7d1bf61`, the last commit with a
     /// hand-written `Encode`/`Decode` pair per record), so a field list
-    /// or tag table that drifts from that wire order fails here. It is
-    /// regenerated (`FORMAT4_GOLDEN_WRITE=1 cargo test -p spotlight-core
-    /// format4_golden`) only together with a `FORMAT_VERSION` bump.
+    /// or tag table that drifts from that wire order fails here. Format
+    /// 5 compressed the sections these records sit in, not a record
+    /// byte, so the file kept its bytes and its name. It is regenerated
+    /// (`FORMAT4_GOLDEN_WRITE=1 cargo test -p spotlight-core
+    /// format4_golden`) only together with a `FORMAT_VERSION` bump that
+    /// changes a record's encoding.
     #[test]
     fn format4_golden_bytes_encode_and_decode() {
         const GOLDEN: &str = include_str!("../../../tests/golden/format4_records.hex");
@@ -1398,6 +1401,74 @@ mod tests {
                         StoreOp::from_bytes(&bytes).expect(label),
                         ops[n.expect("store_op.<n>")]
                     );
+                }
+            }
+        }
+    }
+
+    /// One stripe section as a checkpoint holds it before compression:
+    /// 120 probes of six markets on a one-stripe store, and its
+    /// compressed block.
+    fn stripe_section() -> &'static (Vec<u8>, Vec<u8>) {
+        static SECTION: std::sync::OnceLock<(Vec<u8>, Vec<u8>)> = std::sync::OnceLock::new();
+        SECTION.get_or_init(|| {
+            let tmp = TempDir::new("durable-lz-stripe");
+            let dir = tmp.path().join("store");
+            let store =
+                DataStore::create_durable_with_layout(&dir, DurableOptions::default(), 1, HOUR)
+                    .expect("create");
+            for t in 0..120u64 {
+                let outcome = match t % 3 {
+                    0 => ProbeOutcome::InsufficientCapacity,
+                    _ => ProbeOutcome::Fulfilled,
+                };
+                store.record_probe(probe(t * 300, market(t as u8 % 6), outcome));
+            }
+            store.close().expect("close");
+            let (log, _) = LogDir::open(&dir).expect("open");
+            let sections = log.read_checkpoint().expect("read").expect("a checkpoint");
+            let raw = sections[1].clone();
+            let mut packed = Vec::new();
+            spotlight_persist::lz::compress(&raw, &mut packed);
+            (raw, packed)
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        // The section decoder under hostile input never panics: drawn
+        // bytes decode to an error or to exactly the length they
+        // declare; every truncation of a compressed stripe section is
+        // an error or (cut after its last match) the original bytes;
+        // and every single-byte flip is an error or a block of the
+        // original length — a flipped literal decodes to other bytes,
+        // which the frame CRC around the section is there to catch —
+        // that the stripe decoder then takes or refuses, also without
+        // panicking.
+        #[test]
+        fn lz_decoder_survives_hostile_and_damaged_stripe_sections(
+            bytes in proptest::collection::vec(any::<u8>(), 0..512),
+            mask in 1u8..255,
+        ) {
+            use spotlight_persist::lz::decompress;
+            if let Ok(out) = decompress(&bytes) {
+                prop_assert_eq!(u64::decode(&mut Reader::new(&bytes)), Ok(out.len() as u64));
+            }
+            let (raw, packed) = stripe_section();
+            prop_assert!(packed.len() * 2 < raw.len(), "{} of {} B", packed.len(), raw.len());
+            prop_assert_eq!(decompress(packed).as_ref(), Ok(raw));
+            for cut in 0..packed.len() {
+                if let Ok(out) = decompress(&packed[..cut]) {
+                    prop_assert_eq!(&out, raw, "cut at {}", cut);
+                }
+            }
+            for at in 0..packed.len() {
+                let mut flipped = packed.clone();
+                flipped[at] ^= mask;
+                if let Ok(out) = decompress(&flipped) {
+                    prop_assert_eq!(out.len(), raw.len(), "flip at {}", at);
+                    drop(decode_stripe(&out));
                 }
             }
         }

@@ -31,6 +31,9 @@ use crate::crc::crc32;
 pub const MAX_FRAME: usize = 1 << 26;
 
 /// Frame/file-format version stamped into every file header. Version
+/// 5 compresses every checkpoint and spill section with [`crate::lz`]
+/// before it is cut into frames (WAL records, the directory header and
+/// the clean marker stay raw); no record's encoding changed. Version
 /// 4 drops a checkpoint stripe's per-market probe and revocation
 /// indices. Version 3 encodes `u32`/`u64`/`usize` as canonical LEB128
 /// varints ([`crate::codec`]), frames a spill segment as one chunked
@@ -39,7 +42,7 @@ pub const MAX_FRAME: usize = 1 << 26;
 /// version 2 made a key's epoch summary sparse. The frame envelope
 /// itself has not changed since version 1. There is one decoder, so
 /// files of any other version are refused by [`strip_header`].
-pub const FORMAT_VERSION: u32 = 4;
+pub const FORMAT_VERSION: u32 = 5;
 
 /// Byte length of a file header (`magic ++ version`).
 pub const HEADER_LEN: usize = 8;
@@ -229,9 +232,10 @@ mod tests {
         wrong_version[4] = 0xFF;
         assert!(strip_header(&wrong_version, magic::WAL).is_err());
         // Version 1 stored epoch summaries dense, version 2 every
-        // integer fixed-width and version 3 two per-market indices per
-        // stripe; nothing decodes any of them.
-        for old in [1u32, 2, 3] {
+        // integer fixed-width, version 3 two per-market indices per
+        // stripe and version 4 its checkpoint and spill sections
+        // uncompressed; nothing decodes any of them.
+        for old in [1u32, 2, 3, 4] {
             let mut stale = file.clone();
             stale[4..8].copy_from_slice(&old.to_le_bytes());
             assert_eq!(

@@ -28,9 +28,12 @@
 //!   recovery semantics);
 //! * [`wal`] — a bounded-queue single-writer append log over N streams
 //!   with a configurable fsync policy and generation rotation;
+//! * [`lz`] — the LZ block codec every checkpoint and spill section is
+//!   compressed with (no level, no off switch; the decoder refuses
+//!   hostile input without panicking);
 //! * [`log`] — the on-disk directory layout (header, per-stream WAL
 //!   generations of one frame per record, and the checkpoint file and
-//!   sealed spill segments — chunked sections written
+//!   sealed spill segments — compressed, chunked sections written
 //!   temp+rename+fsync);
 //! * [`fault`] — the crash-injection helpers the torn-write recovery
 //!   tests drive (truncate/corrupt/duplicate-tail at byte offsets);
@@ -47,6 +50,7 @@ pub mod disk;
 pub mod fault;
 pub mod frame;
 pub mod log;
+pub mod lz;
 pub mod tempdir;
 pub mod wal;
 

@@ -14,11 +14,14 @@
 //! sequence number — it is appended to, so its tail can tear, and the
 //! prefix-valid scan recovers whole records up to the tear. The
 //! checkpoint and every spill segment are **sections**: each section is
-//! one opaque buffer (for a spill segment, `count ++ records`) cut into
-//! frames of at most `CHECKPOINT_CHUNK` bytes that share the section
-//! index as their sequence number — one CRC per ≤ 16 MiB, no per-record
-//! envelope. Sections are only ever written whole and atomically, so a
-//! tear cannot happen and any damage is a hard error.
+//! one opaque buffer (for a spill segment, `count ++ records`),
+//! compressed to `varint raw length ++ LZ sequences` ([`crate::lz`],
+//! format 5), then cut into frames of at most `CHECKPOINT_CHUNK` bytes
+//! that share the section index as their sequence number — one CRC per
+//! ≤ 16 MiB, no per-record envelope. Sections are only ever written
+//! whole and atomically, so a tear cannot happen and any damage (a bad
+//! frame, a block the decoder refuses) is a hard error. WAL records,
+//! the directory header and the clean marker stay uncompressed.
 //!
 //! Mutation rules that make crashes survivable:
 //!
@@ -36,6 +39,7 @@
 
 use crate::disk::{DiskIo, RealDisk};
 use crate::frame::{self, magic, ScanEnd, ScanResult};
+use crate::lz;
 use std::fs::{self, File, OpenOptions};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -505,21 +509,22 @@ fn spill_name(stripe: u32, n: u64) -> String {
     format!("spill-{stripe:04}-{n:08}.seg")
 }
 
-/// Appends `section` to `body` as frames of at most
-/// [`CHECKPOINT_CHUNK`] bytes (at least one, so an empty section still
-/// exists) that share `index` as their sequence number;
-/// [`read_sections`] reassembles by index.
+/// Appends `section`, compressed, to `body` as frames of at most
+/// [`CHECKPOINT_CHUNK`] bytes that share `index` as their sequence
+/// number; [`read_sections`] reassembles by index and decompresses.
+/// Callers hold no store lock: they pass bytes already captured.
 fn write_section(body: &mut Vec<u8>, index: u64, section: &[u8]) {
-    let mut chunks = section.chunks(CHECKPOINT_CHUNK);
-    frame::write_frame(body, index, chunks.next().unwrap_or(&[]));
-    for chunk in chunks {
+    let mut packed = Vec::new();
+    lz::compress(section, &mut packed); // never empty: one frame at least
+    for chunk in packed.chunks(CHECKPOINT_CHUNK) {
         frame::write_frame(body, index, chunk);
     }
 }
 
-/// Reassembles the sections [`write_section`] wrote into `body`, in
-/// index order. Anything but a clean run of frames whose indices count
-/// up from zero is `damaged`.
+/// Reassembles and decompresses the sections [`write_section`] wrote
+/// into `body`, in index order. Anything but a clean run of frames
+/// whose indices count up from zero, each section a block
+/// [`lz::decompress`] accepts, is `damaged`.
 fn read_sections(body: &[u8], damaged: &'static str) -> io::Result<Vec<Vec<u8>>> {
     let scanned = frame::scan(body);
     if scanned.end != ScanEnd::Clean {
@@ -538,7 +543,8 @@ fn read_sections(body: &[u8], damaged: &'static str) -> io::Result<Vec<Vec<u8>>>
             _ => return Err(corrupt(damaged)),
         }
     }
-    Ok(sections)
+    let unpack = |packed: Vec<u8>| lz::decompress(&packed).map_err(|_| corrupt(damaged));
+    sections.into_iter().map(unpack).collect()
 }
 
 fn corrupt(what: &'static str) -> io::Error {
@@ -579,16 +585,32 @@ mod tests {
         );
     }
 
+    /// Seeded xorshift bytes, which compression cannot shrink: a section
+    /// of them keeps its frame count on disk.
+    fn noise(len: usize, mut seed: u64) -> Vec<u8> {
+        (0..len)
+            .map(|_| {
+                seed ^= seed << 13;
+                seed ^= seed >> 7;
+                seed ^= seed << 17;
+                seed as u8
+            })
+            .collect()
+    }
+
     #[test]
     fn oversize_checkpoint_sections_chunk_and_reassemble() {
         let tmp = TempDir::new("logdir-ckpt-chunks");
         let dir = LogDir::create(tmp.path(), 1, &[]).expect("create");
-        let big: Vec<u8> = (0..CHECKPOINT_CHUNK * 2 + 123)
-            .map(|i| (i % 251) as u8)
-            .collect();
+        let big = noise(CHECKPOINT_CHUNK * 2 + 123, 0x9e37_79b9_7f4a_7c15);
         let sections = vec![b"meta".to_vec(), big, Vec::new(), b"tail".to_vec()];
         dir.write_checkpoint(&sections).expect("write");
         assert_eq!(dir.read_checkpoint().expect("read"), Some(sections));
+        // The big section really was cut into frames and reassembled.
+        let bytes = std::fs::read(tmp.path().join(CHECKPOINT_FILE)).expect("checkpoint");
+        let scanned = frame::scan(&bytes[frame::HEADER_LEN..]);
+        let big_frames = scanned.frames.iter().filter(|f| f.seq == 1).count();
+        assert!(big_frames >= 3, "{big_frames} frames");
     }
 
     #[test]
@@ -759,19 +781,19 @@ mod tests {
     fn spill_block_larger_than_one_chunk_round_trips() {
         let tmp = TempDir::new("logdir-spill-chunks");
         let dir = LogDir::create(tmp.path(), 1, &[]).expect("create");
-        let mut block = vec![0x5a; CHECKPOINT_CHUNK + 4567];
-        for (i, byte) in block.iter_mut().step_by(4099).enumerate() {
-            *byte = i as u8;
-        }
+        let block = noise(CHECKPOINT_CHUNK + 4567, 7);
         dir.write_spill(2, 7, &block).expect("spill");
         assert_eq!(dir.read_spill(2, 7).expect("read"), block);
-        // One envelope per chunk, none per record.
+        // One envelope per chunk of the compressed block, none per record.
+        let mut packed = Vec::new();
+        lz::compress(&block, &mut packed);
+        assert!(packed.len() > CHECKPOINT_CHUNK, "noise does not shrink");
         let len = std::fs::metadata(tmp.path().join(spill_name(2, 7)))
             .expect("segment")
             .len() as usize;
         assert_eq!(
             len,
-            frame::HEADER_LEN + block.len() + 2 * (frame::FRAME_OVERHEAD + 8)
+            frame::HEADER_LEN + packed.len() + 2 * (frame::FRAME_OVERHEAD + 8)
         );
         // An empty block is still a segment with one (empty) section.
         dir.write_spill(2, 8, &[]).expect("empty spill");

@@ -5,7 +5,9 @@
 # interplay (tests/persistence.rs), the durable live/engine recovery
 # twins (crates/core), and degrade-and-heal: the seeded disk-fault
 # schedule, the durability machine's enumeration and a live run healing
-# on a faulty disk — all against release builds.
+# on a faulty disk — and the sealed-section path: the section decoder
+# under hostile and damaged input, a section cut into several frames,
+# and a crash right after flush() — all against release builds.
 #
 # Each step runs one test by its exact name through scripts/one_test.sh,
 # which fails unless exactly that one test ran.
@@ -33,5 +35,10 @@ echo "== recovery smoke: degrade and heal =="
 scripts/one_test.sh --test persistence seeded_fault_schedule_degrades_heals_and_keeps_the_watermark
 scripts/one_test.sh -p spotlight-core durability::tests::durability_machine_keeps_its_promises_over_every_sequence
 scripts/one_test.sh --test live_mode durable_live_run_degrades_and_heals_on_a_faulty_disk
+
+echo "== recovery smoke: compressed sections and flush =="
+scripts/one_test.sh -p spotlight-core durable::tests::lz_decoder_survives_hostile_and_damaged_stripe_sections
+scripts/one_test.sh -p spotlight-persist log::tests::oversize_checkpoint_sections_chunk_and_reassemble
+scripts/one_test.sh --test persistence flushed_records_survive_a_crash_without_a_clean_marker
 
 echo "recovery smoke: OK"

@@ -552,6 +552,44 @@ fn compact_then_crash_then_recover_loses_nothing() {
     assert_same_summaries(&after_ckpt, &twin, &markets);
 }
 
+/// `flush()` is a durability point of its own: a copy of the directory
+/// taken right after it — no close, no checkpoint after the appends, so
+/// no clean-shutdown marker — recovers every flushed record, the older
+/// ones through the (compressed) checkpoint and the rest from the log
+/// tail.
+#[test]
+fn flushed_records_survive_a_crash_without_a_clean_marker() {
+    let tmp = TempDir::new("flush-then-crash");
+    let dir = tmp.path().join("store");
+    let store = DataStore::create_durable(&dir, opts()).unwrap();
+    let feed = |range: std::ops::Range<u64>| {
+        for i in range {
+            store.record_probe(probe_at(i, market(i as u8 % 7)));
+        }
+    };
+    feed(0..400);
+    store.checkpoint().unwrap();
+    feed(400..1_000);
+    store.flush().unwrap();
+    let crash = tmp.path().join("crash");
+    snapshot_dir(&dir, &crash);
+    assert!(!crash.join("clean").exists(), "no close, no marker");
+
+    let (recovered, info) =
+        DataStore::recover_with_report(&crash, DurableOptions::default()).unwrap();
+    assert!(info.checkpoint_loaded && !info.from_clean_shutdown);
+    assert_eq!(info.replayed_ops, 600, "the appends after the checkpoint");
+    assert_eq!(recovered.len(), 1_000);
+    let (g, w) = (recovered.read(), store.read());
+    for m in (0..7).map(market) {
+        let of = |p: &&ProbeRecord| p.market == m;
+        let (got, want) = (g.probes().filter(of), w.probes().filter(of));
+        assert!(got.eq(want), "{m:?}: every flushed record, in order");
+    }
+    drop((g, w));
+    store.close().unwrap();
+}
+
 /// Checkpoint + damaged tail: ops before the checkpoint live in the
 /// snapshot (their WAL generations are pruned), ops after it live in
 /// the fresh generation — and a torn write there only costs the torn
@@ -633,7 +671,20 @@ fn checkpoints_of_equal_stores_are_byte_identical() {
         std::fs::read(dir.join("checkpoint")).unwrap()
     };
     let first = write("ckpt-bytes-a");
-    assert!(first.len() > 1_000, "a real checkpoint: {} B", first.len());
+    // Sized before compression: the file itself is smaller since
+    // format 5.
+    let tmp = TempDir::new("ckpt-bytes-raw");
+    std::fs::write(tmp.path().join("checkpoint"), &first).unwrap();
+    LogDir::create(tmp.path(), 1, &[]).unwrap();
+    let (log, _) = LogDir::open(tmp.path()).unwrap();
+    let raw: usize = log
+        .read_checkpoint()
+        .unwrap()
+        .unwrap()
+        .iter()
+        .map(Vec::len)
+        .sum();
+    assert!(raw > 1_000, "a real checkpoint: {raw} B");
     for name in ["ckpt-bytes-b", "ckpt-bytes-c"] {
         assert!(
             first == write(name),

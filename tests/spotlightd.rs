@@ -22,6 +22,7 @@ use spotlight_core::query::SpotLightQuery;
 use spotlight_core::snapshot::SnapshotReader;
 use spotlight_core::{DataStore, DurableOptions, ProbeKind, ProbeRecord, RecoveryInfo, StoreRead};
 use spotlight_persist::tempdir::TempDir;
+use spotlight_persist::LogDir;
 use spotlight_serve::client::Client;
 use spotlight_serve::router::{market_param, route, ServiceState};
 use spotlight_serve::{Service, MAINTAIN_EVERY};
@@ -553,4 +554,36 @@ fn spotlightd_survives_kill_9() {
         println!("round {}: {aim:?}, killed in {:?}", kills.len(), kill.phase);
         kills.push(kill);
     }
+}
+
+/// Format 5 compresses every section the store seals. On what the
+/// service itself writes — two simulated days, each ending in a
+/// checkpoint and a compaction that spills — the checkpoint and spill
+/// files take at most 0.6× the bytes of the sections they hold.
+#[test]
+fn service_checkpoint_and_spills_are_compressed() {
+    let tmp = TempDir::new("spotlightd-compressed");
+    let dir = tmp.path().join("store");
+    let (mut service, _) = Service::open(&dir, None).expect("open");
+    let end = service.now() + SimDuration::days(2);
+    while service.now() < end {
+        service.step();
+    }
+    service.stop().expect("stop");
+    let (log, _) = LogDir::open(&dir).expect("open the directory");
+    let checkpoint = log.read_checkpoint().expect("read").expect("a checkpoint");
+    let spills = log.list_spills().expect("list");
+    assert!(!spills.is_empty(), "a whole day compacts");
+    let mut raw: usize = checkpoint.iter().map(Vec::len).sum();
+    let file = |name: &str| std::fs::metadata(dir.join(name)).expect(name).len() as usize;
+    let mut on_disk = file("checkpoint");
+    for (stripe, n) in spills {
+        raw += log.read_spill(stripe, n).expect("spill").len();
+        on_disk += file(&format!("spill-{stripe:04}-{n:08}.seg"));
+    }
+    let ratio = on_disk as f64 / raw as f64;
+    assert!(
+        ratio <= 0.6,
+        "{on_disk} B on disk for {raw} B of sections: {ratio:.3}"
+    );
 }
