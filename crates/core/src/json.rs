@@ -8,8 +8,9 @@
 //! objects and arrays. [`ToJson`] is implemented here for the
 //! report types responses and `spotlightd`'s reports are built from
 //! ([`AvailabilityStats`], [`Freshness`], [`DurabilityStats`],
-//! [`RecoveryInfo`], [`LiveReport`]); `crates/serve` composes them into
-//! response bodies with the same builders.
+//! [`RecoveryInfo`]); `crates/serve` composes them into response bodies
+//! with the same builders. [`counters!`] declares a group of counters,
+//! their snapshot and its JSON fields from one field list.
 //!
 //! **Invariant: the writer itself never allocates.** Every scalar goes
 //! straight into the caller's `&mut String`, so a body encoded into a
@@ -35,7 +36,6 @@
 //! `tests/serve_bytes.rs` and by `tests/serve_golden.rs`.
 
 use crate::durable::{DurabilityMode, DurabilityStats, RecoveryInfo};
-use crate::manager::LiveReport;
 use crate::query::{AvailabilityStats, Freshness};
 use std::fmt::Write;
 
@@ -242,15 +242,51 @@ impl Key for Lit {
     }
 }
 
-/// The object key `$name` as a [`Lit`](crate::json::Lit).
+/// The object key `$name` (a literal, or `stringify!(field)`) as a [`Lit`](crate::json::Lit).
 #[macro_export]
 macro_rules! key {
-    ($name:literal) => {{
-        const KEY: $crate::json::Lit = $crate::json::Lit::composed(concat!(",\"", $name, "\":"));
+    ($($name:tt)+) => {{
+        const KEY: $crate::json::Lit = $crate::json::Lit::composed(concat!(",\"", $($name)+, "\":"));
         KEY
     }};
 }
 pub use crate::key;
+
+/// Declares a group of `u64` counters from one field list: the struct
+/// of `AtomicU64`s (`Default`: all zero), its `Copy` snapshot (named
+/// after the `/`), `snapshot()`, and the snapshot's `write_fields` into
+/// an [`Object`], keys in list order. They are counts, not
+/// synchronization: bump, set and load them with relaxed atomics.
+#[macro_export]
+macro_rules! counters {
+    ($(#[$doc:meta])* $vis:vis struct $name:ident / $snapshot:ident {
+        $($(#[$field_doc:meta])* $field:ident),* $(,)?
+    }) => {
+        $(#[$doc])*
+        #[derive(Debug, Default)]
+        $vis struct $name { $($(#[$field_doc])* pub $field: ::std::sync::atomic::AtomicU64,)* }
+
+        #[doc = concat!("A point-in-time copy of [`", stringify!($name), "`].")]
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        $vis struct $snapshot { $($(#[$field_doc])* pub $field: u64,)* }
+
+        impl $name {
+            /// Copies every counter.
+            pub fn snapshot(&self) -> $snapshot {
+                let relaxed = ::std::sync::atomic::Ordering::Relaxed;
+                $snapshot { $($field: self.$field.load(relaxed),)* }
+            }
+        }
+
+        impl $snapshot {
+            /// Appends every counter to `o`, in declaration order.
+            pub fn write_fields(&self, o: &mut $crate::json::Object<'_>) {
+                $(o.u64($crate::key!(stringify!($field)), self.$field);)*
+            }
+        }
+    };
+}
+pub use crate::counters;
 
 /// An in-progress JSON object; each method appends one key/value pair.
 #[derive(Debug)]
@@ -505,29 +541,6 @@ impl ToJson for RecoveryInfo {
     }
 }
 
-impl ToJson for LiveReport {
-    fn write_json(&self, out: &mut String) {
-        object(out, |o| {
-            o.u64(key!("probes"), self.probes as u64);
-            o.object(key!("per_region_probes"), |o| {
-                for (region, n) in &self.per_region_probes {
-                    o.u64(region.name(), *n as u64);
-                }
-            });
-            o.u64(key!("ticks"), self.ticks);
-            o.u64(key!("retries_issued"), self.retries_issued);
-            o.u64(key!("probes_abandoned"), self.probes_abandoned);
-            o.u64(key!("breaker_trips"), self.breaker_trips);
-            o.object(key!("degraded_secs"), |o| {
-                for (region, secs) in &self.degraded_secs {
-                    o.u64(region.name(), *secs);
-                }
-            });
-            o.u64(key!("worker_panics"), self.worker_panics);
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -592,6 +605,52 @@ mod tests {
         assert!(DurabilityStats::default()
             .to_json()
             .contains("\"mode\":\"durable\""));
-        assert!(LiveReport::default().to_json().contains("\"probes\":0"));
+    }
+
+    crate::counters! {
+        /// A group declared out of alphabetical order.
+        struct Three / ThreeSnapshot {
+            /// Declared first.
+            zeta,
+            /// Declared second.
+            alpha,
+            /// Declared third.
+            mid,
+        }
+    }
+
+    #[test]
+    fn counters_snapshot_and_serialize_in_declaration_order() {
+        use std::sync::atomic::Ordering::Relaxed;
+        let three = Three::default();
+        let zeros = ThreeSnapshot {
+            zeta: 0,
+            alpha: 0,
+            mid: 0,
+        };
+        assert_eq!(three.snapshot(), zeros);
+        assert_eq!(ThreeSnapshot::default(), zeros);
+        three.zeta.fetch_add(3, Relaxed);
+        three.alpha.store(u64::MAX, Relaxed);
+        three.mid.fetch_add(1, Relaxed);
+        let snapshot = three.snapshot();
+        let want = ThreeSnapshot {
+            zeta: 3,
+            alpha: u64::MAX,
+            mid: 1,
+        };
+        assert_eq!(snapshot, want);
+        let mut out = String::new();
+        object(&mut out, |o| snapshot.write_fields(o));
+        assert_eq!(out, "{\"zeta\":3,\"alpha\":18446744073709551615,\"mid\":1}");
+        let mut out = String::new();
+        object(&mut out, |o| {
+            o.bool("before", true);
+            snapshot.write_fields(o);
+        });
+        assert_eq!(
+            out,
+            "{\"before\":true,\"zeta\":3,\"alpha\":18446744073709551615,\"mid\":1}"
+        );
     }
 }

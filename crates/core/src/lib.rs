@@ -82,7 +82,7 @@ pub use probe::{ProbeKind, ProbeOutcome, ProbeRecord, ProbeTrigger};
 pub use query::{Freshness, SpotLightQuery};
 pub use snapshot::{SnapshotHub, SnapshotReader, StoreSnapshot};
 pub use spotlight::SpotLight;
-pub use store::{DataStore, RegionHealth, SharedStore, StoreRead};
+pub use store::{DataStore, RegionCounters, RegionCounts, RegionHealth, SharedStore, StoreRead};
 
 /// The anchor the unit tests' made-up instants are offsets from: a
 /// test's one clock read. Product code takes the time from its caller.

@@ -44,17 +44,19 @@
 //!    on a schedule to send trial probes. The first success closes the
 //!    breaker and marks the region recovered, so staleness-aware
 //!    queries ([`crate::query::SpotLightQuery::freshness`]) can tell
-//!    "available" from "we could not look".
+//!    "available" from "we could not look". The episode lives in the
+//!    store's [`crate::store::RegionHealth`] only; after a restart
+//!    mid-outage its manager starts half-open.
 //! 4. **Orphan reaping** — a probe whose launch (or spot request)
 //!    succeeded but whose terminate (or cancel) failed would hold a
 //!    service-limit slot forever; such resources enter a worker-local
 //!    orphan list retried every batch.
 //! 5. **Supervision** — each region manager catches panics at the batch
 //!    boundary: a crash while handling one tick's events is counted
-//!    ([`LiveReport::worker_panics`]), fed to the circuit breaker, and
-//!    the manager carries on with its pending queue, policy state, wake
-//!    list, and orphan list intact. A manager is a plain value the
-//!    driver owns, not a thread: nothing can die between batches.
+//!    (`worker_panics`), fed to the circuit breaker, and the manager
+//!    carries on with its pending queue, policy state, wake list, and
+//!    orphan list intact. A manager is a plain value the driver owns,
+//!    not a thread: nothing can die between batches.
 //!
 //! The driver also tends the store's durability each tick
 //! ([`crate::store::DataStore::tend_durability`]): when disk faults
@@ -87,7 +89,7 @@
 
 use crate::policy::PolicyConfig;
 use crate::spotlight::{call, Answer, Orphan, Policy, Port, Probe, API_LIMITED};
-use crate::store::SharedStore;
+use crate::store::{RegionCounters, SharedStore};
 use crate::sync::Mutex;
 use cloud_sim::catalog::Catalog;
 use cloud_sim::cloud::{Cloud, CloudEvent};
@@ -97,6 +99,7 @@ use cloud_sim::rng::SimRng;
 use cloud_sim::time::{SimDuration, SimTime};
 use spotlight_pool::WorkerPool;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 
 /// Knobs of the per-region retry/breaker pipeline.
@@ -163,7 +166,11 @@ impl ResilienceConfig {
     }
 }
 
-/// Summary of a live run.
+/// Summary of a live run. `probes`, `per_region_probes` and `ticks`
+/// count this run; the rest sum the store's region tables: counters
+/// since its opening, and persisted episodes, so a recovered store's
+/// include those before the restart (a carried-over one is not tripped
+/// again; its first success closes it, the downtime included).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LiveReport {
     /// Probes recorded.
@@ -178,8 +185,8 @@ pub struct LiveReport {
     pub probes_abandoned: u64,
     /// Circuit-breaker trips across all regions.
     pub breaker_trips: u64,
-    /// Seconds each region spent with its breaker open or half-open
-    /// (only regions that degraded at all appear).
+    /// Seconds each region spent degraded, an episode still open through
+    /// the run's end (only regions that degraded at all appear).
     pub degraded_secs: BTreeMap<Region, u64>,
     /// Worker panics the supervisors caught (the worker kept running
     /// with its pending queue intact).
@@ -207,16 +214,6 @@ enum Breaker {
     HalfOpen,
 }
 
-/// The robustness counters one worker accumulates.
-#[derive(Debug, Default, Clone, Copy)]
-struct WorkerStats {
-    retries_issued: u64,
-    probes_abandoned: u64,
-    breaker_trips: u64,
-    degraded_secs: u64,
-    worker_panics: u64,
-}
-
 /// One region manager, less its policy: the retry/breaker transport the
 /// policy's attempts go through (its [`Port`]), the wake-ups the policy
 /// asked for, and the supervision of each batch.
@@ -240,11 +237,8 @@ struct RegionWorker {
     orphans: Vec<Orphan>,
     breaker: Breaker,
     consecutive_failures: u32,
-    /// Start of the current degraded episode, while one is open.
-    degraded_since: Option<SimTime>,
     /// Backoff jitter source, seeded from the region alone.
     rng: SimRng,
-    stats: WorkerStats,
     /// Event batches handled so far (drives the chaos panic knob).
     batches_handled: u64,
     /// The current tick's events for this region, routed here by the
@@ -288,6 +282,11 @@ impl RegionWorker {
         cloud: Arc<Mutex<Cloud>>,
     ) -> Self {
         let catalog = cloud.lock().catalog().clone();
+        // An episode the store carries over is this manager's to close.
+        let breaker = match store.region_health(region) {
+            Some(health) if health.degraded => Breaker::HalfOpen,
+            _ => Breaker::Closed,
+        };
         RegionWorker {
             region,
             resilience: resilience.clone(),
@@ -298,14 +297,17 @@ impl RegionWorker {
             wakes: BTreeSet::new(),
             pending: Vec::new(),
             orphans: Vec::new(),
-            breaker: Breaker::Closed,
+            breaker,
             consecutive_failures: 0,
-            degraded_since: None,
             rng: SimRng::seed_from(0x00C0_FFEE ^ region.index() as u64),
-            stats: WorkerStats::default(),
             batches_handled: 0,
             batch: Vec::new(),
         }
+    }
+
+    /// This region's counters in the store.
+    fn counters(&self) -> &RegionCounters {
+        self.store.region_counters(self.region)
     }
 
     /// Spends one transport attempt on `intent` — none while the breaker
@@ -361,9 +363,9 @@ impl RegionWorker {
 
     fn enqueue(&mut self, p: PendingProbe) {
         if self.pending.len() >= self.resilience.max_pending {
-            // Queue full: the intent is lost. Count it both locally and
-            // as a suppressed probe so the loss shows in the store too.
-            self.stats.probes_abandoned += 1;
+            // Queue full: the intent is lost. Count it, and record it as
+            // a suppressed probe so the loss shows in the answers too.
+            self.counters().probes_abandoned.fetch_add(1, Relaxed);
             self.store.record_suppressed();
             return;
         }
@@ -388,9 +390,6 @@ impl RegionWorker {
         if self.breaker != Breaker::Closed {
             self.breaker = Breaker::Closed;
             self.store.mark_region_recovered(self.region, now);
-            if let Some(since) = self.degraded_since.take() {
-                self.stats.degraded_secs += now.saturating_since(since).as_secs();
-            }
         }
     }
 
@@ -402,8 +401,6 @@ impl RegionWorker {
                     self.breaker = Breaker::Open {
                         until: now + self.resilience.breaker_cooldown,
                     };
-                    self.stats.breaker_trips += 1;
-                    self.degraded_since = Some(now);
                     self.store.mark_region_degraded(self.region, now);
                 }
             }
@@ -442,7 +439,7 @@ impl RegionWorker {
         self.pending = waiting;
         for p in due {
             if p.attempt > 0 {
-                self.stats.retries_issued += 1;
+                self.counters().retries_issued.fetch_add(1, Relaxed);
             }
             if let Some(answer) = self.send(p) {
                 policy.on_answer(self, p.probe, answer);
@@ -488,11 +485,14 @@ impl RegionWorker {
             self.handle_events(policy, &events)
         }));
         if outcome.is_err() {
-            self.stats.worker_panics += 1;
+            self.counters().worker_panics.fetch_add(1, Relaxed);
             self.on_transport_failure(now);
         }
         events.clear();
         self.batch = events;
+        let counters = self.counters();
+        counters.pending.store(self.pending.len() as u64, Relaxed);
+        counters.orphans.store(self.orphans.len() as u64, Relaxed);
     }
 }
 
@@ -593,34 +593,33 @@ impl LiveDriver {
     }
 
     /// Closes the run: flushes the store and returns the cloud (for
-    /// post-run oracle inspection) with the run's summary.
+    /// post-run oracle inspection) with the run's summary, read from the
+    /// store's region tables (see [`LiveReport`]).
     pub fn finish(self) -> (Cloud, LiveReport) {
         let end = self.cloud.lock().now();
         let mut report = LiveReport {
+            probes: self.store.len() - self.probes_at_start,
             ticks: self.ticks,
             ..LiveReport::default()
         };
         for (worker, policy) in self.workers {
-            let mut stats = worker.stats;
-            // Fold a still-open degraded episode into the counters so
-            // the report sees it even when the run ends mid-outage.
-            if let Some(since) = worker.degraded_since {
-                stats.degraded_secs += end.saturating_since(since).as_secs();
-            }
-            report
-                .per_region_probes
-                .insert(worker.region, policy.recorded);
-            report.retries_issued += stats.retries_issued;
-            report.probes_abandoned += stats.probes_abandoned;
-            report.breaker_trips += stats.breaker_trips;
-            report.worker_panics += stats.worker_panics;
-            if stats.degraded_secs > 0 {
-                report
-                    .degraded_secs
-                    .insert(worker.region, stats.degraded_secs);
+            let region = worker.region;
+            report.per_region_probes.insert(region, policy.recorded);
+            // The manager's queues go with it.
+            let counters = self.store.region_counters(region);
+            counters.pending.store(0, Relaxed);
+            counters.orphans.store(0, Relaxed);
+            let counts = counters.snapshot();
+            report.retries_issued += counts.retries_issued;
+            report.probes_abandoned += counts.probes_abandoned;
+            report.worker_panics += counts.worker_panics;
+            let health = self.store.region_health(region).unwrap_or_default();
+            report.breaker_trips += health.trips;
+            let degraded_secs = health.degraded_secs_at(end);
+            if degraded_secs > 0 {
+                report.degraded_secs.insert(region, degraded_secs);
             }
         }
-        report.probes = self.store.len() - self.probes_at_start;
         let cloud = Arc::into_inner(self.cloud).expect("the workers are gone");
 
         // Make the run durable before reporting: everything the workers
@@ -903,7 +902,8 @@ mod tests {
         send(&mut w, markets[2], T0);
         let until = T0 + w.resilience.breaker_cooldown;
         assert_eq!(w.breaker, Breaker::Open { until });
-        assert_eq!(w.degraded_since, Some(T0));
+        let episode = w.store.region_health(HIT).map(|h| (h.degraded, h.since));
+        assert_eq!(episode, Some((true, T0)));
         // A failed attempt is a missing observation: nothing recorded,
         // every intent back in the queue with one attempt spent.
         assert_eq!(w.store.len(), 0);
@@ -912,7 +912,7 @@ mod tests {
 
         // More traffic against the open breaker is not another trip.
         send(&mut w, markets[3], T0);
-        assert_eq!(w.stats.breaker_trips, 1);
+        assert_eq!(w.store.region_health(HIT).map(|h| h.trips), Some(1));
         let health = w.store.region_health(HIT).expect("marked degraded");
         assert!(health.degraded);
         assert_eq!((health.since, health.trips), (T0, 1));
@@ -943,9 +943,9 @@ mod tests {
         w.dispatch_due(&mut policy_of(&w));
         let until = now + w.resilience.breaker_cooldown;
         assert_eq!(w.breaker, Breaker::Open { until });
-        assert_eq!(w.stats.breaker_trips, 1, "same episode");
-        assert_eq!(w.store.region_health(HIT).map(|h| h.trips), Some(1));
-        assert_eq!(w.degraded_since, Some(T0));
+        let health = w.store.region_health(HIT).expect("marked degraded");
+        assert_eq!(health.trips, 1, "same episode");
+        assert_eq!((health.degraded, health.since), (true, T0));
         // Exactly one intent was the trial (a second attempt spent);
         // the other two met the re-opened breaker and wait for it.
         assert_eq!(w.pending.len(), 3);
@@ -964,14 +964,12 @@ mod tests {
         w.dispatch_due(&mut policy);
         assert_eq!(w.breaker, Breaker::Closed);
         assert_eq!(w.consecutive_failures, 0);
-        assert_eq!(w.degraded_since, None);
-        assert_eq!(w.stats.degraded_secs, now.saturating_since(T0).as_secs());
         let health = w.store.region_health(HIT).expect("was marked");
         assert!(!health.degraded, "marked recovered");
-        assert_eq!(health.degraded_secs, w.stats.degraded_secs);
+        assert_eq!(health.degraded_secs, now.saturating_since(T0).as_secs());
         // All three intents finally got their answer.
         assert!(w.pending.is_empty());
-        assert_eq!(w.stats.retries_issued, 3);
+        assert_eq!(w.counters().snapshot().retries_issued, 3);
         assert_eq!((w.store.len(), policy.recorded), (3, 3));
     }
 
@@ -985,7 +983,7 @@ mod tests {
             send(&mut w, m, T0);
         }
         assert_eq!(w.pending.len(), 2, "the bound holds");
-        assert_eq!(w.stats.probes_abandoned, 1);
+        assert_eq!(w.counters().snapshot().probes_abandoned, 1);
         assert_eq!(
             w.store.suppressed_probes(),
             1,
@@ -1050,8 +1048,10 @@ mod tests {
         });
 
         w.handle_batch(&mut policy_of(&w), T0);
-        assert_eq!(w.stats.worker_panics, 1);
-        assert_eq!(w.stats.breaker_trips, 1, "a crash is a transport failure");
+        let counts = w.counters().snapshot();
+        assert_eq!(counts.worker_panics, 1);
+        let trips = w.store.region_health(HIT).map(|h| h.trips);
+        assert_eq!(trips, Some(1), "a crash is a transport failure");
         assert!(matches!(w.breaker, Breaker::Open { .. }));
         assert!(w.store.region_health(HIT).is_some_and(|h| h.degraded));
         assert_eq!(w.pending.len(), 1);
@@ -1061,6 +1061,8 @@ mod tests {
         );
         assert_eq!(w.wakes, BTreeSet::from([(later, 1)]), "the wake schedule");
         assert_eq!(w.orphans, [Orphan::OdInstance(InstanceId(7))]);
+        // The gauges the batch left behind.
+        assert_eq!((counts.pending, counts.orphans), (1, 1));
         // The crashed batch is dropped, not replayed into the next tick.
         assert!(w.batch.is_empty());
         assert_eq!(w.store.len(), 0);

@@ -438,6 +438,32 @@ pub struct RegionHealth {
     pub trips: u64,
 }
 
+impl RegionHealth {
+    /// Seconds spent degraded through `now`, an open episode included.
+    pub fn degraded_secs_at(&self, now: SimTime) -> u64 {
+        let open = now.saturating_since(self.since).as_secs();
+        self.degraded_secs + if self.degraded { open } else { 0 }
+    }
+}
+
+crate::counters! {
+    /// What one region manager's retry pipeline is doing (see
+    /// `crate::manager`), beside its [`RegionHealth`]. Not persisted:
+    /// counts run from the store's opening; gauges are set per batch.
+    pub struct RegionCounters / RegionCounts {
+        /// Retry attempts dispatched from the pending queue.
+        retries_issued,
+        /// Probe intents dropped because the pending queue overflowed.
+        probes_abandoned,
+        /// Panics the manager's supervisor caught.
+        worker_panics,
+        /// Probes waiting out a backoff or an open breaker (gauge).
+        pending,
+        /// Probe resources whose release is being retried (gauge).
+        orphans,
+    }
+}
+
 /// What `DataStore::capture` takes, all of it as of one instant: the
 /// store-wide counters and health table, and a shallow clone of every
 /// stripe. A [`StoreRead`] owns or borrows one; a `StoreSnapshot` keeps
@@ -481,6 +507,8 @@ pub struct DataStore {
     /// breakers. A separate (tiny, rarely written) lock so marking a
     /// region never contends with probe ingest.
     pub(crate) region_health: RwLock<BTreeMap<Region, RegionHealth>>,
+    /// Each region manager's pipeline counters, by [`Region::index`].
+    region_counters: [RegionCounters; Region::ALL.len()],
     /// The operation log, when this store was opened in durable mode
     /// (see [`crate::durable`]). `None` for plain in-memory stores —
     /// every ingest path then skips logging entirely.
@@ -593,6 +621,7 @@ impl DataStore {
             total_cost_micros: AtomicU64::new(0),
             suppressed_probes: AtomicU64::new(0),
             region_health: RwLock::default(),
+            region_counters: Default::default(),
             durable: None,
         }
     }
@@ -743,6 +772,11 @@ impl DataStore {
     /// Takes no stripe lock, so health endpoints never queue on ingest.
     pub fn degraded_regions(&self) -> Vec<Region> {
         degraded_in(&self.region_health.read())
+    }
+
+    /// The counters `region`'s manager keeps in this store.
+    pub fn region_counters(&self, region: Region) -> &RegionCounters {
+        &self.region_counters[region.index()]
     }
 
     /// Records a revocation-watch observation.

@@ -11,122 +11,55 @@
 //! (counted, never queued), so no part of the accept path grows
 //! without bound.
 
-use spotlight_core::json::{self, key, ToJson};
 use std::io::Write;
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Lifetime counters of one server, all monotonic except the
-/// `open_connections` gauge. Shared by reference; every field is
-/// updated with relaxed atomics (they are counters, not
-/// synchronization).
-#[derive(Debug, Default)]
-pub struct ServerStats {
-    /// Connections the acceptor pulled off the listener.
-    pub accepted: AtomicU64,
-    /// Connections admitted past permits + dispatch queue.
-    pub admitted: AtomicU64,
-    /// Connections shed with a `503 + Retry-After`.
-    pub shed: AtomicU64,
-    /// Connections dropped unanswered because the shed path itself was
-    /// saturated.
-    pub shed_dropped: AtomicU64,
-    /// Requests answered (any status).
-    pub requests: AtomicU64,
-    /// 2xx responses.
-    pub responses_2xx: AtomicU64,
-    /// 4xx responses (malformed input, unknown routes, caps).
-    pub responses_4xx: AtomicU64,
-    /// 5xx responses originated by handlers — panics converted to 500.
-    /// Stays zero unless something is genuinely broken (shed 503s are
-    /// counted in `shed`, drain 503s in `drain_rejects`).
-    pub responses_5xx: AtomicU64,
-    /// `503` responses sent because the server was draining.
-    pub drain_rejects: AtomicU64,
-    /// `408` responses (header deadline expired mid-request).
-    pub timeouts: AtomicU64,
-    /// Connections closed without a response (idle keep-alive expiry,
-    /// write stalls, peer resets).
-    pub closed_unanswered: AtomicU64,
-    /// Handler panics caught by the connection supervisor.
-    pub panics: AtomicU64,
-    /// Currently admitted connections (gauge).
-    pub open_connections: AtomicU64,
-    /// Request bytes read.
-    pub bytes_in: AtomicU64,
-    /// Response bytes written.
-    pub bytes_out: AtomicU64,
-}
-
-/// A point-in-time copy of [`ServerStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[allow(missing_docs)]
-pub struct StatsSnapshot {
-    pub accepted: u64,
-    pub admitted: u64,
-    pub shed: u64,
-    pub shed_dropped: u64,
-    pub requests: u64,
-    pub responses_2xx: u64,
-    pub responses_4xx: u64,
-    pub responses_5xx: u64,
-    pub drain_rejects: u64,
-    pub timeouts: u64,
-    pub closed_unanswered: u64,
-    pub panics: u64,
-    pub open_connections: u64,
-    pub bytes_in: u64,
-    pub bytes_out: u64,
-}
-
-impl ServerStats {
-    /// Copies every counter.
-    pub fn snapshot(&self) -> StatsSnapshot {
-        let ld = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        StatsSnapshot {
-            accepted: ld(&self.accepted),
-            admitted: ld(&self.admitted),
-            shed: ld(&self.shed),
-            shed_dropped: ld(&self.shed_dropped),
-            requests: ld(&self.requests),
-            responses_2xx: ld(&self.responses_2xx),
-            responses_4xx: ld(&self.responses_4xx),
-            responses_5xx: ld(&self.responses_5xx),
-            drain_rejects: ld(&self.drain_rejects),
-            timeouts: ld(&self.timeouts),
-            closed_unanswered: ld(&self.closed_unanswered),
-            panics: ld(&self.panics),
-            open_connections: ld(&self.open_connections),
-            bytes_in: ld(&self.bytes_in),
-            bytes_out: ld(&self.bytes_out),
-        }
-    }
-}
-
-/// The counters as `/statz` serves them.
-impl ToJson for StatsSnapshot {
-    fn write_json(&self, out: &mut String) {
-        json::object(out, |o| {
-            o.u64(key!("accepted"), self.accepted);
-            o.u64(key!("admitted"), self.admitted);
-            o.u64(key!("shed"), self.shed);
-            o.u64(key!("shed_dropped"), self.shed_dropped);
-            o.u64(key!("requests"), self.requests);
-            o.u64(key!("responses_2xx"), self.responses_2xx);
-            o.u64(key!("responses_4xx"), self.responses_4xx);
-            o.u64(key!("responses_5xx"), self.responses_5xx);
-            o.u64(key!("drain_rejects"), self.drain_rejects);
-            o.u64(key!("timeouts"), self.timeouts);
-            o.u64(key!("closed_unanswered"), self.closed_unanswered);
-            o.u64(key!("panics"), self.panics);
-            o.u64(key!("open_connections"), self.open_connections);
-            o.u64(key!("bytes_in"), self.bytes_in);
-            o.u64(key!("bytes_out"), self.bytes_out);
-        });
+spotlight_core::counters! {
+    /// Lifetime counters of one server, all monotonic except the
+    /// `open_connections` gauge; [`StatsSnapshot`] is what `/statz` and
+    /// [`crate::server::DrainReport`] carry. Shared by reference; every
+    /// field is updated with relaxed atomics (they are counters, not
+    /// synchronization).
+    pub struct ServerStats / StatsSnapshot {
+        /// Connections the acceptor pulled off the listener.
+        accepted,
+        /// Connections admitted past permits + dispatch queue.
+        admitted,
+        /// Connections shed with a `503 + Retry-After`.
+        shed,
+        /// Connections dropped unanswered because the shed path itself was
+        /// saturated.
+        shed_dropped,
+        /// Requests answered (any status).
+        requests,
+        /// 2xx responses.
+        responses_2xx,
+        /// 4xx responses (malformed input, unknown routes, caps).
+        responses_4xx,
+        /// 5xx responses originated by handlers — panics converted to 500.
+        /// Stays zero unless something is genuinely broken (shed 503s are
+        /// counted in `shed`, drain 503s in `drain_rejects`).
+        responses_5xx,
+        /// `503` responses sent because the server was draining.
+        drain_rejects,
+        /// `408` responses (header deadline expired mid-request).
+        timeouts,
+        /// Connections closed without a response (idle keep-alive expiry,
+        /// write stalls, peer resets).
+        closed_unanswered,
+        /// Handler panics caught by the connection supervisor.
+        panics,
+        /// Currently admitted connections (gauge).
+        open_connections,
+        /// Request bytes read.
+        bytes_in,
+        /// Response bytes written.
+        bytes_out,
     }
 }
 

@@ -81,7 +81,7 @@ fn run(args: &Args) -> io::Result<()> {
     if let Ok(Err(e)) = stdin.join() {
         eprintln!("spotlightd: reading stdin: {e}; stopping");
     }
-    println!("{}", service.stop()?.to_json());
+    println!("{}", service.stop()?);
     Ok(())
 }
 

@@ -59,8 +59,10 @@
 //! the simulated run, after which the final snapshot stays served;
 //! `--days 0` serves the store as recovered. Closing stdin stops it
 //! between two steps. stdout carries `listening <addr>`, the recovery
-//! report (JSON) on a restart, and the [`ExitReport`] (JSON);
-//! diagnostics go to stderr, as do the four lines of each simulated day's
+//! report (JSON) on a restart, and last what [`Service::stop`] returns:
+//! the final `/statz` document ([`router`] lists its fields) with the
+//! run's `probes` and `ticks` and the drain's `forced` appended.
+//! Diagnostics go to stderr, as do the four lines of each simulated day's
 //! maintenance at its second `<t>`: `spotlight-serve: checkpoint <t>`,
 //! `checkpointed <t>` (or the checkpoint's error), `compact <t>` and
 //! `compacted <t>`. `checkpointed <t>` is the one durability promise:
@@ -89,8 +91,8 @@ use cloud_sim::config::SimConfig;
 use cloud_sim::time::{SimDuration, SimTime};
 use spotlight_core::json::{self, key};
 use spotlight_core::manager::LiveDriver;
-use spotlight_core::{DataStore, DurabilityStats, DurableOptions, LiveReport, PolicyConfig};
-use spotlight_core::{RecoveryInfo, ResilienceConfig, SharedStore, SnapshotHub, ToJson};
+use spotlight_core::{DataStore, DurableOptions, PolicyConfig};
+use spotlight_core::{RecoveryInfo, ResilienceConfig, SharedStore, SnapshotHub};
 use std::{io, net::SocketAddr, path::Path, sync::Arc, time::Duration};
 
 /// Simulated seconds between two republishes of the served snapshot.
@@ -110,17 +112,6 @@ pub struct Service {
     hub: Arc<SnapshotHub>,
     server: Option<Server>,
     now: SimTime,
-}
-
-/// What [`Service::stop`] reports.
-#[derive(Debug)]
-pub struct ExitReport {
-    /// The region managers' run.
-    pub live: LiveReport,
-    /// The server's drain; `None` for a service with no address.
-    pub drain: Option<DrainReport>,
-    /// The store's counters at the stop, before its close.
-    pub durability: DurabilityStats,
 }
 
 impl Service {
@@ -168,7 +159,7 @@ impl Service {
     /// clock's whole hours and the checkpoint and compaction on its whole
     /// days (the world starts on one), each announced on stderr (crate
     /// docs, "`spotlightd`"); returns the time collected through. A failed
-    /// checkpoint goes to stderr and [`DurabilityStats`].
+    /// checkpoint goes to stderr and [`spotlight_core::DurabilityStats`].
     pub fn step(&mut self) -> SimTime {
         self.now = self.driver.step();
         let (store, secs) = (&self.store, self.now.as_secs());
@@ -209,40 +200,28 @@ impl Service {
     }
 
     /// Drains the server (for up to 10 s), finishes the driver and closes
-    /// the store: a restart replays nothing.
+    /// the store: a restart replays nothing. Returns the status document
+    /// before the close (crate docs, "`spotlightd`").
     ///
     /// # Errors
     ///
     /// The close's, or one when a connection the drain abandoned still
     /// holds the store.
-    pub fn stop(self) -> io::Result<ExitReport> {
+    pub fn stop(self) -> io::Result<String> {
         let drain = self.server.map(|server| server.drain(DRAIN_DEADLINE));
         let (_, live) = self.driver.finish();
-        let durability = self.store.durability_stats().expect("a durable store");
+        let server = drain.as_ref().map(|d| d.stats).unwrap_or_default();
+        let mut status = String::new();
+        json::object(&mut status, |o| {
+            router::write_status(o, &server, &Arc::downgrade(&self.store), self.now);
+            o.u64(key!("probes"), live.probes as u64);
+            o.u64(key!("ticks"), live.ticks);
+            o.bool(key!("forced"), drain.is_some_and(|d| d.forced));
+        });
         let store = Arc::into_inner(self.store).ok_or_else(|| {
             io::Error::other("a connection abandoned by the drain still holds the store")
         })?;
         store.close()?;
-        Ok(ExitReport {
-            live,
-            drain,
-            durability,
-        })
-    }
-}
-
-impl ToJson for ExitReport {
-    fn write_json(&self, out: &mut String) {
-        json::object(out, |o| {
-            o.value(key!("live"), &self.live);
-            match &self.drain {
-                Some(drain) => o.object(key!("drain"), |o| {
-                    o.bool(key!("forced"), drain.forced);
-                    o.value(key!("stats"), &drain.stats);
-                }),
-                None => o.null(key!("drain")),
-            }
-            o.value(key!("durability"), &self.durability);
-        });
+        Ok(status)
     }
 }

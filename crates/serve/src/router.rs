@@ -8,6 +8,14 @@
 //! degraded regions) through a `Weak` handle so a drained server can
 //! release the store for [`spotlight_core::DataStore::close`].
 //!
+//! `/statz` is the service's status document (`spotlightd` prints it
+//! with `probes`, `ticks` and `forced` when it stops): the 15
+//! [`crate::StatsSnapshot`] counters, the worker pool's `pool_panics`,
+//! and `store`: `/healthz`'s object plus per region its
+//! [`spotlight_core::RegionHealth`] (`degraded_secs` with an open episode
+//! through the served snapshot's `as_of`, or the run's end at a stop)
+//! and [`spotlight_core::RegionCounts`] (gauges 0 once it has stopped).
+//!
 //! Markets travel as `az/type/platform` with short platform names
 //! (`us-east-1a/c3.large/linux`) because the EC2 product descriptions
 //! themselves contain `/`.
@@ -43,14 +51,15 @@
 //! `thresholds` is bounded by [`MAX_SPIKE_THRESHOLDS`], the memo's
 //! capacity.
 
-use crate::admission::ServerStats;
+use crate::admission::{ServerStats, StatsSnapshot};
 use cloud_sim::ids::{Az, InstanceType, MarketId, Platform, Region};
 use cloud_sim::time::{SimDuration, SimTime};
-use spotlight_core::json::{self, key, ToJson};
+use spotlight_core::json::{self, key, Object};
 use spotlight_core::probe::ProbeKind;
 use spotlight_core::query::SpotLightQuery;
 use spotlight_core::snapshot::{SnapshotHub, SnapshotReader, StoreSnapshot, MAX_SPIKE_THRESHOLDS};
 use spotlight_core::store::DataStore;
+use spotlight_pool::WorkerPool;
 use std::borrow::Cow;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -142,7 +151,7 @@ pub(crate) fn route_into(
     let handled = match path {
         "/healthz" => healthz(request, state, reader),
         "/readyz" => readyz(request, state),
-        "/statz" => statz(request, state),
+        "/statz" => statz(request, state, reader),
         "/v1/availability" => availability(request, state, reader),
         "/v1/freshness" => freshness(request, state, reader),
         "/v1/spike-rates" => spike_rates(request, state, reader),
@@ -644,30 +653,59 @@ fn advisor_fallbacks(
 
 // --------------------------------------------------------------- health
 
-fn write_store_health(o: &mut json::Object<'_>, store: &Weak<DataStore>) {
-    match store.upgrade() {
-        Some(store) => o.object(key!("store"), |o| {
-            o.bool(key!("available"), true);
-            match store.durability_mode() {
-                Some(mode) => o.value(key!("durability_mode"), &mode),
-                None => o.str(key!("durability_mode"), "in-memory"),
-            }
-            o.opt_u64(
-                key!("durability_lost_secs"),
-                store.durability_lost().map(|t| t.as_secs()),
-            );
-            match store.durability_stats() {
-                Some(stats) => o.value(key!("durability"), &stats),
-                None => o.null(key!("durability")),
-            }
-            o.array(key!("degraded_regions"), |a| {
-                for region in store.degraded_regions() {
-                    a.str(region.name());
-                }
-            });
-        }),
-        None => o.object(key!("store"), |o| o.bool(key!("available"), false)),
+/// How much of the live store `/readyz`, `/healthz` and `/statz` (with
+/// degraded seconds through its time) show, in that order.
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
+enum Detail {
+    Ready,
+    Health,
+    Status(SimTime),
+}
+
+fn write_store(o: &mut Object<'_>, store: &DataStore, detail: Detail) {
+    match store.durability_mode() {
+        Some(mode) => o.value(key!("durability_mode"), &mode),
+        None => o.str(key!("durability_mode"), "in-memory"),
     }
+    let lost = store.durability_lost().map(|t| t.as_secs());
+    o.opt_u64(key!("durability_lost_secs"), lost);
+    if detail >= Detail::Health {
+        match store.durability_stats() {
+            Some(stats) => o.value(key!("durability"), &stats),
+            None => o.null(key!("durability")),
+        }
+    }
+    o.array(key!("degraded_regions"), |a| {
+        for region in store.degraded_regions() {
+            a.str(region.name());
+        }
+    });
+    if let Detail::Status(now) = detail {
+        o.object(key!("regions"), |o| {
+            for region in Region::ALL {
+                let health = store.region_health(region);
+                let episode = health.unwrap_or_default();
+                o.object(region.name(), |o| {
+                    o.bool(key!("degraded"), episode.degraded);
+                    o.opt_u64(key!("since_secs"), health.map(|h| h.since.as_secs()));
+                    o.u64(key!("trips"), episode.trips);
+                    o.u64(key!("degraded_secs"), episode.degraded_secs_at(now));
+                    store.region_counters(region).snapshot().write_fields(o);
+                });
+            }
+        });
+    }
+}
+
+/// The `store` object of `/healthz` and `/statz`.
+fn write_store_health(o: &mut Object<'_>, store: &Weak<DataStore>, detail: Detail) {
+    o.object(key!("store"), |o| match store.upgrade() {
+        Some(store) => {
+            o.bool(key!("available"), true);
+            write_store(o, &store, detail);
+        }
+        None => o.bool(key!("available"), false),
+    });
 }
 
 fn healthz(
@@ -684,7 +722,7 @@ fn healthz(
             o.u64(key!("as_of_secs"), snapshot.as_of().as_secs());
             o.u64(key!("probes"), snapshot.len() as u64);
         });
-        write_store_health(o, &state.store);
+        write_store_health(o, &state.store, Detail::Health);
     });
     Ok(OK)
 }
@@ -693,11 +731,9 @@ fn readyz(request: &mut Request<'_>, state: &ServiceState) -> Handled {
     let draining = state.draining.load(Ordering::Relaxed);
     let Some(store) = state.store.upgrade().filter(|_| !draining) else {
         json::object(request.body, |o| {
+            let reason = if draining { "draining" } else { "store closed" };
             o.bool(key!("ready"), false);
-            o.str(
-                key!("reason"),
-                if draining { "draining" } else { "store closed" },
-            );
+            o.str(key!("reason"), reason);
         });
         return Ok(Routed {
             status: 503,
@@ -706,26 +742,31 @@ fn readyz(request: &mut Request<'_>, state: &ServiceState) -> Handled {
     };
     json::object(request.body, |o| {
         o.bool(key!("ready"), true);
-        match store.durability_mode() {
-            Some(mode) => o.value(key!("durability_mode"), &mode),
-            None => o.str(key!("durability_mode"), "in-memory"),
-        }
-        o.opt_u64(
-            key!("durability_lost_secs"),
-            store.durability_lost().map(|t| t.as_secs()),
-        );
-        o.array(key!("degraded_regions"), |a| {
-            for region in store.degraded_regions() {
-                a.str(region.name());
-            }
-        });
+        write_store(o, &store, Detail::Ready);
     });
     Ok(OK)
 }
 
-fn statz(request: &mut Request<'_>, state: &ServiceState) -> Handled {
-    state.stats.snapshot().write_json(request.body);
+fn statz(request: &mut Request<'_>, state: &ServiceState, reader: &mut SnapshotReader) -> Handled {
+    let (server, now) = (state.stats.snapshot(), reader.current(&state.hub).as_of());
+    json::object(request.body, |o| {
+        write_status(o, &server, &state.store, now)
+    });
     Ok(OK)
+}
+
+/// The fields of the status document (module docs) with degraded seconds
+/// through `now`: `/statz`'s body, and the start of `spotlightd`'s exit
+/// line.
+pub(crate) fn write_status(
+    o: &mut Object<'_>,
+    server: &StatsSnapshot,
+    store: &Weak<DataStore>,
+    now: SimTime,
+) {
+    server.write_fields(o);
+    o.u64(key!("pool_panics"), WorkerPool::global().panics() as u64);
+    write_store_health(o, store, Detail::Status(now));
 }
 
 #[cfg(test)]

@@ -2,7 +2,10 @@
 # Seeded chaos soak for the verify path: drives the live-mode
 # deployment through a regional API outage, a throttling storm, and a
 # transient-error burst (tests/live_mode.rs, seed 53) and checks the
-# retry/breaker pipeline degrades gracefully and recovers; reruns a
+# retry/breaker pipeline degrades gracefully and recovers; holds the
+# same world's /statz, mid-outage, to showing the outage (degraded,
+# tripped, retrying, probes pending) and, stopped there, to summing to
+# the run's report; reruns a
 # chaotic seed (default and binding API limit) and demands the same
 # report and per-market histories; holds the live region managers to
 # the engine's policy (identical histories with no faults, every
@@ -22,6 +25,9 @@ cd "$(dirname "$0")/.."
 
 echo "== chaos smoke: live-mode soak (outage + storm + burst) =="
 scripts/one_test.sh --test live_mode chaos_soak_degrades_gracefully_and_recovers
+
+echo "== chaos smoke: a running service shows the outage in /statz =="
+scripts/one_test.sh --test live_mode a_running_service_shows_an_outage_in_statz
 
 echo "== chaos smoke: same seed, same service history =="
 scripts/one_test.sh --test live_mode same_seed_same_service_history

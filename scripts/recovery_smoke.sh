@@ -3,7 +3,9 @@
 # matrix (truncated tail, torn frame, bit rot, duplicated tail record),
 # the compact-then-crash-then-recover sequence, the checkpoint/tail
 # interplay (tests/persistence.rs), the durable live/engine recovery
-# twins (crates/core), and degrade-and-heal: the seeded disk-fault
+# twins (crates/core), a restart on a store closed with a region
+# degraded (the first success closes the carried episode without a new
+# trip), and degrade-and-heal: the seeded disk-fault
 # schedule, the durability machine's enumeration and a live run healing
 # on a faulty disk — and the sealed-section path: the section decoder
 # under hostile and damaged input, a section cut into several frames,
@@ -30,6 +32,9 @@ scripts/one_test.sh --test persistence checkpoint_with_torn_tail_recovers_throug
 echo "== recovery smoke: durable live-mode and engine-mode twins =="
 scripts/one_test.sh -p spotlight-core manager::tests::durable_live_run_recovers_identically
 scripts/one_test.sh -p spotlight-core spotlight::tests::durable_engine_run_recovers_equal_to_in_memory_twin
+
+echo "== recovery smoke: a restart while a region is degraded =="
+scripts/one_test.sh --test live_mode a_region_degraded_at_a_stop_recovers_after_a_restart
 
 echo "== recovery smoke: degrade and heal =="
 scripts/one_test.sh --test persistence seeded_fault_schedule_degrades_heals_and_keeps_the_watermark

@@ -18,9 +18,12 @@ use spotlight_core::policy::{PolicyConfig, SpotLightConfig};
 use spotlight_core::probe::{ProbeKind, ProbeOutcome, ProbeRecord, ProbeTrigger};
 use spotlight_core::query::SpotLightQuery;
 use spotlight_core::store::{shared_store, DataStore, SharedStore, SpikeEvent};
-use spotlight_core::{DurableOptions, LiveReport, ResilienceConfig, SnapshotHub, SpotLight};
+use spotlight_core::{
+    DurableOptions, LiveReport, ResilienceConfig, SnapshotHub, SnapshotReader, SpotLight,
+};
 use spotlight_persist::tempdir::TempDir;
 use spotlight_persist::{fault, frame, DiskIo, FaultKind, FaultWindow, FaultyDisk, LogDir};
+use spotlight_serve::router::{route, ServiceState};
 use std::sync::Arc;
 
 fn policy() -> PolicyConfig {
@@ -132,14 +135,10 @@ fn live_mode_respects_service_limits() {
     }
 }
 
-#[test]
-fn chaos_soak_degrades_gracefully_and_recovers() {
-    // Graceful-degradation soak: a 12-hour API outage, then a 6-hour
-    // throttling storm, then a 2-hour transient-error burst, all in
-    // us-east-1. The driver must complete without deadlock or panic, the
-    // region must be flagged degraded while faults rage and recovered
-    // after, and probing (hence estimate freshness) must converge back
-    // once the fault window ends.
+/// The chaos soak's world: a warmed-up testbed cloud (seed 53) whose
+/// us-east-1 suffers a 12-hour API outage from t = 86,400 s, then a
+/// 6-hour throttling storm, then a 2-hour transient-error burst.
+fn soak_cloud() -> Cloud {
     let mut config = SimConfig::paper(53);
     let hit = Region::UsEast1; // the testbed's first region
     config.chaos.outages.push(ChaosWindow {
@@ -162,16 +161,28 @@ fn chaos_soak_degrades_gracefully_and_recovers() {
     });
     let mut cloud = Cloud::new(Catalog::testbed(), config);
     cloud.warmup(20);
+    cloud
+}
+
+/// The chaos soak's policy: spikes from a ratio of 0.3 are probed.
+fn soak_policy() -> PolicyConfig {
+    PolicyConfig {
+        spike_threshold: 0.3,
+        ..PolicyConfig::default()
+    }
+}
+
+#[test]
+fn chaos_soak_degrades_gracefully_and_recovers() {
+    // Graceful-degradation soak: a 12-hour API outage, then a 6-hour
+    // throttling storm, then a 2-hour transient-error burst, all in
+    // us-east-1. The driver must complete without deadlock or panic, the
+    // region must be flagged degraded while faults rage and recovered
+    // after, and probing (hence estimate freshness) must converge back
+    // once the fault window ends.
+    let hit = Region::UsEast1;
     let store = shared_store();
-    let (cloud, report) = drive(
-        cloud,
-        &store,
-        &PolicyConfig {
-            spike_threshold: 0.3,
-            ..PolicyConfig::default()
-        },
-        4,
-    );
+    let (cloud, report) = drive(soak_cloud(), &store, &soak_policy(), 4);
     // The run completed every tick despite a day of regional faults.
     assert_eq!(report.ticks, 4 * 86_400 / 300);
     let total: usize = report.per_region_probes.values().sum();
@@ -220,6 +231,157 @@ fn chaos_soak_degrades_gracefully_and_recovers() {
         recovered_markets > 0,
         "informative probes must resume after the fault window"
     );
+}
+
+/// `/statz` as a server over `store` would answer it with a snapshot as
+/// of `now`.
+fn statz(store: &SharedStore, now: SimTime) -> String {
+    let state = ServiceState {
+        hub: Arc::new(SnapshotHub::new(store.snapshot(now))),
+        store: Arc::downgrade(store),
+        stats: Arc::default(),
+        draining: Arc::default(),
+        retry_after_secs: 1,
+    };
+    let mut reader = SnapshotReader::new(&state.hub);
+    let statz = route("/statz", "", &state, &mut reader);
+    assert_eq!(statz.status, 200, "{}", statz.body);
+    statz.body
+}
+
+/// The object `/statz` lists `region` with (a flat one).
+fn region_status(statz: &str, region: Region) -> &str {
+    let name = format!("\"{}\":{{", region.name());
+    let from = statz.split(&name).nth(1);
+    let from = from.unwrap_or_else(|| panic!("{region} not in {statz}"));
+    &from[..from.find('}').expect("the object's end")]
+}
+
+/// The unsigned integer after `"key":` in `object`.
+fn json_u64(object: &str, key: &str) -> u64 {
+    let rest = object.split(&format!("\"{key}\":")).nth(1).expect(key);
+    let digits = rest.bytes().take_while(u8::is_ascii_digit).count();
+    rest[..digits].parse().expect(key)
+}
+
+#[test]
+fn a_running_service_shows_an_outage_in_statz() {
+    // Six hours into the soak's outage, before `finish`, the status
+    // document of the running service shows the outage; a stop there
+    // reports the open episode through the stop and empty queues.
+    let hit = Region::UsEast1;
+    let store = shared_store();
+    let mut driver = LiveDriver::new(
+        soak_cloud(),
+        store.clone(),
+        &soak_policy(),
+        &ResilienceConfig::default(),
+    );
+    let mid_outage = SimTime::from_secs(86_400) + SimDuration::hours(6);
+    let mut now = driver.step();
+    while now < mid_outage {
+        now = driver.step();
+    }
+    let running = statz(&store, now);
+    let status = region_status(&running, hit);
+    assert!(status.contains("\"degraded\":true"), "{status}");
+    assert!(json_u64(status, "trips") >= 1, "{status}");
+    assert!(json_u64(status, "retries_issued") > 0, "{status}");
+    assert!(json_u64(status, "pending") > 0, "{status}");
+    let since = json_u64(status, "since_secs");
+    assert_eq!(json_u64(status, "degraded_secs"), now.as_secs() - since);
+    assert!(
+        running.contains("\"degraded_regions\":[\"us-east-1\"]"),
+        "{running}"
+    );
+
+    // Stopped mid-outage, `finish`'s report is the document's regions
+    // summed, and no manager is left to hold a queue.
+    let (_, report) = driver.finish();
+    let after = statz(&store, now);
+    let (mut trips, mut retries, mut abandoned, mut panics) = (0, 0, 0, 0);
+    let mut degraded_secs = std::collections::BTreeMap::new();
+    for region in Region::ALL {
+        let status = region_status(&after, region);
+        trips += json_u64(status, "trips");
+        retries += json_u64(status, "retries_issued");
+        abandoned += json_u64(status, "probes_abandoned");
+        panics += json_u64(status, "worker_panics");
+        let secs = json_u64(status, "degraded_secs");
+        if secs > 0 {
+            degraded_secs.insert(region, secs);
+        }
+        let queues = (json_u64(status, "pending"), json_u64(status, "orphans"));
+        assert_eq!(queues, (0, 0), "{region}: {status}");
+    }
+    assert!(report.breaker_trips >= 1 && report.retries_issued > 0);
+    assert_eq!(trips, report.breaker_trips, "{after}");
+    assert_eq!(retries, report.retries_issued, "{after}");
+    assert_eq!(abandoned, report.probes_abandoned, "{after}");
+    assert_eq!(panics, report.worker_panics, "{after}");
+    assert_eq!(degraded_secs, report.degraded_secs, "{after}");
+    let open = report.degraded_secs.get(&hit).copied();
+    assert_eq!(open, Some(now.as_secs() - since), "the open episode");
+}
+
+#[test]
+fn a_region_degraded_at_a_stop_recovers_after_a_restart() {
+    // A store closed with us-east-1 degraded, recovered under two
+    // healthy days of region managers: the first success closes the
+    // carried episode without a second trip, and a later outage is one.
+    let hit = Region::UsEast1;
+    let tmp = TempDir::new("live-degraded-restart");
+    let dir = tmp.path().join("store");
+    let store = DataStore::create_durable(&dir, DurableOptions::default()).expect("create");
+    store.mark_region_degraded(hit, SimTime::from_secs(1_000));
+    store.close().expect("close");
+    let store: SharedStore = Arc::new(DataStore::recover(&dir).expect("recover"));
+    assert_eq!(store.degraded_regions(), [hit]);
+
+    let mut config = SimConfig::paper(53);
+    config.limits.api_calls_per_minute_per_region = 1_000_000;
+    config.chaos.outages.push(ChaosWindow {
+        region: hit,
+        start: SimTime::from_secs(3 * 86_400),
+        duration: SimDuration::hours(12),
+    });
+    let mut cloud = Cloud::new(Catalog::testbed(), config);
+    cloud.warmup(20);
+    let day = 86_400 / cloud.config().tick.as_secs();
+    let mut driver = LiveDriver::new(
+        cloud,
+        store.clone(),
+        &policy(),
+        &ResilienceConfig::default(),
+    );
+    for _ in 0..2 * day {
+        driver.step();
+    }
+    let probed = store
+        .read()
+        .probes()
+        .filter(|p| p.market.region() == hit)
+        .count();
+    assert!(probed > 0, "two days of probing in {hit}");
+    let health = store.region_health(hit).expect("carried over");
+    assert!(
+        !health.degraded,
+        "the first success closes the carried episode"
+    );
+    assert_eq!(health.trips, 1, "the carried episode is not tripped again");
+    assert!(health.degraded_secs > 0);
+    assert!(store.degraded_regions().is_empty());
+
+    for _ in 0..2 * day {
+        driver.step();
+    }
+    let (_, report) = driver.finish();
+    let health = store.region_health(hit).expect("tracked");
+    assert_eq!(health.trips, 2, "the outage on day three is a new trip");
+    assert!(!health.degraded, "and it closed after the outage");
+    assert_eq!(report.breaker_trips, 2);
+    let closed = report.degraded_secs.get(&hit);
+    assert_eq!(closed, Some(&health.degraded_secs), "both closed episodes");
 }
 
 /// A testbed cloud (seed 61) whose us-east-1 suffers a 6 h API outage

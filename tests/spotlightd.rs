@@ -14,7 +14,7 @@
 //! mid-append, mid-checkpoint and mid-compact, and holds what recovers
 //! to an uninterrupted in-process run of the same world.
 
-use cloud_sim::ids::MarketId;
+use cloud_sim::ids::{MarketId, Region};
 use cloud_sim::rng::SimRng;
 use cloud_sim::time::{SimDuration, SimTime};
 use spotlight_core::json;
@@ -237,6 +237,11 @@ fn spotlightd_collects_serves_stops_and_restarts() {
         std::thread::sleep(Duration::from_millis(10));
     }
     assert!(mid_run, "no answer between the first rejection and the end");
+    let statz = client.get("/statz").expect("statz").body;
+    assert_contains(&statz, r#""durability_mode":"durable" "regions":{"#);
+    for region in Region::ALL {
+        assert_contains(&statz, &format!(r#""{}":{{"degraded":"#, region.name()));
+    }
     let resp = client.get(&availability).expect("availability");
     assert_eq!(resp.body, twin.availability, "/v1/availability");
     let queries = format!(
@@ -272,8 +277,14 @@ fn spotlightd_collects_serves_stops_and_restarts() {
     answered.recv().expect("the looping client got a 200");
     let report = daemon.stop();
     assert!(looping.join().expect("looping client") > 0);
-    let clean = r#""forced":false "responses_5xx":0 "panics":0 "worker_panics":0"#;
-    assert_contains(&report, &format!(r#"{clean} "durability_lost_secs":null"#));
+    let clean = r#""forced":false "responses_5xx":0 "panics":0 "durability_lost_secs":null"#;
+    assert_contains(&report, clean);
+    let calm = report.matches(r#""worker_panics":0"#).count();
+    assert_eq!(
+        calm,
+        Region::ALL.len(),
+        "a region's manager panicked: {report}"
+    );
     let probes = json_u64(&report, "probes");
 
     // ---- restart on the same directory: nothing to replay, same answers ----
