@@ -4,7 +4,7 @@
 //! # The operation log
 //!
 //! A durable [`DataStore`] owns a [`spotlight_persist::WalHandle`] with
-//! one log *stream per stripe* plus a meta stream (stream index =
+//! one staging *stream per stripe* plus a meta stream (stream index =
 //! stripe count) for store-wide events. Every `record_*` call encodes a
 //! `StoreOp` and appends it **while holding the lock it mutated
 //! under** (the market's stripe lock; the region-health lock for
@@ -13,6 +13,11 @@
 //! one lock-free path: their op carries the post-increment running
 //! total and replays via `fetch_max`, which is idempotent and
 //! order-insensitive, so no lock is needed.
+//!
+//! Streams, like stripes, are in memory only: a generation is **one
+//! file** holding every stream's frames in write order, each stream's
+//! in its own order. A frame does not record its stream: the append
+//! and recovery both derive it from the op (`StoreOp::stream`).
 //!
 //! # Checkpoints and the sequence protocol
 //!
@@ -41,7 +46,7 @@
 //!    section, a `CheckpointMeta` record, then one section per stripe —
 //!    atomically (temp + fsync + rename + dir fsync).
 //! 4. *Prune.* Only then does it delete every generation below the
-//!    floor.
+//!    floor: one unlink per generation, one file each.
 //!
 //! Why nothing below the floor is ever needed again: a frame's sequence
 //! number is assigned, and its op applied in memory, inside one critical
@@ -57,10 +62,10 @@
 //! rotate and lands in the floor generation or a later one, which
 //! recovery scans. Ops that slipped in between the rotate and the
 //! capture sit in the floor generation with sequence numbers below
-//! `next_seq`; recovery's per-stream floor skips them — they are inside
-//! the checkpoint. So the covered log is gone the moment the checkpoint
-//! lands, and a just-checkpointed, quiescent directory holds no log at
-//! all.
+//! `next_seq`; recovery's per-stream floor, keyed by the op's stripe,
+//! skips them — they are inside the checkpoint. So the covered log is
+//! gone the moment the checkpoint lands, and a just-checkpointed,
+//! quiescent directory holds no log at all.
 //!
 //! Nothing is deleted until the checkpoint write has returned: a
 //! failure at any step (the rotate, the write, a crash between them)
@@ -74,14 +79,16 @@
 //!
 //! [`DataStore::recover`] rebuilds the store: decode the last
 //! checkpoint (if any), then replay every WAL generation **at or above
-//! the checkpoint's floor** in `(generation, stream)` order through the
-//! normal in-memory ingest paths, filtering each stream by a monotone
-//! per-stream sequence floor that starts at the checkpoint's
-//! `next_seq` — which uniformly drops both checkpoint-covered frames
-//! and the duplicated-tail frames a retried append can leave behind.
-//! Frame scanning stops at the first torn, truncated, or corrupt frame,
-//! so a crash mid-write costs at most the unsynced tail. Recovery never
-//! appends to scanned files: it reopens the log at a fresh generation.
+//! the checkpoint's floor**, each file in file order, through the
+//! normal in-memory ingest paths, filtering each op by a monotone
+//! sequence floor of its stream (derived from the op) that starts at
+//! the checkpoint's `next_seq` — which uniformly drops both
+//! checkpoint-covered frames and the duplicated-tail frames a retried
+//! append can leave behind. Frame scanning stops at the first torn,
+//! truncated, or corrupt frame, so a crash mid-write costs at most the
+//! unsynced tail: a prefix of the write order across all streams.
+//! Recovery never appends to scanned files: it reopens the log at a
+//! fresh generation.
 //!
 //! # Degraded durability and healing
 //!
@@ -136,9 +143,10 @@ use crate::durability::{DurabilityMachine, Event, Io};
 use crate::probe::{ProbeKind, ProbeOutcome, ProbeRecord, ProbeTrigger, UnavailabilityInterval};
 use crate::shared::{ChunkVec, CowVec};
 use crate::store::{
-    DataStore, EpochCell, EpochSeries, IntrinsicBidRecord, KeyState, ProbeStats, RegionHealth,
-    RevocationRecord, SpikeEvent, Stripe,
+    stripe_index, DataStore, EpochCell, EpochSeries, IntrinsicBidRecord, KeyState, ProbeStats,
+    RegionHealth, RevocationRecord, SpikeEvent, Stripe,
 };
+use crate::sync::RwLock;
 use cloud_sim::ids::Region;
 use cloud_sim::time::{SimDuration, SimTime};
 use spotlight_persist::log::{CleanMarker, LogDir};
@@ -181,7 +189,9 @@ impl Default for DurableOptions {
 /// The watermark mirror outside a degraded episode.
 const NO_LOSS: u64 = u64::MAX;
 
-/// Counters describing a durable store's log activity.
+/// Counters describing a durable store's log activity. Its mode and
+/// loss watermark are [`DataStore::durability_mode`] and
+/// [`DataStore::durability_lost`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DurabilityStats {
     /// Operations appended to the log.
@@ -199,11 +209,6 @@ pub struct DurabilityStats {
     pub io_errors: u64,
     /// Description of the most recent of them, if any.
     pub last_error: Option<String>,
-    /// Whether appends are currently reaching disk.
-    pub mode: DurabilityMode,
-    /// Until a heal lands, ops after this time may be memory-only; `None`
-    /// when fully durable.
-    pub durability_lost: Option<SimTime>,
     /// Ops skipped at the sink while degraded (memory-only until a heal).
     pub ops_dropped: u64,
     /// Frames the WAL writer dropped after exhausting its retries.
@@ -235,6 +240,8 @@ pub struct RecoveryInfo {
 pub(crate) struct DurableSink {
     pub(crate) dir: LogDir,
     pub(crate) wal: WalHandle,
+    /// The store's stripe count: streams `0..stripes` and the meta one.
+    stripes: usize,
     checkpoints: AtomicU64,
     spilled_records: AtomicU64,
     /// Generation the writer is currently appending to — after a
@@ -259,23 +266,24 @@ pub(crate) struct DurableSink {
 }
 
 impl DurableSink {
-    /// The sink over `dir`'s `streams` streams, its writer appending to
-    /// `generation` from sequence number `seq`.
+    /// The sink of a store of `stripes` stripes over `dir`, its writer
+    /// appending to `generation` from sequence number `seq`.
     fn open(
         dir: LogDir,
         opts: &DurableOptions,
-        streams: u32,
+        stripes: usize,
         generation: u64,
         seq: u64,
     ) -> io::Result<Self> {
         let config = WalConfig {
-            streams,
+            streams: stripes as u32 + 1,
             fsync: opts.fsync,
             queue_capacity: opts.queue_capacity,
         };
         Ok(DurableSink {
             wal: WalHandle::open(&dir, config, generation, seq)?,
             dir,
+            stripes,
             checkpoints: AtomicU64::new(0),
             spilled_records: AtomicU64::new(0),
             current_gen: AtomicU64::new(generation),
@@ -288,15 +296,16 @@ impl DurableSink {
         })
     }
 
-    /// Appends one op to `stream`. Called with the mutated lock held so
-    /// the stream's frame order matches state order. Encodes into a
+    /// Appends one op to its stream (`StoreOp::stream`). Called with the
+    /// mutated lock held so the stream's frame order matches state
+    /// order. Encodes into a
     /// thread-local scratch buffer: this is the per-record hot path and
     /// must not allocate.
     ///
     /// While degraded this is an atomic load and an increment. A failed
     /// send means the writer thread is gone: the WAL reports that as a
     /// surrender for the next call to observe.
-    pub(crate) fn append(&self, stream: u32, op: &StoreOp) {
+    pub(crate) fn append(&self, op: &StoreOp) {
         thread_local! {
             static SCRATCH: std::cell::RefCell<Vec<u8>> =
                 const { std::cell::RefCell::new(Vec::new()) };
@@ -306,6 +315,7 @@ impl DurableSink {
                 let mut buf = scratch.borrow_mut();
                 buf.clear();
                 op.encode(&mut buf);
+                let stream = op.stream(self.stripes) as u32;
                 self.wal.append(stream, &buf, op.at_secs()).is_ok()
             });
         if !sent {
@@ -389,6 +399,22 @@ enum_codec!(StoreOp, "store op tag" {
 });
 
 impl StoreOp {
+    /// The staging stream of the op on a store of `stripes` stripes, as
+    /// the append routes it and recovery keys its floors: a market op's
+    /// stripe, the meta stream (`stripes`) otherwise.
+    fn stream(&self, stripes: usize) -> usize {
+        let market = match self {
+            StoreOp::Probe(p) => p.market,
+            StoreOp::Spike(s) => s.market,
+            StoreOp::Revocation(r) => r.market,
+            StoreOp::IntrinsicBid(b) => b.market,
+            StoreOp::Suppressed { .. }
+            | StoreOp::RegionDegraded { .. }
+            | StoreOp::RegionRecovered { .. } => return stripes,
+        };
+        stripe_index(market, stripes)
+    }
+
     /// The op's time in seconds, fed to the WAL's durability watermark.
     /// 0 (never advancing the watermark) for untimed ops.
     fn at_secs(&self) -> u64 {
@@ -557,69 +583,54 @@ fn decode_stripe(section: &[u8]) -> Result<Stripe, DecodeError> {
     Ok(stripe)
 }
 
-/// Encodes every raw record of `stripe` older than `before` as one
-/// spill block — the `Vec<StoreOp>` wire form, `count ++ ops`, probes
-/// then spikes — and returns it with the count. One buffer per stripe
-/// and memory-only, so it is cheap enough to run under the stripe lock;
-/// the slow segment write is [`write_spill`].
-pub(crate) fn encode_spill(stripe: &Stripe, before: SimTime) -> (Vec<u8>, u64) {
-    let probes = || stripe.probes.iter().filter(|p| p.at < before);
-    let spikes = || stripe.spikes.iter().filter(|s| s.at < before);
-    // Counted first: the count leads the block, and sizes it.
-    let count = probes().count() + spikes().count();
-    if count == 0 {
-        return (Vec::new(), 0);
-    }
-    let mut block = Vec::with_capacity(count * 32);
-    count.encode(&mut block);
-    for p in probes() {
-        StoreOp::Probe(*p).encode(&mut block);
-    }
-    for s in spikes() {
-        StoreOp::Spike(*s).encode(&mut block);
-    }
-    (block, count as u64)
-}
-
-/// The next free spill-segment number of every stripe, from one
-/// directory listing per compaction pass. `None` — no stripe may spill,
-/// so none may drop — if the directory cannot be listed.
-pub(crate) fn next_spill_numbers(sink: &DurableSink, stripes: usize) -> Option<Vec<u64>> {
-    sink.dir
-        .next_spill_numbers(stripes)
-        .inspect_err(|err| sink.wal.stats().record_error(err, "spill"))
-        .ok()
-}
-
-/// Seals an [`encode_spill`] block of `records` records into spill
-/// segment `n` of stripe `idx`. Synchronous disk IO — callers must
-/// **not** hold the stripe lock, so ingest and reads proceed while the
-/// segment lands. Returns `false` — telling the caller to *keep* the
-/// raw slabs — if the segment could not be written; spill-then-drop is
-/// the no-data-loss invariant of durable compaction.
-pub(crate) fn write_spill(
+/// Seals every raw record of `stripes` older than `before` into **one**
+/// spill segment and returns each stripe's slab lengths
+/// `(probes, spikes)` as its section saw them: the prefix the caller may
+/// drop. A stripe's section is the `Vec<StoreOp>` wire form, `count ++
+/// ops`, probes then spikes, encoded under its read lock; the segment is
+/// written with no lock held, so ingest and reads proceed during the
+/// disk IO.
+///
+/// `None` — the caller keeps **every** stripe's slabs — if there is
+/// nothing to seal, or the directory cannot be listed or the segment
+/// written (counted in the error record): spill-then-drop is the
+/// no-data-loss invariant of durable compaction.
+pub(crate) fn spill(
     sink: &DurableSink,
-    idx: usize,
-    n: u64,
-    block: &[u8],
-    records: u64,
-) -> bool {
-    if records > 0 {
-        if let Err(err) = sink.dir.write_spill(idx as u32, n, block) {
-            sink.wal.stats().record_error(&err, "spill");
-            return false;
-        }
-        sink.spilled_records.fetch_add(records, Ordering::Relaxed);
+    stripes: &[RwLock<Stripe>],
+    before: SimTime,
+) -> Option<Vec<(usize, usize)>> {
+    let doomed = |s: &Stripe| {
+        s.probes.iter().any(|p| p.at < before) || s.spikes.iter().any(|sp| sp.at < before)
+    };
+    if !stripes.iter().any(|stripe| doomed(&stripe.read())) {
+        return None;
     }
-    true
+    let mut lens = Vec::with_capacity(stripes.len());
+    let mut records = 0;
+    let sections = stripes.iter().map(|stripe| {
+        let s = stripe.read();
+        lens.push((s.probes.len(), s.spikes.len()));
+        let probes = || s.probes.iter().filter(|p| p.at < before);
+        let spikes = || s.spikes.iter().filter(|sp| sp.at < before);
+        // Counted first: the count leads the section, and sizes it.
+        let count = probes().count() + spikes().count();
+        records += count as u64;
+        let mut section = Vec::with_capacity(1 + count * 32);
+        count.encode(&mut section);
+        probes().for_each(|p| StoreOp::Probe(*p).encode(&mut section));
+        spikes().for_each(|sp| StoreOp::Spike(*sp).encode(&mut section));
+        section
+    });
+    let written = sink.dir.next_spill_number();
+    (written.and_then(|n| sink.dir.write_spill(n, sections)))
+        .inspect_err(|err| sink.wal.stats().record_error(err, "spill"))
+        .ok()?;
+    sink.spilled_records.fetch_add(records, Ordering::Relaxed);
+    Some(lens)
 }
 
 impl DataStore {
-    /// Stream index carrying store-wide (non-stripe) ops.
-    pub(crate) fn meta_stream(&self) -> u32 {
-        self.stripes.len() as u32
-    }
-
     /// Creates an empty **durable** store rooted at `dir`, with the
     /// default layout.
     ///
@@ -655,11 +666,11 @@ impl DataStore {
         let mut app_meta = Vec::new();
         (stripes as u32).encode(&mut app_meta);
         epoch.as_secs().encode(&mut app_meta);
-        let mut log = LogDir::create(dir, stripes as u32 + 1, &app_meta)?;
+        let mut log = LogDir::create(dir, &app_meta)?;
         if let Some(io) = &opts.io {
             log = log.with_io(Arc::clone(io));
         }
-        store.durable = Some(DurableSink::open(log, &opts, stripes as u32 + 1, 0, 0)?);
+        store.durable = Some(DurableSink::open(log, &opts, stripes, 0, 0)?);
         Ok(store)
     }
 
@@ -686,7 +697,7 @@ impl DataStore {
         dir: &Path,
         opts: DurableOptions,
     ) -> io::Result<(DataStore, RecoveryInfo)> {
-        let (mut log, dir_meta) = LogDir::open(dir)?;
+        let (mut log, app_meta) = LogDir::open(dir)?;
         if let Some(io) = &opts.io {
             log = log.with_io(Arc::clone(io));
         }
@@ -695,11 +706,11 @@ impl DataStore {
         // can never talk a *later* recovery out of a replay it needs.
         let marker = log.read_clean_marker()?;
         log.remove_clean_marker()?;
-        let mut mr = Reader::new(&dir_meta.app_meta);
+        let mut mr = Reader::new(&app_meta);
         let stripes = u32::decode(&mut mr).map_err(bad_data)? as usize;
         let epoch_secs = u64::decode(&mut mr).map_err(bad_data)?;
         mr.expect_empty().map_err(bad_data)?;
-        if dir_meta.streams != stripes as u32 + 1 || stripes == 0 || epoch_secs == 0 {
+        if stripes == 0 || epoch_secs == 0 {
             return Err(corrupt("header layout mismatch"));
         }
         let mut store = DataStore::with_layout(stripes, SimDuration::from_secs(epoch_secs));
@@ -738,21 +749,21 @@ impl DataStore {
         let mut max_gen = min_gen;
         let mut max_seq = next_seq;
         if !from_clean_shutdown {
-            // Per-stream monotone sequence floors drop
-            // checkpoint-covered frames and retried-append duplicates
-            // alike; the frame scanner already trimmed torn tails.
+            // Per-stream monotone sequence floors, keyed by the stream
+            // each op derives (module docs), drop checkpoint-covered
+            // frames and retried-append duplicates alike; the frame
+            // scanner already trimmed the torn tail.
             let mut floor = vec![next_seq; stripes + 1];
-            for (generation, stream) in log.list_wal()? {
+            for generation in log.list_wal()? {
                 max_gen = max_gen.max(generation);
                 // Below the checkpoint's floor every frame is inside
                 // the checkpoint (module docs): not even read.
-                if generation < min_gen || stream as usize > stripes {
+                if generation < min_gen {
                     continue;
                 }
-                let scanned = log.read_wal(generation, stream)?;
-                for frame in scanned.frames {
-                    max_seq = max_seq.max(frame.seq + 1);
-                    let op = StoreOp::from_bytes(&frame.body).map_err(bad_data)?;
+                log.read_wal(generation, |seq, body| {
+                    max_seq = max_seq.max(seq + 1);
+                    let op = StoreOp::from_bytes(body).map_err(bad_data)?;
                     if let StoreOp::Suppressed { total } = op {
                         // Monotone and idempotent: applied regardless of
                         // the sequence floor, which makes the lock-free
@@ -760,15 +771,16 @@ impl DataStore {
                         // with a concurrent checkpoint.
                         store.suppressed_probes.fetch_max(total, Ordering::Relaxed);
                         replayed_ops += 1;
-                        continue;
+                        return Ok(());
                     }
-                    if frame.seq < floor[stream as usize] {
-                        continue;
+                    let stream = op.stream(stripes);
+                    if seq >= floor[stream] {
+                        floor[stream] = seq + 1;
+                        store.apply(op);
+                        replayed_ops += 1;
                     }
-                    floor[stream as usize] = frame.seq + 1;
-                    store.apply(op);
-                    replayed_ops += 1;
-                }
+                    Ok(())
+                })?;
             }
         }
 
@@ -777,7 +789,7 @@ impl DataStore {
         store.durable = Some(DurableSink::open(
             log,
             &opts,
-            dir_meta.streams,
+            stripes,
             max_gen + 1,
             max_seq,
         )?);
@@ -893,8 +905,6 @@ impl DataStore {
             spilled_records: d.spilled_records.load(Ordering::Relaxed),
             io_errors: ws.io_errors.load(Ordering::Relaxed),
             last_error: ws.last_error_text(),
-            mode: self.durability_mode()?,
-            durability_lost: self.durability_lost(),
             ops_dropped: d.ops_dropped.load(Ordering::Relaxed),
             dropped_frames: ws.dropped_frames.load(Ordering::Relaxed),
             degraded_transitions: machine.degraded_transitions,
@@ -1745,8 +1755,61 @@ mod tests {
         assert!(store.disk_bytes().expect("disk bytes") > 0);
     }
 
-    /// A spill segment is one block in the `Vec<StoreOp>` wire form:
-    /// the doomed probes in slab order, then the doomed spikes.
+    /// A pass's stripes share one segment, so a segment that cannot be
+    /// written keeps every stripe's slabs; the pass after the disk heals
+    /// seals them all.
+    #[test]
+    fn a_failed_spill_keeps_every_stripe() {
+        // The same script on a healthy disk first, to learn where the
+        // segment's one write starts.
+        let run = |windows: Vec<FaultWindow>, dir: &Path| {
+            let io = Arc::new(FaultyDisk::scripted(windows));
+            let opts = DurableOptions {
+                fsync: FsyncPolicy::Never,
+                io: Some(io.clone() as Arc<dyn DiskIo>),
+                ..DurableOptions::default()
+            };
+            let store = DataStore::create_durable_with_layout(dir, opts, 4, HOUR).expect("create");
+            for t in 0..48u64 {
+                let p = probe(
+                    t * 100,
+                    golden_market(t as usize % 12),
+                    ProbeOutcome::Fulfilled,
+                );
+                store.record_probe(p);
+            }
+            store.flush().expect("flush");
+            let at = io.written();
+            (store.compact(SimTime::from_secs(2400)), at, store)
+        };
+        let tmp = TempDir::new("durable-failed-spill");
+        let (healthy, at, _) = run(Vec::new(), &tmp.path().join("healthy"));
+        assert_eq!(healthy.dropped_probes, 24);
+
+        let eio = FaultWindow {
+            kind: FaultKind::WriteEio,
+            from: at,
+            to: at + 1,
+        };
+        let (failed, again, store) = run(vec![eio], &tmp.path().join("faulty"));
+        assert_eq!(again, at, "the script is deterministic");
+        let none = crate::store::CompactionStats::default();
+        assert_eq!(failed, none, "no stripe dropped a record");
+        assert_eq!(store.resident_records(), 48);
+        let stats = store.durability_stats().expect("stats");
+        assert_eq!((stats.spilled_records, stats.io_errors), (0, 1));
+        let log = &store.durable.as_ref().expect("durable").dir;
+        assert!(log.list_spills().expect("list").is_empty());
+
+        assert_eq!(store.compact(SimTime::from_secs(2400)), healthy);
+        assert_eq!(log.list_spills().expect("list"), vec![0]);
+        assert_eq!(log.read_spill(0).expect("read").len(), 4);
+        assert_eq!(store.durability_stats().expect("stats").spilled_records, 24);
+    }
+
+    /// A spill segment holds a block per stripe in the `Vec<StoreOp>`
+    /// wire form: the doomed probes in slab order, then the doomed
+    /// spikes.
     #[test]
     fn spill_segment_is_one_block_of_store_ops() {
         let tmp = TempDir::new("durable-spill-block");
@@ -1780,32 +1843,34 @@ mod tests {
             "everything older than the horizon was resident"
         );
         let log = &store.durable.as_ref().expect("durable").dir;
-        assert_eq!(log.list_spills().expect("list"), vec![(0, 0)]);
-        let block = log.read_spill(0, 0).expect("read");
+        assert_eq!(log.list_spills().expect("list"), vec![0]);
+        let sections = log.read_spill(0).expect("read");
+        assert_eq!(sections.len(), 1, "one section per stripe");
         assert_eq!(
-            Vec::<StoreOp>::from_bytes(&block).expect("decode"),
+            Vec::<StoreOp>::from_bytes(&sections[0]).expect("decode"),
             expected
         );
         // A pass with nothing to seal writes no segment; the next one
         // that has takes the next number.
         assert_eq!(store.compact(SimTime::from_secs(2500)).dropped_probes, 0);
         assert_eq!(store.compact(SimTime::from_secs(3000)).dropped_probes, 5);
-        assert_eq!(log.list_spills().expect("list"), vec![(0, 0), (0, 1)]);
+        assert_eq!(log.list_spills().expect("list"), vec![0, 1]);
         assert_eq!(
             store.durability_stats().expect("stats").spilled_records,
             25 + 2 + 5 + 1
         );
     }
 
-    fn wal_bytes(log: &LogDir) -> Vec<((u64, u32), u64)> {
+    /// Every WAL generation present with its file's length.
+    fn wal_bytes(log: &LogDir) -> Vec<(u64, u64)> {
         log.list_wal()
             .expect("list")
             .into_iter()
-            .map(|(generation, stream)| {
-                let len = std::fs::metadata(log.wal_path(generation, stream))
+            .map(|generation| {
+                let len = std::fs::metadata(log.wal_path(generation))
                     .expect("wal file")
                     .len();
-                ((generation, stream), len)
+                (generation, len)
             })
             .collect()
     }
@@ -1838,11 +1903,11 @@ mod tests {
             assert_eq!(floor, round + 1, "one generation per checkpoint");
             let wal = wal_bytes(&d.dir);
             assert!(
-                wal.iter().all(|&((generation, _), _)| generation >= floor),
+                wal.iter().all(|&(generation, _)| generation >= floor),
                 "a generation below the floor {floor} survived: {wal:?}"
             );
             // Quiescent: what is left of the log is at most the file
-            // headers of the floor generation (its files are created on
+            // header of the floor generation (its file is created on
             // first append, so here: nothing), and the directory is
             // checkpoint + spill + header.
             let wal_total: u64 = wal.iter().map(|(_, len)| len).sum();
@@ -1946,7 +2011,7 @@ mod tests {
             ));
         }
         store.flush().expect("flush");
-        let generations: Vec<u64> = wal_bytes(&d.dir).iter().map(|&((g, _), _)| g).collect();
+        let generations: Vec<u64> = wal_bytes(&d.dir).iter().map(|&(g, _)| g).collect();
         assert!(generations.contains(&1) && generations.contains(&2));
         drop(store);
 
@@ -2252,7 +2317,7 @@ mod tests {
             store.record_probe(probe(t * 60, market(0), ProbeOutcome::Fulfilled));
         }
         store.flush().expect("flush");
-        io.written() - 8 // minus the stream file header
+        io.written() - 8 // minus the generation file header
     }
 
     /// A scripted ENOSPC window defeats the writer's bounded retry,

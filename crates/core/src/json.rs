@@ -518,11 +518,6 @@ impl ToJson for DurabilityStats {
             o.u64(key!("spilled_records"), self.spilled_records);
             o.u64(key!("io_errors"), self.io_errors);
             o.opt_str(key!("last_error"), self.last_error.as_deref());
-            o.value(key!("mode"), &self.mode);
-            o.opt_u64(
-                key!("durability_lost_secs"),
-                self.durability_lost.map(|t| t.as_secs()),
-            );
             o.u64(key!("ops_dropped"), self.ops_dropped);
             o.u64(key!("dropped_frames"), self.dropped_frames);
             o.u64(key!("degraded_transitions"), self.degraded_transitions);
@@ -602,9 +597,10 @@ mod tests {
             checkpoint_loaded: true,
         };
         assert!(recovery.to_json().contains("\"replayed_ops\":0"));
-        assert!(DurabilityStats::default()
-            .to_json()
-            .contains("\"mode\":\"durable\""));
+        // The mode and the watermark are the status document's, once.
+        let durability = DurabilityStats::default().to_json();
+        assert!(durability.contains("\"ops_dropped\":0"), "{durability}");
+        assert!(!durability.contains("mode") && !durability.contains("lost"));
     }
 
     crate::counters! {

@@ -181,7 +181,9 @@ pub struct LiveReport {
     pub ticks: u64,
     /// Retry attempts dispatched from the pending queues.
     pub retries_issued: u64,
-    /// Probe intents dropped because a pending queue overflowed.
+    /// Probe intents dropped: because a pending queue overflowed, or
+    /// still parked in one when [`LiveDriver::finish`] retired its
+    /// manager.
     pub probes_abandoned: u64,
     /// Circuit-breaker trips across all regions.
     pub breaker_trips: u64,
@@ -605,8 +607,11 @@ impl LiveDriver {
         for (worker, policy) in self.workers {
             let region = worker.region;
             report.per_region_probes.insert(region, policy.recorded);
-            // The manager's queues go with it.
+            // The manager's queues go with it: its parked probe intents
+            // are abandoned, and counted so.
             let counters = self.store.region_counters(region);
+            let parked = worker.pending.len() as u64;
+            counters.probes_abandoned.fetch_add(parked, Relaxed);
             counters.pending.store(0, Relaxed);
             counters.orphans.store(0, Relaxed);
             let counts = counters.snapshot();

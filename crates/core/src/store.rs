@@ -119,9 +119,9 @@
 //! # Durability and recovery
 //!
 //! A store opened with [`DataStore::create_durable`] additionally
-//! appends every mutation to a per-stripe, CRC-framed, append-only
-//! segment log (one log *stream* per stripe plus a meta stream for
-//! store-wide events), written by a background thread behind a bounded
+//! appends every mutation to a CRC-framed, append-only log (staged per
+//! stripe plus a meta stream for store-wide events, one file per
+//! generation on disk), written by a background thread behind a bounded
 //! queue with a configurable fsync policy
 //! ([`crate::durable::DurableOptions`]). [`DataStore::checkpoint`]
 //! writes an atomic full-state snapshot and prunes the log behind it;
@@ -129,7 +129,7 @@
 //! plus the surviving log tail, trimming torn or corrupt tail frames
 //! and dropping duplicated frames a retried append can leave. In
 //! durable mode [`DataStore::compact`] *spills* the doomed raw records
-//! into sealed on-disk segments before freeing their slabs, so
+//! into a sealed on-disk segment per pass before freeing their slabs, so
 //! bounded-RAM operation never destroys history. The protocol,
 //! sequence-number reasoning, and crash-safety argument live in
 //! [`crate::durable`]; the recovery oracle is
@@ -694,7 +694,7 @@ impl DataStore {
         self.total_cost_micros
             .fetch_add(probe.cost.as_micros(), Ordering::Relaxed);
         if let Some(d) = &self.durable {
-            d.append(idx as u32, &crate::durable::StoreOp::Probe(probe));
+            d.append(&crate::durable::StoreOp::Probe(probe));
         }
         stripe.record_probe(probe, epoch, self.epoch_secs)
     }
@@ -705,7 +705,7 @@ impl DataStore {
         let idx = self.stripe_of(spike.market);
         let mut stripe = self.stripes[idx].write();
         if let Some(d) = &self.durable {
-            d.append(idx as u32, &crate::durable::StoreOp::Spike(spike));
+            d.append(&crate::durable::StoreOp::Spike(spike));
         }
         stripe.spikes.push(spike);
         let ratios = stripe.spike_ratios_by_epoch.entry(epoch).or_default();
@@ -719,10 +719,7 @@ impl DataStore {
         if let Some(d) = &self.durable {
             // Lock-free path: the op carries the running total and
             // replays via `fetch_max`, so frame order never matters.
-            d.append(
-                self.meta_stream(),
-                &crate::durable::StoreOp::Suppressed { total },
-            );
+            d.append(&crate::durable::StoreOp::Suppressed { total });
         }
     }
 
@@ -736,10 +733,7 @@ impl DataStore {
             h.since = at;
             h.trips += 1;
             if let Some(d) = &self.durable {
-                d.append(
-                    self.meta_stream(),
-                    &crate::durable::StoreOp::RegionDegraded { region, at },
-                );
+                d.append(&crate::durable::StoreOp::RegionDegraded { region, at });
             }
         }
     }
@@ -754,10 +748,7 @@ impl DataStore {
                 h.degraded = false;
                 h.degraded_secs += at.saturating_since(h.since).as_secs();
                 if let Some(d) = &self.durable {
-                    d.append(
-                        self.meta_stream(),
-                        &crate::durable::StoreOp::RegionRecovered { region, at },
-                    );
+                    d.append(&crate::durable::StoreOp::RegionRecovered { region, at });
                 }
             }
         }
@@ -784,7 +775,7 @@ impl DataStore {
         let idx = self.stripe_of(rec.market);
         let mut stripe = self.stripes[idx].write();
         if let Some(d) = &self.durable {
-            d.append(idx as u32, &crate::durable::StoreOp::Revocation(rec));
+            d.append(&crate::durable::StoreOp::Revocation(rec));
         }
         stripe.revocations.push(rec);
     }
@@ -794,7 +785,7 @@ impl DataStore {
         let idx = self.stripe_of(rec.market);
         let mut stripe = self.stripes[idx].write();
         if let Some(d) = &self.durable {
-            d.append(idx as u32, &crate::durable::StoreOp::IntrinsicBid(rec));
+            d.append(&crate::durable::StoreOp::IntrinsicBid(rec));
         }
         stripe.intrinsic_bids.push(rec);
     }
@@ -805,56 +796,34 @@ impl DataStore {
     /// every running counter are retained, so summarized queries are
     /// unchanged; raw-log iteration shrinks to the retained window.
     ///
-    /// In durable mode the doomed raw records are first sealed into
-    /// spill segments on disk (see [`crate::durable`]) — compaction
-    /// *spills* rather than destroys, so the full raw history survives
-    /// bounded-RAM operation. If a stripe's spill write fails, that
-    /// stripe keeps its raw slabs (nothing is lost; the error is
-    /// surfaced via [`DataStore::durability_stats`]).
+    /// In durable mode the doomed raw records are first sealed on disk
+    /// (see [`crate::durable`]) — compaction *spills* rather than
+    /// destroys, so the full raw history survives bounded-RAM
+    /// operation. A pass seals one spill segment, a section per stripe,
+    /// or none when nothing is old enough. If the segment cannot be
+    /// written every stripe keeps its raw slabs (nothing is lost; the
+    /// error is surfaced via [`DataStore::durability_stats`]).
     pub fn compact(&self, before: SimTime) -> CompactionStats {
-        // Durable compaction releases the stripe lock between spilling
+        // Durable compaction releases the stripe locks between spilling
         // and dropping, so concurrent passes must not interleave (the
         // same records would be sealed twice).
         let _spill_guard = self.durable.as_ref().map(|d| d.compact_lock.lock());
         let mut stats = CompactionStats::default();
-        // One directory listing numbers the whole pass's segments.
-        let spill_numbers = match &self.durable {
-            Some(d) => {
-                let Some(numbers) = crate::durable::next_spill_numbers(d, self.stripes.len())
-                else {
-                    return stats; // nothing can be sealed: every slab stays
-                };
-                Some((d, numbers))
-            }
-            None => None,
+        // In durable mode the doomed records are sealed *before* any
+        // slab is touched, and only the slab prefix each section saw is
+        // dropped afterwards: records that arrive mid-spill (even ones
+        // older than `before`) stay resident until the next pass, so
+        // segments never hold duplicates.
+        let sealed = match &self.durable {
+            Some(d) => match crate::durable::spill(d, &self.stripes, before) {
+                Some(lens) => lens.into_iter().map(Some).collect(),
+                None => return stats, // nothing sealed: every slab stays
+            },
+            None => vec![None; self.stripes.len()],
         };
-        for (idx, stripe) in self.stripes.iter().enumerate() {
-            // In durable mode the doomed records are sealed *before*
-            // their slabs are touched, and the synchronous segment
-            // write runs with no stripe lock held — ingest and reads
-            // proceed during the disk IO. Only the snapshotted slab
-            // prefix is dropped afterwards: records that arrive
-            // mid-spill (even ones older than `before`) stay resident
-            // until the next pass, so segments never hold duplicates.
-            let spilled = match &spill_numbers {
-                Some((d, numbers)) => {
-                    let ((block, records), probes_len, spikes_len) = {
-                        let s = stripe.read();
-                        (
-                            crate::durable::encode_spill(&s, before),
-                            s.probes.len(),
-                            s.spikes.len(),
-                        )
-                    };
-                    if !crate::durable::write_spill(d, idx, numbers[idx], &block, records) {
-                        continue; // keep the raw slabs: nothing sealed
-                    }
-                    Some((probes_len, spikes_len))
-                }
-                None => None,
-            };
+        for (stripe, sealed) in self.stripes.iter().zip(sealed) {
             let mut s = stripe.write();
-            let (probe_limit, spike_limit) = spilled.unwrap_or((s.probes.len(), s.spikes.len()));
+            let (probe_limit, spike_limit) = sealed.unwrap_or((s.probes.len(), s.spikes.len()));
             stats.dropped_probes += compact_slab(&mut s.probes, |p| p.at, before, probe_limit);
             stats.dropped_spikes += compact_slab(&mut s.spikes, |sp| sp.at, before, spike_limit);
         }

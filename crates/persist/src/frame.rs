@@ -31,7 +31,9 @@ use crate::crc::crc32;
 pub const MAX_FRAME: usize = 1 << 26;
 
 /// Frame/file-format version stamped into every file header. Version
-/// 5 compresses every checkpoint and spill section with [`crate::lz`]
+/// 6 writes one WAL file per generation and one spill segment (a
+/// section per stripe) per compaction pass, and drops the header's
+/// stream count; no record's encoding changed. Version 5 compresses every checkpoint and spill section with [`crate::lz`]
 /// before it is cut into frames (WAL records, the directory header and
 /// the clean marker stay raw); no record's encoding changed. Version
 /// 4 drops a checkpoint stripe's per-market probe and revocation
@@ -42,7 +44,7 @@ pub const MAX_FRAME: usize = 1 << 26;
 /// version 2 made a key's epoch summary sparse. The frame envelope
 /// itself has not changed since version 1. There is one decoder, so
 /// files of any other version are refused by [`strip_header`].
-pub const FORMAT_VERSION: u32 = 5;
+pub const FORMAT_VERSION: u32 = 6;
 
 /// Byte length of a file header (`magic ++ version`).
 pub const HEADER_LEN: usize = 8;
@@ -146,42 +148,53 @@ pub fn write_frame(out: &mut Vec<u8>, seq: u64, body: &[u8]) {
 /// Scans a file body (header already stripped), returning its valid
 /// frame prefix. Never fails: damage is reported via [`ScanResult::end`].
 pub fn scan(body: &[u8]) -> ScanResult {
-    let mut frames = Vec::new();
-    let mut pos = 0usize;
+    let (mut frames, mut pos) = (Vec::new(), 0);
     let end = loop {
-        if pos == body.len() {
-            break ScanEnd::Clean;
+        match frame_at(body, pos) {
+            Ok((seq, frame, next)) => {
+                frames.push(Frame {
+                    seq,
+                    body: frame.to_vec(),
+                });
+                pos = next;
+            }
+            Err(end) => break end,
         }
-        if body.len() - pos < FRAME_OVERHEAD {
-            break ScanEnd::Truncated;
-        }
-        let len = u32::from_le_bytes(body[pos..pos + 4].try_into().expect("sized")) as usize;
-        let crc = u32::from_le_bytes(body[pos + 4..pos + 8].try_into().expect("sized"));
-        if len > MAX_FRAME {
-            break ScanEnd::OversizeLen;
-        }
-        if body.len() - pos - FRAME_OVERHEAD < len {
-            break ScanEnd::Truncated;
-        }
-        let payload = &body[pos + FRAME_OVERHEAD..pos + FRAME_OVERHEAD + len];
-        if crc32(payload) != crc {
-            break ScanEnd::BadCrc;
-        }
-        if payload.len() < 8 {
-            break ScanEnd::ShortPayload;
-        }
-        let seq = u64::from_le_bytes(payload[..8].try_into().expect("sized"));
-        frames.push(Frame {
-            seq,
-            body: payload[8..].to_vec(),
-        });
-        pos += FRAME_OVERHEAD + len;
     };
     ScanResult {
         frames,
         end,
         valid_len: pos,
     }
+}
+
+/// The frame starting at `pos` of `body`: its sequence number, its
+/// body and where the next one starts — or why a scan stops there.
+/// [`scan`] and a WAL read (`crate::log::LogDir::read_wal`) share it.
+pub(crate) fn frame_at(body: &[u8], pos: usize) -> Result<(u64, &[u8], usize), ScanEnd> {
+    if pos == body.len() {
+        return Err(ScanEnd::Clean);
+    }
+    if body.len() - pos < FRAME_OVERHEAD {
+        return Err(ScanEnd::Truncated);
+    }
+    let len = u32::from_le_bytes(body[pos..pos + 4].try_into().expect("sized")) as usize;
+    let crc = u32::from_le_bytes(body[pos + 4..pos + 8].try_into().expect("sized"));
+    if len > MAX_FRAME {
+        return Err(ScanEnd::OversizeLen);
+    }
+    if body.len() - pos - FRAME_OVERHEAD < len {
+        return Err(ScanEnd::Truncated);
+    }
+    let payload = &body[pos + FRAME_OVERHEAD..pos + FRAME_OVERHEAD + len];
+    if crc32(payload) != crc {
+        return Err(ScanEnd::BadCrc);
+    }
+    if payload.len() < 8 {
+        return Err(ScanEnd::ShortPayload);
+    }
+    let seq = u64::from_le_bytes(payload[..8].try_into().expect("sized"));
+    Ok((seq, &payload[8..], pos + FRAME_OVERHEAD + len))
 }
 
 #[cfg(test)]
@@ -233,9 +246,10 @@ mod tests {
         assert!(strip_header(&wrong_version, magic::WAL).is_err());
         // Version 1 stored epoch summaries dense, version 2 every
         // integer fixed-width, version 3 two per-market indices per
-        // stripe and version 4 its checkpoint and spill sections
-        // uncompressed; nothing decodes any of them.
-        for old in [1u32, 2, 3, 4] {
+        // stripe, version 4 its checkpoint and spill sections
+        // uncompressed and version 5 a WAL file and a spill segment per
+        // stream; nothing decodes any of them.
+        for old in [1u32, 2, 3, 4, 5] {
             let mut stale = file.clone();
             stale[4..8].copy_from_slice(&old.to_le_bytes());
             assert_eq!(

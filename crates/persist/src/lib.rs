@@ -1,8 +1,8 @@
 //! # spotlight-persist
 //!
 //! Crash-safe persistence for the SpotLight probe store (ROADMAP item
-//! 2): a small in-tree binary serialization layer plus a per-stripe
-//! append-only segment log with checkpoints — the workspace's one
+//! 2): a small in-tree binary serialization layer plus an append-only
+//! log with checkpoints — the workspace's one
 //! on-disk format (`spotlight_core::json` is the one wire format).
 //!
 //! The crate is deliberately application-agnostic: it moves *byte
@@ -26,15 +26,16 @@
 //!   `[len:u32][crc:u32][seq:u64 ++ payload]` and a scanner that stops
 //!   at the first torn, truncated, or corrupt frame (prefix-valid
 //!   recovery semantics);
-//! * [`wal`] — a bounded-queue single-writer append log over N streams
-//!   with a configurable fsync policy and generation rotation;
+//! * [`wal`] — a bounded-queue single-writer append log over N staging
+//!   streams, one file per generation, with a configurable fsync policy
+//!   and generation rotation;
 //! * [`lz`] — the LZ block codec every checkpoint and spill section is
 //!   compressed with (no level, no off switch; the decoder refuses
 //!   hostile input without panicking);
-//! * [`log`] — the on-disk directory layout (header, per-stream WAL
-//!   generations of one frame per record, and the checkpoint file and
-//!   sealed spill segments — compressed, chunked sections written
-//!   temp+rename+fsync);
+//! * [`log`] — the on-disk directory layout, one file per durable
+//!   event (header, a WAL file per generation of one frame per record,
+//!   and the checkpoint file and a spill segment per compaction pass —
+//!   compressed, chunked sections written temp+rename+fsync);
 //! * [`fault`] — the crash-injection helpers the torn-write recovery
 //!   tests drive (truncate/corrupt/duplicate-tail at byte offsets);
 //! * [`tempdir`] — a tiny RAII scratch-directory helper for tests and
@@ -56,5 +57,5 @@ pub mod wal;
 
 pub use codec::{Decode, DecodeError, Encode, Reader};
 pub use disk::{DiskIo, FaultKind, FaultProfile, FaultWindow, FaultyDisk, RealDisk};
-pub use log::{CleanMarker, LogDir, LogDirMeta};
+pub use log::{CleanMarker, LogDir};
 pub use wal::{FsyncPolicy, WalConfig, WalHandle, WalStats};

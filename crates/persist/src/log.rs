@@ -1,27 +1,32 @@
-//! The on-disk layout of a persistent store directory.
+//! The on-disk layout of a persistent store directory: one file per
+//! durable event.
 //!
 //! ```text
 //! <root>/
-//!   header                  directory metadata (streams + app bytes)
-//!   wal-<gen>-<stream>.log  append-only generation files, per stream
-//!   checkpoint              latest checkpoint (temp+rename+fsync)
-//!   spill-<stripe>-<n>.seg  sealed, immutable spill segments
-//!   clean                   clean-shutdown marker (consumed on open)
+//!   header           directory metadata (the application's layout bytes)
+//!   wal-<gen>.log    append-only log, one file per generation
+//!   checkpoint       latest checkpoint (temp+rename+fsync)
+//!   spill-<n>.seg    sealed spill segments, one per compaction pass
+//!   clean            clean-shutdown marker (consumed on open)
 //! ```
+//!
+//! The application's streams (a store's stripes) are an in-memory
+//! device; on disk a generation is one file, whatever the stream count.
 //!
 //! Two framings share the [`crate::frame`] envelope. A WAL generation
 //! file is a run of **one frame per record**, each carrying its own
-//! sequence number — it is appended to, so its tail can tear, and the
-//! prefix-valid scan recovers whole records up to the tear. The
-//! checkpoint and every spill segment are **sections**: each section is
-//! one opaque buffer (for a spill segment, `count ++ records`),
-//! compressed to `varint raw length ++ LZ sequences` ([`crate::lz`],
-//! format 5), then cut into frames of at most `CHECKPOINT_CHUNK` bytes
-//! that share the section index as their sequence number — one CRC per
-//! ≤ 16 MiB, no per-record envelope. Sections are only ever written
-//! whole and atomically, so a tear cannot happen and any damage (a bad
-//! frame, a block the decoder refuses) is a hard error. WAL records,
-//! the directory header and the clean marker stay uncompressed.
+//! sequence number, in the order the writer received them — it is
+//! appended to, so its tail can tear, and the prefix-valid scan recovers
+//! whole records up to the tear. The checkpoint and every spill segment
+//! are **sections**: each section is one opaque buffer (for a spill
+//! segment, one per stripe: `count ++ records`), compressed to
+//! `varint raw length ++ LZ sequences` ([`crate::lz`]), then cut into
+//! frames of at most `CHECKPOINT_CHUNK` bytes that share the section
+//! index as their sequence number — one CRC per ≤ 16 MiB, no per-record
+//! envelope. Sections are only ever written whole and atomically, so a
+//! tear cannot happen and any damage (a bad frame, a block the decoder
+//! refuses) is a hard error. WAL records, the directory header and the
+//! clean marker stay uncompressed.
 //!
 //! Mutation rules that make crashes survivable:
 //!
@@ -31,17 +36,17 @@
 //!   fsynced, then renamed into place, then the directory is fsynced —
 //!   readers see either the old file or the complete new one.
 //! * A name is as durable as the last directory fsync: the WAL writer
-//!   syncs the directory after creating generation files and before it
-//!   acknowledges anything written to them, and consuming the
+//!   syncs the directory after creating a generation file and before it
+//!   acknowledges anything written to it, and consuming the
 //!   clean-shutdown marker syncs its removal.
-//! * Old WAL generations are deleted only *after* the checkpoint that
-//!   supersedes them is durable.
+//! * Old WAL generations are deleted — one unlink each — only *after*
+//!   the checkpoint that supersedes them is durable.
 
 use crate::disk::{DiskIo, RealDisk};
-use crate::frame::{self, magic, ScanEnd, ScanResult};
+use crate::frame::{self, magic, ScanEnd};
 use crate::lz;
 use std::fs::{self, File, OpenOptions};
-use std::io;
+use std::io::{self, Read as _};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -53,6 +58,10 @@ const CLEAN_FILE: &str = "clean";
 /// state, or everything a stripe spills in one pass) may exceed
 /// [`frame::MAX_FRAME`] without overflowing a frame.
 const CHECKPOINT_CHUNK: usize = 1 << 24;
+/// [`LogDir::read_wal`] reads a generation file this many bytes at a
+/// time (more only for a frame that does not fit), so recovery's memory
+/// does not grow with a generation.
+const WAL_READ_CHUNK: usize = 1 << 18;
 
 /// A handle on a persistent store directory.
 ///
@@ -76,25 +85,16 @@ pub struct CleanMarker {
     pub generation: u64,
 }
 
-/// Metadata read back from a directory's header file.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LogDirMeta {
-    /// Number of WAL streams the directory was created with.
-    pub streams: u32,
-    /// Opaque application bytes (the store's layout parameters).
-    pub app_meta: Vec<u8>,
-}
-
 impl LogDir {
-    /// Creates (or reuses) `root` and writes the header file declaring
-    /// `streams` streams and `app_meta`.
+    /// Creates (or reuses) `root` and writes the header file holding
+    /// `app_meta`, the application's opaque layout bytes.
     ///
     /// # Errors
     ///
     /// Fails if the directory cannot be created, a header already
     /// exists (refusing to silently adopt another store's data), or
     /// writing fails.
-    pub fn create(root: &Path, streams: u32, app_meta: &[u8]) -> io::Result<LogDir> {
+    pub fn create(root: &Path, app_meta: &[u8]) -> io::Result<LogDir> {
         fs::create_dir_all(root)?;
         let dir = LogDir {
             root: root.to_path_buf(),
@@ -108,22 +108,20 @@ impl LogDir {
         }
         let mut body = Vec::new();
         frame::write_header(&mut body, magic::DIR);
-        let mut section = Vec::with_capacity(4 + app_meta.len());
-        section.extend_from_slice(&streams.to_le_bytes());
-        section.extend_from_slice(app_meta);
-        frame::write_frame(&mut body, 0, &section);
+        frame::write_frame(&mut body, 0, app_meta);
         dir.write_atomic(HEADER_FILE, &body)?;
         Ok(dir)
     }
 
-    /// Opens an existing directory and reads its header.
+    /// Opens an existing directory and reads its header's application
+    /// bytes.
     ///
     /// # Errors
     ///
     /// Fails if the header is missing, unreadable, or corrupt — a
     /// damaged header is unrecoverable by design (it is tiny and
     /// written once, atomically).
-    pub fn open(root: &Path) -> io::Result<(LogDir, LogDirMeta)> {
+    pub fn open(root: &Path) -> io::Result<(LogDir, Vec<u8>)> {
         let dir = LogDir {
             root: root.to_path_buf(),
             io: Arc::new(RealDisk),
@@ -136,22 +134,13 @@ impl LogDir {
         dir.sweep_tmp()?;
         let bytes = fs::read(dir.root.join(HEADER_FILE))?;
         let body = frame::strip_header(&bytes, magic::DIR).map_err(corrupt)?;
-        let scanned = frame::scan(body);
-        if scanned.end != ScanEnd::Clean || scanned.frames.len() != 1 {
-            return Err(corrupt("damaged header frame"));
+        let mut scanned = frame::scan(body);
+        match scanned.frames.pop() {
+            Some(header) if scanned.end == ScanEnd::Clean && scanned.frames.is_empty() => {
+                Ok((dir, header.body))
+            }
+            _ => Err(corrupt("damaged header frame")),
         }
-        let section = &scanned.frames[0].body;
-        if section.len() < 4 {
-            return Err(corrupt("short header section"));
-        }
-        let streams = u32::from_le_bytes(section[..4].try_into().expect("sized"));
-        Ok((
-            dir,
-            LogDirMeta {
-                streams,
-                app_meta: section[4..].to_vec(),
-            },
-        ))
     }
 
     /// A second handle on the same directory (for the writer thread).
@@ -184,9 +173,8 @@ impl LogDir {
     }
 
     /// Path of one WAL generation file.
-    pub fn wal_path(&self, generation: u64, stream: u32) -> PathBuf {
-        self.root
-            .join(format!("wal-{generation:08}-{stream:04}.log"))
+    pub fn wal_path(&self, generation: u64) -> PathBuf {
+        self.root.join(format!("wal-{generation:08}.log"))
     }
 
     /// Opens a WAL generation file for appending, writing the file
@@ -195,11 +183,11 @@ impl LogDir {
     /// # Errors
     ///
     /// Propagates filesystem errors.
-    pub fn open_wal_append(&self, generation: u64, stream: u32) -> io::Result<File> {
+    pub fn open_wal_append(&self, generation: u64) -> io::Result<File> {
         let mut file = OpenOptions::new()
             .create(true)
             .append(true)
-            .open(self.wal_path(generation, stream))?;
+            .open(self.wal_path(generation))?;
         let len = file.metadata()?.len();
         if len < frame::HEADER_LEN as u64 {
             // Either brand new, or a previous writer died mid-header:
@@ -214,63 +202,73 @@ impl LogDir {
         Ok(file)
     }
 
-    /// Every `(generation, stream)` WAL file present, sorted.
+    /// Every WAL generation present, ascending.
     ///
     /// # Errors
     ///
     /// Propagates directory-read errors.
-    pub fn list_wal(&self) -> io::Result<Vec<(u64, u32)>> {
-        let mut out = Vec::new();
-        for entry in fs::read_dir(&self.root)? {
-            let name = entry?.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if let Some(rest) = name.strip_prefix("wal-") {
-                if let Some(rest) = rest.strip_suffix(".log") {
-                    if let Some((gen_s, stream_s)) = rest.split_once('-') {
-                        if let (Ok(generation), Ok(stream)) =
-                            (gen_s.parse::<u64>(), stream_s.parse::<u32>())
-                        {
-                            out.push((generation, stream));
-                        }
-                    }
-                }
-            }
-        }
-        out.sort_unstable();
-        Ok(out)
+    pub fn list_wal(&self) -> io::Result<Vec<u64>> {
+        self.numbered("wal-", ".log")
     }
 
-    /// Reads and scans one WAL generation file. Torn/corrupt tails are
-    /// reported in the [`ScanResult`], not as errors.
+    /// Reads one WAL generation file and hands `each` every frame of
+    /// its valid prefix as `(seq, body)`, in file order. A generation
+    /// holds every stream's records, so the file is read
+    /// `WAL_READ_CHUNK` bytes at a time, never whole, and no frame is
+    /// copied. Returns why the scan stopped: a torn or corrupt tail is
+    /// reported so, not as an error.
     ///
     /// # Errors
     ///
-    /// Fails only on filesystem errors or a damaged *file header*. A
-    /// file shorter than one header — e.g. created by a process killed
-    /// between `open` and the header write — is not an error: it is a
-    /// fully torn tail holding zero frames.
-    pub fn read_wal(&self, generation: u64, stream: u32) -> io::Result<ScanResult> {
-        let bytes = fs::read(self.wal_path(generation, stream))?;
-        if bytes.len() < frame::HEADER_LEN {
-            return Ok(ScanResult {
-                frames: Vec::new(),
-                end: ScanEnd::Truncated,
-                valid_len: 0,
-            });
+    /// Fails on filesystem errors, a damaged *file header*, or the first
+    /// error `each` returns. A file shorter than one header — e.g.
+    /// created by a process killed between `open` and the header write —
+    /// is not an error: it is a fully torn tail holding zero frames.
+    pub fn read_wal(
+        &self,
+        generation: u64,
+        mut each: impl FnMut(u64, &[u8]) -> io::Result<()>,
+    ) -> io::Result<ScanEnd> {
+        let mut file = File::open(self.wal_path(generation))?;
+        // Appends the next chunk to `buf`; whether the file has ended.
+        let mut fill = |buf: &mut Vec<u8>| -> io::Result<bool> {
+            let chunk = WAL_READ_CHUNK as u64;
+            Ok(file.by_ref().take(chunk).read_to_end(buf)? < WAL_READ_CHUNK)
+        };
+        let mut buf = Vec::new();
+        let mut ended = fill(&mut buf)?;
+        if buf.len() < frame::HEADER_LEN {
+            return Ok(ScanEnd::Truncated);
         }
-        let body = frame::strip_header(&bytes, magic::WAL).map_err(corrupt)?;
-        Ok(frame::scan(body))
+        frame::strip_header(&buf, magic::WAL).map_err(corrupt)?;
+        let mut pos = frame::HEADER_LEN;
+        loop {
+            match frame::frame_at(&buf, pos) {
+                Ok((seq, body, next)) => {
+                    each(seq, body)?;
+                    pos = next;
+                }
+                // Out of bytes mid-file is not a tear: read on, keeping
+                // the partial frame.
+                Err(ScanEnd::Clean | ScanEnd::Truncated) if !ended => {
+                    buf.drain(..pos);
+                    pos = 0;
+                    ended = fill(&mut buf)?;
+                }
+                Err(end) => return Ok(end),
+            }
+        }
     }
 
-    /// Deletes every WAL file with generation `< before`.
+    /// Deletes every WAL generation `< before`: one unlink each.
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors.
     pub fn delete_wal_before(&self, before: u64) -> io::Result<()> {
-        for (generation, stream) in self.list_wal()? {
+        for generation in self.list_wal()? {
             if generation < before {
-                fs::remove_file(self.wal_path(generation, stream))?;
+                fs::remove_file(self.wal_path(generation))?;
             }
         }
         Ok(())
@@ -284,12 +282,7 @@ impl LogDir {
     /// Propagates filesystem errors; on error the previous checkpoint,
     /// if any, is still in place.
     pub fn write_checkpoint(&self, sections: &[Vec<u8>]) -> io::Result<()> {
-        let mut body = Vec::new();
-        frame::write_header(&mut body, magic::CHECKPOINT);
-        for (i, section) in sections.iter().enumerate() {
-            write_section(&mut body, i as u64, section);
-        }
-        self.write_atomic(CHECKPOINT_FILE, &body)
+        self.write_sections(CHECKPOINT_FILE, magic::CHECKPOINT, sections)
     }
 
     /// Reads the checkpoint's sections, or `None` if no checkpoint has
@@ -310,78 +303,47 @@ impl LogDir {
         read_sections(body, "damaged checkpoint").map(Some)
     }
 
-    /// Writes sealed spill segment `n` of `stripe`: `block` (the
-    /// caller's `count ++ records`) as one chunked section. Atomic:
-    /// temp, fsync, rename, directory fsync. `n` comes from
-    /// [`LogDir::next_spill_numbers`].
+    /// Writes sealed spill segment `n`: one chunked section per block
+    /// (a compaction pass hands one per stripe, its `count ++ records`),
+    /// each compressed as it arrives. Atomic: temp, fsync, rename,
+    /// directory fsync. `n` comes from [`LogDir::next_spill_number`].
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors; on error no segment is visible.
-    pub fn write_spill(&self, stripe: u32, n: u64, block: &[u8]) -> io::Result<()> {
-        let mut body = Vec::new();
-        frame::write_header(&mut body, magic::SPILL);
-        write_section(&mut body, 0, block);
-        self.write_atomic(&spill_name(stripe, n), &body)
+    pub fn write_spill(&self, n: u64, blocks: impl IntoIterator<Item = Vec<u8>>) -> io::Result<()> {
+        self.write_sections(&spill_name(n), magic::SPILL, blocks)
     }
 
-    /// Every `(stripe, index)` spill segment present, sorted.
+    /// Every spill segment number present, ascending.
     ///
     /// # Errors
     ///
     /// Propagates directory-read errors.
-    pub fn list_spills(&self) -> io::Result<Vec<(u32, u64)>> {
-        let mut out = Vec::new();
-        for entry in fs::read_dir(&self.root)? {
-            let name = entry?.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if let Some(rest) = name.strip_prefix("spill-") {
-                if let Some(rest) = rest.strip_suffix(".seg") {
-                    if let Some((stripe_s, n_s)) = rest.split_once('-') {
-                        if let (Ok(stripe), Ok(n)) = (stripe_s.parse::<u32>(), n_s.parse::<u64>()) {
-                            out.push((stripe, n));
-                        }
-                    }
-                }
-            }
-        }
-        out.sort_unstable();
-        Ok(out)
+    pub fn list_spills(&self) -> io::Result<Vec<u64>> {
+        self.numbered("spill-", ".seg")
     }
 
-    /// The next free segment number of each of the first `stripes`
-    /// stripes, from **one** directory listing — what a compaction pass
-    /// asks once and then hands to [`LogDir::write_spill`] per stripe.
+    /// The next free spill segment number: one past the highest present.
     ///
     /// # Errors
     ///
     /// Propagates directory-read errors.
-    pub fn next_spill_numbers(&self, stripes: usize) -> io::Result<Vec<u64>> {
-        let mut next = vec![0u64; stripes];
-        for (stripe, n) in self.list_spills()? {
-            if let Some(slot) = next.get_mut(stripe as usize) {
-                *slot = (*slot).max(n + 1);
-            }
-        }
-        Ok(next)
+    pub fn next_spill_number(&self) -> io::Result<u64> {
+        Ok(self.list_spills()?.last().map_or(0, |n| n + 1))
     }
 
-    /// Reads one sealed spill segment's block (see
-    /// [`LogDir::write_spill`]).
+    /// Reads one sealed spill segment's blocks, in the order
+    /// [`LogDir::write_spill`] was handed them.
     ///
     /// # Errors
     ///
     /// A damaged spill segment is a hard error: segments are written
     /// atomically and never appended to, so torn tails cannot happen.
-    pub fn read_spill(&self, stripe: u32, n: u64) -> io::Result<Vec<u8>> {
-        const DAMAGED: &str = "damaged spill segment";
-        let bytes = fs::read(self.root.join(spill_name(stripe, n)))?;
+    pub fn read_spill(&self, n: u64) -> io::Result<Vec<Vec<u8>>> {
+        let bytes = fs::read(self.root.join(spill_name(n)))?;
         let body = frame::strip_header(&bytes, magic::SPILL).map_err(corrupt)?;
-        let mut sections = read_sections(body, DAMAGED)?;
-        match sections.pop() {
-            Some(block) if sections.is_empty() => Ok(block),
-            _ => Err(corrupt(DAMAGED)),
-        }
+        read_sections(body, "damaged spill segment")
     }
 
     /// Atomically writes the clean-shutdown marker: proof that the WAL
@@ -480,6 +442,38 @@ impl LogDir {
         Ok(())
     }
 
+    /// The numbers `n` of the files named `<prefix><n><suffix>`,
+    /// ascending.
+    fn numbered(&self, prefix: &str, suffix: &str) -> io::Result<Vec<u64>> {
+        let mut out = Vec::new();
+        for entry in fs::read_dir(&self.root)? {
+            let name = entry?.file_name();
+            let number = name.to_str().and_then(|name| {
+                let rest = name.strip_prefix(prefix)?.strip_suffix(suffix)?;
+                rest.parse::<u64>().ok()
+            });
+            out.extend(number);
+        }
+        out.sort_unstable();
+        Ok(out)
+    }
+
+    /// Writes `sections` to `name` behind a `kind` header, each
+    /// compressed and framed by [`write_section`] as it arrives.
+    fn write_sections<S: AsRef<[u8]>>(
+        &self,
+        name: &str,
+        kind: [u8; 4],
+        sections: impl IntoIterator<Item = S>,
+    ) -> io::Result<()> {
+        let mut body = Vec::new();
+        frame::write_header(&mut body, kind);
+        for (i, section) in sections.into_iter().enumerate() {
+            write_section(&mut body, i as u64, section.as_ref());
+        }
+        self.write_atomic(name, &body)
+    }
+
     /// Writes `bytes` to `name` via temp + fsync + rename + dir fsync.
     fn write_atomic(&self, name: &str, bytes: &[u8]) -> io::Result<()> {
         let tmp = self.root.join(format!("{name}.tmp"));
@@ -505,8 +499,8 @@ impl LogDir {
     }
 }
 
-fn spill_name(stripe: u32, n: u64) -> String {
-    format!("spill-{stripe:04}-{n:08}.seg")
+fn spill_name(n: u64) -> String {
+    format!("spill-{n:08}.seg")
 }
 
 /// Appends `section`, compressed, to `body` as frames of at most
@@ -522,12 +516,12 @@ fn write_section(body: &mut Vec<u8>, index: u64, section: &[u8]) {
 }
 
 /// Reassembles and decompresses the sections [`write_section`] wrote
-/// into `body`, in index order. Anything but a clean run of frames
-/// whose indices count up from zero, each section a block
+/// into `body`, in index order. Anything but a clean, non-empty run of
+/// frames whose indices count up from zero, each section a block
 /// [`lz::decompress`] accepts, is `damaged`.
 fn read_sections(body: &[u8], damaged: &'static str) -> io::Result<Vec<Vec<u8>>> {
     let scanned = frame::scan(body);
-    if scanned.end != ScanEnd::Clean {
+    if scanned.end != ScanEnd::Clean || scanned.frames.is_empty() {
         return Err(corrupt(damaged));
     }
     let mut sections: Vec<Vec<u8>> = Vec::new();
@@ -559,22 +553,16 @@ mod tests {
     #[test]
     fn header_round_trips_and_refuses_reinit() {
         let tmp = TempDir::new("logdir-header");
-        let _ = LogDir::create(tmp.path(), 17, b"layout").expect("create");
-        let (_, meta) = LogDir::open(tmp.path()).expect("open");
-        assert_eq!(
-            meta,
-            LogDirMeta {
-                streams: 17,
-                app_meta: b"layout".to_vec()
-            }
-        );
-        assert!(LogDir::create(tmp.path(), 17, b"layout").is_err());
+        let _ = LogDir::create(tmp.path(), b"layout").expect("create");
+        let (_, app_meta) = LogDir::open(tmp.path()).expect("open");
+        assert_eq!(app_meta, b"layout");
+        assert!(LogDir::create(tmp.path(), b"layout").is_err());
     }
 
     #[test]
     fn checkpoint_replace_is_atomic_and_readable() {
         let tmp = TempDir::new("logdir-ckpt");
-        let dir = LogDir::create(tmp.path(), 1, &[]).expect("create");
+        let dir = LogDir::create(tmp.path(), &[]).expect("create");
         assert_eq!(dir.read_checkpoint().expect("none yet"), None);
         dir.write_checkpoint(&[b"meta".to_vec(), b"stripe0".to_vec()])
             .expect("write");
@@ -601,7 +589,7 @@ mod tests {
     #[test]
     fn oversize_checkpoint_sections_chunk_and_reassemble() {
         let tmp = TempDir::new("logdir-ckpt-chunks");
-        let dir = LogDir::create(tmp.path(), 1, &[]).expect("create");
+        let dir = LogDir::create(tmp.path(), &[]).expect("create");
         let big = noise(CHECKPOINT_CHUNK * 2 + 123, 0x9e37_79b9_7f4a_7c15);
         let sections = vec![b"meta".to_vec(), big, Vec::new(), b"tail".to_vec()];
         dir.write_checkpoint(&sections).expect("write");
@@ -616,36 +604,38 @@ mod tests {
     #[test]
     fn wal_listing_and_deletion() {
         let tmp = TempDir::new("logdir-wal");
-        let dir = LogDir::create(tmp.path(), 2, &[]).expect("create");
+        let dir = LogDir::create(tmp.path(), &[]).expect("create");
         for generation in 0..3u64 {
-            for stream in 0..2u32 {
-                dir.open_wal_append(generation, stream).expect("open");
-            }
+            dir.open_wal_append(generation).expect("open");
         }
-        assert_eq!(dir.list_wal().expect("list").len(), 6);
+        // Foreign names that only look like log files are not listed.
+        for name in ["wal-00000007-0001.log", "wal-x.log", "wal-00000009.seg"] {
+            std::fs::write(tmp.path().join(name), b"").expect("write");
+        }
+        assert_eq!(dir.list_wal().expect("list"), vec![0, 1, 2]);
         dir.delete_wal_before(2).expect("delete");
-        assert_eq!(dir.list_wal().expect("list"), vec![(2, 0), (2, 1)]);
+        assert_eq!(dir.list_wal().expect("list"), vec![2]);
     }
 
     #[test]
     fn open_sweeps_stale_tmp_files() {
         let tmp = TempDir::new("logdir-tmp-sweep");
-        let _ = LogDir::create(tmp.path(), 1, &[]).expect("create");
+        let _ = LogDir::create(tmp.path(), &[]).expect("create");
         // Debris a crash mid-write_atomic would leave behind.
-        std::fs::write(tmp.path().join("spill-0000-00000000.seg.tmp"), b"torn").expect("write");
+        std::fs::write(tmp.path().join("spill-00000000.seg.tmp"), b"torn").expect("write");
         std::fs::write(tmp.path().join("checkpoint.tmp"), b"torn").expect("write");
         let (dir, _) = LogDir::open(tmp.path()).expect("open");
-        assert!(!tmp.path().join("spill-0000-00000000.seg.tmp").exists());
+        assert!(!tmp.path().join("spill-00000000.seg.tmp").exists());
         assert!(!tmp.path().join("checkpoint.tmp").exists());
         // The swept name is free again for a real spill.
-        dir.write_spill(0, 0, b"a").expect("spill");
-        assert_eq!(dir.list_spills().expect("list"), vec![(0, 0)]);
+        dir.write_spill(0, [b"a".to_vec()]).expect("spill");
+        assert_eq!(dir.list_spills().expect("list"), vec![0]);
     }
 
     #[test]
     fn clean_marker_round_trips_and_removes() {
         let tmp = TempDir::new("logdir-clean");
-        let dir = LogDir::create(tmp.path(), 1, &[]).expect("create");
+        let dir = LogDir::create(tmp.path(), &[]).expect("create");
         assert_eq!(dir.read_clean_marker().expect("absent"), None);
         let marker = CleanMarker {
             next_seq: 42,
@@ -662,7 +652,7 @@ mod tests {
     #[test]
     fn malformed_clean_marker_reads_as_absent() {
         let tmp = TempDir::new("logdir-clean-bad");
-        let dir = LogDir::create(tmp.path(), 1, &[]).expect("create");
+        let dir = LogDir::create(tmp.path(), &[]).expect("create");
         std::fs::write(tmp.path().join("clean"), b"garbage").expect("write");
         assert_eq!(dir.read_clean_marker().expect("lenient"), None);
     }
@@ -673,13 +663,59 @@ mod tests {
         // writing its header leaves a short (even empty) file; recovery
         // must see zero frames, not a hard error.
         let tmp = TempDir::new("logdir-short-wal");
-        let dir = LogDir::create(tmp.path(), 1, &[]).expect("create");
-        std::fs::write(dir.wal_path(3, 0), b"").expect("empty");
-        let scanned = dir.read_wal(3, 0).expect("lenient");
-        assert!(scanned.frames.is_empty());
-        assert_eq!(scanned.end, ScanEnd::Truncated);
-        std::fs::write(dir.wal_path(4, 0), b"SLw").expect("partial header");
-        assert!(dir.read_wal(4, 0).expect("lenient").frames.is_empty());
+        let dir = LogDir::create(tmp.path(), &[]).expect("create");
+        let no_frames = |_: u64, _: &[u8]| -> io::Result<()> { panic!("a frame") };
+        std::fs::write(dir.wal_path(3), b"").expect("empty");
+        assert_eq!(
+            dir.read_wal(3, no_frames).expect("lenient"),
+            ScanEnd::Truncated
+        );
+        std::fs::write(dir.wal_path(4), b"SLw").expect("partial header");
+        assert_eq!(
+            dir.read_wal(4, no_frames).expect("lenient"),
+            ScanEnd::Truncated
+        );
+    }
+
+    /// Reading a generation a chunk at a time yields what a scan of the
+    /// whole file does — intact, torn on and past a chunk boundary, or
+    /// damaged past the first chunk — with frames straddling every
+    /// boundary and one larger than a chunk.
+    #[test]
+    fn wal_read_in_chunks_equals_a_whole_file_scan() {
+        let tmp = TempDir::new("logdir-wal-chunks");
+        let dir = LogDir::create(tmp.path(), &[]).expect("create");
+        let mut file = Vec::new();
+        frame::write_header(&mut file, magic::WAL);
+        for seq in 0..1_000u64 {
+            let len = match seq {
+                100 => WAL_READ_CHUNK + 3,
+                _ => (seq * 7 % 900) as usize,
+            };
+            frame::write_frame(&mut file, seq, &vec![seq as u8; len]);
+        }
+        assert!(file.len() > 2 * WAL_READ_CHUNK);
+        let mut flipped = file.clone();
+        flipped[WAL_READ_CHUNK + 100] ^= 0x04;
+        let cases = [
+            &file[..],
+            &file[..WAL_READ_CHUNK],
+            &file[..WAL_READ_CHUNK + 5],
+            &file[..file.len() - 1],
+            &flipped[..],
+        ];
+        for (i, bytes) in cases.into_iter().enumerate() {
+            std::fs::write(dir.wal_path(0), bytes).expect("write");
+            let mut frames = Vec::new();
+            let end = dir.read_wal(0, |seq, body| {
+                let body = body.to_vec();
+                frames.push(frame::Frame { seq, body });
+                Ok(())
+            });
+            let whole = frame::scan(&bytes[frame::HEADER_LEN..]);
+            assert_eq!(end.expect("read"), whole.end, "case {i}");
+            assert!(frames == whole.frames, "case {i}: {} frames", frames.len());
+        }
     }
 
     #[test]
@@ -701,7 +737,7 @@ mod tests {
     #[test]
     fn open_with_corrupt_header_is_a_clean_error() {
         let tmp = TempDir::new("logdir-bad-header");
-        let _ = LogDir::create(tmp.path(), 1, &[]).expect("create");
+        let _ = LogDir::create(tmp.path(), &[]).expect("create");
         std::fs::write(tmp.path().join("header"), b"XXXXXXXXXXXX").expect("damage");
         let err = LogDir::open(tmp.path()).expect_err("bad magic");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
@@ -713,13 +749,13 @@ mod tests {
     #[test]
     fn directory_disappearing_mid_use_is_a_clean_error() {
         let tmp = TempDir::new("logdir-vanish");
-        let dir = LogDir::create(tmp.path(), 1, &[]).expect("create");
+        let dir = LogDir::create(tmp.path(), &[]).expect("create");
         std::fs::remove_dir_all(tmp.path()).expect("vanish");
         assert!(dir.list_wal().is_err());
         assert!(dir.list_spills().is_err());
         assert!(dir.write_checkpoint(&[b"meta".to_vec()]).is_err());
-        assert!(dir.next_spill_numbers(1).is_err());
-        assert!(dir.write_spill(0, 0, b"a").is_err());
+        assert!(dir.next_spill_number().is_err());
+        assert!(dir.write_spill(0, [b"a".to_vec()]).is_err());
         assert!(dir.disk_bytes().is_err());
         // Reopening also fails cleanly, and leaves no recreated state.
         assert!(LogDir::open(tmp.path()).is_err());
@@ -734,7 +770,7 @@ mod tests {
         // actually denied.
         use std::os::unix::fs::PermissionsExt as _;
         let tmp = TempDir::new("logdir-perms");
-        let dir = LogDir::create(tmp.path(), 1, &[]).expect("create");
+        let dir = LogDir::create(tmp.path(), &[]).expect("create");
         dir.write_checkpoint(&[b"meta".to_vec()]).expect("ckpt");
         let lock = |path: &Path| {
             std::fs::set_permissions(path, std::fs::Permissions::from_mode(0o000)).expect("chmod")
@@ -758,59 +794,63 @@ mod tests {
     }
 
     #[test]
-    fn spill_segments_are_numbered_per_stripe() {
+    fn spill_segments_are_numbered_per_pass() {
         let tmp = TempDir::new("logdir-spill");
-        let dir = LogDir::create(tmp.path(), 1, &[]).expect("create");
-        // One listing numbers a whole pass; a stripe the listing has
-        // never seen starts at 0, one past the layout is ignored.
-        assert_eq!(dir.next_spill_numbers(4).expect("next"), vec![0; 4]);
-        dir.write_spill(0, 0, b"a").expect("spill");
-        dir.write_spill(0, 1, b"bc").expect("spill");
-        dir.write_spill(3, 0, b"d").expect("spill");
-        dir.write_spill(9, 5, b"e").expect("spill");
+        let dir = LogDir::create(tmp.path(), &[]).expect("create");
+        // One number per segment, whatever it holds: the next is one
+        // past the highest present, gaps included.
+        assert_eq!(dir.next_spill_number().expect("next"), 0);
+        let blocks = |parts: &[&[u8]]| parts.iter().map(|p| p.to_vec()).collect::<Vec<_>>();
+        dir.write_spill(0, blocks(&[b"a"])).expect("spill");
+        dir.write_spill(1, blocks(&[b"bc", b"", b"d"]))
+            .expect("spill");
+        dir.write_spill(5, blocks(&[b"e"])).expect("spill");
+        assert_eq!(dir.list_spills().expect("list"), vec![0, 1, 5]);
+        assert_eq!(dir.next_spill_number().expect("next"), 6);
         assert_eq!(
-            dir.list_spills().expect("list"),
-            vec![(0, 0), (0, 1), (3, 0), (9, 5)]
+            dir.read_spill(1).expect("read"),
+            blocks(&[b"bc", b"", b"d"])
         );
-        assert_eq!(dir.next_spill_numbers(4).expect("next"), vec![2, 0, 0, 1]);
-        assert_eq!(dir.read_spill(0, 1).expect("read"), b"bc");
         assert!(dir.disk_bytes().expect("bytes") > 0);
     }
 
     #[test]
     fn spill_block_larger_than_one_chunk_round_trips() {
         let tmp = TempDir::new("logdir-spill-chunks");
-        let dir = LogDir::create(tmp.path(), 1, &[]).expect("create");
+        let dir = LogDir::create(tmp.path(), &[]).expect("create");
         let block = noise(CHECKPOINT_CHUNK + 4567, 7);
-        dir.write_spill(2, 7, &block).expect("spill");
-        assert_eq!(dir.read_spill(2, 7).expect("read"), block);
+        dir.write_spill(7, [block.clone()]).expect("spill");
+        assert_eq!(
+            dir.read_spill(7).expect("read"),
+            std::slice::from_ref(&block)
+        );
         // One envelope per chunk of the compressed block, none per record.
         let mut packed = Vec::new();
         lz::compress(&block, &mut packed);
         assert!(packed.len() > CHECKPOINT_CHUNK, "noise does not shrink");
-        let len = std::fs::metadata(tmp.path().join(spill_name(2, 7)))
+        let len = std::fs::metadata(tmp.path().join(spill_name(7)))
             .expect("segment")
             .len() as usize;
         assert_eq!(
             len,
             frame::HEADER_LEN + packed.len() + 2 * (frame::FRAME_OVERHEAD + 8)
         );
-        // An empty block is still a segment with one (empty) section.
-        dir.write_spill(2, 8, &[]).expect("empty spill");
-        assert_eq!(dir.read_spill(2, 8).expect("read"), Vec::<u8>::new());
+        // An empty block is still a section of its own.
+        dir.write_spill(8, [Vec::new()]).expect("empty spill");
+        assert_eq!(dir.read_spill(8).expect("read"), [Vec::<u8>::new()]);
     }
 
     #[test]
     fn damaged_spill_segment_is_a_hard_error() {
         let tmp = TempDir::new("logdir-spill-damage");
-        let dir = LogDir::create(tmp.path(), 1, &[]).expect("create");
+        let dir = LogDir::create(tmp.path(), &[]).expect("create");
         let block: Vec<u8> = (0..600u32).map(|i| (i % 251) as u8).collect();
-        dir.write_spill(0, 0, &block).expect("spill");
-        let path = tmp.path().join(spill_name(0, 0));
+        dir.write_spill(0, [block.clone()]).expect("spill");
+        let path = tmp.path().join(spill_name(0));
         let pristine = std::fs::read(&path).expect("read segment");
         let damaged = |bytes: &[u8]| {
             std::fs::write(&path, bytes).expect("damage");
-            let err = dir.read_spill(0, 0).expect_err("damage must not read");
+            let err = dir.read_spill(0).expect_err("damage must not read");
             assert_eq!(err.kind(), io::ErrorKind::InvalidData);
             err.to_string()
         };
@@ -821,7 +861,8 @@ mod tests {
             flipped[at] ^= 0x10;
             assert_eq!(damaged(&flipped), "damaged spill segment", "byte {at}");
         }
-        // A short file, a header alone, and a second section.
+        // A short file, a header alone, and a section whose index
+        // skips one.
         assert_eq!(
             damaged(&pristine[..pristine.len() - 3]),
             "damaged spill segment"
@@ -830,11 +871,11 @@ mod tests {
             damaged(&pristine[..frame::HEADER_LEN]),
             "damaged spill segment"
         );
-        let mut two = pristine.clone();
-        frame::write_frame(&mut two, 1, b"stowaway");
-        assert_eq!(damaged(&two), "damaged spill segment");
+        let mut skipped = pristine.clone();
+        frame::write_frame(&mut skipped, 2, b"stowaway");
+        assert_eq!(damaged(&skipped), "damaged spill segment");
         std::fs::write(&path, &pristine).expect("restore");
-        assert_eq!(dir.read_spill(0, 0).expect("read"), block);
+        assert_eq!(dir.read_spill(0).expect("read"), [block]);
     }
 
     #[test]
@@ -842,7 +883,7 @@ mod tests {
         use crate::disk::FaultyDisk;
         let tmp = TempDir::new("logdir-clean-sync");
         let disk = Arc::new(FaultyDisk::scripted(Vec::new()));
-        let dir = LogDir::create(tmp.path(), 1, &[])
+        let dir = LogDir::create(tmp.path(), &[])
             .expect("create")
             .with_io(Arc::clone(&disk) as Arc<_>);
         dir.write_clean_marker(CleanMarker {

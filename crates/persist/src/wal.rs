@@ -1,5 +1,6 @@
 //! The write-ahead log: a bounded-queue, single-writer append log over
-//! N numbered streams with generation rotation.
+//! N in-memory streams with generation rotation, one file per
+//! generation on disk.
 //!
 //! Callers append `(stream, body)` pairs through [`WalHandle::append`],
 //! which assigns a global monotone sequence number and encodes the
@@ -7,24 +8,28 @@
 //! a dedicated writer thread over a bounded channel once [`STAGE_BYTES`]
 //! accrue (group commit — one send and one writer wakeup per ~32 KiB,
 //! not per record), so the ingest path never touches the filesystem.
-//! The writer batches whatever is queued, coalesces each stream's
-//! frames into one write, and fsyncs per the configured [`FsyncPolicy`]
-//! — the touched files, and the directory too whenever the pass created
-//! a generation file (a file's bytes are only as durable as its name),
-//! before the durability watermark moves or a flush is acknowledged.
+//! Streams are a concurrency device: they let ingest threads stage
+//! without sharing a lock. The writer owns one open file, the
+//! generation's `wal-<gen>.log`: it appends whatever a pass drained in
+//! arrival order with **one write**, and fsyncs per the configured
+//! [`FsyncPolicy`] — **one file**, and the directory too whenever the
+//! pass created the generation file (a file's bytes are only as durable
+//! as its name), before the durability watermark moves or a flush is
+//! acknowledged.
 //!
 //! Ordering guarantee: sequence numbers are assigned under the stream's
 //! staging lock, staged buffers only ever append, the channel send of a
 //! filled stage happens **while that lock is still held**, and the
 //! channel is FIFO into a single writer, so the frames of any one
-//! stream land on disk in strictly increasing sequence order — even
-//! when a flush/rotate drain races a threshold-crossing append.
-//! Recovery leans on this for duplicate suppression (per-stream
-//! `last_seen` high-water marks).
+//! stream land in the file in strictly increasing sequence order — even
+//! when a flush/rotate drain races a threshold-crossing append. Frames
+//! of different streams interleave in send order. Recovery leans on the
+//! per-stream order for duplicate suppression (per-stream `last_seen`
+//! high-water marks, the stream derived from each record).
 //!
-//! Rotation ([`WalHandle::rotate`]) flushes and closes every open
-//! generation file and bumps the generation counter; checkpointing uses
-//! it to bound how much log recovery must replay.
+//! Rotation ([`WalHandle::rotate`]) flushes and closes the generation
+//! file and bumps the generation counter; checkpointing uses it to
+//! bound how much log recovery must replay.
 //!
 //! # Fault handling
 //!
@@ -49,7 +54,6 @@
 
 use crate::frame;
 use crate::log::LogDir;
-use std::collections::HashMap;
 use std::fs::File;
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -65,8 +69,8 @@ pub enum FsyncPolicy {
     /// slowest.
     Always,
     /// Group commit: drain the queue, write everything, and fsync the
-    /// dirty files once [`SYNC_INTERVAL`] has elapsed since their first
-    /// unsynced write (and always on flush, rotation, and shutdown).
+    /// file once [`SYNC_INTERVAL`] has elapsed since its first unsynced
+    /// write (and always on flush, rotation, and shutdown).
     /// The default: a crash loses at most the staged tail (up to
     /// [`STAGE_BYTES`] per stream), the writer queue, and the last
     /// [`SYNC_INTERVAL`] of written-but-unsynced frames.
@@ -79,7 +83,8 @@ pub enum FsyncPolicy {
 /// Configuration for [`WalHandle::open`].
 #[derive(Debug, Clone)]
 pub struct WalConfig {
-    /// Number of log streams (store stripes + 1 meta stream).
+    /// Number of staging streams (store stripes + 1 meta stream); on
+    /// disk they share one file per generation.
     pub streams: u32,
     /// Fsync policy for the writer thread.
     pub fsync: FsyncPolicy,
@@ -152,12 +157,8 @@ fn writer_gone() -> io::Error {
 }
 
 enum Msg {
-    Frame {
-        stream: u32,
-        bytes: Vec<u8>,
-        frames: u64,
-        max_at: u64,
-    },
+    /// Staged frames, of one stream or (from a drain) of every stream.
+    Frame(Stage),
     Flush(SyncSender<io::Result<()>>),
     Rotate {
         ack: SyncSender<io::Result<u64>>,
@@ -177,10 +178,11 @@ enum Msg {
 pub const STAGE_BYTES: usize = 32 * 1024;
 
 /// How long written frames may sit unsynced under
-/// [`FsyncPolicy::Batch`]. An fsync costs ~100µs per touched stream
-/// file; syncing on a deadline instead of per drained batch caps that
-/// cost at `streams / SYNC_INTERVAL` per second no matter the ingest
-/// rate, in exchange for a crash-loss window of this duration.
+/// [`FsyncPolicy::Batch`]. An fsync of the generation file costs
+/// ~100µs; syncing on a deadline instead of per drained batch caps that
+/// cost at one fsync per `SYNC_INTERVAL` no matter the ingest rate or
+/// the stream count, in exchange for a crash-loss window of this
+/// duration.
 pub const SYNC_INTERVAL: std::time::Duration = std::time::Duration::from_millis(5);
 
 /// How many times the writer attempts one batch write before declaring
@@ -195,13 +197,23 @@ const RETRY_CAP: Duration = Duration::from_millis(50);
 /// meaningfully better than writes that fail).
 const SYNC_FAILURE_LIMIT: u32 = 3;
 
-/// One stream's staging buffer plus the bookkeeping that rides with it
-/// to the writer.
+/// Staged frames plus the bookkeeping that rides with them to the
+/// writer: a stream's staging buffer, a drain's message, and the
+/// writer's pending write are each one.
 #[derive(Default)]
 struct Stage {
     buf: Vec<u8>,
     frames: u64,
     max_at: u64,
+}
+
+impl Stage {
+    /// Moves `other`'s frames to the end of this one.
+    fn absorb(&mut self, other: &mut Stage) {
+        self.buf.append(&mut other.buf);
+        self.frames += std::mem::take(&mut other.frames);
+        self.max_at = self.max_at.max(std::mem::take(&mut other.max_at));
+    }
 }
 
 /// Handle to the append log. Cloneable via `Arc`; dropping the last
@@ -304,7 +316,6 @@ impl WalHandle {
             .appended_bytes
             .fetch_add((stage.buf.len() - before) as u64, Ordering::Relaxed);
         if stage.buf.len() >= self.stage_bytes {
-            let full = std::mem::take(&mut *stage);
             // Send while the stage lock is still held: two senders on
             // one stream (a second threshold crossing, or a concurrent
             // flush/rotate drain) must enqueue in seq-assignment order,
@@ -312,34 +323,26 @@ impl WalHandle {
             // skip the overtaken lower-seq frames. A full queue merely
             // extends this critical section (backpressure); the writer
             // thread never takes stage locks, so it cannot deadlock.
-            self.send(Msg::Frame {
-                stream,
-                bytes: full.buf,
-                frames: full.frames,
-                max_at: full.max_at,
-            })?;
+            self.send(Msg::Frame(std::mem::take(&mut *stage)))?;
         }
         Ok(seq)
     }
 
-    /// Hands every non-empty staging buffer to the writer, in stream
-    /// order. Each send happens under the stream's stage lock so it
-    /// serializes against concurrent appends' sends — see `append`.
+    /// Hands every staging buffer to the writer as **one** message, in
+    /// stream order, so a flush lands in one write. The send happens
+    /// under every stage lock (taken in stream order, as no append holds
+    /// two) so it serializes against concurrent appends' sends — see
+    /// `append`.
     fn drain_stages(&self) -> io::Result<()> {
-        for (stream, stage) in self.stages.iter().enumerate() {
-            let mut stage = unpoisoned(stage);
-            if stage.buf.is_empty() {
-                continue;
-            }
-            let full = std::mem::take(&mut *stage);
-            self.send(Msg::Frame {
-                stream: stream as u32,
-                bytes: full.buf,
-                frames: full.frames,
-                max_at: full.max_at,
-            })?;
+        let mut stages: Vec<_> = self.stages.iter().map(unpoisoned).collect();
+        let mut all = Stage::default();
+        for stage in &mut stages {
+            all.absorb(stage);
         }
-        Ok(())
+        if all.buf.is_empty() {
+            return Ok(());
+        }
+        self.send(Msg::Frame(all))
     }
 
     /// The next sequence number that [`WalHandle::append`] will assign.
@@ -347,7 +350,7 @@ impl WalHandle {
         self.next_seq.load(Ordering::Relaxed)
     }
 
-    /// Writes out everything queued and fsyncs every touched file.
+    /// Writes out everything queued and fsyncs the generation file.
     ///
     /// # Errors
     ///
@@ -361,8 +364,8 @@ impl WalHandle {
         done.recv().map_err(|_| writer_gone())?
     }
 
-    /// Flushes, fsyncs, and closes every open generation file, then
-    /// advances to the next generation. Returns the *new* generation.
+    /// Flushes, fsyncs, and closes the generation file, then advances
+    /// to the next generation. Returns the *new* generation.
     ///
     /// # Errors
     ///
@@ -421,7 +424,7 @@ impl Drop for WalHandle {
     }
 }
 
-/// An open generation file plus the byte length known to hold only
+/// The open generation file plus the byte length known to hold only
 /// whole, successfully written batches — the truncation point that
 /// makes a failed partial write retryable.
 struct OpenFile {
@@ -432,13 +435,13 @@ struct OpenFile {
 struct WriterState {
     dir: LogDir,
     generation: u64,
-    /// Open generation files, keyed by stream.
-    files: HashMap<u32, OpenFile>,
-    /// Streams written since the last fsync.
-    dirty: Vec<u32>,
-    /// A generation file was opened (so, in a fresh generation,
-    /// created) since the last directory fsync: its *name* is not
-    /// durable yet, whatever its bytes are.
+    /// The generation's file, opened (so, in a fresh generation,
+    /// created) on its first write.
+    file: Option<OpenFile>,
+    /// Written since the last fsync.
+    dirty: bool,
+    /// The generation file was opened since the last directory fsync:
+    /// its *name* is not durable yet, whatever its bytes are.
     dir_dirty: bool,
     /// Max op time among frames written since the last fully successful
     /// fsync pass; folded into `stats.durable_at` when one completes.
@@ -470,30 +473,40 @@ impl WriterState {
             .fetch_add(bytes as u64, Ordering::Relaxed);
     }
 
-    fn enter_degraded(&mut self) {
-        self.degraded = true;
-        // Close every file: written-but-unsynced frames may or may not
-        // reach disk, so they must not advance the durability
-        // watermark, and nothing touches the filesystem again until a
-        // revive.
-        self.files.clear();
-        self.dirty.clear();
+    /// Forgets the file and everything unsynced: nothing written since
+    /// the last fsync may advance the durability watermark.
+    fn close(&mut self) {
+        self.file = None;
+        self.dirty = false;
         self.dir_dirty = false;
         self.unsynced_max_at = 0;
         self.sync_failures = 0;
+    }
+
+    fn enter_degraded(&mut self) {
+        self.degraded = true;
+        // Written-but-unsynced frames may or may not reach disk, and
+        // nothing touches the filesystem again until a revive.
+        self.close();
         self.stats.degraded.store(true, Ordering::Release);
     }
 
-    fn write_frame(&mut self, stream: u32, bytes: &[u8], frames: u64, max_at: u64) {
+    /// Appends a pass's frames with one write, retried a bounded number
+    /// of times before the log degrades.
+    fn write(&mut self, pending: &mut Stage) {
+        let batch = std::mem::take(pending);
+        if batch.buf.is_empty() {
+            return;
+        }
         if self.degraded {
-            self.drop_frames(frames, bytes.len());
+            self.drop_frames(batch.frames, batch.buf.len());
             return;
         }
         let mut delay = RETRY_BASE;
         for attempt in 0..WRITE_RETRIES {
-            match self.try_write(stream, bytes) {
+            match self.try_write(&batch.buf) {
                 Ok(()) => {
-                    self.unsynced_max_at = self.unsynced_max_at.max(max_at);
+                    self.unsynced_max_at = self.unsynced_max_at.max(batch.max_at);
                     return;
                 }
                 Err(failure) => {
@@ -510,41 +523,33 @@ impl WriterState {
                 }
             }
         }
-        self.drop_frames(frames, bytes.len());
+        self.drop_frames(batch.frames, batch.buf.len());
         self.enter_degraded();
     }
 
-    fn try_write(&mut self, stream: u32, bytes: &[u8]) -> Result<(), WriteFailure> {
-        let open = match self.files.entry(stream) {
-            std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-            std::collections::hash_map::Entry::Vacant(slot) => {
+    fn try_write(&mut self, bytes: &[u8]) -> Result<(), WriteFailure> {
+        // Nothing was appended past a known-good point; the open (header
+        // write included) is idempotent.
+        let restored = |err| WriteFailure {
+            err,
+            tail_restored: true,
+        };
+        let open = match &mut self.file {
+            Some(open) => open,
+            None => {
                 let file = self
                     .dir
-                    .open_wal_append(self.generation, stream)
-                    .map_err(|err| WriteFailure {
-                        err,
-                        // Nothing was appended past a known-good point;
-                        // the open (header write included) is
-                        // idempotent.
-                        tail_restored: true,
-                    })?;
+                    .open_wal_append(self.generation)
+                    .map_err(restored)?;
                 self.dir_dirty = true;
-                let good_len = file
-                    .metadata()
-                    .map(|m| m.len())
-                    .map_err(|err| WriteFailure {
-                        err,
-                        tail_restored: true,
-                    })?;
-                slot.insert(OpenFile { file, good_len })
+                let good_len = file.metadata().map_err(restored)?.len();
+                self.file.insert(OpenFile { file, good_len })
             }
         };
         match self.dir.io().write_all(&mut open.file, bytes) {
             Ok(()) => {
                 open.good_len += bytes.len() as u64;
-                if !self.dirty.contains(&stream) {
-                    self.dirty.push(stream);
-                }
+                self.dirty = true;
                 Ok(())
             }
             Err(err) => {
@@ -552,45 +557,35 @@ impl WriterState {
                 // known-good frame boundary so a retry appends cleanly.
                 let tail_restored = open.file.set_len(open.good_len).is_ok();
                 if !tail_restored {
-                    self.files.remove(&stream);
+                    self.file = None;
                 }
                 Err(WriteFailure { err, tail_restored })
             }
         }
     }
 
-    /// Writes each stream's coalesced frame bytes in one `write(2)`.
-    /// Frames arrive ~100 bytes each; a drained batch of thousands
-    /// would otherwise cost a syscall apiece.
-    fn write_coalesced(&mut self, pending: &mut Vec<PendingWrite>) {
-        for write in pending.drain(..) {
-            self.write_frame(write.stream, &write.bytes, write.frames, write.max_at);
-        }
-    }
-
-    fn sync_dirty(&mut self) {
+    fn sync(&mut self) {
         if self.degraded {
-            self.dirty.clear();
+            self.dirty = false;
             return;
         }
         let mut failed = false;
-        for stream in std::mem::take(&mut self.dirty) {
-            if let Some(open) = self.files.get(&stream) {
-                match self.dir.io().sync_data(&open.file) {
-                    Ok(()) => {
-                        self.stats.fsyncs.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Err(err) => {
-                        failed = true;
-                        self.note_error(err, "wal fsync");
-                    }
+        let dirty = std::mem::take(&mut self.dirty);
+        if let Some(open) = self.file.as_ref().filter(|_| dirty) {
+            match self.dir.io().sync_data(&open.file) {
+                Ok(()) => {
+                    self.stats.fsyncs.fetch_add(1, Ordering::Relaxed);
+                }
+                Err(err) => {
+                    failed = true;
+                    self.note_error(err, "wal fsync");
                 }
             }
         }
-        // Once per batch of file creations (the first writes after a
-        // rotate), not per batch of frames: a synced file nobody can
-        // find by name holds nothing. It gates the watermark and the
-        // flush ack like any other fsync of the pass.
+        // Once per generation file (its first write after a rotate), not
+        // per batch of frames: a synced file nobody can find by name
+        // holds nothing. It gates the watermark and the flush ack like
+        // the file's own fsync.
         if self.dir_dirty {
             match self.dir.sync_dir() {
                 Ok(()) => {
@@ -639,13 +634,6 @@ struct WriteFailure {
     tail_restored: bool,
 }
 
-struct PendingWrite {
-    stream: u32,
-    bytes: Vec<u8>,
-    frames: u64,
-    max_at: u64,
-}
-
 fn writer_loop(
     dir: LogDir,
     config: WalConfig,
@@ -656,8 +644,8 @@ fn writer_loop(
     let mut state = WriterState {
         dir,
         generation,
-        files: HashMap::new(),
-        dirty: Vec::new(),
+        file: None,
+        dirty: false,
         dir_dirty: false,
         unsynced_max_at: 0,
         sync_failures: 0,
@@ -668,11 +656,10 @@ fn writer_loop(
     // Batch loop: block for one message (or, with unsynced writes
     // outstanding under the Batch policy, until the group-commit
     // deadline), then opportunistically drain the queue. Within a
-    // batch, consecutive frames of the same stream are concatenated so
-    // each stream costs one write per batch, not one per frame —
-    // channel FIFO order within a stream is preserved because frames
-    // only ever append to that stream's buffer.
-    let mut pending: Vec<PendingWrite> = Vec::new();
+    // batch the frames are concatenated in arrival order, so a pass
+    // costs one write, not one per message — and channel FIFO order,
+    // which each stream's order rides on, is the file's order.
+    let mut pending = Stage::default();
     // Deadline for the oldest written-but-unsynced frame (Batch only).
     let mut sync_deadline: Option<Instant> = None;
     loop {
@@ -681,7 +668,7 @@ fn writer_loop(
                 match rx.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
                     Ok(msg) => msg,
                     Err(RecvTimeoutError::Timeout) => {
-                        state.sync_dirty();
+                        state.sync();
                         sync_deadline = None;
                         continue;
                     }
@@ -699,41 +686,24 @@ fn writer_loop(
         }
         for msg in batch {
             match msg {
-                Msg::Frame {
-                    stream,
-                    bytes,
-                    frames,
-                    max_at,
-                } => {
-                    match pending.iter_mut().find(|w| w.stream == stream) {
-                        Some(write) => {
-                            write.bytes.extend_from_slice(&bytes);
-                            write.frames += frames;
-                            write.max_at = write.max_at.max(max_at);
-                        }
-                        None => pending.push(PendingWrite {
-                            stream,
-                            bytes,
-                            frames,
-                            max_at,
-                        }),
-                    }
+                Msg::Frame(mut frames) => {
+                    pending.absorb(&mut frames);
                     if config.fsync == FsyncPolicy::Always {
-                        state.write_coalesced(&mut pending);
-                        state.sync_dirty();
+                        state.write(&mut pending);
+                        state.sync();
                     }
                 }
                 Msg::Flush(ack) => {
-                    state.write_coalesced(&mut pending);
-                    state.sync_dirty();
+                    state.write(&mut pending);
+                    state.sync();
                     sync_deadline = None;
                     let _ = ack.send(state.take_error());
                 }
                 Msg::Rotate { ack } => {
-                    state.write_coalesced(&mut pending);
-                    state.sync_dirty();
+                    state.write(&mut pending);
+                    state.sync();
                     sync_deadline = None;
-                    state.files.clear();
+                    state.file = None;
                     state.generation += 1;
                     let result = state.take_error().map(|()| state.generation);
                     let _ = ack.send(result);
@@ -742,12 +712,8 @@ fn writer_loop(
                     // Anything still queued from the degraded window is
                     // dropped with it; the caller's follow-up
                     // checkpoint captures those ops from memory.
-                    state.write_coalesced(&mut pending);
-                    state.files.clear();
-                    state.dirty.clear();
-                    state.dir_dirty = false;
-                    state.unsynced_max_at = 0;
-                    state.sync_failures = 0;
+                    state.write(&mut pending);
+                    state.close();
                     state.generation += 1;
                     state.degraded = false;
                     state.pending_error = None;
@@ -757,11 +723,11 @@ fn writer_loop(
                 }
             }
         }
-        state.write_coalesced(&mut pending);
-        if config.fsync == FsyncPolicy::Batch && !state.dirty.is_empty() {
+        state.write(&mut pending);
+        if config.fsync == FsyncPolicy::Batch && state.dirty {
             match sync_deadline {
                 Some(deadline) if Instant::now() >= deadline => {
-                    state.sync_dirty();
+                    state.sync();
                     sync_deadline = None;
                 }
                 Some(_) => {}
@@ -771,8 +737,8 @@ fn writer_loop(
     }
     // Channel closed: final drain for Never-policy durability on clean
     // shutdown.
-    state.write_coalesced(&mut pending);
-    state.sync_dirty();
+    state.write(&mut pending);
+    state.sync();
 }
 
 #[cfg(test)]
@@ -782,8 +748,8 @@ mod tests {
     use crate::frame::{magic, scan, strip_header};
     use crate::tempdir::TempDir;
 
-    fn read_stream(dir: &LogDir, generation: u64, stream: u32) -> Vec<(u64, Vec<u8>)> {
-        let bytes = std::fs::read(dir.wal_path(generation, stream)).expect("read wal");
+    fn read_generation(dir: &LogDir, generation: u64) -> Vec<(u64, Vec<u8>)> {
+        let bytes = std::fs::read(dir.wal_path(generation)).expect("read wal");
         let body = strip_header(&bytes, magic::WAL).expect("header");
         scan(body)
             .frames
@@ -793,9 +759,9 @@ mod tests {
     }
 
     #[test]
-    fn appends_land_in_stream_files_in_seq_order() {
+    fn appends_of_every_stream_land_in_one_file_in_seq_order() {
         let tmp = TempDir::new("wal-appends");
-        let dir = LogDir::create(tmp.path(), 2, &[]).expect("create");
+        let dir = LogDir::create(tmp.path(), &[]).expect("create");
         let wal = WalHandle::open(
             &dir,
             WalConfig {
@@ -811,10 +777,16 @@ mod tests {
                 .expect("append");
         }
         wal.flush().expect("flush");
-        for stream in 0..2u32 {
-            let frames = read_stream(&dir, 0, stream);
-            assert_eq!(frames.len(), 5);
-            let seqs: Vec<u64> = frames.iter().map(|(s, _)| *s).collect();
+        assert_eq!(dir.list_wal().expect("list"), vec![0], "one file");
+        let frames = read_generation(&dir, 0);
+        assert_eq!(frames.len(), 10);
+        for stream in 0..2u64 {
+            // Each body is its append index, so its parity is its stream.
+            let seqs: Vec<u64> = (frames.iter())
+                .filter(|(_, body)| u64::from_le_bytes(body[..].try_into().unwrap()) % 2 == stream)
+                .map(|(s, _)| *s)
+                .collect();
+            assert_eq!(seqs.len(), 5);
             let mut sorted = seqs.clone();
             sorted.sort_unstable();
             assert_eq!(seqs, sorted, "stream {stream} seqs must be increasing");
@@ -824,15 +796,15 @@ mod tests {
     #[test]
     fn rotation_closes_old_generation() {
         let tmp = TempDir::new("wal-rotate");
-        let dir = LogDir::create(tmp.path(), 1, &[]).expect("create");
+        let dir = LogDir::create(tmp.path(), &[]).expect("create");
         let wal = WalHandle::open(&dir, WalConfig::default(), 0, 100).expect("open");
         wal.append(0, b"before", 0).expect("append");
         let new_gen = wal.rotate().expect("rotate");
         assert_eq!(new_gen, 1);
         wal.append(0, b"after", 0).expect("append");
         wal.flush().expect("flush");
-        assert_eq!(read_stream(&dir, 0, 0), vec![(100, b"before".to_vec())]);
-        assert_eq!(read_stream(&dir, 1, 0), vec![(101, b"after".to_vec())]);
+        assert_eq!(read_generation(&dir, 0), vec![(100, b"before".to_vec())]);
+        assert_eq!(read_generation(&dir, 1), vec![(101, b"after".to_vec())]);
     }
 
     #[test]
@@ -840,7 +812,7 @@ mod tests {
         let tmp = TempDir::new("wal-dir-sync");
         // A healthy disk that counts what it is asked to do.
         let disk = Arc::new(FaultyDisk::scripted(Vec::new()));
-        let dir = LogDir::create(tmp.path(), 2, &[])
+        let dir = LogDir::create(tmp.path(), &[])
             .expect("create")
             .with_io(Arc::clone(&disk) as Arc<_>);
         // `Never`: the writer syncs on flush and rotate only, so the
@@ -857,17 +829,15 @@ mod tests {
         )
         .expect("open");
         assert_eq!((disk.written(), disk.dir_syncs()), (0, 0));
-        // The first append of each stream creates its generation file;
-        // by the time the flush is acknowledged the directory has been
-        // synced — once for both, not once per file or per batch.
+        // The first append creates the generation file, which both
+        // streams share; by the time the flush is acknowledged the file
+        // and the directory have each been synced once.
         wal.append(0, b"a", 1).expect("append");
         wal.append(1, b"b", 2).expect("append");
         wal.flush().expect("flush");
-        assert!(
-            disk.written() > 0,
-            "the files were created through this disk"
-        );
+        assert!(disk.written() > 0, "the file was created through this disk");
         assert_eq!(disk.dir_syncs(), 1);
+        assert_eq!(wal.stats().fsyncs.load(Ordering::Relaxed), 2);
         assert_eq!(wal.durable_at(), 2);
         // More frames into files that already have names: no new sync.
         wal.append(0, b"c", 3).expect("append");
@@ -879,13 +849,13 @@ mod tests {
         wal.append(1, b"d", 4).expect("append");
         wal.flush().expect("flush");
         assert_eq!(disk.dir_syncs(), 2);
-        assert_eq!(dir.list_wal().expect("list"), vec![(0, 0), (0, 1), (1, 1)]);
+        assert_eq!(dir.list_wal().expect("list"), vec![0, 1]);
     }
 
     #[test]
     fn drop_drains_the_queue() {
         let tmp = TempDir::new("wal-drop");
-        let dir = LogDir::create(tmp.path(), 1, &[]).expect("create");
+        let dir = LogDir::create(tmp.path(), &[]).expect("create");
         {
             let wal = WalHandle::open(
                 &dir,
@@ -901,7 +871,7 @@ mod tests {
                 wal.append(0, &i.to_le_bytes(), 0).expect("append");
             }
         }
-        assert_eq!(read_stream(&dir, 0, 0).len(), 100);
+        assert_eq!(read_generation(&dir, 0).len(), 100);
     }
 
     #[test]
@@ -912,7 +882,7 @@ mod tests {
         // recovery's monotone floor then silently drops. Always-fsync
         // sends every append immediately, the tightest interleaving.
         let tmp = TempDir::new("wal-race");
-        let dir = LogDir::create(tmp.path(), 1, &[]).expect("create");
+        let dir = LogDir::create(tmp.path(), &[]).expect("create");
         let wal = WalHandle::open(
             &dir,
             WalConfig {
@@ -940,7 +910,7 @@ mod tests {
             });
         });
         wal.flush().expect("final flush");
-        let seqs: Vec<u64> = read_stream(&dir, 0, 0).iter().map(|(s, _)| *s).collect();
+        let seqs: Vec<u64> = read_generation(&dir, 0).iter().map(|(s, _)| *s).collect();
         assert_eq!(seqs.len(), WRITERS * PER_WRITER);
         assert!(
             seqs.windows(2).all(|w| w[0] < w[1]),
@@ -951,7 +921,7 @@ mod tests {
     #[test]
     fn stats_count_appends() {
         let tmp = TempDir::new("wal-stats");
-        let dir = LogDir::create(tmp.path(), 1, &[]).expect("create");
+        let dir = LogDir::create(tmp.path(), &[]).expect("create");
         let wal = WalHandle::open(&dir, WalConfig::default(), 0, 0).expect("open");
         wal.append(0, b"x", 10).expect("append");
         wal.append(0, b"y", 7).expect("append");
@@ -975,7 +945,7 @@ mod tests {
             from: 8,
             to: u64::MAX,
         }]));
-        let dir = LogDir::create(tmp.path(), 1, &[])
+        let dir = LogDir::create(tmp.path(), &[])
             .expect("create")
             .with_io(disk);
         let wal = WalHandle::open(
@@ -1012,7 +982,7 @@ mod tests {
             from: 8,
             to: 59,
         }]));
-        let dir = LogDir::create(tmp.path(), 1, &[])
+        let dir = LogDir::create(tmp.path(), &[])
             .expect("create")
             .with_io(Arc::clone(&disk) as Arc<_>);
         let wal = WalHandle::open(
@@ -1036,7 +1006,7 @@ mod tests {
         assert_eq!(wal.durable_at(), 9);
         // The dropped frame consumed seq 0; the survivor is seq 1 in
         // the fresh generation.
-        assert_eq!(read_stream(&dir, 1, 0), vec![(1, b"y".to_vec())]);
+        assert_eq!(read_generation(&dir, 1), vec![(1, b"y".to_vec())]);
         assert!(disk.injected() >= WRITE_RETRIES as u64);
     }
 
@@ -1048,7 +1018,7 @@ mod tests {
             from: 0,
             to: u64::MAX,
         }]));
-        let dir = LogDir::create(tmp.path(), 1, &[])
+        let dir = LogDir::create(tmp.path(), &[])
             .expect("create")
             .with_io(disk);
         let wal = WalHandle::open(

@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
 # Crash-recovery smoke for the verify path: runs the torn-write fault
-# matrix (truncated tail, torn frame, bit rot, duplicated tail record),
-# the compact-then-crash-then-recover sequence, the checkpoint/tail
+# matrix (truncated tail, torn frame, bit rot, duplicated tail record,
+# among four stripes' and the meta stream's frames interleaved in one
+# generation file), the on-disk layout (one WAL file per generation,
+# one spill segment per compaction pass, one unlink per covered
+# generation), the compact-then-crash-then-recover sequence, the checkpoint/tail
 # interplay (tests/persistence.rs), the durable live/engine recovery
 # twins (crates/core), a restart on a store closed with a region
 # degraded (the first success closes the carried episode without a new
@@ -20,8 +23,11 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== recovery smoke: torn-write fault matrix =="
+echo "== recovery smoke: torn-write fault matrix, streams interleaved in one file =="
 scripts/one_test.sh --test persistence fault_matrix_recovery_keeps_the_surviving_prefix
+
+echo "== recovery smoke: one file per durable event =="
+scripts/one_test.sh --test persistence one_file_per_durable_event
 
 echo "== recovery smoke: compact, crash, recover =="
 scripts/one_test.sh --test persistence compact_then_crash_then_recover_loses_nothing

@@ -296,7 +296,10 @@ fn a_running_service_shows_an_outage_in_statz() {
     );
 
     // Stopped mid-outage, `finish`'s report is the document's regions
-    // summed, and no manager is left to hold a queue.
+    // summed, and no manager is left to hold a queue: what each parked
+    // is abandoned, and counted.
+    let parked = json_u64(status, "pending");
+    let abandoned_before = json_u64(status, "probes_abandoned");
     let (_, report) = driver.finish();
     let after = statz(&store, now);
     let (mut trips, mut retries, mut abandoned, mut panics) = (0, 0, 0, 0);
@@ -313,6 +316,10 @@ fn a_running_service_shows_an_outage_in_statz() {
         }
         let queues = (json_u64(status, "pending"), json_u64(status, "orphans"));
         assert_eq!(queues, (0, 0), "{region}: {status}");
+        if region == hit {
+            let abandoned = json_u64(status, "probes_abandoned");
+            assert_eq!(abandoned, abandoned_before + parked, "{status}");
+        }
     }
     assert!(report.breaker_trips >= 1 && report.retries_issued > 0);
     assert_eq!(trips, report.breaker_trips, "{after}");
@@ -642,8 +649,7 @@ type TickWrites = Vec<(u64, u64, u64, bool)>;
 
 /// One quiet testbed day (seed 47) on a `LiveDriver` over a durable store
 /// on `io` at `dir`, flushed after every tick — so each tick's ops reach
-/// the disk at a known position, in one write per stream, in stream
-/// order. A tick whose flush fails leaves the writer's surrender for the
+/// the disk at a known position, in one write. A tick whose flush fails leaves the writer's surrender for the
 /// next tick to observe.
 fn faulty_disk_day(dir: &std::path::Path, io: &Arc<FaultyDisk>) -> (DataStore, Cloud, TickWrites) {
     let opts = DurableOptions {
@@ -681,40 +687,35 @@ fn durable_live_run_degrades_and_heals_on_a_faulty_disk() {
     let dir = tmp.path().join("healthy");
     let (store, _, per_tick) = faulty_disk_day(&dir, &Arc::new(FaultyDisk::scripted(Vec::new())));
     drop(store);
-    // Every frame on disk: its stream and length, by sequence number.
+    // Every frame on disk: its length, by sequence number.
     let (log, _) = LogDir::open(&dir).expect("open");
     let mut frames = std::collections::BTreeMap::new();
-    for (generation, stream) in log.list_wal().expect("list") {
-        let path = log.wal_path(generation, stream);
+    for generation in log.list_wal().expect("list") {
+        let path = log.wal_path(generation);
         let file = std::fs::read(&path).expect("read");
         let body = frame::strip_header(&file, frame::magic::WAL).expect("a WAL file");
         let spans = fault::frame_spans(&path).expect("spans");
         for (f, (start, end)) in frame::scan(body).frames.iter().zip(&spans[1..]) {
-            frames.insert(f.seq, (stream, (end - start) as u64));
+            frames.insert(f.seq, (end - start) as u64);
         }
     }
 
-    // Mid-run, a tick that creates no WAL file, before one that records:
-    // a window twice its flush's first write long, plus a byte, fails
-    // that write's three attempts and is used up by them. The writer
-    // surrenders in the flush; the next tick's first append observes it
-    // and is dropped; that tick's tend heals.
-    let (from, first_write) = (per_tick.len() / 2..per_tick.len() - 1)
+    // Mid-run, a tick that records but creates no WAL file, before one
+    // that records: a window twice its flush's one write long, plus a
+    // byte, fails that write's three attempts and is used up by them.
+    // The writer surrenders in the flush; the next tick's first append
+    // observes it and is dropped; that tick's tend heals.
+    let (from, write) = (per_tick.len() / 2..per_tick.len() - 1)
         .find_map(|n| {
             let ((first, next, at, created), (after, end, _, _)) = (per_tick[n], per_tick[n + 1]);
-            let tick = || (first..next).map(|seq| frames[&seq]);
-            let stream = tick().map(|(stream, _)| stream).min()?;
-            let len: u64 = tick()
-                .filter(|&(s, _)| s == stream)
-                .map(|(_, len)| len)
-                .sum();
-            (!created && end > after).then_some((at, len))
+            let len: u64 = (first..next).map(|seq| frames[&seq]).sum();
+            (!created && len > 0 && end > after).then_some((at, len))
         })
         .expect("a quiet tick before a busy one");
     let io = Arc::new(FaultyDisk::scripted(vec![FaultWindow {
         kind: FaultKind::WriteEnospc,
         from,
-        to: from + 2 * first_write + 1,
+        to: from + 2 * write + 1,
     }]));
     let dir = tmp.path().join("faulty");
     let (store, cloud, _) = faulty_disk_day(&dir, &io);

@@ -92,51 +92,90 @@ fn assert_same_summaries(got: &DataStore, want: &DataStore, markets: &[MarketId]
     }
 }
 
+/// One op of the fault matrix's script, as the store and its twin take
+/// it.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    Probe(ProbeRecord),
+    Degraded(Region, SimTime),
+}
+
+impl Op {
+    fn apply(self, store: &DataStore) {
+        match self {
+            Op::Probe(p) => _ = store.record_probe(p),
+            Op::Degraded(region, at) => store.mark_region_degraded(region, at),
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     // The fault matrix: truncated tail, torn frame, bit rot, and a
-    // duplicated tail record, each at a generated position. Whatever
-    // prefix of operations survives the damage, the recovered store
-    // must equal a never-crashed store that saw exactly that prefix.
+    // duplicated tail record, each at a generated position, in the one
+    // file of a generation that four stripes and the meta stream share.
+    // Whatever prefix of the file survives the damage, the recovered
+    // store must equal a never-crashed store that saw exactly the ops of
+    // that prefix.
     #[test]
     fn fault_matrix_recovery_keeps_the_surviving_prefix(
         n_ops in 2u64..30,
         fault_pick in 0u8..4,
         where_pick in any::<u64>(),
     ) {
-        let m = market(0);
+        const STRIPES: usize = 4;
+        let layout = || DataStore::with_layout(STRIPES, SimDuration::from_secs(3600));
+        let markets: Vec<MarketId> = (0..8).map(|i| wide_market(i * 7)).collect();
+        // Sequence numbers are issued in this order: op `k` is seq `k`.
+        let ops: Vec<Op> = (0..n_ops)
+            .flat_map(|i| {
+                let probe = Op::Probe(probe_at(i, markets[i as usize % markets.len()]));
+                let degraded = (i == n_ops / 2)
+                    .then(|| Op::Degraded(Region::EuWest1, SimTime::from_secs(i * 60)));
+                std::iter::once(probe).chain(degraded)
+            })
+            .collect();
         let tmp = TempDir::new("fault-matrix");
         let dir = tmp.path().join("store");
         let store = DataStore::create_durable_with_layout(
             &dir,
             opts(),
-            1,
+            STRIPES,
             SimDuration::from_secs(3600),
         )
         .unwrap();
-        for i in 0..n_ops {
-            store.record_probe(probe_at(i, m));
+        // A flush every three ops hands the writer a few streams at a
+        // time: the file interleaves the streams.
+        for (k, op) in ops.iter().enumerate() {
+            op.apply(&store);
+            if k % 3 == 2 {
+                store.flush().unwrap();
+            }
         }
         store.flush().unwrap();
         drop(store);
 
-        // One stripe, one market: every op is a frame in stream 0 of
-        // generation 0, in sequence order.
+        // Every op is a frame of generation 0's one file, in the order
+        // the writer received them.
         let (log, _) = LogDir::open(&dir).unwrap();
-        let wal = log.wal_path(0, 0);
+        prop_assert_eq!(log.list_wal().unwrap(), vec![0]);
+        let wal = log.wal_path(0);
         let spans = fault::frame_spans(&wal).unwrap();
-        prop_assert_eq!(spans.len() as u64, n_ops + 1); // header + frames
+        prop_assert_eq!(spans.len(), ops.len() + 1); // header + frames
         let frames = spans.len() - 1;
+        let file = std::fs::read(&wal).unwrap();
+        let body = frame::strip_header(&file, frame::magic::WAL).unwrap();
+        let in_file: Vec<u64> = frame::scan(body).frames.iter().map(|f| f.seq).collect();
 
-        // Damage the log; `survivors` is how many ops must remain.
+        // Damage the log; `survivors` is how many frames must remain.
         let survivors = match fault_pick {
             0 => {
                 // Truncation at a frame boundary (possibly no-op).
                 let keep = (where_pick % (frames as u64 + 1)) as usize;
                 let end = if keep == 0 { spans[0].1 } else { spans[keep].1 };
                 fault::truncate_at(&wal, end as u64).unwrap();
-                keep as u64
+                keep
             }
             1 => {
                 // A torn frame: the file ends mid-frame j.
@@ -144,42 +183,147 @@ proptest! {
                 let (s, e) = spans[j];
                 let cut = s + 1 + (where_pick % (e - s - 1) as u64) as usize;
                 fault::truncate_at(&wal, cut as u64).unwrap();
-                (j - 1) as u64
+                j - 1
             }
             2 => {
                 // Bit rot inside frame j: j and everything after it is
                 // unreachable (the scan cannot trust frame boundaries
-                // past a bad CRC).
+                // past a bad CRC), whatever stream it belongs to.
                 let j = (where_pick % frames as u64) as usize + 1;
                 let (s, e) = spans[j];
                 let off = s + (where_pick % (e - s) as u64) as usize;
                 fault::corrupt_byte_at(&wal, off as u64, 0x20).unwrap();
-                (j - 1) as u64
+                j - 1
             }
             _ => {
                 // A retried append duplicated the tail record; replay
-                // deduplicates by sequence number.
+                // deduplicates by its stream's sequence floor.
                 prop_assert!(fault::duplicate_tail_frame(&wal).unwrap());
-                n_ops
+                frames
             }
         };
 
         let recovered = DataStore::recover(&dir).unwrap();
-        let twin = DataStore::with_layout(1, SimDuration::from_secs(3600));
-        for i in 0..survivors {
-            twin.record_probe(probe_at(i, m));
+        let mut kept = in_file[..survivors].to_vec();
+        kept.sort_unstable();
+        let twin = layout();
+        for &seq in &kept {
+            ops[seq as usize].apply(&twin);
         }
-        assert_same_summaries(&recovered, &twin, &[m]);
+        assert_same_summaries(&recovered, &twin, &markets);
+        prop_assert_eq!(recovered.degraded_regions(), twin.degraded_regions());
+        prop_assert_eq!(
+            recovered.region_health(Region::EuWest1),
+            twin.region_health(Region::EuWest1)
+        );
 
         // The reopened log must keep accepting appends (fresh
         // generation, so the damaged tail is never appended into) and
         // survive another recovery.
-        recovered.record_probe(probe_at(n_ops, m));
+        recovered.record_probe(probe_at(n_ops, markets[0]));
         recovered.flush().unwrap();
         drop(recovered);
         let again = DataStore::recover(&dir).unwrap();
-        prop_assert_eq!(again.len() as u64, survivors + 1);
+        prop_assert_eq!(again.len(), twin.len() + 1);
     }
+}
+
+/// On disk the store writes one file per durable event, whatever its
+/// stripe count: a generation is one WAL file for every stripe's stream
+/// and the meta stream, a compaction pass is one spill segment with a
+/// section per stripe, and a checkpoint unlinks one file per generation
+/// it covers.
+#[test]
+fn one_file_per_durable_event() {
+    const STRIPES: usize = 16;
+    let epoch = SimDuration::from_secs(3600);
+    let tmp = TempDir::new("one-file-per-event");
+    let dir = tmp.path().join("store");
+    let names = |prefix: &str| -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|name| name.starts_with(prefix))
+            .collect();
+        names.sort();
+        names
+    };
+    let twin = DataStore::with_layout(STRIPES, epoch);
+    // 400 markets spread over every stripe (the spill sections below
+    // prove it), plus the meta stream's ops.
+    let feed = |store: &DataStore, from: u64| {
+        for i in from..from + 400 {
+            store.record_probe(probe_at(i, wide_market(i as usize * 13)));
+        }
+        store.mark_region_degraded(Region::ApSoutheast2, SimTime::from_secs(from * 60));
+        store.mark_region_recovered(Region::ApSoutheast2, SimTime::from_secs(from * 60 + 600));
+        store.record_suppressed();
+    };
+    let store = DataStore::create_durable_with_layout(&dir, opts(), STRIPES, epoch).unwrap();
+    feed(&store, 0);
+    feed(&twin, 0);
+    store.flush().unwrap();
+    assert_eq!(
+        names("wal-"),
+        ["wal-00000000.log"],
+        "one file for 17 streams"
+    );
+
+    // A compaction that spills seals one segment, a section per stripe,
+    // each leading with its record count: every stripe had probes.
+    let before = SimTime::from_secs(200 * 60);
+    assert_eq!(store.compact(before), twin.compact(before));
+    let (log, _) = LogDir::open(&dir).unwrap();
+    assert_eq!(log.list_spills().unwrap(), vec![0]);
+    assert_eq!(names("spill-"), ["spill-00000000.seg"]);
+    let sections = log.read_spill(0).unwrap();
+    assert_eq!(sections.len(), STRIPES);
+    let counts: Vec<usize> = (sections.iter())
+        .map(|section| usize::decode(&mut Reader::new(section)).unwrap())
+        .collect();
+    assert!(
+        counts.iter().all(|&n| n > 0),
+        "a stripe without ops: {counts:?}"
+    );
+    assert_eq!(
+        counts.iter().sum::<usize>() as u64,
+        store.durability_stats().unwrap().spilled_records
+    );
+
+    // Two crashes, each recovered into a fresh generation that takes one
+    // more batch: three generations, three files.
+    drop(store);
+    for round in 1..3 {
+        let store = DataStore::recover(&dir).unwrap();
+        feed(&store, round * 400);
+        feed(&twin, round * 400);
+        store.flush().unwrap();
+    }
+    let store = DataStore::recover(&dir).unwrap();
+    assert_eq!(log.list_wal().unwrap(), vec![0, 1, 2]);
+    assert_eq!(names("wal-").len(), 3, "one file per generation");
+
+    // A second pass seals one more segment (replay brought back the
+    // first pass's records, which it seals again); the checkpoint then
+    // covers every generation and unlinks its one file each: none is
+    // left.
+    let before = SimTime::from_secs(1_000 * 60);
+    assert!(store.compact(before).dropped_probes > twin.compact(before).dropped_probes);
+    assert_eq!(log.list_spills().unwrap(), vec![0, 1]);
+    store.checkpoint().unwrap();
+    assert_eq!(names("wal-"), Vec::<String>::new());
+    assert_eq!(
+        names(""),
+        [
+            "checkpoint",
+            "header",
+            "spill-00000000.seg",
+            "spill-00000001.seg"
+        ]
+    );
+    drop(store);
+    let markets: Vec<MarketId> = (0..1_200).map(|i| wide_market(i * 13)).collect();
+    assert_same_summaries(&DataStore::recover(&dir).unwrap(), &twin, &markets);
 }
 
 /// The body (header stripped) of the first WAL generation a one-stripe
@@ -207,7 +351,7 @@ fn real_wal() -> &'static (Vec<u8>, Vec<usize>) {
         store.flush().unwrap();
         drop(store);
         let (log, _) = LogDir::open(&dir).unwrap();
-        let wal = log.wal_path(0, 0);
+        let wal = log.wal_path(0);
         let file = std::fs::read(&wal).unwrap();
         let body = frame::strip_header(&file, frame::magic::WAL)
             .unwrap()
@@ -457,7 +601,7 @@ proptest! {
             let (log, _) = LogDir::open(&dir).unwrap();
             let gens = log.list_wal().unwrap();
             prop_assert!(
-                gens.iter().all(|&(generation, _)| generation >= 1),
+                gens.iter().all(|&generation| generation >= 1),
                 "healed store still appending to generation 0: {gens:?}"
             );
         }
@@ -531,12 +675,17 @@ fn compact_then_crash_then_recover_loses_nothing() {
     assert_eq!(recovered.resident_records(), twin.resident_records());
 
     // The spill archive holds every record either compaction dropped:
-    // each segment is one block that leads with its record count.
+    // one segment per pass, each a section per stripe that leads with
+    // its record count.
     let (log, _) = LogDir::open(&dir).unwrap();
+    assert_eq!(log.list_spills().unwrap(), vec![0, 1]);
     let mut archived = 0u64;
-    for (stripe, n) in log.list_spills().unwrap() {
-        let block = log.read_spill(stripe, n).unwrap();
-        archived += usize::decode(&mut Reader::new(&block)).unwrap() as u64;
+    for n in log.list_spills().unwrap() {
+        let sections = log.read_spill(n).unwrap();
+        assert_eq!(sections.len(), 4, "segment {n}: a section per stripe");
+        for section in sections {
+            archived += usize::decode(&mut Reader::new(&section)).unwrap() as u64;
+        }
     }
     assert_eq!(
         archived,
@@ -615,7 +764,7 @@ fn checkpoint_with_torn_tail_recovers_through_the_snapshot() {
     // The post-checkpoint tail lives in generation 1; tear its final
     // frame.
     let (log, _) = LogDir::open(&dir).unwrap();
-    let wal = log.wal_path(1, 0);
+    let wal = log.wal_path(1);
     let spans = fault::frame_spans(&wal).unwrap();
     let &(s, e) = spans.last().unwrap();
     fault::truncate_at(&wal, (s + (e - s) / 2) as u64).unwrap();
@@ -635,7 +784,7 @@ fn checkpoint_with_torn_tail_recovers_through_the_snapshot() {
     let (log, _) = LogDir::open(&dir).unwrap();
     let gens = log.list_wal().unwrap();
     assert!(
-        gens.iter().all(|&(generation, _)| generation >= 2),
+        gens.iter().all(|&generation| generation >= 2),
         "second checkpoint prunes the replayed generations, got {gens:?}"
     );
     assert_same_summaries(&DataStore::recover(&dir).unwrap(), &twin, &[m]);
@@ -675,7 +824,7 @@ fn checkpoints_of_equal_stores_are_byte_identical() {
     // format 5.
     let tmp = TempDir::new("ckpt-bytes-raw");
     std::fs::write(tmp.path().join("checkpoint"), &first).unwrap();
-    LogDir::create(tmp.path(), 1, &[]).unwrap();
+    LogDir::create(tmp.path(), &[]).unwrap();
     let (log, _) = LogDir::open(tmp.path()).unwrap();
     let raw: usize = log
         .read_checkpoint()

@@ -588,9 +588,15 @@ fn service_checkpoint_and_spills_are_compressed() {
     let mut raw: usize = checkpoint.iter().map(Vec::len).sum();
     let file = |name: &str| std::fs::metadata(dir.join(name)).expect(name).len() as usize;
     let mut on_disk = file("checkpoint");
-    for (stripe, n) in spills {
-        raw += log.read_spill(stripe, n).expect("spill").len();
-        on_disk += file(&format!("spill-{stripe:04}-{n:08}.seg"));
+    for n in spills {
+        let sections = log.read_spill(n).expect("spill");
+        assert_eq!(
+            sections.len(),
+            spotlight_core::store::DEFAULT_STRIPES,
+            "segment {n}"
+        );
+        raw += sections.iter().map(Vec::len).sum::<usize>();
+        on_disk += file(&format!("spill-{n:08}.seg"));
     }
     let ratio = on_disk as f64 / raw as f64;
     assert!(
