@@ -41,10 +41,14 @@
 //!    sequenced, so `next_seq` still splits them into "inside the
 //!    capture" and "replayed". (The lock-free suppressed counter has
 //!    its own argument below.)
+//!    It counts the spill segments under the compaction lock with it:
+//!    the capture holds a pass's drop exactly when the count holds its
+//!    segment.
 //! 3. *Write.* It encodes the captured state with no lock held and
-//!    writes the checkpoint — `next_seq` and the floor in its meta
-//!    section, a `CheckpointMeta` record, then one section per stripe —
-//!    atomically (temp + fsync + rename + dir fsync).
+//!    writes the checkpoint — `next_seq`, the floor and the spill count
+//!    in its meta section, a `CheckpointMeta` record, then one section
+//!    per stripe, its raw slabs in the slab form (below) — atomically
+//!    (temp + fsync + rename + dir fsync).
 //! 4. *Prune.* Only then does it delete every generation below the
 //!    floor: one unlink per generation, one file each.
 //!
@@ -75,6 +79,19 @@
 //! generations below the floor that recovery skips and the next
 //! checkpoint deletes. Every case recovers exactly.
 //!
+//! # The slab form
+//!
+//! A checkpoint's stripe sections and the spill archive's (a segment
+//! per compaction pass, a section per stripe: `count ++` its doomed
+//! records) write a stripe's `probes` and `spikes` slabs in one form,
+//! each record in slab order. Within a section a record's `at` is the
+//! zigzag delta from the previous record of its slab; a `market` or a
+//! trigger's `origin` is `0 ++ MarketId` the first time and its table
+//! index + 1 after that; a trigger ratio bit-equal to the record's
+//! `spot_ratio` (NaN and -0.0 stay exact) is a flag on the trigger's
+//! tag. The WAL keeps context-free frames: a torn tail must leave a
+//! decodable prefix.
+//!
 //! # Recovery
 //!
 //! [`DataStore::recover`] rebuilds the store: decode the last
@@ -89,6 +106,11 @@
 //! unsynced tail: a prefix of the write order across all streams.
 //! Recovery never appends to scanned files: it reopens the log at a
 //! fresh generation.
+//!
+//! First it deletes the spill segments the checkpoint does not account
+//! for (all of them without one): sealed after the capture by a
+//! compaction that synced the log first, their records come back
+//! through the replay, and the next compaction seals them once.
 //!
 //! # Degraded durability and healing
 //!
@@ -143,11 +165,11 @@ use crate::durability::{DurabilityMachine, Event, Io};
 use crate::probe::{ProbeKind, ProbeOutcome, ProbeRecord, ProbeTrigger, UnavailabilityInterval};
 use crate::shared::{ChunkVec, CowVec};
 use crate::store::{
-    stripe_index, DataStore, EpochCell, EpochSeries, IntrinsicBidRecord, KeyState, ProbeStats,
-    RegionHealth, RevocationRecord, SpikeEvent, Stripe,
+    stripe_index, DataStore, EpochCell, EpochSeries, FxHashMap, IntrinsicBidRecord, KeyState,
+    ProbeStats, RegionHealth, RevocationRecord, SpikeEvent, Stripe,
 };
 use crate::sync::RwLock;
-use cloud_sim::ids::Region;
+use cloud_sim::ids::{MarketId, Region};
 use cloud_sim::time::{SimDuration, SimTime};
 use spotlight_persist::log::{CleanMarker, LogDir};
 use spotlight_persist::wal::{WalConfig, WalHandle};
@@ -253,7 +275,8 @@ pub(crate) struct DurableSink {
     /// Serializes durable compaction passes: spill-then-drop releases
     /// the stripe lock between snapshot and drop, so two concurrent
     /// `compact` calls could otherwise seal the same records twice and
-    /// race each other's prefix drop.
+    /// race each other's prefix drop. A checkpoint counts the spill
+    /// segments and captures under it (module docs).
     pub(crate) compact_lock: crate::sync::Mutex<()>,
     /// Held for one transition or a stats read, never across IO.
     machine: crate::sync::Mutex<DurabilityMachine>,
@@ -522,6 +545,8 @@ struct CheckpointMeta {
     suppressed_probes: u64,
     next_seq: u64,
     floor: u64,
+    /// Spill segments the capture accounts for: those numbered below.
+    spills: u64,
     region_health: BTreeMap<Region, RegionHealth>,
 }
 
@@ -540,12 +565,189 @@ record_codec! {
         stats, intervals, open, closed_intervals, rejection_times, last_informative, epochs,
         disordered,
     }
-    Stripe {
-        probes, spikes, spike_ratios_by_epoch, intervals, keys, od_rejections_by_region,
-        revocations, intrinsic_bids,
-    }
     CheckpointMeta {
-        recorded_probes, total_cost_micros, suppressed_probes, next_seq, floor, region_health,
+        recorded_probes, total_cost_micros, suppressed_probes, next_seq, floor, spills,
+        region_health,
+    }
+}
+
+/// The flag a slab sets on a trigger's tag byte in place of a ratio
+/// bit-equal to its record's `spot_ratio`.
+const RATIO_ELIDED: u8 = 0x80;
+
+/// A section's market table (module docs, "The slab form"), in order of
+/// first use: the writer's references, the reader's list.
+#[derive(Default)]
+struct Markets {
+    index: FxHashMap<MarketId, usize>,
+    list: Vec<MarketId>,
+}
+
+impl Markets {
+    fn put(&mut self, market: MarketId, out: &mut Vec<u8>) {
+        let next = self.index.len() + 1;
+        match *self.index.entry(market).or_insert(next) {
+            i if i == next => (0usize, market).encode(out),
+            i => i.encode(out),
+        }
+    }
+
+    fn take(&mut self, r: &mut Reader<'_>) -> Result<MarketId, DecodeError> {
+        match usize::decode(r)? {
+            0 => MarketId::decode(r).inspect(|&market| self.list.push(market)),
+            i => (self.list.get(i - 1).copied()).ok_or(DecodeError::Invalid("market reference")),
+        }
+    }
+
+    /// The tag (the trigger table's, which writes the others), flagged
+    /// if the ratio is left out, the origin's reference, the ratio.
+    fn put_trigger(&mut self, trigger: ProbeTrigger, spot: f64, out: &mut Vec<u8>) {
+        let (tag, origin) = match trigger {
+            ProbeTrigger::PriceSpike { .. } => (0, None),
+            ProbeTrigger::FamilyFanout { origin, .. } => (1, Some(origin)),
+            ProbeTrigger::CrossAzFanout { origin, .. } => (2, Some(origin)),
+            ProbeTrigger::CrossVerify { origin } => (5, Some(origin)),
+            plain => return plain.encode(out),
+        };
+        // Bit equality keeps a NaN's payload and a zero's sign.
+        let ratio = trigger.spike_ratio();
+        let elided = ratio.is_some_and(|r| r.to_bits() == spot.to_bits());
+        out.push(if elided { tag | RATIO_ELIDED } else { tag });
+        if let Some(origin) = origin {
+            self.put(origin, out);
+        }
+        if let Some(ratio) = ratio.filter(|_| !elided) {
+            ratio.encode(out);
+        }
+    }
+
+    fn take_trigger(&mut self, spot: f64, r: &mut Reader<'_>) -> Result<ProbeTrigger, DecodeError> {
+        let Some(tag @ (0 | 1 | 2 | 5)) = r.peek().map(|tag| tag & !RATIO_ELIDED) else {
+            // Refuses a flag on the others, as any tag it does not list.
+            return ProbeTrigger::decode(r);
+        };
+        let elided = u8::decode(r)? != tag;
+        let origin = (tag != 0).then(|| self.take(r)).transpose()?;
+        let ratio = (!elided && tag != 5).then(|| f64::decode(r)).transpose()?;
+        let ratio = ratio.unwrap_or(spot);
+        Ok(match (tag, origin) {
+            (0, _) => ProbeTrigger::PriceSpike { ratio },
+            (1, Some(origin)) => ProbeTrigger::FamilyFanout {
+                origin,
+                origin_ratio: ratio,
+            },
+            (2, Some(origin)) => ProbeTrigger::CrossAzFanout {
+                origin,
+                origin_ratio: ratio,
+            },
+            (_, Some(origin)) if !elided => ProbeTrigger::CrossVerify { origin },
+            _ => return Err(DecodeError::Invalid("probe trigger tag")),
+        })
+    }
+}
+
+/// Writes a probe slab, then a spike slab: each its length, then its
+/// records in the slab form.
+fn write_slabs<'a>(
+    probes: impl Iterator<Item = &'a ProbeRecord> + Clone,
+    spikes: impl Iterator<Item = &'a SpikeEvent> + Clone,
+    out: &mut Vec<u8>,
+) {
+    let (mut markets, mut prev) = (Markets::default(), 0);
+    probes.clone().count().encode(out);
+    for p in probes {
+        put_delta(&mut prev, p.at, out);
+        markets.put(p.market, out);
+        (p.kind, p.outcome).encode(out);
+        p.spot_ratio.encode(out);
+        markets.put_trigger(p.trigger, p.spot_ratio, out);
+        (p.bid, p.cost).encode(out);
+    }
+    prev = 0;
+    spikes.clone().count().encode(out);
+    for s in spikes {
+        put_delta(&mut prev, s.at, out);
+        markets.put(s.market, out);
+        (s.ratio, s.probed).encode(out);
+    }
+}
+
+/// Reads what [`write_slabs`] wrote.
+fn read_slabs(
+    r: &mut Reader<'_>,
+) -> Result<(ChunkVec<ProbeRecord>, ChunkVec<SpikeEvent>), DecodeError> {
+    let (mut markets, mut prev) = (Markets::default(), 0);
+    let (mut probes, mut spikes) = (ChunkVec::default(), ChunkVec::default());
+    for _ in 0..usize::decode(r)? {
+        let (at, market) = (take_delta(&mut prev, r)?, markets.take(r)?);
+        let (kind, outcome) = Decode::decode(r)?;
+        let spot_ratio = f64::decode(r)?;
+        probes.push(ProbeRecord {
+            at,
+            market,
+            kind,
+            outcome,
+            spot_ratio,
+            trigger: markets.take_trigger(spot_ratio, r)?,
+            bid: Decode::decode(r)?,
+            cost: Decode::decode(r)?,
+        });
+    }
+    prev = 0;
+    for _ in 0..usize::decode(r)? {
+        spikes.push(SpikeEvent {
+            at: take_delta(&mut prev, r)?,
+            market: markets.take(r)?,
+            ratio: f64::decode(r)?,
+            probed: bool::decode(r)?,
+        });
+    }
+    Ok((probes, spikes))
+}
+
+/// Writes `at` as the zigzag delta from the previous record's time in
+/// its slab. Times are below 2^63 s, so every delta fits an `i64`.
+fn put_delta(prev: &mut u64, at: SimTime, out: &mut Vec<u8>) {
+    let delta = at.as_secs().wrapping_sub(*prev) as i64;
+    (((delta << 1) ^ (delta >> 63)) as u64).encode(out);
+    *prev = at.as_secs();
+}
+
+/// Reads what [`put_delta`] wrote; a delta that leaves `u64` is refused.
+fn take_delta(prev: &mut u64, r: &mut Reader<'_>) -> Result<SimTime, DecodeError> {
+    let zigzag = u64::decode(r)?;
+    let delta = (zigzag >> 1) as i64 ^ -((zigzag & 1) as i64);
+    *prev = (prev.checked_add_signed(delta)).ok_or(DecodeError::Invalid("time delta"))?;
+    Ok(SimTime::from_secs(*prev))
+}
+
+/// A checkpoint's stripe section: its raw slabs in the slab form, then
+/// the rest in its record form.
+impl Encode for Stripe {
+    fn encode(&self, out: &mut Vec<u8>) {
+        write_slabs(self.probes.iter(), self.spikes.iter(), out);
+        self.spike_ratios_by_epoch.encode(out);
+        self.intervals.encode(out);
+        self.keys.encode(out);
+        self.od_rejections_by_region.encode(out);
+        self.revocations.encode(out);
+        self.intrinsic_bids.encode(out);
+    }
+}
+
+impl Decode for Stripe {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let (probes, spikes) = read_slabs(r)?;
+        Ok(Stripe {
+            probes,
+            spikes,
+            spike_ratios_by_epoch: Decode::decode(r)?,
+            intervals: Decode::decode(r)?,
+            keys: Decode::decode(r)?,
+            od_rejections_by_region: Decode::decode(r)?,
+            revocations: Decode::decode(r)?,
+            intrinsic_bids: Decode::decode(r)?,
+        })
     }
 }
 
@@ -586,15 +788,16 @@ fn decode_stripe(section: &[u8]) -> Result<Stripe, DecodeError> {
 /// Seals every raw record of `stripes` older than `before` into **one**
 /// spill segment and returns each stripe's slab lengths
 /// `(probes, spikes)` as its section saw them: the prefix the caller may
-/// drop. A stripe's section is the `Vec<StoreOp>` wire form, `count ++
-/// ops`, probes then spikes, encoded under its read lock; the segment is
-/// written with no lock held, so ingest and reads proceed during the
-/// disk IO.
+/// drop. The log is flushed first, so each sealed record is also in the
+/// checkpoint or the synced log (module docs, "Recovery"). A stripe's
+/// section is `count ++` its doomed probes and spikes in the slab form,
+/// encoded under its read lock; the segment is written with no lock
+/// held, so ingest and reads proceed during the disk IO.
 ///
 /// `None` — the caller keeps **every** stripe's slabs — if there is
-/// nothing to seal, or the directory cannot be listed or the segment
-/// written (counted in the error record): spill-then-drop is the
-/// no-data-loss invariant of durable compaction.
+/// nothing to seal, or the log cannot be flushed, the directory listed
+/// or the segment written (counted in the error record): spill-then-drop
+/// is the no-data-loss invariant of durable compaction.
 pub(crate) fn spill(
     sink: &DurableSink,
     stripes: &[RwLock<Stripe>],
@@ -606,20 +809,20 @@ pub(crate) fn spill(
     if !stripes.iter().any(|stripe| doomed(&stripe.read())) {
         return None;
     }
+    sink.wal.flush().ok()?;
     let mut lens = Vec::with_capacity(stripes.len());
     let mut records = 0;
     let sections = stripes.iter().map(|stripe| {
         let s = stripe.read();
         lens.push((s.probes.len(), s.spikes.len()));
-        let probes = || s.probes.iter().filter(|p| p.at < before);
-        let spikes = || s.spikes.iter().filter(|sp| sp.at < before);
+        let probes = s.probes.iter().filter(|p| p.at < before);
+        let spikes = s.spikes.iter().filter(|sp| sp.at < before);
         // Counted first: the count leads the section, and sizes it.
-        let count = probes().count() + spikes().count();
+        let count = probes.clone().count() + spikes.clone().count();
         records += count as u64;
-        let mut section = Vec::with_capacity(1 + count * 32);
+        let mut section = Vec::with_capacity(2 + count * 16);
         count.encode(&mut section);
-        probes().for_each(|p| StoreOp::Probe(*p).encode(&mut section));
-        spikes().for_each(|sp| StoreOp::Spike(*sp).encode(&mut section));
+        write_slabs(probes, spikes, &mut section);
         section
     });
     let written = sink.dir.next_spill_number();
@@ -718,6 +921,7 @@ impl DataStore {
         // 1. The checkpoint, if one was ever completed.
         let mut next_seq = 0u64;
         let mut min_gen = 0u64;
+        let mut spills = 0u64;
         let mut checkpoint_loaded = false;
         if let Some(sections) = log.read_checkpoint()? {
             checkpoint_loaded = true;
@@ -727,6 +931,7 @@ impl DataStore {
             let meta = CheckpointMeta::from_bytes(&sections[0]).map_err(bad_data)?;
             next_seq = meta.next_seq;
             min_gen = meta.floor;
+            spills = meta.spills;
             *store.recorded_probes.get_mut() = meta.recorded_probes;
             *store.total_cost_micros.get_mut() = meta.total_cost_micros;
             *store.suppressed_probes.get_mut() = meta.suppressed_probes;
@@ -735,6 +940,10 @@ impl DataStore {
                 *store.stripes[i].write() = decode_stripe(section).map_err(bad_data)?;
             }
         }
+        // A segment the checkpoint does not account for was sealed after
+        // its capture: the replay below brings its records back, and the
+        // next compaction seals them once.
+        log.delete_spills_from(spills)?;
 
         // 2. Replay the log tail — unless a clean-shutdown marker
         // proves the tail holds nothing past the checkpoint. The marker
@@ -866,14 +1075,21 @@ impl DataStore {
         let floor = d.wal.rotate()?;
         d.current_gen.store(floor, Ordering::Relaxed);
         // Ops sequenced before `next_seq` are inside the capture,
-        // everything at or after it is replayed on recovery.
+        // everything at or after it is replayed on recovery. The spill
+        // segments are counted under the compaction lock, so no pass
+        // seals or drops between the count and the capture.
+        let compacting = d.compact_lock.lock();
+        let spills = d.dir.next_spill_number();
+        let spills = spills.inspect_err(|err| d.wal.stats().record_error(err, "checkpoint"))?;
         let (captured, next_seq) = self.capture(|| d.wal.next_seq());
+        drop(compacting);
         let meta = CheckpointMeta {
             recorded_probes: captured.recorded_probes,
             total_cost_micros: captured.total_cost_micros,
             suppressed_probes: captured.suppressed_probes,
             next_seq,
             floor,
+            spills,
             region_health: captured.region_health,
         };
         // Encoded with no lock held; each clone goes as soon as it is
@@ -1328,6 +1544,7 @@ mod tests {
             suppressed_probes: 321,
             next_seq: 4_300_000_000,
             floor: 17,
+            spills: 300,
             region_health: one((
                 Region::ApSoutheast2,
                 RegionHealth {
@@ -1361,7 +1578,10 @@ mod tests {
     /// hand-written `Encode`/`Decode` pair per record), so a field list
     /// or tag table that drifts from that wire order fails here. Format
     /// 5 compressed the sections these records sit in, not a record
-    /// byte, so the file kept its bytes and its name. It is regenerated
+    /// byte, so the file kept its bytes and its name. Format 7 rewrote
+    /// its two checkpoint-only lines, `stripe` (its slabs in the slab
+    /// form) and `checkpoint_meta` (its spill count); every WAL record
+    /// line and `key_state` kept its bytes. It is regenerated
     /// (`FORMAT4_GOLDEN_WRITE=1 cargo test -p spotlight-core
     /// format4_golden`) only together with a `FORMAT_VERSION` bump that
     /// changes a record's encoding.
@@ -1753,6 +1973,179 @@ mod tests {
         assert_eq!(dstats.spilled_records, stats.dropped_probes);
         assert_eq!(dstats.io_errors, 0);
         assert!(store.disk_bytes().expect("disk bytes") > 0);
+        // The segment holds exactly the dropped probes, each intact.
+        let log = &store.durable.as_ref().expect("durable").dir;
+        let mut sealed: Vec<ProbeRecord> = (log.read_spill(0).expect("read").iter())
+            .flat_map(|section| spill_records(section).0)
+            .collect();
+        sealed.sort_by_key(|p| p.at);
+        let dropped =
+            (0..50u64).map(|t| probe(t * 100, market((t % 4) as u8), ProbeOutcome::Fulfilled));
+        assert_eq!(sealed, dropped.collect::<Vec<_>>());
+    }
+
+    /// A probe drawn from three numbers: its time below 2^63 (any two
+    /// times' delta fits an `i64`), one of 24 markets and origins, every
+    /// kind, outcome and trigger, and ratios that are NaN (with a
+    /// payload), ±0.0 or finite, the trigger's equal to the spot ratio
+    /// or not.
+    fn drawn_probe(time: u64, pick: u64, shape: u64) -> ProbeRecord {
+        let ratio = |draw: u64| match draw % 5 {
+            0 => f64::from_bits(0x7ff8_0000_0000_0000 | (draw >> 3) & 0xffff),
+            1 => 0.0,
+            2 => -0.0,
+            _ => (draw >> 3 & 0xfff) as f64 / 64.0,
+        };
+        let spot_ratio = ratio(pick >> 10);
+        let trigger_ratio = match shape >> 20 & 1 {
+            0 => spot_ratio,
+            _ => ratio(shape >> 21),
+        };
+        let origin = golden_market((pick >> 5) as usize % 24);
+        let trigger = match all_triggers()[(shape >> 8) as usize % 9] {
+            ProbeTrigger::PriceSpike { .. } => ProbeTrigger::PriceSpike {
+                ratio: trigger_ratio,
+            },
+            ProbeTrigger::FamilyFanout { .. } => ProbeTrigger::FamilyFanout {
+                origin,
+                origin_ratio: trigger_ratio,
+            },
+            ProbeTrigger::CrossAzFanout { .. } => ProbeTrigger::CrossAzFanout {
+                origin,
+                origin_ratio: trigger_ratio,
+            },
+            ProbeTrigger::CrossVerify { .. } => ProbeTrigger::CrossVerify { origin },
+            plain => plain,
+        };
+        ProbeRecord {
+            at: SimTime::from_secs(time >> (1 + shape % 63)),
+            market: golden_market(pick as usize % 24),
+            kind: all_kinds()[(shape >> 4) as usize % 3],
+            trigger,
+            outcome: all_outcomes()[(shape >> 12) as usize % 6],
+            spot_ratio,
+            bid: (shape >> 16 & 1 == 1).then(|| Price::from_micros(pick >> 40)),
+            cost: Price::from_micros(shape >> 30),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        // Random slabs, empty ones included, come back bit for bit from
+        // the slab form: times in any order, every trigger, markets and
+        // origins new and repeated, NaN and signed-zero ratios elided or
+        // written. Compared as record encodings, so a NaN's payload and
+        // a zero's sign count.
+        #[test]
+        fn slab_form_round_trips_bit_for_bit(
+            drawn in proptest::collection::vec((any::<u64>(), any::<u64>(), any::<u64>()), 0..48),
+            spiked in proptest::collection::vec((any::<u64>(), any::<u64>()), 0..24),
+        ) {
+            let probes: Vec<ProbeRecord> =
+                drawn.iter().map(|&(time, pick, shape)| drawn_probe(time, pick, shape)).collect();
+            let spikes: Vec<SpikeEvent> = (spiked.iter())
+                .map(|&(time, pick)| SpikeEvent {
+                    at: SimTime::from_secs(time >> (1 + pick % 63)),
+                    market: golden_market((pick >> 6) as usize % 24),
+                    ratio: drawn_probe(0, pick, 0).spot_ratio,
+                    probed: pick >> 12 & 1 == 1,
+                })
+                .collect();
+            let mut bytes = Vec::new();
+            write_slabs(probes.iter(), spikes.iter(), &mut bytes);
+            let mut r = Reader::new(&bytes);
+            let (back, spikes_back) = read_slabs(&mut r).expect("decodes");
+            prop_assert_eq!(r.remaining(), 0);
+            let wire = |p: &ProbeRecord| p.to_bytes();
+            prop_assert!(back.iter().map(wire).eq(probes.iter().map(wire)));
+            let wire = |s: &SpikeEvent| s.to_bytes();
+            prop_assert!(spikes_back.iter().map(wire).eq(spikes.iter().map(wire)));
+        }
+    }
+
+    /// Slabs a hostile or damaged section holds are decode errors, never
+    /// a panic: a market reference past the table, a time delta that
+    /// leaves `u64` either way, a ratio flag on a trigger without a
+    /// ratio, and a section cut at any byte. `decode_stripe` refuses
+    /// each of them in a stripe section.
+    #[test]
+    fn hostile_slabs_are_decode_errors() {
+        let zigzag = |delta: i64| ((delta << 1) ^ (delta >> 63)) as u64;
+        // No probes, then spikes of one market at the given deltas, its
+        // references as given after the first record's literal.
+        let spikes = |deltas: &[i64], references: usize| {
+            let mut out = vec![0];
+            deltas.len().encode(&mut out);
+            for (i, &delta) in deltas.iter().enumerate() {
+                zigzag(delta).encode(&mut out);
+                match i {
+                    0 => (0usize, market(0)).encode(&mut out),
+                    _ => references.encode(&mut out),
+                }
+                (2.5f64, true).encode(&mut out);
+            }
+            out
+        };
+        let decoded = |bytes: &[u8]| read_slabs(&mut Reader::new(bytes));
+        let top = (1u64 << 63) - 1;
+        let (_, fine) = decoded(&spikes(&[i64::MAX, i64::MAX], 1)).expect("at the edge");
+        let times: Vec<u64> = fine.iter().map(|s| s.at.as_secs()).collect();
+        assert_eq!(times, [top, 2 * top]);
+        let invalid = |what| Err::<(), _>(DecodeError::Invalid(what));
+        // The stripe around them: an empty stripe's slabs are two zeros.
+        let rest = Stripe::default().to_bytes()[2..].to_vec();
+        for (bytes, what) in [
+            (spikes(&[i64::MAX, i64::MAX, 2], 1), "time delta"),
+            (spikes(&[-1], 1), "time delta"),
+            (spikes(&[60, 60], 2), "market reference"),
+        ] {
+            assert_eq!(decoded(&bytes).map(drop), invalid(what), "{what}");
+            let stripe = [bytes, rest.clone()].concat();
+            assert_eq!(decode_stripe(&stripe).map(drop), invalid(what), "{what}");
+        }
+        // A probe whose `Recovery` or `CrossVerify` tag carries the flag.
+        for tag in [3u8, 5] {
+            let mut bytes = vec![1, 0];
+            (0usize, market(0)).encode(&mut bytes);
+            (ProbeKind::Spot, ProbeOutcome::Fulfilled).encode(&mut bytes);
+            (2.0f64, tag | RATIO_ELIDED).encode(&mut bytes);
+            1usize.encode(&mut bytes);
+            assert_eq!(
+                decoded(&bytes).map(drop),
+                invalid("probe trigger tag"),
+                "tag {tag}"
+            );
+        }
+        // Every truncation of a real section, slab form and all: an
+        // error, and a refused stripe.
+        let store = DataStore::with_layout(1, HOUR);
+        for (i, trigger) in all_triggers().into_iter().enumerate() {
+            let mut p = probe(
+                7_200 - i as u64 * 300,
+                market(i as u8 % 4),
+                ProbeOutcome::Fulfilled,
+            );
+            p.trigger = trigger;
+            store.record_probe(p);
+            store.record_spike(SpikeEvent {
+                market: market(i as u8 % 3),
+                at: p.at,
+                ratio: 2.0,
+                probed: true,
+            });
+        }
+        let stripe = store.stripes[0].read();
+        let mut slabs = Vec::new();
+        write_slabs(stripe.probes.iter(), stripe.spikes.iter(), &mut slabs);
+        for cut in 0..slabs.len() {
+            assert!(decoded(&slabs[..cut]).is_err(), "slabs cut at {cut}");
+        }
+        let bytes = stripe.to_bytes();
+        assert!(bytes.starts_with(&slabs) && decode_stripe(&bytes).is_ok());
+        for cut in 0..bytes.len() {
+            assert!(decode_stripe(&bytes[..cut]).is_err(), "stripe cut at {cut}");
+        }
     }
 
     /// A pass's stripes share one segment, so a segment that cannot be
@@ -1803,25 +2196,45 @@ mod tests {
 
         assert_eq!(store.compact(SimTime::from_secs(2400)), healthy);
         assert_eq!(log.list_spills().expect("list"), vec![0]);
-        assert_eq!(log.read_spill(0).expect("read").len(), 4);
+        let sections = log.read_spill(0).expect("read");
+        assert_eq!(sections.len(), 4);
+        let sealed: Vec<ProbeRecord> = (sections.iter())
+            .flat_map(|section| spill_records(section).0)
+            .collect();
+        assert_eq!(sealed.len(), 24);
+        assert!(sealed.iter().all(|p| p.at < SimTime::from_secs(2400)));
         assert_eq!(store.durability_stats().expect("stats").spilled_records, 24);
     }
 
-    /// A spill segment holds a block per stripe in the `Vec<StoreOp>`
-    /// wire form: the doomed probes in slab order, then the doomed
-    /// spikes.
+    /// A spill section's records: `count ++` the slabs, the count
+    /// checked against them.
+    fn spill_records(section: &[u8]) -> (Vec<ProbeRecord>, Vec<SpikeEvent>) {
+        let mut r = Reader::new(section);
+        let count = usize::decode(&mut r).expect("count");
+        let (probes, spikes) = read_slabs(&mut r).expect("slabs");
+        r.expect_empty().expect("nothing after the slabs");
+        assert_eq!(count, probes.len() + spikes.len());
+        (
+            probes.iter().copied().collect(),
+            spikes.iter().copied().collect(),
+        )
+    }
+
+    /// A spill segment holds a section per stripe: the record count,
+    /// then the doomed probes and the doomed spikes in the slab form,
+    /// each in slab order.
     #[test]
-    fn spill_segment_is_one_block_of_store_ops() {
+    fn spill_segment_is_one_slab_section_per_stripe() {
         let tmp = TempDir::new("durable-spill-block");
         let dir = tmp.path().join("store");
         let store = DataStore::create_durable_with_layout(&dir, DurableOptions::default(), 1, HOUR)
             .expect("create");
-        let mut expected = Vec::new();
+        let (mut probes, mut spikes) = (Vec::new(), Vec::new());
         for t in 0..40u64 {
             let p = probe(t * 100, market((t % 3) as u8), ProbeOutcome::Fulfilled);
             store.record_probe(p);
             if t * 100 < 2500 {
-                expected.push(StoreOp::Probe(p));
+                probes.push(p);
             }
         }
         for t in [300u64, 2400, 2600] {
@@ -1833,7 +2246,7 @@ mod tests {
             };
             store.record_spike(s);
             if t < 2500 {
-                expected.push(StoreOp::Spike(s));
+                spikes.push(s);
             }
         }
         let stats = store.compact(SimTime::from_secs(2500));
@@ -1846,10 +2259,7 @@ mod tests {
         assert_eq!(log.list_spills().expect("list"), vec![0]);
         let sections = log.read_spill(0).expect("read");
         assert_eq!(sections.len(), 1, "one section per stripe");
-        assert_eq!(
-            Vec::<StoreOp>::from_bytes(&sections[0]).expect("decode"),
-            expected
-        );
+        assert_eq!(spill_records(&sections[0]), (probes, spikes));
         // A pass with nothing to seal writes no segment; the next one
         // that has takes the next number.
         assert_eq!(store.compact(SimTime::from_secs(2500)).dropped_probes, 0);

@@ -144,7 +144,7 @@ impl<T> ChunkVec<T> {
     }
 
     /// The elements in index order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = &T> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &T> + Clone + '_ {
         self.chunks.iter().flat_map(|chunk| chunk.iter())
     }
 

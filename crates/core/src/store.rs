@@ -800,9 +800,13 @@ impl DataStore {
     /// (see [`crate::durable`]) — compaction *spills* rather than
     /// destroys, so the full raw history survives bounded-RAM
     /// operation. A pass seals one spill segment, a section per stripe,
-    /// or none when nothing is old enough. If the segment cannot be
-    /// written every stripe keeps its raw slabs (nothing is lost; the
-    /// error is surfaced via [`DataStore::durability_stats`]).
+    /// or none when nothing is old enough. It syncs the log before it
+    /// seals, so a crash before the next checkpoint can replay every
+    /// sealed record, and recovery drops the segment instead of
+    /// archiving its records twice. If the log cannot be synced (a
+    /// degraded store's cannot) or the segment written, every stripe
+    /// keeps its raw slabs (nothing is lost; the error is surfaced via
+    /// [`DataStore::durability_stats`]).
     pub fn compact(&self, before: SimTime) -> CompactionStats {
         // Durable compaction releases the stripe locks between spilling
         // and dropping, so concurrent passes must not interleave (the

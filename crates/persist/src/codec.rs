@@ -139,6 +139,12 @@ impl<'a> Reader<'a> {
         self.bytes.len() - self.pos
     }
 
+    /// The next byte, not consumed: a decoder that handles some tags of
+    /// an enum itself hands the rest to the enum's own table.
+    pub fn peek(&self) -> Option<u8> {
+        self.bytes.get(self.pos).copied()
+    }
+
     /// Takes the next `n` bytes.
     ///
     /// # Errors

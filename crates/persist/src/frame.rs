@@ -30,21 +30,21 @@ use crate::crc::crc32;
 /// treated as corruption, bounding allocations while scanning.
 pub const MAX_FRAME: usize = 1 << 26;
 
-/// Frame/file-format version stamped into every file header. Version
-/// 6 writes one WAL file per generation and one spill segment (a
-/// section per stripe) per compaction pass, and drops the header's
-/// stream count; no record's encoding changed. Version 5 compresses every checkpoint and spill section with [`crate::lz`]
-/// before it is cut into frames (WAL records, the directory header and
-/// the clean marker stay raw); no record's encoding changed. Version
-/// 4 drops a checkpoint stripe's per-market probe and revocation
-/// indices. Version 3 encodes `u32`/`u64`/`usize` as canonical LEB128
-/// varints ([`crate::codec`]), frames a spill segment as one chunked
-/// section instead of a frame per record ([`crate::log`]), and lets a
-/// checkpoint name the generation it *rotated to* as its replay floor;
-/// version 2 made a key's epoch summary sparse. The frame envelope
-/// itself has not changed since version 1. There is one decoder, so
-/// files of any other version are refused by [`strip_header`].
-pub const FORMAT_VERSION: u32 = 6;
+/// Frame/file-format version stamped into every file header. There is
+/// one decoder, so [`strip_header`] refuses files of any other version.
+/// The frame envelope has not changed since version 1. Version
+/// - 2 made a key's epoch summary sparse;
+/// - 3 encodes integers as varints ([`crate::codec`]), frames a spill
+///   segment as one chunked section ([`crate::log`]), and lets a
+///   checkpoint's replay floor be the generation it rotated to;
+/// - 4 drops a checkpoint stripe's per-market indices;
+/// - 5 compresses checkpoint and spill sections with [`crate::lz`];
+/// - 6 writes one WAL file per generation and one spill segment per
+///   compaction pass, and drops the header's stream count;
+/// - 7 writes a section's probe and spike slabs in `spotlight-core`'s
+///   slab form (delta times, a market table, elided trigger ratios) and
+///   a checkpoint's spill count. WAL records have not changed since 3.
+pub const FORMAT_VERSION: u32 = 7;
 
 /// Byte length of a file header (`magic ++ version`).
 pub const HEADER_LEN: usize = 8;
@@ -247,9 +247,10 @@ mod tests {
         // Version 1 stored epoch summaries dense, version 2 every
         // integer fixed-width, version 3 two per-market indices per
         // stripe, version 4 its checkpoint and spill sections
-        // uncompressed and version 5 a WAL file and a spill segment per
-        // stream; nothing decodes any of them.
-        for old in [1u32, 2, 3, 4, 5] {
+        // uncompressed, version 5 a WAL file and a spill segment per
+        // stream and version 6 its raw records one context-free op at a
+        // time; nothing decodes any of them.
+        for old in [1u32, 2, 3, 4, 5, 6] {
             let mut stale = file.clone();
             stale[4..8].copy_from_slice(&old.to_le_bytes());
             assert_eq!(

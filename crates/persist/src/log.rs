@@ -19,7 +19,7 @@
 //! appended to, so its tail can tear, and the prefix-valid scan recovers
 //! whole records up to the tear. The checkpoint and every spill segment
 //! are **sections**: each section is one opaque buffer (for a spill
-//! segment, one per stripe: `count ++ records`), compressed to
+//! segment, one per stripe: `count ++ slabs`), compressed to
 //! `varint raw length ++ LZ sequences` ([`crate::lz`]), then cut into
 //! frames of at most `CHECKPOINT_CHUNK` bytes that share the section
 //! index as their sequence number — one CRC per ≤ 16 MiB, no per-record
@@ -304,7 +304,7 @@ impl LogDir {
     }
 
     /// Writes sealed spill segment `n`: one chunked section per block
-    /// (a compaction pass hands one per stripe, its `count ++ records`),
+    /// (a compaction pass hands one per stripe, its `count ++ slabs`),
     /// each compressed as it arrives. Atomic: temp, fsync, rename,
     /// directory fsync. `n` comes from [`LogDir::next_spill_number`].
     ///
@@ -313,6 +313,20 @@ impl LogDir {
     /// Propagates filesystem errors; on error no segment is visible.
     pub fn write_spill(&self, n: u64, blocks: impl IntoIterator<Item = Vec<u8>>) -> io::Result<()> {
         self.write_sections(&spill_name(n), magic::SPILL, blocks)
+    }
+
+    /// Deletes every spill segment numbered `first` or higher, one
+    /// unlink each: recovery's for the segments a checkpoint does not
+    /// account for.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem errors.
+    pub fn delete_spills_from(&self, first: u64) -> io::Result<()> {
+        for n in self.list_spills()?.into_iter().filter(|&n| n >= first) {
+            fs::remove_file(self.root.join(spill_name(n)))?;
+        }
+        Ok(())
     }
 
     /// Every spill segment number present, ascending.

@@ -438,7 +438,7 @@ struct WriterState {
     /// The generation's file, opened (so, in a fresh generation,
     /// created) on its first write.
     file: Option<OpenFile>,
-    /// Written since the last fsync.
+    /// Written since the last successful fsync.
     dirty: bool,
     /// The generation file was opened since the last directory fsync:
     /// its *name* is not durable yet, whatever its bytes are.
@@ -570,10 +570,13 @@ impl WriterState {
             return;
         }
         let mut failed = false;
-        let dirty = std::mem::take(&mut self.dirty);
-        if let Some(open) = self.file.as_ref().filter(|_| dirty) {
+        // The file stays dirty until an fsync succeeds: a failed one is
+        // retried by the next pass, flush or deadline, with or without
+        // new frames, and never folded into the watermark.
+        if let Some(open) = self.file.as_ref().filter(|_| self.dirty) {
             match self.dir.io().sync_data(&open.file) {
                 Ok(()) => {
+                    self.dirty = false;
                     self.stats.fsyncs.fetch_add(1, Ordering::Relaxed);
                 }
                 Err(err) => {
@@ -703,7 +706,9 @@ fn writer_loop(
                     state.write(&mut pending);
                     state.sync();
                     sync_deadline = None;
+                    // A closed file is not synced again, failed or not.
                     state.file = None;
+                    state.dirty = false;
                     state.generation += 1;
                     let result = state.take_error().map(|()| state.generation);
                     let _ = ack.send(result);
@@ -1008,6 +1013,51 @@ mod tests {
         // the fresh generation.
         assert_eq!(read_generation(&dir, 1), vec![(1, b"y".to_vec())]);
         assert!(disk.injected() >= WRITE_RETRIES as u64);
+    }
+
+    /// A failed fsync keeps the file dirty: the next flush fsyncs again
+    /// although nothing new was written, and fails while the disk does,
+    /// and the watermark stays where the last successful fsync left it.
+    #[test]
+    fn a_failed_fsync_is_retried_and_never_moves_the_watermark() {
+        use crate::frame::{FRAME_OVERHEAD, HEADER_LEN};
+        let tmp = TempDir::new("wal-fsync-retry");
+        // Each one-byte frame is `len ++ crc ++ seq ++ body`; the window
+        // covers the second frame's write, so only the fsyncs issued
+        // after it (and before a third write) fail.
+        let frame = (FRAME_OVERHEAD + 8 + 1) as u64;
+        let first_end = HEADER_LEN as u64 + frame;
+        let disk = Arc::new(FaultyDisk::scripted(vec![FaultWindow {
+            kind: FaultKind::SyncEio,
+            from: first_end + 1,
+            to: first_end + frame + 1,
+        }]));
+        let dir = LogDir::create(tmp.path(), &[])
+            .expect("create")
+            .with_io(Arc::clone(&disk) as Arc<_>);
+        let config = WalConfig {
+            fsync: FsyncPolicy::Never,
+            ..WalConfig::default()
+        };
+        let wal = WalHandle::open(&dir, config, 0, 0).expect("open");
+        let fsyncs = || wal.stats().fsyncs.load(Ordering::Relaxed);
+        wal.append(0, b"a", 5).expect("append");
+        wal.flush().expect("the first frame is synced");
+        assert_eq!((wal.durable_at(), fsyncs(), disk.injected()), (5, 2, 0));
+
+        wal.append(0, b"b", 9).expect("append");
+        let err = wal.flush().expect_err("its fsync fails");
+        assert_eq!(err.raw_os_error(), Some(5), "EIO surfaces: {err}");
+        assert_eq!((wal.durable_at(), disk.injected()), (5, 1));
+        // Nothing new written: the flush still fsyncs, and fails again.
+        assert!(wal.flush().is_err(), "a failed fsync is not forgotten");
+        assert_eq!((wal.durable_at(), disk.injected()), (5, 2));
+        assert!(!wal.is_degraded(), "two failures, under the limit");
+
+        // A write past the window: the next fsync lands and covers all.
+        wal.append(0, b"c", 12).expect("append");
+        wal.flush().expect("synced at last");
+        assert_eq!((wal.durable_at(), fsyncs(), disk.injected()), (12, 3, 2));
     }
 
     #[test]

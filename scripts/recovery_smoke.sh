@@ -4,15 +4,20 @@
 # among four stripes' and the meta stream's frames interleaved in one
 # generation file), the on-disk layout (one WAL file per generation,
 # one spill segment per compaction pass, one unlink per covered
-# generation), the compact-then-crash-then-recover sequence, the checkpoint/tail
+# generation), the compact-then-crash-then-recover sequence (the
+# archive holds each dropped record once), the checkpoint/tail
 # interplay (tests/persistence.rs), the durable live/engine recovery
 # twins (crates/core), a restart on a store closed with a region
 # degraded (the first success closes the carried episode without a new
 # trip), and degrade-and-heal: the seeded disk-fault
 # schedule, the durability machine's enumeration and a live run healing
-# on a faulty disk — and the sealed-section path: the section decoder
-# under hostile and damaged input, a section cut into several frames,
-# and a crash right after flush() — all against release builds.
+# on a faulty disk, and a failed WAL fsync that the next flush retries
+# before the watermark moves — and the sealed-section path: the section
+# decoder under hostile and damaged input, the slab form's bit-for-bit
+# round trip and its hostile decodes (a market reference past the
+# table, a time delta leaving u64, every truncation), a section cut into
+# several frames, and a crash right after flush() — all against release
+# builds.
 #
 # Each step runs one test by its exact name through scripts/one_test.sh,
 # which fails unless exactly that one test ran.
@@ -46,9 +51,12 @@ echo "== recovery smoke: degrade and heal =="
 scripts/one_test.sh --test persistence seeded_fault_schedule_degrades_heals_and_keeps_the_watermark
 scripts/one_test.sh -p spotlight-core durability::tests::durability_machine_keeps_its_promises_over_every_sequence
 scripts/one_test.sh --test live_mode durable_live_run_degrades_and_heals_on_a_faulty_disk
+scripts/one_test.sh -p spotlight-persist wal::tests::a_failed_fsync_is_retried_and_never_moves_the_watermark
 
 echo "== recovery smoke: compressed sections and flush =="
 scripts/one_test.sh -p spotlight-core durable::tests::lz_decoder_survives_hostile_and_damaged_stripe_sections
+scripts/one_test.sh -p spotlight-core durable::tests::slab_form_round_trips_bit_for_bit
+scripts/one_test.sh -p spotlight-core durable::tests::hostile_slabs_are_decode_errors
 scripts/one_test.sh -p spotlight-persist log::tests::oversize_checkpoint_sections_chunk_and_reassemble
 scripts/one_test.sh --test persistence flushed_records_survive_a_crash_without_a_clean_marker
 

@@ -272,7 +272,8 @@ fn one_file_per_durable_event() {
     // A compaction that spills seals one segment, a section per stripe,
     // each leading with its record count: every stripe had probes.
     let before = SimTime::from_secs(200 * 60);
-    assert_eq!(store.compact(before), twin.compact(before));
+    let first = twin.compact(before);
+    assert_eq!(store.compact(before), first);
     let (log, _) = LogDir::open(&dir).unwrap();
     assert_eq!(log.list_spills().unwrap(), vec![0]);
     assert_eq!(names("spill-"), ["spill-00000000.seg"]);
@@ -291,10 +292,13 @@ fn one_file_per_durable_event() {
     );
 
     // Two crashes, each recovered into a fresh generation that takes one
-    // more batch: three generations, three files.
+    // more batch: three generations, three files. No checkpoint holds
+    // the first pass, so the first recovery drops its segment and
+    // replays its records.
     drop(store);
     for round in 1..3 {
         let store = DataStore::recover(&dir).unwrap();
+        assert_eq!(log.list_spills().unwrap(), Vec::<u64>::new());
         feed(&store, round * 400);
         feed(&twin, round * 400);
         store.flush().unwrap();
@@ -303,24 +307,17 @@ fn one_file_per_durable_event() {
     assert_eq!(log.list_wal().unwrap(), vec![0, 1, 2]);
     assert_eq!(names("wal-").len(), 3, "one file per generation");
 
-    // A second pass seals one more segment (replay brought back the
-    // first pass's records, which it seals again); the checkpoint then
-    // covers every generation and unlinks its one file each: none is
-    // left.
+    // A second pass seals one segment: everything the twin's two passes
+    // dropped, each record once. The checkpoint then covers every
+    // generation and unlinks its one file each: none is left.
     let before = SimTime::from_secs(1_000 * 60);
-    assert!(store.compact(before).dropped_probes > twin.compact(before).dropped_probes);
-    assert_eq!(log.list_spills().unwrap(), vec![0, 1]);
+    let second = twin.compact(before).dropped_probes;
+    assert_eq!((first.dropped_probes, second), (200, 800));
+    assert_eq!(store.compact(before).dropped_probes, 200 + 800);
+    assert_eq!(log.list_spills().unwrap(), vec![0]);
     store.checkpoint().unwrap();
     assert_eq!(names("wal-"), Vec::<String>::new());
-    assert_eq!(
-        names(""),
-        [
-            "checkpoint",
-            "header",
-            "spill-00000000.seg",
-            "spill-00000001.seg"
-        ]
-    );
+    assert_eq!(names(""), ["checkpoint", "header", "spill-00000000.seg"]);
     drop(store);
     let markets: Vec<MarketId> = (0..1_200).map(|i| wide_market(i * 13)).collect();
     assert_same_summaries(&DataStore::recover(&dir).unwrap(), &twin, &markets);
@@ -668,29 +665,24 @@ fn compact_then_crash_then_recover_loses_nothing() {
     }
     assert!(recovered.resident_records() >= twin.resident_records());
 
-    // Re-compacting converges on the twin's resident set and archives
-    // the same records again.
+    // No checkpoint accounts for the first pass's segment, so recovery
+    // dropped it; re-compacting converges on the twin's resident set
+    // and seals the same records once more.
+    let (log, _) = LogDir::open(&dir).unwrap();
+    assert_eq!(log.list_spills().unwrap(), Vec::<u64>::new());
     let again = recovered.compact(before);
     assert_eq!(again, dropped);
     assert_eq!(recovered.resident_records(), twin.resident_records());
 
-    // The spill archive holds every record either compaction dropped:
-    // one segment per pass, each a section per stripe that leads with
-    // its record count.
-    let (log, _) = LogDir::open(&dir).unwrap();
-    assert_eq!(log.list_spills().unwrap(), vec![0, 1]);
-    let mut archived = 0u64;
-    for n in log.list_spills().unwrap() {
-        let sections = log.read_spill(n).unwrap();
-        assert_eq!(sections.len(), 4, "segment {n}: a section per stripe");
-        for section in sections {
-            archived += usize::decode(&mut Reader::new(&section)).unwrap() as u64;
-        }
-    }
-    assert_eq!(
-        archived,
-        2 * (dropped.dropped_probes + dropped.dropped_spikes)
-    );
+    // The spill archive holds every dropped record exactly once: one
+    // segment, a section per stripe that leads with its record count.
+    assert_eq!(log.list_spills().unwrap(), vec![0]);
+    let sections = log.read_spill(0).unwrap();
+    assert_eq!(sections.len(), 4, "a section per stripe");
+    let archived: u64 = (sections.iter())
+        .map(|section| usize::decode(&mut Reader::new(section)).unwrap() as u64)
+        .sum();
+    assert_eq!(archived, dropped.dropped_probes + dropped.dropped_spikes);
 
     // A checkpoint now pins the compacted state: recovery no longer
     // resurrects the spilled records.
