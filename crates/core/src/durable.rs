@@ -3,21 +3,17 @@
 //!
 //! # The operation log
 //!
-//! A durable [`DataStore`] owns a [`spotlight_persist::WalHandle`] with
-//! one staging *stream per stripe* plus a meta stream (stream index =
-//! stripe count) for store-wide events. Every `record_*` call encodes a
-//! `StoreOp` and appends it **while holding the lock it mutated
-//! under** (the market's stripe lock; the region-health lock for
-//! breaker events), so each stream's frames are in exactly the order
-//! the in-memory state observed them. Suppressed-probe counts are the
+//! A durable [`DataStore`] owns a [`spotlight_persist::WalHandle`], one
+//! ordered log. Every `record_*` call encodes a `StoreOp` and appends it
+//! **while holding the lock it mutated under** (the market's stripe
+//! lock; the region-health lock for breaker events), so the log holds
+//! the ops of any one lock in exactly the order the in-memory state
+//! observed them. The WAL assigns sequence numbers and sends staged
+//! frames under its one staging lock, so a generation file is in
+//! strictly increasing sequence order. Suppressed-probe counts are the
 //! one lock-free path: their op carries the post-increment running
 //! total and replays via `fetch_max`, which is idempotent and
-//! order-insensitive, so no lock is needed.
-//!
-//! Streams, like stripes, are in memory only: a generation is **one
-//! file** holding every stream's frames in write order, each stream's
-//! in its own order. A frame does not record its stream: the append
-//! and recovery both derive it from the op (`StoreOp::stream`).
+//! order-insensitive, so no store lock is needed.
 //!
 //! # Checkpoints and the sequence protocol
 //!
@@ -66,8 +62,8 @@
 //! rotate and lands in the floor generation or a later one, which
 //! recovery scans. Ops that slipped in between the rotate and the
 //! capture sit in the floor generation with sequence numbers below
-//! `next_seq`; recovery's per-stream floor, keyed by the op's stripe,
-//! skips them — they are inside the checkpoint. So the covered log is
+//! `next_seq`; recovery's sequence floor, which starts there, skips
+//! them — they are inside the checkpoint. So the covered log is
 //! gone the moment the checkpoint lands, and a just-checkpointed,
 //! quiescent directory holds no log at all.
 //!
@@ -97,13 +93,15 @@
 //! [`DataStore::recover`] rebuilds the store: decode the last
 //! checkpoint (if any), then replay every WAL generation **at or above
 //! the checkpoint's floor**, each file in file order, through the
-//! normal in-memory ingest paths, filtering each op by a monotone
-//! sequence floor of its stream (derived from the op) that starts at
-//! the checkpoint's `next_seq` — which uniformly drops both
-//! checkpoint-covered frames and the duplicated-tail frames a retried
-//! append can leave behind. Frame scanning stops at the first torn,
-//! truncated, or corrupt frame, so a crash mid-write costs at most the
-//! unsynced tail: a prefix of the write order across all streams.
+//! normal in-memory ingest paths. The log is in strictly increasing
+//! sequence order across its files, so one monotone sequence floor that
+//! starts at the checkpoint's `next_seq` drops exactly the frames
+//! recovery must not apply: below `next_seq` they are inside the
+//! checkpoint, and below an applied frame's sequence number they are
+//! the duplicated tail a retried append can leave behind. Frame
+//! scanning stops at the first torn, truncated, or corrupt frame, so a
+//! crash mid-write costs at most the unsynced tail: what survives is a
+//! prefix of the sequence order.
 //! Recovery never appends to scanned files: it reopens the log at a
 //! fresh generation.
 //!
@@ -165,8 +163,8 @@ use crate::durability::{DurabilityMachine, Event, Io};
 use crate::probe::{ProbeKind, ProbeOutcome, ProbeRecord, ProbeTrigger, UnavailabilityInterval};
 use crate::shared::{ChunkVec, CowVec};
 use crate::store::{
-    stripe_index, DataStore, EpochCell, EpochSeries, FxHashMap, IntrinsicBidRecord, KeyState,
-    ProbeStats, RegionHealth, RevocationRecord, SpikeEvent, Stripe,
+    DataStore, EpochCell, EpochSeries, FxHashMap, IntrinsicBidRecord, KeyState, ProbeStats,
+    RegionHealth, RevocationRecord, SpikeEvent, Stripe,
 };
 use crate::sync::RwLock;
 use cloud_sim::ids::{MarketId, Region};
@@ -256,16 +254,26 @@ pub struct RecoveryInfo {
     pub checkpoint_loaded: bool,
 }
 
+crate::counters! {
+    /// What a durable store's own paths count, beside the WAL's
+    /// [`spotlight_persist::WalStats`]; [`DurabilityStats`] reads both.
+    struct SinkCounters / SinkCounts {
+        /// Checkpoints completed.
+        checkpoints,
+        /// Raw records sealed into spill segments by compaction.
+        spilled_records,
+        /// Ops skipped at the sink while degraded.
+        ops_dropped,
+    }
+}
+
 /// The durable half of a [`DataStore`]: directory, WAL, the durability
 /// machine and counters. IO errors go to the WAL's one error record.
 #[derive(Debug)]
 pub(crate) struct DurableSink {
     pub(crate) dir: LogDir,
     pub(crate) wal: WalHandle,
-    /// The store's stripe count: streams `0..stripes` and the meta one.
-    stripes: usize,
-    checkpoints: AtomicU64,
-    spilled_records: AtomicU64,
+    counters: SinkCounters,
     /// Generation the writer is currently appending to — after a
     /// successful checkpoint, that checkpoint's floor.
     current_gen: AtomicU64,
@@ -284,44 +292,31 @@ pub(crate) struct DurableSink {
     /// once the WAL is revived), and its watermark or [`NO_LOSS`].
     dropping: AtomicBool,
     lost: AtomicU64,
-    /// Ops skipped at the sink while degraded.
-    ops_dropped: AtomicU64,
 }
 
 impl DurableSink {
-    /// The sink of a store of `stripes` stripes over `dir`, its writer
-    /// appending to `generation` from sequence number `seq`.
-    fn open(
-        dir: LogDir,
-        opts: &DurableOptions,
-        stripes: usize,
-        generation: u64,
-        seq: u64,
-    ) -> io::Result<Self> {
+    /// The sink over `dir`, its writer appending to `generation` from
+    /// sequence number `seq`.
+    fn open(dir: LogDir, opts: &DurableOptions, generation: u64, seq: u64) -> io::Result<Self> {
         let config = WalConfig {
-            streams: stripes as u32 + 1,
             fsync: opts.fsync,
             queue_capacity: opts.queue_capacity,
         };
         Ok(DurableSink {
             wal: WalHandle::open(&dir, config, generation, seq)?,
             dir,
-            stripes,
-            checkpoints: AtomicU64::new(0),
-            spilled_records: AtomicU64::new(0),
+            counters: SinkCounters::default(),
             current_gen: AtomicU64::new(generation),
             ckpt_lock: crate::sync::Mutex::new(()),
             compact_lock: crate::sync::Mutex::new(()),
             machine: crate::sync::Mutex::new(DurabilityMachine::default()),
             dropping: AtomicBool::new(false),
             lost: AtomicU64::new(NO_LOSS),
-            ops_dropped: AtomicU64::new(0),
         })
     }
 
-    /// Appends one op to its stream (`StoreOp::stream`). Called with the
-    /// mutated lock held so the stream's frame order matches state
-    /// order. Encodes into a
+    /// Appends one op to the log. Called with the mutated lock held so
+    /// the log's order matches state order. Encodes into a
     /// thread-local scratch buffer: this is the per-record hot path and
     /// must not allocate.
     ///
@@ -338,11 +333,10 @@ impl DurableSink {
                 let mut buf = scratch.borrow_mut();
                 buf.clear();
                 op.encode(&mut buf);
-                let stream = op.stream(self.stripes) as u32;
-                self.wal.append(stream, &buf, op.at_secs()).is_ok()
+                self.wal.append(&buf, op.at_secs()).is_ok()
             });
         if !sent {
-            self.ops_dropped.fetch_add(1, Ordering::Relaxed);
+            self.counters.ops_dropped.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -422,22 +416,6 @@ enum_codec!(StoreOp, "store op tag" {
 });
 
 impl StoreOp {
-    /// The staging stream of the op on a store of `stripes` stripes, as
-    /// the append routes it and recovery keys its floors: a market op's
-    /// stripe, the meta stream (`stripes`) otherwise.
-    fn stream(&self, stripes: usize) -> usize {
-        let market = match self {
-            StoreOp::Probe(p) => p.market,
-            StoreOp::Spike(s) => s.market,
-            StoreOp::Revocation(r) => r.market,
-            StoreOp::IntrinsicBid(b) => b.market,
-            StoreOp::Suppressed { .. }
-            | StoreOp::RegionDegraded { .. }
-            | StoreOp::RegionRecovered { .. } => return stripes,
-        };
-        stripe_index(market, stripes)
-    }
-
     /// The op's time in seconds, fed to the WAL's durability watermark.
     /// 0 (never advancing the watermark) for untimed ops.
     fn at_secs(&self) -> u64 {
@@ -829,7 +807,9 @@ pub(crate) fn spill(
     (written.and_then(|n| sink.dir.write_spill(n, sections)))
         .inspect_err(|err| sink.wal.stats().record_error(err, "spill"))
         .ok()?;
-    sink.spilled_records.fetch_add(records, Ordering::Relaxed);
+    sink.counters
+        .spilled_records
+        .fetch_add(records, Ordering::Relaxed);
     Some(lens)
 }
 
@@ -873,7 +853,7 @@ impl DataStore {
         if let Some(io) = &opts.io {
             log = log.with_io(Arc::clone(io));
         }
-        store.durable = Some(DurableSink::open(log, &opts, stripes, 0, 0)?);
+        store.durable = Some(DurableSink::open(log, &opts, 0, 0)?);
         Ok(store)
     }
 
@@ -958,11 +938,10 @@ impl DataStore {
         let mut max_gen = min_gen;
         let mut max_seq = next_seq;
         if !from_clean_shutdown {
-            // Per-stream monotone sequence floors, keyed by the stream
-            // each op derives (module docs), drop checkpoint-covered
-            // frames and retried-append duplicates alike; the frame
-            // scanner already trimmed the torn tail.
-            let mut floor = vec![next_seq; stripes + 1];
+            // One monotone sequence floor (module docs) drops
+            // checkpoint-covered frames and retried-append duplicates
+            // alike; the frame scanner already trimmed the torn tail.
+            let mut floor = next_seq;
             for generation in log.list_wal()? {
                 max_gen = max_gen.max(generation);
                 // Below the checkpoint's floor every frame is inside
@@ -973,18 +952,12 @@ impl DataStore {
                 log.read_wal(generation, |seq, body| {
                     max_seq = max_seq.max(seq + 1);
                     let op = StoreOp::from_bytes(body).map_err(bad_data)?;
-                    if let StoreOp::Suppressed { total } = op {
-                        // Monotone and idempotent: applied regardless of
-                        // the sequence floor, which makes the lock-free
-                        // suppressed path correct under any interleaving
-                        // with a concurrent checkpoint.
-                        store.suppressed_probes.fetch_max(total, Ordering::Relaxed);
-                        replayed_ops += 1;
-                        return Ok(());
-                    }
-                    let stream = op.stream(stripes);
-                    if seq >= floor[stream] {
-                        floor[stream] = seq + 1;
+                    // A suppressed total is monotone and idempotent:
+                    // applied regardless of the floor, which makes the
+                    // lock-free suppressed path correct under any
+                    // interleaving with a concurrent checkpoint.
+                    if seq >= floor || matches!(op, StoreOp::Suppressed { .. }) {
+                        floor = floor.max(seq + 1);
                         store.apply(op);
                         replayed_ops += 1;
                     }
@@ -995,13 +968,7 @@ impl DataStore {
 
         // 3. Never append after a possibly-torn tail: reopen the log at
         // a fresh generation.
-        store.durable = Some(DurableSink::open(
-            log,
-            &opts,
-            stripes,
-            max_gen + 1,
-            max_seq,
-        )?);
+        store.durable = Some(DurableSink::open(log, &opts, max_gen + 1, max_seq)?);
         Ok((
             store,
             RecoveryInfo {
@@ -1104,7 +1071,7 @@ impl DataStore {
         written
             .and_then(|()| d.dir.delete_wal_before(floor))
             .inspect_err(|err| d.wal.stats().record_error(err, "checkpoint"))?;
-        d.checkpoints.fetch_add(1, Ordering::Relaxed);
+        d.counters.checkpoints.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
@@ -1113,15 +1080,16 @@ impl DataStore {
         let d = self.durable.as_ref()?;
         let ws = d.wal.stats();
         let machine = *d.machine.lock();
+        let counts = d.counters.snapshot();
         Some(DurabilityStats {
             appended_ops: ws.appended_ops.load(Ordering::Relaxed),
             appended_bytes: ws.appended_bytes.load(Ordering::Relaxed),
             fsyncs: ws.fsyncs.load(Ordering::Relaxed),
-            checkpoints: d.checkpoints.load(Ordering::Relaxed),
-            spilled_records: d.spilled_records.load(Ordering::Relaxed),
+            checkpoints: counts.checkpoints,
+            spilled_records: counts.spilled_records,
             io_errors: ws.io_errors.load(Ordering::Relaxed),
             last_error: ws.last_error_text(),
-            ops_dropped: d.ops_dropped.load(Ordering::Relaxed),
+            ops_dropped: counts.ops_dropped,
             dropped_frames: ws.dropped_frames.load(Ordering::Relaxed),
             degraded_transitions: machine.degraded_transitions,
             heals: machine.heals,

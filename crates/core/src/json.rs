@@ -280,6 +280,7 @@ macro_rules! counters {
 
         impl $snapshot {
             /// Appends every counter to `o`, in declaration order.
+            #[allow(dead_code)] // a group read field by field never calls it
             pub fn write_fields(&self, o: &mut $crate::json::Object<'_>) {
                 $(o.u64($crate::key!(stringify!($field)), self.$field);)*
             }

@@ -119,15 +119,15 @@
 //! # Durability and recovery
 //!
 //! A store opened with [`DataStore::create_durable`] additionally
-//! appends every mutation to a CRC-framed, append-only log (staged per
-//! stripe plus a meta stream for store-wide events, one file per
-//! generation on disk), written by a background thread behind a bounded
-//! queue with a configurable fsync policy
-//! ([`crate::durable::DurableOptions`]). [`DataStore::checkpoint`]
-//! writes an atomic full-state snapshot and prunes the log behind it;
-//! [`DataStore::recover`] rebuilds the store from the last checkpoint
-//! plus the surviving log tail, trimming torn or corrupt tail frames
-//! and dropping duplicated frames a retried append can leave. In
+//! appends every mutation to a CRC-framed, append-only log (one staging
+//! buffer, one file per generation on disk, its frames in sequence
+//! order), written by a background thread behind a bounded queue with a
+//! configurable fsync policy ([`crate::durable::DurableOptions`]).
+//! [`DataStore::checkpoint`] writes an atomic full-state snapshot and
+//! prunes the log behind it; [`DataStore::recover`] rebuilds the store
+//! from the last checkpoint plus the surviving log tail, trimming torn
+//! or corrupt tail frames and dropping, with one monotone sequence
+//! floor, the covered and duplicated frames. In
 //! durable mode [`DataStore::compact`] *spills* the doomed raw records
 //! into a sealed on-disk segment per pass before freeing their slabs, so
 //! bounded-RAM operation never destroys history. The protocol,

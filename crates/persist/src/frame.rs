@@ -43,8 +43,11 @@ pub const MAX_FRAME: usize = 1 << 26;
 ///   compaction pass, and drops the header's stream count;
 /// - 7 writes a section's probe and spike slabs in `spotlight-core`'s
 ///   slab form (delta times, a market table, elided trigger ratios) and
-///   a checkpoint's spill count. WAL records have not changed since 3.
-pub const FORMAT_VERSION: u32 = 7;
+///   a checkpoint's spill count;
+/// - 8 keeps a WAL generation's frames in strictly increasing sequence
+///   order (in 7 a store's per-stripe streams interleaved). WAL records
+///   have not changed since 3.
+pub const FORMAT_VERSION: u32 = 8;
 
 /// Byte length of a file header (`magic ++ version`).
 pub const HEADER_LEN: usize = 8;
@@ -248,9 +251,10 @@ mod tests {
         // integer fixed-width, version 3 two per-market indices per
         // stripe, version 4 its checkpoint and spill sections
         // uncompressed, version 5 a WAL file and a spill segment per
-        // stream and version 6 its raw records one context-free op at a
-        // time; nothing decodes any of them.
-        for old in [1u32, 2, 3, 4, 5, 6] {
+        // stream, version 6 its raw records one context-free op at a
+        // time and version 7 a generation's frames of several streams
+        // interleaved; nothing decodes any of them.
+        for old in [1u32, 2, 3, 4, 5, 6, 7] {
             let mut stale = file.clone();
             stale[4..8].copy_from_slice(&old.to_le_bytes());
             assert_eq!(

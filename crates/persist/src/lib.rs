@@ -6,7 +6,7 @@
 //! on-disk format (`spotlight_core::json` is the one wire format).
 //!
 //! The crate is deliberately application-agnostic: it moves *byte
-//! payloads* through CRC-checked frames and numbered log streams, and
+//! payloads* through CRC-checked frames and numbered log generations, and
 //! knows how to encode the `cloud-sim` vocabulary ([`codec`]).
 //! `spotlight-core` layers the store-specific operation log and
 //! checkpoint state on top.
@@ -26,9 +26,9 @@
 //!   `[len:u32][crc:u32][seq:u64 ++ payload]` and a scanner that stops
 //!   at the first torn, truncated, or corrupt frame (prefix-valid
 //!   recovery semantics);
-//! * [`wal`] — a bounded-queue single-writer append log over N staging
-//!   streams, one file per generation, with a configurable fsync policy
-//!   and generation rotation;
+//! * [`wal`] — a bounded-queue single-writer append log with one
+//!   staging buffer, one file per generation in sequence order, a
+//!   configurable fsync policy and generation rotation;
 //! * [`lz`] — the LZ block codec every checkpoint and spill section is
 //!   compressed with (no level, no off switch; the decoder refuses
 //!   hostile input without panicking);

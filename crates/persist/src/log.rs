@@ -10,14 +10,12 @@
 //!   clean            clean-shutdown marker (consumed on open)
 //! ```
 //!
-//! The application's streams (a store's stripes) are an in-memory
-//! device; on disk a generation is one file, whatever the stream count.
-//!
 //! Two framings share the [`crate::frame`] envelope. A WAL generation
 //! file is a run of **one frame per record**, each carrying its own
-//! sequence number, in the order the writer received them — it is
-//! appended to, so its tail can tear, and the prefix-valid scan recovers
-//! whole records up to the tear. The checkpoint and every spill segment
+//! sequence number, in strictly increasing sequence order (the order
+//! [`crate::wal`] assigns and sends them in) — it is appended to, so its
+//! tail can tear, and the prefix-valid scan recovers whole records up to
+//! the tear. The checkpoint and every spill segment
 //! are **sections**: each section is one opaque buffer (for a spill
 //! segment, one per stripe: `count ++ slabs`), compressed to
 //! `varint raw length ++ LZ sequences` ([`crate::lz`]), then cut into
@@ -213,9 +211,8 @@ impl LogDir {
 
     /// Reads one WAL generation file and hands `each` every frame of
     /// its valid prefix as `(seq, body)`, in file order. A generation
-    /// holds every stream's records, so the file is read
-    /// `WAL_READ_CHUNK` bytes at a time, never whole, and no frame is
-    /// copied. Returns why the scan stopped: a torn or corrupt tail is
+    /// may be large, so the file is read `WAL_READ_CHUNK` bytes at a
+    /// time, never whole, and no frame is copied. Returns why the scan stopped: a torn or corrupt tail is
     /// reported so, not as an error.
     ///
     /// # Errors

@@ -1,35 +1,34 @@
-//! The write-ahead log: a bounded-queue, single-writer append log over
-//! N in-memory streams with generation rotation, one file per
-//! generation on disk.
+//! The write-ahead log: a bounded-queue, single-writer append log with
+//! generation rotation, one file per generation on disk.
 //!
-//! Callers append `(stream, body)` pairs through [`WalHandle::append`],
-//! which assigns a global monotone sequence number and encodes the
-//! frame into the stream's staging buffer; staged bytes are handed to
-//! a dedicated writer thread over a bounded channel once [`STAGE_BYTES`]
-//! accrue (group commit — one send and one writer wakeup per ~32 KiB,
-//! not per record), so the ingest path never touches the filesystem.
-//! Streams are a concurrency device: they let ingest threads stage
-//! without sharing a lock. The writer owns one open file, the
-//! generation's `wal-<gen>.log`: it appends whatever a pass drained in
-//! arrival order with **one write**, and fsyncs per the configured
-//! [`FsyncPolicy`] — **one file**, and the directory too whenever the
-//! pass created the generation file (a file's bytes are only as durable
-//! as its name), before the durability watermark moves or a flush is
-//! acknowledged.
+//! Callers append bodies through [`WalHandle::append`], which assigns a
+//! global monotone sequence number and encodes the frame into the one
+//! staging buffer; staged bytes are handed to a dedicated writer thread
+//! over a bounded channel once [`STAGE_BYTES`] accrue (group commit —
+//! one send and one writer wakeup per ~32 KiB, not per record), so the
+//! ingest path never touches the filesystem. The writer owns one open
+//! file, the generation's `wal-<gen>.log`: it appends whatever a pass
+//! drained in arrival order with **one write**, and fsyncs per the
+//! configured [`FsyncPolicy`] — **one file**, and the directory too
+//! whenever the pass created the generation file (a file's bytes are
+//! only as durable as its name), before the durability watermark moves
+//! or a flush is acknowledged.
 //!
-//! Ordering guarantee: sequence numbers are assigned under the stream's
-//! staging lock, staged buffers only ever append, the channel send of a
-//! filled stage happens **while that lock is still held**, and the
-//! channel is FIFO into a single writer, so the frames of any one
-//! stream land in the file in strictly increasing sequence order — even
-//! when a flush/rotate drain races a threshold-crossing append. Frames
-//! of different streams interleave in send order. Recovery leans on the
-//! per-stream order for duplicate suppression (per-stream `last_seen`
-//! high-water marks, the stream derived from each record).
+//! Ordering guarantee: sequence numbers are assigned under the staging
+//! lock, the stage only ever appends, every send of staged frames (a
+//! full stage, or a flush/rotate drain) happens **while that lock is
+//! held**, and the channel is FIFO into a single writer. So every
+//! generation file holds its frames in strictly increasing sequence
+//! order, and every frame of a generation precedes, in sequence order,
+//! every frame of a later one. Recovery leans on that order: one
+//! monotone sequence floor drops checkpoint-covered frames and
+//! duplicated tails alike.
 //!
-//! Rotation ([`WalHandle::rotate`]) flushes and closes the generation
-//! file and bumps the generation counter; checkpointing uses it to
-//! bound how much log recovery must replay.
+//! Rotation ([`WalHandle::rotate`]) flushes, fsyncs and closes the
+//! generation file and bumps the generation counter; checkpointing uses
+//! it to bound how much log recovery must replay. A rotate whose fsync
+//! fails changes nothing: the file stays open and dirty, and the
+//! generation where it was.
 //!
 //! # Fault handling
 //!
@@ -72,7 +71,7 @@ pub enum FsyncPolicy {
     /// file once [`SYNC_INTERVAL`] has elapsed since its first unsynced
     /// write (and always on flush, rotation, and shutdown).
     /// The default: a crash loses at most the staged tail (up to
-    /// [`STAGE_BYTES`] per stream), the writer queue, and the last
+    /// [`STAGE_BYTES`] in total), the writer queue, and the last
     /// [`SYNC_INTERVAL`] of written-but-unsynced frames.
     Batch,
     /// Never fsync from the writer loop (still synced on flush,
@@ -83,9 +82,6 @@ pub enum FsyncPolicy {
 /// Configuration for [`WalHandle::open`].
 #[derive(Debug, Clone)]
 pub struct WalConfig {
-    /// Number of staging streams (store stripes + 1 meta stream); on
-    /// disk they share one file per generation.
-    pub streams: u32,
     /// Fsync policy for the writer thread.
     pub fsync: FsyncPolicy,
     /// Bounded append-queue depth; `append` blocks when full, so a slow
@@ -96,7 +92,6 @@ pub struct WalConfig {
 impl Default for WalConfig {
     fn default() -> Self {
         WalConfig {
-            streams: 1,
             fsync: FsyncPolicy::Batch,
             queue_capacity: 4096,
         }
@@ -157,7 +152,7 @@ fn writer_gone() -> io::Error {
 }
 
 enum Msg {
-    /// Staged frames, of one stream or (from a drain) of every stream.
+    /// Staged frames, in sequence order.
     Frame(Stage),
     Flush(SyncSender<io::Result<()>>),
     Rotate {
@@ -168,20 +163,20 @@ enum Msg {
     },
 }
 
-/// Group-commit threshold: a stream's staged frames are handed to the
-/// writer once they reach this many bytes (or on flush/rotate/drop).
-/// Staging turns the per-record channel send + writer wakeup into one
-/// per ~32 KiB, which is what keeps durable ingest near in-memory
-/// ingest speed; the cost is a wider loss window on a hard crash
-/// (bounded by this constant per stream, on top of the writer queue).
+/// Group-commit threshold: staged frames are handed to the writer once
+/// they reach this many bytes (or on flush/rotate/drop). Staging turns
+/// the per-record channel send + writer wakeup into one per ~32 KiB,
+/// which is what keeps durable ingest near in-memory ingest speed; the
+/// cost is a wider loss window on a hard crash (bounded by this
+/// constant, on top of the writer queue).
 /// [`FsyncPolicy::Always`] bypasses staging entirely.
 pub const STAGE_BYTES: usize = 32 * 1024;
 
 /// How long written frames may sit unsynced under
 /// [`FsyncPolicy::Batch`]. An fsync of the generation file costs
 /// ~100µs; syncing on a deadline instead of per drained batch caps that
-/// cost at one fsync per `SYNC_INTERVAL` no matter the ingest rate or
-/// the stream count, in exchange for a crash-loss window of this
+/// cost at one fsync per `SYNC_INTERVAL` no matter the ingest rate, in
+/// exchange for a crash-loss window of this
 /// duration.
 pub const SYNC_INTERVAL: std::time::Duration = std::time::Duration::from_millis(5);
 
@@ -198,8 +193,8 @@ const RETRY_CAP: Duration = Duration::from_millis(50);
 const SYNC_FAILURE_LIMIT: u32 = 3;
 
 /// Staged frames plus the bookkeeping that rides with them to the
-/// writer: a stream's staging buffer, a drain's message, and the
-/// writer's pending write are each one.
+/// writer: the staging buffer, a send's message, and the writer's
+/// pending write are each one.
 #[derive(Default)]
 struct Stage {
     buf: Vec<u8>,
@@ -222,11 +217,10 @@ pub struct WalHandle {
     tx: Option<SyncSender<Msg>>,
     writer: Option<JoinHandle<()>>,
     next_seq: AtomicU64,
-    /// Per-stream staging buffers for group commit. Sequence numbers
-    /// are assigned *and filled stages are sent to the writer* under
-    /// the stage lock, so each stream's frames are strictly seq-ordered
-    /// on disk even for lock-free callers.
-    stages: Vec<Mutex<Stage>>,
+    /// The staging buffer for group commit. Sequence numbers are
+    /// assigned *and staged frames are sent to the writer* under its
+    /// lock, so the log is strictly seq-ordered on disk (module docs).
+    stage: Mutex<Stage>,
     /// Staging threshold in bytes; 0 sends every frame immediately.
     stage_bytes: usize,
     stats: Arc<WalStats>,
@@ -258,9 +252,6 @@ impl WalHandle {
         let (tx, rx) = sync_channel::<Msg>(config.queue_capacity.max(1));
         let writer_dir = dir.clone_view()?;
         let writer_stats = Arc::clone(&stats);
-        let stages = (0..config.streams.max(1))
-            .map(|_| Mutex::new(Stage::default()))
-            .collect();
         let stage_bytes = match config.fsync {
             FsyncPolicy::Always => 0,
             FsyncPolicy::Batch | FsyncPolicy::Never => STAGE_BYTES,
@@ -272,7 +263,7 @@ impl WalHandle {
             tx: Some(tx),
             writer: Some(writer),
             next_seq: AtomicU64::new(first_seq),
-            stages,
+            stage: Mutex::default(),
             stage_bytes,
             stats,
         })
@@ -290,22 +281,20 @@ impl WalHandle {
         })
     }
 
-    /// Appends `body` to `stream` tagged with op time `at` (0 for
-    /// untimed records), returning the assigned sequence number.
-    /// Fire-and-forget: the frame lands in the stream's staging buffer
-    /// and is handed to the writer once [`STAGE_BYTES`] accrue
-    /// (immediately under [`FsyncPolicy::Always`]). Write/fsync errors
-    /// surface via [`WalHandle::stats`], [`WalHandle::is_degraded`],
-    /// and the next [`WalHandle::flush`].
+    /// Appends `body` tagged with op time `at` (0 for untimed records),
+    /// returning the assigned sequence number. Fire-and-forget: the
+    /// frame lands in the staging buffer and is handed to the writer
+    /// once [`STAGE_BYTES`] accrue (immediately under
+    /// [`FsyncPolicy::Always`]). Write/fsync errors surface via
+    /// [`WalHandle::stats`], [`WalHandle::is_degraded`], and the next
+    /// [`WalHandle::flush`].
     ///
     /// # Errors
     ///
     /// Fails only if the writer thread has already exited (the handle
     /// is being shut down).
-    pub fn append(&self, stream: u32, body: &[u8], at: u64) -> io::Result<u64> {
-        let mut stage = unpoisoned(&self.stages[stream as usize]);
-        // Seq assignment under the stage lock keeps this stream's
-        // frames strictly seq-ordered on disk.
+    pub fn append(&self, body: &[u8], at: u64) -> io::Result<u64> {
+        let mut stage = unpoisoned(&self.stage);
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
         let before = stage.buf.len();
         frame::write_frame(&mut stage.buf, seq, body);
@@ -316,33 +305,26 @@ impl WalHandle {
             .appended_bytes
             .fetch_add((stage.buf.len() - before) as u64, Ordering::Relaxed);
         if stage.buf.len() >= self.stage_bytes {
-            // Send while the stage lock is still held: two senders on
-            // one stream (a second threshold crossing, or a concurrent
-            // flush/rotate drain) must enqueue in seq-assignment order,
-            // or recovery's monotone per-stream floor would silently
-            // skip the overtaken lower-seq frames. A full queue merely
-            // extends this critical section (backpressure); the writer
-            // thread never takes stage locks, so it cannot deadlock.
+            // Send while the stage lock is still held: every sender
+            // (a second threshold crossing, or a concurrent flush/rotate
+            // drain) must enqueue in seq-assignment order, or recovery's
+            // monotone floor would silently skip the overtaken
+            // lower-seq frames. A full queue merely extends this
+            // critical section (backpressure); the writer thread never
+            // takes the stage lock, so it cannot deadlock.
             self.send(Msg::Frame(std::mem::take(&mut *stage)))?;
         }
         Ok(seq)
     }
 
-    /// Hands every staging buffer to the writer as **one** message, in
-    /// stream order, so a flush lands in one write. The send happens
-    /// under every stage lock (taken in stream order, as no append holds
-    /// two) so it serializes against concurrent appends' sends — see
-    /// `append`.
-    fn drain_stages(&self) -> io::Result<()> {
-        let mut stages: Vec<_> = self.stages.iter().map(unpoisoned).collect();
-        let mut all = Stage::default();
-        for stage in &mut stages {
-            all.absorb(stage);
-        }
-        if all.buf.is_empty() {
+    /// Hands the staged frames to the writer, under the stage lock so
+    /// the send is ordered against concurrent appends' (see `append`).
+    fn drain(&self) -> io::Result<()> {
+        let mut stage = unpoisoned(&self.stage);
+        if stage.buf.is_empty() {
             return Ok(());
         }
-        self.send(Msg::Frame(all))
+        self.send(Msg::Frame(std::mem::take(&mut *stage)))
     }
 
     /// The next sequence number that [`WalHandle::append`] will assign.
@@ -358,7 +340,7 @@ impl WalHandle {
     /// or a `BrokenPipe`-flavored error while degraded (appends are
     /// being dropped, so a successful flush would be a lie).
     pub fn flush(&self) -> io::Result<()> {
-        self.drain_stages()?;
+        self.drain()?;
         let (ack, done) = sync_channel(1);
         self.send(Msg::Flush(ack))?;
         done.recv().map_err(|_| writer_gone())?
@@ -369,9 +351,12 @@ impl WalHandle {
     ///
     /// # Errors
     ///
-    /// Returns the first IO error encountered while draining.
+    /// Returns the first IO error the writer hit since the last flush;
+    /// the file then stays open (and, if its fsync failed, dirty, so the
+    /// next flush, deadline or rotate retries it) and the generation
+    /// does not advance.
     pub fn rotate(&self) -> io::Result<u64> {
-        self.drain_stages()?;
+        self.drain()?;
         let (ack, done) = sync_channel(1);
         self.send(Msg::Rotate { ack })?;
         done.recv().map_err(|_| writer_gone())?
@@ -416,7 +401,7 @@ impl Drop for WalHandle {
         // Hand over any staged tail, then close the channel: the writer
         // drains, fsyncs, and exits. Send failures mean the writer is
         // already gone — nothing left to hand over to.
-        let _ = self.drain_stages();
+        let _ = self.drain();
         drop(self.tx.take());
         if let Some(writer) = self.writer.take() {
             let _ = writer.join();
@@ -661,7 +646,7 @@ fn writer_loop(
     // deadline), then opportunistically drain the queue. Within a
     // batch the frames are concatenated in arrival order, so a pass
     // costs one write, not one per message — and channel FIFO order,
-    // which each stream's order rides on, is the file's order.
+    // which the sequence order rides on, is the file's order.
     let mut pending = Stage::default();
     // Deadline for the oldest written-but-unsynced frame (Batch only).
     let mut sync_deadline: Option<Instant> = None;
@@ -706,11 +691,14 @@ fn writer_loop(
                     state.write(&mut pending);
                     state.sync();
                     sync_deadline = None;
-                    // A closed file is not synced again, failed or not.
-                    state.file = None;
-                    state.dirty = false;
-                    state.generation += 1;
-                    let result = state.take_error().map(|()| state.generation);
+                    // Only a clean pass closes the file: after a failed
+                    // fsync it stays dirty, to be retried, and its
+                    // frames' times stay out of the watermark.
+                    let result = state.take_error().map(|()| {
+                        state.file = None;
+                        state.generation += 1;
+                        state.generation
+                    });
                     let _ = ack.send(result);
                 }
                 Msg::Revive { ack } => {
@@ -764,38 +752,19 @@ mod tests {
     }
 
     #[test]
-    fn appends_of_every_stream_land_in_one_file_in_seq_order() {
+    fn appends_land_in_one_file_in_seq_order() {
         let tmp = TempDir::new("wal-appends");
         let dir = LogDir::create(tmp.path(), &[]).expect("create");
-        let wal = WalHandle::open(
-            &dir,
-            WalConfig {
-                streams: 2,
-                ..WalConfig::default()
-            },
-            0,
-            0,
-        )
-        .expect("open");
+        let wal = WalHandle::open(&dir, WalConfig::default(), 0, 0).expect("open");
         for i in 0..10u64 {
-            wal.append((i % 2) as u32, &i.to_le_bytes(), 0)
-                .expect("append");
+            wal.append(&i.to_le_bytes(), 0).expect("append");
         }
         wal.flush().expect("flush");
         assert_eq!(dir.list_wal().expect("list"), vec![0], "one file");
-        let frames = read_generation(&dir, 0);
-        assert_eq!(frames.len(), 10);
-        for stream in 0..2u64 {
-            // Each body is its append index, so its parity is its stream.
-            let seqs: Vec<u64> = (frames.iter())
-                .filter(|(_, body)| u64::from_le_bytes(body[..].try_into().unwrap()) % 2 == stream)
-                .map(|(s, _)| *s)
-                .collect();
-            assert_eq!(seqs.len(), 5);
-            let mut sorted = seqs.clone();
-            sorted.sort_unstable();
-            assert_eq!(seqs, sorted, "stream {stream} seqs must be increasing");
-        }
+        // The whole file, in append order: seq i carries body i.
+        let expected: Vec<(u64, Vec<u8>)> =
+            (0..10u64).map(|i| (i, i.to_le_bytes().to_vec())).collect();
+        assert_eq!(read_generation(&dir, 0), expected);
     }
 
     #[test]
@@ -803,10 +772,10 @@ mod tests {
         let tmp = TempDir::new("wal-rotate");
         let dir = LogDir::create(tmp.path(), &[]).expect("create");
         let wal = WalHandle::open(&dir, WalConfig::default(), 0, 100).expect("open");
-        wal.append(0, b"before", 0).expect("append");
+        wal.append(b"before", 0).expect("append");
         let new_gen = wal.rotate().expect("rotate");
         assert_eq!(new_gen, 1);
-        wal.append(0, b"after", 0).expect("append");
+        wal.append(b"after", 0).expect("append");
         wal.flush().expect("flush");
         assert_eq!(read_generation(&dir, 0), vec![(100, b"before".to_vec())]);
         assert_eq!(read_generation(&dir, 1), vec![(101, b"after".to_vec())]);
@@ -825,7 +794,6 @@ mod tests {
         let wal = WalHandle::open(
             &dir,
             WalConfig {
-                streams: 2,
                 fsync: FsyncPolicy::Never,
                 ..WalConfig::default()
             },
@@ -834,24 +802,24 @@ mod tests {
         )
         .expect("open");
         assert_eq!((disk.written(), disk.dir_syncs()), (0, 0));
-        // The first append creates the generation file, which both
-        // streams share; by the time the flush is acknowledged the file
-        // and the directory have each been synced once.
-        wal.append(0, b"a", 1).expect("append");
-        wal.append(1, b"b", 2).expect("append");
+        // The first append creates the generation file; by the time the
+        // flush is acknowledged the file and the directory have each
+        // been synced once.
+        wal.append(b"a", 1).expect("append");
+        wal.append(b"b", 2).expect("append");
         wal.flush().expect("flush");
         assert!(disk.written() > 0, "the file was created through this disk");
         assert_eq!(disk.dir_syncs(), 1);
         assert_eq!(wal.stats().fsyncs.load(Ordering::Relaxed), 2);
         assert_eq!(wal.durable_at(), 2);
         // More frames into files that already have names: no new sync.
-        wal.append(0, b"c", 3).expect("append");
+        wal.append(b"c", 3).expect("append");
         wal.flush().expect("flush");
         assert_eq!(disk.dir_syncs(), 1);
         // A rotate moves to files that do not exist yet.
         wal.rotate().expect("rotate");
         assert_eq!(disk.dir_syncs(), 1, "nothing created, nothing to sync");
-        wal.append(1, b"d", 4).expect("append");
+        wal.append(b"d", 4).expect("append");
         wal.flush().expect("flush");
         assert_eq!(disk.dir_syncs(), 2);
         assert_eq!(dir.list_wal().expect("list"), vec![0, 1]);
@@ -873,7 +841,7 @@ mod tests {
             )
             .expect("open");
             for i in 0..100u64 {
-                wal.append(0, &i.to_le_bytes(), 0).expect("append");
+                wal.append(&i.to_le_bytes(), 0).expect("append");
             }
         }
         assert_eq!(read_generation(&dir, 0).len(), 100);
@@ -882,45 +850,66 @@ mod tests {
     #[test]
     fn concurrent_appends_and_flushes_keep_seq_order() {
         // Regression: sends used to happen after the stage lock was
-        // released, so a flush drain racing a threshold-crossing append
-        // could enqueue a stream's frames out of seq order — which
-        // recovery's monotone floor then silently drops. Always-fsync
-        // sends every append immediately, the tightest interleaving.
-        let tmp = TempDir::new("wal-race");
-        let dir = LogDir::create(tmp.path(), &[]).expect("create");
-        let wal = WalHandle::open(
-            &dir,
-            WalConfig {
-                fsync: FsyncPolicy::Always,
-                ..WalConfig::default()
-            },
-            0,
-            0,
-        )
-        .expect("open");
+        // released, so a drain racing a threshold-crossing append could
+        // enqueue frames out of seq order — which recovery's monotone
+        // floor then silently drops. Writers append while another
+        // thread flushes and rotates, round after round; Always-fsync
+        // sends every append at once (the tightest interleaving), Batch
+        // crosses the staging threshold about twice a round.
         const WRITERS: usize = 4;
-        const PER_WRITER: usize = 250;
-        std::thread::scope(|scope| {
-            for _ in 0..WRITERS {
+        const ROUNDS: usize = 10;
+        for fsync in [FsyncPolicy::Always, FsyncPolicy::Batch] {
+            let tmp = TempDir::new("wal-race");
+            let dir = LogDir::create(tmp.path(), &[]).expect("create");
+            let config = WalConfig {
+                fsync,
+                ..WalConfig::default()
+            };
+            let wal = WalHandle::open(&dir, config, 0, 0).expect("open");
+            let per_round = if fsync == FsyncPolicy::Always {
+                25
+            } else {
+                400
+            };
+            let round_end = std::sync::Barrier::new(WRITERS + 1);
+            std::thread::scope(|scope| {
+                for _ in 0..WRITERS {
+                    scope.spawn(|| {
+                        for _ in 0..ROUNDS {
+                            for i in 0..per_round {
+                                wal.append(&[i as u8; 24], 0).expect("append");
+                            }
+                            round_end.wait();
+                        }
+                    });
+                }
                 scope.spawn(|| {
-                    for i in 0..PER_WRITER {
-                        wal.append(0, &(i as u64).to_le_bytes(), 0).expect("append");
+                    for _ in 0..ROUNDS {
+                        wal.flush().expect("flush");
+                        wal.rotate().expect("rotate");
+                        wal.flush().expect("flush");
+                        round_end.wait();
                     }
                 });
-            }
-            scope.spawn(|| {
-                for _ in 0..50 {
-                    wal.flush().expect("flush");
-                }
             });
-        });
-        wal.flush().expect("final flush");
-        let seqs: Vec<u64> = read_generation(&dir, 0).iter().map(|(s, _)| *s).collect();
-        assert_eq!(seqs.len(), WRITERS * PER_WRITER);
-        assert!(
-            seqs.windows(2).all(|w| w[0] < w[1]),
-            "stream seqs must be strictly increasing"
-        );
+            wal.flush().expect("final flush");
+            let generations = dir.list_wal().expect("list");
+            assert!(generations.len() > 1, "{fsync:?}: {generations:?}");
+            let mut last = None;
+            let mut total = 0;
+            for generation in generations {
+                // Every frame of the file, and across files too.
+                for (seq, _) in read_generation(&dir, generation) {
+                    assert!(
+                        last < Some(seq),
+                        "{fsync:?}: seq {seq} after {last:?} in generation {generation}"
+                    );
+                    last = Some(seq);
+                    total += 1;
+                }
+            }
+            assert_eq!(total, WRITERS * ROUNDS * per_round);
+        }
     }
 
     #[test]
@@ -928,8 +917,8 @@ mod tests {
         let tmp = TempDir::new("wal-stats");
         let dir = LogDir::create(tmp.path(), &[]).expect("create");
         let wal = WalHandle::open(&dir, WalConfig::default(), 0, 0).expect("open");
-        wal.append(0, b"x", 10).expect("append");
-        wal.append(0, b"y", 7).expect("append");
+        wal.append(b"x", 10).expect("append");
+        wal.append(b"y", 7).expect("append");
         wal.flush().expect("flush");
         assert_eq!(wal.stats().appended_ops.load(Ordering::Relaxed), 2);
         assert!(wal.stats().appended_bytes.load(Ordering::Relaxed) > 0);
@@ -963,14 +952,14 @@ mod tests {
             0,
         )
         .expect("open");
-        wal.append(0, b"doomed", 5).expect("append enqueues fine");
+        wal.append(b"doomed", 5).expect("append enqueues fine");
         assert!(wal.flush().is_err(), "flush must surface the failure");
         assert!(wal.is_degraded());
         assert!(wal.stats().io_errors.load(Ordering::Relaxed) >= WRITE_RETRIES as u64);
         assert!(wal.stats().dropped_frames.load(Ordering::Relaxed) >= 1);
         assert_eq!(wal.durable_at(), 0, "nothing became durable");
         // Degraded appends are dropped cheaply, not written.
-        wal.append(0, b"also dropped", 6).expect("append");
+        wal.append(b"also dropped", 6).expect("append");
         assert!(wal.flush().is_err(), "still degraded");
         let text = wal.stats().last_error_text().expect("error recorded");
         assert!(text.contains("wal append"), "unexpected error: {text}");
@@ -1000,13 +989,13 @@ mod tests {
             0,
         )
         .expect("open");
-        wal.append(0, b"x", 3).expect("append");
+        wal.append(b"x", 3).expect("append");
         assert!(wal.flush().is_err());
         assert!(wal.is_degraded());
         let new_gen = wal.revive().expect("revive");
         assert_eq!(new_gen, 1);
         assert!(!wal.is_degraded());
-        wal.append(0, b"y", 9).expect("append");
+        wal.append(b"y", 9).expect("append");
         wal.flush().expect("healed");
         assert_eq!(wal.durable_at(), 9);
         // The dropped frame consumed seq 0; the survivor is seq 1 in
@@ -1041,11 +1030,11 @@ mod tests {
         };
         let wal = WalHandle::open(&dir, config, 0, 0).expect("open");
         let fsyncs = || wal.stats().fsyncs.load(Ordering::Relaxed);
-        wal.append(0, b"a", 5).expect("append");
+        wal.append(b"a", 5).expect("append");
         wal.flush().expect("the first frame is synced");
         assert_eq!((wal.durable_at(), fsyncs(), disk.injected()), (5, 2, 0));
 
-        wal.append(0, b"b", 9).expect("append");
+        wal.append(b"b", 9).expect("append");
         let err = wal.flush().expect_err("its fsync fails");
         assert_eq!(err.raw_os_error(), Some(5), "EIO surfaces: {err}");
         assert_eq!((wal.durable_at(), disk.injected()), (5, 1));
@@ -1055,9 +1044,58 @@ mod tests {
         assert!(!wal.is_degraded(), "two failures, under the limit");
 
         // A write past the window: the next fsync lands and covers all.
-        wal.append(0, b"c", 12).expect("append");
+        wal.append(b"c", 12).expect("append");
         wal.flush().expect("synced at last");
         assert_eq!((wal.durable_at(), fsyncs(), disk.injected()), (12, 3, 2));
+    }
+
+    /// A rotate whose fsync fails is no rotate: it returns the error,
+    /// the generation stays where it was, and its frames' times reach
+    /// the watermark only once their own file is fsynced — not through
+    /// the next generation's first fsync.
+    #[test]
+    fn a_rotate_whose_fsync_fails_keeps_its_generation_and_the_watermark() {
+        use crate::frame::{FRAME_OVERHEAD, HEADER_LEN};
+        let tmp = TempDir::new("wal-rotate-fsync");
+        // As above: the window covers the second frame's write.
+        let frame = (FRAME_OVERHEAD + 8 + 1) as u64;
+        let first_end = HEADER_LEN as u64 + frame;
+        let disk = Arc::new(FaultyDisk::scripted(vec![FaultWindow {
+            kind: FaultKind::SyncEio,
+            from: first_end + 1,
+            to: first_end + frame + 1,
+        }]));
+        let dir = LogDir::create(tmp.path(), &[])
+            .expect("create")
+            .with_io(Arc::clone(&disk) as Arc<_>);
+        let config = WalConfig {
+            fsync: FsyncPolicy::Never,
+            ..WalConfig::default()
+        };
+        let wal = WalHandle::open(&dir, config, 0, 0).expect("open");
+        wal.append(b"a", 5).expect("append");
+        wal.flush().expect("the first frame is synced");
+        assert_eq!(wal.durable_at(), 5);
+
+        wal.append(b"b", 9).expect("append");
+        let err = wal.rotate().expect_err("its fsync fails");
+        assert_eq!(err.raw_os_error(), Some(5), "EIO surfaces: {err}");
+        assert_eq!((wal.durable_at(), disk.injected()), (5, 1));
+        // Nothing new written: generation 0 is still dirty, its fsync is
+        // retried and fails again, and "b" stays out of the watermark.
+        assert!(wal.flush().is_err(), "the failed fsync is not forgotten");
+        assert_eq!((wal.durable_at(), disk.injected()), (5, 2));
+
+        // A write past the window lands in generation 0, whose fsync now
+        // covers "b" and "c" together.
+        wal.append(b"c", 12).expect("append");
+        wal.flush().expect("synced at last");
+        assert_eq!(wal.durable_at(), 12);
+        assert_eq!(dir.list_wal().expect("list"), vec![0], "no rotate happened");
+        let seqs: Vec<u64> = read_generation(&dir, 0).iter().map(|(s, _)| *s).collect();
+        assert_eq!(seqs, vec![0, 1, 2]);
+        assert_eq!(wal.rotate().expect("a clean rotate"), 1);
+        assert!(!wal.is_degraded());
     }
 
     #[test]
@@ -1082,7 +1120,7 @@ mod tests {
         )
         .expect("open");
         for i in 0..SYNC_FAILURE_LIMIT as u64 + 2 {
-            wal.append(0, &i.to_le_bytes(), i + 1).expect("append");
+            wal.append(&i.to_le_bytes(), i + 1).expect("append");
         }
         assert!(wal.flush().is_err());
         assert!(wal.is_degraded());

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Crash-recovery smoke for the verify path: runs the torn-write fault
 # matrix (truncated tail, torn frame, bit rot, duplicated tail record,
-# among four stripes' and the meta stream's frames interleaved in one
-# generation file), the on-disk layout (one WAL file per generation,
+# among four stripes' and the region events' frames in one generation
+# file, in sequence order), the WAL's order under concurrent appends,
+# flushes and rotates (every generation file strictly increasing), the
+# on-disk layout (one WAL file per generation,
 # one spill segment per compaction pass, one unlink per covered
 # generation), the compact-then-crash-then-recover sequence (the
 # archive holds each dropped record once), the checkpoint/tail
@@ -11,8 +13,9 @@
 # degraded (the first success closes the carried episode without a new
 # trip), and degrade-and-heal: the seeded disk-fault
 # schedule, the durability machine's enumeration and a live run healing
-# on a faulty disk, and a failed WAL fsync that the next flush retries
-# before the watermark moves — and the sealed-section path: the section
+# on a faulty disk, a failed WAL fsync that the next flush retries
+# before the watermark moves, and a rotate whose fsync fails, which
+# keeps its generation and the watermark — and the sealed-section path: the section
 # decoder under hostile and damaged input, the slab form's bit-for-bit
 # round trip and its hostile decodes (a market reference past the
 # table, a time delta leaving u64, every truncation), a section cut into
@@ -28,8 +31,11 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== recovery smoke: torn-write fault matrix, streams interleaved in one file =="
+echo "== recovery smoke: torn-write fault matrix, one generation file in sequence order =="
 scripts/one_test.sh --test persistence fault_matrix_recovery_keeps_the_surviving_prefix
+
+echo "== recovery smoke: concurrent appends, flushes and rotates keep the sequence order =="
+scripts/one_test.sh -p spotlight-persist wal::tests::concurrent_appends_and_flushes_keep_seq_order
 
 echo "== recovery smoke: one file per durable event =="
 scripts/one_test.sh --test persistence one_file_per_durable_event
@@ -52,6 +58,7 @@ scripts/one_test.sh --test persistence seeded_fault_schedule_degrades_heals_and_
 scripts/one_test.sh -p spotlight-core durability::tests::durability_machine_keeps_its_promises_over_every_sequence
 scripts/one_test.sh --test live_mode durable_live_run_degrades_and_heals_on_a_faulty_disk
 scripts/one_test.sh -p spotlight-persist wal::tests::a_failed_fsync_is_retried_and_never_moves_the_watermark
+scripts/one_test.sh -p spotlight-persist wal::tests::a_rotate_whose_fsync_fails_keeps_its_generation_and_the_watermark
 
 echo "== recovery smoke: compressed sections and flush =="
 scripts/one_test.sh -p spotlight-core durable::tests::lz_decoder_survives_hostile_and_damaged_stripe_sections

@@ -114,7 +114,8 @@ proptest! {
 
     // The fault matrix: truncated tail, torn frame, bit rot, and a
     // duplicated tail record, each at a generated position, in the one
-    // file of a generation that four stripes and the meta stream share.
+    // file of a generation that holds four stripes' ops and the region
+    // events, in sequence order.
     // Whatever prefix of the file survives the damage, the recovered
     // store must equal a never-crashed store that saw exactly the ops of
     // that prefix.
@@ -145,8 +146,8 @@ proptest! {
             SimDuration::from_secs(3600),
         )
         .unwrap();
-        // A flush every three ops hands the writer a few streams at a
-        // time: the file interleaves the streams.
+        // A flush every three ops: the file holds several of the
+        // writer's batches, every stripe's ops among them.
         for (k, op) in ops.iter().enumerate() {
             op.apply(&store);
             if k % 3 == 2 {
@@ -156,8 +157,8 @@ proptest! {
         store.flush().unwrap();
         drop(store);
 
-        // Every op is a frame of generation 0's one file, in the order
-        // the writer received them.
+        // Every op is a frame of generation 0's one file, in sequence
+        // order: op `k` is the file's frame `k`.
         let (log, _) = LogDir::open(&dir).unwrap();
         prop_assert_eq!(log.list_wal().unwrap(), vec![0]);
         let wal = log.wal_path(0);
@@ -167,6 +168,7 @@ proptest! {
         let file = std::fs::read(&wal).unwrap();
         let body = frame::strip_header(&file, frame::magic::WAL).unwrap();
         let in_file: Vec<u64> = frame::scan(body).frames.iter().map(|f| f.seq).collect();
+        prop_assert_eq!(&in_file, &(0..ops.len() as u64).collect::<Vec<_>>());
 
         // Damage the log; `survivors` is how many frames must remain.
         let survivors = match fault_pick {
@@ -188,7 +190,7 @@ proptest! {
             2 => {
                 // Bit rot inside frame j: j and everything after it is
                 // unreachable (the scan cannot trust frame boundaries
-                // past a bad CRC), whatever stream it belongs to.
+                // past a bad CRC), whatever stripe its op belongs to.
                 let j = (where_pick % frames as u64) as usize + 1;
                 let (s, e) = spans[j];
                 let off = s + (where_pick % (e - s) as u64) as usize;
@@ -197,18 +199,16 @@ proptest! {
             }
             _ => {
                 // A retried append duplicated the tail record; replay
-                // deduplicates by its stream's sequence floor.
+                // drops it below the sequence floor.
                 prop_assert!(fault::duplicate_tail_frame(&wal).unwrap());
                 frames
             }
         };
 
         let recovered = DataStore::recover(&dir).unwrap();
-        let mut kept = in_file[..survivors].to_vec();
-        kept.sort_unstable();
         let twin = layout();
-        for &seq in &kept {
-            ops[seq as usize].apply(&twin);
+        for op in &ops[..survivors] {
+            op.apply(&twin);
         }
         assert_same_summaries(&recovered, &twin, &markets);
         prop_assert_eq!(recovered.degraded_regions(), twin.degraded_regions());
@@ -229,8 +229,8 @@ proptest! {
 }
 
 /// On disk the store writes one file per durable event, whatever its
-/// stripe count: a generation is one WAL file for every stripe's stream
-/// and the meta stream, a compaction pass is one spill segment with a
+/// stripe count: a generation is one WAL file for every stripe's ops and
+/// the store-wide ones, a compaction pass is one spill segment with a
 /// section per stripe, and a checkpoint unlinks one file per generation
 /// it covers.
 #[test]
@@ -250,7 +250,7 @@ fn one_file_per_durable_event() {
     };
     let twin = DataStore::with_layout(STRIPES, epoch);
     // 400 markets spread over every stripe (the spill sections below
-    // prove it), plus the meta stream's ops.
+    // prove it), plus store-wide ops.
     let feed = |store: &DataStore, from: u64| {
         for i in from..from + 400 {
             store.record_probe(probe_at(i, wide_market(i as usize * 13)));
@@ -266,7 +266,7 @@ fn one_file_per_durable_event() {
     assert_eq!(
         names("wal-"),
         ["wal-00000000.log"],
-        "one file for 17 streams"
+        "one file for 16 stripes and the store-wide ops"
     );
 
     // A compaction that spills seals one segment, a section per stripe,
