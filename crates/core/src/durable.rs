@@ -85,8 +85,19 @@
 //! trigger's `origin` is `0 ++ MarketId` the first time and its table
 //! index + 1 after that; a trigger ratio bit-equal to the record's
 //! `spot_ratio` (NaN and -0.0 stay exact) is a flag on the trigger's
-//! tag. The WAL keeps context-free frames: a torn tail must leave a
-//! decodable prefix.
+//! tag. A spike has two forms, behind a leading varint: `0`, then the
+//! record as above, or `n ≥ 1`, a reference to the probe
+//! `last + unzigzag(n − 1)` of the section's probe slab (`last` the
+//! previous reference's probe, first 0). A reference stands for a
+//! `probed` spike that repeats a `PriceSpike` probe — its market, its
+//! `at`, its ratio bit for bit — and that probe is what the reader
+//! rebuilds it from. Production records no other kind: the policy
+//! records a spike exactly when its `PriceSpike` probe answers
+//! informatively, right after that probe, so nearly every spike is a
+//! one-byte reference. References never leave their section, so a
+//! spike whose probe sits in another section stays in full. The WAL
+//! keeps context-free frames: a torn tail must leave a decodable
+//! prefix.
 //!
 //! # Recovery
 //!
@@ -624,6 +635,20 @@ impl Markets {
     }
 }
 
+/// The spike a `PriceSpike` probe repeats: what a reference to it
+/// stands for (module docs, "The slab form").
+fn repeated(p: &ProbeRecord) -> Option<SpikeEvent> {
+    let ProbeTrigger::PriceSpike { ratio } = p.trigger else {
+        return None;
+    };
+    Some(SpikeEvent {
+        market: p.market,
+        at: p.at,
+        ratio,
+        probed: true,
+    })
+}
+
 /// Writes a probe slab, then a spike slab: each its length, then its
 /// records in the slab form.
 fn write_slabs<'a>(
@@ -632,18 +657,31 @@ fn write_slabs<'a>(
     out: &mut Vec<u8>,
 ) {
     let (mut markets, mut prev) = (Markets::default(), 0);
+    // The slab's probes by the spike each repeats, bit for bit.
+    let bits = |s: &SpikeEvent| (s.market, s.at, s.ratio.to_bits(), s.probed);
+    let mut spiked = FxHashMap::default();
     probes.clone().count().encode(out);
-    for p in probes {
+    for (i, p) in probes.enumerate() {
         put_delta(&mut prev, p.at, out);
         markets.put(p.market, out);
         (p.kind, p.outcome).encode(out);
         p.spot_ratio.encode(out);
         markets.put_trigger(p.trigger, p.spot_ratio, out);
         (p.bid, p.cost).encode(out);
+        if let Some(s) = repeated(p) {
+            spiked.insert(bits(&s), i);
+        }
     }
     prev = 0;
+    let mut last = 0usize;
     spikes.clone().count().encode(out);
     for s in spikes {
+        if let Some(&i) = spiked.get(&bits(s)) {
+            (zigzag(i.wrapping_sub(last) as i64) + 1).encode(out);
+            last = i;
+            continue;
+        }
+        0u64.encode(out);
         put_delta(&mut prev, s.at, out);
         markets.put(s.market, out);
         (s.ratio, s.probed).encode(out);
@@ -672,13 +710,24 @@ fn read_slabs(
         });
     }
     prev = 0;
+    let mut last = 0usize;
     for _ in 0..usize::decode(r)? {
-        spikes.push(SpikeEvent {
-            at: take_delta(&mut prev, r)?,
-            market: markets.take(r)?,
-            ratio: f64::decode(r)?,
-            probed: bool::decode(r)?,
-        });
+        let spike = match u64::decode(r)? {
+            0 => SpikeEvent {
+                at: take_delta(&mut prev, r)?,
+                market: markets.take(r)?,
+                ratio: f64::decode(r)?,
+                probed: bool::decode(r)?,
+            },
+            n => {
+                let delta = isize::try_from(unzigzag(n - 1)).ok();
+                last = (delta.and_then(|delta| last.checked_add_signed(delta)))
+                    .filter(|&i| i < probes.len())
+                    .ok_or(DecodeError::Invalid("spike reference"))?;
+                repeated(&probes[last]).ok_or(DecodeError::Invalid("spike reference"))?
+            }
+        };
+        spikes.push(spike);
     }
     Ok((probes, spikes))
 }
@@ -686,17 +735,24 @@ fn read_slabs(
 /// Writes `at` as the zigzag delta from the previous record's time in
 /// its slab. Times are below 2^63 s, so every delta fits an `i64`.
 fn put_delta(prev: &mut u64, at: SimTime, out: &mut Vec<u8>) {
-    let delta = at.as_secs().wrapping_sub(*prev) as i64;
-    (((delta << 1) ^ (delta >> 63)) as u64).encode(out);
+    zigzag(at.as_secs().wrapping_sub(*prev) as i64).encode(out);
     *prev = at.as_secs();
 }
 
 /// Reads what [`put_delta`] wrote; a delta that leaves `u64` is refused.
 fn take_delta(prev: &mut u64, r: &mut Reader<'_>) -> Result<SimTime, DecodeError> {
-    let zigzag = u64::decode(r)?;
-    let delta = (zigzag >> 1) as i64 ^ -((zigzag & 1) as i64);
+    let delta = unzigzag(u64::decode(r)?);
     *prev = (prev.checked_add_signed(delta)).ok_or(DecodeError::Invalid("time delta"))?;
     Ok(SimTime::from_secs(*prev))
+}
+
+/// A signed delta as an unsigned varint's value: small either way is small.
+fn zigzag(delta: i64) -> u64 {
+    ((delta << 1) ^ (delta >> 63)) as u64
+}
+
+fn unzigzag(zigzag: u64) -> i64 {
+    (zigzag >> 1) as i64 ^ -((zigzag & 1) as i64)
 }
 
 /// A checkpoint's stripe section: its raw slabs in the slab form, then
@@ -1456,27 +1512,34 @@ mod tests {
         std::iter::once(item).collect()
     }
 
-    /// One element per slab and one entry per map: with a single entry,
-    /// `RandomState` iteration order cannot reach the bytes. Its key
-    /// points at the one interval, so a checkpoint would load it.
+    /// One entry per map: with a single entry, `RandomState` iteration
+    /// order cannot reach the bytes. Its key points at the one interval,
+    /// so a checkpoint would load it. Two probes, the first a
+    /// `PriceSpike` one, and a spike in each form: one in full, one
+    /// that repeats that probe.
     fn golden_stripe() -> Stripe {
         let m = golden_market(12);
-        let Some(StoreOp::Probe(p)) = golden_ops().into_iter().nth(1) else {
-            unreachable!("the golden ops start with the probes");
-        };
+        let probes: ChunkVec<ProbeRecord> = (golden_ops().into_iter().take(2))
+            .map(|op| match op {
+                StoreOp::Probe(p) => p,
+                _ => unreachable!("the golden ops start with the probes"),
+            })
+            .collect();
+        let repeat = repeated(&probes[0]).expect("the first golden probe is a spike's");
         let key = KeyState {
             intervals: one(0usize),
             open: Some(0),
             ..golden_key_state()
         };
+        let full = SpikeEvent {
+            market: m,
+            at: SimTime::from_secs(18_001),
+            ratio: 2.25,
+            probed: false,
+        };
         Stripe {
-            probes: one(p),
-            spikes: one(SpikeEvent {
-                market: m,
-                at: SimTime::from_secs(18_001),
-                ratio: 2.25,
-                probed: false,
-            }),
+            probes,
+            spikes: [full, repeat].into_iter().collect(),
             spike_ratios_by_epoch: one((5u64, [1.5, 2.25].into_iter().collect())),
             intervals: one(UnavailabilityInterval {
                 market: m,
@@ -1549,7 +1612,9 @@ mod tests {
     /// byte, so the file kept its bytes and its name. Format 7 rewrote
     /// its two checkpoint-only lines, `stripe` (its slabs in the slab
     /// form) and `checkpoint_meta` (its spill count); every WAL record
-    /// line and `key_state` kept its bytes. It is regenerated
+    /// line and `key_state` kept its bytes. Format 9 rewrote `stripe`
+    /// again, for its second probe and its spike in the reference form.
+    /// It is regenerated
     /// (`FORMAT4_GOLDEN_WRITE=1 cargo test -p spotlight-core
     /// format4_golden`) only together with a `FORMAT_VERSION` bump that
     /// changes a record's encoding.
@@ -1997,27 +2062,61 @@ mod tests {
         }
     }
 
+    /// A spike that repeats `p`, a `PriceSpike` probe, or (`miss` 2–4)
+    /// just misses it: unprobed, its ratio one bit off (a NaN's payload,
+    /// a zero's sign), or a second off.
+    fn repeated_spike(p: &ProbeRecord, miss: u64) -> SpikeEvent {
+        let s = repeated(p).expect("a `PriceSpike` probe");
+        let (bits, secs) = (s.ratio.to_bits(), s.at.as_secs());
+        let flip = if s.ratio == 0.0 { 1 << 63 } else { 1 };
+        SpikeEvent {
+            at: SimTime::from_secs(if miss == 4 { secs ^ 1 } else { secs }),
+            ratio: f64::from_bits(if miss == 3 { bits ^ flip } else { bits }),
+            probed: miss != 2,
+            ..s
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         // Random slabs, empty ones included, come back bit for bit from
         // the slab form: times in any order, every trigger, markets and
         // origins new and repeated, NaN and signed-zero ratios elided or
-        // written. Compared as record encodings, so a NaN's payload and
-        // a zero's sign count.
+        // written, and spikes drawn, repeating a `PriceSpike` probe or
+        // just missing one — twins (a second `PriceSpike` probe of the
+        // same market and second, another ratio) included. Compared as
+        // record encodings, so a NaN's payload and a zero's sign count.
         #[test]
         fn slab_form_round_trips_bit_for_bit(
             drawn in proptest::collection::vec((any::<u64>(), any::<u64>(), any::<u64>()), 0..48),
+            twins in proptest::collection::vec(any::<u64>(), 0..8),
             spiked in proptest::collection::vec((any::<u64>(), any::<u64>()), 0..24),
         ) {
-            let probes: Vec<ProbeRecord> =
+            let mut probes: Vec<ProbeRecord> =
                 drawn.iter().map(|&(time, pick, shape)| drawn_probe(time, pick, shape)).collect();
+            for &twin in twins.iter().filter(|_| !drawn.is_empty()) {
+                let p = probes[twin as usize % probes.len()];
+                let at = (twin >> 16) as usize % (probes.len() + 1);
+                for bits in [p.spot_ratio.to_bits(), p.spot_ratio.to_bits() ^ (twin >> 8 | 1)] {
+                    let trigger = ProbeTrigger::PriceSpike { ratio: f64::from_bits(bits) };
+                    probes.insert(at, ProbeRecord { trigger, ..p });
+                }
+            }
+            let spiky: Vec<&ProbeRecord> = (probes.iter())
+                .filter(|p| matches!(p.trigger, ProbeTrigger::PriceSpike { .. }))
+                .collect();
             let spikes: Vec<SpikeEvent> = (spiked.iter())
-                .map(|&(time, pick)| SpikeEvent {
-                    at: SimTime::from_secs(time >> (1 + pick % 63)),
-                    market: golden_market((pick >> 6) as usize % 24),
-                    ratio: drawn_probe(0, pick, 0).spot_ratio,
-                    probed: pick >> 12 & 1 == 1,
+                .map(|&(time, pick)| match pick >> 13 & 7 {
+                    miss @ 0..=4 if !spiky.is_empty() => {
+                        repeated_spike(spiky[time as usize % spiky.len()], miss)
+                    }
+                    _ => SpikeEvent {
+                        at: SimTime::from_secs(time >> (1 + pick % 63)),
+                        market: golden_market((pick >> 6) as usize % 24),
+                        ratio: drawn_probe(0, pick, 0).spot_ratio,
+                        probed: pick >> 12 & 1 == 1,
+                    },
                 })
                 .collect();
             let mut bytes = Vec::new();
@@ -2034,19 +2133,20 @@ mod tests {
 
     /// Slabs a hostile or damaged section holds are decode errors, never
     /// a panic: a market reference past the table, a time delta that
-    /// leaves `u64` either way, a ratio flag on a trigger without a
-    /// ratio, and a section cut at any byte. `decode_stripe` refuses
-    /// each of them in a stripe section.
+    /// leaves `u64` either way, a spike reference past the probe slab,
+    /// to a probe of another trigger or leaving `usize`, a ratio flag on
+    /// a trigger without a ratio, and a section cut at any byte.
+    /// `decode_stripe` refuses each of them in a stripe section.
     #[test]
     fn hostile_slabs_are_decode_errors() {
-        let zigzag = |delta: i64| ((delta << 1) ^ (delta >> 63)) as u64;
-        // No probes, then spikes of one market at the given deltas, its
-        // references as given after the first record's literal.
+        // No probes, then spikes of one market in full at the given
+        // deltas, its references as given after the first record's
+        // literal.
         let spikes = |deltas: &[i64], references: usize| {
             let mut out = vec![0];
             deltas.len().encode(&mut out);
             for (i, &delta) in deltas.iter().enumerate() {
-                zigzag(delta).encode(&mut out);
+                (0u64, zigzag(delta)).encode(&mut out);
                 match i {
                     0 => (0usize, market(0)).encode(&mut out),
                     _ => references.encode(&mut out),
@@ -2060,6 +2160,27 @@ mod tests {
         let (_, fine) = decoded(&spikes(&[i64::MAX, i64::MAX], 1)).expect("at the edge");
         let times: Vec<u64> = fine.iter().map(|s| s.at.as_secs()).collect();
         assert_eq!(times, [top, 2 * top]);
+        // One probe of `trigger`, then one spike of form `n`.
+        let referring = |trigger, n: u64| {
+            let p = ProbeRecord {
+                trigger,
+                ..probe(60, market(0), ProbeOutcome::Fulfilled)
+            };
+            let mut out = Vec::new();
+            write_slabs([p].iter(), [].iter(), &mut out);
+            out.pop(); // the empty spike slab's count
+            (1usize, n).encode(&mut out);
+            out
+        };
+        let spike = ProbeTrigger::PriceSpike { ratio: 2.5 };
+        let (_, rebuilt) = decoded(&referring(spike, 1)).expect("a reference");
+        let want = SpikeEvent {
+            market: market(0),
+            at: SimTime::from_secs(60),
+            ratio: 2.5,
+            probed: true,
+        };
+        assert!(rebuilt.iter().eq([want].iter()));
         let invalid = |what| Err::<(), _>(DecodeError::Invalid(what));
         // The stripe around them: an empty stripe's slabs are two zeros.
         let rest = Stripe::default().to_bytes()[2..].to_vec();
@@ -2067,6 +2188,9 @@ mod tests {
             (spikes(&[i64::MAX, i64::MAX, 2], 1), "time delta"),
             (spikes(&[-1], 1), "time delta"),
             (spikes(&[60, 60], 2), "market reference"),
+            (referring(spike, 1 + zigzag(1)), "spike reference"),
+            (referring(ProbeTrigger::Recovery, 1), "spike reference"),
+            (referring(spike, 1 + zigzag(-1)), "spike reference"),
         ] {
             assert_eq!(decoded(&bytes).map(drop), invalid(what), "{what}");
             let stripe = [bytes, rest.clone()].concat();
@@ -2237,6 +2361,60 @@ mod tests {
             store.durability_stats().expect("stats").spilled_records,
             25 + 2 + 5 + 1
         );
+    }
+
+    /// Production's spikes are references: each repeats the
+    /// `PriceSpike` probe the policy just recorded. On a durable engine
+    /// run of the testbed, compacted and checkpointed after a day, then
+    /// recovered from the checkpoint and a day's tail, every spill
+    /// section's and every recovered stripe's spikes add at most 2 bytes
+    /// apiece to its slabs (the full form takes ~13).
+    #[test]
+    fn production_spikes_cost_at_most_two_bytes_each() {
+        use crate::{SpotLight, SpotLightConfig};
+        use cloud_sim::{catalog::Catalog, config::SimConfig, engine::Engine};
+
+        let tmp = TempDir::new("durable-spike-refs");
+        let dir = tmp.path().join("store");
+        let store = DataStore::create_durable(&dir, DurableOptions::default()).expect("create");
+        let store: crate::store::SharedStore = Arc::new(store);
+        let mut engine = Engine::new(Catalog::testbed(), SimConfig::paper(31));
+        engine.cloud_mut().warmup(20);
+        let agent = SpotLight::new(SpotLightConfig::default(), store.clone());
+        engine.add_agent(Box::new(agent));
+        engine.run_until(SimTime::ZERO + SimDuration::days(1));
+        let compacted = store.compact(SimTime::ZERO + HOUR * 12);
+        assert!(compacted.dropped_spikes > 0, "{compacted:?}");
+        store.checkpoint().expect("checkpoint");
+        engine.run_until(SimTime::ZERO + SimDuration::days(2));
+        drop((engine, store)); // no clean close: recovery replays the tail
+
+        let recovered = DataStore::recover(&dir).expect("recover");
+        let log = &recovered.durable.as_ref().expect("durable").dir;
+        let mut sections: Vec<_> = (log.read_spill(0).expect("a spill").iter())
+            .map(|section| spill_records(section))
+            .collect();
+        sections.extend(recovered.stripes.iter().map(|stripe| {
+            let s = stripe.read();
+            (
+                s.probes.iter().copied().collect(),
+                s.spikes.iter().copied().collect(),
+            )
+        }));
+        let mut spikes = 0;
+        for (i, (probes, spiked)) in sections.iter().enumerate() {
+            let (mut with, mut without) = (Vec::new(), Vec::new());
+            write_slabs(probes.iter(), spiked.iter(), &mut with);
+            write_slabs(probes.iter(), [].iter(), &mut without);
+            let cost = with.len() - without.len();
+            assert!(
+                cost <= 2 * spiked.len(),
+                "section {i}: {cost} B, {} spikes",
+                spiked.len()
+            );
+            spikes += spiked.len();
+        }
+        assert!(spikes >= 100, "{spikes} spikes");
     }
 
     /// Every WAL generation present with its file's length.

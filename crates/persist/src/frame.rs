@@ -45,9 +45,10 @@ pub const MAX_FRAME: usize = 1 << 26;
 ///   slab form (delta times, a market table, elided trigger ratios) and
 ///   a checkpoint's spill count;
 /// - 8 keeps a WAL generation's frames in strictly increasing sequence
-///   order (in 7 a store's per-stripe streams interleaved). WAL records
-///   have not changed since 3.
-pub const FORMAT_VERSION: u32 = 8;
+///   order (in 7 a store's per-stripe streams interleaved);
+/// - 9 writes a spike that repeats a `PriceSpike` probe of its section as
+///   a reference to that probe. WAL records have not changed since 3.
+pub const FORMAT_VERSION: u32 = 9;
 
 /// Byte length of a file header (`magic ++ version`).
 pub const HEADER_LEN: usize = 8;
@@ -252,9 +253,10 @@ mod tests {
         // stripe, version 4 its checkpoint and spill sections
         // uncompressed, version 5 a WAL file and a spill segment per
         // stream, version 6 its raw records one context-free op at a
-        // time and version 7 a generation's frames of several streams
-        // interleaved; nothing decodes any of them.
-        for old in [1u32, 2, 3, 4, 5, 6, 7] {
+        // time, version 7 a generation's frames of several streams
+        // interleaved and version 8 every sealed spike in full; nothing
+        // decodes any of them.
+        for old in [1u32, 2, 3, 4, 5, 6, 7, 8] {
             let mut stale = file.clone();
             stale[4..8].copy_from_slice(&old.to_le_bytes());
             assert_eq!(

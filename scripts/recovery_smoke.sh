@@ -18,9 +18,12 @@
 # keeps its generation and the watermark — and the sealed-section path: the section
 # decoder under hostile and damaged input, the slab form's bit-for-bit
 # round trip and its hostile decodes (a market reference past the
-# table, a time delta leaving u64, every truncation), a section cut into
-# several frames, and a crash right after flush() — all against release
-# builds.
+# table, a time delta leaving u64, a spike reference past the probe
+# slab or to another trigger, every truncation), production's spikes
+# sealed as one- or two-byte references to their probes
+# (durable::tests::production_spikes_cost_at_most_two_bytes_each), a
+# section cut into several frames, and a crash right after flush() —
+# all against release builds.
 #
 # Each step runs one test by its exact name through scripts/one_test.sh,
 # which fails unless exactly that one test ran.
@@ -64,6 +67,7 @@ echo "== recovery smoke: compressed sections and flush =="
 scripts/one_test.sh -p spotlight-core durable::tests::lz_decoder_survives_hostile_and_damaged_stripe_sections
 scripts/one_test.sh -p spotlight-core durable::tests::slab_form_round_trips_bit_for_bit
 scripts/one_test.sh -p spotlight-core durable::tests::hostile_slabs_are_decode_errors
+scripts/one_test.sh -p spotlight-core durable::tests::production_spikes_cost_at_most_two_bytes_each
 scripts/one_test.sh -p spotlight-persist log::tests::oversize_checkpoint_sections_chunk_and_reassemble
 scripts/one_test.sh --test persistence flushed_records_survive_a_crash_without_a_clean_marker
 
