@@ -37,12 +37,9 @@
 //!    sequenced, so `next_seq` still splits them into "inside the
 //!    capture" and "replayed". (The lock-free suppressed counter has
 //!    its own argument below.)
-//!    It counts the spill segments under the compaction lock with it:
-//!    the capture holds a pass's drop exactly when the count holds its
-//!    segment.
 //! 3. *Write.* It encodes the captured state with no lock held and
-//!    writes the checkpoint — `next_seq`, the floor and the spill count
-//!    in its meta section, a `CheckpointMeta` record, then one section
+//!    writes the checkpoint — `next_seq` and the floor in its meta
+//!    section, a `CheckpointMeta` record, then one section
 //!    per stripe, its raw slabs in the slab form (below) — atomically
 //!    (temp + fsync + rename + dir fsync).
 //! 4. *Prune.* Only then does it delete every generation below the
@@ -77,13 +74,12 @@
 //!
 //! # The slab form
 //!
-//! A checkpoint's stripe sections and the spill archive's (a segment
-//! per compaction pass, a section per stripe: `count ++` its doomed
-//! records) write a stripe's `probes` and `spikes` slabs in one form,
-//! each record in slab order. Within a section a record's `at` is the
-//! zigzag delta from the previous record of its slab; a `market` or a
-//! trigger's `origin` is `0 ++ MarketId` the first time and its table
-//! index + 1 after that; a trigger ratio bit-equal to the record's
+//! A checkpoint's stripe sections write a stripe's `probes` and
+//! `spikes` slabs in one form, each record in slab order. Within a
+//! section a record's `at` is the zigzag delta from the previous record
+//! of its slab; a `market` or a trigger's `origin` is `0 ++ MarketId`
+//! the first time and its table index + 1 after that; a trigger ratio
+//! bit-equal to the record's
 //! `spot_ratio` (NaN and -0.0 stay exact) is a flag on the trigger's
 //! tag. A spike has two forms, behind a leading varint: `0`, then the
 //! record as above, or `n ≥ 1`, a reference to the probe
@@ -116,10 +112,9 @@
 //! Recovery never appends to scanned files: it reopens the log at a
 //! fresh generation.
 //!
-//! First it deletes the spill segments the checkpoint does not account
-//! for (all of them without one): sealed after the capture by a
-//! compaction that synced the log first, their records come back
-//! through the replay, and the next compaction seals them once.
+//! Compaction is not logged. A pass after the checkpoint freed raw
+//! records whose frames are still in the tail, so the replay brings
+//! them back resident; their summaries are the same either way.
 //!
 //! # Degraded durability and healing
 //!
@@ -177,7 +172,6 @@ use crate::store::{
     DataStore, EpochCell, EpochSeries, FxHashMap, IntrinsicBidRecord, KeyState, ProbeStats,
     RegionHealth, RevocationRecord, SpikeEvent, Stripe,
 };
-use crate::sync::RwLock;
 use cloud_sim::ids::{MarketId, Region};
 use cloud_sim::time::{SimDuration, SimTime};
 use spotlight_persist::log::{CleanMarker, LogDir};
@@ -233,10 +227,8 @@ pub struct DurabilityStats {
     pub fsyncs: u64,
     /// Checkpoints completed.
     pub checkpoints: u64,
-    /// Raw records sealed into spill segments by compaction.
-    pub spilled_records: u64,
-    /// Write/fsync errors the durable paths (log, checkpoint, spill,
-    /// heal) have hit, each counted once.
+    /// Write/fsync errors the durable paths (log, checkpoint, heal) have
+    /// hit, each counted once.
     pub io_errors: u64,
     /// Description of the most recent of them, if any.
     pub last_error: Option<String>,
@@ -271,8 +263,6 @@ crate::counters! {
     struct SinkCounters / SinkCounts {
         /// Checkpoints completed.
         checkpoints,
-        /// Raw records sealed into spill segments by compaction.
-        spilled_records,
         /// Ops skipped at the sink while degraded.
         ops_dropped,
     }
@@ -282,8 +272,8 @@ crate::counters! {
 /// machine and counters. IO errors go to the WAL's one error record.
 #[derive(Debug)]
 pub(crate) struct DurableSink {
-    pub(crate) dir: LogDir,
-    pub(crate) wal: WalHandle,
+    dir: LogDir,
+    wal: WalHandle,
     counters: SinkCounters,
     /// Generation the writer is currently appending to — after a
     /// successful checkpoint, that checkpoint's floor.
@@ -291,12 +281,6 @@ pub(crate) struct DurableSink {
     /// Serializes checkpoints (rotate + capture + write must not
     /// interleave between two callers).
     ckpt_lock: crate::sync::Mutex<()>,
-    /// Serializes durable compaction passes: spill-then-drop releases
-    /// the stripe lock between snapshot and drop, so two concurrent
-    /// `compact` calls could otherwise seal the same records twice and
-    /// race each other's prefix drop. A checkpoint counts the spill
-    /// segments and captures under it (module docs).
-    pub(crate) compact_lock: crate::sync::Mutex<()>,
     /// Held for one transition or a stats read, never across IO.
     machine: crate::sync::Mutex<DurabilityMachine>,
     /// Mirrors of the machine: appends are dropped (lowered by a heal
@@ -319,7 +303,6 @@ impl DurableSink {
             counters: SinkCounters::default(),
             current_gen: AtomicU64::new(generation),
             ckpt_lock: crate::sync::Mutex::new(()),
-            compact_lock: crate::sync::Mutex::new(()),
             machine: crate::sync::Mutex::new(DurabilityMachine::default()),
             dropping: AtomicBool::new(false),
             lost: AtomicU64::new(NO_LOSS),
@@ -534,8 +517,6 @@ struct CheckpointMeta {
     suppressed_probes: u64,
     next_seq: u64,
     floor: u64,
-    /// Spill segments the capture accounts for: those numbered below.
-    spills: u64,
     region_health: BTreeMap<Region, RegionHealth>,
 }
 
@@ -555,8 +536,7 @@ record_codec! {
         disordered,
     }
     CheckpointMeta {
-        recorded_probes, total_cost_micros, suppressed_probes, next_seq, floor, spills,
-        region_health,
+        recorded_probes, total_cost_micros, suppressed_probes, next_seq, floor, region_health,
     }
 }
 
@@ -819,56 +799,6 @@ fn decode_stripe(section: &[u8]) -> Result<Stripe, DecodeError> {
     Ok(stripe)
 }
 
-/// Seals every raw record of `stripes` older than `before` into **one**
-/// spill segment and returns each stripe's slab lengths
-/// `(probes, spikes)` as its section saw them: the prefix the caller may
-/// drop. The log is flushed first, so each sealed record is also in the
-/// checkpoint or the synced log (module docs, "Recovery"). A stripe's
-/// section is `count ++` its doomed probes and spikes in the slab form,
-/// encoded under its read lock; the segment is written with no lock
-/// held, so ingest and reads proceed during the disk IO.
-///
-/// `None` — the caller keeps **every** stripe's slabs — if there is
-/// nothing to seal, or the log cannot be flushed, the directory listed
-/// or the segment written (counted in the error record): spill-then-drop
-/// is the no-data-loss invariant of durable compaction.
-pub(crate) fn spill(
-    sink: &DurableSink,
-    stripes: &[RwLock<Stripe>],
-    before: SimTime,
-) -> Option<Vec<(usize, usize)>> {
-    let doomed = |s: &Stripe| {
-        s.probes.iter().any(|p| p.at < before) || s.spikes.iter().any(|sp| sp.at < before)
-    };
-    if !stripes.iter().any(|stripe| doomed(&stripe.read())) {
-        return None;
-    }
-    sink.wal.flush().ok()?;
-    let mut lens = Vec::with_capacity(stripes.len());
-    let mut records = 0;
-    let sections = stripes.iter().map(|stripe| {
-        let s = stripe.read();
-        lens.push((s.probes.len(), s.spikes.len()));
-        let probes = s.probes.iter().filter(|p| p.at < before);
-        let spikes = s.spikes.iter().filter(|sp| sp.at < before);
-        // Counted first: the count leads the section, and sizes it.
-        let count = probes.clone().count() + spikes.clone().count();
-        records += count as u64;
-        let mut section = Vec::with_capacity(2 + count * 16);
-        count.encode(&mut section);
-        write_slabs(probes, spikes, &mut section);
-        section
-    });
-    let written = sink.dir.next_spill_number();
-    (written.and_then(|n| sink.dir.write_spill(n, sections)))
-        .inspect_err(|err| sink.wal.stats().record_error(err, "spill"))
-        .ok()?;
-    sink.counters
-        .spilled_records
-        .fetch_add(records, Ordering::Relaxed);
-    Some(lens)
-}
-
 impl DataStore {
     /// Creates an empty **durable** store rooted at `dir`, with the
     /// default layout.
@@ -957,7 +887,6 @@ impl DataStore {
         // 1. The checkpoint, if one was ever completed.
         let mut next_seq = 0u64;
         let mut min_gen = 0u64;
-        let mut spills = 0u64;
         let mut checkpoint_loaded = false;
         if let Some(sections) = log.read_checkpoint()? {
             checkpoint_loaded = true;
@@ -967,7 +896,6 @@ impl DataStore {
             let meta = CheckpointMeta::from_bytes(&sections[0]).map_err(bad_data)?;
             next_seq = meta.next_seq;
             min_gen = meta.floor;
-            spills = meta.spills;
             *store.recorded_probes.get_mut() = meta.recorded_probes;
             *store.total_cost_micros.get_mut() = meta.total_cost_micros;
             *store.suppressed_probes.get_mut() = meta.suppressed_probes;
@@ -976,10 +904,6 @@ impl DataStore {
                 *store.stripes[i].write() = decode_stripe(section).map_err(bad_data)?;
             }
         }
-        // A segment the checkpoint does not account for was sealed after
-        // its capture: the replay below brings its records back, and the
-        // next compaction seals them once.
-        log.delete_spills_from(spills)?;
 
         // 2. Replay the log tail — unless a clean-shutdown marker
         // proves the tail holds nothing past the checkpoint. The marker
@@ -1098,21 +1022,14 @@ impl DataStore {
         let floor = d.wal.rotate()?;
         d.current_gen.store(floor, Ordering::Relaxed);
         // Ops sequenced before `next_seq` are inside the capture,
-        // everything at or after it is replayed on recovery. The spill
-        // segments are counted under the compaction lock, so no pass
-        // seals or drops between the count and the capture.
-        let compacting = d.compact_lock.lock();
-        let spills = d.dir.next_spill_number();
-        let spills = spills.inspect_err(|err| d.wal.stats().record_error(err, "checkpoint"))?;
+        // everything at or after it is replayed on recovery.
         let (captured, next_seq) = self.capture(|| d.wal.next_seq());
-        drop(compacting);
         let meta = CheckpointMeta {
             recorded_probes: captured.recorded_probes,
             total_cost_micros: captured.total_cost_micros,
             suppressed_probes: captured.suppressed_probes,
             next_seq,
             floor,
-            spills,
             region_health: captured.region_health,
         };
         // Encoded with no lock held; each clone goes as soon as it is
@@ -1131,7 +1048,7 @@ impl DataStore {
         Ok(())
     }
 
-    /// Log/checkpoint/spill counters; `None` for in-memory stores.
+    /// Log and checkpoint counters; `None` for in-memory stores.
     pub fn durability_stats(&self) -> Option<DurabilityStats> {
         let d = self.durable.as_ref()?;
         let ws = d.wal.stats();
@@ -1142,7 +1059,6 @@ impl DataStore {
             appended_bytes: ws.appended_bytes.load(Ordering::Relaxed),
             fsyncs: ws.fsyncs.load(Ordering::Relaxed),
             checkpoints: counts.checkpoints,
-            spilled_records: counts.spilled_records,
             io_errors: ws.io_errors.load(Ordering::Relaxed),
             last_error: ws.last_error_text(),
             ops_dropped: counts.ops_dropped,
@@ -1240,8 +1156,8 @@ impl DataStore {
         })
     }
 
-    /// Total on-disk bytes of the store directory (WAL + checkpoint +
-    /// spill segments); `None` for in-memory stores or on a read error.
+    /// Total on-disk bytes of the store directory (WAL + checkpoint);
+    /// `None` for in-memory stores or on a read error.
     pub fn disk_bytes(&self) -> Option<u64> {
         self.durable.as_ref().and_then(|d| d.dir.disk_bytes().ok())
     }
@@ -1575,7 +1491,6 @@ mod tests {
             suppressed_probes: 321,
             next_seq: 4_300_000_000,
             floor: 17,
-            spills: 300,
             region_health: one((
                 Region::ApSoutheast2,
                 RegionHealth {
@@ -1613,7 +1528,8 @@ mod tests {
     /// its two checkpoint-only lines, `stripe` (its slabs in the slab
     /// form) and `checkpoint_meta` (its spill count); every WAL record
     /// line and `key_state` kept its bytes. Format 9 rewrote `stripe`
-    /// again, for its second probe and its spike in the reference form.
+    /// again, for its second probe and its spike in the reference form,
+    /// and format 10 `checkpoint_meta`, which dropped the spill count.
     /// It is regenerated
     /// (`FORMAT4_GOLDEN_WRITE=1 cargo test -p spotlight-core
     /// format4_golden`) only together with a `FORMAT_VERSION` bump that
@@ -1988,35 +1904,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn durable_compaction_spills_before_dropping() {
-        let tmp = TempDir::new("durable-spill");
-        let dir = tmp.path().join("store");
-        let store = DataStore::create_durable(&dir, DurableOptions::default()).expect("create");
-        for t in 0..100u64 {
-            store.record_probe(probe(
-                t * 100,
-                market((t % 4) as u8),
-                ProbeOutcome::Fulfilled,
-            ));
-        }
-        let stats = store.compact(SimTime::from_secs(5000));
-        assert!(stats.dropped_probes > 0);
-        let dstats = store.durability_stats().expect("stats");
-        assert_eq!(dstats.spilled_records, stats.dropped_probes);
-        assert_eq!(dstats.io_errors, 0);
-        assert!(store.disk_bytes().expect("disk bytes") > 0);
-        // The segment holds exactly the dropped probes, each intact.
-        let log = &store.durable.as_ref().expect("durable").dir;
-        let mut sealed: Vec<ProbeRecord> = (log.read_spill(0).expect("read").iter())
-            .flat_map(|section| spill_records(section).0)
-            .collect();
-        sealed.sort_by_key(|p| p.at);
-        let dropped =
-            (0..50u64).map(|t| probe(t * 100, market((t % 4) as u8), ProbeOutcome::Fulfilled));
-        assert_eq!(sealed, dropped.collect::<Vec<_>>());
-    }
-
     /// A probe drawn from three numbers: its time below 2^63 (any two
     /// times' delta fits an `i64`), one of 24 markets and origins, every
     /// kind, outcome and trigger, and ratios that are NaN (with a
@@ -2240,135 +2127,12 @@ mod tests {
         }
     }
 
-    /// A pass's stripes share one segment, so a segment that cannot be
-    /// written keeps every stripe's slabs; the pass after the disk heals
-    /// seals them all.
-    #[test]
-    fn a_failed_spill_keeps_every_stripe() {
-        // The same script on a healthy disk first, to learn where the
-        // segment's one write starts.
-        let run = |windows: Vec<FaultWindow>, dir: &Path| {
-            let io = Arc::new(FaultyDisk::scripted(windows));
-            let opts = DurableOptions {
-                fsync: FsyncPolicy::Never,
-                io: Some(io.clone() as Arc<dyn DiskIo>),
-                ..DurableOptions::default()
-            };
-            let store = DataStore::create_durable_with_layout(dir, opts, 4, HOUR).expect("create");
-            for t in 0..48u64 {
-                let p = probe(
-                    t * 100,
-                    golden_market(t as usize % 12),
-                    ProbeOutcome::Fulfilled,
-                );
-                store.record_probe(p);
-            }
-            store.flush().expect("flush");
-            let at = io.written();
-            (store.compact(SimTime::from_secs(2400)), at, store)
-        };
-        let tmp = TempDir::new("durable-failed-spill");
-        let (healthy, at, _) = run(Vec::new(), &tmp.path().join("healthy"));
-        assert_eq!(healthy.dropped_probes, 24);
-
-        let eio = FaultWindow {
-            kind: FaultKind::WriteEio,
-            from: at,
-            to: at + 1,
-        };
-        let (failed, again, store) = run(vec![eio], &tmp.path().join("faulty"));
-        assert_eq!(again, at, "the script is deterministic");
-        let none = crate::store::CompactionStats::default();
-        assert_eq!(failed, none, "no stripe dropped a record");
-        assert_eq!(store.resident_records(), 48);
-        let stats = store.durability_stats().expect("stats");
-        assert_eq!((stats.spilled_records, stats.io_errors), (0, 1));
-        let log = &store.durable.as_ref().expect("durable").dir;
-        assert!(log.list_spills().expect("list").is_empty());
-
-        assert_eq!(store.compact(SimTime::from_secs(2400)), healthy);
-        assert_eq!(log.list_spills().expect("list"), vec![0]);
-        let sections = log.read_spill(0).expect("read");
-        assert_eq!(sections.len(), 4);
-        let sealed: Vec<ProbeRecord> = (sections.iter())
-            .flat_map(|section| spill_records(section).0)
-            .collect();
-        assert_eq!(sealed.len(), 24);
-        assert!(sealed.iter().all(|p| p.at < SimTime::from_secs(2400)));
-        assert_eq!(store.durability_stats().expect("stats").spilled_records, 24);
-    }
-
-    /// A spill section's records: `count ++` the slabs, the count
-    /// checked against them.
-    fn spill_records(section: &[u8]) -> (Vec<ProbeRecord>, Vec<SpikeEvent>) {
-        let mut r = Reader::new(section);
-        let count = usize::decode(&mut r).expect("count");
-        let (probes, spikes) = read_slabs(&mut r).expect("slabs");
-        r.expect_empty().expect("nothing after the slabs");
-        assert_eq!(count, probes.len() + spikes.len());
-        (
-            probes.iter().copied().collect(),
-            spikes.iter().copied().collect(),
-        )
-    }
-
-    /// A spill segment holds a section per stripe: the record count,
-    /// then the doomed probes and the doomed spikes in the slab form,
-    /// each in slab order.
-    #[test]
-    fn spill_segment_is_one_slab_section_per_stripe() {
-        let tmp = TempDir::new("durable-spill-block");
-        let dir = tmp.path().join("store");
-        let store = DataStore::create_durable_with_layout(&dir, DurableOptions::default(), 1, HOUR)
-            .expect("create");
-        let (mut probes, mut spikes) = (Vec::new(), Vec::new());
-        for t in 0..40u64 {
-            let p = probe(t * 100, market((t % 3) as u8), ProbeOutcome::Fulfilled);
-            store.record_probe(p);
-            if t * 100 < 2500 {
-                probes.push(p);
-            }
-        }
-        for t in [300u64, 2400, 2600] {
-            let s = SpikeEvent {
-                market: market(0),
-                at: SimTime::from_secs(t),
-                ratio: 2.5,
-                probed: true,
-            };
-            store.record_spike(s);
-            if t < 2500 {
-                spikes.push(s);
-            }
-        }
-        let stats = store.compact(SimTime::from_secs(2500));
-        assert_eq!(
-            (stats.dropped_probes, stats.dropped_spikes),
-            (25, 2),
-            "everything older than the horizon was resident"
-        );
-        let log = &store.durable.as_ref().expect("durable").dir;
-        assert_eq!(log.list_spills().expect("list"), vec![0]);
-        let sections = log.read_spill(0).expect("read");
-        assert_eq!(sections.len(), 1, "one section per stripe");
-        assert_eq!(spill_records(&sections[0]), (probes, spikes));
-        // A pass with nothing to seal writes no segment; the next one
-        // that has takes the next number.
-        assert_eq!(store.compact(SimTime::from_secs(2500)).dropped_probes, 0);
-        assert_eq!(store.compact(SimTime::from_secs(3000)).dropped_probes, 5);
-        assert_eq!(log.list_spills().expect("list"), vec![0, 1]);
-        assert_eq!(
-            store.durability_stats().expect("stats").spilled_records,
-            25 + 2 + 5 + 1
-        );
-    }
-
     /// Production's spikes are references: each repeats the
     /// `PriceSpike` probe the policy just recorded. On a durable engine
     /// run of the testbed, compacted and checkpointed after a day, then
-    /// recovered from the checkpoint and a day's tail, every spill
-    /// section's and every recovered stripe's spikes add at most 2 bytes
-    /// apiece to its slabs (the full form takes ~13).
+    /// recovered from the checkpoint and a day's tail, every checkpoint
+    /// stripe section's and every recovered stripe's spikes add at most
+    /// 2 bytes apiece to its slabs (the full form takes ~13).
     #[test]
     fn production_spikes_cost_at_most_two_bytes_each() {
         use crate::{SpotLight, SpotLightConfig};
@@ -2391,16 +2155,18 @@ mod tests {
 
         let recovered = DataStore::recover(&dir).expect("recover");
         let log = &recovered.durable.as_ref().expect("durable").dir;
-        let mut sections: Vec<_> = (log.read_spill(0).expect("a spill").iter())
-            .map(|section| spill_records(section))
-            .collect();
-        sections.extend(recovered.stripes.iter().map(|stripe| {
-            let s = stripe.read();
+        let checkpoint = log.read_checkpoint().expect("read").expect("a checkpoint");
+        let checkpointed = checkpoint[1..]
+            .iter()
+            .map(|section| decode_stripe(section).expect("stripe"));
+        let resident = recovered.stripes.iter().map(|stripe| stripe.read().clone());
+        let slabs = |s: Stripe| -> (Vec<ProbeRecord>, Vec<SpikeEvent>) {
             (
                 s.probes.iter().copied().collect(),
                 s.spikes.iter().copied().collect(),
             )
-        }));
+        };
+        let sections: Vec<_> = checkpointed.chain(resident).map(slabs).collect();
         let mut spikes = 0;
         for (i, (probes, spiked)) in sections.iter().enumerate() {
             let (mut with, mut without) = (Vec::new(), Vec::new());
@@ -2465,7 +2231,7 @@ mod tests {
             // Quiescent: what is left of the log is at most the file
             // header of the floor generation (its file is created on
             // first append, so here: nothing), and the directory is
-            // checkpoint + spill + header.
+            // checkpoint + header.
             let wal_total: u64 = wal.iter().map(|(_, len)| len).sum();
             assert!(wal_total <= 8 * wal.len() as u64, "log bytes left: {wal:?}");
             let named = |prefix: &str| -> u64 {
@@ -2476,10 +2242,9 @@ mod tests {
                     .map(|entry| entry.metadata().expect("metadata").len())
                     .sum()
             };
-            assert_eq!(round >= 1, named("spill-") > 0);
             assert_eq!(
                 store.disk_bytes().expect("disk bytes"),
-                named("checkpoint") + named("spill-") + named("header") + wal_total
+                named("checkpoint") + named("header") + wal_total
             );
         }
         drop(store);
@@ -3077,16 +2842,16 @@ mod tests {
         }
     }
 
-    /// Every durable path — the log writer, a checkpoint, a spill —
-    /// counts its failures once in one error record, whose last error is
-    /// the latest: a spill's does not hide a later WAL failure, and a
+    /// Every durable path — the log writer, a checkpoint — counts its
+    /// failures once in one error record, whose last error is the
+    /// latest: a checkpoint's does not hide a later WAL failure, and a
     /// failed checkpoint write is counted and named.
     #[test]
     fn one_error_record_names_the_latest_failure_of_every_durable_path() {
-        // On a flushed, quiescent store: checkpoint, compact (one spill
-        // segment), then one more flushed batch. Returns the write
-        // positions of the checkpoint, the spill and the end of the
-        // batch, which the same script on a healthy disk finds.
+        // On a flushed, quiescent store: two checkpoints, then one more
+        // flushed batch. Returns the write positions of each checkpoint
+        // and the end of the batch, which the same script on a healthy
+        // disk finds.
         let run = |windows: Vec<FaultWindow>, dir: &Path| {
             let io = Arc::new(FaultyDisk::scripted(windows));
             let opts = DurableOptions {
@@ -3104,25 +2869,25 @@ mod tests {
             let at_checkpoint = io.written();
             let checkpoint = store.checkpoint();
             let after_checkpoint = (errors(), last());
-            let at_spill = io.written();
-            store.compact(SimTime::from_secs(600));
-            let after_spill = (errors(), last());
+            let at_second = io.written();
+            let second = store.checkpoint();
+            let after_second = (errors(), last());
             store.record_probe(probe(3600, market(1), ProbeOutcome::Fulfilled));
             let flushed = store.flush();
-            let positions = [at_checkpoint, at_spill, io.written()];
+            let positions = [at_checkpoint, at_second, io.written()];
             (
                 positions,
-                checkpoint,
+                [checkpoint, second],
                 flushed,
                 after_checkpoint,
-                after_spill,
+                after_second,
                 (errors(), last()),
             )
         };
         let tmp = TempDir::new("durable-one-error-record");
-        let (at, checkpoint, flushed, _, _, (errors, last)) =
+        let (at, [checkpoint, second], flushed, _, _, (errors, last)) =
             run(Vec::new(), &tmp.path().join("a"));
-        assert!(checkpoint.is_ok() && flushed.is_ok());
+        assert!(checkpoint.is_ok() && second.is_ok() && flushed.is_ok());
         assert_eq!((errors, last), (0, None));
 
         let window = |kind, from| FaultWindow {
@@ -3137,19 +2902,23 @@ mod tests {
             // lands past the window.
             window(FaultKind::WriteEnospc, at[2] - 1),
         ];
-        let (again, checkpoint, flushed, after_checkpoint, after_spill, after_wal) =
+        let (again, [checkpoint, second], flushed, after_checkpoint, after_second, after_wal) =
             run(faults, &tmp.path().join("b"));
         assert_eq!(again[..2], at[..2], "the script is deterministic");
         assert_eq!(checkpoint.expect_err("ENOSPC").raw_os_error(), Some(28));
-        let named = |(errors, last): (u64, Option<String>), what: &str| {
+        assert_eq!(second.expect_err("EIO").raw_os_error(), Some(5));
+        let named = |(errors, last): (u64, Option<String>), what: &str, os: &str| {
             let last = last.expect("an error was recorded");
-            assert!(last.starts_with(what), "{what}: {last}");
+            assert!(
+                last.starts_with(what) && last.ends_with(os),
+                "{what}: {last}"
+            );
             errors
         };
-        assert_eq!(named(after_checkpoint, "checkpoint: "), 1);
-        assert_eq!(named(after_spill, "spill: "), 2);
+        assert_eq!(named(after_checkpoint, "checkpoint: ", "(os error 28)"), 1);
+        assert_eq!(named(after_second, "checkpoint: ", "(os error 5)"), 2);
         assert!(flushed.is_err(), "the flush reports the failed attempt");
-        assert_eq!(named(after_wal, "wal append: "), 3);
+        assert_eq!(named(after_wal, "wal append: ", "(os error 28)"), 3);
     }
 
     #[test]

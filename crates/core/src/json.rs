@@ -516,7 +516,6 @@ impl ToJson for DurabilityStats {
             o.u64(key!("appended_bytes"), self.appended_bytes);
             o.u64(key!("fsyncs"), self.fsyncs);
             o.u64(key!("checkpoints"), self.checkpoints);
-            o.u64(key!("spilled_records"), self.spilled_records);
             o.u64(key!("io_errors"), self.io_errors);
             o.opt_str(key!("last_error"), self.last_error.as_deref());
             o.u64(key!("ops_dropped"), self.ops_dropped);

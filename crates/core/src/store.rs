@@ -127,11 +127,10 @@
 //! prunes the log behind it; [`DataStore::recover`] rebuilds the store
 //! from the last checkpoint plus the surviving log tail, trimming torn
 //! or corrupt tail frames and dropping, with one monotone sequence
-//! floor, the covered and duplicated frames. In
-//! durable mode [`DataStore::compact`] *spills* the doomed raw records
-//! into a sealed on-disk segment per pass before freeing their slabs, so
-//! bounded-RAM operation never destroys history. The protocol,
-//! sequence-number reasoning, and crash-safety argument live in
+//! floor, the covered and duplicated frames. [`DataStore::compact`] is
+//! the same in both modes: it frees raw records whose summaries are
+//! kept, and the next checkpoint writes the compacted stripes. The
+//! protocol, sequence-number reasoning, and crash-safety argument live in
 //! [`crate::durable`]; the recovery oracle is
 //! `tests/persistence.rs`, which asserts a recovered store answers
 //! summarized queries bit-identically to one that never crashed across
@@ -575,23 +574,15 @@ fn add_closed_span(epochs: &mut EpochSeries, start: u64, end: u64, width: u64) {
 }
 
 /// Drops the records of a raw slab (probes or spikes) older than
-/// `before` among its first `limit` entries, returning how many went.
-/// Entries at or past `limit` are kept regardless: in durable mode they
-/// arrived after the spill snapshot and are not sealed on disk yet. What
-/// the records contributed stays in the key table and the epoch buckets.
+/// `before`, returning how many went. What the records contributed
+/// stays in the key table and the epoch buckets.
 fn compact_slab<T: Copy>(
     slab: &mut ChunkVec<T>,
     at: impl Fn(&T) -> SimTime,
     before: SimTime,
-    limit: usize,
 ) -> u64 {
     let old_len = slab.len();
-    let kept: ChunkVec<T> = slab
-        .iter()
-        .enumerate()
-        .filter(|&(i, r)| i >= limit || at(r) >= before)
-        .map(|(_, r)| *r)
-        .collect();
+    let kept: ChunkVec<T> = slab.iter().filter(|&r| at(r) >= before).copied().collect();
     if kept.len() != old_len {
         *slab = kept;
     }
@@ -796,40 +787,16 @@ impl DataStore {
     /// every running counter are retained, so summarized queries are
     /// unchanged; raw-log iteration shrinks to the retained window.
     ///
-    /// In durable mode the doomed raw records are first sealed on disk
-    /// (see [`crate::durable`]) — compaction *spills* rather than
-    /// destroys, so the full raw history survives bounded-RAM
-    /// operation. A pass seals one spill segment, a section per stripe,
-    /// or none when nothing is old enough. It syncs the log before it
-    /// seals, so a crash before the next checkpoint can replay every
-    /// sealed record, and recovery drops the segment instead of
-    /// archiving its records twice. If the log cannot be synced (a
-    /// degraded store's cannot) or the segment written, every stripe
-    /// keeps its raw slabs (nothing is lost; the error is surfaced via
-    /// [`DataStore::durability_stats`]).
+    /// Compaction frees raw records whose summaries are kept: nothing
+    /// is written, and a durable store compacts exactly as an in-memory
+    /// one (a degraded one too). One pass takes each stripe's write lock
+    /// in turn; the next checkpoint writes the compacted stripes.
     pub fn compact(&self, before: SimTime) -> CompactionStats {
-        // Durable compaction releases the stripe locks between spilling
-        // and dropping, so concurrent passes must not interleave (the
-        // same records would be sealed twice).
-        let _spill_guard = self.durable.as_ref().map(|d| d.compact_lock.lock());
         let mut stats = CompactionStats::default();
-        // In durable mode the doomed records are sealed *before* any
-        // slab is touched, and only the slab prefix each section saw is
-        // dropped afterwards: records that arrive mid-spill (even ones
-        // older than `before`) stay resident until the next pass, so
-        // segments never hold duplicates.
-        let sealed = match &self.durable {
-            Some(d) => match crate::durable::spill(d, &self.stripes, before) {
-                Some(lens) => lens.into_iter().map(Some).collect(),
-                None => return stats, // nothing sealed: every slab stays
-            },
-            None => vec![None; self.stripes.len()],
-        };
-        for (stripe, sealed) in self.stripes.iter().zip(sealed) {
+        for stripe in self.stripes.iter() {
             let mut s = stripe.write();
-            let (probe_limit, spike_limit) = sealed.unwrap_or((s.probes.len(), s.spikes.len()));
-            stats.dropped_probes += compact_slab(&mut s.probes, |p| p.at, before, probe_limit);
-            stats.dropped_spikes += compact_slab(&mut s.spikes, |sp| sp.at, before, spike_limit);
+            stats.dropped_probes += compact_slab(&mut s.probes, |p| p.at, before);
+            stats.dropped_spikes += compact_slab(&mut s.spikes, |sp| sp.at, before);
         }
         stats
     }

@@ -1,4 +1,4 @@
-//! Injectable disk I/O under the WAL, checkpoint, and spill writers.
+//! Injectable disk I/O under the WAL and checkpoint writers.
 //!
 //! Every byte the persistence layer puts on disk flows through a
 //! [`DiskIo`] implementation held by the [`crate::log::LogDir`]. In

@@ -6,8 +6,8 @@
 //! [magic: 4 bytes][version: u32 LE]
 //! ```
 //!
-//! where the magic names the file kind (WAL, checkpoint, spill segment,
-//! directory header) so a misplaced file is rejected instead of
+//! where the magic names the file kind (WAL, checkpoint, clean-shutdown
+//! marker, directory header) so a misplaced file is rejected instead of
 //! misparsed. After the header the file is a run of frames:
 //!
 //! ```text
@@ -47,8 +47,11 @@ pub const MAX_FRAME: usize = 1 << 26;
 /// - 8 keeps a WAL generation's frames in strictly increasing sequence
 ///   order (in 7 a store's per-stripe streams interleaved);
 /// - 9 writes a spike that repeats a `PriceSpike` probe of its section as
-///   a reference to that probe. WAL records have not changed since 3.
-pub const FORMAT_VERSION: u32 = 9;
+///   a reference to that probe;
+/// - 10 writes no spill segment and drops a checkpoint's spill count.
+///
+/// WAL records have not changed since 3.
+pub const FORMAT_VERSION: u32 = 10;
 
 /// Byte length of a file header (`magic ++ version`).
 pub const HEADER_LEN: usize = 8;
@@ -64,8 +67,6 @@ pub mod magic {
     pub const WAL: [u8; 4] = *b"SLw1";
     /// Checkpoint file.
     pub const CHECKPOINT: [u8; 4] = *b"SLc1";
-    /// Sealed spill segment.
-    pub const SPILL: [u8; 4] = *b"SLs1";
     /// Clean-shutdown marker.
     pub const CLEAN: [u8; 4] = *b"SLk1";
 }
@@ -254,9 +255,9 @@ mod tests {
         // uncompressed, version 5 a WAL file and a spill segment per
         // stream, version 6 its raw records one context-free op at a
         // time, version 7 a generation's frames of several streams
-        // interleaved and version 8 every sealed spike in full; nothing
-        // decodes any of them.
-        for old in [1u32, 2, 3, 4, 5, 6, 7, 8] {
+        // interleaved, version 8 every sealed spike in full and version
+        // 9 a spill count in its checkpoint; nothing decodes any of them.
+        for old in [1u32, 2, 3, 4, 5, 6, 7, 8, 9] {
             let mut stale = file.clone();
             stale[4..8].copy_from_slice(&old.to_le_bytes());
             assert_eq!(

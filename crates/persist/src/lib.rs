@@ -29,13 +29,13 @@
 //! * [`wal`] — a bounded-queue single-writer append log with one
 //!   staging buffer, one file per generation in sequence order, a
 //!   configurable fsync policy and generation rotation;
-//! * [`lz`] — the LZ block codec every checkpoint and spill section is
+//! * [`lz`] — the LZ block codec every checkpoint section is
 //!   compressed with (no level, no off switch; the decoder refuses
 //!   hostile input without panicking);
 //! * [`log`] — the on-disk directory layout, one file per durable
 //!   event (header, a WAL file per generation of one frame per record,
-//!   and the checkpoint file and a spill segment per compaction pass —
-//!   compressed, chunked sections written temp+rename+fsync);
+//!   and the checkpoint file — compressed, chunked sections written
+//!   temp+rename+fsync);
 //! * [`fault`] — the crash-injection helpers the torn-write recovery
 //!   tests drive (truncate/corrupt/duplicate-tail at byte offsets);
 //! * [`tempdir`] — a tiny RAII scratch-directory helper for tests and

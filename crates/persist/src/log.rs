@@ -6,7 +6,6 @@
 //!   header           directory metadata (the application's layout bytes)
 //!   wal-<gen>.log    append-only log, one file per generation
 //!   checkpoint       latest checkpoint (temp+rename+fsync)
-//!   spill-<n>.seg    sealed spill segments, one per compaction pass
 //!   clean            clean-shutdown marker (consumed on open)
 //! ```
 //!
@@ -15,13 +14,12 @@
 //! sequence number, in strictly increasing sequence order (the order
 //! [`crate::wal`] assigns and sends them in) — it is appended to, so its
 //! tail can tear, and the prefix-valid scan recovers whole records up to
-//! the tear. The checkpoint and every spill segment
-//! are **sections**: each section is one opaque buffer (for a spill
-//! segment, one per stripe: `count ++ slabs`), compressed to
+//! the tear. The checkpoint is a run of **sections**: each section is
+//! one opaque buffer, compressed to
 //! `varint raw length ++ LZ sequences` ([`crate::lz`]), then cut into
 //! frames of at most `CHECKPOINT_CHUNK` bytes that share the section
 //! index as their sequence number — one CRC per ≤ 16 MiB, no per-record
-//! envelope. Sections are only ever written whole and atomically, so a
+//! envelope. The checkpoint is only ever written whole and atomically, so a
 //! tear cannot happen and any damage (a bad frame, a block the decoder
 //! refuses) is a hard error. WAL records, the directory header and the
 //! clean marker stay uncompressed.
@@ -30,7 +28,7 @@
 //!
 //! * WAL generation files are append-only and never rewritten; a crash
 //!   can only damage their tails, which the frame scanner trims.
-//! * The checkpoint and every spill segment are written to a temp file,
+//! * The checkpoint is written to a temp file,
 //!   fsynced, then renamed into place, then the directory is fsynced —
 //!   readers see either the old file or the complete new one.
 //! * A name is as durable as the last directory fsync: the WAL writer
@@ -51,9 +49,8 @@ use std::sync::Arc;
 const HEADER_FILE: &str = "header";
 const CHECKPOINT_FILE: &str = "checkpoint";
 const CLEAN_FILE: &str = "clean";
-/// Sections (of the checkpoint and of spill segments) are split into
-/// frames of at most this many bytes, so a section (one stripe's full
-/// state, or everything a stripe spills in one pass) may exceed
+/// Checkpoint sections are split into frames of at most this many
+/// bytes, so a section (one stripe's full state) may exceed
 /// [`frame::MAX_FRAME`] without overflowing a frame.
 const CHECKPOINT_CHUNK: usize = 1 << 24;
 /// [`LogDir::read_wal`] reads a generation file this many bytes at a
@@ -125,10 +122,10 @@ impl LogDir {
             io: Arc::new(RealDisk),
         };
         // A crash between a temp write and its rename leaves a stale
-        // `*.tmp` behind; checkpoint.tmp would be truncated by the next
-        // checkpoint, but spill temp names are never reused, so they
-        // would accumulate forever. Sweep them all before anything
-        // reads or writes the directory — only renamed files are live.
+        // `*.tmp` behind: a `checkpoint.tmp` holds a whole checkpoint's
+        // bytes until the next checkpoint truncates it, which may be a
+        // day away. Sweep them all before anything reads or writes the
+        // directory — only renamed files are live.
         dir.sweep_tmp()?;
         let bytes = fs::read(dir.root.join(HEADER_FILE))?;
         let body = frame::strip_header(&bytes, magic::DIR).map_err(corrupt)?;
@@ -206,7 +203,17 @@ impl LogDir {
     ///
     /// Propagates directory-read errors.
     pub fn list_wal(&self) -> io::Result<Vec<u64>> {
-        self.numbered("wal-", ".log")
+        let mut out = Vec::new();
+        for entry in fs::read_dir(&self.root)? {
+            let name = entry?.file_name();
+            let generation = name.to_str().and_then(|name| {
+                let rest = name.strip_prefix("wal-")?.strip_suffix(".log")?;
+                rest.parse::<u64>().ok()
+            });
+            out.extend(generation);
+        }
+        out.sort_unstable();
+        Ok(out)
     }
 
     /// Reads one WAL generation file and hands `each` every frame of
@@ -279,7 +286,12 @@ impl LogDir {
     /// Propagates filesystem errors; on error the previous checkpoint,
     /// if any, is still in place.
     pub fn write_checkpoint(&self, sections: &[Vec<u8>]) -> io::Result<()> {
-        self.write_sections(CHECKPOINT_FILE, magic::CHECKPOINT, sections)
+        let mut body = Vec::new();
+        frame::write_header(&mut body, magic::CHECKPOINT);
+        for (i, section) in sections.iter().enumerate() {
+            write_section(&mut body, i as u64, section);
+        }
+        self.write_atomic(CHECKPOINT_FILE, &body)
     }
 
     /// Reads the checkpoint's sections, or `None` if no checkpoint has
@@ -297,64 +309,7 @@ impl LogDir {
             Err(err) => return Err(err),
         };
         let body = frame::strip_header(&bytes, magic::CHECKPOINT).map_err(corrupt)?;
-        read_sections(body, "damaged checkpoint").map(Some)
-    }
-
-    /// Writes sealed spill segment `n`: one chunked section per block
-    /// (a compaction pass hands one per stripe, its `count ++ slabs`),
-    /// each compressed as it arrives. Atomic: temp, fsync, rename,
-    /// directory fsync. `n` comes from [`LogDir::next_spill_number`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors; on error no segment is visible.
-    pub fn write_spill(&self, n: u64, blocks: impl IntoIterator<Item = Vec<u8>>) -> io::Result<()> {
-        self.write_sections(&spill_name(n), magic::SPILL, blocks)
-    }
-
-    /// Deletes every spill segment numbered `first` or higher, one
-    /// unlink each: recovery's for the segments a checkpoint does not
-    /// account for.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn delete_spills_from(&self, first: u64) -> io::Result<()> {
-        for n in self.list_spills()?.into_iter().filter(|&n| n >= first) {
-            fs::remove_file(self.root.join(spill_name(n)))?;
-        }
-        Ok(())
-    }
-
-    /// Every spill segment number present, ascending.
-    ///
-    /// # Errors
-    ///
-    /// Propagates directory-read errors.
-    pub fn list_spills(&self) -> io::Result<Vec<u64>> {
-        self.numbered("spill-", ".seg")
-    }
-
-    /// The next free spill segment number: one past the highest present.
-    ///
-    /// # Errors
-    ///
-    /// Propagates directory-read errors.
-    pub fn next_spill_number(&self) -> io::Result<u64> {
-        Ok(self.list_spills()?.last().map_or(0, |n| n + 1))
-    }
-
-    /// Reads one sealed spill segment's blocks, in the order
-    /// [`LogDir::write_spill`] was handed them.
-    ///
-    /// # Errors
-    ///
-    /// A damaged spill segment is a hard error: segments are written
-    /// atomically and never appended to, so torn tails cannot happen.
-    pub fn read_spill(&self, n: u64) -> io::Result<Vec<Vec<u8>>> {
-        let bytes = fs::read(self.root.join(spill_name(n)))?;
-        let body = frame::strip_header(&bytes, magic::SPILL).map_err(corrupt)?;
-        read_sections(body, "damaged spill segment")
+        read_sections(body).map(Some)
     }
 
     /// Atomically writes the clean-shutdown marker: proof that the WAL
@@ -453,38 +408,6 @@ impl LogDir {
         Ok(())
     }
 
-    /// The numbers `n` of the files named `<prefix><n><suffix>`,
-    /// ascending.
-    fn numbered(&self, prefix: &str, suffix: &str) -> io::Result<Vec<u64>> {
-        let mut out = Vec::new();
-        for entry in fs::read_dir(&self.root)? {
-            let name = entry?.file_name();
-            let number = name.to_str().and_then(|name| {
-                let rest = name.strip_prefix(prefix)?.strip_suffix(suffix)?;
-                rest.parse::<u64>().ok()
-            });
-            out.extend(number);
-        }
-        out.sort_unstable();
-        Ok(out)
-    }
-
-    /// Writes `sections` to `name` behind a `kind` header, each
-    /// compressed and framed by [`write_section`] as it arrives.
-    fn write_sections<S: AsRef<[u8]>>(
-        &self,
-        name: &str,
-        kind: [u8; 4],
-        sections: impl IntoIterator<Item = S>,
-    ) -> io::Result<()> {
-        let mut body = Vec::new();
-        frame::write_header(&mut body, kind);
-        for (i, section) in sections.into_iter().enumerate() {
-            write_section(&mut body, i as u64, section.as_ref());
-        }
-        self.write_atomic(name, &body)
-    }
-
     /// Writes `bytes` to `name` via temp + fsync + rename + dir fsync.
     fn write_atomic(&self, name: &str, bytes: &[u8]) -> io::Result<()> {
         let tmp = self.root.join(format!("{name}.tmp"));
@@ -510,10 +433,6 @@ impl LogDir {
     }
 }
 
-fn spill_name(n: u64) -> String {
-    format!("spill-{n:08}.seg")
-}
-
 /// Appends `section`, compressed, to `body` as frames of at most
 /// [`CHECKPOINT_CHUNK`] bytes that share `index` as their sequence
 /// number; [`read_sections`] reassembles by index and decompresses.
@@ -529,8 +448,9 @@ fn write_section(body: &mut Vec<u8>, index: u64, section: &[u8]) {
 /// Reassembles and decompresses the sections [`write_section`] wrote
 /// into `body`, in index order. Anything but a clean, non-empty run of
 /// frames whose indices count up from zero, each section a block
-/// [`lz::decompress`] accepts, is `damaged`.
-fn read_sections(body: &[u8], damaged: &'static str) -> io::Result<Vec<Vec<u8>>> {
+/// [`lz::decompress`] accepts, is a damaged checkpoint.
+fn read_sections(body: &[u8]) -> io::Result<Vec<Vec<u8>>> {
+    let damaged = "damaged checkpoint";
     let scanned = frame::scan(body);
     if scanned.end != ScanEnd::Clean || scanned.frames.is_empty() {
         return Err(corrupt(damaged));
@@ -633,14 +553,17 @@ mod tests {
         let tmp = TempDir::new("logdir-tmp-sweep");
         let _ = LogDir::create(tmp.path(), &[]).expect("create");
         // Debris a crash mid-write_atomic would leave behind.
-        std::fs::write(tmp.path().join("spill-00000000.seg.tmp"), b"torn").expect("write");
         std::fs::write(tmp.path().join("checkpoint.tmp"), b"torn").expect("write");
+        std::fs::write(tmp.path().join("clean.tmp"), b"torn").expect("write");
         let (dir, _) = LogDir::open(tmp.path()).expect("open");
-        assert!(!tmp.path().join("spill-00000000.seg.tmp").exists());
         assert!(!tmp.path().join("checkpoint.tmp").exists());
-        // The swept name is free again for a real spill.
-        dir.write_spill(0, [b"a".to_vec()]).expect("spill");
-        assert_eq!(dir.list_spills().expect("list"), vec![0]);
+        assert!(!tmp.path().join("clean.tmp").exists());
+        // The swept name is free again for a real checkpoint.
+        dir.write_checkpoint(&[b"a".to_vec()]).expect("checkpoint");
+        assert_eq!(
+            dir.read_checkpoint().expect("read"),
+            Some(vec![b"a".to_vec()])
+        );
     }
 
     #[test]
@@ -763,10 +686,7 @@ mod tests {
         let dir = LogDir::create(tmp.path(), &[]).expect("create");
         std::fs::remove_dir_all(tmp.path()).expect("vanish");
         assert!(dir.list_wal().is_err());
-        assert!(dir.list_spills().is_err());
         assert!(dir.write_checkpoint(&[b"meta".to_vec()]).is_err());
-        assert!(dir.next_spill_number().is_err());
-        assert!(dir.write_spill(0, [b"a".to_vec()]).is_err());
         assert!(dir.disk_bytes().is_err());
         // Reopening also fails cleanly, and leaves no recreated state.
         assert!(LogDir::open(tmp.path()).is_err());
@@ -805,88 +725,42 @@ mod tests {
     }
 
     #[test]
-    fn spill_segments_are_numbered_per_pass() {
-        let tmp = TempDir::new("logdir-spill");
+    fn damaged_checkpoint_is_a_hard_error() {
+        let tmp = TempDir::new("logdir-ckpt-damage");
         let dir = LogDir::create(tmp.path(), &[]).expect("create");
-        // One number per segment, whatever it holds: the next is one
-        // past the highest present, gaps included.
-        assert_eq!(dir.next_spill_number().expect("next"), 0);
-        let blocks = |parts: &[&[u8]]| parts.iter().map(|p| p.to_vec()).collect::<Vec<_>>();
-        dir.write_spill(0, blocks(&[b"a"])).expect("spill");
-        dir.write_spill(1, blocks(&[b"bc", b"", b"d"]))
-            .expect("spill");
-        dir.write_spill(5, blocks(&[b"e"])).expect("spill");
-        assert_eq!(dir.list_spills().expect("list"), vec![0, 1, 5]);
-        assert_eq!(dir.next_spill_number().expect("next"), 6);
-        assert_eq!(
-            dir.read_spill(1).expect("read"),
-            blocks(&[b"bc", b"", b"d"])
-        );
-        assert!(dir.disk_bytes().expect("bytes") > 0);
-    }
-
-    #[test]
-    fn spill_block_larger_than_one_chunk_round_trips() {
-        let tmp = TempDir::new("logdir-spill-chunks");
-        let dir = LogDir::create(tmp.path(), &[]).expect("create");
-        let block = noise(CHECKPOINT_CHUNK + 4567, 7);
-        dir.write_spill(7, [block.clone()]).expect("spill");
-        assert_eq!(
-            dir.read_spill(7).expect("read"),
-            std::slice::from_ref(&block)
-        );
-        // One envelope per chunk of the compressed block, none per record.
-        let mut packed = Vec::new();
-        lz::compress(&block, &mut packed);
-        assert!(packed.len() > CHECKPOINT_CHUNK, "noise does not shrink");
-        let len = std::fs::metadata(tmp.path().join(spill_name(7)))
-            .expect("segment")
-            .len() as usize;
-        assert_eq!(
-            len,
-            frame::HEADER_LEN + packed.len() + 2 * (frame::FRAME_OVERHEAD + 8)
-        );
-        // An empty block is still a section of its own.
-        dir.write_spill(8, [Vec::new()]).expect("empty spill");
-        assert_eq!(dir.read_spill(8).expect("read"), [Vec::<u8>::new()]);
-    }
-
-    #[test]
-    fn damaged_spill_segment_is_a_hard_error() {
-        let tmp = TempDir::new("logdir-spill-damage");
-        let dir = LogDir::create(tmp.path(), &[]).expect("create");
-        let block: Vec<u8> = (0..600u32).map(|i| (i % 251) as u8).collect();
-        dir.write_spill(0, [block.clone()]).expect("spill");
-        let path = tmp.path().join(spill_name(0));
-        let pristine = std::fs::read(&path).expect("read segment");
+        let section: Vec<u8> = (0..600u32).map(|i| (i % 251) as u8).collect();
+        dir.write_checkpoint(std::slice::from_ref(&section))
+            .expect("write");
+        let path = tmp.path().join(CHECKPOINT_FILE);
+        let pristine = std::fs::read(&path).expect("read checkpoint");
         let damaged = |bytes: &[u8]| {
             std::fs::write(&path, bytes).expect("damage");
-            let err = dir.read_spill(0).expect_err("damage must not read");
+            let err = dir.read_checkpoint().expect_err("damage must not read");
             assert_eq!(err.kind(), io::ErrorKind::InvalidData);
             err.to_string()
         };
         // A flipped byte anywhere past the file header: length, CRC,
-        // section index or block.
-        for at in [8, 13, 17, 40, pristine.len() - 1] {
+        // section index or compressed section.
+        for at in frame::HEADER_LEN..pristine.len() {
             let mut flipped = pristine.clone();
             flipped[at] ^= 0x10;
-            assert_eq!(damaged(&flipped), "damaged spill segment", "byte {at}");
+            assert_eq!(damaged(&flipped), "damaged checkpoint", "byte {at}");
         }
         // A short file, a header alone, and a section whose index
         // skips one.
         assert_eq!(
             damaged(&pristine[..pristine.len() - 3]),
-            "damaged spill segment"
+            "damaged checkpoint"
         );
         assert_eq!(
             damaged(&pristine[..frame::HEADER_LEN]),
-            "damaged spill segment"
+            "damaged checkpoint"
         );
         let mut skipped = pristine.clone();
         frame::write_frame(&mut skipped, 2, b"stowaway");
-        assert_eq!(damaged(&skipped), "damaged spill segment");
+        assert_eq!(damaged(&skipped), "damaged checkpoint");
         std::fs::write(&path, &pristine).expect("restore");
-        assert_eq!(dir.read_spill(0).expect("read"), [block]);
+        assert_eq!(dir.read_checkpoint().expect("read"), Some(vec![section]));
     }
 
     #[test]

@@ -126,7 +126,7 @@ pub struct WalStats {
 impl WalStats {
     /// Counts `err` and makes it the most recent one. The writer records
     /// its own failures here; a caller with more durable paths (a
-    /// checkpoint, a spill) records theirs too, so the log's stats are
+    /// checkpoint, a heal) records theirs too, so the log's stats are
     /// the one error record.
     pub fn record_error(&self, err: &io::Error, what: &str) {
         self.io_errors.fetch_add(1, Ordering::Relaxed);

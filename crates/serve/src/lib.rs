@@ -98,7 +98,8 @@ use std::{io, net::SocketAddr, path::Path, sync::Arc, time::Duration};
 /// Simulated seconds between two republishes of the served snapshot.
 pub const PUBLISH_EVERY: u64 = 3_600;
 /// Simulated seconds between two checkpoint-and-compact rounds; the
-/// compaction spills raw records older than one such period.
+/// compaction frees raw records older than one such period, whose
+/// summaries are kept.
 pub const MAINTAIN_EVERY: u64 = 86_400;
 /// How long a stop waits for in-flight connections before abandoning them.
 const DRAIN_DEADLINE: Duration = Duration::from_secs(10);

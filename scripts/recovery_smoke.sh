@@ -4,10 +4,11 @@
 # among four stripes' and the region events' frames in one generation
 # file, in sequence order), the WAL's order under concurrent appends,
 # flushes and rotates (every generation file strictly increasing), the
-# on-disk layout (one WAL file per generation,
-# one spill segment per compaction pass, one unlink per covered
-# generation), the compact-then-crash-then-recover sequence (the
-# archive holds each dropped record once), the checkpoint/tail
+# on-disk layout (one WAL file per generation, no file per compaction
+# pass, one unlink per covered generation), the
+# compact-then-crash-then-recover sequence (the recovered summaries
+# equal a never-crashed twin's), a durable compaction equal to an
+# in-memory one, healthy and degraded, the checkpoint/tail
 # interplay (tests/persistence.rs), the durable live/engine recovery
 # twins (crates/core), a restart on a store closed with a region
 # degraded (the first success closes the carried episode without a new
@@ -16,7 +17,8 @@
 # on a faulty disk, a failed WAL fsync that the next flush retries
 # before the watermark moves, and a rotate whose fsync fails, which
 # keeps its generation and the watermark — and the sealed-section path: the section
-# decoder under hostile and damaged input, the slab form's bit-for-bit
+# decoder under hostile and damaged input, a damaged checkpoint file a
+# hard error, the slab form's bit-for-bit
 # round trip and its hostile decodes (a market reference past the
 # table, a time delta leaving u64, a spike reference past the probe
 # slab or to another trigger, every truncation), production's spikes
@@ -46,6 +48,9 @@ scripts/one_test.sh --test persistence one_file_per_durable_event
 echo "== recovery smoke: compact, crash, recover =="
 scripts/one_test.sh --test persistence compact_then_crash_then_recover_loses_nothing
 
+echo "== recovery smoke: a durable compaction equals an in-memory one, degraded too =="
+scripts/one_test.sh --test persistence a_durable_compaction_equals_an_in_memory_one
+
 echo "== recovery smoke: checkpoint with a torn tail =="
 scripts/one_test.sh --test persistence checkpoint_with_torn_tail_recovers_through_the_snapshot
 
@@ -69,6 +74,7 @@ scripts/one_test.sh -p spotlight-core durable::tests::slab_form_round_trips_bit_
 scripts/one_test.sh -p spotlight-core durable::tests::hostile_slabs_are_decode_errors
 scripts/one_test.sh -p spotlight-core durable::tests::production_spikes_cost_at_most_two_bytes_each
 scripts/one_test.sh -p spotlight-persist log::tests::oversize_checkpoint_sections_chunk_and_reassemble
+scripts/one_test.sh -p spotlight-persist log::tests::damaged_checkpoint_is_a_hard_error
 scripts/one_test.sh --test persistence flushed_records_survive_a_crash_without_a_clean_marker
 
 echo "recovery smoke: OK"

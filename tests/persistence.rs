@@ -1,6 +1,6 @@
 //! Crash-safe persistence tests: the torn-write fault matrix, the
-//! compact-then-crash sequence, checkpoint/tail interplay, and a
-//! year-scale bounded-RAM spill run.
+//! compact-then-crash sequence, checkpoint/tail interplay, durable
+//! against in-memory compaction, and a year-scale bounded-RAM run.
 //!
 //! The oracle throughout: a store recovered from a damaged log must be
 //! indistinguishable — bit-identical summarized queries — from a store
@@ -16,7 +16,7 @@ use spotlight_core::store::{DataStore, SpikeEvent};
 use spotlight_core::{DurabilityMode, DurableOptions, FsyncPolicy};
 use spotlight_persist::tempdir::TempDir;
 use spotlight_persist::{
-    fault, frame, Decode, DiskIo, FaultKind, FaultProfile, FaultyDisk, LogDir, Reader,
+    fault, frame, DiskIo, FaultKind, FaultProfile, FaultWindow, FaultyDisk, LogDir,
 };
 use std::sync::Arc;
 use std::time::Instant;
@@ -230,9 +230,8 @@ proptest! {
 
 /// On disk the store writes one file per durable event, whatever its
 /// stripe count: a generation is one WAL file for every stripe's ops and
-/// the store-wide ones, a compaction pass is one spill segment with a
-/// section per stripe, and a checkpoint unlinks one file per generation
-/// it covers.
+/// the store-wide ones, a compaction pass writes nothing, and a
+/// checkpoint unlinks one file per generation it covers.
 #[test]
 fn one_file_per_durable_event() {
     const STRIPES: usize = 16;
@@ -249,8 +248,7 @@ fn one_file_per_durable_event() {
         names
     };
     let twin = DataStore::with_layout(STRIPES, epoch);
-    // 400 markets spread over every stripe (the spill sections below
-    // prove it), plus store-wide ops.
+    // 400 markets spread over every stripe, plus store-wide ops.
     let feed = |store: &DataStore, from: u64| {
         for i in from..from + 400 {
             store.record_probe(probe_at(i, wide_market(i as usize * 13)));
@@ -269,36 +267,19 @@ fn one_file_per_durable_event() {
         "one file for 16 stripes and the store-wide ops"
     );
 
-    // A compaction that spills seals one segment, a section per stripe,
-    // each leading with its record count: every stripe had probes.
+    // A compaction creates no file.
     let before = SimTime::from_secs(200 * 60);
     let first = twin.compact(before);
     assert_eq!(store.compact(before), first);
-    let (log, _) = LogDir::open(&dir).unwrap();
-    assert_eq!(log.list_spills().unwrap(), vec![0]);
-    assert_eq!(names("spill-"), ["spill-00000000.seg"]);
-    let sections = log.read_spill(0).unwrap();
-    assert_eq!(sections.len(), STRIPES);
-    let counts: Vec<usize> = (sections.iter())
-        .map(|section| usize::decode(&mut Reader::new(section)).unwrap())
-        .collect();
-    assert!(
-        counts.iter().all(|&n| n > 0),
-        "a stripe without ops: {counts:?}"
-    );
-    assert_eq!(
-        counts.iter().sum::<usize>() as u64,
-        store.durability_stats().unwrap().spilled_records
-    );
+    assert_eq!(names(""), ["header", "wal-00000000.log"]);
 
     // Two crashes, each recovered into a fresh generation that takes one
     // more batch: three generations, three files. No checkpoint holds
-    // the first pass, so the first recovery drops its segment and
-    // replays its records.
+    // the first pass, so the first recovery replays its records.
     drop(store);
+    let (log, _) = LogDir::open(&dir).unwrap();
     for round in 1..3 {
         let store = DataStore::recover(&dir).unwrap();
-        assert_eq!(log.list_spills().unwrap(), Vec::<u64>::new());
         feed(&store, round * 400);
         feed(&twin, round * 400);
         store.flush().unwrap();
@@ -307,17 +288,15 @@ fn one_file_per_durable_event() {
     assert_eq!(log.list_wal().unwrap(), vec![0, 1, 2]);
     assert_eq!(names("wal-").len(), 3, "one file per generation");
 
-    // A second pass seals one segment: everything the twin's two passes
-    // dropped, each record once. The checkpoint then covers every
-    // generation and unlinks its one file each: none is left.
+    // A second pass drops everything the twin's two passes dropped. The
+    // checkpoint then covers every generation and unlinks its one file
+    // each: none is left.
     let before = SimTime::from_secs(1_000 * 60);
     let second = twin.compact(before).dropped_probes;
     assert_eq!((first.dropped_probes, second), (200, 800));
     assert_eq!(store.compact(before).dropped_probes, 200 + 800);
-    assert_eq!(log.list_spills().unwrap(), vec![0]);
     store.checkpoint().unwrap();
-    assert_eq!(names("wal-"), Vec::<String>::new());
-    assert_eq!(names(""), ["checkpoint", "header", "spill-00000000.seg"]);
+    assert_eq!(names(""), ["checkpoint", "header"]);
     drop(store);
     let markets: Vec<MarketId> = (0..1_200).map(|i| wide_market(i * 13)).collect();
     assert_same_summaries(&DataStore::recover(&dir).unwrap(), &twin, &markets);
@@ -605,10 +584,9 @@ proptest! {
     }
 }
 
-/// The satellite sequence: compact (which spills, not drops), then
-/// crash *without* a checkpoint, then recover. Nothing the compaction
-/// folded away may be lost, and a checkpoint afterwards pins the
-/// compacted resident set exactly.
+/// The satellite sequence: compact, then crash *without* a checkpoint,
+/// then recover. Nothing the compaction folded away may be lost, and a
+/// checkpoint afterwards pins the compacted resident set exactly.
 #[test]
 fn compact_then_crash_then_recover_loses_nothing() {
     let tmp = TempDir::new("compact-crash");
@@ -640,11 +618,6 @@ fn compact_then_crash_then_recover_loses_nothing() {
     assert_eq!(dropped, twin.compact(before), "same compaction on both");
     assert!(dropped.dropped_probes > 0, "compaction must have work");
     let stats = store.durability_stats().unwrap();
-    assert_eq!(
-        stats.spilled_records,
-        dropped.dropped_probes + dropped.dropped_spikes,
-        "every dropped record was sealed into a spill segment first"
-    );
     assert_eq!(stats.io_errors, 0, "error: {:?}", stats.last_error);
 
     // Crash without a checkpoint: the full WAL replays, so summaries
@@ -665,32 +638,93 @@ fn compact_then_crash_then_recover_loses_nothing() {
     }
     assert!(recovered.resident_records() >= twin.resident_records());
 
-    // No checkpoint accounts for the first pass's segment, so recovery
-    // dropped it; re-compacting converges on the twin's resident set
-    // and seals the same records once more.
-    let (log, _) = LogDir::open(&dir).unwrap();
-    assert_eq!(log.list_spills().unwrap(), Vec::<u64>::new());
+    // Re-compacting converges on the twin's resident set, and then the
+    // recovered summaries equal the twin's.
     let again = recovered.compact(before);
     assert_eq!(again, dropped);
     assert_eq!(recovered.resident_records(), twin.resident_records());
-
-    // The spill archive holds every dropped record exactly once: one
-    // segment, a section per stripe that leads with its record count.
-    assert_eq!(log.list_spills().unwrap(), vec![0]);
-    let sections = log.read_spill(0).unwrap();
-    assert_eq!(sections.len(), 4, "a section per stripe");
-    let archived: u64 = (sections.iter())
-        .map(|section| usize::decode(&mut Reader::new(section)).unwrap() as u64)
-        .sum();
-    assert_eq!(archived, dropped.dropped_probes + dropped.dropped_spikes);
+    assert_same_summaries(&recovered, &twin, &markets);
 
     // A checkpoint now pins the compacted state: recovery no longer
-    // resurrects the spilled records.
+    // resurrects the dropped records.
     recovered.checkpoint().unwrap();
     drop(recovered);
     let after_ckpt = DataStore::recover(&dir).unwrap();
     assert_eq!(after_ckpt.resident_records(), twin.resident_records());
     assert_same_summaries(&after_ckpt, &twin, &markets);
+}
+
+/// A durable store compacts exactly as an in-memory twin fed the same
+/// ops: at the same horizons both drop the same records and keep the
+/// same resident set — healthy, and degraded by a full disk, whose
+/// compaction writes nothing either. After a heal and a clean close the
+/// recovered store answers as the twin.
+#[test]
+fn a_durable_compaction_equals_an_in_memory_one() {
+    const HOUR: SimDuration = SimDuration::from_secs(3600);
+    for degraded in [false, true] {
+        // A full disk for the first 64 KiB written: the writer's retries
+        // of the first batch all fail, and so do heals until the
+        // attempts have written past it.
+        let full = FaultWindow {
+            kind: FaultKind::WriteEnospc,
+            from: 0,
+            to: 1 << 16,
+        };
+        let io = Arc::new(FaultyDisk::scripted(
+            degraded.then_some(full).into_iter().collect(),
+        ));
+        let tmp = TempDir::new("compaction-twins");
+        let dir = tmp.path().join("store");
+        let opts = DurableOptions {
+            io: Some(io as Arc<dyn DiskIo>),
+            ..opts()
+        };
+        let store = DataStore::create_durable_with_layout(&dir, opts, 4, HOUR).unwrap();
+        let twin = DataStore::with_layout(4, HOUR);
+        let markets: Vec<MarketId> = (0..5).map(market).collect();
+        for pass in 1..=3u64 {
+            for i in (pass - 1) * 200..pass * 200 {
+                let m = markets[(i % 5) as usize];
+                let p = probe_at(i, m);
+                store.record_probe(p);
+                twin.record_probe(p);
+                if i % 7 == 0 {
+                    let s = SpikeEvent {
+                        market: m,
+                        at: p.at,
+                        ratio: 2.5,
+                        probed: i % 2 == 0,
+                    };
+                    store.record_spike(s);
+                    twin.record_spike(s);
+                }
+            }
+            // A full disk fails the flush; the next append degrades.
+            assert_eq!(store.flush().is_err(), degraded);
+            let before = SimTime::from_secs((pass * 200 - 50) * 60);
+            let dropped = store.compact(before);
+            assert_eq!(dropped, twin.compact(before), "pass {pass}");
+            assert!(dropped.dropped_probes > 0 && dropped.dropped_spikes > 0);
+            assert_eq!(store.resident_records(), twin.resident_records());
+        }
+        let mode = store.durability_mode().unwrap();
+        assert_eq!(mode == DurabilityMode::Degraded, degraded);
+
+        // The driver's clock, made up: every tend is past any backoff.
+        let mut now = Instant::now();
+        let mut tends = 0;
+        while store.durability_mode() != Some(DurabilityMode::Durable) {
+            now += HEAL_RETRY_CAP;
+            let _ = store.tend_durability(now);
+            tends += 1;
+            assert!(tends < 1_000, "{:?}", store.durability_stats());
+        }
+        store.close().unwrap();
+        let recovered = DataStore::recover(&dir).unwrap();
+        assert_eq!(recovered.resident_records(), twin.resident_records());
+        assert_same_summaries(&recovered, &twin, &markets);
+    }
 }
 
 /// `flush()` is a durability point of its own: a copy of the directory
@@ -928,8 +962,8 @@ fn wide_market(i: usize) -> MarketId {
     }
 }
 
-/// Year-scale ingest over all 5184 markets with monthly
-/// spill-compaction and checkpoints: the resident set stays bounded
+/// Year-scale ingest over all 5184 markets with monthly compaction
+/// and checkpoints: the resident set stays bounded
 /// while the recorded history keeps growing, and the store still
 /// recovers. Gated: run with `cargo test --release -- --ignored`.
 #[test]
@@ -954,7 +988,7 @@ fn year_scale_5184_market_run_stays_resident_bounded() {
             issued += 1;
         }
         if h > 0 && h % (30 * 24) == 0 {
-            // Keep two weeks of raw records resident; seal the rest.
+            // Keep two weeks of raw records resident; free the rest.
             store.compact(SimTime::from_secs((h - 14 * 24) * 3600));
             store.checkpoint().unwrap();
             assert!(
@@ -966,7 +1000,6 @@ fn year_scale_5184_market_run_stays_resident_bounded() {
     }
     assert_eq!(store.len() as u64, issued);
     let stats = store.durability_stats().unwrap();
-    assert!(stats.spilled_records > 0);
     assert_eq!(stats.io_errors, 0, "error: {:?}", stats.last_error);
     assert!(store.disk_bytes().unwrap() > 0);
 

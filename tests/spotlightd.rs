@@ -567,12 +567,12 @@ fn spotlightd_survives_kill_9() {
     }
 }
 
-/// Format 5 compresses every section the store seals. On what the
-/// service itself writes — two simulated days, each ending in a
-/// checkpoint and a compaction that spills — the checkpoint and spill
-/// files take at most 0.6× the bytes of the sections they hold.
+/// Format 5 compresses every checkpoint section. On what the service
+/// itself writes — two simulated days, each ending in a checkpoint and
+/// a compaction — the checkpoint file takes at most 0.6× the bytes of
+/// the sections it holds, and no compaction left a file behind.
 #[test]
-fn service_checkpoint_and_spills_are_compressed() {
+fn service_checkpoint_is_compressed() {
     let tmp = TempDir::new("spotlightd-compressed");
     let dir = tmp.path().join("store");
     let (mut service, _) = Service::open(&dir, None).expect("open");
@@ -583,24 +583,27 @@ fn service_checkpoint_and_spills_are_compressed() {
     service.stop().expect("stop");
     let (log, _) = LogDir::open(&dir).expect("open the directory");
     let checkpoint = log.read_checkpoint().expect("read").expect("a checkpoint");
-    let spills = log.list_spills().expect("list");
-    assert!(!spills.is_empty(), "a whole day compacts");
-    let mut raw: usize = checkpoint.iter().map(Vec::len).sum();
-    let file = |name: &str| std::fs::metadata(dir.join(name)).expect(name).len() as usize;
-    let mut on_disk = file("checkpoint");
-    for n in spills {
-        let sections = log.read_spill(n).expect("spill");
-        assert_eq!(
-            sections.len(),
-            spotlight_core::store::DEFAULT_STRIPES,
-            "segment {n}"
-        );
-        raw += sections.iter().map(Vec::len).sum::<usize>();
-        on_disk += file(&format!("spill-{n:08}.seg"));
-    }
+    let raw: usize = checkpoint.iter().map(Vec::len).sum();
+    let on_disk = std::fs::metadata(dir.join("checkpoint"))
+        .expect("checkpoint")
+        .len() as usize;
     let ratio = on_disk as f64 / raw as f64;
     assert!(
         ratio <= 0.6,
         "{on_disk} B on disk for {raw} B of sections: {ratio:.3}"
+    );
+    let names = std::fs::read_dir(&dir).expect("read dir");
+    let names: Vec<String> = names
+        .map(|entry| {
+            entry
+                .expect("entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .collect();
+    assert!(
+        !names.iter().any(|name| name.starts_with("spill-")),
+        "{names:?}"
     );
 }
