@@ -170,10 +170,10 @@ use crate::probe::{ProbeKind, ProbeOutcome, ProbeRecord, ProbeTrigger, Unavailab
 use crate::shared::{ChunkVec, CowVec};
 use crate::store::{
     DataStore, EpochCell, EpochSeries, FxHashMap, IntrinsicBidRecord, KeyState, ProbeStats,
-    RegionHealth, RevocationRecord, SpikeEvent, Stripe,
+    RegionHealth, RevocationRecord, SpikeEvent, Stripe, STRIPES,
 };
 use cloud_sim::ids::{MarketId, Region};
-use cloud_sim::time::{SimDuration, SimTime};
+use cloud_sim::time::SimTime;
 use spotlight_persist::log::{CleanMarker, LogDir};
 use spotlight_persist::wal::{WalConfig, WalHandle};
 use spotlight_persist::{enum_codec, record_codec, Decode, DecodeError, DiskIo, Encode, Reader};
@@ -192,8 +192,12 @@ pub use spotlight_persist::FsyncPolicy;
 pub struct DurableOptions {
     /// When the log writer fsyncs (default: once per drained batch).
     pub fsync: FsyncPolicy,
-    /// Bounded depth of the append queue; ingest blocks (backpressure)
-    /// when the disk falls this far behind.
+    /// Bounded depth of the append queue, in messages; ingest blocks
+    /// (backpressure) when the disk falls this far behind. Under
+    /// `Batch` and `Never` each message is one staged batch of at least
+    /// [`spotlight_persist::wal::STAGE_BYTES`] (32 KiB), so the default
+    /// 4,096 lets about 128 MiB of frames queue before an append
+    /// blocks; under `Always` each is one op.
     pub queue_capacity: usize,
     /// Disk-I/O layer under every write and fsync; `None` means the
     /// real filesystem. Tests inject a
@@ -800,42 +804,14 @@ fn decode_stripe(section: &[u8]) -> Result<Stripe, DecodeError> {
 }
 
 impl DataStore {
-    /// Creates an empty **durable** store rooted at `dir`, with the
-    /// default layout.
+    /// Creates an empty **durable** store rooted at `dir`.
     ///
     /// # Errors
     ///
     /// Fails if `dir` cannot be initialized (or already holds a store).
     pub fn create_durable(dir: &Path, opts: DurableOptions) -> io::Result<DataStore> {
-        DataStore::create_durable_with_layout(
-            dir,
-            opts,
-            crate::store::DEFAULT_STRIPES,
-            crate::store::DEFAULT_EPOCH,
-        )
-    }
-
-    /// Creates an empty durable store with an explicit layout.
-    ///
-    /// # Errors
-    ///
-    /// Fails if `dir` cannot be initialized (or already holds a store).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stripes` is zero or `epoch` is zero-length, like
-    /// [`DataStore::with_layout`].
-    pub fn create_durable_with_layout(
-        dir: &Path,
-        opts: DurableOptions,
-        stripes: usize,
-        epoch: SimDuration,
-    ) -> io::Result<DataStore> {
-        let mut store = DataStore::with_layout(stripes, epoch);
-        let mut app_meta = Vec::new();
-        (stripes as u32).encode(&mut app_meta);
-        epoch.as_secs().encode(&mut app_meta);
-        let mut log = LogDir::create(dir, &app_meta)?;
+        let mut store = DataStore::new();
+        let mut log = LogDir::create(dir)?;
         if let Some(io) = &opts.io {
             log = log.with_io(Arc::clone(io));
         }
@@ -866,7 +842,7 @@ impl DataStore {
         dir: &Path,
         opts: DurableOptions,
     ) -> io::Result<(DataStore, RecoveryInfo)> {
-        let (mut log, app_meta) = LogDir::open(dir)?;
+        let mut log = LogDir::open(dir)?;
         if let Some(io) = &opts.io {
             log = log.with_io(Arc::clone(io));
         }
@@ -875,14 +851,7 @@ impl DataStore {
         // can never talk a *later* recovery out of a replay it needs.
         let marker = log.read_clean_marker()?;
         log.remove_clean_marker()?;
-        let mut mr = Reader::new(&app_meta);
-        let stripes = u32::decode(&mut mr).map_err(bad_data)? as usize;
-        let epoch_secs = u64::decode(&mut mr).map_err(bad_data)?;
-        mr.expect_empty().map_err(bad_data)?;
-        if stripes == 0 || epoch_secs == 0 {
-            return Err(corrupt("header layout mismatch"));
-        }
-        let mut store = DataStore::with_layout(stripes, SimDuration::from_secs(epoch_secs));
+        let mut store = DataStore::new();
 
         // 1. The checkpoint, if one was ever completed.
         let mut next_seq = 0u64;
@@ -890,7 +859,8 @@ impl DataStore {
         let mut checkpoint_loaded = false;
         if let Some(sections) = log.read_checkpoint()? {
             checkpoint_loaded = true;
-            if sections.len() != stripes + 1 {
+            // The one guard against a checkpoint of another layout.
+            if sections.len() != STRIPES + 1 {
                 return Err(corrupt("checkpoint section count mismatch"));
             }
             let meta = CheckpointMeta::from_bytes(&sections[0]).map_err(bad_data)?;
@@ -1167,8 +1137,10 @@ impl DataStore {
 mod tests {
     use super::*;
     use crate::probe::ProbeOutcome;
+    use crate::store::stripe_index;
     use cloud_sim::ids::{Az, MarketId, Platform};
     use cloud_sim::price::Price;
+    use cloud_sim::time::SimDuration;
     use proptest::prelude::*;
     use spotlight_persist::tempdir::TempDir;
     use spotlight_persist::{FaultKind, FaultWindow, FaultyDisk};
@@ -1585,17 +1557,15 @@ mod tests {
         }
     }
 
-    /// One stripe section as a checkpoint holds it before compression:
-    /// 120 probes of six markets on a one-stripe store, and its
-    /// compressed block.
+    /// One stripe section as a checkpoint holds it before compression,
+    /// `market(0)`'s of a store given 120 probes over `market`'s three
+    /// markets, and its compressed block.
     fn stripe_section() -> &'static (Vec<u8>, Vec<u8>) {
         static SECTION: std::sync::OnceLock<(Vec<u8>, Vec<u8>)> = std::sync::OnceLock::new();
         SECTION.get_or_init(|| {
             let tmp = TempDir::new("durable-lz-stripe");
             let dir = tmp.path().join("store");
-            let store =
-                DataStore::create_durable_with_layout(&dir, DurableOptions::default(), 1, HOUR)
-                    .expect("create");
+            let store = DataStore::create_durable(&dir, DurableOptions::default()).expect("create");
             for t in 0..120u64 {
                 let outcome = match t % 3 {
                     0 => ProbeOutcome::InsufficientCapacity,
@@ -1604,9 +1574,9 @@ mod tests {
                 store.record_probe(probe(t * 300, market(t as u8 % 6), outcome));
             }
             store.close().expect("close");
-            let (log, _) = LogDir::open(&dir).expect("open");
+            let log = LogDir::open(&dir).expect("open");
             let sections = log.read_checkpoint().expect("read").expect("a checkpoint");
-            let raw = sections[1].clone();
+            let raw = sections[1 + stripe_index(market(0))].clone();
             let mut packed = Vec::new();
             spotlight_persist::lz::compress(&raw, &mut packed);
             (raw, packed)
@@ -2098,7 +2068,7 @@ mod tests {
         }
         // Every truncation of a real section, slab form and all: an
         // error, and a refused stripe.
-        let store = DataStore::with_layout(1, HOUR);
+        let store = DataStore::new();
         for (i, trigger) in all_triggers().into_iter().enumerate() {
             let mut p = probe(
                 7_200 - i as u64 * 300,
@@ -2114,16 +2084,18 @@ mod tests {
                 probed: true,
             });
         }
-        let stripe = store.stripes[0].read();
-        let mut slabs = Vec::new();
-        write_slabs(stripe.probes.iter(), stripe.spikes.iter(), &mut slabs);
-        for cut in 0..slabs.len() {
-            assert!(decoded(&slabs[..cut]).is_err(), "slabs cut at {cut}");
-        }
-        let bytes = stripe.to_bytes();
-        assert!(bytes.starts_with(&slabs) && decode_stripe(&bytes).is_ok());
-        for cut in 0..bytes.len() {
-            assert!(decode_stripe(&bytes[..cut]).is_err(), "stripe cut at {cut}");
+        for stripe in store.stripes.iter() {
+            let stripe = stripe.read();
+            let mut slabs = Vec::new();
+            write_slabs(stripe.probes.iter(), stripe.spikes.iter(), &mut slabs);
+            for cut in 0..slabs.len() {
+                assert!(decoded(&slabs[..cut]).is_err(), "slabs cut at {cut}");
+            }
+            let bytes = stripe.to_bytes();
+            assert!(bytes.starts_with(&slabs) && decode_stripe(&bytes).is_ok());
+            for cut in 0..bytes.len() {
+                assert!(decode_stripe(&bytes[..cut]).is_err(), "stripe cut at {cut}");
+            }
         }
     }
 
@@ -2448,7 +2420,7 @@ mod tests {
     /// counters.
     #[test]
     fn stripe_and_key_state_round_trip() {
-        let store = DataStore::with_layout(1, HOUR);
+        let store = DataStore::new();
         for t in 0..300u64 {
             let outcome = match t % 7 {
                 0 | 1 => ProbeOutcome::InsufficientCapacity,
@@ -2486,20 +2458,24 @@ mod tests {
         });
         store.compact(SimTime::from_secs(100 * 1700));
 
-        let original = store.stripes[0].read();
-        assert!(original.keys.len() >= 6 && original.intervals.len() > 10);
-        let bytes = original.to_bytes();
-        let decoded = decode_stripe(&bytes).expect("stripe decodes");
-        same_stripe(&original, &decoded);
-        for state in original.keys.values() {
-            same_key(
-                state,
-                &KeyState::from_bytes(&state.to_bytes()).expect("key state decodes"),
-            );
-        }
-        // Truncated anywhere, a stripe is an error, never a panic.
-        for cut in (0..bytes.len()).step_by(97) {
-            assert!(Stripe::from_bytes(&bytes[..cut]).is_err());
+        let stripes: Vec<_> = store.stripes.iter().map(|s| s.read().clone()).collect();
+        let keys: usize = stripes.iter().map(|s| s.keys.len()).sum();
+        let intervals: usize = stripes.iter().map(|s| s.intervals.len()).sum();
+        assert!(keys >= 6 && intervals > 10);
+        for original in &stripes {
+            let bytes = original.to_bytes();
+            let decoded = decode_stripe(&bytes).expect("stripe decodes");
+            same_stripe(original, &decoded);
+            for state in original.keys.values() {
+                same_key(
+                    state,
+                    &KeyState::from_bytes(&state.to_bytes()).expect("key state decodes"),
+                );
+            }
+            // Truncated anywhere, a stripe is an error, never a panic.
+            for cut in (0..bytes.len()).step_by(97) {
+                assert!(Stripe::from_bytes(&bytes[..cut]).is_err());
+            }
         }
     }
 
@@ -2512,8 +2488,7 @@ mod tests {
     fn recovery_refuses_stripe_indices_its_queries_would_trip_over() {
         let tmp = TempDir::new("durable-bad-indices");
         let dir = tmp.path().join("store");
-        let store = DataStore::create_durable_with_layout(&dir, DurableOptions::default(), 1, HOUR)
-            .expect("create");
+        let store = DataStore::create_durable(&dir, DurableOptions::default()).expect("create");
         for t in 0..6u64 {
             let outcome = if t % 2 == 0 {
                 ProbeOutcome::InsufficientCapacity
@@ -2531,9 +2506,10 @@ mod tests {
             });
         }
         store.close().expect("close");
-        let (log, _) = LogDir::open(&dir).expect("open");
+        let log = LogDir::open(&dir).expect("open");
         let sections = log.read_checkpoint().expect("read").expect("a checkpoint");
-        let good = Stripe::from_bytes(&sections[1]).expect("the stripe decodes");
+        let section = 1 + stripe_index(market(0));
+        let good = Stripe::from_bytes(&sections[section]).expect("the stripe decodes");
         for what in [
             "listed interval",
             "open interval",
@@ -2557,7 +2533,7 @@ mod tests {
                 }
             }
             let mut damaged = sections.clone();
-            damaged[1] = stripe.to_bytes();
+            damaged[section] = stripe.to_bytes();
             log.write_checkpoint(&damaged).expect("write");
             let err = DataStore::recover(&dir).expect_err(what);
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
@@ -2567,6 +2543,33 @@ mod tests {
         let r = recovered.read();
         assert_eq!(r.intervals_of(market(0), ProbeKind::OnDemand).count(), 3);
         assert_eq!(r.spikes_at_or_above(2.5), 1);
+    }
+
+    /// A checkpoint holds one meta section and one per stripe. Nothing
+    /// else on disk names the layout, so recovery refuses a checkpoint
+    /// of any other section count with `InvalidData`, and loads the
+    /// unmutated one.
+    #[test]
+    fn recovery_refuses_a_checkpoint_of_another_section_count() {
+        let tmp = TempDir::new("durable-section-count");
+        let dir = tmp.path().join("store");
+        let store = DataStore::create_durable(&dir, DurableOptions::default()).expect("create");
+        store.record_probe(probe(60, market(0), ProbeOutcome::Fulfilled));
+        store.close().expect("close");
+        let log = LogDir::open(&dir).expect("open");
+        let sections = log.read_checkpoint().expect("read").expect("a checkpoint");
+        assert_eq!(sections.len(), STRIPES + 1);
+        for count in [STRIPES, STRIPES + 2] {
+            let mut other = sections.clone();
+            other.resize(count, Stripe::default().to_bytes());
+            log.write_checkpoint(&other).expect("write");
+            let err = DataStore::recover(&dir).expect_err("another section count");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{count}: {err}");
+            assert_eq!(err.to_string(), "checkpoint section count mismatch");
+        }
+        log.write_checkpoint(&sections).expect("restore");
+        let recovered = DataStore::recover(&dir).expect("the unmutated checkpoint loads");
+        assert_eq!(recovered.len(), 1);
     }
 
     #[test]
@@ -2859,7 +2862,7 @@ mod tests {
                 io: Some(io.clone() as Arc<dyn DiskIo>),
                 ..DurableOptions::default()
             };
-            let store = DataStore::create_durable_with_layout(dir, opts, 1, HOUR).expect("create");
+            let store = DataStore::create_durable(dir, opts).expect("create");
             for t in 0..20u64 {
                 store.record_probe(probe(t * 60, market(0), ProbeOutcome::Fulfilled));
             }

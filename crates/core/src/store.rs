@@ -10,18 +10,19 @@
 //!
 //! # Striping
 //!
-//! Records are routed to one of N stripes by a hash of their market id;
-//! each stripe sits behind its own [`crate::sync::RwLock`]. Ingest
-//! (`record_*`, all `&self`) write-locks exactly one stripe, so
-//! concurrent probe workers in live mode only contend when they hit the
-//! same stripe. Reads are **captures**: [`DataStore::read`] takes every
-//! stripe's read lock (in stripe order, so captures never deadlock
-//! against writers) for the length of a shallow clone, reads the
-//! store-wide counters and health table while they are held, lets go,
-//! and exposes the whole-log iteration and per-key API on the owned
-//! view. No caller ever holds a stripe guard, so nothing that
-//! reads the store stops what fills it. On the store itself `len`,
-//! `total_cost` and `suppressed_probes` are lock-free atomics.
+//! Records are routed to one of [`STRIPES`] (16) stripes by a hash of
+//! their market id; each stripe sits behind its own
+//! [`crate::sync::RwLock`]. Ingest (`record_*`, all `&self`)
+//! write-locks exactly one stripe, so concurrent probe workers in live
+//! mode only contend when they hit the same stripe. Reads are
+//! **captures**: [`DataStore::read`] takes every stripe's read lock
+//! (in stripe order, so captures never deadlock against writers) for
+//! the length of a shallow clone, reads the store-wide counters and
+//! health table while they are held, lets go, and exposes the whole-log
+//! iteration and per-key API on the owned view. No caller ever holds a
+//! stripe guard, so nothing that reads the store stops what fills it.
+//! On the store itself `len`, `total_cost` and `suppressed_probes` are
+//! lock-free atomics.
 //!
 //! # Index invariants
 //!
@@ -42,7 +43,7 @@
 //! # Epoch summaries
 //!
 //! Each `(market, kind)` additionally maintains fixed-width time
-//! buckets (the store's epoch width, default one hour) with
+//! buckets ([`EPOCH`], one hour) with
 //! informative/rejection counts and **closed-unavailable seconds**,
 //! updated incrementally at ingest (interval seconds are distributed
 //! over the epochs they cover when the interval closes). The series is
@@ -169,8 +170,8 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Default stripe count (markets hash across these).
-pub const DEFAULT_STRIPES: usize = 16;
+/// The store's stripe count (markets hash across these).
+pub const STRIPES: usize = 16;
 
 /// rustc-hash-style multiplicative hasher. Two properties matter here:
 /// it is a few ns per `MarketId` (the store hashes a market on every
@@ -242,8 +243,11 @@ impl std::hash::Hasher for FxHasher {
 pub(crate) type FxBuildHasher = std::hash::BuildHasherDefault<FxHasher>;
 pub(crate) type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 
-/// Default epoch-summary bucket width.
-pub const DEFAULT_EPOCH: SimDuration = SimDuration::from_secs(3600);
+/// The epoch-summary bucket width.
+pub const EPOCH: SimDuration = SimDuration::from_secs(3600);
+
+/// [`EPOCH`] in seconds, the divisor of every epoch computation.
+const EPOCH_SECS: u64 = EPOCH.as_secs();
 
 /// A spike observation: a published price crossing SpotLight's radar.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -469,7 +473,6 @@ crate::counters! {
 /// one; a checkpoint encodes one.
 #[derive(Debug, Clone)]
 pub(crate) struct Capture {
-    epoch_secs: u64,
     pub(crate) recorded_probes: u64,
     pub(crate) total_cost_micros: u64,
     pub(crate) suppressed_probes: u64,
@@ -498,7 +501,6 @@ fn degraded_in(health: &BTreeMap<Region, RegionHealth>) -> Vec<Region> {
 #[derive(Debug)]
 pub struct DataStore {
     pub(crate) stripes: Box<[RwLock<Stripe>]>,
-    pub(crate) epoch_secs: u64,
     pub(crate) recorded_probes: AtomicU64,
     pub(crate) total_cost_micros: AtomicU64,
     pub(crate) suppressed_probes: AtomicU64,
@@ -534,12 +536,12 @@ pub fn shared_store() -> SharedStore {
 /// high bits folded into the low bits the modulo looks at. A free
 /// function so live stores and owned snapshots (which have no
 /// `DataStore`) agree on the layout.
-pub(crate) fn stripe_index(market: MarketId, stripes: usize) -> usize {
+pub(crate) fn stripe_index(market: MarketId) -> usize {
     use std::hash::{Hash, Hasher};
     let mut h = FxHasher::default();
     market.hash(&mut h);
     let h = h.finish();
-    ((h >> 32) ^ h) as usize % stripes
+    ((h >> 32) ^ h) as usize % STRIPES
 }
 
 /// Inserts `item` into a list kept sorted by `key_of`. Appends in O(1)
@@ -561,14 +563,14 @@ fn insert_sorted_by<T: Copy, K: PartialOrd>(
 
 /// Distributes a closed interval's `[start, end)` seconds over the
 /// epoch buckets it covers.
-fn add_closed_span(epochs: &mut EpochSeries, start: u64, end: u64, width: u64) {
+fn add_closed_span(epochs: &mut EpochSeries, start: u64, end: u64) {
     if end <= start {
         return;
     }
-    let last = (end - 1) / width;
-    for e in (start / width)..=last {
-        let lo = start.max(e * width);
-        let hi = end.min((e + 1) * width);
+    let last = (end - 1) / EPOCH_SECS;
+    for e in (start / EPOCH_SECS)..=last {
+        let lo = start.max(e * EPOCH_SECS);
+        let hi = end.min((e + 1) * EPOCH_SECS);
         epochs.cell(e).unavail_secs += hi - lo;
     }
 }
@@ -590,24 +592,11 @@ fn compact_slab<T: Copy>(
 }
 
 impl DataStore {
-    /// Creates an empty store with the default layout
-    /// ([`DEFAULT_STRIPES`] stripes, [`DEFAULT_EPOCH`] epochs).
+    /// Creates an empty store: [`STRIPES`] lock stripes and [`EPOCH`]
+    /// wide summary buckets, the one layout every store has.
     pub fn new() -> Self {
-        DataStore::with_layout(DEFAULT_STRIPES, DEFAULT_EPOCH)
-    }
-
-    /// Creates an empty store with `stripes` lock stripes and `epoch`
-    /// wide summary buckets.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stripes` is zero or `epoch` is zero-length.
-    pub fn with_layout(stripes: usize, epoch: SimDuration) -> Self {
-        assert!(stripes > 0, "need at least one stripe");
-        assert!(epoch.as_secs() > 0, "epoch width must be positive");
         DataStore {
-            stripes: (0..stripes).map(|_| RwLock::default()).collect(),
-            epoch_secs: epoch.as_secs(),
+            stripes: (0..STRIPES).map(|_| RwLock::default()).collect(),
             recorded_probes: AtomicU64::new(0),
             total_cost_micros: AtomicU64::new(0),
             suppressed_probes: AtomicU64::new(0),
@@ -617,13 +606,9 @@ impl DataStore {
         }
     }
 
-    /// The configured number of lock stripes.
+    /// The number of lock stripes, [`STRIPES`].
     pub fn stripe_count(&self) -> usize {
-        self.stripes.len()
-    }
-
-    fn stripe_of(&self, market: MarketId) -> usize {
-        stripe_index(market, self.stripes.len())
+        STRIPES
     }
 
     /// The store's one capture, and the only code that holds more than
@@ -639,7 +624,6 @@ impl DataStore {
         let health = self.region_health.read();
         let extra = under_guards();
         let capture = Capture {
-            epoch_secs: self.epoch_secs,
             recorded_probes: self.recorded_probes.load(Ordering::Relaxed),
             total_cost_micros: self.total_cost_micros.load(Ordering::Relaxed),
             suppressed_probes: self.suppressed_probes.load(Ordering::Relaxed),
@@ -672,9 +656,7 @@ impl DataStore {
     /// Locks only the market's stripe; concurrent callers for other
     /// stripes proceed in parallel.
     pub fn record_probe(&self, probe: ProbeRecord) -> bool {
-        let epoch = probe.at.as_secs() / self.epoch_secs;
-        let idx = self.stripe_of(probe.market);
-        let mut stripe = self.stripes[idx].write();
+        let mut stripe = self.stripes[stripe_index(probe.market)].write();
         // The counter bumps live inside the stripe-lock critical
         // section, next to the WAL append: checkpoint captures the
         // counters and `next_seq` under every stripe lock, so a probe
@@ -687,18 +669,17 @@ impl DataStore {
         if let Some(d) = &self.durable {
             d.append(&crate::durable::StoreOp::Probe(probe));
         }
-        stripe.record_probe(probe, epoch, self.epoch_secs)
+        stripe.record_probe(probe)
     }
 
     /// Records a spike observation (raw log + epoch ratio summary).
     pub fn record_spike(&self, spike: SpikeEvent) {
-        let epoch = spike.at.as_secs() / self.epoch_secs;
-        let idx = self.stripe_of(spike.market);
-        let mut stripe = self.stripes[idx].write();
+        let mut stripe = self.stripes[stripe_index(spike.market)].write();
         if let Some(d) = &self.durable {
             d.append(&crate::durable::StoreOp::Spike(spike));
         }
         stripe.spikes.push(spike);
+        let epoch = spike.at.as_secs() / EPOCH_SECS;
         let ratios = stripe.spike_ratios_by_epoch.entry(epoch).or_default();
         insert_sorted_by(ratios, spike.ratio, |&r| r);
     }
@@ -763,8 +744,7 @@ impl DataStore {
 
     /// Records a revocation-watch observation.
     pub fn record_revocation(&self, rec: RevocationRecord) {
-        let idx = self.stripe_of(rec.market);
-        let mut stripe = self.stripes[idx].write();
+        let mut stripe = self.stripes[stripe_index(rec.market)].write();
         if let Some(d) = &self.durable {
             d.append(&crate::durable::StoreOp::Revocation(rec));
         }
@@ -773,8 +753,7 @@ impl DataStore {
 
     /// Records an intrinsic-bid measurement.
     pub fn record_intrinsic_bid(&self, rec: IntrinsicBidRecord) {
-        let idx = self.stripe_of(rec.market);
-        let mut stripe = self.stripes[idx].write();
+        let mut stripe = self.stripes[stripe_index(rec.market)].write();
         if let Some(d) = &self.durable {
             d.append(&crate::durable::StoreOp::IntrinsicBid(rec));
         }
@@ -872,7 +851,7 @@ impl DataStore {
 }
 
 impl Stripe {
-    fn record_probe(&mut self, probe: ProbeRecord, epoch: u64, epoch_secs: u64) -> bool {
+    fn record_probe(&mut self, probe: ProbeRecord) -> bool {
         self.probes.push(probe);
         let key = (probe.market, probe.kind);
         let state = self.keys.entry(key).or_default();
@@ -880,7 +859,7 @@ impl Stripe {
             state.stats.informative += 1;
             state.last_informative =
                 Some(state.last_informative.map_or(probe.at, |t| t.max(probe.at)));
-            let cell = state.epochs.cell(epoch);
+            let cell = state.epochs.cell(probe.at.as_secs() / EPOCH_SECS);
             cell.informative += 1;
             if probe.outcome.is_unavailable() {
                 state.stats.rejections += 1;
@@ -933,7 +912,6 @@ impl Stripe {
                         &mut state.epochs,
                         interval.start.as_secs(),
                         probe.at.as_secs(),
-                        epoch_secs,
                     );
                 }
             }
@@ -978,13 +956,7 @@ impl Stripe {
     /// `to`. Epoch-summarized: whole buckets for the epochs fully inside
     /// the span, binary searches for the two boundary epochs; exact
     /// full walk for disordered keys.
-    fn unavailable_seconds_in(
-        &self,
-        state: &KeyState,
-        from: SimTime,
-        to: SimTime,
-        epoch_secs: u64,
-    ) -> u64 {
+    fn unavailable_seconds_in(&self, state: &KeyState, from: SimTime, to: SimTime) -> u64 {
         let (a, b) = (from.as_secs(), to.as_secs());
         if b <= a {
             return 0;
@@ -1003,8 +975,8 @@ impl Stripe {
                 })
                 .sum()
         } else {
-            let first_full = a.div_ceil(epoch_secs);
-            let end_full = b / epoch_secs;
+            let first_full = a.div_ceil(EPOCH_SECS);
+            let end_full = b / EPOCH_SECS;
             // Adaptive: the epoch path touches up to one cell per in-span
             // bucket, the index walk one entry per interval — pick
             // whichever is smaller (sparse keys over long spans are
@@ -1013,9 +985,9 @@ impl Stripe {
             if first_full >= end_full || (state.intervals.len() as u64) < buckets {
                 self.closed_overlap(state, a, b)
             } else {
-                self.closed_overlap(state, a, first_full * epoch_secs)
+                self.closed_overlap(state, a, first_full * EPOCH_SECS)
                     + state.epochs.unavail_in(first_full, end_full)
-                    + self.closed_overlap(state, end_full * epoch_secs, b)
+                    + self.closed_overlap(state, end_full * EPOCH_SECS, b)
             }
         };
         let open = state.open.map_or(0, |id| {
@@ -1046,14 +1018,12 @@ pub struct StoreRead<'a> {
 pub(crate) struct KeyRef<'a> {
     stripe: &'a Stripe,
     pub(crate) state: &'a KeyState,
-    epoch_secs: u64,
 }
 
 impl<'a> KeyRef<'a> {
     /// Seconds of measured unavailability inside `[from, to)`.
     pub(crate) fn unavailable_seconds_in(self, from: SimTime, to: SimTime) -> u64 {
-        self.stripe
-            .unavailable_seconds_in(self.state, from, to, self.epoch_secs)
+        self.stripe.unavailable_seconds_in(self.state, from, to)
     }
 
     /// The key's unavailability intervals, in open order.
@@ -1072,11 +1042,7 @@ impl StoreRead<'_> {
     pub(crate) fn key(&self, market: MarketId, kind: ProbeKind) -> Option<KeyRef<'_>> {
         let stripe = self.stripe_for(market);
         let state = stripe.keys.get(&(market, kind))?;
-        Some(KeyRef {
-            stripe,
-            state,
-            epoch_secs: self.capture.epoch_secs,
-        })
+        Some(KeyRef { stripe, state })
     }
 
     fn stripes(&self) -> std::slice::Iter<'_, Stripe> {
@@ -1084,8 +1050,7 @@ impl StoreRead<'_> {
     }
 
     fn stripe_for(&self, market: MarketId) -> &Stripe {
-        let stripes = &self.capture.stripes;
-        &stripes[stripe_index(market, stripes.len())]
+        &self.capture.stripes[stripe_index(market)]
     }
 
     /// All resident probes, stripe by stripe (record order within a
@@ -1189,11 +1154,11 @@ impl StoreRead<'_> {
         from: SimTime,
         to: SimTime,
     ) -> (u64, u64) {
-        let w = self.capture.epoch_secs;
         self.key(market, kind).map_or((0, 0), |k| {
-            k.state
-                .epochs
-                .counts_in(from.as_secs() / w, to.as_secs().div_ceil(w))
+            k.state.epochs.counts_in(
+                from.as_secs() / EPOCH_SECS,
+                to.as_secs().div_ceil(EPOCH_SECS),
+            )
         })
     }
 
@@ -1565,7 +1530,7 @@ mod tests {
             ranges in proptest::collection::vec((0u64..50, 0u64..50), 1..12),
         ) {
             use spotlight_persist::{Decode, Encode};
-            const WIDTH: u64 = 100;
+            const WIDTH: u64 = EPOCH_SECS;
             let mut series = EpochSeries::default();
             // epoch -> (informative, rejections, unavail_secs)
             let mut model = std::collections::BTreeMap::<u64, (u64, u64, u64)>::new();
@@ -1589,10 +1554,14 @@ mod tests {
                         // Starts inside `epoch`, ends `more_epochs` later.
                         let start = epoch * WIDTH + delta % WIDTH;
                         let end = start + more_epochs * WIDTH + delta % 37;
-                        add_closed_span(&mut series, start, end, WIDTH);
+                        add_closed_span(&mut series, start, end);
                         unavail_secs += end - start;
-                        for second in start..end {
-                            model.entry(second / WIDTH).or_default().2 += 1;
+                        // Walk the span from one epoch boundary to the next.
+                        let mut at = start;
+                        while at < end {
+                            let upto = end.min((at / WIDTH + 1) * WIDTH);
+                            model.entry(at / WIDTH).or_default().2 += upto - at;
+                            at = upto;
                         }
                     }
                 }

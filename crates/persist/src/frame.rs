@@ -48,10 +48,11 @@ pub const MAX_FRAME: usize = 1 << 26;
 ///   order (in 7 a store's per-stripe streams interleaved);
 /// - 9 writes a spike that repeats a `PriceSpike` probe of its section as
 ///   a reference to that probe;
-/// - 10 writes no spill segment and drops a checkpoint's spill count.
+/// - 10 writes no spill segment and drops a checkpoint's spill count;
+/// - 11 drops the header's layout.
 ///
 /// WAL records have not changed since 3.
-pub const FORMAT_VERSION: u32 = 10;
+pub const FORMAT_VERSION: u32 = 11;
 
 /// Byte length of a file header (`magic ++ version`).
 pub const HEADER_LEN: usize = 8;
@@ -256,8 +257,9 @@ mod tests {
         // stream, version 6 its raw records one context-free op at a
         // time, version 7 a generation's frames of several streams
         // interleaved, version 8 every sealed spike in full and version
-        // 9 a spill count in its checkpoint; nothing decodes any of them.
-        for old in [1u32, 2, 3, 4, 5, 6, 7, 8, 9] {
+        // 9 a spill count in its checkpoint and version 10 a layout in
+        // its header; nothing decodes any of them.
+        for old in [1u32, 2, 3, 4, 5, 6, 7, 8, 9, 10] {
             let mut stale = file.clone();
             stale[4..8].copy_from_slice(&old.to_le_bytes());
             assert_eq!(

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! <root>/
-//!   header           directory metadata (the application's layout bytes)
+//!   header           the file header alone (magic and version)
 //!   wal-<gen>.log    append-only log, one file per generation
 //!   checkpoint       latest checkpoint (temp+rename+fsync)
 //!   clean            clean-shutdown marker (consumed on open)
@@ -21,8 +21,9 @@
 //! index as their sequence number — one CRC per ≤ 16 MiB, no per-record
 //! envelope. The checkpoint is only ever written whole and atomically, so a
 //! tear cannot happen and any damage (a bad frame, a block the decoder
-//! refuses) is a hard error. WAL records, the directory header and the
-//! clean marker stay uncompressed.
+//! refuses) is a hard error. WAL records and the clean marker stay
+//! uncompressed. The directory header is a file header and nothing else:
+//! it marks the directory as a store of this format.
 //!
 //! Mutation rules that make crashes survivable:
 //!
@@ -81,15 +82,14 @@ pub struct CleanMarker {
 }
 
 impl LogDir {
-    /// Creates (or reuses) `root` and writes the header file holding
-    /// `app_meta`, the application's opaque layout bytes.
+    /// Creates (or reuses) `root` and writes the header file.
     ///
     /// # Errors
     ///
     /// Fails if the directory cannot be created, a header already
     /// exists (refusing to silently adopt another store's data), or
     /// writing fails.
-    pub fn create(root: &Path, app_meta: &[u8]) -> io::Result<LogDir> {
+    pub fn create(root: &Path) -> io::Result<LogDir> {
         fs::create_dir_all(root)?;
         let dir = LogDir {
             root: root.to_path_buf(),
@@ -103,20 +103,19 @@ impl LogDir {
         }
         let mut body = Vec::new();
         frame::write_header(&mut body, magic::DIR);
-        frame::write_frame(&mut body, 0, app_meta);
         dir.write_atomic(HEADER_FILE, &body)?;
         Ok(dir)
     }
 
-    /// Opens an existing directory and reads its header's application
-    /// bytes.
+    /// Opens an existing directory and checks its header.
     ///
     /// # Errors
     ///
-    /// Fails if the header is missing, unreadable, or corrupt — a
-    /// damaged header is unrecoverable by design (it is tiny and
-    /// written once, atomically).
-    pub fn open(root: &Path) -> io::Result<(LogDir, Vec<u8>)> {
+    /// Fails if the header is missing, unreadable, or corrupt (of
+    /// another kind or version, short, or with any byte past the
+    /// version) — a damaged header is unrecoverable by design (it is
+    /// tiny and written once, atomically).
+    pub fn open(root: &Path) -> io::Result<LogDir> {
         let dir = LogDir {
             root: root.to_path_buf(),
             io: Arc::new(RealDisk),
@@ -128,24 +127,11 @@ impl LogDir {
         // directory — only renamed files are live.
         dir.sweep_tmp()?;
         let bytes = fs::read(dir.root.join(HEADER_FILE))?;
-        let body = frame::strip_header(&bytes, magic::DIR).map_err(corrupt)?;
-        let mut scanned = frame::scan(body);
-        match scanned.frames.pop() {
-            Some(header) if scanned.end == ScanEnd::Clean && scanned.frames.is_empty() => {
-                Ok((dir, header.body))
-            }
-            _ => Err(corrupt("damaged header frame")),
+        let rest = frame::strip_header(&bytes, magic::DIR).map_err(corrupt)?;
+        if !rest.is_empty() {
+            return Err(corrupt("damaged header"));
         }
-    }
-
-    /// A second handle on the same directory (for the writer thread).
-    ///
-    /// # Errors
-    ///
-    /// Never fails today; kept fallible for handle-duplication schemes
-    /// that can.
-    pub fn clone_view(&self) -> io::Result<LogDir> {
-        Ok(self.clone())
+        Ok(dir)
     }
 
     /// The directory root.
@@ -484,16 +470,19 @@ mod tests {
     #[test]
     fn header_round_trips_and_refuses_reinit() {
         let tmp = TempDir::new("logdir-header");
-        let _ = LogDir::create(tmp.path(), b"layout").expect("create");
-        let (_, app_meta) = LogDir::open(tmp.path()).expect("open");
-        assert_eq!(app_meta, b"layout");
-        assert!(LogDir::create(tmp.path(), b"layout").is_err());
+        let _ = LogDir::create(tmp.path()).expect("create");
+        let header = std::fs::read(tmp.path().join(HEADER_FILE)).expect("header");
+        assert_eq!(header.len(), frame::HEADER_LEN, "magic and version only");
+        let dir = LogDir::open(tmp.path()).expect("open");
+        assert_eq!(dir.root(), tmp.path());
+        let err = LogDir::create(tmp.path()).expect_err("second create");
+        assert_eq!(err.kind(), io::ErrorKind::AlreadyExists);
     }
 
     #[test]
     fn checkpoint_replace_is_atomic_and_readable() {
         let tmp = TempDir::new("logdir-ckpt");
-        let dir = LogDir::create(tmp.path(), &[]).expect("create");
+        let dir = LogDir::create(tmp.path()).expect("create");
         assert_eq!(dir.read_checkpoint().expect("none yet"), None);
         dir.write_checkpoint(&[b"meta".to_vec(), b"stripe0".to_vec()])
             .expect("write");
@@ -520,7 +509,7 @@ mod tests {
     #[test]
     fn oversize_checkpoint_sections_chunk_and_reassemble() {
         let tmp = TempDir::new("logdir-ckpt-chunks");
-        let dir = LogDir::create(tmp.path(), &[]).expect("create");
+        let dir = LogDir::create(tmp.path()).expect("create");
         let big = noise(CHECKPOINT_CHUNK * 2 + 123, 0x9e37_79b9_7f4a_7c15);
         let sections = vec![b"meta".to_vec(), big, Vec::new(), b"tail".to_vec()];
         dir.write_checkpoint(&sections).expect("write");
@@ -535,7 +524,7 @@ mod tests {
     #[test]
     fn wal_listing_and_deletion() {
         let tmp = TempDir::new("logdir-wal");
-        let dir = LogDir::create(tmp.path(), &[]).expect("create");
+        let dir = LogDir::create(tmp.path()).expect("create");
         for generation in 0..3u64 {
             dir.open_wal_append(generation).expect("open");
         }
@@ -551,11 +540,11 @@ mod tests {
     #[test]
     fn open_sweeps_stale_tmp_files() {
         let tmp = TempDir::new("logdir-tmp-sweep");
-        let _ = LogDir::create(tmp.path(), &[]).expect("create");
+        let _ = LogDir::create(tmp.path()).expect("create");
         // Debris a crash mid-write_atomic would leave behind.
         std::fs::write(tmp.path().join("checkpoint.tmp"), b"torn").expect("write");
         std::fs::write(tmp.path().join("clean.tmp"), b"torn").expect("write");
-        let (dir, _) = LogDir::open(tmp.path()).expect("open");
+        let dir = LogDir::open(tmp.path()).expect("open");
         assert!(!tmp.path().join("checkpoint.tmp").exists());
         assert!(!tmp.path().join("clean.tmp").exists());
         // The swept name is free again for a real checkpoint.
@@ -569,7 +558,7 @@ mod tests {
     #[test]
     fn clean_marker_round_trips_and_removes() {
         let tmp = TempDir::new("logdir-clean");
-        let dir = LogDir::create(tmp.path(), &[]).expect("create");
+        let dir = LogDir::create(tmp.path()).expect("create");
         assert_eq!(dir.read_clean_marker().expect("absent"), None);
         let marker = CleanMarker {
             next_seq: 42,
@@ -586,7 +575,7 @@ mod tests {
     #[test]
     fn malformed_clean_marker_reads_as_absent() {
         let tmp = TempDir::new("logdir-clean-bad");
-        let dir = LogDir::create(tmp.path(), &[]).expect("create");
+        let dir = LogDir::create(tmp.path()).expect("create");
         std::fs::write(tmp.path().join("clean"), b"garbage").expect("write");
         assert_eq!(dir.read_clean_marker().expect("lenient"), None);
     }
@@ -597,7 +586,7 @@ mod tests {
         // writing its header leaves a short (even empty) file; recovery
         // must see zero frames, not a hard error.
         let tmp = TempDir::new("logdir-short-wal");
-        let dir = LogDir::create(tmp.path(), &[]).expect("create");
+        let dir = LogDir::create(tmp.path()).expect("create");
         let no_frames = |_: u64, _: &[u8]| -> io::Result<()> { panic!("a frame") };
         std::fs::write(dir.wal_path(3), b"").expect("empty");
         assert_eq!(
@@ -618,7 +607,7 @@ mod tests {
     #[test]
     fn wal_read_in_chunks_equals_a_whole_file_scan() {
         let tmp = TempDir::new("logdir-wal-chunks");
-        let dir = LogDir::create(tmp.path(), &[]).expect("create");
+        let dir = LogDir::create(tmp.path()).expect("create");
         let mut file = Vec::new();
         frame::write_header(&mut file, magic::WAL);
         for seq in 0..1_000u64 {
@@ -668,22 +657,34 @@ mod tests {
         assert!(LogDir::open(&path).is_err());
     }
 
+    /// The header is the file header and nothing else: another magic, a
+    /// byte past the version, or a header cut short is damage.
     #[test]
     fn open_with_corrupt_header_is_a_clean_error() {
         let tmp = TempDir::new("logdir-bad-header");
-        let _ = LogDir::create(tmp.path(), &[]).expect("create");
-        std::fs::write(tmp.path().join("header"), b"XXXXXXXXXXXX").expect("damage");
-        let err = LogDir::open(tmp.path()).expect_err("bad magic");
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        std::fs::write(tmp.path().join("header"), b"SL").expect("truncate");
-        let err = LogDir::open(tmp.path()).expect_err("short header");
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let _ = LogDir::create(tmp.path()).expect("create");
+        let path = tmp.path().join(HEADER_FILE);
+        let pristine = std::fs::read(&path).expect("header");
+        let refused = |bytes: &[u8]| {
+            std::fs::write(&path, bytes).expect("damage");
+            let err = LogDir::open(tmp.path()).expect_err("damaged header");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            err.to_string()
+        };
+        refused(b"XXXXXXXXXXXX");
+        let trailing = [&pristine[..], &[0]].concat();
+        assert_eq!(refused(&trailing), "damaged header");
+        let short = &pristine[..frame::HEADER_LEN - 1];
+        assert_eq!(refused(short), "file shorter than header");
+        refused(b"SL");
+        std::fs::write(&path, &pristine).expect("restore");
+        LogDir::open(tmp.path()).expect("the pristine header opens");
     }
 
     #[test]
     fn directory_disappearing_mid_use_is_a_clean_error() {
         let tmp = TempDir::new("logdir-vanish");
-        let dir = LogDir::create(tmp.path(), &[]).expect("create");
+        let dir = LogDir::create(tmp.path()).expect("create");
         std::fs::remove_dir_all(tmp.path()).expect("vanish");
         assert!(dir.list_wal().is_err());
         assert!(dir.write_checkpoint(&[b"meta".to_vec()]).is_err());
@@ -701,7 +702,7 @@ mod tests {
         // actually denied.
         use std::os::unix::fs::PermissionsExt as _;
         let tmp = TempDir::new("logdir-perms");
-        let dir = LogDir::create(tmp.path(), &[]).expect("create");
+        let dir = LogDir::create(tmp.path()).expect("create");
         dir.write_checkpoint(&[b"meta".to_vec()]).expect("ckpt");
         let lock = |path: &Path| {
             std::fs::set_permissions(path, std::fs::Permissions::from_mode(0o000)).expect("chmod")
@@ -727,7 +728,7 @@ mod tests {
     #[test]
     fn damaged_checkpoint_is_a_hard_error() {
         let tmp = TempDir::new("logdir-ckpt-damage");
-        let dir = LogDir::create(tmp.path(), &[]).expect("create");
+        let dir = LogDir::create(tmp.path()).expect("create");
         let section: Vec<u8> = (0..600u32).map(|i| (i % 251) as u8).collect();
         dir.write_checkpoint(std::slice::from_ref(&section))
             .expect("write");
@@ -768,7 +769,7 @@ mod tests {
         use crate::disk::FaultyDisk;
         let tmp = TempDir::new("logdir-clean-sync");
         let disk = Arc::new(FaultyDisk::scripted(Vec::new()));
-        let dir = LogDir::create(tmp.path(), &[])
+        let dir = LogDir::create(tmp.path())
             .expect("create")
             .with_io(Arc::clone(&disk) as Arc<_>);
         dir.write_clean_marker(CleanMarker {

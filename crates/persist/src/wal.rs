@@ -84,8 +84,13 @@ pub enum FsyncPolicy {
 pub struct WalConfig {
     /// Fsync policy for the writer thread.
     pub fsync: FsyncPolicy,
-    /// Bounded append-queue depth; `append` blocks when full, so a slow
-    /// disk applies backpressure instead of unbounded memory growth.
+    /// Bounded append-queue depth, in messages; `append` blocks when
+    /// full, so a slow disk applies backpressure instead of unbounded
+    /// memory growth. Under [`FsyncPolicy::Always`] a message is one
+    /// frame. Under `Batch` and `Never` a message from `append` is one
+    /// staged batch of at least [`STAGE_BYTES`], so the bound is in
+    /// bytes: the default 4,096 lets about 128 MiB of frames queue
+    /// before `append` blocks.
     pub queue_capacity: usize,
 }
 
@@ -112,8 +117,6 @@ pub struct WalStats {
     pub io_errors: AtomicU64,
     /// Frames dropped because the writer was degraded.
     pub dropped_frames: AtomicU64,
-    /// Framed bytes dropped because the writer was degraded.
-    pub dropped_bytes: AtomicU64,
     /// Max caller-supplied op time among frames both written and
     /// fsynced successfully.
     pub durable_at: AtomicU64,
@@ -240,8 +243,7 @@ impl WalHandle {
     ///
     /// # Errors
     ///
-    /// Fails if the directory handle cannot be duplicated for the
-    /// writer thread, or the thread cannot be spawned.
+    /// Fails if the writer thread cannot be spawned.
     pub fn open(
         dir: &LogDir,
         config: WalConfig,
@@ -250,7 +252,7 @@ impl WalHandle {
     ) -> io::Result<WalHandle> {
         let stats = Arc::new(WalStats::default());
         let (tx, rx) = sync_channel::<Msg>(config.queue_capacity.max(1));
-        let writer_dir = dir.clone_view()?;
+        let writer_dir = dir.clone();
         let writer_stats = Arc::clone(&stats);
         let stage_bytes = match config.fsync {
             FsyncPolicy::Always => 0,
@@ -449,13 +451,10 @@ impl WriterState {
         }
     }
 
-    fn drop_frames(&mut self, frames: u64, bytes: usize) {
+    fn drop_frames(&mut self, frames: u64) {
         self.stats
             .dropped_frames
             .fetch_add(frames, Ordering::Relaxed);
-        self.stats
-            .dropped_bytes
-            .fetch_add(bytes as u64, Ordering::Relaxed);
     }
 
     /// Forgets the file and everything unsynced: nothing written since
@@ -484,7 +483,7 @@ impl WriterState {
             return;
         }
         if self.degraded {
-            self.drop_frames(batch.frames, batch.buf.len());
+            self.drop_frames(batch.frames);
             return;
         }
         let mut delay = RETRY_BASE;
@@ -508,7 +507,7 @@ impl WriterState {
                 }
             }
         }
-        self.drop_frames(batch.frames, batch.buf.len());
+        self.drop_frames(batch.frames);
         self.enter_degraded();
     }
 
@@ -754,7 +753,7 @@ mod tests {
     #[test]
     fn appends_land_in_one_file_in_seq_order() {
         let tmp = TempDir::new("wal-appends");
-        let dir = LogDir::create(tmp.path(), &[]).expect("create");
+        let dir = LogDir::create(tmp.path()).expect("create");
         let wal = WalHandle::open(&dir, WalConfig::default(), 0, 0).expect("open");
         for i in 0..10u64 {
             wal.append(&i.to_le_bytes(), 0).expect("append");
@@ -770,7 +769,7 @@ mod tests {
     #[test]
     fn rotation_closes_old_generation() {
         let tmp = TempDir::new("wal-rotate");
-        let dir = LogDir::create(tmp.path(), &[]).expect("create");
+        let dir = LogDir::create(tmp.path()).expect("create");
         let wal = WalHandle::open(&dir, WalConfig::default(), 0, 100).expect("open");
         wal.append(b"before", 0).expect("append");
         let new_gen = wal.rotate().expect("rotate");
@@ -786,7 +785,7 @@ mod tests {
         let tmp = TempDir::new("wal-dir-sync");
         // A healthy disk that counts what it is asked to do.
         let disk = Arc::new(FaultyDisk::scripted(Vec::new()));
-        let dir = LogDir::create(tmp.path(), &[])
+        let dir = LogDir::create(tmp.path())
             .expect("create")
             .with_io(Arc::clone(&disk) as Arc<_>);
         // `Never`: the writer syncs on flush and rotate only, so the
@@ -828,7 +827,7 @@ mod tests {
     #[test]
     fn drop_drains_the_queue() {
         let tmp = TempDir::new("wal-drop");
-        let dir = LogDir::create(tmp.path(), &[]).expect("create");
+        let dir = LogDir::create(tmp.path()).expect("create");
         {
             let wal = WalHandle::open(
                 &dir,
@@ -860,7 +859,7 @@ mod tests {
         const ROUNDS: usize = 10;
         for fsync in [FsyncPolicy::Always, FsyncPolicy::Batch] {
             let tmp = TempDir::new("wal-race");
-            let dir = LogDir::create(tmp.path(), &[]).expect("create");
+            let dir = LogDir::create(tmp.path()).expect("create");
             let config = WalConfig {
                 fsync,
                 ..WalConfig::default()
@@ -915,7 +914,7 @@ mod tests {
     #[test]
     fn stats_count_appends() {
         let tmp = TempDir::new("wal-stats");
-        let dir = LogDir::create(tmp.path(), &[]).expect("create");
+        let dir = LogDir::create(tmp.path()).expect("create");
         let wal = WalHandle::open(&dir, WalConfig::default(), 0, 0).expect("open");
         wal.append(b"x", 10).expect("append");
         wal.append(b"y", 7).expect("append");
@@ -939,9 +938,7 @@ mod tests {
             from: 8,
             to: u64::MAX,
         }]));
-        let dir = LogDir::create(tmp.path(), &[])
-            .expect("create")
-            .with_io(disk);
+        let dir = LogDir::create(tmp.path()).expect("create").with_io(disk);
         let wal = WalHandle::open(
             &dir,
             WalConfig {
@@ -976,7 +973,7 @@ mod tests {
             from: 8,
             to: 59,
         }]));
-        let dir = LogDir::create(tmp.path(), &[])
+        let dir = LogDir::create(tmp.path())
             .expect("create")
             .with_io(Arc::clone(&disk) as Arc<_>);
         let wal = WalHandle::open(
@@ -1021,7 +1018,7 @@ mod tests {
             from: first_end + 1,
             to: first_end + frame + 1,
         }]));
-        let dir = LogDir::create(tmp.path(), &[])
+        let dir = LogDir::create(tmp.path())
             .expect("create")
             .with_io(Arc::clone(&disk) as Arc<_>);
         let config = WalConfig {
@@ -1065,7 +1062,7 @@ mod tests {
             from: first_end + 1,
             to: first_end + frame + 1,
         }]));
-        let dir = LogDir::create(tmp.path(), &[])
+        let dir = LogDir::create(tmp.path())
             .expect("create")
             .with_io(Arc::clone(&disk) as Arc<_>);
         let config = WalConfig {
@@ -1106,9 +1103,7 @@ mod tests {
             from: 0,
             to: u64::MAX,
         }]));
-        let dir = LogDir::create(tmp.path(), &[])
-            .expect("create")
-            .with_io(disk);
+        let dir = LogDir::create(tmp.path()).expect("create").with_io(disk);
         let wal = WalHandle::open(
             &dir,
             WalConfig {

@@ -11,7 +11,7 @@
 //! (counted, never queued), so no part of the accept path grows
 //! without bound.
 
-use std::io::Write;
+use std::io::{self, Write};
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
@@ -107,12 +107,16 @@ impl Shedder {
     /// Spawns the shedder thread. `retry_after_secs` fills the
     /// `Retry-After` header clients should honor before re-offering
     /// load.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the thread cannot be spawned.
     pub fn spawn(
         stats: Arc<ServerStats>,
         queue_depth: usize,
         retry_after_secs: u32,
         write_timeout: Duration,
-    ) -> Self {
+    ) -> io::Result<Self> {
         let (tx, rx) = sync_channel::<TcpStream>(queue_depth.max(1));
         let response = canned_503(retry_after_secs);
         let handle = std::thread::Builder::new()
@@ -127,9 +131,8 @@ impl Shedder {
                     }
                     let _ = stream.shutdown(std::net::Shutdown::Both);
                 }
-            })
-            .expect("spawn shedder thread");
-        Shedder { tx, handle }
+            })?;
+        Ok(Shedder { tx, handle })
     }
 
     /// Hands a refused connection to the shed thread; if even that

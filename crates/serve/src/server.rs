@@ -206,7 +206,7 @@ impl Server {
                 config.queue_depth.max(16),
                 config.retry_after_secs,
                 config.write_timeout,
-            );
+            )?;
             std::thread::Builder::new()
                 .name("serve-acceptor".into())
                 .spawn(move || {

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Crash-recovery smoke for the verify path: runs the torn-write fault
 # matrix (truncated tail, torn frame, bit rot, duplicated tail record,
-# among four stripes' and the region events' frames in one generation
+# among several stripes' and the region events' frames in one generation
 # file, in sequence order), the WAL's order under concurrent appends,
 # flushes and rotates (every generation file strictly increasing), the
 # on-disk layout (one WAL file per generation, no file per compaction
@@ -25,6 +25,11 @@
 # sealed as one- or two-byte references to their probes
 # (durable::tests::production_spikes_cost_at_most_two_bytes_each), a
 # section cut into several frames, and a crash right after flush() —
+# and the two guards of a directory's format: a checkpoint of another
+# section count refused
+# (durable::tests::recovery_refuses_a_checkpoint_of_another_section_count)
+# and a header with a byte past its version, or cut short, refused
+# (log::tests::open_with_corrupt_header_is_a_clean_error) —
 # all against release builds.
 #
 # Each step runs one test by its exact name through scripts/one_test.sh,
@@ -76,5 +81,9 @@ scripts/one_test.sh -p spotlight-core durable::tests::production_spikes_cost_at_
 scripts/one_test.sh -p spotlight-persist log::tests::oversize_checkpoint_sections_chunk_and_reassemble
 scripts/one_test.sh -p spotlight-persist log::tests::damaged_checkpoint_is_a_hard_error
 scripts/one_test.sh --test persistence flushed_records_survive_a_crash_without_a_clean_marker
+
+echo "== recovery smoke: a checkpoint of another section count, a damaged header =="
+scripts/one_test.sh -p spotlight-core durable::tests::recovery_refuses_a_checkpoint_of_another_section_count
+scripts/one_test.sh -p spotlight-persist log::tests::open_with_corrupt_header_is_a_clean_error
 
 echo "recovery smoke: OK"

@@ -688,7 +688,7 @@ fn durable_live_run_degrades_and_heals_on_a_faulty_disk() {
     let (store, _, per_tick) = faulty_disk_day(&dir, &Arc::new(FaultyDisk::scripted(Vec::new())));
     drop(store);
     // Every frame on disk: its length, by sequence number.
-    let (log, _) = LogDir::open(&dir).expect("open");
+    let log = LogDir::open(&dir).expect("open");
     let mut frames = std::collections::BTreeMap::new();
     for generation in log.list_wal().expect("list") {
         let path = log.wal_path(generation);

@@ -114,8 +114,8 @@ proptest! {
 
     // The fault matrix: truncated tail, torn frame, bit rot, and a
     // duplicated tail record, each at a generated position, in the one
-    // file of a generation that holds four stripes' ops and the region
-    // events, in sequence order.
+    // file of a generation that holds several stripes' ops and the
+    // region events, in sequence order.
     // Whatever prefix of the file survives the damage, the recovered
     // store must equal a never-crashed store that saw exactly the ops of
     // that prefix.
@@ -125,8 +125,6 @@ proptest! {
         fault_pick in 0u8..4,
         where_pick in any::<u64>(),
     ) {
-        const STRIPES: usize = 4;
-        let layout = || DataStore::with_layout(STRIPES, SimDuration::from_secs(3600));
         let markets: Vec<MarketId> = (0..8).map(|i| wide_market(i * 7)).collect();
         // Sequence numbers are issued in this order: op `k` is seq `k`.
         let ops: Vec<Op> = (0..n_ops)
@@ -139,13 +137,7 @@ proptest! {
             .collect();
         let tmp = TempDir::new("fault-matrix");
         let dir = tmp.path().join("store");
-        let store = DataStore::create_durable_with_layout(
-            &dir,
-            opts(),
-            STRIPES,
-            SimDuration::from_secs(3600),
-        )
-        .unwrap();
+        let store = DataStore::create_durable(&dir, opts()).unwrap();
         // A flush every three ops: the file holds several of the
         // writer's batches, every stripe's ops among them.
         for (k, op) in ops.iter().enumerate() {
@@ -159,7 +151,7 @@ proptest! {
 
         // Every op is a frame of generation 0's one file, in sequence
         // order: op `k` is the file's frame `k`.
-        let (log, _) = LogDir::open(&dir).unwrap();
+        let log = LogDir::open(&dir).unwrap();
         prop_assert_eq!(log.list_wal().unwrap(), vec![0]);
         let wal = log.wal_path(0);
         let spans = fault::frame_spans(&wal).unwrap();
@@ -206,7 +198,7 @@ proptest! {
         };
 
         let recovered = DataStore::recover(&dir).unwrap();
-        let twin = layout();
+        let twin = DataStore::new();
         for op in &ops[..survivors] {
             op.apply(&twin);
         }
@@ -228,14 +220,12 @@ proptest! {
     }
 }
 
-/// On disk the store writes one file per durable event, whatever its
-/// stripe count: a generation is one WAL file for every stripe's ops and
+/// On disk the store writes one file per durable event, for all its
+/// stripes: a generation is one WAL file for every stripe's ops and
 /// the store-wide ones, a compaction pass writes nothing, and a
 /// checkpoint unlinks one file per generation it covers.
 #[test]
 fn one_file_per_durable_event() {
-    const STRIPES: usize = 16;
-    let epoch = SimDuration::from_secs(3600);
     let tmp = TempDir::new("one-file-per-event");
     let dir = tmp.path().join("store");
     let names = |prefix: &str| -> Vec<String> {
@@ -247,7 +237,7 @@ fn one_file_per_durable_event() {
         names.sort();
         names
     };
-    let twin = DataStore::with_layout(STRIPES, epoch);
+    let twin = DataStore::new();
     // 400 markets spread over every stripe, plus store-wide ops.
     let feed = |store: &DataStore, from: u64| {
         for i in from..from + 400 {
@@ -257,7 +247,7 @@ fn one_file_per_durable_event() {
         store.mark_region_recovered(Region::ApSoutheast2, SimTime::from_secs(from * 60 + 600));
         store.record_suppressed();
     };
-    let store = DataStore::create_durable_with_layout(&dir, opts(), STRIPES, epoch).unwrap();
+    let store = DataStore::create_durable(&dir, opts()).unwrap();
     feed(&store, 0);
     feed(&twin, 0);
     store.flush().unwrap();
@@ -277,7 +267,7 @@ fn one_file_per_durable_event() {
     // more batch: three generations, three files. No checkpoint holds
     // the first pass, so the first recovery replays its records.
     drop(store);
-    let (log, _) = LogDir::open(&dir).unwrap();
+    let log = LogDir::open(&dir).unwrap();
     for round in 1..3 {
         let store = DataStore::recover(&dir).unwrap();
         feed(&store, round * 400);
@@ -302,17 +292,15 @@ fn one_file_per_durable_event() {
     assert_same_summaries(&DataStore::recover(&dir).unwrap(), &twin, &markets);
 }
 
-/// The body (header stripped) of the first WAL generation a one-stripe
-/// durable store writes for 48 probes and 16 spikes, with its frame
+/// The body (header stripped) of the first WAL generation a durable
+/// store writes for 48 probes and 16 spikes, with its frame
 /// boundaries — written once per process.
 fn real_wal() -> &'static (Vec<u8>, Vec<usize>) {
     static WAL: std::sync::OnceLock<(Vec<u8>, Vec<usize>)> = std::sync::OnceLock::new();
     WAL.get_or_init(|| {
         let tmp = TempDir::new("frame-mutation");
         let dir = tmp.path().join("store");
-        let store =
-            DataStore::create_durable_with_layout(&dir, opts(), 1, SimDuration::from_secs(3600))
-                .unwrap();
+        let store = DataStore::create_durable(&dir, opts()).unwrap();
         for i in 0..48 {
             store.record_probe(probe_at(i, market(i as u8)));
             if i % 3 == 0 {
@@ -326,7 +314,7 @@ fn real_wal() -> &'static (Vec<u8>, Vec<usize>) {
         }
         store.flush().unwrap();
         drop(store);
-        let (log, _) = LogDir::open(&dir).unwrap();
+        let log = LogDir::open(&dir).unwrap();
         let wal = log.wal_path(0);
         let file = std::fs::read(&wal).unwrap();
         let body = frame::strip_header(&file, frame::magic::WAL)
@@ -475,14 +463,12 @@ proptest! {
         let io = Arc::new(FaultyDisk::seeded(seed, &profile));
         let tmp = TempDir::new("seeded-degrade-heal");
         let dir = tmp.path().join("store");
-        let store = DataStore::create_durable_with_layout(
+        let store = DataStore::create_durable(
             &dir,
             DurableOptions {
                 io: Some(io.clone() as Arc<dyn DiskIo>),
                 ..opts()
             },
-            1,
-            SimDuration::from_secs(3600),
         )
         .unwrap();
         // The driver's clock, made up: every tend is past any backoff.
@@ -522,7 +508,7 @@ proptest! {
                          recovery found {}",
                         crashed.len()
                     );
-                    let twin = DataStore::with_layout(1, SimDuration::from_secs(3600));
+                    let twin = DataStore::new();
                     for j in 0..crashed.len() as u64 {
                         twin.record_probe(probe_at(j, m));
                     }
@@ -565,7 +551,7 @@ proptest! {
         prop_assert!(info.from_clean_shutdown, "close wrote the marker");
         prop_assert_eq!(info.replayed_ops, 0, "clean restart replays nothing");
         prop_assert_eq!(full.len() as u64, n_ops + 1);
-        let twin = DataStore::with_layout(1, SimDuration::from_secs(3600));
+        let twin = DataStore::new();
         for j in 0..=n_ops {
             twin.record_probe(probe_at(j, m));
         }
@@ -574,7 +560,7 @@ proptest! {
         // A heal re-establishes the log at a *fresh* generation; its
         // checkpoint prunes the generations the degraded WAL abandoned.
         if stats.degraded_transitions > 0 {
-            let (log, _) = LogDir::open(&dir).unwrap();
+            let log = LogDir::open(&dir).unwrap();
             let gens = log.list_wal().unwrap();
             prop_assert!(
                 gens.iter().all(|&generation| generation >= 1),
@@ -591,10 +577,8 @@ proptest! {
 fn compact_then_crash_then_recover_loses_nothing() {
     let tmp = TempDir::new("compact-crash");
     let dir = tmp.path().join("store");
-    let store =
-        DataStore::create_durable_with_layout(&dir, opts(), 4, SimDuration::from_secs(3600))
-            .unwrap();
-    let twin = DataStore::with_layout(4, SimDuration::from_secs(3600));
+    let store = DataStore::create_durable(&dir, opts()).unwrap();
+    let twin = DataStore::new();
     let markets: Vec<MarketId> = (0..5).map(market).collect();
     let total = 240u64;
     for i in 0..total {
@@ -661,7 +645,6 @@ fn compact_then_crash_then_recover_loses_nothing() {
 /// recovered store answers as the twin.
 #[test]
 fn a_durable_compaction_equals_an_in_memory_one() {
-    const HOUR: SimDuration = SimDuration::from_secs(3600);
     for degraded in [false, true] {
         // A full disk for the first 64 KiB written: the writer's retries
         // of the first batch all fail, and so do heals until the
@@ -680,8 +663,8 @@ fn a_durable_compaction_equals_an_in_memory_one() {
             io: Some(io as Arc<dyn DiskIo>),
             ..opts()
         };
-        let store = DataStore::create_durable_with_layout(&dir, opts, 4, HOUR).unwrap();
-        let twin = DataStore::with_layout(4, HOUR);
+        let store = DataStore::create_durable(&dir, opts).unwrap();
+        let twin = DataStore::new();
         let markets: Vec<MarketId> = (0..5).map(market).collect();
         for pass in 1..=3u64 {
             for i in (pass - 1) * 200..pass * 200 {
@@ -774,9 +757,7 @@ fn checkpoint_with_torn_tail_recovers_through_the_snapshot() {
     let m = market(0);
     let tmp = TempDir::new("ckpt-torn-tail");
     let dir = tmp.path().join("store");
-    let store =
-        DataStore::create_durable_with_layout(&dir, opts(), 1, SimDuration::from_secs(3600))
-            .unwrap();
+    let store = DataStore::create_durable(&dir, opts()).unwrap();
     for i in 0..25u64 {
         store.record_probe(probe_at(i, m));
     }
@@ -789,14 +770,14 @@ fn checkpoint_with_torn_tail_recovers_through_the_snapshot() {
 
     // The post-checkpoint tail lives in generation 1; tear its final
     // frame.
-    let (log, _) = LogDir::open(&dir).unwrap();
+    let log = LogDir::open(&dir).unwrap();
     let wal = log.wal_path(1);
     let spans = fault::frame_spans(&wal).unwrap();
     let &(s, e) = spans.last().unwrap();
     fault::truncate_at(&wal, (s + (e - s) / 2) as u64).unwrap();
 
     let recovered = DataStore::recover(&dir).unwrap();
-    let twin = DataStore::with_layout(1, SimDuration::from_secs(3600));
+    let twin = DataStore::new();
     for i in 0..34u64 {
         twin.record_probe(probe_at(i, m));
     }
@@ -807,7 +788,7 @@ fn checkpoint_with_torn_tail_recovers_through_the_snapshot() {
     // and deletes every generation below its floor.
     recovered.checkpoint().unwrap();
     drop(recovered);
-    let (log, _) = LogDir::open(&dir).unwrap();
+    let log = LogDir::open(&dir).unwrap();
     let gens = log.list_wal().unwrap();
     assert!(
         gens.iter().all(|&generation| generation >= 2),
@@ -818,16 +799,14 @@ fn checkpoint_with_torn_tail_recovers_through_the_snapshot() {
 
 /// Same ops, same bytes: a checkpoint holds nothing that depends on
 /// the process that wrote it. The on-demand rejection counts and the
-/// region-health table (one entry per region here, the former all in
-/// one stripe) were `RandomState` maps written in iteration order.
+/// region-health table (one entry per region here, the former spread
+/// over the stripes) were `RandomState` maps written in iteration order.
 #[test]
 fn checkpoints_of_equal_stores_are_byte_identical() {
     let write = |name: &str| {
         let tmp = TempDir::new(name);
         let dir = tmp.path().join("store");
-        let store =
-            DataStore::create_durable_with_layout(&dir, opts(), 1, SimDuration::from_secs(3600))
-                .unwrap();
+        let store = DataStore::create_durable(&dir, opts()).unwrap();
         for (i, region) in Region::ALL.into_iter().enumerate() {
             let m = MarketId {
                 az: Az::new(region, 0),
@@ -850,8 +829,8 @@ fn checkpoints_of_equal_stores_are_byte_identical() {
     // format 5.
     let tmp = TempDir::new("ckpt-bytes-raw");
     std::fs::write(tmp.path().join("checkpoint"), &first).unwrap();
-    LogDir::create(tmp.path(), &[]).unwrap();
-    let (log, _) = LogDir::open(tmp.path()).unwrap();
+    LogDir::create(tmp.path()).unwrap();
+    let log = LogDir::open(tmp.path()).unwrap();
     let raw: usize = log
         .read_checkpoint()
         .unwrap()

@@ -680,11 +680,7 @@ proptest! {
         random_ops in proptest::collection::vec(any_store_op(), 0..120),
         spans in proptest::collection::vec((0u64..50_000, 1u64..50_000), 1..6),
     ) {
-        // One stripe when there is a run-in, so that it fills chunks.
-        let layout = move || DataStore::with_layout(
-            if run_in_len > 0 { 1 } else { 16 },
-            SimDuration::from_secs(3600),
-        );
+        // The run-in writes one market, so it fills its stripe's chunks.
         let mut ops = run_in(run_in_len);
         // Captures inside the run-in too: the random ops then write
         // into chunks those hold.
@@ -701,7 +697,7 @@ proptest! {
         // never return — that must fail the case, not hang the suite.
         let (done, finished) = std::sync::mpsc::channel();
         let body = std::thread::spawn(move || {
-            let store = layout();
+            let store = DataStore::new();
             let mut captures = Vec::new();
             for (k, op) in ops.iter().enumerate() {
                 op.apply(&store);
@@ -713,7 +709,7 @@ proptest! {
             assert_eq!(store.read().probes().count(), 0);
 
             for (k, snapshot, view) in &captures {
-                let replayed = layout();
+                let replayed = DataStore::new();
                 for op in &ops[..*k] {
                     op.apply(&replayed);
                 }

@@ -581,7 +581,7 @@ fn service_checkpoint_is_compressed() {
         service.step();
     }
     service.stop().expect("stop");
-    let (log, _) = LogDir::open(&dir).expect("open the directory");
+    let log = LogDir::open(&dir).expect("open the directory");
     let checkpoint = log.read_checkpoint().expect("read").expect("a checkpoint");
     let raw: usize = checkpoint.iter().map(Vec::len).sum();
     let on_disk = std::fs::metadata(dir.join("checkpoint"))
