@@ -1155,6 +1155,25 @@ mod tests {
         }
     }
 
+    /// `n` distinct markets that share `market(0)`'s stripe, `market(0)`
+    /// first: one stripe section holds them all.
+    fn stripe_mates(n: usize) -> Vec<MarketId> {
+        let home = market(0);
+        let others = (0..26u8).flat_map(|az| {
+            Platform::ALL.map(move |platform| MarketId {
+                az: Az::new(Region::UsEast1, az),
+                platform,
+                ..home
+            })
+        });
+        let mates: Vec<_> = std::iter::once(home)
+            .chain(others.filter(|&m| m != home && stripe_index(m) == stripe_index(home)))
+            .take(n)
+            .collect();
+        assert_eq!(mates.len(), n, "too few markets share a stripe");
+        mates
+    }
+
     fn probe(at: u64, m: MarketId, outcome: ProbeOutcome) -> ProbeRecord {
         ProbeRecord {
             at: SimTime::from_secs(at),
@@ -1557,21 +1576,22 @@ mod tests {
         }
     }
 
-    /// One stripe section as a checkpoint holds it before compression,
-    /// `market(0)`'s of a store given 120 probes over `market`'s three
-    /// markets, and its compressed block.
+    /// One stripe section as a checkpoint holds it before compression:
+    /// 120 probes of three markets that share a stripe, and its
+    /// compressed block.
     fn stripe_section() -> &'static (Vec<u8>, Vec<u8>) {
         static SECTION: std::sync::OnceLock<(Vec<u8>, Vec<u8>)> = std::sync::OnceLock::new();
         SECTION.get_or_init(|| {
             let tmp = TempDir::new("durable-lz-stripe");
             let dir = tmp.path().join("store");
             let store = DataStore::create_durable(&dir, DurableOptions::default()).expect("create");
+            let mates = stripe_mates(3);
             for t in 0..120u64 {
                 let outcome = match t % 3 {
                     0 => ProbeOutcome::InsufficientCapacity,
                     _ => ProbeOutcome::Fulfilled,
                 };
-                store.record_probe(probe(t * 300, market(t as u8 % 6), outcome));
+                store.record_probe(probe(t * 300, mates[t as usize % 3], outcome));
             }
             store.close().expect("close");
             let log = LogDir::open(&dir).expect("open");
@@ -2069,33 +2089,32 @@ mod tests {
         // Every truncation of a real section, slab form and all: an
         // error, and a refused stripe.
         let store = DataStore::new();
+        let mates = stripe_mates(4);
         for (i, trigger) in all_triggers().into_iter().enumerate() {
             let mut p = probe(
                 7_200 - i as u64 * 300,
-                market(i as u8 % 4),
+                mates[i % 4],
                 ProbeOutcome::Fulfilled,
             );
             p.trigger = trigger;
             store.record_probe(p);
             store.record_spike(SpikeEvent {
-                market: market(i as u8 % 3),
+                market: mates[i % 3],
                 at: p.at,
                 ratio: 2.0,
                 probed: true,
             });
         }
-        for stripe in store.stripes.iter() {
-            let stripe = stripe.read();
-            let mut slabs = Vec::new();
-            write_slabs(stripe.probes.iter(), stripe.spikes.iter(), &mut slabs);
-            for cut in 0..slabs.len() {
-                assert!(decoded(&slabs[..cut]).is_err(), "slabs cut at {cut}");
-            }
-            let bytes = stripe.to_bytes();
-            assert!(bytes.starts_with(&slabs) && decode_stripe(&bytes).is_ok());
-            for cut in 0..bytes.len() {
-                assert!(decode_stripe(&bytes[..cut]).is_err(), "stripe cut at {cut}");
-            }
+        let stripe = store.stripes[stripe_index(market(0))].read();
+        let mut slabs = Vec::new();
+        write_slabs(stripe.probes.iter(), stripe.spikes.iter(), &mut slabs);
+        for cut in 0..slabs.len() {
+            assert!(decoded(&slabs[..cut]).is_err(), "slabs cut at {cut}");
+        }
+        let bytes = stripe.to_bytes();
+        assert!(bytes.starts_with(&slabs) && decode_stripe(&bytes).is_ok());
+        for cut in 0..bytes.len() {
+            assert!(decode_stripe(&bytes[..cut]).is_err(), "stripe cut at {cut}");
         }
     }
 
@@ -2421,13 +2440,14 @@ mod tests {
     #[test]
     fn stripe_and_key_state_round_trip() {
         let store = DataStore::new();
+        let mates = stripe_mates(3);
         for t in 0..300u64 {
             let outcome = match t % 7 {
                 0 | 1 => ProbeOutcome::InsufficientCapacity,
                 2 => ProbeOutcome::ApiLimited,
                 _ => ProbeOutcome::Fulfilled,
             };
-            let mut p = probe(t * 1700, market((t % 3) as u8), outcome);
+            let mut p = probe(t * 1700, mates[t as usize % 3], outcome);
             if t % 2 == 1 {
                 p.kind = ProbeKind::Spot;
                 p.bid = Some(Price::from_dollars(0.25));
@@ -2436,21 +2456,21 @@ mod tests {
         }
         for t in 0..20u64 {
             store.record_spike(SpikeEvent {
-                market: market((t % 3) as u8),
+                market: mates[t as usize % 3],
                 at: SimTime::from_secs(t * 9000),
                 ratio: 1.5 + t as f64 / 8.0,
                 probed: t % 2 == 0,
             });
         }
         store.record_revocation(RevocationRecord {
-            market: market(1),
+            market: mates[1],
             acquired_at: SimTime::from_secs(5),
             bid: Price::from_dollars(0.3),
             revoked_at: Some(SimTime::from_secs(u64::from(u32::MAX) + 9)),
             released_at: None,
         });
         store.record_intrinsic_bid(IntrinsicBidRecord {
-            market: market(2),
+            market: mates[2],
             at: SimTime::from_secs(80),
             published: Price::from_dollars(0.09),
             intrinsic: Price::from_micros(u64::MAX),
@@ -2458,24 +2478,20 @@ mod tests {
         });
         store.compact(SimTime::from_secs(100 * 1700));
 
-        let stripes: Vec<_> = store.stripes.iter().map(|s| s.read().clone()).collect();
-        let keys: usize = stripes.iter().map(|s| s.keys.len()).sum();
-        let intervals: usize = stripes.iter().map(|s| s.intervals.len()).sum();
-        assert!(keys >= 6 && intervals > 10);
-        for original in &stripes {
-            let bytes = original.to_bytes();
-            let decoded = decode_stripe(&bytes).expect("stripe decodes");
-            same_stripe(original, &decoded);
-            for state in original.keys.values() {
-                same_key(
-                    state,
-                    &KeyState::from_bytes(&state.to_bytes()).expect("key state decodes"),
-                );
-            }
-            // Truncated anywhere, a stripe is an error, never a panic.
-            for cut in (0..bytes.len()).step_by(97) {
-                assert!(Stripe::from_bytes(&bytes[..cut]).is_err());
-            }
+        let original = store.stripes[stripe_index(market(0))].read();
+        assert!(original.keys.len() >= 6 && original.intervals.len() > 10);
+        let bytes = original.to_bytes();
+        let decoded = decode_stripe(&bytes).expect("stripe decodes");
+        same_stripe(&original, &decoded);
+        for state in original.keys.values() {
+            same_key(
+                state,
+                &KeyState::from_bytes(&state.to_bytes()).expect("key state decodes"),
+            );
+        }
+        // Truncated anywhere, a stripe is an error, never a panic.
+        for cut in (0..bytes.len()).step_by(97) {
+            assert!(Stripe::from_bytes(&bytes[..cut]).is_err());
         }
     }
 

@@ -43,7 +43,7 @@
 //! # Epoch summaries
 //!
 //! Each `(market, kind)` additionally maintains fixed-width time
-//! buckets ([`EPOCH`], one hour) with
+//! buckets ([`EPOCH_SECS`], one hour) with
 //! informative/rejection counts and **closed-unavailable seconds**,
 //! updated incrementally at ingest (interval seconds are distributed
 //! over the epochs they cover when the interval closes). The series is
@@ -164,7 +164,7 @@ use crate::shared::{ChunkVec, CowVec};
 use crate::sync::RwLock;
 use cloud_sim::ids::{MarketId, Region};
 use cloud_sim::price::Price;
-use cloud_sim::time::{SimDuration, SimTime};
+use cloud_sim::time::SimTime;
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -243,11 +243,9 @@ impl std::hash::Hasher for FxHasher {
 pub(crate) type FxBuildHasher = std::hash::BuildHasherDefault<FxHasher>;
 pub(crate) type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 
-/// The epoch-summary bucket width.
-pub const EPOCH: SimDuration = SimDuration::from_secs(3600);
-
-/// [`EPOCH`] in seconds, the divisor of every epoch computation.
-const EPOCH_SECS: u64 = EPOCH.as_secs();
+/// The epoch-summary bucket width in seconds (one hour), the divisor
+/// of every epoch computation.
+pub const EPOCH_SECS: u64 = 3600;
 
 /// A spike observation: a published price crossing SpotLight's radar.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -536,7 +534,7 @@ pub fn shared_store() -> SharedStore {
 /// high bits folded into the low bits the modulo looks at. A free
 /// function so live stores and owned snapshots (which have no
 /// `DataStore`) agree on the layout.
-pub(crate) fn stripe_index(market: MarketId) -> usize {
+pub fn stripe_index(market: MarketId) -> usize {
     use std::hash::{Hash, Hasher};
     let mut h = FxHasher::default();
     market.hash(&mut h);
@@ -592,7 +590,7 @@ fn compact_slab<T: Copy>(
 }
 
 impl DataStore {
-    /// Creates an empty store: [`STRIPES`] lock stripes and [`EPOCH`]
+    /// Creates an empty store: [`STRIPES`] lock stripes and [`EPOCH_SECS`]
     /// wide summary buckets, the one layout every store has.
     pub fn new() -> Self {
         DataStore {
@@ -1551,8 +1549,15 @@ mod tests {
                         unavail_secs += delta;
                     }
                     _ => {
-                        // Starts inside `epoch`, ends `more_epochs` later.
-                        let start = epoch * WIDTH + delta % WIDTH;
+                        // Starts inside `epoch` near one of its ends, ends
+                        // `more_epochs` later: even deltas start at offset
+                        // 0..99 (0 for 100, 200, 400), odd ones 1..99
+                        // seconds before the next boundary, so spans end
+                        // exactly on it (delta 5) or cross it with
+                        // `more_epochs` 0 (delta 301).
+                        let offset =
+                            if delta % 2 == 0 { delta % 100 } else { WIDTH - delta % 100 };
+                        let start = epoch * WIDTH + offset;
                         let end = start + more_epochs * WIDTH + delta % 37;
                         add_closed_span(&mut series, start, end);
                         unavail_secs += end - start;

@@ -12,7 +12,7 @@ use proptest::prelude::*;
 use spotlight_core::probe::{ProbeKind, ProbeOutcome, ProbeRecord, ProbeTrigger};
 use spotlight_core::query::{AvailabilityStats, SpotLightQuery};
 use spotlight_core::stats::{BucketedRate, Ecdf};
-use spotlight_core::store::{DataStore, StoreRead};
+use spotlight_core::store::{stripe_index, DataStore, StoreRead};
 use spotlight_derivative::series::AvailabilityTimeline;
 
 fn any_market() -> impl Strategy<Value = MarketId> {
@@ -550,6 +550,18 @@ impl StoreOp {
             StoreOp::Snapshot => {}
         }
     }
+
+    /// The op with its market `m`, if it has one, moved to `to(m)`.
+    fn remap(mut self, to: impl Fn(MarketId) -> MarketId) -> Self {
+        match &mut self {
+            StoreOp::Probe(p) => p.market = to(p.market),
+            StoreOp::Spike(s) => s.market = to(s.market),
+            StoreOp::Revocation(r) => r.market = to(r.market),
+            StoreOp::IntrinsicBid(b) => b.market = to(b.market),
+            StoreOp::Compact(_) | StoreOp::Snapshot => {}
+        }
+        self
+    }
 }
 
 fn any_store_op() -> impl Strategy<Value = StoreOp> {
@@ -612,6 +624,29 @@ fn run_in(len: usize) -> Vec<StoreOp> {
             })
         })
         .collect()
+}
+
+/// As many markets as `all_markets()` that share the stripe of the
+/// run-in's market (`all_markets()[1]`), that market first.
+fn stripe_mates() -> Vec<MarketId> {
+    let home = all_markets()[1];
+    let others = (0..26u8).flat_map(|az| {
+        Platform::ALL.map(move |platform| MarketId {
+            az: Az::new(Region::UsEast1, az),
+            platform,
+            ..home
+        })
+    });
+    let mates: Vec<_> = std::iter::once(home)
+        .chain(others.filter(|&m| m != home && stripe_index(m) == stripe_index(home)))
+        .take(all_markets().len())
+        .collect();
+    assert_eq!(
+        mates.len(),
+        all_markets().len(),
+        "too few markets share a stripe"
+    );
+    mates
 }
 
 /// Everything a view serves, compared between two captures.
@@ -683,13 +718,20 @@ proptest! {
         // The run-in writes one market, so it fills its stripe's chunks.
         let mut ops = run_in(run_in_len);
         // Captures inside the run-in too: the random ops then write
-        // into chunks those hold.
+        // into chunks those hold, for after a run-in they go to markets
+        // of its stripe.
         for at in [run_in_len / 3, run_in_len / 3 * 2] {
             if at > 0 {
                 ops.insert(at, StoreOp::Snapshot);
             }
         }
-        ops.extend(random_ops);
+        if run_in_len > 0 {
+            let (all, mates) = (all_markets(), stripe_mates());
+            let onto_mates = |m| mates[all.iter().position(|&a| a == m).expect("a drawn market")];
+            ops.extend(random_ops.into_iter().map(|op| op.remap(onto_mates)));
+        } else {
+            ops.extend(random_ops);
+        }
         let as_of = SimTime::from_secs(60_000);
 
         // On its own thread, under a watchdog: were a view to hold a
