@@ -1138,7 +1138,7 @@ mod tests {
     use super::*;
     use crate::probe::ProbeOutcome;
     use crate::store::stripe_index;
-    use cloud_sim::ids::{Az, MarketId, Platform};
+    use cloud_sim::ids::{Az, Family, InstanceType, MarketId, Platform, Size};
     use cloud_sim::price::Price;
     use cloud_sim::time::SimDuration;
     use proptest::prelude::*;
@@ -1147,12 +1147,29 @@ mod tests {
 
     const HOUR: SimDuration = SimDuration::from_secs(3600);
 
+    /// Distinct `i` give distinct markets: the zone is `i % 3` of
+    /// us-east-1 and the instance type steps with `i / 3` from `c3.large`,
+    /// which is `market(0)`'s.
     fn market(i: u8) -> MarketId {
+        let step = usize::from(i / 3);
         MarketId {
             az: Az::new(Region::UsEast1, i % 3),
-            instance_type: "c3.large".parse().unwrap(),
+            instance_type: InstanceType::new(
+                Family::ALL[(Family::C3.index() + step / 9) % Family::ALL.len()],
+                Size::ALL[(Size::Large.index() + step) % Size::ALL.len()],
+            ),
             platform: Platform::LinuxUnix,
         }
+    }
+
+    #[test]
+    fn market_makes_distinct_markets() {
+        let markets: std::collections::HashSet<MarketId> = (0..=u8::MAX).map(market).collect();
+        assert_eq!(markets.len(), 256);
+        assert_eq!(
+            market(0).instance_type,
+            "c3.large".parse::<InstanceType>().unwrap()
+        );
     }
 
     /// `n` distinct markets that share `market(0)`'s stripe, `market(0)`

@@ -2,9 +2,9 @@
 //! without the per-call thread spawn.
 //!
 //! `Cloud::tick` fans its region shards out on **every tick** and the
-//! HTTP server's connection drainers run as detached tasks — both on
-//! one process-wide pool of **persistent** workers, so neither pays an
-//! OS thread spawn/join cycle per call:
+//! snapshot publisher runs as a detached task — both on one
+//! process-wide pool of **persistent** workers, so neither pays an OS
+//! thread spawn/join cycle per call:
 //!
 //! * **Fixed threads, parked when idle.** Workers block on a condvar
 //!   (futex park/unpark under Linux) over a shared injection queue;
@@ -34,10 +34,11 @@
 //!   scope's work is never silently dropped).
 //!
 //! The process-wide instance lives behind [`WorkerPool::global`],
-//! sized to [`std::thread::available_parallelism`]. Components that
-//! run *blocking* work on the pool (the HTTP drainers in
-//! `crates/serve`) call [`WorkerPool::reserve`] to grow it past the
-//! core count so compute tasks are never starved by parked I/O.
+//! sized to [`std::thread::available_parallelism`]. The pool is for
+//! compute: work that blocks on I/O (the HTTP server's connections)
+//! runs on threads of its own. A caller that must keep a detached task
+//! runnable beside tasks that block grows the pool with
+//! [`WorkerPool::reserve`].
 
 use std::any::Any;
 use std::collections::VecDeque;
@@ -217,8 +218,7 @@ impl WorkerPool {
     }
 
     /// The process-wide pool, created on first use with one worker
-    /// per available core. Components needing more concurrency than
-    /// cores (blocking I/O) grow it with [`WorkerPool::reserve`].
+    /// per available core; [`WorkerPool::reserve`] grows it.
     pub fn global() -> Arc<WorkerPool> {
         GLOBAL
             .get_or_init(|| {
@@ -380,8 +380,8 @@ impl<'pool, 'env> Scope<'pool, 'env> {
     fn join_all(&self) {
         loop {
             // Help with this scope's still-queued tasks. Never run a
-            // foreign task here: it could block indefinitely (e.g. a
-            // serve drainer waiting on a socket) and stall this join.
+            // foreign task here: it could block indefinitely (a
+            // detached task waiting on I/O) and stall this join.
             let task = {
                 let mut queue = lock(&self.pool.inner.queue);
                 let position = queue.tasks.iter().position(|task| match task {

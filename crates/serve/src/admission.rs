@@ -1,23 +1,20 @@
-//! Admission control: connection permits, the bounded shed path, and
-//! the server's atomic counters.
+//! Admission control: connection permits, the shed path, and the
+//! server's atomic counters.
 //!
 //! The acceptor admits a connection only while a permit is available
 //! (a gauge against [`crate::server::ServerConfig::max_connections`])
-//! *and* the dispatch queue has room. Everything else is **shed**: the
-//! socket is handed to a dedicated shedder thread that writes a canned
-//! `503 Service Unavailable` + `Retry-After` with a short write
-//! timeout and closes. The shedder's own queue is bounded too — when
-//! even shedding falls behind, sockets are dropped unanswered
-//! (counted, never queued), so no part of the accept path grows
-//! without bound.
+//! *and* the bounded queue to the connection threads has room.
+//! Everything else is **shed** by the acceptor itself ([`shed`]): one
+//! non-blocking write of a canned `503 Service Unavailable` +
+//! `Retry-After`, then close. A fresh socket's send buffer always has
+//! room for it; a socket that does not take it whole is dropped
+//! unanswered (counted), so the acceptor never waits on a client and
+//! no part of the accept path grows without bound.
 
-use std::io::{self, Write};
-use std::net::TcpStream;
+use std::io::Write;
+use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
 
 spotlight_core::counters! {
     /// Lifetime counters of one server, all monotonic except the
@@ -28,12 +25,12 @@ spotlight_core::counters! {
     pub struct ServerStats / StatsSnapshot {
         /// Connections the acceptor pulled off the listener.
         accepted,
-        /// Connections admitted past permits + dispatch queue.
+        /// Connections admitted past permits + the queue.
         admitted,
         /// Connections shed with a `503 + Retry-After`.
         shed,
-        /// Connections dropped unanswered because the shed path itself was
-        /// saturated.
+        /// Refused connections dropped unanswered because their socket did
+        /// not take the whole `503` in one non-blocking write.
         shed_dropped,
         /// Requests answered (any status).
         requests,
@@ -95,70 +92,26 @@ impl Drop for Permit {
     }
 }
 
-/// The shed path: a bounded queue feeding one thread that answers
-/// refused connections with a canned `503`.
-#[derive(Debug)]
-pub struct Shedder {
-    tx: SyncSender<TcpStream>,
-    handle: JoinHandle<()>,
+/// Refuses `stream` with `response` (the canned `503`) in one
+/// non-blocking write and closes it: counted in `shed` when the socket
+/// took the whole response, in `shed_dropped` otherwise.
+pub fn shed(stats: &ServerStats, mut stream: TcpStream, response: &[u8]) {
+    let written = stream
+        .set_nonblocking(true)
+        .and_then(|()| stream.write(response));
+    if matches!(written, Ok(n) if n == response.len()) {
+        stats.shed.fetch_add(1, Ordering::Relaxed);
+        stats
+            .bytes_out
+            .fetch_add(response.len() as u64, Ordering::Relaxed);
+    } else {
+        stats.shed_dropped.fetch_add(1, Ordering::Relaxed);
+    }
+    let _ = stream.shutdown(Shutdown::Both);
 }
 
-impl Shedder {
-    /// Spawns the shedder thread. `retry_after_secs` fills the
-    /// `Retry-After` header clients should honor before re-offering
-    /// load.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the thread cannot be spawned.
-    pub fn spawn(
-        stats: Arc<ServerStats>,
-        queue_depth: usize,
-        retry_after_secs: u32,
-        write_timeout: Duration,
-    ) -> io::Result<Self> {
-        let (tx, rx) = sync_channel::<TcpStream>(queue_depth.max(1));
-        let response = canned_503(retry_after_secs);
-        let handle = std::thread::Builder::new()
-            .name("serve-shedder".into())
-            .spawn(move || {
-                while let Ok(mut stream) = rx.recv() {
-                    let _ = stream.set_write_timeout(Some(write_timeout));
-                    if stream.write_all(response.as_bytes()).is_ok() {
-                        stats
-                            .bytes_out
-                            .fetch_add(response.len() as u64, Ordering::Relaxed);
-                    }
-                    let _ = stream.shutdown(std::net::Shutdown::Both);
-                }
-            })?;
-        Ok(Shedder { tx, handle })
-    }
-
-    /// Hands a refused connection to the shed thread; if even that
-    /// queue is full, the socket is dropped unanswered. Counts either
-    /// way.
-    pub fn shed(&self, stats: &ServerStats, stream: TcpStream) {
-        match self.tx.try_send(stream) {
-            Ok(()) => {
-                stats.shed.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(TrySendError::Full(stream) | TrySendError::Disconnected(stream)) => {
-                stats.shed_dropped.fetch_add(1, Ordering::Relaxed);
-                drop(stream);
-            }
-        }
-    }
-
-    /// Stops the thread (after the queued sockets are answered).
-    pub fn join(self) {
-        drop(self.tx);
-        let _ = self.handle.join();
-    }
-}
-
-/// The canned overload response the shedder writes.
-fn canned_503(retry_after_secs: u32) -> String {
+/// The canned overload response [`shed`] writes.
+pub(crate) fn canned_503(retry_after_secs: u32) -> String {
     let body = "{\"error\":\"server overloaded, retry later\"}";
     format!(
         "HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\n\

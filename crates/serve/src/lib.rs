@@ -8,12 +8,12 @@
 //!
 //! 1. **Admission** ([`admission`]) — a single acceptor thread admits
 //!    a connection only while a permit (connection gauge) and a slot
-//!    in the bounded dispatch queue are both available. Everything
-//!    else is shed with a canned `503 + Retry-After` from a dedicated
-//!    shedder thread whose own queue is bounded too; beyond that,
-//!    sockets are dropped unanswered. No queue in the accept path
-//!    grows without bound, so overload degrades throughput for the
-//!    excess — never latency for the admitted.
+//!    in the bounded queue to the connection threads are both
+//!    available. Everything else the acceptor refuses itself with one
+//!    non-blocking write of a canned `503 + Retry-After`; a socket
+//!    that does not take it whole is dropped unanswered. No queue in
+//!    the accept path grows without bound, so overload degrades
+//!    throughput for the excess — never latency for the admitted.
 //! 2. **Parse** ([`parser`]) — an incremental, allocation-free
 //!    HTTP/1.1 head parser with hard caps (request line, header
 //!    bytes/count, body) and a total header deadline enforced by the
@@ -24,12 +24,13 @@
 //!    [`spotlight_core::SnapshotHub`]; the worker's cached `Arc` makes
 //!    the hot path one atomic generation check. Health surfaces reach
 //!    the live store through a `Weak` handle only.
-//! 4. **Respond** ([`server`]) — a fixed worker pool serves
+//! 4. **Respond** ([`server`]) — the server's own
+//!    [`server::ServerConfig::workers`] connection threads serve
 //!    keep-alive connections with pipelining (all buffered requests
-//!    answered in one write). Each connection runs under
-//!    `catch_unwind`; a handler panic burns that connection, bumps a
-//!    counter, and releases its permit via RAII — the acceptor never
-//!    wedges.
+//!    answered in one write); they borrow no thread of the shared
+//!    compute pool. Each connection runs under `catch_unwind`; a
+//!    handler panic burns that connection, bumps a counter, and
+//!    releases its permit via RAII — the acceptor never wedges.
 //! 5. **Drain** ([`server::Server::drain`]) — stop accepting, flip
 //!    `/readyz` to `503`, finish in-flight work (or abandon it at the
 //!    deadline), and hand the last strong store reference back to the

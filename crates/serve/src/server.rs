@@ -1,23 +1,17 @@
-//! The overload-safe HTTP server: bounded accept → dispatch →
-//! pool-backed drainers, with graceful drain.
+//! The overload-safe HTTP server: one acceptor, a bounded queue and
+//! `workers` connection threads of the server's own, with graceful
+//! drain.
 //!
-//! One acceptor thread pulls connections off the listener and either
-//! admits them (permit + bounded queue) or sheds them through
-//! [`crate::admission::Shedder`]. Admitted connections are handled by
-//! **drainer tasks on the shared persistent worker pool**
-//! ([`spotlight_pool::WorkerPool::global`]) rather than by per-server
-//! owned threads: when a connection arrives and fewer than
-//! [`ServerConfig::workers`] drainers are active, the acceptor spawns
-//! one; otherwise the connection waits in the server-local bounded
-//! queue, and each drainer, after finishing a connection, keeps
-//! popping that queue until it is empty and only then parks back into
-//! the pool. An idle server therefore occupies **zero** pool threads,
-//! and the HTTP service, the simulator tick, and the snapshot builder
-//! all share one pool sized to the host. Because drainers block on
-//! socket I/O, [`Server::start`] grows the pool to the host's
-//! parallelism **plus** `workers` threads: even with every drainer
-//! parked in a read, as many threads as the host has cores remain for
-//! compute tasks (the publisher's snapshot capture, the tick fan-out).
+//! The acceptor pulls connections off the listener. It admits one when
+//! a permit is free and the bounded queue (a
+//! `sync_channel(queue_depth)` fed with `try_send`) has room; anything
+//! else it refuses itself with [`crate::admission::shed`], a
+//! non-blocking write of the canned `503`. [`ServerConfig::workers`]
+//! connection threads take admitted connections off that queue and
+//! serve each to completion, so the server's capacity is exactly its
+//! own thread count: it borrows no thread of the compute pool, and a
+//! parked keep-alive connection can never starve the simulator tick or
+//! the snapshot publisher.
 //!
 //! **A steady-state request performs no heap allocation**, and every
 //! response is byte-identical to PR 12's: each connection owns one
@@ -30,9 +24,9 @@
 //!
 //! Each connection is handled under `catch_unwind`, so a handler
 //! panic burns that one connection (counted) and nothing else — the
-//! pool worker survives. Drainers answer from atomically published
-//! [`StoreSnapshot`]s — the live store is only touched by the health
-//! surfaces, through a `Weak` handle.
+//! connection thread survives. Connection threads answer from
+//! atomically published [`StoreSnapshot`]s — the live store is only
+//! touched by the health surfaces, through a `Weak` handle.
 //!
 //! [`Server::drain`] stops the acceptor, lets queued and in-flight
 //! connections finish (or abandons them at the deadline), and leaves
@@ -41,34 +35,31 @@
 //!
 //! [`StoreSnapshot`]: spotlight_core::snapshot::StoreSnapshot
 
-use crate::admission::{Permit, ServerStats, Shedder, StatsSnapshot};
+use crate::admission::{self, Permit, ServerStats, StatsSnapshot};
 use crate::parser::{self, Limits, Method, Parsed, Reject};
 use crate::readbuf::ReadBuf;
 use crate::router::{route_into, ServiceState};
 use spotlight_core::json::{self, key};
 use spotlight_core::snapshot::{SnapshotHub, SnapshotReader};
 use spotlight_core::store::SharedStore;
-use spotlight_pool::WorkerPool;
-use std::collections::VecDeque;
 use std::io::{self, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Tunables of one server instance.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Maximum concurrently active drainer tasks on the shared worker
-    /// pool — the server's connection-handling concurrency, enforced
-    /// by the server's own dispatch counter (not by pool size; the
-    /// pool is grown by this many threads past the host's parallelism
-    /// at start).
+    /// Connection threads the server starts: its connection-handling
+    /// concurrency (at least 1). They are the server's own threads, not
+    /// the shared worker pool's.
     pub workers: usize,
-    /// Dispatch-queue depth between the acceptor and the drainers.
-    /// Admission fails (shed) when the queue is full.
+    /// Depth of the queue between the acceptor and the connection
+    /// threads (at least 1). Admission fails (shed) when it is full.
     pub queue_depth: usize,
     /// Maximum simultaneously admitted connections (permit gauge).
     pub max_connections: u64,
@@ -107,71 +98,48 @@ impl Default for ServerConfig {
 /// What [`Server::drain`] observed.
 #[derive(Debug, Clone)]
 pub struct DrainReport {
-    /// True when the deadline expired with workers still busy (their
-    /// connections were abandoned, not joined).
+    /// True when the deadline expired with connection threads still
+    /// busy (their connections were abandoned, not joined).
     pub forced: bool,
     /// Final counters.
     pub stats: StatsSnapshot,
 }
 
-/// One admitted connection travelling the dispatch queue.
+/// One admitted connection travelling the queue.
 #[derive(Debug)]
 struct Conn {
     stream: TcpStream,
     permit: Permit,
 }
 
-/// The acceptor↔drainer handoff: a bounded queue of admitted
-/// connections plus the active-drainer count, under one mutex so the
-/// spawn-vs-enqueue decision and a drainer's pop-vs-exit decision can
-/// never race each other into a lost connection (a drainer gives up
-/// its active slot only in the same critical section that proves the
-/// queue empty).
-#[derive(Debug, Default)]
-struct Dispatch {
-    inner: Mutex<DispatchQueue>,
-    /// Signalled whenever a drainer retires; [`Server::drain`] waits
-    /// here for quiescence.
-    idle: Condvar,
-}
-
-#[derive(Debug, Default)]
-struct DispatchQueue {
-    queue: VecDeque<Conn>,
-    /// Drainer tasks currently running on the pool for this server.
-    active: usize,
+/// Connection threads still running, and the signal each gives on
+/// exit; [`Server::drain`] waits on it for quiescence.
+#[derive(Debug)]
+struct Running {
+    count: Mutex<usize>,
+    exited: Condvar,
 }
 
 /// Locks ignoring poisoning: connection handling runs under
-/// `catch_unwind`, so dispatch state is never left mid-mutation.
-fn lock(dispatch: &Dispatch) -> MutexGuard<'_, DispatchQueue> {
-    dispatch
-        .inner
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
+/// `catch_unwind`, so no guarded state is ever left mid-mutation.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// A running HTTP server. Dropping it without [`Server::drain`] leaks
-/// the acceptor thread until process exit; drain is the supported
-/// shutdown. (Drainer tasks retire on their own once idle — they
-/// borrow pool threads only while connections are in flight.)
+/// the acceptor and the connection threads until process exit; drain
+/// is the supported shutdown.
 #[derive(Debug)]
 pub struct Server {
     local_addr: SocketAddr,
     state: Arc<ServiceState>,
     acceptor: JoinHandle<()>,
-    dispatch: Arc<Dispatch>,
+    running: Arc<Running>,
 }
 
 impl Server {
-    /// Binds `addr` and starts the acceptor and shedder threads.
-    /// Connection handling runs as drainer tasks on the shared
-    /// persistent worker pool, which is grown here to the host's
-    /// parallelism plus `config.workers` threads: drainers block on
-    /// socket I/O, so they are reserved in addition to the compute
-    /// sizing, not out of it (with `max(cores, workers)` threads,
-    /// `workers` open keep-alive connections parked every thread and a
-    /// detached `spawn` — the snapshot publisher — never ran).
+    /// Binds `addr` and starts the acceptor and `config.workers`
+    /// connection threads.
     ///
     /// The server holds the store only weakly: after [`Server::drain`]
     /// the caller's `Arc` is the last one, so the store can be
@@ -184,43 +152,43 @@ impl Server {
     ) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        let stats = Arc::new(ServerStats::default());
         let state = Arc::new(ServiceState {
             hub,
             store: Arc::downgrade(store),
-            stats: Arc::clone(&stats),
+            stats: Arc::new(ServerStats::default()),
             draining: Arc::new(AtomicBool::new(false)),
             retry_after_secs: config.retry_after_secs,
         });
 
-        let pool = WorkerPool::global();
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        pool.reserve(cores + config.workers.max(1));
-        let dispatch = Arc::new(Dispatch::default());
-
+        // The acceptor owns the only sender: once it returns, the
+        // threads serve what is queued and exit. If a spawn below
+        // fails, dropping the sender stops the threads already started.
+        let (tx, rx) = sync_channel(config.queue_depth.max(1));
+        let rx = Arc::new(Mutex::new(rx));
+        let workers = config.workers.max(1);
+        let running = Arc::new(Running {
+            count: Mutex::new(workers),
+            exited: Condvar::new(),
+        });
+        for i in 0..workers {
+            let (state, rx, running) = (Arc::clone(&state), Arc::clone(&rx), Arc::clone(&running));
+            let config = config.clone();
+            std::thread::Builder::new()
+                .name(format!("serve-conn-{i}"))
+                .spawn(move || connection_thread(&state, &rx, &running, &config))?;
+        }
         let acceptor = {
             let state = Arc::clone(&state);
-            let dispatch = Arc::clone(&dispatch);
-            let shedder = Shedder::spawn(
-                Arc::clone(&stats),
-                config.queue_depth.max(16),
-                config.retry_after_secs,
-                config.write_timeout,
-            )?;
             std::thread::Builder::new()
                 .name("serve-acceptor".into())
-                .spawn(move || {
-                    accept_loop(&listener, &state, &shedder, &dispatch, &pool, &config);
-                    shedder.join();
-                })
-                .map_err(io::Error::other)?
+                .spawn(move || accept_loop(&listener, &state, &tx, &config))?
         };
 
         Ok(Server {
             local_addr,
             state,
             acceptor,
-            dispatch,
+            running,
         })
     }
 
@@ -236,10 +204,10 @@ impl Server {
 
     /// Graceful shutdown: stop accepting, flip `/readyz` to 503, let
     /// queued and in-flight connections finish, and wait for every
-    /// drainer to retire — abandoning stragglers when `deadline`
-    /// expires (they keep their pool threads until their connections
-    /// close, but the server itself is gone). After this returns, the
-    /// server holds no strong store reference.
+    /// connection thread to exit — abandoning stragglers when
+    /// `deadline` expires (they run until their connections close, but
+    /// the server itself is gone). After this returns, the server holds
+    /// no strong store reference.
     pub fn drain(self, deadline: Duration) -> DrainReport {
         self.state.draining.store(true, Ordering::SeqCst);
         // The acceptor may be parked in accept(); a throwaway local
@@ -249,25 +217,18 @@ impl Server {
         }
         let started = Instant::now();
         let _ = self.acceptor.join();
-        // No new connections can arrive; active drainers finish their
-        // current connections, pop the remaining queue dry, and retire
-        // (signalling `idle` as they go).
-        let mut forced = false;
-        let mut queue = lock(&self.dispatch);
-        while queue.active > 0 || !queue.queue.is_empty() {
-            let left = deadline.saturating_sub(started.elapsed());
-            if left.is_zero() {
-                forced = true;
-                break;
-            }
-            let (guard, _timeout) = self
-                .dispatch
-                .idle
-                .wait_timeout(queue, left)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            queue = guard;
-        }
-        drop(queue);
+        // No new connections can arrive; the connection threads finish
+        // their current connections, take the rest of the queue, and
+        // exit (signalling `exited` as they go).
+        let left = deadline.saturating_sub(started.elapsed());
+        let count = lock(&self.running.count);
+        let forced = *self
+            .running
+            .exited
+            .wait_timeout_while(count, left, |count| *count > 0)
+            .unwrap_or_else(PoisonError::into_inner)
+            .0
+            > 0;
         DrainReport {
             forced,
             stats: self.state.stats.snapshot(),
@@ -275,27 +236,13 @@ impl Server {
     }
 }
 
-/// The acceptor's admission decision, made in one dispatch critical
-/// section so it cannot race a drainer's retire decision.
-enum Admit {
-    /// Below the drainer cap: start a new drainer with this connection.
-    Spawn(Conn),
-    /// Cap reached but the queue had room: an active drainer will pop it.
-    Queued,
-    /// Cap reached and queue full: shed.
-    Shed(Conn),
-}
-
 fn accept_loop(
     listener: &TcpListener,
-    state: &Arc<ServiceState>,
-    shedder: &Shedder,
-    dispatch: &Arc<Dispatch>,
-    pool: &Arc<WorkerPool>,
+    state: &ServiceState,
+    queue: &SyncSender<Conn>,
     config: &ServerConfig,
 ) {
-    let workers = config.workers.max(1);
-    let queue_depth = config.queue_depth.max(1);
+    let refusal = admission::canned_503(config.retry_after_secs);
     loop {
         let stream = match listener.accept() {
             Ok((stream, _)) => stream,
@@ -317,65 +264,37 @@ fn accept_loop(
             break;
         }
         state.stats.accepted.fetch_add(1, Ordering::Relaxed);
-        let Some(permit) = Permit::try_acquire(&state.stats, config.max_connections) else {
-            shedder.shed(&state.stats, stream);
-            continue;
-        };
-        let conn = Conn { stream, permit };
-        let decision = {
-            let mut queue = lock(dispatch);
-            if queue.active < workers {
-                queue.active += 1;
-                Admit::Spawn(conn)
-            } else if queue.queue.len() < queue_depth {
-                queue.queue.push_back(conn);
-                Admit::Queued
-            } else {
-                Admit::Shed(conn)
-            }
-        };
-        match decision {
-            Admit::Spawn(conn) => {
-                state.stats.admitted.fetch_add(1, Ordering::Relaxed);
-                let task_state = Arc::clone(state);
-                let task_dispatch = Arc::clone(dispatch);
-                let task_config = config.clone();
-                let spawned =
-                    pool.spawn(move || drainer(&task_state, &task_dispatch, &task_config, conn));
-                if spawned.is_err() {
-                    // Pool shut down (process teardown): the closure —
-                    // and with it the connection and its permit — was
-                    // dropped by the failed submit; give the active
-                    // slot back so drain() still quiesces.
-                    let mut queue = lock(dispatch);
-                    queue.active -= 1;
+        let refused = match Permit::try_acquire(&state.stats, config.max_connections) {
+            None => stream,
+            Some(permit) => match queue.try_send(Conn { stream, permit }) {
+                Ok(()) => {
+                    state.stats.admitted.fetch_add(1, Ordering::Relaxed);
+                    continue;
                 }
-            }
-            Admit::Queued => {
-                state.stats.admitted.fetch_add(1, Ordering::Relaxed);
-            }
-            Admit::Shed(conn) => {
-                // Queue full: release the permit first (drop order),
-                // then shed the socket.
-                let Conn { stream, permit } = conn;
-                drop(permit);
-                shedder.shed(&state.stats, stream);
-            }
-        }
+                // Queue full: the permit is released with the rest of
+                // `conn` at the end of this arm, before the shed.
+                Err(TrySendError::Full(conn) | TrySendError::Disconnected(conn)) => conn.stream,
+            },
+        };
+        admission::shed(&state.stats, refused, refusal.as_bytes());
     }
 }
 
-/// One drainer task: serve the handed-off connection, then keep
-/// popping the server's queue until it runs dry, and only then retire
-/// — giving the pool thread back. The retire decision shares the
-/// dispatch critical section with the acceptor's spawn decision, so a
-/// connection is never left queued without a drainer responsible for
-/// it.
-fn drainer(state: &Arc<ServiceState>, dispatch: &Dispatch, config: &ServerConfig, first: Conn) {
+/// One connection thread: serve connections off the queue until the
+/// acceptor has dropped the sender and the queue is empty.
+fn connection_thread(
+    state: &ServiceState,
+    queue: &Mutex<Receiver<Conn>>,
+    running: &Running,
+    config: &ServerConfig,
+) {
     let mut reader = SnapshotReader::new(&state.hub);
-    let mut conn = first;
     loop {
-        let Conn { stream, permit } = conn;
+        // The guard is a temporary: the lock is held only while this
+        // thread waits for the next connection, not while serving it.
+        let Ok(Conn { stream, permit }) = lock(queue).recv() else {
+            break;
+        };
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             // The permit moves into the closure: released on return
             // *and* on unwind, so panics cannot leak gauge slots.
@@ -385,17 +304,9 @@ fn drainer(state: &Arc<ServiceState>, dispatch: &Dispatch, config: &ServerConfig
         if outcome.is_err() {
             state.stats.panics.fetch_add(1, Ordering::Relaxed);
         }
-        let mut queue = lock(dispatch);
-        match queue.queue.pop_front() {
-            Some(next) => conn = next,
-            None => {
-                queue.active -= 1;
-                drop(queue);
-                dispatch.idle.notify_all();
-                return;
-            }
-        }
     }
+    *lock(&running.count) -= 1;
+    running.exited.notify_all();
 }
 
 /// Initial size of a connection's read buffer (see [`ReadBuf`]: it

@@ -232,6 +232,37 @@ fn header_deadline_expiry_times_out_with_408() {
     assert!(refused, "listener still accepting after the drain");
 }
 
+/// A drain that runs out of time gives up on the stragglers: a head
+/// that stays half-sent past the deadline makes `drain` return
+/// `forced`, and the thread still serving it holds no strong store
+/// reference, so the caller's `Arc` is the last one and the store can
+/// still be closed.
+#[test]
+fn a_drain_past_its_deadline_is_forced_and_leaves_the_store_to_the_caller() {
+    let (server, store) = start_server(ServerConfig {
+        read_timeout: Duration::from_secs(30),
+        header_deadline: Duration::from_secs(30),
+        ..ServerConfig::default()
+    });
+    let mut straggler = TcpStream::connect(server.local_addr()).expect("connect");
+    straggler.write_all(b"GET /healthz HT").expect("head");
+    while server.stats().admitted == 0 {
+        std::thread::yield_now();
+    }
+    let report = server.drain(Duration::from_millis(50));
+    assert!(
+        report.forced,
+        "drain waited out the straggler: {:?}",
+        report.stats
+    );
+    assert_eq!(
+        Arc::strong_count(&store),
+        1,
+        "the server kept the store alive"
+    );
+    drop(straggler);
+}
+
 #[test]
 fn request_line_over_cap_is_414() {
     let (server, _store) = start_server(ServerConfig {
@@ -407,13 +438,13 @@ fn a_fallback_window_past_the_end_of_time_saturates() {
 // ---------------------------------------------------- overload shedding
 
 /// Both refusal causes end the same way on the wire: a connection the
-/// server cannot take is answered by the shedder — unasked, before any
+/// server cannot take is answered by the acceptor — unasked, before any
 /// request — with the canned `503`, the configured `Retry-After` and
 /// `Connection: close`, counted in `shed` and never as a handler 5xx.
 /// Nothing here sleeps for ordering: `hold`'s completed response proves
-/// the only drainer is parked on it, and the listener's accept queue is
-/// FIFO, so each later connection meets exactly the state the earlier
-/// ones left.
+/// the only connection thread is parked on it, and the listener's
+/// accept queue is FIFO, so each later connection meets exactly the
+/// state the earlier ones left.
 #[test]
 fn overload_is_shed_with_503_and_permits_are_released() {
     const WAIT: Duration = Duration::from_secs(10);
@@ -450,7 +481,7 @@ fn overload_is_shed_with_503_and_permits_are_released() {
         assert_eq!(stats.admitted, 1 + queued as u64, "{cause}: {stats:?}");
         assert_eq!(stats.open_connections, stats.admitted, "{cause}: {stats:?}");
 
-        // The held connection closes: the drainer moves on to whatever
+        // The held connection closes: its thread moves on to whatever
         // was queued, and every permit comes back.
         drop(hold);
         for client in &mut waiting {
@@ -468,8 +499,8 @@ fn overload_is_shed_with_503_and_permits_are_released() {
             200,
             "{cause}: a released permit must admit the next connection"
         );
-        // `shed` is bumped after the socket is handed to the shedder, so
-        // it is read once drain has joined both threads.
+        // The acceptor counts `shed` after its refusal write; drain
+        // joins the acceptor, so the count is final there.
         let stats = finish(server);
         assert_eq!(
             (stats.shed, stats.shed_dropped),

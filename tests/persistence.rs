@@ -6,7 +6,7 @@
 //! indistinguishable — bit-identical summarized queries — from a store
 //! that never crashed and only ever saw the ops that survived on disk.
 
-use cloud_sim::ids::{Az, MarketId, Platform, Region};
+use cloud_sim::ids::{Az, Family, InstanceType, MarketId, Platform, Region, Size};
 use cloud_sim::price::Price;
 use cloud_sim::time::{SimDuration, SimTime};
 use proptest::prelude::*;
@@ -30,12 +30,29 @@ fn opts() -> DurableOptions {
     }
 }
 
+/// Distinct `i` give distinct markets: the zone is `i % 3` of
+/// us-east-1 and the instance type steps with `i / 3` from `c3.large`,
+/// which is `market(0)`'s.
 fn market(i: u8) -> MarketId {
+    let step = usize::from(i / 3);
     MarketId {
         az: Az::new(Region::UsEast1, i % 3),
-        instance_type: "c3.large".parse().unwrap(),
+        instance_type: InstanceType::new(
+            Family::ALL[(Family::C3.index() + step / 9) % Family::ALL.len()],
+            Size::ALL[(Size::Large.index() + step) % Size::ALL.len()],
+        ),
         platform: Platform::LinuxUnix,
     }
+}
+
+#[test]
+fn market_makes_distinct_markets() {
+    let markets: std::collections::HashSet<MarketId> = (0..=u8::MAX).map(market).collect();
+    assert_eq!(markets.len(), 256);
+    assert_eq!(
+        market(0).instance_type,
+        "c3.large".parse::<InstanceType>().unwrap()
+    );
 }
 
 /// A varied but deterministic probe stream: alternating kinds, a mix of

@@ -1,15 +1,16 @@
-//! Regression: HTTP drainers parked on keep-alive reads must not use
-//! up the shared worker pool.
+//! Regression: connections parked on keep-alive reads must not use up
+//! the shared worker pool.
 //!
-//! A drainer holds a pool thread for as long as its connection is
-//! open. When `Server::start` sized the pool to `max(cores, workers)`,
-//! `workers` idle keep-alive connections parked every thread, and a
-//! detached `WorkerPool::global().spawn` — how a publisher runs
+//! When HTTP connections ran as tasks on the shared pool, each held a
+//! pool thread for as long as it was open, and `workers` idle
+//! keep-alive connections could park every thread: a detached
+//! `WorkerPool::global().spawn` — how a publisher runs
 //! `SnapshotHub::republish` — waited until a client hung up. The
-//! drainers are now reserved on top of the compute sizing.
+//! server now serves connections on threads of its own, so this holds
+//! by construction; the test keeps it that way.
 //!
 //! This file is its own test binary on purpose: the global pool is
-//! process-wide, and another test's server would grow it.
+//! process-wide, and another test in the same process could occupy it.
 
 use cloud_sim::time::SimTime;
 use spotlight_core::snapshot::SnapshotHub;
@@ -40,8 +41,8 @@ fn parked_drainers_leave_pool_threads_for_detached_tasks() {
     )
     .expect("start server");
 
-    // One answered request per connection proves its drainer is
-    // running — and, the response read, parked in the next read.
+    // One answered request per connection proves its connection thread
+    // is running — and, the response read, parked in the next read.
     let clients: Vec<Client> = (0..workers)
         .map(|_| {
             let mut client =
