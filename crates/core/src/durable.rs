@@ -462,7 +462,8 @@ enum_codec!(ProbeTrigger, "probe trigger tag" {
 });
 
 /// Sparse on disk as in memory (since format version 2): only the
-/// key's non-empty buckets travel, each carrying its epoch.
+/// epochs a closed interval of the key covers travel, each cell its
+/// epoch and its unavailable seconds (since format version 12).
 impl Encode for EpochSeries {
     fn encode(&self, out: &mut Vec<u8>) {
         self.cells.encode(out);
@@ -534,7 +535,7 @@ record_codec! {
     UnavailabilityInterval { market, kind, start, end, detect_ratio, detected_via_related }
     RegionHealth { degraded, since, degraded_secs, trips }
     ProbeStats { informative, rejections }
-    EpochCell { epoch, informative, rejections, unavail_secs }
+    EpochCell { epoch, unavail_secs }
     KeyState {
         stats, intervals, open, closed_intervals, rejection_times, last_informative, epochs,
         disordered,
@@ -1418,12 +1419,10 @@ mod tests {
                 .map(SimTime::from_secs)
                 .collect(),
             epochs: EpochSeries {
-                cells: [(0u64, 2u64, 1u64, 3_600u64), (694, 298, 16, 1_234)]
+                cells: [(0u64, 3_600u64), (694, 1_234)]
                     .into_iter()
-                    .map(|(epoch, informative, rejections, unavail_secs)| EpochCell {
+                    .map(|(epoch, unavail_secs)| EpochCell {
                         epoch,
-                        informative,
-                        rejections,
                         unavail_secs,
                     })
                     .collect(),
@@ -1538,6 +1537,9 @@ mod tests {
     /// line and `key_state` kept its bytes. Format 9 rewrote `stripe`
     /// again, for its second probe and its spike in the reference form,
     /// and format 10 `checkpoint_meta`, which dropped the spill count.
+    /// Format 12 rewrote `key_state` and `stripe`, whose epoch cells
+    /// dropped their probe and rejection counts; every `store_op.*` line
+    /// and `checkpoint_meta` kept their bytes.
     /// It is regenerated
     /// (`FORMAT4_GOLDEN_WRITE=1 cargo test -p spotlight-core
     /// format4_golden`) only together with a `FORMAT_VERSION` bump that

@@ -22,16 +22,19 @@ use cloud_sim::time::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 
 /// Availability summary of one market and contract kind.
+///
+/// `probes`, `rejections` and `intervals` are the key's lifetime
+/// counters: the observation span moves only `unavailable_fraction`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AvailabilityStats {
-    /// Informative probes issued.
+    /// Informative probes issued over the store's lifetime.
     pub probes: u64,
-    /// Probes that found the market unobtainable.
+    /// Probes that found the market unobtainable, over the lifetime.
     pub rejections: u64,
     /// Fraction of the observation span spent unavailable (measured from
     /// probe-bracketed intervals).
     pub unavailable_fraction: f64,
-    /// Completed unavailability intervals.
+    /// Completed unavailability intervals, over the lifetime.
     pub intervals: u64,
 }
 
@@ -314,9 +317,10 @@ impl<'a> SpotLightQuery<'a> {
 
     /// Availability summary of `(market, kind)` over the span.
     ///
-    /// Counter-backed: probe and closed-interval counts come from the
-    /// store's running per-`(market, kind)` counters (O(1)); the
-    /// unavailable fraction comes from the epoch summaries.
+    /// Counter-backed: probe and closed-interval counts are the store's
+    /// lifetime per-`(market, kind)` counters (O(1)), whatever the span;
+    /// the unavailable fraction over the span comes from the epoch
+    /// summaries.
     pub fn availability(&self, market: MarketId, kind: ProbeKind) -> AvailabilityStats {
         self.availability_of(self.store.key(market, kind))
     }
@@ -595,6 +599,21 @@ mod tests {
         assert!((st.unavailable_fraction - 0.25).abs() < 1e-9);
         assert!((st.availability() - 0.75).abs() < 1e-9);
         assert_eq!(st.intervals, 1);
+    }
+
+    #[test]
+    fn a_span_without_probes_reports_the_lifetime_counts() {
+        let s = DataStore::new();
+        let m = market(0, "c3.large");
+        s.record_probe(probe(0, m, ProbeOutcome::InsufficientCapacity));
+        s.record_probe(probe(900, m, ProbeOutcome::Fulfilled));
+        s.record_probe(probe(1000, m, ProbeOutcome::Fulfilled));
+        let r = s.read();
+        // Days later, an hour in which nothing was probed.
+        let (a, b) = (SimTime::from_secs(86_400), SimTime::from_secs(90_000));
+        let stats = SpotLightQuery::new(&r, a, b).availability(m, ProbeKind::OnDemand);
+        assert_eq!((stats.probes, stats.rejections, stats.intervals), (3, 1, 1));
+        assert_eq!(stats.unavailable_fraction, 0.0);
     }
 
     #[test]

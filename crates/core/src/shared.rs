@@ -198,6 +198,14 @@ impl<T: Copy> FromIterator<T> for ChunkVec<T> {
 mod tests {
     use super::*;
 
+    impl<T> CowVec<T> {
+        /// Whether `self` and `other` hold one buffer: neither has been
+        /// written since one was cloned from the other.
+        pub(crate) fn shares_buffer_with(&self, other: &CowVec<T>) -> bool {
+            Arc::ptr_eq(&self.buf, &other.buf)
+        }
+    }
+
     #[test]
     fn cow_vec_inserts_like_a_vec_and_doubles_when_full() {
         let mut list = CowVec::default();

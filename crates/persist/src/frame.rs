@@ -49,10 +49,12 @@ pub const MAX_FRAME: usize = 1 << 26;
 /// - 9 writes a spike that repeats a `PriceSpike` probe of its section as
 ///   a reference to that probe;
 /// - 10 writes no spill segment and drops a checkpoint's spill count;
-/// - 11 drops the header's layout.
+/// - 11 drops the header's layout;
+/// - 12 drops the probe and rejection counts of a key's epoch cells,
+///   which keep only their unavailable seconds.
 ///
 /// WAL records have not changed since 3.
-pub const FORMAT_VERSION: u32 = 11;
+pub const FORMAT_VERSION: u32 = 12;
 
 /// Byte length of a file header (`magic ++ version`).
 pub const HEADER_LEN: usize = 8;
@@ -257,9 +259,10 @@ mod tests {
         // stream, version 6 its raw records one context-free op at a
         // time, version 7 a generation's frames of several streams
         // interleaved, version 8 every sealed spike in full and version
-        // 9 a spill count in its checkpoint and version 10 a layout in
-        // its header; nothing decodes any of them.
-        for old in [1u32, 2, 3, 4, 5, 6, 7, 8, 9, 10] {
+        // 9 a spill count in its checkpoint, version 10 a layout in its
+        // header and version 11 probe counts in its epoch cells; nothing
+        // decodes any of them, the one before this one included.
+        for old in 1..FORMAT_VERSION {
             let mut stale = file.clone();
             stale[4..8].copy_from_slice(&old.to_le_bytes());
             assert_eq!(

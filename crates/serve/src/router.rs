@@ -428,6 +428,9 @@ fn kind_name(kind: ProbeKind) -> &'static str {
 
 // ------------------------------------------------------------- endpoints
 
+/// `/v1/availability`: the market's `unavailable_fraction` over the
+/// span; its `probes`, `rejections` and `intervals` are lifetime
+/// counters, the same for every span.
 fn availability(
     request: &mut Request<'_>,
     state: &ServiceState,

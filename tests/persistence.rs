@@ -864,9 +864,10 @@ fn checkpoints_of_equal_stores_are_byte_identical() {
     }
 }
 
-/// Sparse epoch summaries: keys observed in a handful of hours that
-/// lie months apart persist those hours only, and recover — through
-/// the checkpoint and through the replayed tail — to the same answers.
+/// Sparse epoch summaries: keys whose intervals cover a handful of
+/// hours that lie months apart persist those hours only, and recover —
+/// through the checkpoint and through the replayed tail — to the same
+/// answers.
 #[test]
 fn keys_with_long_empty_epoch_gaps_recover_exactly() {
     use ProbeOutcome::{Fulfilled, InsufficientCapacity};
@@ -922,10 +923,6 @@ fn keys_with_long_empty_epoch_gaps_recover_exactly() {
             assert_eq!(
                 g.unavailable_seconds_in(m, kind, from, to),
                 w.unavailable_seconds_in(m, kind, from, to)
-            );
-            assert_eq!(
-                g.probe_counts_around(m, kind, from, to),
-                w.probe_counts_around(m, kind, from, to)
             );
         }
         let whole = g.unavailable_seconds_in(
