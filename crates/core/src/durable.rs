@@ -169,7 +169,7 @@ use crate::durability::{DurabilityMachine, Event, Io};
 use crate::probe::{ProbeKind, ProbeOutcome, ProbeRecord, ProbeTrigger, UnavailabilityInterval};
 use crate::shared::{ChunkVec, CowVec};
 use crate::store::{
-    DataStore, EpochCell, EpochSeries, FxHashMap, IntrinsicBidRecord, KeyState, ProbeStats,
+    closed_secs, DataStore, FxHashMap, IndexEntry, IntrinsicBidRecord, KeyState, ProbeStats,
     RegionHealth, RevocationRecord, SpikeEvent, Stripe, STRIPES,
 };
 use cloud_sim::ids::{MarketId, Region};
@@ -461,26 +461,6 @@ enum_codec!(ProbeTrigger, "probe trigger tag" {
     8 => EvictionNotice { evict_at },
 });
 
-/// Sparse on disk as in memory (since format version 2): only the
-/// epochs a closed interval of the key covers travel, each cell its
-/// epoch and its unavailable seconds (since format version 12).
-impl Encode for EpochSeries {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.cells.encode(out);
-    }
-}
-
-impl Decode for EpochSeries {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let cells = CowVec::<EpochCell>::decode(r)?;
-        // The in-memory binary searches rely on it.
-        if !cells.windows(2).all(|w| w[0].epoch < w[1].epoch) {
-            return Err(DecodeError::Invalid("epoch series order"));
-        }
-        Ok(EpochSeries { cells })
-    }
-}
-
 /// On disk both shared containers are the `Vec<T>` of their elements:
 /// the count, then the elements.
 impl<T: Encode> Encode for CowVec<T> {
@@ -535,11 +515,8 @@ record_codec! {
     UnavailabilityInterval { market, kind, start, end, detect_ratio, detected_via_related }
     RegionHealth { degraded, since, degraded_secs, trips }
     ProbeStats { informative, rejections }
-    EpochCell { epoch, unavail_secs }
-    KeyState {
-        stats, intervals, open, closed_intervals, rejection_times, last_informative, epochs,
-        disordered,
-    }
+    IndexEntry { pos, closed_before }
+    KeyState { stats, intervals, open, rejection_times, last_informative, disordered }
     CheckpointMeta {
         recorded_probes, total_cost_micros, suppressed_probes, next_seq, floor, region_health,
     }
@@ -780,19 +757,40 @@ fn corrupt(what: &'static str) -> io::Error {
 
 /// Decodes a checkpoint's stripe section, refusing what would otherwise
 /// surface at the first query as a panic or a wrong count: an interval
-/// position a key holds (listed or open) past the stripe's interval
-/// slab, or a rejection-time list or spike-ratio bucket out of order
-/// (they are binary-searched; a key's epoch series checks its own).
+/// position a key lists past the stripe's interval slab, an open
+/// interval that is not the index's last, a `closed_before` that is not
+/// the running sum of the key's closed seconds, an ordered key whose
+/// intervals go back in time (the span sums read both; module docs of
+/// `crate::store`, "Span sums"), or a rejection-time list or
+/// spike-ratio bucket out of order (they are binary-searched).
 fn decode_stripe(section: &[u8]) -> Result<Stripe, DecodeError> {
     fn ascending<T: PartialOrd>(list: &[T]) -> bool {
         let descent = |w: &[T]| w[0].partial_cmp(&w[1]) == Some(std::cmp::Ordering::Greater);
         !list.windows(2).any(descent)
     }
     let stripe = Stripe::from_bytes(section)?;
-    let in_slab = |&i: &usize| i < stripe.intervals.len();
     for key in stripe.keys.values() {
-        if !key.intervals.iter().chain(&key.open).all(in_slab) {
+        if !key.intervals.iter().all(|e| e.pos < stripe.intervals.len()) {
             return Err(DecodeError::Invalid("interval position"));
+        }
+        if key
+            .open
+            .is_some_and(|open| key.intervals.last().map(|e| e.pos) != Some(open))
+        {
+            return Err(DecodeError::Invalid("open interval"));
+        }
+        let intervals = || key.intervals.iter().map(|e| &stripe.intervals[e.pos]);
+        let mut sum = 0u64;
+        for (entry, interval) in key.intervals.iter().zip(intervals()) {
+            let running =
+                (entry.closed_before == sum).then(|| sum.checked_add(closed_secs(interval)));
+            sum = running
+                .flatten()
+                .ok_or(DecodeError::Invalid("closed seconds before"))?;
+        }
+        let times = intervals().flat_map(|i| [Some(i.start), i.end]).flatten();
+        if !(key.disordered || times.is_sorted()) {
+            return Err(DecodeError::Invalid("interval order"));
         }
         if !ascending(&key.rejection_times) {
             return Err(DecodeError::Invalid("rejection time order"));
@@ -1409,24 +1407,17 @@ mod tests {
                 informative: 300,
                 rejections: 17,
             },
-            intervals: [3usize, 200].into_iter().collect(),
+            intervals: [(3usize, 0u64), (200, 5_400)]
+                .into_iter()
+                .map(|(pos, closed_before)| IndexEntry { pos, closed_before })
+                .collect(),
             open: Some(200),
-            closed_intervals: 1,
             last_informative: Some(SimTime::from_secs(2_500_000)),
             disordered: true,
             rejection_times: [90u64, 20_000]
                 .into_iter()
                 .map(SimTime::from_secs)
                 .collect(),
-            epochs: EpochSeries {
-                cells: [(0u64, 3_600u64), (694, 1_234)]
-                    .into_iter()
-                    .map(|(epoch, unavail_secs)| EpochCell {
-                        epoch,
-                        unavail_secs,
-                    })
-                    .collect(),
-            },
         }
     }
 
@@ -1450,7 +1441,10 @@ mod tests {
             .collect();
         let repeat = repeated(&probes[0]).expect("the first golden probe is a spike's");
         let key = KeyState {
-            intervals: one(0usize),
+            intervals: one(IndexEntry {
+                pos: 0,
+                closed_before: 0,
+            }),
             open: Some(0),
             ..golden_key_state()
         };
@@ -1538,8 +1532,10 @@ mod tests {
     /// again, for its second probe and its spike in the reference form,
     /// and format 10 `checkpoint_meta`, which dropped the spill count.
     /// Format 12 rewrote `key_state` and `stripe`, whose epoch cells
-    /// dropped their probe and rejection counts; every `store_op.*` line
-    /// and `checkpoint_meta` kept their bytes.
+    /// dropped their probe and rejection counts; format 13 rewrote them
+    /// again, when a key dropped its epoch cells and closed-interval
+    /// count and its index entries gained `closed_before`. Both times
+    /// every `store_op.*` line and `checkpoint_meta` kept their bytes.
     /// It is regenerated
     /// (`FORMAT4_GOLDEN_WRITE=1 cargo test -p spotlight-core
     /// format4_golden`) only together with a `FORMAT_VERSION` bump that
@@ -2432,11 +2428,9 @@ mod tests {
         assert_eq!(a.stats, b.stats);
         assert_eq!(a.intervals, b.intervals);
         assert_eq!(a.open, b.open);
-        assert_eq!(a.closed_intervals, b.closed_intervals);
         assert_eq!(a.last_informative, b.last_informative);
         assert_eq!(a.disordered, b.disordered);
         assert_eq!(a.rejection_times, b.rejection_times);
-        assert_eq!(a.epochs, b.epochs);
     }
 
     fn same_stripe(a: &Stripe, b: &Stripe) {
@@ -2556,7 +2550,10 @@ mod tests {
             let key = (market(0), ProbeKind::OnDemand);
             let state = stripe.keys.get_mut(&key).expect("the key");
             match what {
-                "listed interval" => state.intervals.push(past),
+                "listed interval" => state.intervals.push(IndexEntry {
+                    pos: past,
+                    closed_before: 0,
+                }),
                 "open interval" => state.open = Some(past),
                 "rejection times" => {
                     state.rejection_times = state.rejection_times.iter().rev().copied().collect();
@@ -2578,6 +2575,101 @@ mod tests {
         let r = recovered.read();
         assert_eq!(r.intervals_of(market(0), ProbeKind::OnDemand).count(), 3);
         assert_eq!(r.spikes_at_or_above(2.5), 1);
+    }
+
+    /// The span sums read a key's `closed_before` values and, for an
+    /// ordered key, trust its intervals to be start-sorted and
+    /// non-overlapping. A stripe whose prefix sums are not the running
+    /// sums of its intervals, whose open interval is not its index's
+    /// last, or whose ordered key goes back in time would answer wrong
+    /// counts (or underflow): each is refused. The same intervals
+    /// flagged disordered load, since those keys are walked.
+    #[test]
+    fn decode_stripe_refuses_prefix_sums_and_orders_the_span_sums_would_misread() {
+        let store = DataStore::new();
+        let key = (market(0), ProbeKind::OnDemand);
+        // Closed [100, 700), [1000, 1900) and [3000, 3050), open from 4000.
+        for (at, outcome) in [
+            (100, ProbeOutcome::InsufficientCapacity),
+            (700, ProbeOutcome::Fulfilled),
+            (1000, ProbeOutcome::CapacityNotAvailable),
+            (1900, ProbeOutcome::Fulfilled),
+            (3000, ProbeOutcome::InsufficientCapacity),
+            (3050, ProbeOutcome::Fulfilled),
+            (4000, ProbeOutcome::InsufficientCapacity),
+        ] {
+            store.record_probe(probe(at, market(0), outcome));
+        }
+        let good = store.stripes[stripe_index(market(0))].read().clone();
+        let sums = |s: &Stripe| -> Vec<u64> {
+            s.keys[&key]
+                .intervals
+                .iter()
+                .map(|e| e.closed_before)
+                .collect()
+        };
+        assert_eq!(sums(&good), [0, 600, 1500, 1550]);
+        assert!(decode_stripe(&good.to_bytes()).is_ok());
+        // Rewrites a key's prefix sums as its intervals' running sums.
+        let resum = |s: &mut Stripe| {
+            let mut sum = 0;
+            let state = s.keys.get_mut(&key).expect("the key");
+            for entry in state.intervals.as_mut_slice() {
+                entry.closed_before = sum;
+                sum += closed_secs(&s.intervals[entry.pos]);
+            }
+        };
+        for (what, refusal) in [
+            ("a sum off by one", "closed seconds before"),
+            ("a sum past u64", "closed seconds before"),
+            ("the open interval first", "open interval"),
+            ("intervals reversed", "interval order"),
+            ("intervals overlapping", "interval order"),
+            ("an interval ending before it starts", "interval order"),
+        ] {
+            let mut stripe = good.clone();
+            let state = stripe.keys.get_mut(&key).expect("the key");
+            let first = state.intervals[0].pos;
+            match what {
+                "a sum off by one" => state.intervals.as_mut_slice()[2].closed_before += 1,
+                "a sum past u64" => {
+                    // The first interval's seconds are right; adding the
+                    // second's overflows.
+                    state.intervals.as_mut_slice()[1].closed_before = u64::MAX - 100;
+                    stripe.intervals[first].end = Some(SimTime::from_secs(u64::MAX));
+                }
+                "the open interval first" => state.open = Some(first),
+                "intervals reversed" => {
+                    let reversed: Vec<_> = state.intervals.iter().rev().map(|e| e.pos).collect();
+                    for (entry, pos) in state.intervals.as_mut_slice().iter_mut().zip(reversed) {
+                        entry.pos = pos;
+                    }
+                    state.open = state.intervals.last().map(|e| e.pos);
+                    resum(&mut stripe);
+                }
+                "intervals overlapping" => {
+                    stripe.intervals[first].end = Some(SimTime::from_secs(1200));
+                    resum(&mut stripe);
+                }
+                _ => {
+                    stripe.intervals[first].end = Some(SimTime::from_secs(50));
+                    resum(&mut stripe);
+                }
+            }
+            let bytes = stripe.to_bytes();
+            assert_eq!(
+                decode_stripe(&bytes).err(),
+                Some(DecodeError::Invalid(refusal)),
+                "{what}"
+            );
+            if refusal == "interval order" {
+                stripe.keys.get_mut(&key).expect("the key").disordered = true;
+                assert!(
+                    decode_stripe(&stripe.to_bytes()).is_ok(),
+                    "{what}, disordered"
+                );
+            }
+        }
     }
 
     /// A checkpoint holds one meta section and one per stripe. Nothing

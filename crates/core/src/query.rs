@@ -306,10 +306,8 @@ impl<'a> SpotLightQuery<'a> {
     /// Seconds of measured unavailability of `(market, kind)` inside the
     /// observation span (open intervals run to the span's end).
     ///
-    /// Epoch-summarized: whole buckets for the epochs fully inside the
-    /// span plus binary searches of this key's interval index for the
-    /// two boundary epochs — O(buckets + log intervals), not O(intervals
-    /// in span).
+    /// A prefix difference over this key's interval index plus its two
+    /// boundary intervals — O(log intervals), not O(intervals in span).
     pub fn unavailable_seconds(&self, market: MarketId, kind: ProbeKind) -> u64 {
         let (start, end) = self.span;
         self.store.unavailable_seconds_in(market, kind, start, end)
@@ -318,9 +316,9 @@ impl<'a> SpotLightQuery<'a> {
     /// Availability summary of `(market, kind)` over the span.
     ///
     /// Counter-backed: probe and closed-interval counts are the store's
-    /// lifetime per-`(market, kind)` counters (O(1)), whatever the span;
-    /// the unavailable fraction over the span comes from the epoch
-    /// summaries.
+    /// lifetime per-`(market, kind)` counts (O(1)), whatever the span;
+    /// the unavailable fraction over the span comes from the key's
+    /// prefix sums.
     pub fn availability(&self, market: MarketId, kind: ProbeKind) -> AvailabilityStats {
         self.availability_of(self.store.key(market, kind))
     }
@@ -336,7 +334,7 @@ impl<'a> SpotLightQuery<'a> {
             probes: stats.informative,
             rejections: stats.rejections,
             unavailable_fraction: unavailable as f64 / span_secs as f64,
-            intervals: key.map_or(0, |k| k.state.closed_intervals),
+            intervals: key.map_or(0, |k| k.state.closed_intervals()),
         }
     }
 

@@ -3,7 +3,7 @@
 //!
 //! The prototype in the paper logged "all states and status changes
 //! timestamps ... into database" through a dedicated database manager
-//! (Chapter 4). Here the store is a **lock-striped, epoch-summarized
+//! (Chapter 4). Here the store is a **lock-striped, summarized
 //! in-memory log**: the analysis (`crate::analysis`) and the query
 //! interface (`crate::query`) are pure functions over a [`StoreRead`]
 //! snapshot of it.
@@ -31,39 +31,39 @@
 //! `keys`: one `KeyState` per `(market, kind)` holding everything the
 //! per-key queries need in a single hash lookup — running
 //! informative/rejection counters, the key's interval index (positions
-//! in the interval slab, in interval-open order), the at-most-one open
-//! interval, the time-sorted rejection timestamps, the closed-interval
-//! counter, and the key's epoch summary of closed-unavailable seconds.
-//! Every probe creates its key and compaction keeps keys, so the key
-//! table is also the set of markets ever probed. There is no per-market
-//! index: a market's raw probes, revocations and intrinsic bids are a
-//! filter over its stripe's slab.
+//! in the interval slab, in interval-open order, each with the closed
+//! seconds of the key's earlier intervals), the at-most-one open
+//! interval (always the index's last) and the time-sorted rejection
+//! timestamps. Every probe creates its key and compaction keeps keys
+//! and intervals, so the key table is also the set of markets ever
+//! probed, and a key's closed-interval count is its index's length less
+//! the open one. There is no per-market index: a market's raw probes,
+//! revocations and intrinsic bids are a filter over its stripe's slab.
 //! A checkpoint's stripe is refused on load unless its interval
-//! positions fall inside its slab and its sorted lists are sorted.
+//! positions fall inside its slab, its open interval is its index's
+//! last, its prefix sums are the running sums of its intervals, an
+//! ordered key's intervals are start-sorted and non-overlapping, and
+//! its sorted lists are sorted.
 //!
-//! # Epoch summaries
+//! # Span sums
 //!
-//! Each `(market, kind)` additionally keeps its **closed-unavailable
-//! seconds** per fixed-width time bucket ([`EPOCH_SECS`], one hour):
-//! when a fulfilled probe closes an interval, the interval's seconds are
-//! distributed over the epochs it covers. That is the only write to the
-//! summary; a probe that closes no interval leaves it alone, and the
-//! informative/rejection counts are lifetime scalars of the key, not
-//! kept per epoch. The series is **sparse**: it is the epoch-sorted list
-//! of the epochs the key's closed intervals cover, so a key costs the
-//! unavailability observed of it, not how often it was probed or how
-//! long the store has been up. Window sweeps
-//! ([`StoreRead::unavailable_seconds_in`]) read whole buckets for the
-//! epochs fully inside the query span (two partition points and a scan)
-//! and binary-search the key's interval index only for the two boundary
-//! epochs — O(log buckets + buckets in span + log intervals) instead of
-//! O(intervals in span). The fast path
-//! requires the key's intervals to be start-sorted and non-overlapping
-//! (always true for the engine's monotone timestamps); a key that ever
-//! observes out-of-order interval bookkeeping is flagged and falls back
-//! to the exact full walk. Spike ratios are likewise bucketed per epoch
-//! in sorted lists, so threshold counts ([`StoreRead::spikes_at_or_above`])
-//! are binary searches per bucket, independent of the raw spike log.
+//! A key's unavailable seconds inside a span
+//! ([`StoreRead::unavailable_seconds_in`]) are a prefix difference over
+//! its interval index: each entry carries `closed_before`, the closed
+//! seconds of the key's earlier intervals, written once when the
+//! interval opens — so the only write a probe makes to a key's lists is
+//! an insert (a rejection's time) or an append (an opening's entry).
+//! For a key whose intervals are start-sorted and non-overlapping
+//! (always true for the engine's monotone timestamps) a span costs two
+//! partition points by start, one prefix difference over the intervals
+//! inside it and the two boundary intervals clipped to it — the one
+//! straddling its start and the last one starting inside it — plus the
+//! open interval: exact, and O(log intervals) whatever the span. A key that ever observes
+//! out-of-order interval bookkeeping is flagged `disordered` and walks
+//! its intervals exactly. Spike ratios are bucketed per [`EPOCH_SECS`]
+//! epoch in sorted lists, so threshold counts
+//! ([`StoreRead::spikes_at_or_above`]) are binary searches per bucket,
+//! independent of the raw spike log.
 //!
 //! # Sharing
 //!
@@ -78,7 +78,7 @@
 //!   `revocations`, `intrinsic_bids`) are `crate::shared::ChunkVec`s
 //!   of `Arc`-shared chunks; a clone copies the chunk spine;
 //! * every list in the two maps — an epoch's sorted spike ratios, a
-//!   key's interval index, rejection times and epoch summary — is a
+//!   key's interval index and rejection times — is a
 //!   `crate::shared::CowVec`,
 //!   elements and spare capacity in one `Arc`'d buffer; a clone bumps a
 //!   reference count. The buffer is one pointer hop from its table, as
@@ -101,19 +101,18 @@
 //! replaced.
 //!
 //! A probe writes a key's lists only when it changes what they hold: a
-//! rejection inserts its time, one that opens an interval appends to
-//! the interval index, and a fulfilment that closes one adds seconds to
-//! the epoch cells the interval covers. The fulfilled probes of a key
-//! with no open interval — most of ingest — update its inline scalars
-//! only, so after a capture they copy no list.
+//! rejection inserts its time, and one that opens an interval appends
+//! to the interval index. A fulfilment — one that closes an interval
+//! too, which writes the slab — updates the key's inline scalars only,
+//! so after a capture it copies no list.
 //!
 //! # Compaction
 //!
 //! [`DataStore::compact`] folds records strictly older than a retention
 //! horizon into the summaries and frees the raw slabs: probe and spike
 //! records are dropped (their contributions already live in the running
-//! counters, rejection-time indices, interval log, and epoch
-//! summaries), while intervals, rejection timestamps, revocations, and
+//! counters, rejection-time indices, interval log, and spike-ratio
+//! buckets), while intervals, rejection timestamps, revocations, and
 //! intrinsic bids — the small derived structures every summarized query
 //! is answered from — are retained in full. Summarized queries
 //! (`availability`, `unavailable_seconds`, `spike_rates`,
@@ -252,8 +251,8 @@ impl std::hash::Hasher for FxHasher {
 pub(crate) type FxBuildHasher = std::hash::BuildHasherDefault<FxHasher>;
 pub(crate) type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 
-/// The epoch-summary bucket width in seconds (one hour), the divisor
-/// of every epoch computation.
+/// The width in seconds (one hour) of the epochs spike ratios are
+/// bucketed by.
 pub const EPOCH_SECS: u64 = 3600;
 
 /// A spike observation: a published price crossing SpotLight's radar.
@@ -321,44 +320,13 @@ pub struct CompactionStats {
     pub dropped_spikes: u64,
 }
 
-/// One epoch of a `(market, kind)` summary in which a closed interval
-/// of the key spent `unavail_secs` seconds.
+/// One entry of a key's interval index: the interval's position in the
+/// stripe's slab, and the closed seconds of the key's earlier
+/// intervals, written once when the interval opens.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct EpochCell {
-    pub(crate) epoch: u64,
-    pub(crate) unavail_secs: u64,
-}
-
-/// The epochs a key's closed intervals cover, strictly sorted by epoch:
-/// a key that never closed an interval has no cell.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub(crate) struct EpochSeries {
-    pub(crate) cells: CowVec<EpochCell>,
-}
-
-impl EpochSeries {
-    /// Adds `secs` to epoch `e`'s cell, inserting the cell in epoch
-    /// order if absent (an append when `e` is the latest epoch).
-    fn add(&mut self, e: u64, secs: u64) {
-        let pos = self.cells.partition_point(|c| c.epoch < e);
-        if self.cells.get(pos).is_some_and(|c| c.epoch == e) {
-            self.cells.as_mut_slice()[pos].unavail_secs += secs;
-        } else {
-            let cell = EpochCell {
-                epoch: e,
-                unavail_secs: secs,
-            };
-            self.cells.insert(pos, cell);
-        }
-    }
-
-    /// Sum of closed-unavailable seconds over epochs `[from, to)`.
-    fn unavail_in(&self, from: u64, to: u64) -> u64 {
-        let lo = self.cells.partition_point(|c| c.epoch < from);
-        let hi = self.cells.partition_point(|c| c.epoch < to);
-        let cells = &self.cells[lo..hi.max(lo)];
-        cells.iter().map(|c| c.unavail_secs).sum()
-    }
+pub(crate) struct IndexEntry {
+    pub(crate) pos: usize,
+    pub(crate) closed_before: u64,
 }
 
 /// Everything one `(market, kind)` key maintains, reachable in a single
@@ -368,24 +336,34 @@ impl EpochSeries {
 #[derive(Debug, Clone, Default)]
 pub(crate) struct KeyState {
     pub(crate) stats: ProbeStats,
-    /// Indices into the stripe's interval slab, in interval-open order.
-    pub(crate) intervals: CowVec<usize>,
-    /// The at-most-one open interval, as an index into the slab.
+    /// The key's intervals, in interval-open order.
+    pub(crate) intervals: CowVec<IndexEntry>,
+    /// The at-most-one open interval, as an index into the slab: the
+    /// last entry's.
     pub(crate) open: Option<usize>,
-    pub(crate) closed_intervals: u64,
     /// Latest informative probe timestamp — the freshness anchor of
     /// [`StoreRead::last_informative_at`]. A max, not a last-write, so
     /// out-of-order live-mode arrivals cannot move it backwards.
     pub(crate) last_informative: Option<SimTime>,
     /// Set once the key's intervals stop being start-sorted and
-    /// non-overlapping (possible under live-mode reordering); the
-    /// epoch fast path then yields to the exact full walk.
+    /// non-overlapping (possible under live-mode reordering); span
+    /// sums then walk the intervals instead of reading the prefix.
     pub(crate) disordered: bool,
     /// Time-sorted timestamps of unavailable-outcome probes.
     pub(crate) rejection_times: CowVec<SimTime>,
-    /// Closed-unavailable seconds per epoch, written only when an
-    /// interval closes.
-    pub(crate) epochs: EpochSeries,
+}
+
+impl KeyState {
+    /// Completed intervals: compaction keeps every interval, and only
+    /// the open one has not closed.
+    pub(crate) fn closed_intervals(&self) -> u64 {
+        (self.intervals.len() - usize::from(self.open.is_some())) as u64
+    }
+}
+
+/// The seconds `interval` was unavailable, if it has closed.
+pub(crate) fn closed_secs(interval: &UnavailabilityInterval) -> u64 {
+    interval.duration().map_or(0, |d| d.as_secs())
 }
 
 /// One lock stripe: a shard of the log plus its secondary indices.
@@ -544,23 +522,9 @@ fn insert_sorted_by<T: Copy, K: PartialOrd>(
     sorted.insert(at, item);
 }
 
-/// Distributes a closed interval's `[start, end)` seconds over the
-/// epoch buckets it covers.
-fn add_closed_span(epochs: &mut EpochSeries, start: u64, end: u64) {
-    if end <= start {
-        return;
-    }
-    let last = (end - 1) / EPOCH_SECS;
-    for e in (start / EPOCH_SECS)..=last {
-        let lo = start.max(e * EPOCH_SECS);
-        let hi = end.min((e + 1) * EPOCH_SECS);
-        epochs.add(e, hi - lo);
-    }
-}
-
 /// Drops the records of a raw slab (probes or spikes) older than
 /// `before`, returning how many went. What the records contributed
-/// stays in the key table and the epoch buckets.
+/// stays in the key table and the spike-ratio buckets.
 fn compact_slab<T: Copy>(
     slab: &mut ChunkVec<T>,
     at: impl Fn(&T) -> SimTime,
@@ -575,8 +539,8 @@ fn compact_slab<T: Copy>(
 }
 
 impl DataStore {
-    /// Creates an empty store: [`STRIPES`] lock stripes and [`EPOCH_SECS`]
-    /// wide summary buckets, the one layout every store has.
+    /// Creates an empty store of [`STRIPES`] lock stripes, the one layout
+    /// every store has.
     pub fn new() -> Self {
         DataStore {
             stripes: (0..STRIPES).map(|_| RwLock::default()).collect(),
@@ -745,7 +709,7 @@ impl DataStore {
 
     /// Folds raw records strictly older than `before` into the
     /// summaries and frees their slabs. Intervals, rejection
-    /// timestamps, epoch summaries, revocations, intrinsic bids, and
+    /// timestamps, spike-ratio buckets, revocations, intrinsic bids, and
     /// every running counter are retained, so summarized queries are
     /// unchanged; raw-log iteration shrinks to the retained window.
     ///
@@ -779,8 +743,8 @@ impl DataStore {
 
     /// Approximate resident heap footprint of the store's slabs and
     /// indices, in bytes: capacities × element sizes over the slabs'
-    /// chunks and spines, the per-epoch lists, and each
-    /// key's interval index, rejection times and sparse epoch cells.
+    /// chunks and spines, the per-epoch spike ratios, and each
+    /// key's interval index and rejection times.
     /// Hash-map tables — a key's scalars live there — and allocator or
     /// reference-count headers are not counted; buffers shared with a
     /// live capture are counted once, here.
@@ -801,11 +765,7 @@ impl DataStore {
             bytes += s
                 .keys
                 .values()
-                .map(|k| {
-                    k.intervals.heap_bytes()
-                        + k.rejection_times.heap_bytes()
-                        + k.epochs.cells.heap_bytes()
-                })
+                .map(|k| k.intervals.heap_bytes() + k.rejection_times.heap_bytes())
                 .sum::<usize>();
         }
         bytes as u64
@@ -859,17 +819,19 @@ impl Stripe {
                 return false;
             }
             // Opening a new interval: the previous one (necessarily
-            // closed) must end at or before this start for the epoch
-            // fast path to stay valid.
-            if let Some(&last) = state.intervals.last() {
-                let prev = &self.intervals[last];
+            // closed) must end at or before this start for the prefix
+            // to stay valid.
+            let mut closed_before = 0;
+            if let Some(last) = state.intervals.last() {
+                let prev = &self.intervals[last.pos];
                 if probe.at < prev.start || prev.end.is_some_and(|e| probe.at < e) {
                     state.disordered = true;
                 }
+                closed_before = last.closed_before + closed_secs(prev);
             }
-            let interval_idx = self.intervals.len();
-            state.open = Some(interval_idx);
-            state.intervals.push(interval_idx);
+            let pos = self.intervals.len();
+            state.open = Some(pos);
+            state.intervals.push(IndexEntry { pos, closed_before });
             self.intervals.push(UnavailabilityInterval {
                 market: probe.market,
                 kind: probe.kind,
@@ -884,91 +846,50 @@ impl Stripe {
                 if let Some(idx) = state.open.take() {
                     let interval = &mut self.intervals[idx];
                     interval.end = Some(probe.at);
-                    state.closed_intervals += 1;
                     if probe.at < interval.start {
                         state.disordered = true;
                     }
-                    add_closed_span(
-                        &mut state.epochs,
-                        interval.start.as_secs(),
-                        probe.at.as_secs(),
-                    );
                 }
             }
             false
         }
     }
 
-    /// Exact closed-interval overlap with `[from, to)` for a key on the
-    /// epoch fast path (start-sorted, non-overlapping intervals): one
-    /// binary search plus a scan of the intervals starting inside the
-    /// range. The open interval, if any, is the caller's business.
-    fn closed_overlap(&self, state: &KeyState, from: u64, to: u64) -> u64 {
-        if to <= from {
-            return 0;
-        }
-        let ids = &state.intervals;
-        let first = ids.partition_point(|&id| self.intervals[id].start.as_secs() < from);
-        let mut total = 0u64;
-        if first > 0 {
-            // At most one closed interval can straddle `from`.
-            let prev = &self.intervals[ids[first - 1]];
-            if let Some(end) = prev.end {
-                let e = end.as_secs().min(to);
-                total += e.saturating_sub(from.max(prev.start.as_secs()));
-            }
-        }
-        for &id in &ids[first..] {
-            let interval = &self.intervals[id];
-            let s = interval.start.as_secs();
-            if s >= to {
-                break;
-            }
-            if let Some(end) = interval.end {
-                total += end.as_secs().min(to).saturating_sub(s);
-            }
-        }
-        total
-    }
-
     /// Seconds of measured unavailability of the key `state` (one of
     /// this stripe's) inside `[from, to)`, open intervals running to
-    /// `to`. Epoch-summarized: whole buckets for the epochs fully inside
-    /// the span, binary searches for the two boundary epochs; exact
-    /// full walk for disordered keys.
+    /// `to`: a prefix difference plus two clipped boundary intervals for
+    /// an ordered key (module docs, "Span sums"), an exact walk for a
+    /// disordered one.
     fn unavailable_seconds_in(&self, state: &KeyState, from: SimTime, to: SimTime) -> u64 {
         let (a, b) = (from.as_secs(), to.as_secs());
         if b <= a {
             return 0;
         }
+        let index = &state.intervals;
+        let at = |i: usize| &self.intervals[index[i].pos];
+        // An interval's closed seconds inside the span.
+        let clip = |interval: &UnavailabilityInterval| {
+            interval.end.map_or(0, |end| {
+                end.as_secs()
+                    .min(b)
+                    .saturating_sub(interval.start.as_secs().max(a))
+            })
+        };
         let closed = if state.disordered {
-            state
-                .intervals
-                .iter()
-                .filter_map(|&id| {
-                    let interval = &self.intervals[id];
-                    interval.end.map(|end| {
-                        end.as_secs()
-                            .min(b)
-                            .saturating_sub(interval.start.as_secs().max(a))
-                    })
-                })
-                .sum()
+            index.iter().map(|e| clip(&self.intervals[e.pos])).sum()
         } else {
-            let first_full = a.div_ceil(EPOCH_SECS);
-            let end_full = b / EPOCH_SECS;
-            // Adaptive: the epoch path touches up to one cell per in-span
-            // bucket, the index walk one entry per interval — pick
-            // whichever is smaller (sparse keys over long spans are
-            // cheaper to walk; dense keys are cheaper to bucket-sum).
-            let buckets = end_full.saturating_sub(first_full);
-            if first_full >= end_full || (state.intervals.len() as u64) < buckets {
-                self.closed_overlap(state, a, b)
-            } else {
-                self.closed_overlap(state, a, first_full * EPOCH_SECS)
-                    + state.epochs.unavail_in(first_full, end_full)
-                    + self.closed_overlap(state, end_full * EPOCH_SECS, b)
+            // Entries `lo..hi` start inside the span, and all but
+            // `hi - 1` end inside it; only `lo - 1` reaches into it from
+            // before.
+            let starts_before =
+                |t: u64| move |e: &IndexEntry| self.intervals[e.pos].start.as_secs() < t;
+            let lo = index.partition_point(starts_before(a));
+            let hi = lo + index[lo..].partition_point(starts_before(b));
+            let mut closed = lo.checked_sub(1).map_or(0, |i| clip(at(i)));
+            if hi > lo {
+                closed += index[hi - 1].closed_before - index[lo].closed_before + clip(at(hi - 1));
             }
+            closed
         };
         let open = state.open.map_or(0, |id| {
             b.saturating_sub(self.intervals[id].start.as_secs().max(a))
@@ -1012,7 +933,7 @@ impl<'a> KeyRef<'a> {
         self.state
             .intervals
             .iter()
-            .map(move |&i| &stripe.intervals[i])
+            .map(move |e| &stripe.intervals[e.pos])
     }
 }
 
@@ -1085,11 +1006,10 @@ impl StoreRead<'_> {
             .flat_map(KeyRef::intervals)
     }
 
-    /// Completed unavailability intervals of one `(market, kind)` —
-    /// a running counter, O(1).
+    /// Completed unavailability intervals of one `(market, kind)`, O(1).
     pub fn closed_interval_count(&self, market: MarketId, kind: ProbeKind) -> u64 {
         self.key(market, kind)
-            .map_or(0, |k| k.state.closed_intervals)
+            .map_or(0, |k| k.state.closed_intervals())
     }
 
     /// The time-sorted timestamps of unavailable-outcome probes of one
@@ -1125,8 +1045,8 @@ impl StoreRead<'_> {
     }
 
     /// Seconds of measured unavailability of `(market, kind)` inside
-    /// `[from, to)` (open intervals run to `to`). Epoch-summarized —
-    /// see the module docs.
+    /// `[from, to)` (open intervals run to `to`). O(log intervals) for
+    /// an ordered key — see the module docs, "Span sums".
     pub fn unavailable_seconds_in(
         &self,
         market: MarketId,
@@ -1428,9 +1348,9 @@ mod tests {
     }
 
     #[test]
-    fn epoch_summary_matches_interval_walk() {
-        // One-hour epochs; an interval crossing three epochs plus an
-        // open one: the summarized sweep equals the clipped walk.
+    fn span_sums_match_interval_walk() {
+        // An interval crossing three hours plus an open one: the prefix
+        // sums equal the clipped walk.
         let s = DataStore::new();
         let m = market(0);
         s.record_probe(probe(1800, m, ProbeOutcome::InsufficientCapacity));
@@ -1447,39 +1367,44 @@ mod tests {
         };
         assert_eq!(q(0, 30_000), 7200 + 10_000);
         assert_eq!(q(0, 9000), 7200);
-        assert_eq!(q(3600, 7200), 3600); // one whole middle epoch
-        assert_eq!(q(2000, 8000), 6000); // boundary epochs only
+        assert_eq!(q(3600, 7200), 3600); // inside the closed interval
+        assert_eq!(q(2000, 8000), 6000); // straddling neither end
         assert_eq!(q(10_000, 15_000), 0);
         assert_eq!(q(25_000, 30_000), 5000); // open interval clipped to span
     }
 
     #[test]
-    fn only_a_probe_that_closes_an_interval_writes_epoch_cells() {
+    fn openings_write_the_closed_seconds_before_them() {
         let s = DataStore::new();
         let m = market(0);
-        // The key's epoch cells, as `(epoch, unavailable seconds)`.
-        let epoch_cells = |r: &StoreRead<'_>, m| -> Vec<(u64, u64)> {
+        // The key's index, as `(slab position, closed_before)`.
+        let index = |r: &StoreRead<'_>| -> Vec<(usize, u64)> {
             r.key(m, ProbeKind::OnDemand).map_or_else(Vec::new, |k| {
-                let cells = k.state.epochs.cells.iter();
-                cells.map(|c| (c.epoch, c.unavail_secs)).collect()
+                let entries = k.state.intervals.iter();
+                entries.map(|e| (e.pos, e.closed_before)).collect()
             })
         };
-        // Fulfilled, rejected, repeated-rejection and limited probes
-        // close nothing.
+        // A fulfilment with nothing open, and a repeated rejection or a
+        // limited probe while open, write no entry.
         s.record_probe(probe(100, m, ProbeOutcome::Fulfilled));
         s.record_probe(probe(4000, m, ProbeOutcome::InsufficientCapacity));
         s.record_probe(probe(5000, m, ProbeOutcome::InsufficientCapacity));
         s.record_probe(probe(8000, m, ProbeOutcome::ApiLimited));
-        assert_eq!(epoch_cells(&s.read(), m), []);
-        // Closing [4000, 12_000) writes the three epochs it covers.
+        assert_eq!(index(&s.read()), [(0, 0)]);
+        // Closing [4000, 12_000) writes the slab, not the index.
         s.record_probe(probe(12_000, m, ProbeOutcome::Fulfilled));
-        let closed = [(1, 7200 - 4000), (2, 3600), (3, 12_000 - 10_800)];
-        assert_eq!(epoch_cells(&s.read(), m), closed);
-        // With no interval open, a fulfilment writes no cell.
         s.record_probe(probe(20_000, m, ProbeOutcome::Fulfilled));
-        assert_eq!(epoch_cells(&s.read(), m), closed);
-        let st = s.read().probe_stats(m, ProbeKind::OnDemand);
-        assert_eq!((st.informative, st.rejections), (5, 2));
+        assert_eq!(index(&s.read()), [(0, 0)]);
+        // The next openings carry the seconds closed before them; an
+        // open interval adds nothing until it closes.
+        s.record_probe(probe(30_000, m, ProbeOutcome::InsufficientCapacity));
+        s.record_probe(probe(30_500, m, ProbeOutcome::Fulfilled));
+        s.record_probe(probe(40_000, m, ProbeOutcome::InsufficientCapacity));
+        assert_eq!(index(&s.read()), [(0, 0), (1, 8000), (2, 8500)]);
+        let r = s.read();
+        assert_eq!(r.closed_interval_count(m, ProbeKind::OnDemand), 2);
+        let st = r.probe_stats(m, ProbeKind::OnDemand);
+        assert_eq!((st.informative, st.rejections), (8, 4));
     }
 
     #[test]
@@ -1496,9 +1421,9 @@ mod tests {
             s.record_probe(probe(6500, m, ProbeOutcome::ApiLimited));
             s.record_probe(probe(7000, m, ProbeOutcome::Fulfilled));
         }
-        // The three lists of a key, as the live store and the snapshot
+        // The two lists of a key, as the live store and the snapshot
         // hold them: shared, or not, per list.
-        let shared = |m: MarketId| -> [bool; 3] {
+        let shared = |snap: &crate::snapshot::StoreSnapshot, m: MarketId| -> [bool; 2] {
             let live = s.stripes[stripe_index(m)].read();
             let live = &live.keys[&(m, ProbeKind::OnDemand)];
             let read = snap.read();
@@ -1508,95 +1433,25 @@ mod tests {
                 live.intervals.shares_buffer_with(&frozen.intervals),
                 live.rejection_times
                     .shares_buffer_with(&frozen.rejection_times),
-                live.epochs.cells.shares_buffer_with(&frozen.epochs.cells),
             ]
         };
         for &m in &markets {
-            assert_eq!(shared(m), [true; 3], "{m:?}");
+            assert_eq!(shared(&snap, m), [true; 2], "{m:?}");
         }
         // A rejection opens an interval: it copies the index and the
-        // rejection times, and the closing fulfilment the epoch cells.
+        // rejection times. A fulfilment that closes an interval after
+        // a capture writes neither list.
         s.record_probe(probe(8000, markets[0], ProbeOutcome::InsufficientCapacity));
-        assert_eq!(shared(markets[0]), [false, false, true]);
+        assert_eq!(shared(&snap, markets[0]), [false, false]);
+        let opened = s.snapshot(SimTime::from_secs(8000));
         s.record_probe(probe(9000, markets[0], ProbeOutcome::Fulfilled));
-        assert_eq!(shared(markets[0]), [false; 3]);
-    }
-
-    proptest::proptest! {
-        // The sparse series against a `BTreeMap` model: random
-        // updates at out-of-order epochs and multi-epoch closed spans.
-        #[test]
-        fn epoch_series_matches_a_btreemap_model(
-            ops in proptest::collection::vec((proptest::any::<bool>(), 0u64..40, 1u64..500, 0u64..6), 0..120),
-            ranges in proptest::collection::vec((0u64..50, 0u64..50), 1..12),
-        ) {
-            use spotlight_persist::{Decode, Encode};
-            const WIDTH: u64 = EPOCH_SECS;
-            let mut series = EpochSeries::default();
-            // epoch -> unavail_secs
-            let mut model = std::collections::BTreeMap::<u64, u64>::new();
-            let mut unavail_secs = 0;
-            for (span, epoch, delta, more_epochs) in ops {
-                if !span {
-                    series.add(epoch, delta);
-                    *model.entry(epoch).or_default() += delta;
-                    unavail_secs += delta;
-                } else {
-                    // Starts inside `epoch` near one of its ends, ends
-                    // `more_epochs` later: even deltas start at offset
-                    // 0..99 (0 for 100, 200, 400), odd ones 1..99
-                    // seconds before the next boundary, so spans end
-                    // exactly on it (delta 5) or cross it with
-                    // `more_epochs` 0 (delta 301).
-                    let offset =
-                        if delta % 2 == 0 { delta % 100 } else { WIDTH - delta % 100 };
-                    let start = epoch * WIDTH + offset;
-                    let end = start + more_epochs * WIDTH + delta % 37;
-                    add_closed_span(&mut series, start, end);
-                    unavail_secs += end - start;
-                    // Walk the span from one epoch boundary to the next.
-                    let mut at = start;
-                    while at < end {
-                        let upto = end.min((at / WIDTH + 1) * WIDTH);
-                        *model.entry(at / WIDTH).or_default() += upto - at;
-                        at = upto;
-                    }
-                }
-            }
-            proptest::prop_assert_eq!(series.unavail_in(0, u64::MAX), unavail_secs);
-            let as_model: Vec<_> = series.cells.iter().map(|c| (c.epoch, c.unavail_secs)).collect();
-            // Strictly epoch-sorted, and exactly the non-empty buckets.
-            proptest::prop_assert_eq!(&as_model, &model.clone().into_iter().collect::<Vec<_>>());
-            for (a, b) in ranges {
-                let expect: u64 = model.range(a..b.max(a)).map(|(_, &u)| u).sum();
-                proptest::prop_assert_eq!(series.unavail_in(a, b), expect);
-            }
-            // Reads over absent epochs inserted nothing.
-            proptest::prop_assert_eq!(series.cells.len(), model.len());
-            // On disk: the cell count, then the two integers of each
-            // non-empty bucket and nothing for the empty ones.
-            let cells_len: usize = model
-                .iter()
-                .flat_map(|(&e, &u)| [e, u])
-                .map(|v| v.to_bytes().len())
-                .sum();
-            let bytes = series.to_bytes();
-            proptest::prop_assert_eq!(bytes.len(), model.len().to_bytes().len() + cells_len);
-            proptest::prop_assert_eq!(EpochSeries::from_bytes(&bytes), Ok(series));
-        }
-    }
-
-    #[test]
-    fn an_unsorted_epoch_series_does_not_decode() {
-        use spotlight_persist::{Decode, DecodeError, Encode};
-        let cell = EpochCell {
-            epoch: 7,
-            unavail_secs: 1,
-        };
-        let cells = vec![cell, cell];
+        assert_eq!(shared(&opened, markets[0]), [true; 2]);
+        let r = opened.read();
+        let frozen = r.intervals_of(markets[0], ProbeKind::OnDemand).last();
         assert_eq!(
-            EpochSeries::from_bytes(&cells.to_bytes()),
-            Err(DecodeError::Invalid("epoch series order"))
+            frozen.and_then(|i| i.end),
+            None,
+            "the slab copied its chunk"
         );
     }
 

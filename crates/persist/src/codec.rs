@@ -13,7 +13,7 @@
 //!   collection lengths, a study's timestamps below 2^21, prices in
 //!   micro-dollars), and with `SimTime`, `Price` and every length
 //!   riding on these impls a probe record shrinks from ~40 bytes to
-//!   ~28 and a sparse epoch cell from 32 to ~5. There is **one
+//!   ~28. There is **one
 //!   encoding per value**: the decoder refuses an overlong form (a
 //!   trailing all-zero group), a byte past the type's longest form and
 //!   value bits past the type's width with [`DecodeError::Invalid`],
@@ -46,9 +46,10 @@
 //! What stays hand-written is the code that *checks* something: the
 //! primitives, the containers' length guards, `Az` (its constructor
 //! panics past zone `z`), `InstanceType` (private fields, built through
-//! its constructor), `spotlight-core`'s `EpochSeries` (strict epoch
-//! order) and its checkpoint-stripe read (interval positions inside the
-//! slab, binary-searched lists in order).
+//! its constructor) and `spotlight-core`'s checkpoint-stripe read
+//! (interval positions inside the slab, the open interval the index's
+//! last, prefix sums that are running sums, an ordered key's intervals
+//! in time order, binary-searched lists in order).
 //!
 //! Decoding is total: malformed input yields a [`DecodeError`], never a
 //! panic, even though in practice every payload handed to `decode` has
@@ -193,8 +194,9 @@ impl Decode for u8 {
 #[inline]
 fn put_varint(out: &mut Vec<u8>, v: u64) {
     // The lengths nearly every field has, each as one fixed-size
-    // append: counters and lengths (1 byte), slab indices and epochs
-    // (2), a study's timestamps and sub-$2 prices in micro-dollars (3).
+    // append: counters and lengths (1 byte), slab indices (2), a
+    // study's timestamps, prefix sums and sub-$2 prices in
+    // micro-dollars (3).
     if v < 1 << 7 {
         out.push(v as u8);
     } else if v < 1 << 14 {

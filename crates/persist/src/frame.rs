@@ -51,10 +51,12 @@ pub const MAX_FRAME: usize = 1 << 26;
 /// - 10 writes no spill segment and drops a checkpoint's spill count;
 /// - 11 drops the header's layout;
 /// - 12 drops the probe and rejection counts of a key's epoch cells,
-///   which keep only their unavailable seconds.
+///   which keep only their unavailable seconds;
+/// - 13 drops a key's epoch cells and closed-interval count, and gives
+///   each entry of its interval index the closed seconds before it.
 ///
 /// WAL records have not changed since 3.
-pub const FORMAT_VERSION: u32 = 12;
+pub const FORMAT_VERSION: u32 = 13;
 
 /// Byte length of a file header (`magic ++ version`).
 pub const HEADER_LEN: usize = 8;
@@ -260,8 +262,9 @@ mod tests {
         // time, version 7 a generation's frames of several streams
         // interleaved, version 8 every sealed spike in full and version
         // 9 a spill count in its checkpoint, version 10 a layout in its
-        // header and version 11 probe counts in its epoch cells; nothing
-        // decodes any of them, the one before this one included.
+        // header, version 11 probe counts in its epoch cells and version
+        // 12 epoch cells at all; nothing decodes any of them, the one
+        // before this one included.
         for old in 1..FORMAT_VERSION {
             let mut stale = file.clone();
             stale[4..8].copy_from_slice(&old.to_le_bytes());

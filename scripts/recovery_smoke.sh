@@ -25,6 +25,11 @@
 # sealed as one- or two-byte references to their probes
 # (durable::tests::production_spikes_cost_at_most_two_bytes_each), a
 # section cut into several frames, and a crash right after flush() —
+# a stripe section refused when a query would misread its interval
+# positions or sorted lists
+# (durable::tests::recovery_refuses_stripe_indices_its_queries_would_trip_over)
+# or its open interval, prefix sums or interval order
+# (durable::tests::decode_stripe_refuses_prefix_sums_and_orders_the_span_sums_would_misread),
 # and the two guards of a directory's format: a checkpoint of another
 # section count refused
 # (durable::tests::recovery_refuses_a_checkpoint_of_another_section_count)
@@ -81,6 +86,10 @@ scripts/one_test.sh -p spotlight-core durable::tests::production_spikes_cost_at_
 scripts/one_test.sh -p spotlight-persist log::tests::oversize_checkpoint_sections_chunk_and_reassemble
 scripts/one_test.sh -p spotlight-persist log::tests::damaged_checkpoint_is_a_hard_error
 scripts/one_test.sh --test persistence flushed_records_survive_a_crash_without_a_clean_marker
+
+echo "== recovery smoke: stripe indices, prefix sums and interval order a query would misread =="
+scripts/one_test.sh -p spotlight-core durable::tests::recovery_refuses_stripe_indices_its_queries_would_trip_over
+scripts/one_test.sh -p spotlight-core durable::tests::decode_stripe_refuses_prefix_sums_and_orders_the_span_sums_would_misread
 
 echo "== recovery smoke: a checkpoint of another section count, a damaged header =="
 scripts/one_test.sh -p spotlight-core durable::tests::recovery_refuses_a_checkpoint_of_another_section_count

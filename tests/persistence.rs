@@ -57,7 +57,7 @@ fn market_makes_distinct_markets() {
 
 /// A varied but deterministic probe stream: alternating kinds, a mix of
 /// informative outcomes, drifting ratios — enough to exercise interval
-/// tracking and the epoch summaries, not just raw appends.
+/// tracking and the span sums, not just raw appends.
 fn probe_at(i: u64, m: MarketId) -> ProbeRecord {
     let kind = if i.is_multiple_of(2) {
         ProbeKind::OnDemand
@@ -864,15 +864,14 @@ fn checkpoints_of_equal_stores_are_byte_identical() {
     }
 }
 
-/// Sparse epoch summaries: keys whose intervals cover a handful of
-/// hours that lie months apart persist those hours only, and recover —
-/// through the checkpoint and through the replayed tail — to the same
-/// answers.
+/// Keys whose intervals lie months apart persist what they observed,
+/// not one bucket per empty hour, and recover — through the checkpoint
+/// and through the replayed tail — to the same span sums.
 #[test]
 fn keys_with_long_empty_epoch_gaps_recover_exactly() {
     use ProbeOutcome::{Fulfilled, InsufficientCapacity};
     const HOUR: u64 = 3600;
-    // Gaps of 1200–2500 empty epochs; one interval closes two epochs
+    // Gaps of 1200–2500 empty hours; one interval closes two hours
     // after it opened, the last one stays open.
     let script = [
         (0, InsufficientCapacity),

@@ -398,7 +398,7 @@ proptest! {
     }
 }
 
-// ---- epoch summaries & compaction vs scan oracle ----------------------
+// ---- summaries & compaction vs scan oracle ----------------------------
 //
 // The summarized queries (availability, unavailable_seconds,
 // spike_rates, top_available_markets, conditional_unavailability,
@@ -510,6 +510,111 @@ proptest! {
         let cutoff = SimTime::from_secs(horizon);
         prop_assert!(read.probes().all(|p| p.at >= cutoff));
         prop_assert!(read.spikes().all(|s| s.at >= cutoff));
+    }
+}
+
+// ---- span sums vs the overlap formula ---------------------------------
+//
+// A key whose intervals are start-sorted and non-overlapping answers
+// `unavailable_seconds_in` with a prefix difference over its interval
+// index plus its two boundary intervals. It must equal the brute-force
+// overlap formula on every span, recorded, compacted and recovered.
+
+/// Holds every key of `read` to the overlap formula on the spans
+/// between points on, and a second either side of, its interval starts
+/// and ends, and inside its open interval.
+fn assert_span_sums_match_the_overlap_formula(read: &StoreRead<'_>, horizon: u64, stage: &str) {
+    for m in all_markets() {
+        for kind in [ProbeKind::OnDemand, ProbeKind::Spot] {
+            let intervals: Vec<(u64, Option<u64>)> = read
+                .intervals_of(m, kind)
+                .map(|i| (i.start.as_secs(), i.end.map(SimTime::as_secs)))
+                .collect();
+            // The store flags a key disordered exactly when an opening
+            // starts before the previous interval ends or a close lands
+            // before its interval's start: a key whose starts and ends
+            // never go back in time is on the prefix path.
+            let times: Vec<u64> = intervals
+                .iter()
+                .flat_map(|&(s, e)| std::iter::once(s).chain(e))
+                .collect();
+            assert!(times.is_sorted(), "{stage}: {m:?} {kind:?} went disordered");
+            let mut points: Vec<u64> = times
+                .iter()
+                .flat_map(|&t| [t.saturating_sub(1), t, t + 1])
+                .chain([0, horizon])
+                .collect();
+            if let Some(&(start, None)) = intervals.last() {
+                points.extend([start + 7, start + 600]);
+            }
+            points.sort_unstable();
+            points.dedup();
+            for &from in &points {
+                for &to in &points {
+                    let overlap: u64 = intervals
+                        .iter()
+                        .map(|&(s, e)| e.unwrap_or(to).min(to).saturating_sub(s.max(from)))
+                        .sum();
+                    let (a, b) = (SimTime::from_secs(from), SimTime::from_secs(to));
+                    assert_eq!(
+                        read.unavailable_seconds_in(m, kind, a, b),
+                        overlap,
+                        "{stage}: {m:?} {kind:?} [{from}, {to})"
+                    );
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #[test]
+    fn ordered_key_span_sums_match_the_overlap_formula(
+        steps in proptest::collection::vec(
+            (
+                any_market(),
+                any::<bool>(),
+                prop_oneof![Just(0u64), 1u64..3000],
+                prop_oneof![
+                    Just(ProbeOutcome::Fulfilled),
+                    Just(ProbeOutcome::InsufficientCapacity),
+                    Just(ProbeOutcome::CapacityNotAvailable),
+                    Just(ProbeOutcome::ApiLimited),
+                ],
+            ),
+            0..160,
+        ),
+    ) {
+        use spotlight_core::durable::DurableOptions;
+        use spotlight_persist::tempdir::TempDir;
+
+        let tmp = TempDir::new("span-sums");
+        let dir = tmp.path().join("store");
+        let store = DataStore::create_durable(&dir, DurableOptions::default()).expect("create");
+        // Time-ordered, ties included (zero-length intervals, and
+        // intervals that start where the last one ended).
+        let mut now = 0;
+        for (market, spot, gap, outcome) in steps {
+            now += gap;
+            store.record_probe(ProbeRecord {
+                at: SimTime::from_secs(now),
+                market,
+                kind: if spot { ProbeKind::Spot } else { ProbeKind::OnDemand },
+                trigger: ProbeTrigger::Recovery,
+                outcome,
+                spot_ratio: 0.5,
+                bid: None,
+                cost: Price::ZERO,
+            });
+        }
+        let horizon = now + 1000;
+        assert_span_sums_match_the_overlap_formula(&store.read(), horizon, "recorded");
+        store.compact(SimTime::MAX);
+        assert_span_sums_match_the_overlap_formula(&store.read(), horizon, "compacted");
+        store.checkpoint().expect("checkpoint");
+        drop(store);
+        let recovered = DataStore::recover(&dir).expect("recover");
+        assert_span_sums_match_the_overlap_formula(&recovered.read(), horizon, "recovered");
     }
 }
 
