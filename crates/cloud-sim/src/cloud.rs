@@ -1285,12 +1285,13 @@ impl Cloud {
     }
 
     /// Runs `ticks` demand steps to move the system off its artificial
-    /// initial state before an experiment begins.
+    /// initial state before an experiment begins, dropping each tick's
+    /// events: the buffer keeps room for one tick's, not the warm-up's.
     pub fn warmup(&mut self, ticks: u32) {
         for _ in 0..ticks {
             self.tick();
+            self.events.clear();
         }
-        self.events.clear();
     }
 
     pub(crate) fn fresh_instance_id(&mut self) -> InstanceId {
@@ -1584,6 +1585,33 @@ mod tests {
         let mut events = Vec::new();
         c.drain_events_into(&mut events);
         assert!(events.is_empty());
+    }
+
+    /// A day of warm-up on the standard catalog leaves an event buffer
+    /// sized for one tick: at most twice the busiest tick's count (a
+    /// `Vec` at most doubles past what it must hold), where holding the
+    /// day's events would take ~288 ticks' worth.
+    #[test]
+    fn warmup_keeps_one_ticks_events() {
+        let config = || SimConfig::paper(3);
+        let mut twin = Cloud::new(Catalog::standard(), config());
+        let (mut events, mut busiest) = (Vec::new(), 0);
+        for _ in 0..288 {
+            twin.tick();
+            twin.drain_events_into(&mut events);
+            busiest = busiest.max(events.len());
+        }
+        let mut c = Cloud::new(Catalog::standard(), config());
+        c.warmup(288);
+        let mut buf = Vec::new();
+        c.drain_events_into(&mut buf);
+        assert!(buf.is_empty());
+        assert!(busiest > 0, "the standard catalog emits events");
+        assert!(
+            buf.capacity() <= 2 * busiest,
+            "room for {} events after warm-up, busiest tick {busiest}",
+            buf.capacity()
+        );
     }
 
     #[test]

@@ -486,7 +486,11 @@ impl<T: Encode> Encode for ChunkVec<T> {
 
 impl<T: Decode + Copy> Decode for ChunkVec<T> {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(Vec::decode(r)?.into_iter().collect())
+        let len = usize::decode(r)?;
+        if len > r.remaining() {
+            return Err(DecodeError::Invalid("vec length")); // as `Vec`'s
+        }
+        (0..len).map(|_| T::decode(r)).collect()
     }
 }
 
@@ -834,6 +838,10 @@ impl DataStore {
     /// reporting what recovery did — the kill-9 test of `spotlightd`
     /// asserts on this.
     ///
+    /// Beside the store it builds, a load holds the checkpoint file and one
+    /// raw section: frames and section count are checked first, then each
+    /// section is decoded and dropped in turn; one that fails fails it all.
+    ///
     /// # Errors
     ///
     /// See [`DataStore::recover`].
@@ -856,21 +864,23 @@ impl DataStore {
         let mut next_seq = 0u64;
         let mut min_gen = 0u64;
         let mut checkpoint_loaded = false;
-        if let Some(sections) = log.read_checkpoint()? {
+        if let Some(checkpoint) = log.read_checkpoint()? {
             checkpoint_loaded = true;
             // The one guard against a checkpoint of another layout.
+            let mut sections = checkpoint.sections();
             if sections.len() != STRIPES + 1 {
                 return Err(corrupt("checkpoint section count mismatch"));
             }
-            let meta = CheckpointMeta::from_bytes(&sections[0]).map_err(bad_data)?;
+            let meta = sections.next().expect("STRIPES + 1 sections")?;
+            let meta = CheckpointMeta::from_bytes(&meta).map_err(bad_data)?;
             next_seq = meta.next_seq;
             min_gen = meta.floor;
             *store.recorded_probes.get_mut() = meta.recorded_probes;
             *store.total_cost_micros.get_mut() = meta.total_cost_micros;
             *store.suppressed_probes.get_mut() = meta.suppressed_probes;
             *store.region_health.write() = meta.region_health;
-            for (i, section) in sections[1..].iter().enumerate() {
-                *store.stripes[i].write() = decode_stripe(section).map_err(bad_data)?;
+            for (stripe, section) in store.stripes.iter().zip(sections) {
+                *stripe.write() = decode_stripe(&section?).map_err(bad_data)?;
             }
         }
 
@@ -967,7 +977,9 @@ impl DataStore {
     /// the length of a shallow clone (see [`crate::store`], "Sharing"),
     /// reading the counters and the WAL position with the stripes;
     /// encoding and the disk writes run with no lock held, a writer
-    /// meanwhile copying the one list or chunk it touches. Caller-driven
+    /// meanwhile copying the one list or chunk it touches. Each clone is
+    /// encoded into one reused buffer, compressed into the file body and
+    /// dropped before the next: one raw section is alive. Caller-driven
     /// (no automatic trigger), so ingest cannot self-deadlock against it.
     ///
     /// # Errors
@@ -1001,16 +1013,15 @@ impl DataStore {
             floor,
             region_health: captured.region_health,
         };
-        // Encoded with no lock held; each clone goes as soon as it is
-        // encoded, so ingest stops copying what it shares with it.
-        let mut sections = vec![meta.to_bytes()];
-        for stripe in captured.stripes.into_vec() {
-            sections.push(stripe.to_bytes());
-        }
-        // Nothing is deleted before the checkpoint is durable; from
-        // then on recovery starts at `floor`.
-        let written = d.dir.write_checkpoint(&sections);
-        written
+        // Encoded with no lock held, one section at a time, each clone
+        // gone once encoded (ingest stops copying what it shares with it).
+        // Nothing is deleted before the checkpoint is durable; from then on
+        // recovery starts at `floor`.
+        let stripes = captured.stripes.into_vec().into_iter();
+        let mut sections = std::iter::once(Box::new(meta) as Box<dyn Encode>)
+            .chain(stripes.map(|stripe| Box::new(stripe) as _));
+        d.dir
+            .write_checkpoint(|out| sections.next().map(|s| s.encode(out)).is_some())
             .and_then(|()| d.dir.delete_wal_before(floor))
             .inspect_err(|err| d.wal.stats().record_error(err, "checkpoint"))?;
         d.counters.checkpoints.fetch_add(1, Ordering::Relaxed);
@@ -1145,6 +1156,19 @@ mod tests {
     use spotlight_persist::{FaultKind, FaultWindow, FaultyDisk};
 
     const HOUR: SimDuration = SimDuration::from_secs(3600);
+
+    /// Every section of the checkpoint in `log`, decompressed.
+    fn checkpoint_sections(log: &LogDir) -> Vec<Vec<u8>> {
+        let checkpoint = log.read_checkpoint().expect("read").expect("a checkpoint");
+        let sections = checkpoint.sections().collect::<io::Result<_>>();
+        sections.expect("sections")
+    }
+
+    /// Replaces the checkpoint in `log` with `sections`.
+    fn write_sections(log: &LogDir, sections: &[Vec<u8>]) -> io::Result<()> {
+        let mut each = sections.iter();
+        log.write_checkpoint(|out| each.next().map(|s| out.extend_from_slice(s)).is_some())
+    }
 
     /// Distinct `i` give distinct markets: the zone is `i % 3` of
     /// us-east-1 and the instance type steps with `i / 3` from `c3.large`,
@@ -1610,7 +1634,7 @@ mod tests {
             }
             store.close().expect("close");
             let log = LogDir::open(&dir).expect("open");
-            let sections = log.read_checkpoint().expect("read").expect("a checkpoint");
+            let sections = checkpoint_sections(&log);
             let raw = sections[1 + stripe_index(market(0))].clone();
             let mut packed = Vec::new();
             spotlight_persist::lz::compress(&raw, &mut packed);
@@ -2161,7 +2185,7 @@ mod tests {
 
         let recovered = DataStore::recover(&dir).expect("recover");
         let log = &recovered.durable.as_ref().expect("durable").dir;
-        let checkpoint = log.read_checkpoint().expect("read").expect("a checkpoint");
+        let checkpoint = checkpoint_sections(log);
         let checkpointed = checkpoint[1..]
             .iter()
             .map(|section| decode_stripe(section).expect("stripe"));
@@ -2536,7 +2560,7 @@ mod tests {
         }
         store.close().expect("close");
         let log = LogDir::open(&dir).expect("open");
-        let sections = log.read_checkpoint().expect("read").expect("a checkpoint");
+        let sections = checkpoint_sections(&log);
         let section = 1 + stripe_index(market(0));
         let good = Stripe::from_bytes(&sections[section]).expect("the stripe decodes");
         for what in [
@@ -2566,11 +2590,11 @@ mod tests {
             }
             let mut damaged = sections.clone();
             damaged[section] = stripe.to_bytes();
-            log.write_checkpoint(&damaged).expect("write");
+            write_sections(&log, &damaged).expect("write");
             let err = DataStore::recover(&dir).expect_err(what);
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
         }
-        log.write_checkpoint(&sections).expect("restore");
+        write_sections(&log, &sections).expect("restore");
         let recovered = DataStore::recover(&dir).expect("the unmutated checkpoint loads");
         let r = recovered.read();
         assert_eq!(r.intervals_of(market(0), ProbeKind::OnDemand).count(), 3);
@@ -2684,19 +2708,77 @@ mod tests {
         store.record_probe(probe(60, market(0), ProbeOutcome::Fulfilled));
         store.close().expect("close");
         let log = LogDir::open(&dir).expect("open");
-        let sections = log.read_checkpoint().expect("read").expect("a checkpoint");
+        let sections = checkpoint_sections(&log);
         assert_eq!(sections.len(), STRIPES + 1);
         for count in [STRIPES, STRIPES + 2] {
             let mut other = sections.clone();
             other.resize(count, Stripe::default().to_bytes());
-            log.write_checkpoint(&other).expect("write");
+            write_sections(&log, &other).expect("write");
             let err = DataStore::recover(&dir).expect_err("another section count");
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{count}: {err}");
             assert_eq!(err.to_string(), "checkpoint section count mismatch");
         }
-        log.write_checkpoint(&sections).expect("restore");
+        write_sections(&log, &sections).expect("restore");
         let recovered = DataStore::recover(&dir).expect("the unmutated checkpoint loads");
         assert_eq!(recovered.len(), 1);
+    }
+
+    /// Recovery loads a checkpoint one section at a time, once every
+    /// frame checked out: a checkpoint with intact frames whose last
+    /// stripe section does not decode, or is no block the decompressor
+    /// takes, is refused after the sections before it loaded, and no
+    /// store is returned.
+    #[test]
+    fn recovery_refuses_a_checkpoint_whose_last_stripe_does_not_load() {
+        use spotlight_persist::{frame, lz};
+        let tmp = TempDir::new("durable-last-section");
+        let dir = tmp.path().join("store");
+        let store = DataStore::create_durable(&dir, DurableOptions::default()).expect("create");
+        store.record_probe(probe(60, market(0), ProbeOutcome::Fulfilled));
+        store.close().expect("close");
+        let log = LogDir::open(&dir).expect("open");
+        let sections = checkpoint_sections(&log);
+        let mut cut = sections.clone();
+        cut[STRIPES].truncate(sections[STRIPES].len() / 2);
+        write_sections(&log, &cut).expect("write");
+        let err = DataStore::recover(&dir).expect_err("a last stripe cut in half");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        // The last frame's CRC holds, but its body declares five raw
+        // bytes and encodes none.
+        let mut file = Vec::new();
+        frame::write_header(&mut file, frame::magic::CHECKPOINT);
+        for (i, section) in sections.iter().enumerate() {
+            let mut packed = Vec::new();
+            lz::compress(section, &mut packed);
+            if i == STRIPES {
+                packed = vec![5];
+            }
+            frame::write_frame(&mut file, i as u64, &packed);
+        }
+        std::fs::write(dir.join("checkpoint"), &file).expect("write");
+        let err = DataStore::recover(&dir).expect_err("a last stripe that does not decompress");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert_eq!(err.to_string(), "damaged checkpoint");
+        write_sections(&log, &sections).expect("restore");
+        let recovered = DataStore::recover(&dir).expect("the unmutated checkpoint loads");
+        assert_eq!(recovered.len(), 1);
+    }
+
+    /// The section count is checked before any section is decompressed
+    /// or decoded: `STRIPES + 2` sections of which none is a meta or a
+    /// stripe are refused with the count error, not a decode error.
+    #[test]
+    fn recovery_counts_the_sections_before_it_loads_one() {
+        let tmp = TempDir::new("durable-count-first");
+        let dir = tmp.path().join("store");
+        let store = DataStore::create_durable(&dir, DurableOptions::default()).expect("create");
+        store.record_probe(probe(60, market(0), ProbeOutcome::Fulfilled));
+        store.close().expect("close");
+        let log = LogDir::open(&dir).expect("open");
+        write_sections(&log, &vec![vec![0xff; 11]; STRIPES + 2]).expect("write");
+        let err = DataStore::recover(&dir).expect_err("STRIPES + 2 sections");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert_eq!(err.to_string(), "checkpoint section count mismatch");
     }
 
     #[test]

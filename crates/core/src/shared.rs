@@ -115,8 +115,8 @@ impl<T> FromIterator<T> for CowVec<T> {
 /// Elements per chunk: a power of two (indexing is a shift and a mask,
 /// and a chunk doubling from 4 fills with no slack). A chunk is the
 /// unit a writer may have to copy under its stripe lock, so it is kept
-/// small — 13 KiB of the largest record (`ProbeRecord`) — while a
-/// 500k-probe store's spines still stay a few thousand chunks.
+/// small — 8 KiB of the largest record (`ProbeRecord`, 64 bytes) —
+/// while a 500k-probe store's spines still stay a few thousand chunks.
 const CHUNK_LEN: usize = 128;
 
 /// A vector of [`CowVec`] chunks. Every chunk but the last holds

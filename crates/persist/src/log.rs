@@ -21,9 +21,12 @@
 //! index as their sequence number — one CRC per ≤ 16 MiB, no per-record
 //! envelope. The checkpoint is only ever written whole and atomically, so a
 //! tear cannot happen and any damage (a bad frame, a block the decoder
-//! refuses) is a hard error. WAL records and the clean marker stay
-//! uncompressed. The directory header is a file header and nothing else:
-//! it marks the directory as a store of this format.
+//! refuses) is a hard error. A write compresses each section into the body
+//! before it encodes the next; a load checks every frame, then decompresses
+//! one section at a time: beside the file, each holds one raw section.
+//! WAL records and the clean marker stay uncompressed. The directory header
+//! is a file header and nothing else: it marks the directory as a store of
+//! this format.
 //!
 //! Mutation rules that make crashes survivable:
 //!
@@ -44,6 +47,7 @@ use crate::frame::{self, magic, ScanEnd};
 use crate::lz;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read as _};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -264,38 +268,68 @@ impl LogDir {
         Ok(())
     }
 
-    /// Atomically replaces the checkpoint file with `sections`, each
-    /// chunked into CRC'd frames (sequence = section index).
+    /// Atomically replaces the checkpoint file, in one write, with the
+    /// sections `next` encodes into the empty buffer it is handed, one a
+    /// call until it returns `false`; each is compressed into CRC'd frames
+    /// (sequence = section index) before the next is encoded.
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors; on error the previous checkpoint,
     /// if any, is still in place.
-    pub fn write_checkpoint(&self, sections: &[Vec<u8>]) -> io::Result<()> {
+    pub fn write_checkpoint(&self, mut next: impl FnMut(&mut Vec<u8>) -> bool) -> io::Result<()> {
         let mut body = Vec::new();
         frame::write_header(&mut body, magic::CHECKPOINT);
-        for (i, section) in sections.iter().enumerate() {
-            write_section(&mut body, i as u64, section);
+        let (mut raw, mut packed, mut index) = (Vec::new(), Vec::new(), 0);
+        while next(&mut raw) {
+            lz::compress(&raw, &mut packed); // never empty: one frame at least
+            for chunk in packed.chunks(CHECKPOINT_CHUNK) {
+                frame::write_frame(&mut body, index, chunk);
+            }
+            raw.clear();
+            packed.clear();
+            index += 1;
         }
         self.write_atomic(CHECKPOINT_FILE, &body)
     }
 
-    /// Reads the checkpoint's sections, or `None` if no checkpoint has
-    /// been written yet.
+    /// Reads the checkpoint and checks every frame — its CRC, and that
+    /// the section indices count up from zero — before any section is
+    /// handed out; `None` if no checkpoint has been written yet.
     ///
     /// # Errors
     ///
     /// A present-but-damaged checkpoint is a hard error: it was fsynced
     /// before any WAL it supersedes was deleted, so damage means
     /// something other than a crash-torn tail.
-    pub fn read_checkpoint(&self) -> io::Result<Option<Vec<Vec<u8>>>> {
-        let bytes = match fs::read(self.root.join(CHECKPOINT_FILE)) {
+    pub fn read_checkpoint(&self) -> io::Result<Option<Checkpoint>> {
+        let mut bytes = match fs::read(self.root.join(CHECKPOINT_FILE)) {
             Ok(bytes) => bytes,
             Err(err) if err.kind() == io::ErrorKind::NotFound => return Ok(None),
             Err(err) => return Err(err),
         };
-        let body = frame::strip_header(&bytes, magic::CHECKPOINT).map_err(corrupt)?;
-        read_sections(body).map(Some)
+        frame::strip_header(&bytes, magic::CHECKPOINT).map_err(corrupt)?;
+        let (mut sections, mut pos, mut end) = (Vec::<Range<usize>>::new(), 0, frame::HEADER_LEN);
+        loop {
+            let (index, len, next) = match frame::frame_at(&bytes[frame::HEADER_LEN..], pos) {
+                Ok((index, payload, next)) => (index, payload.len(), next),
+                Err(ScanEnd::Clean) if !sections.is_empty() => break,
+                Err(_) => return Err(corrupt(DAMAGED)),
+            };
+            // A frame starts the next section or continues the last; its
+            // payload moves down onto checked bytes, joining the section's.
+            if index == sections.len() as u64 {
+                sections.push(end..end);
+            } else if (sections.len() as u64).checked_sub(1) != Some(index) {
+                return Err(corrupt(DAMAGED));
+            }
+            let from = frame::HEADER_LEN + next - len;
+            bytes.copy_within(from..from + len, end);
+            end += len;
+            sections.last_mut().expect("one section at least").end = end;
+            pos = next;
+        }
+        Ok(Some(Checkpoint { bytes, sections }))
     }
 
     /// Atomically writes the clean-shutdown marker: proof that the WAL
@@ -419,44 +453,27 @@ impl LogDir {
     }
 }
 
-/// Appends `section`, compressed, to `body` as frames of at most
-/// [`CHECKPOINT_CHUNK`] bytes that share `index` as their sequence
-/// number; [`read_sections`] reassembles by index and decompresses.
-/// Callers hold no store lock: they pass bytes already captured.
-fn write_section(body: &mut Vec<u8>, index: u64, section: &[u8]) {
-    let mut packed = Vec::new();
-    lz::compress(section, &mut packed); // never empty: one frame at least
-    for chunk in packed.chunks(CHECKPOINT_CHUNK) {
-        frame::write_frame(body, index, chunk);
+/// A checkpoint file whose frames all passed [`LogDir::read_checkpoint`]'s
+/// checks.
+pub struct Checkpoint {
+    bytes: Vec<u8>,
+    /// Each section's compressed bytes in `bytes`: its frames' payloads.
+    sections: Vec<Range<usize>>,
+}
+
+impl Checkpoint {
+    /// The sections in index order, each decompressed only when it is
+    /// reached. A section that is not a block [`lz::decompress`] accepts
+    /// is a damaged checkpoint.
+    pub fn sections(&self) -> impl ExactSizeIterator<Item = io::Result<Vec<u8>>> + '_ {
+        let unpack = |at: &Range<usize>| lz::decompress(&self.bytes[at.clone()]);
+        self.sections
+            .iter()
+            .map(move |at| unpack(at).map_err(|_| corrupt(DAMAGED)))
     }
 }
 
-/// Reassembles and decompresses the sections [`write_section`] wrote
-/// into `body`, in index order. Anything but a clean, non-empty run of
-/// frames whose indices count up from zero, each section a block
-/// [`lz::decompress`] accepts, is a damaged checkpoint.
-fn read_sections(body: &[u8]) -> io::Result<Vec<Vec<u8>>> {
-    let damaged = "damaged checkpoint";
-    let scanned = frame::scan(body);
-    if scanned.end != ScanEnd::Clean || scanned.frames.is_empty() {
-        return Err(corrupt(damaged));
-    }
-    let mut sections: Vec<Vec<u8>> = Vec::new();
-    for frame in scanned.frames {
-        match (frame.seq as usize).cmp(&sections.len()) {
-            std::cmp::Ordering::Equal => sections.push(frame.body),
-            std::cmp::Ordering::Less if frame.seq as usize + 1 == sections.len() => {
-                sections
-                    .last_mut()
-                    .expect("non-empty by the index check")
-                    .extend_from_slice(&frame.body);
-            }
-            _ => return Err(corrupt(damaged)),
-        }
-    }
-    let unpack = |packed: Vec<u8>| lz::decompress(&packed).map_err(|_| corrupt(damaged));
-    sections.into_iter().map(unpack).collect()
-}
+const DAMAGED: &str = "damaged checkpoint";
 
 fn corrupt(what: &'static str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, what)
@@ -466,6 +483,19 @@ fn corrupt(what: &'static str) -> io::Error {
 mod tests {
     use super::*;
     use crate::tempdir::TempDir;
+
+    /// Every section of the checkpoint, decompressed.
+    fn read_all(dir: &LogDir) -> io::Result<Option<Vec<Vec<u8>>>> {
+        dir.read_checkpoint()?
+            .map(|c| c.sections().collect())
+            .transpose()
+    }
+
+    /// Replaces the checkpoint with `sections`.
+    fn write_all(dir: &LogDir, sections: &[Vec<u8>]) -> io::Result<()> {
+        let mut each = sections.iter();
+        dir.write_checkpoint(|out| each.next().map(|s| out.extend_from_slice(s)).is_some())
+    }
 
     #[test]
     fn header_round_trips_and_refuses_reinit() {
@@ -483,14 +513,10 @@ mod tests {
     fn checkpoint_replace_is_atomic_and_readable() {
         let tmp = TempDir::new("logdir-ckpt");
         let dir = LogDir::create(tmp.path()).expect("create");
-        assert_eq!(dir.read_checkpoint().expect("none yet"), None);
-        dir.write_checkpoint(&[b"meta".to_vec(), b"stripe0".to_vec()])
-            .expect("write");
-        dir.write_checkpoint(&[b"meta2".to_vec()]).expect("rewrite");
-        assert_eq!(
-            dir.read_checkpoint().expect("read"),
-            Some(vec![b"meta2".to_vec()])
-        );
+        assert_eq!(read_all(&dir).expect("none yet"), None);
+        write_all(&dir, &[b"meta".to_vec(), b"stripe0".to_vec()]).expect("write");
+        write_all(&dir, &[b"meta2".to_vec()]).expect("rewrite");
+        assert_eq!(read_all(&dir).expect("read"), Some(vec![b"meta2".to_vec()]));
     }
 
     /// Seeded xorshift bytes, which compression cannot shrink: a section
@@ -512,8 +538,8 @@ mod tests {
         let dir = LogDir::create(tmp.path()).expect("create");
         let big = noise(CHECKPOINT_CHUNK * 2 + 123, 0x9e37_79b9_7f4a_7c15);
         let sections = vec![b"meta".to_vec(), big, Vec::new(), b"tail".to_vec()];
-        dir.write_checkpoint(&sections).expect("write");
-        assert_eq!(dir.read_checkpoint().expect("read"), Some(sections));
+        write_all(&dir, &sections).expect("write");
+        assert_eq!(read_all(&dir).expect("read"), Some(sections));
         // The big section really was cut into frames and reassembled.
         let bytes = std::fs::read(tmp.path().join(CHECKPOINT_FILE)).expect("checkpoint");
         let scanned = frame::scan(&bytes[frame::HEADER_LEN..]);
@@ -548,11 +574,8 @@ mod tests {
         assert!(!tmp.path().join("checkpoint.tmp").exists());
         assert!(!tmp.path().join("clean.tmp").exists());
         // The swept name is free again for a real checkpoint.
-        dir.write_checkpoint(&[b"a".to_vec()]).expect("checkpoint");
-        assert_eq!(
-            dir.read_checkpoint().expect("read"),
-            Some(vec![b"a".to_vec()])
-        );
+        write_all(&dir, &[b"a".to_vec()]).expect("checkpoint");
+        assert_eq!(read_all(&dir).expect("read"), Some(vec![b"a".to_vec()]));
     }
 
     #[test]
@@ -687,7 +710,7 @@ mod tests {
         let dir = LogDir::create(tmp.path()).expect("create");
         std::fs::remove_dir_all(tmp.path()).expect("vanish");
         assert!(dir.list_wal().is_err());
-        assert!(dir.write_checkpoint(&[b"meta".to_vec()]).is_err());
+        assert!(write_all(&dir, &[b"meta".to_vec()]).is_err());
         assert!(dir.disk_bytes().is_err());
         // Reopening also fails cleanly, and leaves no recreated state.
         assert!(LogDir::open(tmp.path()).is_err());
@@ -703,7 +726,7 @@ mod tests {
         use std::os::unix::fs::PermissionsExt as _;
         let tmp = TempDir::new("logdir-perms");
         let dir = LogDir::create(tmp.path()).expect("create");
-        dir.write_checkpoint(&[b"meta".to_vec()]).expect("ckpt");
+        write_all(&dir, &[b"meta".to_vec()]).expect("ckpt");
         let lock = |path: &Path| {
             std::fs::set_permissions(path, std::fs::Permissions::from_mode(0o000)).expect("chmod")
         };
@@ -730,13 +753,12 @@ mod tests {
         let tmp = TempDir::new("logdir-ckpt-damage");
         let dir = LogDir::create(tmp.path()).expect("create");
         let section: Vec<u8> = (0..600u32).map(|i| (i % 251) as u8).collect();
-        dir.write_checkpoint(std::slice::from_ref(&section))
-            .expect("write");
+        write_all(&dir, std::slice::from_ref(&section)).expect("write");
         let path = tmp.path().join(CHECKPOINT_FILE);
         let pristine = std::fs::read(&path).expect("read checkpoint");
         let damaged = |bytes: &[u8]| {
             std::fs::write(&path, bytes).expect("damage");
-            let err = dir.read_checkpoint().expect_err("damage must not read");
+            let err = read_all(&dir).expect_err("damage must not read");
             assert_eq!(err.kind(), io::ErrorKind::InvalidData);
             err.to_string()
         };
@@ -761,7 +783,7 @@ mod tests {
         frame::write_frame(&mut skipped, 2, b"stowaway");
         assert_eq!(damaged(&skipped), "damaged checkpoint");
         std::fs::write(&path, &pristine).expect("restore");
-        assert_eq!(dir.read_checkpoint().expect("read"), Some(vec![section]));
+        assert_eq!(read_all(&dir).expect("read"), Some(vec![section]));
     }
 
     #[test]

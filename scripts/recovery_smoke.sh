@@ -34,7 +34,12 @@
 # section count refused
 # (durable::tests::recovery_refuses_a_checkpoint_of_another_section_count)
 # and a header with a byte past its version, or cut short, refused
-# (log::tests::open_with_corrupt_header_is_a_clean_error) —
+# (log::tests::open_with_corrupt_header_is_a_clean_error) — and the
+# section-at-a-time loader: a checkpoint whose frames are intact but
+# whose last stripe section does not decompress or decode refused, and
+# a checkpoint of STRIPES + 2 sections refused by its count before any
+# section is decoded; and the checkpoint file's bytes against
+# tests/golden/checkpoint_format13.hex —
 # all against release builds.
 #
 # Each step runs one test by its exact name through scripts/one_test.sh,
@@ -94,5 +99,10 @@ scripts/one_test.sh -p spotlight-core durable::tests::decode_stripe_refuses_pref
 echo "== recovery smoke: a checkpoint of another section count, a damaged header =="
 scripts/one_test.sh -p spotlight-core durable::tests::recovery_refuses_a_checkpoint_of_another_section_count
 scripts/one_test.sh -p spotlight-persist log::tests::open_with_corrupt_header_is_a_clean_error
+
+echo "== recovery smoke: the section-at-a-time loader, the checkpoint file's bytes =="
+scripts/one_test.sh -p spotlight-core durable::tests::recovery_refuses_a_checkpoint_whose_last_stripe_does_not_load
+scripts/one_test.sh -p spotlight-core durable::tests::recovery_counts_the_sections_before_it_loads_one
+scripts/one_test.sh --test persistence checkpoint_file_matches_its_golden_bytes
 
 echo "recovery smoke: OK"

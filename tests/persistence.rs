@@ -852,8 +852,8 @@ fn checkpoints_of_equal_stores_are_byte_identical() {
         .read_checkpoint()
         .unwrap()
         .unwrap()
-        .iter()
-        .map(Vec::len)
+        .sections()
+        .map(|section| section.unwrap().len())
         .sum();
     assert!(raw > 1_000, "a real checkpoint: {raw} B");
     for name in ["ckpt-bytes-b", "ckpt-bytes-c"] {
@@ -862,6 +862,53 @@ fn checkpoints_of_equal_stores_are_byte_identical() {
             "{name}: equal stores, different bytes"
         );
     }
+}
+
+/// The `checkpoint` file a small fixed store leaves after `close()`,
+/// byte for byte: probes in several stripes, spikes (one repeating a
+/// `PriceSpike` probe), and the region table. How the checkpoint is
+/// written and loaded may change; its bytes change only with a
+/// `frame::FORMAT_VERSION` bump, which regenerates the file
+/// (`CHECKPOINT_GOLDEN_WRITE=1 cargo test --test persistence
+/// checkpoint_file_matches_its_golden_bytes`).
+#[test]
+fn checkpoint_file_matches_its_golden_bytes() {
+    const GOLDEN: &str = include_str!("golden/checkpoint_format13.hex");
+    let tmp = TempDir::new("ckpt-golden");
+    let dir = tmp.path().join("store");
+    let store = DataStore::create_durable(&dir, opts()).unwrap();
+    for i in 0..48u64 {
+        store.record_probe(probe_at(i, market((i % 6) as u8)));
+    }
+    let spike = ProbeRecord {
+        trigger: ProbeTrigger::PriceSpike { ratio: 2.5 },
+        ..probe_at(49, market(1))
+    };
+    store.record_probe(spike);
+    for (at, ratio, probed) in [(spike.at, 2.5, true), (SimTime::from_secs(90), 1.75, false)] {
+        store.record_spike(SpikeEvent {
+            market: market(1),
+            at,
+            ratio,
+            probed,
+        });
+    }
+    store.mark_region_degraded(Region::UsWest2, SimTime::from_secs(600));
+    store.close().unwrap();
+    let bytes = std::fs::read(dir.join("checkpoint")).unwrap();
+    let rendered: String = bytes
+        .chunks(32)
+        .map(|line| line.iter().map(|b| format!("{b:02x}")).collect::<String>() + "\n")
+        .collect();
+    if std::env::var_os("CHECKPOINT_GOLDEN_WRITE").is_some() {
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../tests/golden/checkpoint_format13.hex"
+        );
+        std::fs::write(path, &rendered).unwrap();
+        return;
+    }
+    assert_eq!(rendered, GOLDEN, "the checkpoint file's bytes moved");
 }
 
 /// Keys whose intervals lie months apart persist what they observed,

@@ -583,7 +583,10 @@ fn service_checkpoint_is_compressed() {
     service.stop().expect("stop");
     let log = LogDir::open(&dir).expect("open the directory");
     let checkpoint = log.read_checkpoint().expect("read").expect("a checkpoint");
-    let raw: usize = checkpoint.iter().map(Vec::len).sum();
+    let raw: usize = checkpoint
+        .sections()
+        .map(|s| s.expect("a section").len())
+        .sum();
     let on_disk = std::fs::metadata(dir.join("checkpoint"))
         .expect("checkpoint")
         .len() as usize;
